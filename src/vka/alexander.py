@@ -498,8 +498,13 @@ class OneVarModule:
     plus_col: Optional[int]
 
 
-def one_var_matrix(d):
-    """Classical-style arc matrix: rows UO - t*UI - (1-t)*OV per crossing."""
+def one_var_matrix(d, t=T_GEN):
+    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+
+    ``t`` is the image of t.  T_GEN gives the Laurent matrix over Z[t^+-1]
+    (ring "L1"); 1 or -1 gives the integer specialization (ring "Z"), where
+    t^-1 = t.  The coloring matrix is -A(-1).
+    """
     classes, count = under_arc_classes(d)
     arcs = arc_structure(d)
     names = arc_names(arcs.arc_count)
@@ -509,21 +514,24 @@ def one_var_matrix(d):
         if cls not in seen:
             seen[cls] = names[arc]
             col_names.append(names[arc])
-    t = T_GEN
-    tinv = t.inverse()
-    one = T_ONE
+    if isinstance(t, int):
+        if t not in (1, -1):
+            raise ValueError(f"{t} is not a unit of Z")
+        ring, zero, one, tinv = "Z", 0, 1, t
+    else:
+        ring, zero, one, tinv = "L1", LaurentPoly.zero(TVAR), T_ONE, t.inverse()
+    sign_of = {p.crossing: p.sign for p in d.passages}
     rows = []
     for cid in sorted(arcs.crossings):
         inc = arcs.crossings[cid]
-        sign = next(p.sign for p in d.passages if p.crossing == cid)
-        row = [LaurentPoly.zero(TVAR) for _ in range(count)]
+        row = [zero] * count
         ov, ui, uo = classes[inc.over_in], classes[inc.under_in], classes[inc.under_out]
-        tt = t if sign > 0 else tinv
+        tt = t if sign_of[cid] > 0 else tinv
         row[uo] = row[uo] + one
         row[ui] = row[ui] - tt
         row[ov] = row[ov] - (one - tt)
         rows.append(tuple(row))
-    matrix = PresentationMatrix("L1", tuple(col_names), tuple(rows))
+    matrix = PresentationMatrix(ring, tuple(col_names), tuple(rows))
     if d.kind == LONG:
         return OneVarModule(matrix, classes[0], classes[arcs.arc_count - 1])
     return OneVarModule(matrix, None, None)

@@ -8,7 +8,7 @@ catalog; a test keeps the two in sync.
 
 from __future__ import annotations
 
-from .diagram import TRIVIAL_LONG, concatenate, dn_family, parse_gauss, serialize_gauss
+from .diagram import TRIVIAL_LONG, concatenate, dn_family, parse_gauss
 
 K1 = "O1+ U2+ U1+ O2+"
 K2 = "U1+ U2+ O1+ O2+"
@@ -72,13 +72,3 @@ def corpus():
         "d3": dn(3),
     }
 
-
-def write_corpus(directory):
-    """Write every catalog entry as a .gauss file under ``directory``."""
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, diagram in corpus().items():
-        text = serialize_gauss(diagram)
-        (directory / f"{name}.gauss").write_text(text + "\n" if text else text)

@@ -96,7 +96,7 @@ def cmd_invariants(args):
     if args.det:
         if d.kind != diagram.LONG:
             raise ConfigError("--det requires a long diagram")
-        det = invariants.determinant_long(d, max_minors=args.max_minors)
+        det = invariants.determinant_long(d)
         payload["determinant"] = det
         lines.append(str(det))
     if args.color:
@@ -207,7 +207,8 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--max-minors", type=int, default=invariants.DEFAULT_MINOR_BUDGET,
-                        help="abort (exit 3) beyond this many minor evaluations")
+                        help="abort (exit 3) beyond this many minor evaluations in --charpoly "
+                             "or fuzz (char polys, unit-minor check); --det uses none")
     parser.add_argument("--max-coeff-bits", type=int, default=None,
                         help="abort (exit 3) when a coefficient exceeds this bit length")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,9 +16,8 @@ from .alexander import (
     one_var_matrix,
     quotient_kill,
     tietze_eliminate,
-    under_arc_classes,
 )
-from .diagram import LONG, arc_structure
+from .diagram import LONG
 from .laurent import UV, TVAR, LaurentPoly, divexact, gcd_many
 
 DEFAULT_MINOR_BUDGET = 200000
@@ -70,30 +69,32 @@ def det_exact(rows, ring):
     return out if sign > 0 else -out
 
 
-def elementary_minors(m, k, max_minors=DEFAULT_MINOR_BUDGET):
-    """All minors of size (columns - k); the generators of the k-th ideal.
+def _minors(m, k, max_minors):
+    """Yield the minors of size (columns - k), after the budget check.
 
-    Size zero (k >= columns) yields [1]; a size exceeding either dimension
-    yields the empty list (the zero ideal).
+    Size zero (k >= columns) yields 1; a size exceeding the row count
+    yields nothing (the zero ideal).
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     nrows, ncols = m.shape
     size = ncols - k
-    _, one, _ = _ring_ops(m.ring)
     if size <= 0:
-        return [one]
-    if size > nrows or size > ncols:
-        return []
+        yield _ring_ops(m.ring)[1]
+        return
+    if size > nrows:
+        return
     count = math.comb(nrows, size) * math.comb(ncols, size)
     if count > max_minors:
         raise BudgetExceeded(f"{count} minors of size {size} exceed budget {max_minors}")
-    out = []
     for rs in combinations(range(nrows), size):
         for cs in combinations(range(ncols), size):
-            sub = [[m.rows[i][j] for j in cs] for i in rs]
-            out.append(det_exact(sub, m.ring))
-    return out
+            yield det_exact([[m.rows[i][j] for j in cs] for i in rs], m.ring)
+
+
+def elementary_minors(m, k, max_minors=DEFAULT_MINOR_BUDGET):
+    """All minors of size (columns - k); the generators of the k-th ideal."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return list(_minors(m, k, max_minors))
 
 
 def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
@@ -106,14 +107,6 @@ def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
 
 
 # -- matrix specializations --------------------------------------------
-
-
-def matrix_int_at(m, t0):
-    """Evaluate an L1 matrix at t = t0 in {1, -1}, over Z."""
-    if m.ring != "L1":
-        raise ValueError("expected an L1 matrix")
-    rows = tuple(tuple(e.subs_int((t0,)) for e in row) for row in m.rows)
-    return PresentationMatrix("Z", m.cols, rows)
 
 
 def matrix_mod(m, p, images):
@@ -245,76 +238,58 @@ def in_rowspan_mod(rows, vec, p):
     return rank_mod(list(rows) + [vec], p) == base
 
 
+# Miller-Rabin bases: the first 13 primes.  The smallest strong pseudoprime
+# to all of them is MR_LIMIT (Sorenson and Webster, 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p):
+    """Deterministic Miller-Rabin primality test, exact for p < MR_LIMIT."""
+    if p >= MR_LIMIT:
+        raise ValueError(f"primality of p >= {MR_LIMIT} is not certified")
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for q in MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
 # -- knot determinant and colorings ------------------------------------
 
 
-def determinant_long(d, max_minors=DEFAULT_MINOR_BUDGET):
-    """gcd of the maximal minors of the merged arc matrix at t = -1."""
+def determinant_long(d):
+    """gcd of the maximal minors of the merged arc matrix A(-1).
+
+    A(-1) is c x (c+1), so this is the product of its Smith invariants
+    (0 below full rank).
+    """
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
-    mat = matrix_int_at(one_var_matrix(d).matrix, -1)
-    nrows, ncols = mat.shape
-    size = ncols - 1
-    if size == 0:
-        return 1
-    if math.comb(nrows, size) * math.comb(ncols, size) > max_minors:
-        raise BudgetExceeded("determinant minor budget exceeded")
-    g = 0
-    for rs in combinations(range(nrows), size):
-        for cs in combinations(range(ncols), size):
-            sub = [[mat.rows[i][j] for j in cs] for i in rs]
-            g = math.gcd(g, det_exact(sub, "Z"))
-            if g == 1:
-                return 1
-    return abs(g)
+    return math.prod(smith_normal_form(one_var_matrix(d, -1).matrix.rows))
 
 
 def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
-    """True when every maximal minor of the merged matrix at t = 1 is +-1."""
-    mat = matrix_int_at(one_var_matrix(d).matrix, 1)
+    """True when every maximal minor of the merged matrix A(1) is +-1."""
+    mat = one_var_matrix(d, 1).matrix
     nrows, ncols = mat.shape
-    size = ncols - 1
-    if size == 0:
-        return True
-    if size > nrows:
+    if ncols - 1 > nrows:  # no maximal minors: the zero ideal
         return False
-    if math.comb(nrows, size) * math.comb(ncols, size) > max_minors:
-        raise BudgetExceeded("unit minor budget exceeded")
-    for rs in combinations(range(nrows), size):
-        for cs in combinations(range(ncols), size):
-            sub = [[mat.rows[i][j] for j in cs] for i in rs]
-            if det_exact(sub, "Z") not in (1, -1):
-                return False
-    return True
-
-
-def coloring_matrix(d):
-    """Integer crossing/arc matrix: +2 on the over arc, -1 on each under arc.
-
-    Arcs are divided at undercrossings only (over-arc halves merged).
-    """
-    classes, count = under_arc_classes(d)
-    arcs = arc_structure(d)
-    rows = []
-    for cid in sorted(arcs.crossings):
-        inc = arcs.crossings[cid]
-        row = [0] * count
-        row[classes[inc.over_in]] += 2
-        row[classes[inc.under_in]] -= 1
-        row[classes[inc.under_out]] -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    return all(x in (1, -1) for x in _minors(mat, 1, max_minors))
 
 
 @dataclass(frozen=True)
@@ -329,17 +304,20 @@ def coloring_count(d, p):
     """Number of arc labelings over Z/p satisfying 2*over = under + under."""
     if p < 2:
         raise ValueError("modulus must be at least 2")
-    matrix = coloring_matrix(d)
-    ncols = len(matrix[0]) if matrix else under_arc_classes(d)[1]
+    a = one_var_matrix(d, -1).matrix
+    matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
-    count = p ** (ncols - len(inv))
+    count = p ** (len(a.cols) - len(inv))
     for s in inv:
         count *= math.gcd(s, p) if s else p
     return ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p)
 
 
 def hom_count_to_cyclic(m, p, s):
-    """Number of module maps to Z/p with t acting as the unit s."""
+    """Number of module maps to Z/p with t acting as the unit s.
+
+    p must be a prime below MR_LIMIT, where ``is_prime`` is exact.
+    """
     if m.ring != "L1":
         raise ValueError("hom counting expects an L1 matrix")
     if not is_prime(p):
@@ -377,22 +355,14 @@ def transfer_matrix(n):
 def transfer_condition(n, p):
     """True when distinct colors alpha, beta solve (a, b) M = (d, b) mod p.
 
-    Computed both from the matrix equation and from its closed-form
-    reduction (2n+1)(alpha - beta) = 0; the two routes must agree.
+    M = transfer_matrix(n); the matrix equation reduces to
+    (2n+1)(alpha - beta) = 0 mod p.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = transfer_matrix(n)
-    by_matrix = any(
-        (a * m[0][1] + b * m[1][1] - b) % p == 0
-        for a in range(p)
-        for b in range(p)
-        if a != b
-    )
-    by_reduction = math.gcd(2 * n + 1, p) > 1
-    if by_matrix != by_reduction:
-        raise AssertionError(f"transfer routes disagree at n={n}, p={p}")
-    return by_matrix
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    return math.gcd(2 * n + 1, p) > 1
 
 
 # -- aggregate profile (move-invariance fuzzing) -------------------------
@@ -425,7 +395,7 @@ def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
     if d.kind == LONG:
-        profile["determinant"] = determinant_long(d, max_minors=max_minors)
+        profile["determinant"] = determinant_long(d)
         profile["unit minors"] = unit_minor_check(d, max_minors=max_minors)
     for p in ps:
         profile[f"colorings p={p}"] = coloring_count(d, p).count

@@ -180,8 +180,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self):
@@ -468,15 +469,8 @@ def _prem(f, g, k):
         r = r * lg - g * lr.shift(shift)
         n -= 1
     if n:
-        r = r * _pow_poly(lg, n)
+        r = r * lg ** n
     return r
-
-
-def _pow_poly(p, n):
-    out = LaurentPoly.const(p.vars, 1)
-    for _ in range(n):
-        out = out * p
-    return out
 
 
 def _subresultant_tail(f, g, k):
@@ -491,17 +485,17 @@ def _subresultant_tail(f, g, k):
     b = LaurentPoly.const(f.vars, (-1) ** (d + 1))
     h = _prem(f, g, k) * b
     lc = _lead_coeff(g, k)
-    c = -_pow_poly(lc, d)
+    c = -(lc ** d)
     while not h.is_zero:
         deg_h = h.max_degree(k)
         f, g, m, d = g, h, deg_h, m - deg_h
-        b = -lc * _pow_poly(c, d)
+        b = -lc * c ** d
         h = _prem(f, g, k)
         if not h.is_zero:
             h = divexact(h, b)
         lc = _lead_coeff(g, k)
         if d > 1:
-            c = divexact(_pow_poly(-lc, d), _pow_poly(c, d - 1))
+            c = divexact((-lc) ** d, c ** (d - 1))
         else:
             c = -lc
     return g
@@ -574,14 +568,6 @@ def gcd_many(polys, vars=None):
         if g.is_one:
             break
     return g.canonical()
-
-
-# convenient generators
-U = LaurentPoly.monomial(UV, (1, 0))
-V = LaurentPoly.monomial(UV, (0, 1))
-ONE_UV = LaurentPoly.const(UV, 1)
-T = LaurentPoly.monomial(TVAR, (1,))
-ONE_T = LaurentPoly.const(TVAR, 1)
 
 
 def l2(terms):

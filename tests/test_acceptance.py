@@ -150,7 +150,7 @@ def test_criterion_6_winding_family():
     for n in range(1, 11):
         d = dn_family(TRIVIAL_LONG, n)
         for p in range(2, 30):
-            cond = transfer_condition(n, p)  # matrix and reduced routes compared inside
+            cond = transfer_condition(n, p)  # closed form; the brute force solves the matrix equation
             expected = math.gcd(2 * n + 1, p) > 1
             solver = coloring_count(d, p).nontrivial
             brute = transfer_brute_force(n, p)

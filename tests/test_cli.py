@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,34 @@ def test_budget_exit_3(capsys, corpus_dir):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_det_is_not_bounded_by_minor_budget(capsys, corpus_dir):
+    code, out, _ = run(
+        capsys, "--max-minors", "1", "invariants", str(corpus_dir / "k1.gauss"), "--det",
+    )
+    assert code == 0
+    assert out.strip() == "3"
+
+
+def test_homcount_large_prime_is_fast(capsys, corpus_dir):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "homcount", "-p", "1000000000000000003", "-s", "3", str(corpus_dir / "k1.gauss"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == "1000000000000000003"
+
+
+@pytest.mark.parametrize("p, message", [
+    ("318665857834031151167461", "must be prime"),  # composite, below the bound
+    ("3317044064679887385961981", "not certified"),  # the bound itself
+])
+def test_homcount_rejects_uncertified_moduli_exit_2(capsys, corpus_dir, p, message):
+    code, _, err = run(capsys, "homcount", "-p", p, "-s", "3", str(corpus_dir / "k1.gauss"))
+    assert code == 2
+    assert message in err
 
 
 def test_json_deterministic(capsys, corpus_dir):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from vka.alexander import (
     abelianize,
     diagonal_t,
     extended_presentation,
+    one_var_matrix,
     quotient_kill,
     specialize_uv,
     tietze_eliminate,
@@ -27,7 +29,9 @@ from vka.invariants import (
     det_exact,
     determinant_long,
     elementary_minors,
+    MR_LIMIT,
     hom_count_to_cyclic,
+    is_prime,
     quotient_pipeline,
     rank_mod,
     smith_normal_form,
@@ -178,7 +182,62 @@ def test_unit_minor_check():
         assert unit_minor_check(random_long_diagram(rng))
 
 
+def _a_at(d, t0):
+    """A(t0), evaluated entry by entry from the Laurent matrix A(t)."""
+    return [[e.subs_int((t0,)) for e in row] for row in one_var_matrix(d).matrix.rows]
+
+
+def _maximal_minors(rows, ncols):
+    """Cofactor determinants of every square submatrix keeping all rows."""
+    return [
+        det_cofactor([[r[j] for j in cs] for r in rows])
+        for cs in combinations(range(ncols), len(rows))
+    ]
+
+
+def test_integer_specializations_match_laurent_matrix():
+    rng = random.Random(41)
+    for _ in range(60):
+        d = random_long_diagram(rng)
+        for diagram in (d, close(d)):
+            laurent = one_var_matrix(diagram).matrix
+            for t0 in (1, -1):
+                m = one_var_matrix(diagram, t0).matrix
+                assert m.ring == "Z"
+                assert m.cols == laurent.cols
+                assert [list(r) for r in m.rows] == _a_at(diagram, t0)
+
+
+def test_determinant_is_gcd_of_maximal_minors():
+    rng = random.Random(43)
+    for _ in range(80):
+        d = random_long_diagram(rng)
+        minors = _maximal_minors(_a_at(d, -1), d.crossings + 1)
+        assert determinant_long(d) == math.gcd(*minors)
+
+
+def test_coloring_matrix_is_minus_a_at_minus_one():
+    rng = random.Random(47)
+    for _ in range(60):
+        d = random_long_diagram(rng)
+        for diagram in (d, close(d)):
+            expected = tuple(tuple(-x for x in row) for row in _a_at(diagram, -1))
+            assert coloring_count(diagram, 3).matrix == expected
+
+
 # -- Smith normal form ------------------------------------------------------
+
+
+def test_smith_product_is_gcd_of_maximal_minors():
+    # the identity determinant_long relies on, rank-deficient matrices included
+    rng = random.Random(53)
+    for _ in range(150):
+        c = rng.randrange(0, 5)
+        rows = [[rng.randrange(-3, 4) for _ in range(c + 1)] for _ in range(c)]
+        if c > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]
+        minors = _maximal_minors(rows, c + 1)
+        assert math.prod(smith_normal_form(rows)) == math.gcd(*minors)
 
 
 def test_smith_golden():
@@ -330,6 +389,23 @@ def test_hom_count_validation():
         hom_count_to_cyclic(m, 6, 1)
 
 
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 3000):
+        expected = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == expected
+
+
+def test_is_prime_near_the_certified_bound():
+    assert is_prime(10**18 + 3)
+    assert is_prime(3317044064679887385961813)  # the largest prime below MR_LIMIT
+    # a strong pseudoprime to the first 12 prime bases: only base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    with pytest.raises(ValueError):
+        is_prime(MR_LIMIT)
+
+
 # -- transfer criterion ----------------------------------------------------------
 
 
@@ -337,6 +413,14 @@ def test_transfer_goldens():
     assert transfer_condition(1, 3) is True
     assert transfer_condition(1, 2) is False
     assert transfer_condition(2, 5) is True
+
+
+def test_transfer_rejects_bad_arguments():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            transfer_condition(1, p)
+    with pytest.raises(ValueError):
+        transfer_condition(0, 3)
 
 
 def test_transfer_matrices_exact():
