@@ -460,13 +460,13 @@ def end_generator_columns(p, m):
 # -- merged one-variable matrix ----------------------------------------
 
 
-def under_arc_classes(d):
+def under_arc_classes(arcs):
     """Union-find classes of arcs after merging each over-arc pair.
 
-    These are the arcs of the diagram when over-arcs are not split, i.e.
-    arcs divided at undercrossings only.
+    ``arcs`` is the diagram's ``arc_structure``.  The classes are the arcs
+    of the diagram when over-arcs are not split, i.e. arcs divided at
+    undercrossings only.
     """
-    arcs = arc_structure(d)
     parent = list(range(arcs.arc_count))
 
     def find(x):
@@ -505,8 +505,8 @@ def one_var_matrix(d, t=T_GEN):
     (ring "L1"); 1 or -1 gives the integer specialization (ring "Z"), where
     t^-1 = t.  The coloring matrix is -A(-1).
     """
-    classes, count = under_arc_classes(d)
     arcs = arc_structure(d)
+    classes, count = under_arc_classes(arcs)
     names = arc_names(arcs.arc_count)
     col_names = []
     seen = {}

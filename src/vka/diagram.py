@@ -198,10 +198,12 @@ def dn_family(base, n):
     for i in range(1, n + 1):
         forward.append(Passage(2 * i - 1, OVER, 1))
         forward.append(Passage(2 * i, UNDER, -1))
-        unders.insert(0, Passage(2 * i - 1, UNDER, 1))
-        overs.insert(0, Passage(2 * i, OVER, -1))
+        unders.append(Passage(2 * i - 1, UNDER, 1))
+        overs.append(Passage(2 * i, OVER, -1))
+    unders.reverse()
+    overs.reverse()
     middle = [Passage(p.crossing + offset, p.role, p.sign) for p in base.passages]
-    return Diagram(LONG, tuple(forward) + tuple(unders) + tuple(middle) + tuple(overs))
+    return Diagram(LONG, forward + unders + middle + overs)
 
 
 class CrossingArcs(NamedTuple):

@@ -7,6 +7,13 @@ the braid-relation configuration (one strand over both of its crossings,
 one under both, signs consistent with some orientation of the three
 strands); a stricter matcher loses fuzz coverage but can never rewrite a
 diagram into an inequivalent one.
+
+Site enumeration builds one index per diagram, the position of each
+passage's partner (the other passage of its crossing).  With it the
+shrinking sites (R1-, R2-, R3) come from one O(n) scan over adjacent
+pairs; the growing sites (R1+, R2+) are counted and decoded from their
+index on demand.  A random-walk
+step therefore costs O(n) plus building and validating the new diagram.
 """
 
 from __future__ import annotations
@@ -24,15 +31,6 @@ class MoveSite(NamedTuple):
 
 class IllegalMove(ValueError):
     """The site does not match the required local pattern."""
-
-
-def _adjacent_pairs(passages):
-    """Positions i where passages i, i+1 belong to two distinct crossings."""
-    out = []
-    for i in range(len(passages) - 1):
-        if passages[i].crossing != passages[i + 1].crossing:
-            out.append(i)
-    return out
 
 
 def _r2_pairs_match(passages, i, j):
@@ -82,41 +80,69 @@ def _r3_match(passages, site, sign_of=None):
     return True
 
 
+def _partners(passages):
+    """The index: position -> position of the other passage of its crossing."""
+    partner = [0] * len(passages)
+    first = {}
+    for k, p in enumerate(passages):
+        j = first.pop(p.crossing, None)
+        if j is None:
+            first[p.crossing] = k
+        else:
+            partner[j], partner[k] = k, j
+    return partner
+
+
 def _shrinking_sites(passages):
-    """All R1-, R2- and R3 sites, in deterministic scan order."""
+    """All R1-, R2- and R3 sites, in deterministic order, in O(n).
+
+    Sites come in kind order (R1-, R2-, R3), each kind sorted by its data.
+    Every site uses an adjacent pair of passages at i, i + 1, and the
+    partner index fixes the rest of it: an R2- partner pair can only sit at
+    the other passages of the two crossings, and an over-over pair fixes
+    the crossings x, y of an R3 triangle, so the middle pair holds x's under
+    passage and the bottom pair y's, two positions each.  Each candidate
+    still passes the matcher ``apply_move`` uses.
+    """
+    n = len(passages)
+    partner = _partners(passages)
+    sign_of = {p.crossing: p.sign for p in passages}
+    r1, r2, r3 = [], [], []
+    for i in range(n - 1):
+        a, b = passages[i], passages[i + 1]
+        if a.crossing == b.crossing:
+            r1.append(MoveSite("r1-", (i,)))
+            continue
+        pa, pb = partner[i], partner[i + 1]
+        j = min(pa, pb)
+        if abs(pa - pb) == 1 and j > i + 1 and _r2_pairs_match(passages, i, j):
+            r2.append(MoveSite("r2-", (i, j)))
+        if a.role == OVER and b.role == OVER:
+            r3.extend(_r3_sites(passages, partner, sign_of, i))
+    r3.sort(key=lambda site: site.data)
+    return r1 + r2 + r3
+
+
+def _r3_sites(passages, partner, sign_of, it):
+    """The R3 sites whose top (over-over) pair sits at ``it``."""
     n = len(passages)
     sites = []
-    for i in range(n - 1):
-        if passages[i].crossing == passages[i + 1].crossing:
-            sites.append(MoveSite("r1-", (i,)))
-    adj = _adjacent_pairs(passages)
-    for ai, i in enumerate(adj):
-        for j in adj[ai + 1:]:
-            if j > i + 1 and _r2_pairs_match(passages, i, j):
-                sites.append(MoveSite("r2-", (i, j)))
-    over_pairs, under_pairs, mixed_pairs = [], [], []
-    for i in adj:
-        r1, r2 = passages[i].role, passages[i + 1].role
-        if r1 == OVER and r2 == OVER:
-            over_pairs.append(i)
-        elif r1 == UNDER and r2 == UNDER:
-            under_pairs.append(i)
-        else:
-            mixed_pairs.append(i)
-    sign_of = {p.crossing: p.sign for p in passages}
-    for it in over_pairs:
-        for im in mixed_pairs:
-            for ib in under_pairs:
-                for e_top in (1, -1):
-                    matched = False
-                    for e_bot in (1, -1):
-                        site = (it, im, ib, e_top, e_bot)
-                        if _r3_match(passages, site, sign_of):
-                            sites.append(MoveSite("r3", site))
-                            matched = True
-                            break
-                    if matched:
-                        break
+    for e_top, xo, yo in ((1, it, it + 1), (-1, it + 1, it)):
+        xu, yu = partner[xo], partner[yo]
+        # middle pair (U x, O z) at xu, or (O z, U x) at xu - 1
+        for im, zo in ((xu, xu + 1), (xu - 1, xu - 1)):
+            if not 0 <= zo < n:
+                continue
+            zu = partner[zo]
+            # bottom pair (U y, U z) at yu, or (U z, U y) at yu - 1
+            if zu == yu + 1:
+                site = (it, im, yu, e_top, 1)
+            elif zu == yu - 1:
+                site = (it, im, yu - 1, e_top, -1)
+            else:
+                continue
+            if _r3_match(passages, site, sign_of):
+                sites.append(MoveSite("r3", site))
     return sites
 
 
@@ -150,20 +176,37 @@ def _decode_r2_add(n, idx):
     return MoveSite("r2+", (i, j, sign, first_role, parallel))
 
 
+def _site_table(d, max_crossings):
+    """The legal sites of ``d`` in their fixed order, as (count, site_at).
+
+    The shrinking sites come first, listed by one O(n) scan; the R1+ and
+    R2+ sites after them are decoded from their index on demand.  Growing
+    moves are withheld once the crossing count reaches ``max_crossings``.
+    """
+    n = len(d.passages)
+    shrink = _shrinking_sites(d.passages)
+    r1 = _r1_add_count(n) if max_crossings is None or d.crossings < max_crossings else 0
+    r2 = _r2_add_count(n) if max_crossings is None or d.crossings + 2 <= max_crossings else 0
+
+    def site_at(k):
+        if k < len(shrink):
+            return shrink[k]
+        k -= len(shrink)
+        if k < r1:
+            return _decode_r1_add(k)
+        return _decode_r2_add(n, k - r1)
+
+    return len(shrink) + r1 + r2, site_at
+
+
 def legal_sites(d, max_crossings=None):
     """Deterministically ordered legal move sites for a diagram.
 
     Growing moves (R1+, R2+) are withheld once the crossing count reaches
     ``max_crossings``.
     """
-    passages = d.passages
-    n = len(passages)
-    sites = _shrinking_sites(passages)
-    if max_crossings is None or d.crossings < max_crossings:
-        sites.extend(_decode_r1_add(i) for i in range(_r1_add_count(n)))
-    if max_crossings is None or d.crossings + 2 <= max_crossings:
-        sites.extend(_decode_r2_add(n, i) for i in range(_r2_add_count(n)))
-    return sites
+    count, site_at = _site_table(d, max_crossings)
+    return [site_at(k) for k in range(count)]
 
 
 def apply_move(d, site):
@@ -217,8 +260,10 @@ def random_walk(d, seed, steps, max_crossings=None):
 
     Growth is capped at the starting crossing count plus six unless an
     explicit cap is given, keeping fuzz campaigns within minor budgets.
-    Growing-move sites are indexed lazily, so each step costs only the
-    shrinking-site scan.
+    Each step draws one index into the site table of ``legal_sites``: the
+    shrinking sites come from one O(n) scan of the partner index and only
+    the drawn growing site is decoded, so a step costs O(n) for the scan
+    plus the validation of the new diagram.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -227,20 +272,8 @@ def random_walk(d, seed, steps, max_crossings=None):
     rng = random.Random(seed)
     current = d
     for _ in range(steps):
-        passages = current.passages
-        n = len(passages)
-        shrink = _shrinking_sites(passages)
-        c1 = _r1_add_count(n) if current.crossings < max_crossings else 0
-        c2 = _r2_add_count(n) if current.crossings + 2 <= max_crossings else 0
-        total = len(shrink) + c1 + c2
-        if total == 0:
+        count, site_at = _site_table(current, max_crossings)
+        if count == 0:
             break
-        idx = rng.randrange(total)
-        if idx < len(shrink):
-            site = shrink[idx]
-        elif idx < len(shrink) + c1:
-            site = _decode_r1_add(idx - len(shrink))
-        else:
-            site = _decode_r2_add(n, idx - len(shrink) - c1)
-        current = apply_move(current, site)
+        current = apply_move(current, site_at(rng.randrange(count)))
     return current

@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the library's own computation paths:
 polynomial products by direct convolution, determinants by cofactor
-recursion, colorings and homomorphism counts by exhaustive assignment.
+recursion, colorings and homomorphism counts by exhaustive assignment, move sites
+by trying every combination of adjacent pairs (through the library's own
+site matchers, which define what a legal site is).
 """
 
 from __future__ import annotations
 
 from vka.diagram import Diagram, LONG, OVER, Passage, UNDER, arc_structure
 from vka.laurent import LaurentPoly
+from vka.moves import MoveSite, _r2_pairs_match, _r3_match
 
 
 def convolve(p, q):
@@ -163,3 +166,46 @@ def transfer_brute_force(n, p):
             if (second - beta) % p == 0:
                 return True
     return False
+
+
+def shrinking_sites_brute_force(passages):
+    """All R1-, R2- and R3 sites by the cubic scan over adjacent pairs.
+
+    The reference for ``vka.moves`` site enumeration: every pair of
+    adjacent pairs is an R2- candidate, and every over-pair x mixed-pair x
+    under-pair triple an R3 candidate, tried with both strand orientations.
+    """
+    n = len(passages)
+    sites = []
+    for i in range(n - 1):
+        if passages[i].crossing == passages[i + 1].crossing:
+            sites.append(MoveSite("r1-", (i,)))
+    adj = [i for i in range(n - 1) if passages[i].crossing != passages[i + 1].crossing]
+    for ai, i in enumerate(adj):
+        for j in adj[ai + 1:]:
+            if j > i + 1 and _r2_pairs_match(passages, i, j):
+                sites.append(MoveSite("r2-", (i, j)))
+    over_pairs, under_pairs, mixed_pairs = [], [], []
+    for i in adj:
+        r1, r2 = passages[i].role, passages[i + 1].role
+        if r1 == OVER and r2 == OVER:
+            over_pairs.append(i)
+        elif r1 == UNDER and r2 == UNDER:
+            under_pairs.append(i)
+        else:
+            mixed_pairs.append(i)
+    sign_of = {p.crossing: p.sign for p in passages}
+    for it in over_pairs:
+        for im in mixed_pairs:
+            for ib in under_pairs:
+                for e_top in (1, -1):
+                    matched = False
+                    for e_bot in (1, -1):
+                        site = (it, im, ib, e_top, e_bot)
+                        if _r3_match(passages, site, sign_of):
+                            sites.append(MoveSite("r3", site))
+                            matched = True
+                            break
+                    if matched:
+                        break
+    return sites

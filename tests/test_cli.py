@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from vka import alexander
 from vka.cli import main
 
 
@@ -164,6 +165,19 @@ def test_color_command(capsys, corpus_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["colorings"]["count"] == 9
+
+
+def test_color_builds_arc_structure_once_per_modulus(capsys, corpus_dir, monkeypatch):
+    calls = []
+    real = alexander.arc_structure
+    monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+    moduli = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    argv = ["color", str(corpus_dir / "trefoil.gauss")]
+    for p in moduli:
+        argv += ["-p", str(p)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == len(moduli)
 
 
 def test_homcount_command(capsys, corpus_dir):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -168,6 +169,16 @@ def test_dn_family_embeds_base():
     inner = d.passages[6:-2]  # between the returning unders and the exit overs
     relabeled = Diagram(LONG, inner)
     assert relabeled == base
+
+
+def test_dn_family_golden_codes():
+    lines = [
+        f"{name} {n} {serialize_gauss(dn_family(base, n))}"
+        for name, base in sorted(catalog.corpus().items())
+        for n in range(1, 13)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "cb0c391968ae2abebd1c4f6e7185665bede5f9c105d09319d9b431bc717363d1"
 
 
 def test_dn_family_extends_by_one_crossing_each_side():

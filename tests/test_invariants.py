@@ -11,7 +11,7 @@ from oracles import (
     random_long_diagram,
     transfer_brute_force,
 )
-from vka import catalog
+from vka import alexander, catalog
 from vka.alexander import (
     abelianize,
     diagonal_t,
@@ -31,6 +31,7 @@ from vka.invariants import (
     elementary_minors,
     MR_LIMIT,
     hom_count_to_cyclic,
+    invariant_profile,
     is_prime,
     quotient_pipeline,
     rank_mod,
@@ -461,3 +462,16 @@ def test_dn_closure_is_move_equivalent_to_base_closure():
         for n in (1, 2):
             wound = close(dn_family(base, n))
             assert invariant_profile(wound) == target
+
+
+def test_one_arc_structure_per_one_var_matrix(monkeypatch):
+    calls = []
+    real = alexander.arc_structure
+    monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+    one_var_matrix(catalog.k1(), -1)
+    assert len(calls) == 1
+    calls.clear()
+    # two presentations (quotients none, end-minus), then A(-1) for the
+    # determinant, A(1) for the unit-minor check, A(-1) per coloring modulus
+    invariant_profile(catalog.k1())
+    assert len(calls) == 7

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
-from oracles import random_long_diagram
-from vka import catalog
-from vka.diagram import Diagram, LONG, TRIVIAL_LONG, parse_gauss
+from oracles import random_long_diagram, shrinking_sites_brute_force
+from vka import catalog, moves
+from vka.diagram import Diagram, LONG, TRIVIAL_LONG, parse_gauss, serialize_gauss
 from vka.invariants import determinant_long, invariant_profile
 from vka.moves import IllegalMove, MoveSite, apply_move, legal_sites, random_walk
 
@@ -105,3 +106,59 @@ def test_walk_preserves_corpus_profiles_smoke():
         for seed in (0, 1):
             w = random_walk(d, seed, 20, max_crossings=d.crossings + 4)
             assert invariant_profile(w) == base, name
+
+
+def random_code(rng, crossings, closed=False):
+    """A uniformly scrambled long or closed Gauss code with exact crossing count."""
+    slots = list(range(2 * crossings))
+    rng.shuffle(slots)
+    tokens = [None] * (2 * crossings)
+    for cid in range(1, crossings + 1):
+        i, j = slots[2 * cid - 2], slots[2 * cid - 1]
+        sign = rng.choice("+-")
+        first, second = ("O", "U") if rng.random() < 0.5 else ("U", "O")
+        tokens[i] = f"{first}{cid}{sign}"
+        tokens[j] = f"{second}{cid}{sign}"
+    body = " ".join(tokens)
+    return f"closed\n{body}" if closed else body
+
+
+def check_shrinking_sites(d):
+    """The shrinking sites of ``d``, checked against the brute force and applied."""
+    sites = legal_sites(d, max_crossings=d.crossings)
+    assert sites == shrinking_sites_brute_force(d.passages)
+    for site in sites:
+        apply_move(d, site)  # raises IllegalMove on a bad site
+    return sites
+
+
+def test_sites_match_brute_force_on_random_diagrams():
+    rng = random.Random(11)
+    for _ in range(1000):
+        d = parse_gauss(random_code(rng, rng.randrange(15), closed=rng.random() < 0.5))
+        check_shrinking_sites(d)
+
+
+def test_sites_match_brute_force_along_corpus_walks(monkeypatch):
+    states = []
+    real_apply = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda d, site: states.append(d) or real_apply(d, site))
+    corpus = catalog.corpus()
+    for d in corpus.values():
+        for seed in range(20):
+            random_walk(d, seed, 50)
+    monkeypatch.undo()
+    assert len(states) == len(corpus) * 20 * 50
+    r3_counts = [sum(s.kind == "r3" for s in check_shrinking_sites(d)) for d in states]
+    # walk states hold R3 sites far more often than random diagrams do
+    assert sum(1 for k in r3_counts if k) >= 2000
+
+
+def test_golden_seed_to_walk_mapping():
+    lines = [
+        f"{name} {seed} {serialize_gauss(random_walk(d, seed, 50))}"
+        for name, d in sorted(catalog.corpus().items())
+        for seed in range(100)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "db661c56dc23b28d5cb17e1669496debc1cc2c080df591ba53ef77bcaad49957"
