@@ -3,7 +3,7 @@
 These codes were fixed by calibration: the generated arc-group
 presentations, characteristic polynomials and coloring behavior are pinned
 by the golden tests.  The on-disk ``corpus/`` directory mirrors this
-catalog; a test keeps the two in sync.
+catalog; ``tests/test_catalog.py`` keeps the two in sync.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ EXIT_BUDGET = 3
 EXIT_UNSTABLE = 4
 
 SCHEMA = 1
+MAX_WINDINGS = 10_000  # dn builds 4n passages
 
 
 class ConfigError(ValueError):
@@ -71,17 +72,31 @@ def cmd_parse(args):
     return EXIT_OK
 
 
+def _colorings(d, moduli, matrix=False):
+    """JSON value and text lines of the coloring reports, one per modulus."""
+    items, lines = [], []
+    for rep in invariants.coloring_count(d, moduli):
+        item = {"p": rep.p, "count": rep.count, "nontrivial": rep.nontrivial}
+        if matrix:
+            item["matrix"] = [list(r) for r in rep.matrix]
+        items.append(item)
+        lines.append(f"p={rep.p}: {rep.count} colorings" + (" (nontrivial)" if rep.nontrivial else ""))
+    return (items[0] if len(items) == 1 else items), lines
+
+
 def cmd_invariants(args):
     d = _load(args.input)
+    if not (args.presentation or args.charpoly or args.det or args.color):
+        raise ConfigError("nothing requested: use --charpoly/--det/--color/--presentation")
     payload = {"input": args.input, "quotient": args.quotient}
     lines = []
-    wants_charpoly = args.charpoly is not None and len(args.charpoly) > 0
+    if args.presentation or args.charpoly:
+        pres = invariants.quotient_pipeline(d, args.quotient)
     if args.presentation:
-        pres = alexander.tietze_eliminate(alexander.extended_presentation(d))
         payload["presentation"] = pres.to_json()
         lines.append(str(pres))
-    if wants_charpoly:
-        mat = invariants.quotient_pipeline(d, args.quotient)
+    if args.charpoly:
+        mat = alexander.abelianize(pres)
         if args.t == "v1":
             mat = alexander.one_variable(mat)
         elif args.t == "diag":
@@ -100,14 +115,8 @@ def cmd_invariants(args):
         payload["determinant"] = det
         lines.append(str(det))
     if args.color:
-        reports = []
-        for p in args.color:
-            rep = invariants.coloring_count(d, p)
-            reports.append({"p": p, "count": rep.count, "nontrivial": rep.nontrivial})
-            lines.append(f"p={p}: {rep.count} colorings" + (" (nontrivial)" if rep.nontrivial else ""))
-        payload["colorings"] = reports[0] if len(reports) == 1 else reports
-    if not (args.presentation or wants_charpoly or args.det or args.color):
-        raise ConfigError("nothing requested: use --charpoly/--det/--color/--presentation")
+        payload["colorings"], color_lines = _colorings(d, args.color)
+        lines += color_lines
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -127,8 +136,8 @@ def cmd_construct(args):
             n = int(raw)
         except (TypeError, ValueError):
             raise ConfigError("dn requires a winding count") from None
-        if n < 1:
-            raise ConfigError("dn requires a positive winding count")
+        if not 1 <= n <= MAX_WINDINGS:
+            raise ConfigError(f"dn requires a winding count from 1 to {MAX_WINDINGS}")
         out = diagram.dn_family(_load(args.input), n)
     else:
         raise ConfigError(f"unknown construction {args.op!r}")
@@ -143,22 +152,14 @@ def cmd_construct(args):
 
 def cmd_color(args):
     d = _load(args.input)
-    reports = []
-    lines = []
-    for p in args.p:
-        rep = invariants.coloring_count(d, p)
-        item = {"p": p, "count": rep.count, "nontrivial": rep.nontrivial}
-        if args.matrix:
-            item["matrix"] = [list(r) for r in rep.matrix]
-        reports.append(item)
-        lines.append(f"p={p}: {rep.count} colorings" + (" (nontrivial)" if rep.nontrivial else ""))
-    _emit(args, {"input": args.input, "colorings": reports[0] if len(reports) == 1 else reports}, lines)
+    reports, lines = _colorings(d, args.p, matrix=args.matrix)
+    _emit(args, {"input": args.input, "colorings": reports}, lines)
     return EXIT_OK
 
 
 def cmd_homcount(args):
     d = _load(args.input)
-    mat = invariants.quotient_pipeline(d, args.quotient)
+    mat = alexander.abelianize(invariants.quotient_pipeline(d, args.quotient))
     mat = alexander.one_variable(mat) if args.t == "v1" else alexander.diagonal_t(mat)
     count = invariants.hom_count_to_cyclic(mat, args.p, args.s)
     _emit(
@@ -210,7 +211,8 @@ def build_parser():
                         help="abort (exit 3) beyond this many minor evaluations in --charpoly "
                              "or fuzz (char polys, unit-minor check); --det uses none")
     parser.add_argument("--max-coeff-bits", type=int, default=None,
-                        help="abort (exit 3) when a coefficient exceeds this bit length")
+                        help="abort (exit 3) when an entry of the --charpoly input matrix has a "
+                             "coefficient longer than this many bits")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate and normalize a Gauss code")

@@ -118,41 +118,11 @@ def matrix_mod(m, p, images):
 # -- integer linear algebra --------------------------------------------
 
 
-def smith_normal_form(rows, transforms=False):
-    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix.
-
-    With transforms=True also returns unimodular L, R with L A R diagonal.
-    """
+def smith_normal_form(rows):
+    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix."""
     A = [list(r) for r in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    L = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
-    R = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else None
-
-    def row_op(i, j, q):  # row i -= q * row j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        if transforms:
-            L[i] = [a - q * b for a, b in zip(L[i], L[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for r in A:
-            r[i] -= q * r[j]
-        if transforms:
-            for r in R:
-                r[i] -= q * r[j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        if transforms:
-            L[i], L[j] = L[j], L[i]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        if transforms:
-            for r in R:
-                r[i], r[j] = r[j], r[i]
-
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -165,19 +135,21 @@ def smith_normal_form(rows, transforms=False):
                     pivot = (i, j)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        A[t], A[pivot[0]] = A[pivot[0]], A[t]
+        for r in A:
+            r[t], r[pivot[1]] = r[pivot[1]], r[t]
         dirty = False
         for i in range(t + 1, m):
             if A[i][t]:
                 q = A[i][t] // A[t][t]
-                row_op(i, t, q)
+                A[i] = [a - q * b for a, b in zip(A[i], A[t])]
                 if A[i][t]:
                     dirty = True
         for j in range(t + 1, n):
             if A[t][j]:
                 q = A[t][j] // A[t][t]
-                col_op(j, t, q)
+                for r in A:
+                    r[j] -= q * r[t]
                 if A[t][j]:
                     dirty = True
         if dirty:
@@ -192,20 +164,10 @@ def smith_normal_form(rows, transforms=False):
             if offender is not None:
                 break
         if offender is not None:
-            row_op(t, offender, -1)
+            A[t] = [a + b for a, b in zip(A[t], A[offender])]
             continue
         t += 1
-    diag = []
-    for i in range(limit):
-        d = A[i][i] if i < m and i < n else 0
-        if d < 0:
-            d = -d
-            if transforms:
-                L[i] = [-x for x in L[i]]
-        diag.append(d)
-    if transforms:
-        return tuple(diag), L, R
-    return tuple(diag)
+    return tuple(abs(A[i][i]) for i in range(limit))
 
 
 def rank_mod(rows, p):
@@ -300,17 +262,23 @@ class ColoringReport:
     nontrivial: bool
 
 
-def coloring_count(d, p):
-    """Number of arc labelings over Z/p satisfying 2*over = under + under."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
+def coloring_count(d, ps):
+    """One report per modulus in ``ps`` (input order, duplicates kept).
+
+    A coloring mod p labels the arcs over Z/p with 2*over = under + under
+    at every crossing.  All moduli share one Smith form of -A(-1).
+    """
     a = one_var_matrix(d, -1).matrix
     matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
-    count = p ** (len(a.cols) - len(inv))
-    for s in inv:
-        count *= math.gcd(s, p) if s else p
-    return ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p)
+    free = len(a.cols) - len(inv)
+    reports = []
+    for p in ps:
+        if p < 2:
+            raise ValueError("modulus must be at least 2")
+        count = p ** free * math.prod(math.gcd(s, p) for s in inv)
+        reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p))
+    return reports
 
 
 def hom_count_to_cyclic(m, p, s):
@@ -369,7 +337,7 @@ def transfer_condition(n, p):
 
 
 def quotient_pipeline(d, quotient="none"):
-    """Presentation matrix over L2 after the requested end quotient."""
+    """Tietze-eliminated presentation of the requested end quotient."""
     pres = extended_presentation(d)
     if quotient != "none":
         if pres.end_minus is None:
@@ -382,7 +350,7 @@ def quotient_pipeline(d, quotient="none"):
         if not victims:
             raise ValueError(f"unknown quotient {quotient!r}")
         pres = quotient_kill(pres, victims)
-    return abelianize(tietze_eliminate(pres))
+    return tietze_eliminate(pres)
 
 
 def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
@@ -390,13 +358,13 @@ def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
     profile = {}
     quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
     for quotient in quotients:
-        mat = quotient_pipeline(d, quotient)
+        mat = abelianize(quotient_pipeline(d, quotient))
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
     if d.kind == LONG:
         profile["determinant"] = determinant_long(d)
         profile["unit minors"] = unit_minor_check(d, max_minors=max_minors)
-    for p in ps:
-        profile[f"colorings p={p}"] = coloring_count(d, p).count
+    for rep in coloring_count(d, ps):
+        profile[f"colorings p={rep.p}"] = rep.count
     return profile

@@ -81,7 +81,7 @@ def test_criterion_2_golden_polynomials():
     }
     results = {}
     for name, text in expected.items():
-        mat = quotient_pipeline(getattr(catalog, name)(), "end-minus")
+        mat = abelianize(quotient_pipeline(getattr(catalog, name)(), "end-minus"))
         results[name] = str(char_poly(mat, 0))
     ok = all(results[n] == expected[n] for n in expected)
     report(2, ok, f"end-quotient characteristic polynomials {results}")
@@ -117,7 +117,8 @@ def test_criterion_4_noncommutativity():
         killed = quotient_kill(pres, {pres.end_minus[0].gen})
         oracle[name] = brute_force_hom_count(killed, 5, 3)
     counts = {
-        name: hom_count_to_cyclic(diagonal_t(quotient_pipeline(getattr(catalog, name)(), "end-minus")), 5, 3)
+        name: hom_count_to_cyclic(
+            diagonal_t(abelianize(quotient_pipeline(getattr(catalog, name)(), "end-minus"))), 5, 3)
         for name in ("k4k5", "k5k4")
     }
     ok = oracle == counts == {"k4k5": 25, "k5k4": 5}
@@ -137,8 +138,8 @@ def test_criterion_5_determinant_properties():
         if det % 2 == 0 or not unit_minor_check(d):
             violations += 1
             continue
-        for p in (3, 5, 7, 11, 13):
-            if coloring_count(d, p).nontrivial != (det % p == 0):
+        for rep in coloring_count(d, (3, 5, 7, 11, 13)):
+            if rep.nontrivial != (det % rep.p == 0):
                 violations += 1
     ok = violations == 0
     report(5, ok, f"{len(diagrams)} diagrams: determinants odd, unit minors, "
@@ -149,10 +150,11 @@ def test_criterion_6_winding_family():
     ok = True
     for n in range(1, 11):
         d = dn_family(TRIVIAL_LONG, n)
-        for p in range(2, 30):
+        for rep in coloring_count(d, range(2, 30)):
+            p = rep.p
             cond = transfer_condition(n, p)  # closed form; the brute force solves the matrix equation
             expected = math.gcd(2 * n + 1, p) > 1
-            solver = coloring_count(d, p).nontrivial
+            solver = rep.nontrivial
             brute = transfer_brute_force(n, p)
             if not (cond == expected == solver == brute):
                 ok = False

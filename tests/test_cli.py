@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from vka import alexander
-from vka.cli import main
+from vka import alexander, diagram, invariants
+from vka.cli import MAX_WINDINGS, main
 
 
 def run(capsys, *argv):
@@ -113,6 +113,37 @@ def test_json_deterministic(capsys, corpus_dir):
     assert payload["colorings"] == {"p": 3, "count": 9, "nontrivial": True}
 
 
+def test_presentation_follows_quotient(capsys, corpus_dir):
+    code, out, _ = run(
+        capsys, "--json", "invariants", str(corpus_dir / "k1.gauss"), "--presentation",
+        "--quotient", "end-minus", "--charpoly", "0",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["charpoly"]["value"] == "u^2*v - u + 1"
+    pres = payload["presentation"]
+    assert pres["end_minus"] == []  # the killed end is gone from the words
+    relations = tuple(
+        alexander.OpRelation(*(tuple(alexander.OpLetter(g, tuple(e), s) for g, e, s in side)
+                               for side in (rel["left"], rel["right"])))
+        for rel in pres["relations"]
+    )
+    shown = alexander.GroupPresentationZ2(tuple(pres["generators"]), relations)
+    assert str(invariants.char_poly(alexander.abelianize(shown), 0)) == "u^2*v - u + 1"
+
+
+def test_presentation_and_charpoly_share_one_elimination(capsys, corpus_dir, monkeypatch):
+    calls = []
+    real = alexander.tietze_eliminate
+    for module in (alexander, invariants):
+        monkeypatch.setattr(module, "tietze_eliminate", lambda p: calls.append(p) or real(p))
+    code, _, _ = run(
+        capsys, "invariants", str(corpus_dir / "k1.gauss"), "--presentation", "--charpoly", "0",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_construct_concat(capsys, corpus_dir):
     code, out, _ = run(
         capsys, "construct", "concat", str(corpus_dir / "k4.gauss"), str(corpus_dir / "k5.gauss")
@@ -157,7 +188,18 @@ def test_construct_dn_nontrivial_coloring(capsys, corpus_dir):
 
     d = parse_gauss(out.strip())
     assert d.crossings == 4
-    assert coloring_count(d, 5).nontrivial
+    assert coloring_count(d, [5])[0].nontrivial
+
+
+def test_construct_dn_rejects_huge_winding_count_exit_2(capsys, corpus_dir, monkeypatch):
+    built = []
+    monkeypatch.setattr(diagram, "dn_family", lambda d, n: built.append(n))
+    code, _, err = run(
+        capsys, "construct", "dn", str(corpus_dir / "empty.gauss"), str(MAX_WINDINGS + 1),
+    )
+    assert code == 2
+    assert str(MAX_WINDINGS) in err
+    assert built == []
 
 
 def test_color_command(capsys, corpus_dir):
@@ -167,17 +209,20 @@ def test_color_command(capsys, corpus_dir):
     assert payload["colorings"]["count"] == 9
 
 
-def test_color_builds_arc_structure_once_per_modulus(capsys, corpus_dir, monkeypatch):
-    calls = []
+def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch):
+    calls, smith = [], []
     real = alexander.arc_structure
     monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+    real_smith = invariants.smith_normal_form
+    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: smith.append(rows) or real_smith(rows))
     moduli = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     argv = ["color", str(corpus_dir / "trefoil.gauss")]
     for p in moduli:
         argv += ["-p", str(p)]
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == len(moduli)
+    assert len(calls) == 1
+    assert len(smith) == 1
 
 
 def test_homcount_command(capsys, corpus_dir):

@@ -107,13 +107,13 @@ def test_char_poly_goldens():
     }
     for name, text in expectations.items():
         d = getattr(catalog, name)()
-        mat = quotient_pipeline(d, "end-minus")
+        mat = abelianize(quotient_pipeline(d, "end-minus"))
         assert char_poly(mat, 0) == parse_poly(text)
 
 
 def test_char_poly_invariant_under_matrix_equivalence():
     rng = random.Random(5)
-    base = quotient_pipeline(catalog.k2(), "end-minus")
+    base = abelianize(quotient_pipeline(catalog.k2(), "end-minus"))
     for _ in range(20):
         rows = [list(r) for r in base.rows]
         # random row operation, column permutation, unit scaling
@@ -223,7 +223,7 @@ def test_coloring_matrix_is_minus_a_at_minus_one():
         d = random_long_diagram(rng)
         for diagram in (d, close(d)):
             expected = tuple(tuple(-x for x in row) for row in _a_at(diagram, -1))
-            assert coloring_count(diagram, 3).matrix == expected
+            assert coloring_count(diagram, [3])[0].matrix == expected
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -272,39 +272,38 @@ def test_smith_divisibility_chain_and_minor_gcd_oracle():
             assert prod == g
 
 
-def test_smith_transforms():
-    rng = random.Random(19)
-    for _ in range(25):
-        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-        inv, L, R = smith_normal_form(rows, transforms=True)
-        assert abs(det_cofactor(L)) == 1
-        assert abs(det_cofactor(R)) == 1
-        prod = [[sum(L[i][a] * rows[a][b] * R[b][j] for a in range(m) for b in range(n))
-                 for j in range(n)] for i in range(m)]
-        for i in range(m):
-            for j in range(n):
-                expected = inv[i] if i == j and i < len(inv) else 0
-                assert prod[i][j] == expected
-
-
 # -- colorings ---------------------------------------------------------------
 
 
 def test_coloring_trivial_long():
-    rep = coloring_count(TRIVIAL_LONG, 5)
+    (rep,) = coloring_count(TRIVIAL_LONG, [5])
     assert rep.count == 5
     assert not rep.nontrivial
 
 
 def test_coloring_rejects_small_modulus():
     with pytest.raises(ValueError):
-        coloring_count(TRIVIAL_LONG, 1)
+        coloring_count(TRIVIAL_LONG, [5, 1])
+
+
+def test_coloring_reports_follow_the_moduli(monkeypatch):
+    from vka import invariants
+
+    calls = []
+    real = invariants.smith_normal_form
+    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: calls.append(rows) or real(rows))
+    d = catalog.trefoil()
+    moduli = [9, 3, 2, 3, 15, 4]
+    reports = coloring_count(d, moduli)
+    assert len(calls) == 1
+    assert [rep.p for rep in reports] == moduli
+    assert [rep.count for rep in reports] == [brute_force_colorings(d, p) for p in moduli]
+    assert coloring_count(d, []) == []
 
 
 def test_coloring_closed_trefoil():
     d = close(catalog.trefoil())
-    rep = coloring_count(d, 3)
+    (rep,) = coloring_count(d, [3])
     assert rep.count == 9
     assert rep.nontrivial
     assert brute_force_colorings(d, 3) == 9
@@ -314,18 +313,18 @@ def test_coloring_matches_brute_force():
     rng = random.Random(23)
     for _ in range(40):
         d = random_long_diagram(rng, 3)
-        for p in (2, 3, 4, 5, 6):
-            assert coloring_count(d, p).count == brute_force_colorings(d, p)
+        for rep in coloring_count(d, (2, 3, 4, 5, 6)):
+            assert rep.count == brute_force_colorings(d, rep.p)
 
 
 def test_coloring_count_is_power_of_p_for_primes():
     rng = random.Random(29)
     for _ in range(60):
         d = random_long_diagram(rng)
-        for p in (2, 3, 5):
-            count = coloring_count(d, p).count
-            while count % p == 0:
-                count //= p
+        for rep in coloring_count(d, (2, 3, 5)):
+            count = rep.count
+            while count % rep.p == 0:
+                count //= rep.p
             assert count == 1
 
 
@@ -333,7 +332,7 @@ def test_coloring_smith_route_equals_elimination_route():
     rng = random.Random(31)
     for _ in range(60):
         d = random_long_diagram(rng)
-        rep = coloring_count(d, 5)
+        (rep,) = coloring_count(d, [5])
         ncols = len(rep.matrix[0]) if rep.matrix else 1
         nullity = ncols - rank_mod([list(r) for r in rep.matrix], 5)
         assert rep.count == 5 ** nullity
@@ -344,8 +343,8 @@ def test_coloring_divisibility_criterion():
     for _ in range(60):
         d = random_long_diagram(rng)
         det = determinant_long(d)
-        for p in (3, 5, 7, 11, 13):
-            assert coloring_count(d, p).nontrivial == (det % p == 0)
+        for rep in coloring_count(d, (3, 5, 7, 11, 13)):
+            assert rep.nontrivial == (det % rep.p == 0)
 
 
 # -- hom counts ----------------------------------------------------------------
@@ -362,13 +361,13 @@ def test_hom_count_products_golden():
     pres45 = extended_presentation(catalog.k4k5())
     q45 = quotient_kill(pres45, {"a"})
     assert brute_force_hom_count(q45, 5, 3) == 25
-    m45 = diagonal_t(quotient_pipeline(catalog.k4k5(), "end-minus"))
+    m45 = diagonal_t(abelianize(quotient_pipeline(catalog.k4k5(), "end-minus")))
     assert hom_count_to_cyclic(m45, 5, 3) == 25
 
     pres54 = extended_presentation(catalog.k5k4())
     q54 = quotient_kill(pres54, {"a"})
     assert brute_force_hom_count(q54, 5, 3) == 5
-    m54 = diagonal_t(quotient_pipeline(catalog.k5k4(), "end-minus"))
+    m54 = diagonal_t(abelianize(quotient_pipeline(catalog.k5k4(), "end-minus")))
     assert hom_count_to_cyclic(m54, 5, 3) == 5
 
 
@@ -440,17 +439,17 @@ def test_transfer_matrix_small():
 def test_transfer_matches_brute_force_and_colorings():
     for n in range(1, 11):
         d = dn_family(TRIVIAL_LONG, n)
-        for p in range(2, 30):
-            cond = transfer_condition(n, p)
-            assert cond == transfer_brute_force(n, p)
-            assert cond == (math.gcd(2 * n + 1, p) > 1)
-            assert cond == coloring_count(d, p).nontrivial
+        for rep in coloring_count(d, range(2, 30)):
+            cond = transfer_condition(n, rep.p)
+            assert cond == transfer_brute_force(n, rep.p)
+            assert cond == (math.gcd(2 * n + 1, rep.p) > 1)
+            assert cond == rep.nontrivial
 
 
 def test_dn_admits_2n_plus_1_coloring():
     for n in (1, 2, 3):
         d = dn_family(TRIVIAL_LONG, n)
-        assert coloring_count(d, 2 * n + 1).nontrivial
+        assert coloring_count(d, [2 * n + 1])[0].nontrivial
 
 
 def test_dn_closure_is_move_equivalent_to_base_closure():
@@ -472,6 +471,6 @@ def test_one_arc_structure_per_one_var_matrix(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # two presentations (quotients none, end-minus), then A(-1) for the
-    # determinant, A(1) for the unit-minor check, A(-1) per coloring modulus
+    # determinant, A(1) for the unit-minor check, one A(-1) for all colorings
     invariant_profile(catalog.k1())
-    assert len(calls) == 7
+    assert len(calls) == 5
