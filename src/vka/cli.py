@@ -60,6 +60,16 @@ def _check_coeff_budget(matrix, max_bits):
                     raise BudgetExceeded(f"coefficient exceeds {max_bits} bits")
 
 
+def _at_least(low):
+    """argparse type: an int no smaller than low (else exit 2)."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def cmd_parse(args):
     d = _load(args.input)
     payload = {
@@ -207,10 +217,10 @@ def build_parser():
         description="Alexander-type invariants of long and closed virtual knots from Gauss codes.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--max-minors", type=int, default=invariants.DEFAULT_MINOR_BUDGET,
+    parser.add_argument("--max-minors", type=_at_least(0), default=invariants.DEFAULT_MINOR_BUDGET,
                         help="abort (exit 3) beyond this many minor evaluations in --charpoly "
                              "or fuzz (char polys, unit-minor check); --det uses none")
-    parser.add_argument("--max-coeff-bits", type=int, default=None,
+    parser.add_argument("--max-coeff-bits", type=_at_least(0), default=None,
                         help="abort (exit 3) when an entry of the --charpoly input matrix has a "
                              "coefficient longer than this many bits")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,7 +267,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--walks", type=int, default=1)
+    p.add_argument("--walks", type=_at_least(1), default=1)
     p.add_argument("--max-crossings", type=int, default=None)
     p.set_defaults(func=cmd_fuzz)
 

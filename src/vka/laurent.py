@@ -555,13 +555,93 @@ def gcd(p, q):
     return _gcd_rec(pp, qq, len(p.vars) - 1).canonical()
 
 
+_CERT_PRIME = 2**31 - 1
+_CERT_POINTS = (16807, 48271, 69621)  # values tried for the other variable
+
+
+def _image(p, k, r):
+    """p mod _CERT_PRIME as a polynomial in variable k, the other set to r.
+
+    Dense coefficients from p's highest power of variable k down to its
+    lowest; r is None for one-variable p.
+    """
+    acc = {}
+    for exps, c in p.terms.items():
+        if r is not None:
+            c *= pow(r, exps[1 - k], _CERT_PRIME)
+        acc[exps[k]] = acc.get(exps[k], 0) + c
+    return [acc.get(e, 0) % _CERT_PRIME for e in range(max(acc), min(acc) - 1, -1)]
+
+
+def _gcd_mod(a, b):
+    """A gcd over GF(_CERT_PRIME) of dense coefficient lists, highest power first.
+
+    a has a nonzero leading coefficient; b may have leading zeros.
+    """
+    m = _CERT_PRIME
+    while True:
+        lead = next((i for i, c in enumerate(b) if c), None)
+        if lead is None:
+            return a
+        b = b[lead:]
+        if len(a) < len(b):
+            a, b = b, a
+        a, inv, n = a[:], pow(b[0], -1, m), len(a) - len(b) + 1
+        for i in range(n):
+            q = a[i] * inv % m
+            if q:
+                for j in range(1, len(b)):
+                    a[i + j] = (a[i + j] - q * b[j]) % m
+        a, b = b, a[n:]
+
+
+def _coprime_certificate(polys):
+    """True when no common factor of the nonzero polys has a positive span in any variable.
+
+    The gcd is then the integer gcd of the contents.  Per variable x: pick
+    a value r of the other variable at which the first poly's highest and
+    lowest x-coefficients do not vanish mod the prime.  A common factor's
+    highest and lowest x-coefficients divide those, so its image keeps its
+    x-span and would divide every image; a constant gcd of the images rules
+    it out.  False only means "not certified".
+    """
+    first = polys[0]
+    two = len(first.vars) == 2
+    for k in range(len(first.vars)):
+        for r in _CERT_POINTS if two else (None,):
+            g = _image(first, k, r)
+            if g[0] and g[-1]:
+                break
+        else:
+            return False
+        for p in polys[1:]:
+            if len(g) == 1:
+                break
+            g = _gcd_mod(g, _image(p, k, r))
+        if len(g) != 1:
+            return False
+    return True
+
+
 def gcd_many(polys, vars=None):
-    """gcd of a collection; the empty collection has gcd 0."""
+    """gcd of a collection; the empty collection has gcd 0.
+
+    Two exact shortcuts run before the pairwise subresultant loop: the
+    modular certificate above (the gcd is then the integer gcd of the
+    contents), and the input with fewest terms dividing all the others.
+    """
     polys = list(polys)
     if not polys:
         if vars is None:
             raise ValueError("vars required for an empty collection")
         return LaurentPoly.zero(vars)
+    nonzero = [p for p in polys if p]
+    if nonzero:
+        if _coprime_certificate(nonzero):
+            return LaurentPoly.const(nonzero[0].vars, math.gcd(*(p.content() for p in nonzero)))
+        small = min(nonzero, key=lambda p: len(p.terms))
+        if all(divides(small, p) for p in nonzero if p is not small):
+            return small.canonical()
     g = polys[0]
     for p in polys[1:]:
         g = gcd(g, p)

@@ -143,6 +143,21 @@ def random_long_diagram(rng, max_crossings=6):
     return Diagram(LONG, passages)
 
 
+def random_code(rng, crossings, closed=False):
+    """A uniformly scrambled long or closed Gauss code with exact crossing count."""
+    slots = list(range(2 * crossings))
+    rng.shuffle(slots)
+    tokens = [None] * (2 * crossings)
+    for cid in range(1, crossings + 1):
+        i, j = slots[2 * cid - 2], slots[2 * cid - 1]
+        sign = rng.choice("+-")
+        first, second = ("O", "U") if rng.random() < 0.5 else ("U", "O")
+        tokens[i] = f"{first}{cid}{sign}"
+        tokens[j] = f"{second}{cid}{sign}"
+    body = " ".join(tokens)
+    return f"closed\n{body}" if closed else body
+
+
 def transfer_brute_force(n, p):
     """Solve the two-by-two propagation condition by trying every color pair."""
     s = ((1, 2), (0, -1))

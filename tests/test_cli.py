@@ -71,6 +71,14 @@ def test_budget_exit_3(capsys, corpus_dir):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-minors", "--max-coeff-bits"])
+def test_negative_budgets_exit_2(capsys, corpus_dir, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "-1", "invariants", str(corpus_dir / "k1.gauss"), "--charpoly", "1"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least 0" in capsys.readouterr().err
+
+
 def test_det_is_not_bounded_by_minor_budget(capsys, corpus_dir):
     code, out, _ = run(
         capsys, "--max-minors", "1", "invariants", str(corpus_dir / "k1.gauss"), "--det",
@@ -252,6 +260,14 @@ def test_fuzz_zero_steps(capsys, corpus_dir):
     code, out, _ = run(capsys, "fuzz", str(corpus_dir / "k3.gauss"), "--steps", "0")
     assert code == 0
     assert "OK" in out
+
+
+@pytest.mark.parametrize("walks", ["0", "-1"])
+def test_fuzz_rejects_walk_counts_below_one_exit_2(capsys, corpus_dir, walks):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", str(corpus_dir / "k1.gauss"), "--walks", walks])
+    assert exc.value.code == 2
+    assert "--walks: must be at least 1" in capsys.readouterr().err
 
 
 def test_fuzz_parse_error_exit_1(capsys, tmp_path):

@@ -8,10 +8,11 @@ from oracles import (
     brute_force_colorings,
     brute_force_hom_count,
     det_cofactor,
+    random_code,
     random_long_diagram,
     transfer_brute_force,
 )
-from vka import alexander, catalog
+from vka import alexander, catalog, laurent
 from vka.alexander import (
     abelianize,
     diagonal_t,
@@ -21,7 +22,7 @@ from vka.alexander import (
     specialize_uv,
     tietze_eliminate,
 )
-from vka.diagram import TRIVIAL_LONG, close, dn_family
+from vka.diagram import TRIVIAL_LONG, close, dn_family, parse_gauss
 from vka.invariants import (
     BudgetExceeded,
     char_poly,
@@ -474,3 +475,15 @@ def test_one_arc_structure_per_one_var_matrix(monkeypatch):
     # determinant, A(1) for the unit-minor check, one A(-1) for all colorings
     invariant_profile(catalog.k1())
     assert len(calls) == 5
+
+
+def test_c30_k1_char_poly_needs_no_subresultant_gcd(monkeypatch):
+    # a 30-crossing long diagram: 5 minors of up to 140 terms, whose
+    # pairwise subresultant gcd took seconds; the certificate answers 1
+    d = parse_gauss(random_code(random.Random(1), 30))
+    mat = abelianize(quotient_pipeline(d, "none"))
+    calls = []
+    real = laurent._subresultant_tail
+    monkeypatch.setattr(laurent, "_subresultant_tail", lambda *a: calls.append(a) or real(*a))
+    assert char_poly(mat, 1).is_one
+    assert calls == []

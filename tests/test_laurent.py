@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -5,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import convolve, random_poly, random_unit
 from vka.laurent import (
+    _CERT_POINTS,
+    _CERT_PRIME,
+    _coprime_certificate,
     InexactDivision,
     LaurentPoly,
     NonUnitImage,
@@ -206,3 +211,103 @@ def test_gcd_divides_both_hypothesis(da, db):
     if not g.is_zero:
         assert divides(g, p)
         assert divides(g, q)
+
+
+# -- gcd_many: certified fast paths against the subresultant loop ----
+
+
+def pairwise_gcd(polys):
+    """The subresultant path alone: gcd folded pair by pair."""
+    g = polys[0]
+    for p in polys[1:]:
+        g = gcd(g, p)
+    return g.canonical()
+
+
+def planted_lists(seed, vars):
+    """Seeded lists of 1-5 polynomials sharing a random factor, with zero entries."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        f = random_poly(rng, vars, max_terms=3, max_exp=2) * rng.choice((1, 1, 2, 6))
+        yield [
+            LaurentPoly.zero(vars) if rng.random() < 0.15
+            else f * random_poly(rng, vars, max_terms=3, max_exp=2) * random_unit(rng, vars)
+            for _ in range(rng.randint(1, 5))
+        ]
+
+
+def certified(polys):
+    nonzero = [p for p in polys if p]
+    return bool(nonzero) and _coprime_certificate(nonzero)
+
+
+@pytest.mark.parametrize("vars", [UV, TVAR], ids=["uv", "t"])
+def test_gcd_many_matches_pairwise_subresultant_gcd(vars):
+    paths = {True: 0, False: 0}
+    for polys in planted_lists(31, vars):
+        paths[certified(polys)] += 1
+        assert gcd_many(polys, vars=vars) == pairwise_gcd(polys), polys
+    # both the certificate and the later paths are exercised
+    assert min(paths.values()) >= 50, paths
+
+
+def sympy_gcd(sympy, polys, vars):
+    gens = sympy.symbols(vars)
+    shifted = [p.shift(tuple(-e for e in p.min_exps())) for p in polys if p]
+    if not shifted:
+        return LaurentPoly.zero(vars)
+    g = functools.reduce(sympy.gcd, (sympy.Poly.from_dict(p.terms, *gens) for p in shifted))
+    return LaurentPoly(vars, g.as_dict()).canonical()
+
+
+@pytest.mark.parametrize("vars", [UV, TVAR], ids=["uv", "t"])
+def test_gcd_many_matches_sympy(vars):
+    sympy = pytest.importorskip("sympy")  # dev-only oracle
+    for polys in planted_lists(37, vars):
+        assert gcd_many(polys, vars=vars) == sympy_gcd(sympy, polys, vars), polys
+
+
+def vanishing_at_points(x):
+    """A polynomial in one variable that is zero at every evaluation point."""
+    return math.prod(x - r for r in _CERT_POINTS)
+
+
+ELL = LaurentPoly.const(UV, _CERT_PRIME)
+ELL_T = LaurentPoly.const(TVAR, _CERT_PRIME)
+# its highest u- and v-coefficients vanish at every point, where its image is 1
+LEAD_VANISHES = 1 + U * V * vanishing_at_points(U) * vanishing_at_points(V)
+ADVERSARIAL = {
+    "lead-vanishes": [LEAD_VANISHES * (U + 2), LEAD_VANISHES * (V + 3)],
+    # no common factor, but the first input's lowest u-coefficient vanishes
+    "trail-vanishes": [U + vanishing_at_points(V), U + 1],
+    "trail-multiple-of-ell": [(U + ELL * V) * (U + 2), (U + ELL * V) * (V + 3)],
+    "coefficients-multiple-of-ell": [ELL * (U + 1), ELL * (V + 1)],
+    "lead-multiple-of-ell-t": [(ELL_T * T + 1) * (T + 2), (ELL_T * T + 1) * (T + 3)],
+    "trail-multiple-of-ell-t": [(T + ELL_T) * (T + 2), (T + ELL_T) * (T + 3)],
+    "factor-free-of-u": [(V + 2) * (U + 1), (V + 2) * (U + 3)],
+    "factor-free-of-v": [(U + 2) * (V + 1), (U + 2) * (V + 3)],
+    "content-times-factor": [6 * (U - V) * (U + 1), 4 * (U - V) * (V + 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_certificate_declines_adversarial_lists(name):
+    polys = ADVERSARIAL[name]
+    assert not _coprime_certificate(polys)
+    assert gcd_many(polys) == pairwise_gcd(polys)
+
+
+def test_adversarial_gcds():
+    assert gcd_many(ADVERSARIAL["lead-vanishes"]) == LEAD_VANISHES.canonical()
+    assert gcd_many(ADVERSARIAL["trail-vanishes"]).is_one
+    assert gcd_many(ADVERSARIAL["trail-multiple-of-ell"]) == (U + ELL * V).canonical()
+    assert gcd_many(ADVERSARIAL["coefficients-multiple-of-ell"]) == ELL
+    assert gcd_many(ADVERSARIAL["lead-multiple-of-ell-t"]) == ELL_T * T + 1
+    assert gcd_many(ADVERSARIAL["content-times-factor"]) == (2 * (U - V)).canonical()
+
+
+def test_certificate_returns_integer_content():
+    polys = [6 * (U + 1), LaurentPoly.zero(UV), 10 * (V - 1) * U ** -2]
+    assert _coprime_certificate([p for p in polys if p])
+    assert gcd_many(polys) == LaurentPoly.const(UV, 2)
+    assert gcd_many([LaurentPoly.const(TVAR, -4), 6 * T]) == LaurentPoly.const(TVAR, 2)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import random_long_diagram, shrinking_sites_brute_force
+from oracles import random_code, random_long_diagram, shrinking_sites_brute_force
 from vka import catalog, moves
 from vka.diagram import Diagram, LONG, TRIVIAL_LONG, parse_gauss, serialize_gauss
 from vka.invariants import determinant_long, invariant_profile
@@ -106,21 +106,6 @@ def test_walk_preserves_corpus_profiles_smoke():
         for seed in (0, 1):
             w = random_walk(d, seed, 20, max_crossings=d.crossings + 4)
             assert invariant_profile(w) == base, name
-
-
-def random_code(rng, crossings, closed=False):
-    """A uniformly scrambled long or closed Gauss code with exact crossing count."""
-    slots = list(range(2 * crossings))
-    rng.shuffle(slots)
-    tokens = [None] * (2 * crossings)
-    for cid in range(1, crossings + 1):
-        i, j = slots[2 * cid - 2], slots[2 * cid - 1]
-        sign = rng.choice("+-")
-        first, second = ("O", "U") if rng.random() < 0.5 else ("U", "O")
-        tokens[i] = f"{first}{cid}{sign}"
-        tokens[j] = f"{second}{cid}{sign}"
-    body = " ".join(tokens)
-    return f"closed\n{body}" if closed else body
 
 
 def check_shrinking_sites(d):
