@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagram import LONG, arc_structure
+from .diagram import LONG, UNDER, arc_structure
 from .laurent import UV, LaurentPoly, TVAR
 
 
@@ -142,11 +142,6 @@ def normalize_relation(rel):
 
 def relation_is_trivial(rel):
     return rel.left == rel.right
-
-
-def same_relation(r1, r2):
-    """Equality of relations regardless of which side is written first."""
-    return r1 == r2 or (r1.left, r1.right) == (r2.right, r2.left)
 
 
 @dataclass(frozen=True)
@@ -376,14 +371,6 @@ def quotient_kill(p, victims):
     return GroupPresentationZ2(gens, rels, ends[0], ends[1])
 
 
-def is_trivial_presentation(p):
-    """True when elimination empties the generator list (trivial group).
-
-    A False answer is not a proof of nontriviality at the symbolic level.
-    """
-    return len(tietze_eliminate(p).generators) == 0
-
-
 # -- abelianization ----------------------------------------------------
 
 
@@ -391,8 +378,8 @@ def is_trivial_presentation(p):
 class PresentationMatrix:
     """Relations-by-generators matrix over a tagged coefficient ring.
 
-    ring is one of "L2" (Z[u,v] Laurent), "L1" (Z[t] Laurent), "Z", or
-    "Z/<m>"; entries are LaurentPoly for the Laurent rings and int otherwise.
+    ring is one of "L2" (Z[u,v] Laurent), "L1" (Z[t] Laurent) or "Z";
+    entries are LaurentPoly for the Laurent rings and int over Z.
     """
 
     ring: str
@@ -446,74 +433,32 @@ def diagonal_t(m):
     return specialize_uv(m, T_GEN, T_GEN)
 
 
-def end_generator_columns(p, m):
-    """Images of the two end elements as column vectors over m's ring."""
-    if p.end_minus is None or p.end_plus is None:
-        raise ValueError("presentation has no distinguished ends")
-    if m.ring != "L2":
-        raise ValueError("end columns are computed over the L2 matrix")
-    if tuple(m.cols) != tuple(p.generators):
-        raise ValueError("matrix does not match presentation")
-    return _word_row(p.end_minus, m.cols), _word_row(p.end_plus, m.cols)
-
-
 # -- merged one-variable matrix ----------------------------------------
-
-
-def under_arc_classes(arcs):
-    """Union-find classes of arcs after merging each over-arc pair.
-
-    ``arcs`` is the diagram's ``arc_structure``.  The classes are the arcs
-    of the diagram when over-arcs are not split, i.e. arcs divided at
-    undercrossings only.
-    """
-    parent = list(range(arcs.arc_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for inc in arcs.crossings.values():
-        a, b = find(inc.over_in), find(inc.over_out)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    reps = sorted({find(i) for i in range(arcs.arc_count)})
-    index = {rep: i for i, rep in enumerate(reps)}
-    return [index[find(i)] for i in range(arcs.arc_count)], len(reps)
-
-
-@dataclass(frozen=True)
-class OneVarModule:
-    """The merged one-variable presentation A(t) of a diagram.
-
-    c relations by c+1 generators for a long diagram with c crossings
-    (c by c for closed).  minus_col / plus_col locate the end arcs' classes
-    for long diagrams.
-    """
-
-    matrix: PresentationMatrix
-    minus_col: Optional[int]
-    plus_col: Optional[int]
 
 
 def one_var_matrix(d, t=T_GEN):
     """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+
+    Over passages do not split its arcs, so column j holds the arcs after
+    the j-th under passage, named after its first arc: c+1 columns for a
+    long diagram with c crossings, arc 0 in the first and the last arc in
+    the last.  A closed diagram has c columns (one if c = 0); the arcs after
+    its last under passage run on into column 0.
 
     ``t`` is the image of t.  T_GEN gives the Laurent matrix over Z[t^+-1]
     (ring "L1"); 1 or -1 gives the integer specialization (ring "Z"), where
     t^-1 = t.  The coloring matrix is -A(-1).
     """
     arcs = arc_structure(d)
-    classes, count = under_arc_classes(arcs)
-    names = arc_names(arcs.arc_count)
-    col_names = []
-    seen = {}
-    for arc, cls in enumerate(classes):
-        if cls not in seen:
-            seen[cls] = names[arc]
-            col_names.append(names[arc])
+    count = d.crossings + 1 if d.kind == LONG else max(d.crossings, 1)
+    classes, col_names, unders = [], [], 0
+    for arc, name in enumerate(arc_names(arcs.arc_count)):
+        col = unders % count
+        if col == len(col_names):
+            col_names.append(name)
+        classes.append(col)
+        if arc < len(d.passages) and d.passages[arc].role == UNDER:
+            unders += 1
     if isinstance(t, int):
         if t not in (1, -1):
             raise ValueError(f"{t} is not a unit of Z")
@@ -531,7 +476,4 @@ def one_var_matrix(d, t=T_GEN):
         row[ui] = row[ui] - tt
         row[ov] = row[ov] - (one - tt)
         rows.append(tuple(row))
-    matrix = PresentationMatrix(ring, tuple(col_names), tuple(rows))
-    if d.kind == LONG:
-        return OneVarModule(matrix, classes[0], classes[arcs.arc_count - 1])
-    return OneVarModule(matrix, None, None)
+    return PresentationMatrix(ring, tuple(col_names), tuple(rows))

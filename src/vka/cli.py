@@ -15,7 +15,6 @@ import sys
 from . import alexander, diagram, invariants, moves
 from .diagram import GaussCodeError, parse_gauss, serialize_gauss
 from .invariants import BudgetExceeded
-from .laurent import LaurentPoly
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -54,8 +53,7 @@ def _check_coeff_budget(matrix, max_bits):
         return
     for row in matrix.rows:
         for entry in row:
-            coeffs = entry.terms.values() if isinstance(entry, LaurentPoly) else [entry]
-            for c in coeffs:
+            for c in entry.terms.values():
                 if abs(c).bit_length() > max_bits:
                     raise BudgetExceeded(f"coefficient exceeds {max_bits} bits")
 
@@ -141,9 +139,8 @@ def cmd_construct(args):
     elif args.op == "switch":
         out = diagram.switch_all_crossings(_load(args.input))
     elif args.op == "dn":
-        raw = args.n if args.n is not None else args.other
         try:
-            n = int(raw)
+            n = int(args.other)
         except (TypeError, ValueError):
             raise ConfigError("dn requires a winding count") from None
         if not 1 <= n <= MAX_WINDINGS:
@@ -219,7 +216,7 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--max-minors", type=_at_least(0), default=invariants.DEFAULT_MINOR_BUDGET,
                         help="abort (exit 3) beyond this many minor evaluations in --charpoly "
-                             "or fuzz (char polys, unit-minor check); --det uses none")
+                             "or in the char polys of fuzz; --det uses none")
     parser.add_argument("--max-coeff-bits", type=_at_least(0), default=None,
                         help="abort (exit 3) when an entry of the --charpoly input matrix has a "
                              "coefficient longer than this many bits")
@@ -244,8 +241,7 @@ def build_parser():
     p = sub.add_parser("construct", help="concatenate, close, switch, or wind diagrams")
     p.add_argument("op", choices=["concat", "close", "switch", "dn"])
     p.add_argument("input")
-    p.add_argument("other", nargs="?", help="second diagram (concat)")
-    p.add_argument("n", nargs="?", type=int, help="winding count (dn)")
+    p.add_argument("other", nargs="?", help="second diagram (concat) or winding count (dn)")
     p.add_argument("-o", "--output", help="write the result to a file")
     p.set_defaults(func=cmd_construct)
 
@@ -268,7 +264,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--walks", type=_at_least(1), default=1)
-    p.add_argument("--max-crossings", type=int, default=None)
+    p.add_argument("--max-crossings", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_fuzz)
 
     return parser

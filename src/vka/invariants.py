@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alexander import (
-    PresentationMatrix,
     abelianize,
     extended_presentation,
     one_var_matrix,
@@ -106,15 +105,6 @@ def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
     return gcd_many(minors, vars=vars)
 
 
-# -- matrix specializations --------------------------------------------
-
-
-def matrix_mod(m, p, images):
-    """Reduce a Laurent matrix mod p at the given unit images."""
-    rows = tuple(tuple(e.subs_mod(images, p) for e in row) for row in m.rows)
-    return PresentationMatrix(f"Z/{p}", m.cols, rows)
-
-
 # -- integer linear algebra --------------------------------------------
 
 
@@ -194,12 +184,6 @@ def rank_mod(rows, p):
     return rank
 
 
-def in_rowspan_mod(rows, vec, p):
-    """True when vec lies in the Z/p row space of the matrix."""
-    base = rank_mod(rows, p)
-    return rank_mod(list(rows) + [vec], p) == base
-
-
 # Miller-Rabin bases: the first 13 primes.  The smallest strong pseudoprime
 # to all of them is MR_LIMIT (Sorenson and Webster, 2015).
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -242,16 +226,20 @@ def determinant_long(d):
     """
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
-    return math.prod(smith_normal_form(one_var_matrix(d, -1).matrix.rows))
+    return math.prod(smith_normal_form(one_var_matrix(d, -1).rows))
 
 
 def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
-    """True when every maximal minor of the merged matrix A(1) is +-1."""
-    mat = one_var_matrix(d, 1).matrix
-    nrows, ncols = mat.shape
-    if ncols - 1 > nrows:  # no maximal minors: the zero ideal
-        return False
-    return all(x in (1, -1) for x in _minors(mat, 1, max_minors))
+    """True when every maximal minor of the merged matrix A(1) is +-1.
+
+    This holds for every diagram.  At t = 1 a crossing's row is UO - UI,
+    and the under passage it records joins two consecutive columns, so A(1)
+    is the incidence matrix of a path (long diagram) or a cycle (closed).
+    Deleting one column of a path, or one row and one column of a cycle,
+    leaves the incidence matrix of a tree less one vertex's column, whose
+    determinant is +-1.
+    """
+    return all(x in (1, -1) for x in _minors(one_var_matrix(d, 1), 1, max_minors))
 
 
 @dataclass(frozen=True)
@@ -268,7 +256,7 @@ def coloring_count(d, ps):
     A coloring mod p labels the arcs over Z/p with 2*over = under + under
     at every crossing.  All moduli share one Smith form of -A(-1).
     """
-    a = one_var_matrix(d, -1).matrix
+    a = one_var_matrix(d, -1)
     matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
     free = len(a.cols) - len(inv)
@@ -292,8 +280,7 @@ def hom_count_to_cyclic(m, p, s):
         raise ValueError("p must be prime")
     if s % p == 0:
         raise ValueError("s must be invertible mod p")
-    reduced = matrix_mod(m, p, (s,))
-    rank = rank_mod([list(r) for r in reduced.rows], p)
+    rank = rank_mod([[e.subs_mod((s,), p) for e in row] for row in m.rows], p)
     return p ** (len(m.cols) - rank)
 
 
@@ -364,7 +351,6 @@ def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
     if d.kind == LONG:
         profile["determinant"] = determinant_long(d)
-        profile["unit minors"] = unit_minor_check(d, max_minors=max_minors)
     for rep in coloring_count(d, ps):
         profile[f"colorings p={rep.p}"] = rep.count
     return profile

@@ -247,20 +247,6 @@ class LaurentPoly:
             out = out + term
         return out
 
-    def subs_int(self, images):
-        """Evaluate over Z; images must be +-1 (the units of Z)."""
-        for im in images:
-            if im not in (1, -1):
-                raise NonUnitImage(f"{im} is not a unit of Z")
-        total = 0
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for im, e in zip(images, exps):
-                if im == -1 and e % 2:
-                    val = -val
-            total += val
-        return total
-
     def subs_mod(self, images, m):
         """Evaluate in Z/m; images must be invertible mod m."""
         if m < 2:
@@ -648,13 +634,3 @@ def gcd_many(polys, vars=None):
         if g.is_one:
             break
     return g.canonical()
-
-
-def l2(terms):
-    """Two-variable polynomial from {(u_exp, v_exp): coeff}."""
-    return LaurentPoly(UV, terms)
-
-
-def l1(terms):
-    """One-variable polynomial from {t_exp: coeff}."""
-    return LaurentPoly(TVAR, {(e,): c for e, c in terms.items()})

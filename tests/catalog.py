@@ -3,12 +3,12 @@
 These codes were fixed by calibration: the generated arc-group
 presentations, characteristic polynomials and coloring behavior are pinned
 by the golden tests.  The on-disk ``corpus/`` directory mirrors this
-catalog; ``tests/test_catalog.py`` keeps the two in sync.
+catalog; ``test_catalog.py`` keeps the two in sync.
 """
 
 from __future__ import annotations
 
-from .diagram import TRIVIAL_LONG, concatenate, dn_family, parse_gauss
+from vka.diagram import TRIVIAL_LONG, concatenate, dn_family, parse_gauss
 
 K1 = "O1+ U2+ U1+ O2+"
 K2 = "U1+ U2+ O1+ O2+"

@@ -5,12 +5,18 @@ polynomial products by direct convolution, determinants by cofactor
 recursion, colorings and homomorphism counts by exhaustive assignment, move sites
 by trying every combination of adjacent pairs (through the library's own
 site matchers, which define what a legal site is).
+
+The helpers at the end are test conveniences built on the library:
+polynomial literals, evaluation at +-1, end columns, row-span membership
+and relation comparison.
 """
 
 from __future__ import annotations
 
+from vka.alexander import _word_row, tietze_eliminate
 from vka.diagram import Diagram, LONG, OVER, Passage, UNDER, arc_structure
-from vka.laurent import LaurentPoly
+from vka.invariants import rank_mod
+from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV
 from vka.moves import MoveSite, _r2_pairs_match, _r3_match
 
 
@@ -40,11 +46,12 @@ def det_cofactor(rows):
     return total
 
 
-def brute_force_colorings(d, p):
-    """Count colorings by trying every assignment on the merged arcs.
+def arc_classes(d):
+    """Merged-arc class of every arc, by union-find over the over passages.
 
-    Arc classes are recomputed here with a fresh union-find so the count
-    does not depend on the library's class machinery.
+    Classes are numbered in order of their smallest arc.  This is the
+    reference for the columns of ``one_var_matrix``, which finds them in
+    one pass over the under passages.
     """
     arcs = arc_structure(d)
     parent = list(range(arcs.arc_count))
@@ -60,7 +67,18 @@ def brute_force_colorings(d, p):
             parent[max(a, b)] = min(a, b)
     reps = sorted({find(i) for i in range(arcs.arc_count)})
     index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
+    return [index[find(i)] for i in range(arcs.arc_count)]
+
+
+def brute_force_colorings(d, p):
+    """Count colorings by trying every assignment on the merged arcs.
+
+    Arc classes come from the union-find above, so the count does not
+    depend on the library's column construction.
+    """
+    arcs = arc_structure(d)
+    classes = arc_classes(d)
+    k = max(classes) + 1
     count = 0
     for assignment in range(p ** k):
         colors = []
@@ -70,9 +88,9 @@ def brute_force_colorings(d, p):
             rest //= p
         ok = True
         for inc in arcs.crossings.values():
-            over = colors[index[find(inc.over_in)]]
-            ui = colors[index[find(inc.under_in)]]
-            uo = colors[index[find(inc.under_out)]]
+            over = colors[classes[inc.over_in]]
+            ui = colors[classes[inc.under_in]]
+            uo = colors[classes[inc.under_out]]
             if (2 * over - ui - uo) % p:
                 ok = False
                 break
@@ -224,3 +242,61 @@ def shrinking_sites_brute_force(passages):
                     if matched:
                         break
     return sites
+
+
+# -- test helpers --------------------------------------------------------
+
+
+def l2(terms):
+    """Two-variable polynomial from {(u_exp, v_exp): coeff}."""
+    return LaurentPoly(UV, terms)
+
+
+def l1(terms):
+    """One-variable polynomial from {t_exp: coeff}."""
+    return LaurentPoly(TVAR, {(e,): c for e, c in terms.items()})
+
+
+def subs_int(p, images):
+    """Evaluate p over Z; images must be +-1 (the units of Z)."""
+    for im in images:
+        if im not in (1, -1):
+            raise NonUnitImage(f"{im} is not a unit of Z")
+    total = 0
+    for exps, coeff in p.terms.items():
+        val = coeff
+        for im, e in zip(images, exps):
+            if im == -1 and e % 2:
+                val = -val
+        total += val
+    return total
+
+
+def end_generator_columns(p, m):
+    """Images of the two end elements as column vectors over m's ring."""
+    if p.end_minus is None or p.end_plus is None:
+        raise ValueError("presentation has no distinguished ends")
+    if m.ring != "L2":
+        raise ValueError("end columns are computed over the L2 matrix")
+    if tuple(m.cols) != tuple(p.generators):
+        raise ValueError("matrix does not match presentation")
+    return _word_row(p.end_minus, m.cols), _word_row(p.end_plus, m.cols)
+
+
+def in_rowspan_mod(rows, vec, p):
+    """True when vec lies in the Z/p row space of the matrix."""
+    base = rank_mod(rows, p)
+    return rank_mod(list(rows) + [vec], p) == base
+
+
+def is_trivial_presentation(p):
+    """True when elimination empties the generator list (trivial group).
+
+    A False answer is not a proof of nontriviality at the symbolic level.
+    """
+    return len(tietze_eliminate(p).generators) == 0
+
+
+def same_relation(r1, r2):
+    """Equality of relations regardless of which side is written first."""
+    return r1 == r2 or (r1.left, r1.right) == (r2.right, r2.left)

@@ -7,15 +7,17 @@ complete; each criterion is also an ordinary test.
 import math
 import random
 
+import catalog
 from oracles import (
     brute_force_hom_count,
     convolve,
+    in_rowspan_mod,
     random_long_diagram,
     random_poly,
     random_unit,
+    subs_int,
     transfer_brute_force,
 )
-from vka import catalog
 from vka.alexander import (
     OpLetter,
     OpRelation,
@@ -32,9 +34,7 @@ from vka.invariants import (
     coloring_count,
     determinant_long,
     hom_count_to_cyclic,
-    in_rowspan_mod,
     invariant_profile,
-    matrix_mod,
     quotient_pipeline,
     rank_mod,
     transfer_condition,
@@ -99,8 +99,8 @@ def test_criterion_3_k4_k5_separation():
         for u0 in range(1, p):
             for v0 in range(1, p):
                 for name, mat in modules.items():
-                    reduced = matrix_mod(mat, p, (u0, v0))
-                    corank = len(mat.cols) - rank_mod([list(r) for r in reduced.rows], p)
+                    reduced = [[e.subs_mod((u0, v0), p) for e in row] for row in mat.rows]
+                    corank = len(mat.cols) - rank_mod(reduced, p)
                     if name == "k5" and corank != 0:
                         k5_always_trivial = False
                     if name == "k4" and corank > 0:
@@ -182,11 +182,12 @@ def test_criterion_8_classical_sanity():
     from oracles import det_cofactor
 
     d = catalog.trefoil()
-    poly = char_poly(one_var_matrix(d).matrix, 1)
+    a = one_var_matrix(d)
+    poly = char_poly(a, 1)
     det = determinant_long(d)
     ok = str(poly) == "t^2 - t + 1" and det == 3
     # re-derive both values through cofactor expansion of the maximal minors
-    rows = one_var_matrix(d).matrix.rows
+    rows = a.rows
     minors = [
         det_cofactor([[row[j] for j in cs] for row in rows])
         for cs in combinations(range(len(rows[0])), len(rows))
@@ -194,15 +195,15 @@ def test_criterion_8_classical_sanity():
     oracle_poly = minors[0]
     for m in minors[1:]:
         oracle_poly = gcd(oracle_poly, m)
-    oracle_det = math.gcd(*(m.subs_int((-1,)) for m in minors))
+    oracle_det = math.gcd(*(subs_int(m, (-1,)) for m in minors))
     ok = ok and oracle_poly.canonical() == poly and abs(oracle_det) == det
-    ovm = one_var_matrix(d)
+    # the end arcs lie in the first and the last column of A(t)
     for p in (3, 5, 7):
         for t0 in range(1, p):
-            rows = [[x.subs_mod((t0,), p) for x in row] for row in ovm.matrix.rows]
-            diff = [0] * len(ovm.matrix.cols)
-            diff[ovm.minus_col] += 1
-            diff[ovm.plus_col] -= 1
+            rows = [[x.subs_mod((t0,), p) for x in row] for row in a.rows]
+            diff = [0] * len(a.cols)
+            diff[0] += 1
+            diff[-1] -= 1
             if not in_rowspan_mod(rows, diff, p):
                 ok = False
     report(8, ok, f"classical long trefoil: polynomial {poly}, determinant {det}, "

@@ -2,26 +2,31 @@ import random
 
 import pytest
 
-from oracles import random_long_diagram
-from vka import catalog
+import catalog
+from oracles import (
+    end_generator_columns,
+    in_rowspan_mod,
+    is_trivial_presentation,
+    l1,
+    l2,
+    random_long_diagram,
+    same_relation,
+)
 from vka.alexander import (
     GroupPresentationZ2,
     OpLetter,
     OpRelation,
     abelianize,
-    end_generator_columns,
     extended_presentation,
-    is_trivial_presentation,
     one_var_matrix,
     one_variable,
     quotient_kill,
-    same_relation,
     tietze_eliminate,
     word_str,
 )
 from vka.diagram import TRIVIAL_LONG
-from vka.invariants import char_poly, in_rowspan_mod, quotient_pipeline
-from vka.laurent import LaurentPoly, UV, l1, l2, parse_poly
+from vka.invariants import char_poly, quotient_pipeline
+from vka.laurent import LaurentPoly, UV, parse_poly
 
 
 def L(gen, u=0, v=0, sign=1):
@@ -282,8 +287,7 @@ def test_one_var_matrix_shapes():
     rng = random.Random(17)
     for _ in range(40):
         d = random_long_diagram(rng)
-        ovm = one_var_matrix(d)
-        assert ovm.matrix.shape == (d.crossings, d.crossings + 1)
+        assert one_var_matrix(d).shape == (d.crossings, d.crossings + 1)
 
 
 # -- end generators ------------------------------------------------------
@@ -362,13 +366,14 @@ def test_k4_ends_are_equal():
 
 
 def test_classical_trefoil_ends_equal_one_variable():
-    ovm = one_var_matrix(catalog.trefoil())
+    # the end arcs lie in the first and the last column of A(t)
+    a = one_var_matrix(catalog.trefoil())
     for p in (3, 5, 7):
         for t0 in range(1, p):
-            rows = [[x.subs_mod((t0,), p) for x in row] for row in ovm.matrix.rows]
-            diff = [0] * len(ovm.matrix.cols)
-            diff[ovm.minus_col] += 1
-            diff[ovm.plus_col] -= 1
+            rows = [[x.subs_mod((t0,), p) for x in row] for row in a.rows]
+            diff = [0] * len(a.cols)
+            diff[0] += 1
+            diff[-1] -= 1
             assert in_rowspan_mod(rows, diff, p)
 
 

@@ -1,4 +1,4 @@
-from vka import catalog
+import catalog
 from vka.diagram import parse_gauss
 
 

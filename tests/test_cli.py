@@ -210,6 +210,12 @@ def test_construct_dn_rejects_huge_winding_count_exit_2(capsys, corpus_dir, monk
     assert built == []
 
 
+def test_construct_dn_takes_one_winding_count(capsys, corpus_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "dn", str(corpus_dir / "empty.gauss"), "2", "3"])
+    assert exc.value.code == 2
+
+
 def test_color_command(capsys, corpus_dir):
     code, out, _ = run(capsys, "--json", "color", str(corpus_dir / "trefoil.gauss"), "-p", "3")
     assert code == 0
@@ -268,6 +274,13 @@ def test_fuzz_rejects_walk_counts_below_one_exit_2(capsys, corpus_dir, walks):
         main(["fuzz", str(corpus_dir / "k1.gauss"), "--walks", walks])
     assert exc.value.code == 2
     assert "--walks: must be at least 1" in capsys.readouterr().err
+
+
+def test_fuzz_rejects_negative_max_crossings_exit_2(capsys, corpus_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", str(corpus_dir / "k1.gauss"), "--max-crossings", "-3"])
+    assert exc.value.code == 2
+    assert "--max-crossings: must be at least 0" in capsys.readouterr().err
 
 
 def test_fuzz_parse_error_exit_1(capsys, tmp_path):

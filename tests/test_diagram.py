@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+import catalog
 from oracles import random_long_diagram
-from vka import catalog
 from vka.diagram import (
     CLOSED,
     Diagram,
@@ -75,12 +75,6 @@ def test_round_trip_corpus(corpus_dir):
         d = parse_gauss(text)
         assert parse_gauss(serialize_gauss(d)) == d
         assert serialize_gauss(d) == text.rstrip("\n")
-
-
-def test_corpus_matches_catalog(corpus_dir):
-    for name, diagram in catalog.corpus().items():
-        text = (corpus_dir / f"{name}.gauss").read_text()
-        assert parse_gauss(text) == diagram
 
 
 def test_serialize_normalizes_ids():

@@ -4,15 +4,18 @@ from itertools import combinations
 
 import pytest
 
+import catalog
 from oracles import (
+    arc_classes,
     brute_force_colorings,
     brute_force_hom_count,
     det_cofactor,
     random_code,
     random_long_diagram,
+    subs_int,
     transfer_brute_force,
 )
-from vka import alexander, catalog, laurent
+from vka import alexander, laurent
 from vka.alexander import (
     abelianize,
     diagonal_t,
@@ -177,16 +180,50 @@ def test_determinant_always_odd():
 
 
 def test_unit_minor_check():
+    # A(1) is the incidence matrix of a path or a cycle: true for every diagram
     assert unit_minor_check(TRIVIAL_LONG)
+    assert unit_minor_check(close(TRIVIAL_LONG))
     assert unit_minor_check(catalog.k1())
+    assert unit_minor_check(close(catalog.k1()))
     rng = random.Random(13)
     for _ in range(80):
-        assert unit_minor_check(random_long_diagram(rng))
+        d = random_long_diagram(rng)
+        assert unit_minor_check(d)
+        assert unit_minor_check(close(d))
+    for c in range(13):
+        for closed in (False, True):
+            assert unit_minor_check(parse_gauss(random_code(rng, c, closed=closed)))
+
+
+def test_one_var_matrix_columns_are_union_find_classes():
+    rng = random.Random(19)
+    for c in range(31):
+        for closed in (False, True):
+            d = parse_gauss(random_code(rng, c, closed=closed))
+            classes = arc_classes(d)
+            count = max(classes) + 1
+            names = alexander.arc_names(d.arc_count)
+            a = one_var_matrix(d)
+            assert a.cols == tuple(names[classes.index(j)] for j in range(count))
+            if not closed:
+                assert classes[0] == 0 and classes[-1] == count - 1
+            arcs = alexander.arc_structure(d)
+            signs = {p.crossing: p.sign for p in d.passages}
+            expected = []
+            for cid in sorted(arcs.crossings):
+                inc = arcs.crossings[cid]
+                t = LaurentPoly.monomial(TVAR, (signs[cid],))
+                row = [LaurentPoly.zero(TVAR)] * count
+                row[classes[inc.under_out]] += 1
+                row[classes[inc.under_in]] -= t
+                row[classes[inc.over_in]] -= 1 - t
+                expected.append(tuple(row))
+            assert a.rows == tuple(expected)
 
 
 def _a_at(d, t0):
     """A(t0), evaluated entry by entry from the Laurent matrix A(t)."""
-    return [[e.subs_int((t0,)) for e in row] for row in one_var_matrix(d).matrix.rows]
+    return [[subs_int(e, (t0,)) for e in row] for row in one_var_matrix(d).rows]
 
 
 def _maximal_minors(rows, ncols):
@@ -202,9 +239,9 @@ def test_integer_specializations_match_laurent_matrix():
     for _ in range(60):
         d = random_long_diagram(rng)
         for diagram in (d, close(d)):
-            laurent = one_var_matrix(diagram).matrix
+            laurent = one_var_matrix(diagram)
             for t0 in (1, -1):
-                m = one_var_matrix(diagram, t0).matrix
+                m = one_var_matrix(diagram, t0)
                 assert m.ring == "Z"
                 assert m.cols == laurent.cols
                 assert [list(r) for r in m.rows] == _a_at(diagram, t0)
@@ -472,9 +509,9 @@ def test_one_arc_structure_per_one_var_matrix(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # two presentations (quotients none, end-minus), then A(-1) for the
-    # determinant, A(1) for the unit-minor check, one A(-1) for all colorings
+    # determinant and one A(-1) for all colorings; the profile builds no A(1)
     invariant_profile(catalog.k1())
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_c30_k1_char_poly_needs_no_subresultant_gcd(monkeypatch):

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+import catalog
 from oracles import random_code, random_long_diagram, shrinking_sites_brute_force
-from vka import catalog, moves
+from vka import moves
 from vka.diagram import Diagram, LONG, TRIVIAL_LONG, parse_gauss, serialize_gauss
 from vka.invariants import determinant_long, invariant_profile
 from vka.moves import IllegalMove, MoveSite, apply_move, legal_sites, random_walk
