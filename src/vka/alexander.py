@@ -52,10 +52,6 @@ def arc_names(count):
 # -- words ------------------------------------------------------------
 
 
-def _exp_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _exp_neg(a):
     return (-a[0], -a[1])
 
@@ -64,7 +60,8 @@ def word_shift(word, exp):
     """Apply the Z^2 operator x -> x^exp to every letter."""
     if exp == E0:
         return tuple(word)
-    return tuple(OpLetter(l.gen, _exp_add(l.exp, exp), l.sign) for l in word)
+    du, dv = exp
+    return tuple(OpLetter(g, (u + du, v + dv), s) for g, (u, v), s in word)
 
 
 def word_inverse(word):
@@ -115,29 +112,33 @@ def normalize_relation(rel):
     positive letter (left multiplication).  The abelianized row is
     unchanged; the displayed form matches hand calculation.
     """
-    left, right = list(free_reduce(rel.left)), list(free_reduce(rel.right))
-    changed = True
-    while changed:
-        changed = False
+    return _normalized(list(free_reduce(rel.left)), list(free_reduce(rel.right)))
+
+
+def _normalized(left, right):
+    """``normalize_relation`` of two free-reduced sides, given as lists.
+
+    A moved letter can only cancel against the letter it lands next to,
+    and removing an edge letter keeps a side reduced, so both sides stay
+    free-reduced without rescanning them.
+    """
+    while True:
         if left and left[-1].sign < 0:
-            right.append(OpLetter(left[-1].gen, left[-1].exp, 1))
-            left.pop()
-            changed = True
+            moved, side, at = left.pop(), right, -1
         elif right and right[-1].sign < 0:
-            left.append(OpLetter(right[-1].gen, right[-1].exp, 1))
-            right.pop()
-            changed = True
+            moved, side, at = right.pop(), left, -1
         elif left and left[0].sign < 0:
-            right.insert(0, OpLetter(left[0].gen, left[0].exp, 1))
-            left.pop(0)
-            changed = True
+            moved, side, at = left.pop(0), right, 0
         elif right and right[0].sign < 0:
-            left.insert(0, OpLetter(right[0].gen, right[0].exp, 1))
-            right.pop(0)
-            changed = True
-        if changed:
-            left, right = list(free_reduce(left)), list(free_reduce(right))
-    return OpRelation(tuple(left), tuple(right))
+            moved, side, at = right.pop(0), left, 0
+        else:
+            return OpRelation(tuple(left), tuple(right))
+        if side and side[at] == moved:  # the inverse of the letter it becomes
+            side.pop(at)
+        elif at:
+            side.append(moved._replace(sign=1))
+        else:
+            side.insert(0, moved._replace(sign=1))
 
 
 def relation_is_trivial(rel):
@@ -216,23 +217,6 @@ def extended_presentation(d):
 # -- Tietze elimination ------------------------------------------------
 
 
-def _substitute_word(word, gen, replacement):
-    out = []
-    for letter in word:
-        if letter.gen != gen:
-            out.append(letter)
-            continue
-        rep = word_shift(replacement, letter.exp)
-        if letter.sign < 0:
-            rep = word_inverse(rep)
-        out.extend(rep)
-    return free_reduce(tuple(out))
-
-
-def _occurrences(gen, rel):
-    return sum(1 for l in rel.left + rel.right if l.gen == gen)
-
-
 def _solve(rel, gen):
     """Express ``gen`` from a relation containing it exactly once."""
     w = free_reduce(rel.left + word_inverse(rel.right))
@@ -246,32 +230,69 @@ def _solve(rel, gen):
     return free_reduce(word_shift(expr, _exp_neg(letter.exp)))
 
 
-def _shaped_candidate(rel):
-    """Substitution-shaped relation: one side is a single positive letter."""
-    options = []
+def _join(out, word):
+    """Append a reduced word to a reduced list, cancelling at the junction."""
+    i = 0
+    while i < len(word) and out and out[-1] == (word[i].gen, word[i].exp, -word[i].sign):
+        out.pop()
+        i += 1
+    out.extend(word[i:])
+
+
+class _Entry(NamedTuple):
+    """A normalized relation with what elimination asks of it, computed once."""
+
+    rel: OpRelation
+    once: dict  # generator -> exponent of its only letter, or None if it occurs more
+    candidate: Optional[tuple]  # pass 1's (generator, expression), if any
+    key: frozenset  # equal for equal relations, either side first
+
+
+def _entry(rel):
+    once = {}
+    for gen, exp, _ in rel.left + rel.right:
+        once[gen] = None if gen in once else exp
+    return _Entry(rel, once, _shaped_candidate(rel, once), frozenset({rel.left, rel.right}))
+
+
+def _shaped_candidate(rel, once):
+    """Pass 1's substitution from a relation, or None.
+
+    A side that is a single positive letter, whose generator occurs nowhere
+    else in the relation, expresses that generator by the other side.  A
+    bare-exponent letter is preferred, then the left side.
+    """
+    pick = None
     for side, other in ((rel.left, rel.right), (rel.right, rel.left)):
-        if len(side) == 1 and side[0].sign > 0:
-            g = side[0].gen
-            if all(l.gen != g for l in other):
-                options.append((side[0], other))
-    if not options:
+        if len(side) == 1 and side[0].sign > 0 and once[side[0].gen] is not None:
+            if side[0].exp == E0:
+                return side[0].gen, other
+            pick = pick or (side[0], other)
+    if pick is None:
         return None
-    for letter, other in options:  # prefer a bare-exponent letter
-        if letter.exp == E0:
-            return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
-    letter, other = options[0]
-    return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
+    letter, other = pick
+    return letter.gen, word_shift(other, _exp_neg(letter.exp))
 
 
-def _dedupe(relations):
-    seen = set()
-    out = []
-    for rel in relations:
-        key = frozenset({rel.left, rel.right})
-        if key not in seen:
-            seen.add(key)
-            out.append(rel)
-    return out
+def _single_occurrence_step(entries, gens, protected):
+    """Pass 2's pick: (generator, expression, entry index) or None.
+
+    The first unprotected generator, in ``gens`` order, with an
+    exponent-free single occurrence, solved from the first relation that
+    holds it so; failing that, the first with any single occurrence.
+    """
+    first_bare, first_any = {}, {}
+    for i, e in enumerate(entries):
+        for g, exp in e.once.items():
+            if exp is not None:
+                first_any.setdefault(g, i)
+                if exp == E0:
+                    first_bare.setdefault(g, i)
+    for first in (first_bare, first_any):
+        for g in gens:
+            if g in first and g not in protected:
+                return g, _solve(entries[first[g]].rel, g), first[g]
+    return None
 
 
 def tietze_eliminate(p):
@@ -284,67 +305,74 @@ def tietze_eliminate(p):
     scanning generators in arc order.  End-arc generators survive the second
     pass so the distinguished elements stay visible; if the first pass
     consumes one, its image is retained as a word.
+
+    Each relation keeps which generators it holds once, its pass-1
+    candidate and its dedupe key, so an elimination rewrites only the
+    relations and end words that hold the eliminated generator; the others
+    are already normalized.  End words are taken to be free-reduced, as
+    every presentation built here has them.
     """
     gens = list(p.generators)
-    rels = [normalize_relation(r) for r in p.relations]
-    rels = _dedupe([r for r in rels if not relation_is_trivial(r)])
+    firsts = {}  # dedupe key -> the first entry with it
+    for r in p.relations:
+        r = normalize_relation(r)
+        if not relation_is_trivial(r):
+            e = _entry(r)
+            firsts.setdefault(e.key, e)
+    entries = list(firsts.values())
     ends = [p.end_minus, p.end_plus]
     protected = set()
     for e in ends:
         if e is not None:
             protected.update(l.gen for l in e)
 
-    def eliminate(gen, expr, used_rel):
+    def eliminate(gen, expr, used):
         gens.remove(gen)
-        new = []
-        for r in rels:
-            if r is used_rel:
-                continue
-            r2 = normalize_relation(OpRelation(
-                _substitute_word(r.left, gen, expr),
-                _substitute_word(r.right, gen, expr),
-            ))
-            if not relation_is_trivial(r2):
-                new.append(r2)
-        rels[:] = _dedupe(new)
+        images = {}  # letter of gen -> its image
+
+        def substitute(word):
+            """The reduced image of a reduced word, as a list."""
+            out = []
+            for letter in word:
+                if letter.gen == gen:
+                    image = images.get(letter)
+                    if image is None:
+                        image = word_shift(expr, letter.exp)
+                        if letter.sign < 0:
+                            image = word_inverse(image)
+                        images[letter] = image
+                    _join(out, image)
+                elif out and out[-1] == (letter.gen, letter.exp, -letter.sign):
+                    out.pop()  # an image ended in the inverse of this letter
+                else:
+                    out.append(letter)
+            return out
+
+        firsts.clear()
+        for i, e in enumerate(entries):
+            if gen in e.once:
+                if i == used:
+                    continue
+                rel = _normalized(substitute(e.rel.left), substitute(e.rel.right))
+                if relation_is_trivial(rel):
+                    continue
+                e = _entry(rel)
+            firsts.setdefault(e.key, e)
+        entries[:] = firsts.values()
         for i, e in enumerate(ends):
-            if e is not None:
-                ends[i] = _substitute_word(e, gen, expr)
+            if e is not None and any(l.gen == gen for l in e):
+                ends[i] = tuple(substitute(e))
 
     while True:
-        # pass 1: substitution-shaped relations
-        step = None
-        for r in rels:
-            cand = _shaped_candidate(r)
-            if cand:
-                step = (cand[0], cand[1], r)
+        step = next(((*e.candidate, i) for i, e in enumerate(entries) if e.candidate), None)
+        if step is None:
+            step = _single_occurrence_step(entries, gens, protected)
+            if step is None:
                 break
-        if step:
-            eliminate(*step)
-            continue
-        # pass 2: single-occurrence generators, exponent-free first
-        step = None
-        for want_bare in (True, False):
-            for g in gens:
-                if g in protected:
-                    continue
-                for r in rels:
-                    if _occurrences(g, r) != 1:
-                        continue
-                    letter = next(l for l in r.left + r.right if l.gen == g)
-                    if want_bare and letter.exp != E0:
-                        continue
-                    step = (g, _solve(r, g), r)
-                    break
-                if step:
-                    break
-            if step:
-                break
-        if not step:
-            break
         eliminate(*step)
 
-    return GroupPresentationZ2(tuple(gens), tuple(rels), *(tuple(e) if e is not None else None for e in ends))
+    rels = tuple(e.rel for e in entries)
+    return GroupPresentationZ2(tuple(gens), rels, *(tuple(e) if e is not None else None for e in ends))
 
 
 def quotient_kill(p, victims):

@@ -9,6 +9,7 @@ JSON output carries ``"schema": 1`` and is byte-stable for identical runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,10 +81,10 @@ def cmd_parse(args):
     return EXIT_OK
 
 
-def _colorings(d, moduli, matrix=False):
-    """JSON value and text lines of the coloring reports, one per modulus."""
+def _colorings(reports, matrix=False):
+    """JSON value and text lines of coloring reports, one per modulus."""
     items, lines = [], []
-    for rep in invariants.coloring_count(d, moduli):
+    for rep in reports:
         item = {"p": rep.p, "count": rep.count, "nontrivial": rep.nontrivial}
         if matrix:
             item["matrix"] = [list(r) for r in rep.matrix]
@@ -96,6 +97,8 @@ def cmd_invariants(args):
     d = _load(args.input)
     if not (args.presentation or args.charpoly or args.det or args.color):
         raise ConfigError("nothing requested: use --charpoly/--det/--color/--presentation")
+    if args.det and d.kind != diagram.LONG:
+        raise ConfigError("--det requires a long diagram")
     payload = {"input": args.input, "quotient": args.quotient}
     lines = []
     if args.presentation or args.charpoly:
@@ -116,14 +119,14 @@ def cmd_invariants(args):
             entries.append({"k": k, "ring": mat.ring, "value": str(value)})
             lines.append(str(value))
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
+    # the determinant reuses the colorings' Smith form of A(-1)
+    colorings = invariants.coloring_count(d, args.color or ())
     if args.det:
-        if d.kind != diagram.LONG:
-            raise ConfigError("--det requires a long diagram")
-        det = invariants.determinant_long(d)
+        det = invariants.determinant_long(d, colorings[0].smith if colorings else None)
         payload["determinant"] = det
         lines.append(str(det))
-    if args.color:
-        payload["colorings"], color_lines = _colorings(d, args.color)
+    if colorings:
+        payload["colorings"], color_lines = _colorings(colorings)
         lines += color_lines
     _emit(args, payload, lines)
     return EXIT_OK
@@ -159,7 +162,7 @@ def cmd_construct(args):
 
 def cmd_color(args):
     d = _load(args.input)
-    reports, lines = _colorings(d, args.p, matrix=args.matrix)
+    reports, lines = _colorings(invariants.coloring_count(d, args.p), matrix=args.matrix)
     _emit(args, {"input": args.input, "colorings": reports}, lines)
     return EXIT_OK
 
@@ -270,9 +273,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GaussCodeError as exc:

@@ -218,15 +218,18 @@ def is_prime(p):
 # -- knot determinant and colorings ------------------------------------
 
 
-def determinant_long(d):
+def determinant_long(d, smith=None):
     """gcd of the maximal minors of the merged arc matrix A(-1).
 
     A(-1) is c x (c+1), so this is the product of its Smith invariants
-    (0 below full rank).
+    (0 below full rank).  ``smith`` passes those invariants in when the
+    caller has them already, as every ``ColoringReport`` of d does.
     """
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
-    return math.prod(smith_normal_form(one_var_matrix(d, -1).rows))
+    if smith is None:
+        smith = smith_normal_form(one_var_matrix(d, -1).rows)
+    return math.prod(smith)
 
 
 def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
@@ -248,14 +251,18 @@ class ColoringReport:
     matrix: tuple
     count: int
     nontrivial: bool
+    smith: tuple  # Smith invariants of the matrix, shared by every modulus
 
 
 def coloring_count(d, ps):
     """One report per modulus in ``ps`` (input order, duplicates kept).
 
     A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing.  All moduli share one Smith form of -A(-1).
+    at every crossing.  All moduli share one Smith form of -A(-1), which
+    each report carries for ``determinant_long``.
     """
+    if not ps:
+        return []
     a = one_var_matrix(d, -1)
     matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
@@ -265,7 +272,7 @@ def coloring_count(d, ps):
         if p < 2:
             raise ValueError("modulus must be at least 2")
         count = p ** free * math.prod(math.gcd(s, p) for s in inv)
-        reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p))
+        reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p, smith=inv))
     return reports
 
 
@@ -323,34 +330,44 @@ def transfer_condition(n, p):
 # -- aggregate profile (move-invariance fuzzing) -------------------------
 
 
+def _end_quotient(pres, quotient):
+    """``pres`` with the end generators that ``quotient`` names killed."""
+    if quotient == "none":
+        return pres
+    if pres.end_minus is None:
+        raise ValueError("end quotients require a long diagram")
+    victims = set()
+    if quotient in ("end-minus", "ends"):
+        victims.add(pres.end_minus[0].gen)
+    if quotient in ("end-plus", "ends"):
+        victims.add(pres.end_plus[0].gen)
+    if not victims:
+        raise ValueError(f"unknown quotient {quotient!r}")
+    return quotient_kill(pres, victims)
+
+
 def quotient_pipeline(d, quotient="none"):
     """Tietze-eliminated presentation of the requested end quotient."""
-    pres = extended_presentation(d)
-    if quotient != "none":
-        if pres.end_minus is None:
-            raise ValueError("end quotients require a long diagram")
-        victims = set()
-        if quotient in ("end-minus", "ends"):
-            victims.add(pres.end_minus[0].gen)
-        if quotient in ("end-plus", "ends"):
-            victims.add(pres.end_plus[0].gen)
-        if not victims:
-            raise ValueError(f"unknown quotient {quotient!r}")
-        pres = quotient_kill(pres, victims)
-    return tietze_eliminate(pres)
+    return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
 def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
-    """The invariants expected to survive Reidemeister moves, as one dict."""
+    """The invariants expected to survive Reidemeister moves, as one dict.
+
+    One presentation serves both quotients, and one Smith form of A(-1)
+    serves the determinant and every coloring count.
+    """
     profile = {}
+    pres = extended_presentation(d)
     quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
     for quotient in quotients:
-        mat = abelianize(quotient_pipeline(d, quotient))
+        mat = abelianize(tietze_eliminate(_end_quotient(pres, quotient)))
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
+    colorings = coloring_count(d, ps)
     if d.kind == LONG:
-        profile["determinant"] = determinant_long(d)
-    for rep in coloring_count(d, ps):
+        profile["determinant"] = determinant_long(d, colorings[0].smith if colorings else None)
+    for rep in colorings:
         profile[f"colorings p={rep.p}"] = rep.count
     return profile

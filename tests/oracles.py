@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own computation paths:
 polynomial products by direct convolution, determinants by cofactor
 recursion, colorings and homomorphism counts by exhaustive assignment, move sites
 by trying every combination of adjacent pairs (through the library's own
-site matchers, which define what a legal site is).
+site matchers, which define what a legal site is), and Tietze elimination
+by the rescanning implementation the incremental one replaced.
 
 The helpers at the end are test conveniences built on the library:
 polynomial literals, evaluation at +-1, end columns, row-span membership
@@ -13,7 +14,20 @@ and relation comparison.
 
 from __future__ import annotations
 
-from vka.alexander import _word_row, tietze_eliminate
+from vka.alexander import (
+    E0,
+    GroupPresentationZ2,
+    OpLetter,
+    OpRelation,
+    _exp_neg,
+    _solve,
+    _word_row,
+    free_reduce,
+    relation_is_trivial,
+    tietze_eliminate,
+    word_inverse,
+    word_shift,
+)
 from vka.diagram import Diagram, LONG, OVER, Passage, UNDER, arc_structure
 from vka.invariants import rank_mod
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV
@@ -174,6 +188,166 @@ def random_code(rng, crossings, closed=False):
         tokens[j] = f"{second}{cid}{sign}"
     body = " ".join(tokens)
     return f"closed\n{body}" if closed else body
+
+
+# -- reference Tietze elimination -------------------------------------
+# The rescanning implementation that the incremental ``tietze_eliminate``
+# replaced: every elimination rewrites, normalizes and dedupes every
+# relation, and pass 2 counts each generator in each relation afresh.
+# ``normalize_relation_reference`` free-reduces both sides again after
+# every moved letter, where the library's ``normalize_relation`` cancels at
+# the junction only.
+
+
+def normalize_relation_reference(rel):
+    """Free-reduce both sides and move edge inverse letters across.
+
+    A trailing inverse on one side becomes a trailing positive letter on the
+    other (right multiplication), a leading inverse becomes a leading
+    positive letter (left multiplication).  The abelianized row is
+    unchanged; the displayed form matches hand calculation.
+    """
+    left, right = list(free_reduce(rel.left)), list(free_reduce(rel.right))
+    changed = True
+    while changed:
+        changed = False
+        if left and left[-1].sign < 0:
+            right.append(OpLetter(left[-1].gen, left[-1].exp, 1))
+            left.pop()
+            changed = True
+        elif right and right[-1].sign < 0:
+            left.append(OpLetter(right[-1].gen, right[-1].exp, 1))
+            right.pop()
+            changed = True
+        elif left and left[0].sign < 0:
+            right.insert(0, OpLetter(left[0].gen, left[0].exp, 1))
+            left.pop(0)
+            changed = True
+        elif right and right[0].sign < 0:
+            left.insert(0, OpLetter(right[0].gen, right[0].exp, 1))
+            right.pop(0)
+            changed = True
+        if changed:
+            left, right = list(free_reduce(left)), list(free_reduce(right))
+    return OpRelation(tuple(left), tuple(right))
+
+
+def _substitute_word(word, gen, replacement):
+    out = []
+    for letter in word:
+        if letter.gen != gen:
+            out.append(letter)
+            continue
+        rep = word_shift(replacement, letter.exp)
+        if letter.sign < 0:
+            rep = word_inverse(rep)
+        out.extend(rep)
+    return free_reduce(tuple(out))
+
+
+def _occurrences(gen, rel):
+    return sum(1 for l in rel.left + rel.right if l.gen == gen)
+
+
+def _shaped_candidate(rel):
+    """Substitution-shaped relation: one side is a single positive letter."""
+    options = []
+    for side, other in ((rel.left, rel.right), (rel.right, rel.left)):
+        if len(side) == 1 and side[0].sign > 0:
+            g = side[0].gen
+            if all(l.gen != g for l in other):
+                options.append((side[0], other))
+    if not options:
+        return None
+    for letter, other in options:  # prefer a bare-exponent letter
+        if letter.exp == E0:
+            return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
+    letter, other = options[0]
+    return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
+
+
+def _dedupe(relations):
+    seen = set()
+    out = []
+    for rel in relations:
+        key = frozenset({rel.left, rel.right})
+        if key not in seen:
+            seen.add(key)
+            out.append(rel)
+    return out
+
+
+def tietze_eliminate_reference(p):
+    """Eliminate redundant generators, deterministically.
+
+    First pass: repeatedly use the first relation with a whole side equal to
+    a single positive letter (preferring the bare-exponent side) to delete
+    that generator.  Second pass: delete non-end generators that occur
+    exactly once in some relation, preferring exponent-free occurrences and
+    scanning generators in arc order.  End-arc generators survive the second
+    pass so the distinguished elements stay visible; if the first pass
+    consumes one, its image is retained as a word.
+    """
+    gens = list(p.generators)
+    rels = [normalize_relation_reference(r) for r in p.relations]
+    rels = _dedupe([r for r in rels if not relation_is_trivial(r)])
+    ends = [p.end_minus, p.end_plus]
+    protected = set()
+    for e in ends:
+        if e is not None:
+            protected.update(l.gen for l in e)
+
+    def eliminate(gen, expr, used_rel):
+        gens.remove(gen)
+        new = []
+        for r in rels:
+            if r is used_rel:
+                continue
+            r2 = normalize_relation_reference(OpRelation(
+                _substitute_word(r.left, gen, expr),
+                _substitute_word(r.right, gen, expr),
+            ))
+            if not relation_is_trivial(r2):
+                new.append(r2)
+        rels[:] = _dedupe(new)
+        for i, e in enumerate(ends):
+            if e is not None:
+                ends[i] = _substitute_word(e, gen, expr)
+
+    while True:
+        # pass 1: substitution-shaped relations
+        step = None
+        for r in rels:
+            cand = _shaped_candidate(r)
+            if cand:
+                step = (cand[0], cand[1], r)
+                break
+        if step:
+            eliminate(*step)
+            continue
+        # pass 2: single-occurrence generators, exponent-free first
+        step = None
+        for want_bare in (True, False):
+            for g in gens:
+                if g in protected:
+                    continue
+                for r in rels:
+                    if _occurrences(g, r) != 1:
+                        continue
+                    letter = next(l for l in r.left + r.right if l.gen == g)
+                    if want_bare and letter.exp != E0:
+                        continue
+                    step = (g, _solve(r, g), r)
+                    break
+                if step:
+                    break
+            if step:
+                break
+        if not step:
+            break
+        eliminate(*step)
+
+    return GroupPresentationZ2(tuple(gens), tuple(rels), *(tuple(e) if e is not None else None for e in ends))
 
 
 def transfer_brute_force(n, p):

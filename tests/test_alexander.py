@@ -9,8 +9,11 @@ from oracles import (
     is_trivial_presentation,
     l1,
     l2,
+    normalize_relation_reference,
+    random_code,
     random_long_diagram,
     same_relation,
+    tietze_eliminate_reference,
 )
 from vka.alexander import (
     GroupPresentationZ2,
@@ -18,13 +21,14 @@ from vka.alexander import (
     OpRelation,
     abelianize,
     extended_presentation,
+    normalize_relation,
     one_var_matrix,
     one_variable,
     quotient_kill,
     tietze_eliminate,
     word_str,
 )
-from vka.diagram import TRIVIAL_LONG
+from vka.diagram import TRIVIAL_LONG, parse_gauss
 from vka.invariants import char_poly, quotient_pipeline
 from vka.laurent import LaurentPoly, UV, parse_poly
 
@@ -154,6 +158,57 @@ def test_corpus_elimination_preserves_char_polys():
         raw, slim = abelianize(p), abelianize(tietze_eliminate(p))
         for k in (0, 1, 2):
             assert char_poly(raw, k) == char_poly(slim, k)
+
+
+def _reference_cases():
+    """Presentations up to c = 30, long and closed, raw and quotient_kill'ed."""
+    for crossings in range(31):
+        for seed in range(11 if crossings <= 12 else 2):
+            rng = random.Random(seed)
+            for closed in (False, True):
+                p = extended_presentation(parse_gauss(random_code(rng, crossings, closed)))
+                yield p
+                if not closed:
+                    lo, hi = p.end_minus[0].gen, p.end_plus[0].gen
+                    for victims in ({lo}, {hi}, {lo, hi}):
+                        yield quotient_kill(p, victims)
+                    yield quotient_kill(p, rng.sample(p.generators, rng.randint(1, len(p.generators))))
+
+
+def test_elimination_matches_reference():
+    count = 0
+    for p in _reference_cases():
+        fast, ref = tietze_eliminate(p), tietze_eliminate_reference(p)
+        assert fast == ref
+        assert str(fast) == str(ref)
+        assert fast.to_json() == ref.to_json()
+        count += 1
+    assert count >= 1000
+
+
+def test_elimination_keeps_the_first_of_equal_relations():
+    # eliminating b = c turns "a b = c a" into "a c = c a", the relation
+    # "c a = a c" with its sides swapped; whichever comes first stays
+    swapped = rel([L("c"), L("a")], [L("a"), L("c")])
+    rewritten = rel([L("a"), L("b")], [L("c"), L("a")])
+    for relations, kept in (
+        ((rel([L("b")], [L("c")]), rewritten, swapped), rel([L("a"), L("c")], [L("c"), L("a")])),
+        ((swapped, rel([L("b")], [L("c")]), rewritten), swapped),
+    ):
+        p = GroupPresentationZ2(("a", "b", "c"), relations)
+        assert tietze_eliminate(p) == tietze_eliminate_reference(p)
+        assert tietze_eliminate(p).relations == (kept,)
+
+
+def test_normalize_matches_reference():
+    rng = random.Random(4)
+    for _ in range(3000):
+        sides = [
+            [L(rng.choice("ab"), rng.randint(0, 1), 0, rng.choice((1, -1))) for _ in range(rng.randint(0, 6))]
+            for _ in range(2)
+        ]
+        r = rel(*sides)
+        assert normalize_relation(r) == normalize_relation_reference(r)
 
 
 # -- quotient_kill ------------------------------------------------------

@@ -1,9 +1,16 @@
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from vka import alexander, diagram, invariants
+from oracles import random_code
+from conftest import REPO_ROOT
+from vka import alexander, cli, diagram, invariants
 from vka.cli import MAX_WINDINGS, main
 
 
@@ -60,6 +67,19 @@ def test_invariants_det_on_closed_exit_2(capsys, tmp_path, corpus_dir):
     closed.write_text("closed\nO1+ U2+ U1+ O2+\n")
     code, _, err = run(capsys, "invariants", str(closed), "--det")
     assert code == 2
+
+
+def test_det_on_closed_fails_before_any_computation(capsys, tmp_path, monkeypatch):
+    # c = 30: the char polys alone took seconds before the check ran
+    closed = tmp_path / "c30.gauss"
+    closed.write_text(random_code(random.Random(2), 30, closed=True) + "\n")
+    calls = []
+    monkeypatch.setattr(invariants, "quotient_pipeline", lambda *a: calls.append(a))
+    monkeypatch.setattr(invariants, "char_poly", lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, "invariants", str(closed), "--charpoly", "1", "--det")
+    assert code == 2
+    assert "--det requires a long diagram" in err
+    assert calls == []
 
 
 def test_budget_exit_3(capsys, corpus_dir):
@@ -138,6 +158,31 @@ def test_presentation_follows_quotient(capsys, corpus_dir):
     )
     shown = alexander.GroupPresentationZ2(tuple(pres["generators"]), relations)
     assert str(invariants.char_poly(alexander.abelianize(shown), 0)) == "u^2*v - u + 1"
+
+
+def test_golden_presentation_digest(capsys, corpus_dir, tmp_path):
+    # pins the eliminated presentations: elimination order, relation
+    # orientation and dedupe survivors, for every valid --quotient
+    inputs = [(path.stem, path.read_text()) for path in sorted(corpus_dir.glob("*.gauss"))]
+    for crossings in (*range(13), 20):
+        for seed in range(4):
+            for closed in (False, True):
+                name = f"{'closed' if closed else 'long'}-c{crossings}-s{seed}"
+                inputs.append((name, random_code(random.Random(seed), crossings, closed)))
+    lines = []
+    for name, text in inputs:
+        path = tmp_path / f"{name}.gauss"
+        path.write_text(text + "\n")
+        closed = text.lstrip().startswith("closed")
+        for quotient in ("none",) if closed else ("none", "end-minus", "end-plus", "ends"):
+            code, out, _ = run(capsys, "--json", "invariants", str(path), "--presentation",
+                               "--quotient", quotient)
+            assert code == 0
+            payload = json.loads(out)
+            del payload["input"]
+            lines.append(f"{name} {json.dumps(payload, sort_keys=True)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3adfeb70a39ed15c6a98d9ca9958ee264e01f71cd79c22b6fcb60ec5070a3676"
 
 
 def test_presentation_and_charpoly_share_one_elimination(capsys, corpus_dir, monkeypatch):
@@ -239,6 +284,22 @@ def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch
     assert len(smith) == 1
 
 
+def test_det_and_colors_share_one_smith_form(capsys, corpus_dir, monkeypatch):
+    calls, smith = [], []
+    real = alexander.arc_structure
+    monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+    real_smith = invariants.smith_normal_form
+    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: smith.append(rows) or real_smith(rows))
+    code, out, _ = run(capsys, "--json", "invariants", str(corpus_dir / "k1.gauss"),
+                       "--det", "--color", "3", "--color", "5")
+    assert code == 0
+    assert len(calls) == 1
+    assert len(smith) == 1
+    payload = json.loads(out)
+    assert payload["determinant"] == 3
+    assert [c["count"] for c in payload["colorings"]] == [9, 5]
+
+
 def test_homcount_command(capsys, corpus_dir):
     code, out, _ = run(
         capsys, "homcount", str(corpus_dir / "k4k5.gauss"), "-p", "5", "-s", "3",
@@ -320,3 +381,57 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "parse", "no-such-file.gauss")
     assert code == 2
     assert "cannot read" in err
+
+
+def _reuse_calls(corpus_dir):
+    k1, k4k5, trefoil = (str(corpus_dir / f"{name}.gauss") for name in ("k1", "k4k5", "trefoil"))
+    return [
+        ["--json", "invariants", k1, "--charpoly", "0", "--charpoly", "1", "--color", "3", "--det"],
+        ["--json", "invariants", k1, "--charpoly", "1"],  # no colorings or det carried over
+        ["--max-minors", "1", "invariants", k4k5, "--charpoly", "1"],  # exit 3
+        ["invariants", k4k5, "--charpoly", "1"],  # the default budget again
+        ["color", trefoil, "-p", "3", "-p", "5"],
+        ["--json", "color", trefoil, "-p", "7", "--matrix"],
+        ["color", trefoil, "-p", "11"],
+        ["invariants", k1, "--color", "x"],  # argparse error, exit 2
+        ["fuzz", trefoil, "--walks", "0"],  # argparse type error, exit 2
+        ["--json", "fuzz", k1, "--steps", "3", "--walks", "2"],
+        ["homcount", k1, "-p", "5", "-s", "3", "--quotient", "end-minus"],
+        ["construct", "dn", str(corpus_dir / "empty.gauss"), "2"],
+        ["parse", k1],
+        ["invariants", k1],  # nothing requested, exit 2
+        ["--json", "invariants", k1, "--presentation", "--quotient", "end-minus"],
+    ]
+
+
+def test_parser_is_built_once_and_reused(capsys, corpus_dir, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    for argv in _reuse_calls(corpus_dir):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "vka", *argv], capture_output=True,
+                               text=True, env=env, cwd=REPO_ROOT, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import vka.cli\n"
+        "print(len(built), vka.cli._parser.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, cwd=REPO_ROOT, timeout=60, check=True).stdout
+    assert out.split() == ["0", "0"]

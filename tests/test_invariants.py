@@ -15,7 +15,7 @@ from oracles import (
     subs_int,
     transfer_brute_force,
 )
-from vka import alexander, laurent
+from vka import alexander, invariants, laurent
 from vka.alexander import (
     abelianize,
     diagonal_t,
@@ -25,7 +25,7 @@ from vka.alexander import (
     specialize_uv,
     tietze_eliminate,
 )
-from vka.diagram import TRIVIAL_LONG, close, dn_family, parse_gauss
+from vka.diagram import LONG, TRIVIAL_LONG, close, dn_family, parse_gauss
 from vka.invariants import (
     BudgetExceeded,
     char_poly,
@@ -508,10 +508,26 @@ def test_one_arc_structure_per_one_var_matrix(monkeypatch):
     one_var_matrix(catalog.k1(), -1)
     assert len(calls) == 1
     calls.clear()
-    # two presentations (quotients none, end-minus), then A(-1) for the
-    # determinant and one A(-1) for all colorings; the profile builds no A(1)
+    # one presentation for both quotients (none, end-minus) and one A(-1)
+    # for the determinant and all colorings; the profile builds no A(1)
     invariant_profile(catalog.k1())
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_profile_builds_one_smith_form(monkeypatch):
+    calls = []
+    real = invariants.smith_normal_form
+    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: calls.append(rows) or real(rows))
+    for d in (catalog.k1(), catalog.trefoil(), close(catalog.k1())):
+        calls.clear()
+        profile = invariant_profile(d)
+        assert len(calls) == 1
+        if d.kind == LONG:
+            assert profile["determinant"] == determinant_long(d)
+    # without moduli the determinant builds its own
+    calls.clear()
+    assert invariant_profile(catalog.k1(), ps=())["determinant"] == 3
+    assert len(calls) == 1
 
 
 def test_c30_k1_char_poly_needs_no_subresultant_gcd(monkeypatch):
