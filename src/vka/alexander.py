@@ -419,22 +419,24 @@ class PresentationMatrix:
         return (len(self.rows), len(self.cols))
 
 
-def _word_row(word, cols, vars=UV):
-    coeffs = {g: LaurentPoly.zero(vars) for g in cols}
-    for l in word:
-        mono = LaurentPoly.monomial(vars, l.exp, l.sign)
-        coeffs[l.gen] = coeffs[l.gen] + mono
-    return tuple(coeffs[g] for g in cols)
+def _word_row(word, cols, minus=()):
+    """Abelianized ``word`` less abelianized ``minus``, one entry per column."""
+    terms = {g: {} for g in cols}
+    for w, scale in ((word, 1), (minus, -1)):
+        for gen, exp, sign in w:
+            entry = terms[gen]
+            c = entry.get(exp, 0) + scale * sign
+            if c:
+                entry[exp] = c
+            else:
+                del entry[exp]
+    return tuple(LaurentPoly._raw(UV, terms[g]) for g in cols)
 
 
 def abelianize(p):
     """Presentation matrix of the abelianized module over Z[u^+-1, v^+-1]."""
-    rows = []
-    for rel in p.relations:
-        left = _word_row(rel.left, p.generators)
-        right = _word_row(rel.right, p.generators)
-        rows.append(tuple(a - b for a, b in zip(left, right)))
-    return PresentationMatrix("L2", tuple(p.generators), tuple(rows))
+    rows = tuple(_word_row(rel.left, p.generators, rel.right) for rel in p.relations)
+    return PresentationMatrix("L2", tuple(p.generators), rows)
 
 
 def specialize_uv(m, u_image, v_image):

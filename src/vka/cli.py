@@ -94,6 +94,11 @@ def _colorings(reports, matrix=False):
 
 
 def cmd_invariants(args):
+    # checked before the diagram is read, so a bad request costs no elimination or minors
+    if any(k < 0 for k in args.charpoly or ()):
+        raise ConfigError("k must be nonnegative")
+    if any(p < 2 for p in args.color or ()):
+        raise ConfigError("modulus must be at least 2")
     d = _load(args.input)
     if not (args.presentation or args.charpoly or args.det or args.color):
         raise ConfigError("nothing requested: use --charpoly/--det/--color/--presentation")

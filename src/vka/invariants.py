@@ -6,6 +6,7 @@ transfer criterion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from .alexander import (
     tietze_eliminate,
 )
 from .diagram import LONG
-from .laurent import UV, TVAR, LaurentPoly, divexact, gcd_many
+from .laurent import UV, TVAR, LaurentPoly, gcd_many
 
 DEFAULT_MINOR_BUDGET = 200000
 
@@ -28,65 +29,140 @@ class BudgetExceeded(RuntimeError):
 
 # -- exact determinants and minors -------------------------------------
 
-
-def _ring_ops(ring):
-    if ring == "L2":
-        vars = UV
-    elif ring == "L1":
-        vars = TVAR
-    elif ring == "Z":
-        return 0, 1, lambda a, b: a // b
-    else:
-        raise ValueError(f"no exact division over ring {ring}")
-    zero = LaurentPoly.zero(vars)
-    one = LaurentPoly.const(vars, 1)
-    return zero, one, divexact
+RING_VARS = {"L2": UV, "L1": TVAR}  # the Laurent rings; "Z" has plain ints
 
 
-def det_exact(rows, ring):
-    """Fraction-free determinant of a square matrix over Z or a Laurent ring."""
-    zero, one, div = _ring_ops(ring)
+def det_exact(rows):
+    """Fraction-free (Bareiss) determinant of a square integer matrix.
+
+    The entry of a 1x1 matrix is returned as it is, over any ring.
+    """
     n = len(rows)
     if n == 0:
-        return one
+        return 1
     M = [list(r) for r in rows]
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not M[k][k]:
             pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
             if pivot is None:
-                return zero
+                return 0
             M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
+        pk, rk = M[k][k], M[k]
         for i in range(k + 1, n):
+            ri = M[i]
+            ik = ri[k]
             for j in range(k + 1, n):
-                M[i][j] = div(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
-            M[i][k] = zero
-        prev = M[k][k]
+                ri[j] = (pk * ri[j] - ik * rk[j]) // prev
+        prev = pk
     out = M[n - 1][n - 1]
     return out if sign > 0 else -out
+
+
+def _least(vectors, nvars):
+    """Componentwise minimum of a collection of exponent vectors (zero when empty)."""
+    return tuple(map(min, zip(*vectors))) if vectors else (0,) * nvars
+
+
+def _kronecker(rows, size, vars):
+    """Integer images of a Laurent matrix and the decoder of its minors.
+
+    Each row, and then each column, is divided by the monomial of its
+    least exponents, so that every entry is a polynomial; the minors pick
+    the shifts of their rows and columns back up.  The entries are then
+    mapped by u -> X = 2^B, v -> X^D (t -> X in one variable).  That map
+    is a ring homomorphism, so an integer minor is the image of the
+    polynomial minor.  A minor's coefficients are at most the product of
+    its rows' 1-norms, below 2^(B-1), and its u-degree is at most the sum
+    of its rows' u-degrees, below D, so the balanced base-X digits of the
+    image are its coefficients, exponent (a, b) at digit a + D*b.
+    """
+    nvars = len(vars)
+    lows = [[_least(p.terms, nvars) if p else None for p in row] for row in rows]
+    row_low = [_least([e for e in row if e], nvars) for row in lows]
+    col_low = [
+        _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]], nvars)
+        for j in range(len(rows[0]))
+    ]
+    offsets = [[tuple(map(operator.add, rlow, clow)) for clow in col_low] for rlow in row_low]
+    norms = [sum(abs(c) for p in row for c in p.terms.values()) for row in rows]
+    B = math.prod(sorted(norms)[-size:]).bit_length() + 1
+    if nvars == 2:
+        degrees = [
+            max((max(p.terms)[0] - o[0] for p, o in zip(row, offs) if p), default=0)
+            for row, offs in zip(rows, offsets)
+        ]
+        D = sum(sorted(degrees)[-size:]) + 1
+        BD = B * D
+        packed = [
+            [
+                sum(c << (a - ou) * B + (b - ov) * BD for (a, b), c in p.terms.items())
+                for p, (ou, ov) in zip(row, offs)
+            ]
+            for row, offs in zip(rows, offsets)
+        ]
+    else:
+        packed = [
+            [sum(c << (a - ot) * B for (a,), c in p.terms.items()) for p, (ot,) in zip(row, offs)]
+            for row, offs in zip(rows, offsets)
+        ]
+    base, half = 1 << B, 1 << (B - 1)
+    mask = base - 1
+
+    def decode(x, rs, cs):
+        digits = []
+        n = 0
+        while x:
+            c = x & mask
+            if not c:  # skip the run of zero digits
+                zeros = ((x & -x).bit_length() - 1) // B
+                x >>= zeros * B
+                n += zeros
+                continue
+            x >>= B
+            if c >= half:
+                c -= base
+                x += 1
+            digits.append((n, c))
+            n += 1
+        shift = [sum(v) for v in zip(*[row_low[i] for i in rs], *[col_low[j] for j in cs])]
+        if nvars == 2:
+            su, sv = shift
+            return LaurentPoly._raw(vars, {(n % D + su, n // D + sv): c for n, c in digits})
+        return LaurentPoly._raw(vars, {(n + shift[0],): c for n, c in digits})
+
+    return packed, decode
 
 
 def _minors(m, k, max_minors):
     """Yield the minors of size (columns - k), after the budget check.
 
     Size zero (k >= columns) yields 1; a size exceeding the row count
-    yields nothing (the zero ideal).
+    yields nothing (the zero ideal).  A Laurent matrix is packed into
+    integers once, and every minor of size 2 or more is an integer
+    Bareiss determinant, decoded.
     """
     nrows, ncols = m.shape
     size = ncols - k
+    vars = RING_VARS.get(m.ring)
     if size <= 0:
-        yield _ring_ops(m.ring)[1]
+        yield 1 if vars is None else LaurentPoly.const(vars, 1)
         return
     if size > nrows:
         return
     count = math.comb(nrows, size) * math.comb(ncols, size)
     if count > max_minors:
         raise BudgetExceeded(f"{count} minors of size {size} exceed budget {max_minors}")
+    rows, decode = m.rows, None
+    if vars is not None and size > 1:  # a 1x1 minor is its entry, over any ring
+        rows, decode = _kronecker(rows, size, vars)
     for rs in combinations(range(nrows), size):
+        picked = [rows[i] for i in rs]
         for cs in combinations(range(ncols), size):
-            yield det_exact([[m.rows[i][j] for j in cs] for i in rs], m.ring)
+            det = det_exact([[row[j] for j in cs] for row in picked])
+            yield det if decode is None else decode(det, rs, cs)
 
 
 def elementary_minors(m, k, max_minors=DEFAULT_MINOR_BUDGET):
@@ -98,9 +174,9 @@ def elementary_minors(m, k, max_minors=DEFAULT_MINOR_BUDGET):
 
 def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
     """Canonical gcd of the k-th ideal's minors (0 for the empty list)."""
-    if m.ring not in ("L1", "L2"):
+    if m.ring not in RING_VARS:
         raise ValueError("char_poly expects a Laurent presentation matrix")
-    vars = UV if m.ring == "L2" else TVAR
+    vars = RING_VARS[m.ring]
     minors = elementary_minors(m, k, max_minors=max_minors)
     return gcd_many(minors, vars=vars)
 

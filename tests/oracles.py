@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the library's own computation paths:
 polynomial products by direct convolution, determinants by cofactor
-recursion, colorings and homomorphism counts by exhaustive assignment, move sites
-by trying every combination of adjacent pairs (through the library's own
-site matchers, which define what a legal site is), and Tietze elimination
-by the rescanning implementation the incremental one replaced.
+recursion, minors of Laurent matrices by Bareiss elimination with exact
+Laurent division, specializations by powers of the images, abelianization
+by one monomial per letter, colorings and homomorphism counts by
+exhaustive assignment, move sites by trying every combination of adjacent
+pairs (through the library's own site matchers, which define what a legal
+site is), and Tietze elimination by the rescanning implementation the
+incremental one replaced.
 
 The helpers at the end are test conveniences built on the library:
 polynomial literals, evaluation at +-1, end columns, row-span membership
@@ -14,11 +17,14 @@ and relation comparison.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from vka.alexander import (
     E0,
     GroupPresentationZ2,
     OpLetter,
     OpRelation,
+    PresentationMatrix,
     _exp_neg,
     _solve,
     _word_row,
@@ -29,8 +35,8 @@ from vka.alexander import (
     word_shift,
 )
 from vka.diagram import Diagram, LONG, OVER, Passage, UNDER, arc_structure
-from vka.invariants import rank_mod
-from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV
+from vka.invariants import RING_VARS, rank_mod
+from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
 from vka.moves import MoveSite, _r2_pairs_match, _r3_match
 
 
@@ -58,6 +64,76 @@ def det_cofactor(rows):
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         total += (-1) ** j * head * det_cofactor(minor)
     return total
+
+
+def det_exact_reference(rows, vars):
+    """Laurent-polynomial Bareiss determinant over the ring in ``vars``.
+
+    Every step divides exactly in the Laurent ring with ``divexact``.  This
+    is the reference for the packed-integer minors of ``elementary_minors``.
+    """
+    zero, one = LaurentPoly.zero(vars), LaurentPoly.const(vars, 1)
+    n = len(rows)
+    if n == 0:
+        return one
+    M = [list(r) for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if not M[k][k]:
+            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if pivot is None:
+                return zero
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = divexact(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
+            M[i][k] = zero
+        prev = M[k][k]
+    out = M[n - 1][n - 1]
+    return out if sign > 0 else -out
+
+
+def minors_reference(m, k):
+    """The minors of size (columns - k) of a Laurent matrix, in
+    ``elementary_minors`` order, each by ``det_exact_reference``."""
+    vars = RING_VARS[m.ring]
+    nrows, ncols = m.shape
+    size = ncols - k
+    if size <= 0:
+        return [LaurentPoly.const(vars, 1)]
+    return [
+        det_exact_reference([[m.rows[i][j] for j in cs] for i in rs], vars)
+        for rs in combinations(range(nrows), size)
+        for cs in combinations(range(ncols), size)
+    ]
+
+
+def subs_reference(p, images):
+    """``LaurentPoly.subs`` by powers of the images: sum of coeff * prod im**e."""
+    tvars = images[0].vars
+    out = LaurentPoly.zero(tvars)
+    for exps, coeff in p.terms.items():
+        term = LaurentPoly.const(tvars, coeff)
+        for im, e in zip(images, exps):
+            term = term * im ** e
+        out = out + term
+    return out
+
+
+def abelianize_reference(p):
+    """``abelianize`` by adding one monomial per letter, left minus right."""
+    def row(word):
+        coeffs = {g: LaurentPoly.zero(UV) for g in p.generators}
+        for l in word:
+            coeffs[l.gen] = coeffs[l.gen] + LaurentPoly.monomial(UV, l.exp, l.sign)
+        return [coeffs[g] for g in p.generators]
+
+    rows = tuple(
+        tuple(a - b for a, b in zip(row(rel.left), row(rel.right))) for rel in p.relations
+    )
+    return PresentationMatrix("L2", tuple(p.generators), rows)
 
 
 def arc_classes(d):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import catalog
 from oracles import (
+    abelianize_reference,
     end_generator_columns,
     in_rowspan_mod,
     is_trivial_presentation,
@@ -184,6 +186,17 @@ def test_elimination_matches_reference():
         assert fast.to_json() == ref.to_json()
         count += 1
     assert count >= 1000
+
+
+def test_abelianize_matches_reference():
+    count = 0
+    for p in itertools.islice(_reference_cases(), 0, None, 3):
+        for q in (p, tietze_eliminate(p)):
+            fast, ref = abelianize(q), abelianize_reference(q)
+            assert fast == ref
+            assert [[str(e) for e in row] for row in fast.rows] == [[str(e) for e in row] for row in ref.rows]
+            count += 1
+    assert count >= 700
 
 
 def test_elimination_keeps_the_first_of_equal_relations():

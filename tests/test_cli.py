@@ -82,6 +82,23 @@ def test_det_on_closed_fails_before_any_computation(capsys, tmp_path, monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--charpoly", "1", "--color", "1"], "modulus must be at least 2"),
+    (["--charpoly", "1", "--charpoly", "-1"], "k must be nonnegative"),
+    (["--color", "3", "--charpoly", "-2", "--color", "0"], "k must be nonnegative"),
+])
+def test_bad_charpoly_or_color_fails_before_any_computation(capsys, corpus_dir, monkeypatch, flags, message):
+    # the diagram is not even read: at c = 30 the minors alone took seconds before the check ran
+    calls = []
+    monkeypatch.setattr(cli, "_load", lambda *a: calls.append(a))
+    monkeypatch.setattr(invariants, "quotient_pipeline", lambda *a: calls.append(a))
+    monkeypatch.setattr(invariants, "char_poly", lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, "invariants", str(corpus_dir / "k1.gauss"), *flags)
+    assert code == 2
+    assert err == f"invalid configuration: {message}\n"
+    assert calls == []
+
+
 def test_budget_exit_3(capsys, corpus_dir):
     code, _, err = run(
         capsys, "--max-minors", "1", "invariants", str(corpus_dir / "k4k5.gauss"),

@@ -10,6 +10,8 @@ from oracles import (
     brute_force_colorings,
     brute_force_hom_count,
     det_cofactor,
+    det_exact_reference,
+    minors_reference,
     random_code,
     random_long_diagram,
     subs_int,
@@ -21,6 +23,7 @@ from vka.alexander import (
     diagonal_t,
     extended_presentation,
     one_var_matrix,
+    one_variable,
     quotient_kill,
     specialize_uv,
     tietze_eliminate,
@@ -90,14 +93,111 @@ def test_det_exact_matches_cofactor_oracle():
     for _ in range(120):
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
-        assert det_exact(rows, "Z") == det_cofactor(rows)
+        assert det_exact(rows) == det_cofactor(rows)
 
 
 def test_det_exact_laurent():
     t = LaurentPoly.monomial(TVAR, (1,))
     one = LaurentPoly.const(TVAR, 1)
     rows = [[t, one], [one, t]]
-    assert det_exact(rows, "L1") == t * t - 1
+    assert det_exact_reference(rows, TVAR) == t * t - 1
+
+
+# -- packed minors against the Laurent Bareiss reference -------------------
+
+QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
+
+
+def _char_poly_inputs(d):
+    """The L2 matrix of every valid quotient of d, and its v1 and diag specializations."""
+    for quotient in QUOTIENTS if d.kind == LONG else ("none",):
+        m = abelianize(quotient_pipeline(d, quotient))
+        yield from (m, one_variable(m), diagonal_t(m))
+
+
+def test_packed_minors_match_reference():
+    diagrams = list(catalog.corpus().values())
+    for c in (8, 12, 20):
+        for seed in range(3):
+            for closed in (False, True):
+                diagrams.append(parse_gauss(random_code(random.Random(100 * c + seed), c, closed=closed)))
+    for d in diagrams:
+        for m in _char_poly_inputs(d):
+            for k in (0, 1, 2):
+                assert elementary_minors(m, k) == minors_reference(m, k), (d, m.ring, k)
+
+
+def test_packed_minors_match_reference_at_30_crossings():
+    cases = [(seed, closed, 0) for seed in range(5) for closed in (False, True)]
+    cases.append((4, True, 1))  # 16 minors of a 4x4 matrix; about 1 s for the reference
+    for seed, closed, k in cases:
+        m = abelianize(quotient_pipeline(parse_gauss(random_code(random.Random(seed), 30, closed=closed))))
+        assert elementary_minors(m, k) == minors_reference(m, k), (seed, closed, k)
+
+
+def _matrix(ring, rows):
+    return PresentationMatrix(ring, tuple(f"x{i}" for i in range(len(rows[0]) if rows else 0)),
+                              tuple(map(tuple, rows)))
+
+
+def test_packed_minors_adversarial_matrices():
+    big = 2**64
+    u, v = LaurentPoly.monomial(UV, (1, 0)), LaurentPoly.monomial(UV, (0, 1))
+    t = LaurentPoly.monomial(TVAR, (1,))
+    one, one_t = LaurentPoly.const(UV, 1), LaurentPoly.const(TVAR, 1)
+    zero, zero_t = LaurentPoly.zero(UV), LaurentPoly.zero(TVAR)
+    # minors whose coefficient is the bound, the product of their rows' 1-norms
+    at_bound = _matrix("L2", [[3 * u, zero], [zero, -5 * v]])
+    at_big_bound = _matrix("L2", [[-big * u ** -3, zero], [zero, one]])
+    assert elementary_minors(at_bound, 0) == [-15 * u * v]
+    assert elementary_minors(at_big_bound, 0) == [-big * u ** -3]
+    cases = [
+        at_bound,
+        at_big_bound,
+        _matrix("L1", [[big * one_t, zero_t], [zero_t, big * t ** -2]]),
+        # coefficients of 2^64, with carries between the packed digits
+        _matrix("L2", [[big * u - 1, 3 * v ** -2], [u - big, big * u ** -1 * v]]),
+        _matrix("L1", [[big * t ** 2 - big * t + big, t ** -4], [-(t ** -9), 7 * t]]),
+        # negative exponents only
+        _matrix("L2", [[u ** -5 * v ** -7 + u ** -1, -(v ** -3)], [u ** -2 - u ** -9 * v ** -4, (u * v) ** -1]]),
+        # negative digits next to positive ones
+        _matrix("L2", [[u - 1, zero], [zero, 1 - u]]),
+        _matrix("L1", [[t - 1, t ** -1 + 1], [t ** 3, -t]]),
+        # a zero row, a zero column, the zero matrix
+        _matrix("L2", [[u + v, one, u], [zero, zero, zero], [v, u * v - 1, 2 * one]]),
+        _matrix("L2", [[u + v, zero, u], [3 * one, zero, -v], [v, zero, 2 * one]]),
+        _matrix("L2", [[zero, zero], [zero, zero]]),
+        # more rows than columns, more columns than rows
+        _matrix("L2", [[u], [v - 1], [2 * one]]),
+        _matrix("L2", [[u, v ** -1, -u * v]]),
+    ]
+    for m in cases:
+        for k in range(m.shape[1] + 3):  # up to k beyond the column count
+            assert elementary_minors(m, k) == minors_reference(m, k), (m, k)
+    # 0x0 and k >= columns: one empty minor, 1
+    for ring, vars in (("L2", UV), ("L1", TVAR)):
+        empty = _matrix(ring, [])
+        for k in (0, 1):
+            assert elementary_minors(empty, k) == [LaurentPoly.const(vars, 1)]
+
+
+def test_minors_match_sympy_beyond_six_crossings():
+    sympy = pytest.importorskip("sympy")  # dev-only oracle
+    gens = sympy.symbols("u v")
+
+    def expr(p):
+        return sum(c * gens[0] ** a * gens[1] ** b for (a, b), c in p.terms.items())
+
+    rng = random.Random(29)
+    for c in (8, 10, 12):
+        for closed in (False, True):
+            m = abelianize(quotient_pipeline(parse_gauss(random_code(rng, c, closed=closed))))
+            nrows, ncols = m.shape
+            size = ncols - 1
+            picks = [(rs, cs) for rs in combinations(range(nrows), size) for cs in combinations(range(ncols), size)]
+            for (rs, cs), minor in zip(picks, elementary_minors(m, 1)):
+                det = sympy.Matrix([[expr(m.rows[i][j]) for j in cs] for i in rs]).det(method="berkowitz")
+                assert sympy.expand(det - expr(minor)) == 0, (c, closed, rs, cs)
 
 
 # -- char_poly ------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import convolve, l1, l2, random_poly, random_unit, subs_int
+from oracles import convolve, l1, l2, random_poly, random_unit, subs_int, subs_reference
 from vka.laurent import (
     _CERT_POINTS,
     _CERT_PRIME,
@@ -152,6 +152,19 @@ def test_specialize_is_homomorphism():
         assert subs_int(p * q, (1, -1)) == subs_int(p, (1, -1)) * subs_int(q, (1, -1))
         assert (p + q).subs_mod((2, 3), 7) == (p.subs_mod((2, 3), 7) + q.subs_mod((2, 3), 7)) % 7
         assert (p * q).subs_mod((2, 3), 7) == (p.subs_mod((2, 3), 7) * q.subs_mod((2, 3), 7)) % 7
+
+
+def test_specialize_matches_reference():
+    rng = random.Random(41)
+    for _ in range(500):
+        p = random_poly(rng, UV, max_terms=6)
+        for target in (TVAR, UV):
+            images = tuple(random_unit(rng, target) for _ in UV)
+            assert p.subs(images) == subs_reference(p, images), (p, images)
+    # terms that cancel: u -> -t^2 and v -> t^-2 send u*v and u^-1*v^-1 to -1 each
+    p = parse_poly("u*v + u^-1*v^-1 + 2")
+    assert p.subs((-(T ** 2), T ** -2)) == LaurentPoly.zero(TVAR)
+    assert p.subs((-(T ** 2), T ** -2)) == subs_reference(p, (-(T ** 2), T ** -2))
 
 
 def test_specialize_rejects_non_units():
