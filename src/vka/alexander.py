@@ -419,24 +419,116 @@ class PresentationMatrix:
         return (len(self.rows), len(self.cols))
 
 
-def _word_row(word, cols, minus=()):
-    """Abelianized ``word`` less abelianized ``minus``, one entry per column."""
-    terms = {g: {} for g in cols}
+def _word_row(word, minus=()):
+    """Abelianized ``word`` less abelianized ``minus``: {generator: {exp: coeff}}.
+
+    Only generators with a nonzero entry appear.
+    """
+    terms = {}
     for w, scale in ((word, 1), (minus, -1)):
         for gen, exp, sign in w:
-            entry = terms[gen]
+            entry = terms.get(gen)
+            if entry is None:
+                entry = terms[gen] = {}
             c = entry.get(exp, 0) + scale * sign
             if c:
                 entry[exp] = c
             else:
                 del entry[exp]
-    return tuple(LaurentPoly._raw(UV, terms[g]) for g in cols)
+    return {g: entry for g, entry in terms.items() if entry}
+
+
+def _dense(terms, cols):
+    """One LaurentPoly per column of a sparse row."""
+    return tuple(LaurentPoly._raw(UV, terms.get(g) or {}) for g in cols)
 
 
 def abelianize(p):
     """Presentation matrix of the abelianized module over Z[u^+-1, v^+-1]."""
-    rows = tuple(_word_row(rel.left, p.generators, rel.right) for rel in p.relations)
+    rows = tuple(_dense(_word_row(rel.left, rel.right), p.generators) for rel in p.relations)
     return PresentationMatrix("L2", tuple(p.generators), rows)
+
+
+def _sub_product(target, f, g):
+    """target -= f * g, on term dicts; target is changed in place."""
+    for (a, b), x in f.items():
+        for (c, d), y in g.items():
+            e = (a + c, b + d)
+            v = target.get(e, 0) - x * y
+            if v:
+                target[e] = v
+            else:
+                del target[e]
+
+
+def _unit_columns(row):
+    """The columns of a sparse row whose entry is a unit +-u^a v^b."""
+    return [g for g, entry in row.items() if len(entry) == 1 and abs(next(iter(entry.values()))) == 1]
+
+
+def reduced_matrix(p):
+    """A matrix with the elementary ideals of ``abelianize(p)``, unit pivots eliminated.
+
+    The sparse abelianized rows are built from the relation words.  While
+    an entry is a unit +-u^a v^b, the one of least Markowitz cost
+    (row entries - 1) * (column entries - 1) is taken, first in row
+    order on ties: its column is cleared from the other rows, and its row
+    and column are dropped.  Each step is an elementary equivalence of
+    presentations, so every Fitting ideal, and with it every char poly
+    and hom count, is that of ``abelianize(p)``.  Zero rows are dropped.
+    """
+    rows = {}  # row id -> {column: terms}, in relation order
+    where = {g: set() for g in p.generators}  # column -> ids of the rows holding it
+    for i, rel in enumerate(p.relations):
+        row = _word_row(rel.left, rel.right)
+        if row:
+            rows[i] = row
+            for g in row:
+                where[g].add(i)
+    units = {i: _unit_columns(row) for i, row in rows.items()}  # kept until the row changes
+    while True:
+        best = None
+        for i, row_units in units.items():
+            if not row_units:
+                continue
+            others = len(rows[i]) - 1
+            for g in row_units:
+                cost = others * (len(where[g]) - 1)
+                if best is None or cost < best[0]:
+                    best = cost, i, g
+                    if not cost:
+                        break
+            if not best[0]:
+                break
+        if best is None:
+            break
+        _, i, g = best
+        pivot = rows.pop(i)
+        del units[i]
+        (a, b), s = next(iter(pivot.pop(g).items()))
+        holders = where.pop(g)
+        holders.discard(i)
+        for h in pivot:
+            where[h].discard(i)
+        for j in holders:
+            # row -= (entry / pivot) * pivot row
+            row = rows[j]
+            f = {(e0 - a, e1 - b): s * c for (e0, e1), c in row.pop(g).items()}
+            for h, pterms in pivot.items():
+                target = row.get(h)
+                if target is None:
+                    target = row[h] = {}
+                    where[h].add(j)
+                _sub_product(target, f, pterms)
+                if not target:
+                    del row[h]
+                    where[h].discard(j)
+            if row:
+                units[j] = _unit_columns(row)
+            else:
+                del rows[j], units[j]
+    cols = tuple(g for g in p.generators if g in where)
+    return PresentationMatrix("L2", cols, tuple(_dense(row, cols) for row in rows.values()))
 
 
 def specialize_uv(m, u_image, v_image):

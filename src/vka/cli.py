@@ -106,13 +106,17 @@ def cmd_invariants(args):
         raise ConfigError("--det requires a long diagram")
     payload = {"input": args.input, "quotient": args.quotient}
     lines = []
-    if args.presentation or args.charpoly:
-        pres = invariants.quotient_pipeline(d, args.quotient)
     if args.presentation:
+        pres = invariants.quotient_pipeline(d, args.quotient)
         payload["presentation"] = pres.to_json()
-        lines.append(str(pres))
+        if not args.json:  # --json prints no text lines
+            lines.append(str(pres))
     if args.charpoly:
-        mat = alexander.abelianize(pres)
+        # one word elimination per request: reduce the presentation already eliminated for display
+        if args.presentation:
+            mat = alexander.reduced_matrix(pres)
+        else:
+            mat = invariants.quotient_matrix(d, args.quotient)
         if args.t == "v1":
             mat = alexander.one_variable(mat)
         elif args.t == "diag":
@@ -174,7 +178,7 @@ def cmd_color(args):
 
 def cmd_homcount(args):
     d = _load(args.input)
-    mat = alexander.abelianize(invariants.quotient_pipeline(d, args.quotient))
+    mat = invariants.quotient_matrix(d, args.quotient)
     mat = alexander.one_variable(mat) if args.t == "v1" else alexander.diagonal_t(mat)
     count = invariants.hom_count_to_cyclic(mat, args.p, args.s)
     _emit(
@@ -224,10 +228,11 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--max-minors", type=_at_least(0), default=invariants.DEFAULT_MINOR_BUDGET,
                         help="abort (exit 3) beyond this many minor evaluations in --charpoly "
-                             "or in the char polys of fuzz; --det uses none")
+                             "or in the char polys of fuzz, counted on the unit-reduced module "
+                             "matrix; --det uses none")
     parser.add_argument("--max-coeff-bits", type=_at_least(0), default=None,
-                        help="abort (exit 3) when an entry of the --charpoly input matrix has a "
-                             "coefficient longer than this many bits")
+                        help="abort (exit 3) when an entry of the --charpoly input matrix (the "
+                             "unit-reduced module matrix) has a coefficient longer than this many bits")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate and normalize a Gauss code")
@@ -270,7 +275,7 @@ def build_parser():
     p = sub.add_parser("fuzz", help="seeded move walks, checking invariant stability")
     p.add_argument("input")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_at_least(0), default=50)
     p.add_argument("--walks", type=_at_least(1), default=1)
     p.add_argument("--max-crossings", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_fuzz)

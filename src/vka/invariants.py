@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alexander import (
-    abelianize,
     extended_presentation,
     one_var_matrix,
     quotient_kill,
+    reduced_matrix,
     tietze_eliminate,
 )
 from .diagram import LONG
@@ -423,8 +423,17 @@ def _end_quotient(pres, quotient):
 
 
 def quotient_pipeline(d, quotient="none"):
-    """Tietze-eliminated presentation of the requested end quotient."""
+    """Tietze-eliminated presentation of the requested end quotient, for display."""
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
+
+
+def quotient_matrix(d, quotient="none"):
+    """Unit-reduced module matrix of the requested end quotient.
+
+    It has the elementary ideals of the abelianized presentation, so every
+    char poly and hom count is taken from it; no word elimination runs.
+    """
+    return reduced_matrix(_end_quotient(extended_presentation(d), quotient))
 
 
 def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
@@ -437,7 +446,7 @@ def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
     pres = extended_presentation(d)
     quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
     for quotient in quotients:
-        mat = abelianize(tietze_eliminate(_end_quotient(pres, quotient)))
+        mat = reduced_matrix(_end_quotient(pres, quotient))
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)

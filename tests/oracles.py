@@ -25,6 +25,7 @@ from vka.alexander import (
     OpLetter,
     OpRelation,
     PresentationMatrix,
+    _dense,
     _exp_neg,
     _solve,
     _word_row,
@@ -530,7 +531,7 @@ def end_generator_columns(p, m):
         raise ValueError("end columns are computed over the L2 matrix")
     if tuple(m.cols) != tuple(p.generators):
         raise ValueError("matrix does not match presentation")
-    return _word_row(p.end_minus, m.cols), _word_row(p.end_plus, m.cols)
+    return _dense(_word_row(p.end_minus), m.cols), _dense(_word_row(p.end_plus), m.cols)
 
 
 def in_rowspan_mod(rows, vec, p):

@@ -202,6 +202,22 @@ def test_golden_presentation_digest(capsys, corpus_dir, tmp_path):
     assert digest == "3adfeb70a39ed15c6a98d9ca9958ee264e01f71cd79c22b6fcb60ec5070a3676"
 
 
+def test_json_presentation_renders_no_text(capsys, corpus_dir, monkeypatch):
+    rendered = []
+    real = alexander.GroupPresentationZ2.__str__
+    monkeypatch.setattr(alexander.GroupPresentationZ2, "__str__", lambda p: rendered.append(p) or real(p))
+    args = ("invariants", str(corpus_dir / "k1.gauss"), "--presentation", "--charpoly", "0",
+            "--quotient", "end-minus")
+    code, out, _ = run(capsys, "--json", *args)
+    assert code == 0
+    assert rendered == []
+    assert json.loads(out)["charpoly"]["value"] == "u^2*v - u + 1"
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert len(rendered) == 1
+    assert out.splitlines() == [real(rendered[0]), "u^2*v - u + 1"]
+
+
 def test_presentation_and_charpoly_share_one_elimination(capsys, corpus_dir, monkeypatch):
     calls = []
     real = alexander.tietze_eliminate
@@ -352,6 +368,17 @@ def test_fuzz_rejects_walk_counts_below_one_exit_2(capsys, corpus_dir, walks):
         main(["fuzz", str(corpus_dir / "k1.gauss"), "--walks", walks])
     assert exc.value.code == 2
     assert "--walks: must be at least 1" in capsys.readouterr().err
+
+
+def test_fuzz_rejects_negative_steps_before_any_computation(capsys, corpus_dir, monkeypatch):
+    # the baseline profile used to run first: 1.8 s on a 30-crossing code, then exit 2
+    calls = []
+    monkeypatch.setattr(invariants, "invariant_profile", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", str(corpus_dir / "k1.gauss"), "--steps", "-1"])
+    assert exc.value.code == 2
+    assert "--steps: must be at least 0" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_fuzz_rejects_negative_max_crossings_exit_2(capsys, corpus_dir):

@@ -1,0 +1,243 @@
+"""``alexander.reduced_matrix`` against the abelianized Tietze presentation.
+
+Unit-pivot elimination is an elementary equivalence of presentations, so
+the reduced matrix must give every characteristic polynomial (k-th Fitting
+ideal gcd) and every hom count that ``abelianize(tietze_eliminate(p))``
+gives, over Z[u^+-1, v^+-1] and after either specialization to Z[t^+-1].
+"""
+
+import random
+import time
+
+import pytest
+
+import catalog
+from oracles import random_code
+from vka import alexander, cli, invariants
+from vka.alexander import (
+    GroupPresentationZ2,
+    OpLetter,
+    OpRelation,
+    abelianize,
+    diagonal_t,
+    extended_presentation,
+    one_variable,
+    reduced_matrix,
+    tietze_eliminate,
+)
+from vka.diagram import LONG, UNKNOT, parse_gauss
+from vka.invariants import _end_quotient, char_poly, hom_count_to_cyclic
+from vka.laurent import LaurentPoly, UV
+
+QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
+HOM_CASES = ((5, 3), (7, 3), (11, 2))
+
+
+def _quotients(d):
+    return QUOTIENTS if d.kind == LONG else ("none",)
+
+
+def _assert_same_module(p, reduced, ks=(0, 1, 2)):
+    """Char polys over L2, v1 and diag, and hom counts, agree with today's route."""
+    full = abelianize(tietze_eliminate(p))
+    assert len(reduced.cols) <= len(abelianize(p).cols)
+    for specialize in (lambda m: m, one_variable, diagonal_t):
+        a, b = specialize(full), specialize(reduced)
+        for k in ks:
+            assert char_poly(a, k) == char_poly(b, k), (a.ring, k)
+    for specialize in (one_variable, diagonal_t):
+        a, b = specialize(full), specialize(reduced)
+        for prime, s in HOM_CASES:
+            assert hom_count_to_cyclic(a, prime, s) == hom_count_to_cyclic(b, prime, s), (prime, s)
+
+
+def _diagrams(crossings):
+    return [
+        parse_gauss(random_code(random.Random(seed), crossings, closed=closed))
+        for seed in range(5)
+        for closed in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("crossings", [None, 8, 12, 20])
+def test_reduced_matrix_matches_tietze_route(crossings):
+    diagrams = list(catalog.corpus().values()) if crossings is None else _diagrams(crossings)
+    for d in diagrams:
+        for quotient in _quotients(d):
+            p = _end_quotient(extended_presentation(d), quotient)
+            _assert_same_module(p, reduced_matrix(p))
+
+
+def test_reduced_matrix_matches_tietze_route_at_30_crossings():
+    # k = 2 and the L2 lists of every quotient would take minutes on today's route
+    for d in _diagrams(30):
+        for quotient in _quotients(d):
+            p = _end_quotient(extended_presentation(d), quotient)
+            _assert_same_module(p, reduced_matrix(p), ks=(0, 1))
+
+
+def test_reduced_matrix_of_an_eliminated_presentation():
+    # what `invariants --presentation --charpoly K` reduces
+    for d in list(catalog.corpus().values()) + _diagrams(8):
+        for quotient in _quotients(d):
+            shown = tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
+            reduced = reduced_matrix(shown)
+            assert len(reduced.cols) <= len(shown.generators)
+            _assert_same_module(shown, reduced)
+
+
+# -- adversarial matrices ------------------------------------------------
+
+
+def _presentation(rows, ncols=None):
+    """A presentation whose abelianized rows are ``rows``.
+
+    A row maps column index -> {(a, b): coefficient}; each coefficient c
+    becomes |c| letters x_j^(u^a v^b), inverted when c < 0.
+    """
+    ncols = ncols if ncols is not None else 1 + max((j for row in rows for j in row), default=-1)
+    gens = tuple(f"x{j}" for j in range(ncols))
+    relations = []
+    for row in rows:
+        word = tuple(
+            OpLetter(gens[j], exp, 1 if c > 0 else -1)
+            for j, terms in row.items()
+            for exp, c in terms.items()
+            for _ in range(abs(c))
+        )
+        relations.append(OpRelation(word, ()))
+    return GroupPresentationZ2(gens, tuple(relations))
+
+
+def _entries(m):
+    return [[dict(e.terms) for e in row] for row in m.rows]
+
+
+def _assert_same_ideals(p, ks=range(5)):
+    full, reduced = abelianize(p), reduced_matrix(p)
+    assert len(reduced.cols) <= len(full.cols)
+    assert not any(e.is_unit for row in reduced.rows for e in row)  # no pivot left
+    for specialize in (lambda m: m, one_variable, diagonal_t):
+        for k in ks:
+            assert char_poly(specialize(full), k) == char_poly(specialize(reduced), k), k
+    for specialize in (one_variable, diagonal_t):
+        for prime, s in HOM_CASES:
+            assert hom_count_to_cyclic(specialize(full), prime, s) == \
+                hom_count_to_cyclic(specialize(reduced), prime, s)
+    return reduced
+
+
+def test_no_unit_entries_keeps_the_matrix():
+    p = _presentation([
+        {0: {(0, 0): 2}, 1: {(0, 0): 1, (1, 0): 1}},
+        {0: {(0, 0): 1, (1, 0): -1, (0, 1): 1}, 1: {(0, 0): 3}},
+    ])
+    reduced = _assert_same_ideals(p)
+    assert reduced == abelianize(p)
+
+
+def test_negative_and_shifted_monomial_units():
+    p = _presentation([
+        {0: {(2, -3): -1}, 1: {(0, 0): 1, (1, 1): 2}, 2: {(-1, 0): 3}},
+        {0: {(0, 0): 2, (0, 1): 1}, 1: {(-4, 2): -1}, 2: {(1, 0): 1, (0, 0): 1}},
+        {0: {(1, 0): 1, (0, 0): -1}, 2: {(0, 0): 2, (1, 1): -1}},
+    ])
+    reduced = _assert_same_ideals(p)
+    # the cheapest pivot, -u^-4 v^2, turns the other two units into non-units
+    assert reduced.shape == (2, 2)
+
+
+def test_zero_and_duplicate_rows():
+    row = {0: {(0, 0): 1, (1, 0): -1}, 1: {(0, 1): 1}}
+    p = _presentation([{}, row, row, {}, {0: {(0, 0): 3}, 1: {(1, 0): 2}}])
+    reduced = _assert_same_ideals(p)
+    assert all(any(e for e in r) for r in reduced.rows)  # zero rows are dropped
+
+
+def test_a_row_that_is_a_single_unit():
+    p = _presentation([
+        {1: {(3, -1): -1}},
+        {0: {(0, 0): 2}, 1: {(0, 0): 1, (1, 0): 5}},
+        {0: {(1, 0): 1, (0, 0): 1}, 1: {(0, 1): 7}},
+    ])
+    reduced = _assert_same_ideals(p)
+    assert reduced.cols == ("x0",)
+    assert _entries(reduced) == [[{(0, 0): 2}], [{(1, 0): 1, (0, 0): 1}]]
+
+
+def test_every_column_eliminated_gives_one_for_every_k():
+    p = _presentation([
+        {0: {(0, 0): 1}, 1: {(0, 0): 2, (1, 0): 1}, 2: {(0, 1): -4}},
+        {1: {(1, 1): -1}, 2: {(0, 0): 1, (1, 0): 1}},
+        {2: {(0, 2): 1}},
+    ])
+    reduced = _assert_same_ideals(p)
+    assert reduced.shape == (0, 0)
+    for k in range(4):
+        assert char_poly(reduced, k).is_one
+
+
+def test_zero_rows_only():
+    p = _presentation([{}, {}], ncols=2)
+    reduced = _assert_same_ideals(p)
+    assert reduced.shape == (0, 2)
+    assert char_poly(reduced, 0) == LaurentPoly.zero(UV)
+    assert char_poly(reduced, 2).is_one
+
+
+def test_no_relations():
+    reduced = _assert_same_ideals(GroupPresentationZ2(("a", "b"), ()))
+    assert reduced.shape == (0, 2)
+
+
+@pytest.mark.parametrize("code", ["closed\n", "closed\nO1+ U1+", "closed\nU1- O1-"])
+def test_closed_diagrams_with_zero_and_one_crossing(code):
+    d = parse_gauss(code)
+    if not d.crossings:
+        assert d == UNKNOT
+    p = extended_presentation(d)
+    reduced = _assert_same_ideals(p)
+    _assert_same_module(p, reduced)
+
+
+def test_ties_go_to_the_first_row():
+    # both units cost 1 * 1; taking either leaves the other row's entry -u - v - u v
+    p = _presentation([
+        {0: {(0, 0): 1}, 1: {(0, 0): 1, (1, 0): 1}},
+        {0: {(0, 0): 1, (0, 1): 1}, 1: {(0, 0): 1}},
+    ])
+    reduced = _assert_same_ideals(p)
+    assert reduced.cols == ("x1",)
+    assert _entries(reduced) == [[{(1, 0): -1, (0, 1): -1, (1, 1): -1}]]
+
+
+# -- the CLI takes its module matrices from reduced_matrix ---------------
+
+
+def test_tietze_is_reached_only_through_presentation(capsys, corpus_dir, monkeypatch):
+    calls = []
+    real = alexander.tietze_eliminate
+    for module in (alexander, invariants):
+        monkeypatch.setattr(module, "tietze_eliminate", lambda p: calls.append(p) or real(p))
+    k1 = str(corpus_dir / "k1.gauss")
+    for argv in (
+        ["invariants", k1, "--charpoly", "0", "--charpoly", "1", "--quotient", "end-minus"],
+        ["invariants", k1, "--charpoly", "1", "--t", "v1", "--det", "--color", "3"],
+        ["homcount", k1, "-p", "5", "-s", "3", "--quotient", "end-minus"],
+        ["fuzz", k1, "--steps", "5", "--walks", "2"],
+    ):
+        assert cli.main(argv) == 0
+        assert calls == [], argv
+    assert cli.main(["invariants", k1, "--presentation", "--charpoly", "0"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_fuzz_on_30_crossings_finishes_fast(tmp_path):
+    # elimination with fill-in, or Tietze with 7x8 minors, took 8.4 s here
+    path = tmp_path / "c30.gauss"
+    path.write_text(random_code(random.Random(2), 30) + "\n")
+    start = time.perf_counter()
+    code = cli.main(["--json", "fuzz", str(path), "--steps", "5"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
