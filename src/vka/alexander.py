@@ -467,24 +467,26 @@ def _unit_columns(row):
 
 
 def reduced_matrix(p):
-    """A matrix with the elementary ideals of ``abelianize(p)``, unit pivots eliminated.
+    """``_reduce`` of the abelianized relation words: the elementary ideals of ``abelianize(p)``."""
+    return _reduce([_word_row(rel.left, rel.right) for rel in p.relations], p.generators)
 
-    The sparse abelianized rows are built from the relation words.  While
-    an entry is a unit +-u^a v^b, the one of least Markowitz cost
-    (row entries - 1) * (column entries - 1) is taken, first in row
-    order on ties: its column is cleared from the other rows, and its row
-    and column are dropped.  Each step is an elementary equivalence of
-    presentations, so every Fitting ideal, and with it every char poly
-    and hom count, is that of ``abelianize(p)``.  Zero rows are dropped.
+
+def _reduce(rows, cols):
+    """Sparse rows over ``cols``, unit pivots eliminated, as an L2 matrix.
+
+    A row maps column -> {exp: coeff}; the rows and their entries are
+    changed in place.  While an entry is a unit +-u^a v^b, the one of
+    least Markowitz cost (row entries - 1) * (column entries - 1) is
+    taken, first in row order on ties: its column is cleared from the
+    other rows, and its row and column are dropped.  Each step is an
+    elementary equivalence of presentations, so every Fitting ideal, and
+    with it every char poly and hom count, is kept.  Zero rows are dropped.
     """
-    rows = {}  # row id -> {column: terms}, in relation order
-    where = {g: set() for g in p.generators}  # column -> ids of the rows holding it
-    for i, rel in enumerate(p.relations):
-        row = _word_row(rel.left, rel.right)
-        if row:
-            rows[i] = row
-            for g in row:
-                where[g].add(i)
+    where = {g: set() for g in cols}  # column -> ids of the rows holding it
+    rows = {i: row for i, row in enumerate(rows) if row}  # in input order
+    for i, row in rows.items():
+        for g in row:
+            where[g].add(i)
     units = {i: _unit_columns(row) for i, row in rows.items()}  # kept until the row changes
     while True:
         best = None
@@ -527,7 +529,7 @@ def reduced_matrix(p):
                 units[j] = _unit_columns(row)
             else:
                 del rows[j], units[j]
-    cols = tuple(g for g in p.generators if g in where)
+    cols = tuple(g for g in cols if g in where)
     return PresentationMatrix("L2", cols, tuple(_dense(row, cols) for row in rows.values()))
 
 
@@ -555,11 +557,11 @@ def diagonal_t(m):
     return specialize_uv(m, T_GEN, T_GEN)
 
 
-# -- merged one-variable matrix ----------------------------------------
+# -- merged arc matrices -----------------------------------------------
 
 
-def one_var_matrix(d, t=T_GEN):
-    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+def _arc_classes(d):
+    """Column and v-exponent of every arc in the merged arc matrices, and the column names.
 
     Over passages do not split its arcs, so column j holds the arcs after
     the j-th under passage, named after its first arc: c+1 columns for a
@@ -567,20 +569,71 @@ def one_var_matrix(d, t=T_GEN):
     the last.  A closed diagram has c columns (one if c = 0); the arcs after
     its last under passage run on into column 0.
 
-    ``t`` is the image of t.  T_GEN gives the Laurent matrix over Z[t^+-1]
-    (ring "L1"); 1 or -1 gives the integer specialization (ring "Z"), where
-    t^-1 = t.  The coloring matrix is -A(-1).
+    The relation OI^v = OO (OO^v = OI when negative) makes an arc v^e times
+    the first arc of its column, with e the sum of the signs of the over
+    passages between them.  The arcs that run on into column 0 are shifted
+    by the signs of the over passages up to arc 0.
     """
-    arcs = arc_structure(d)
     count = d.crossings + 1 if d.kind == LONG else max(d.crossings, 1)
-    classes, col_names, unders = [], [], 0
-    for arc, name in enumerate(arc_names(arcs.arc_count)):
+    classes, vexp, col_names = [], [], []
+    unders = e = tail = 0
+    for arc, name in enumerate(arc_names(d.arc_count)):
         col = unders % count
         if col == len(col_names):
             col_names.append(name)
         classes.append(col)
-        if arc < len(d.passages) and d.passages[arc].role == UNDER:
-            unders += 1
+        vexp.append(e)
+        if arc < len(d.passages):
+            p = d.passages[arc]
+            if p.role == UNDER:
+                unders, e, tail = unders + 1, 0, arc + 1
+            else:
+                e += p.sign
+    if d.kind != LONG:
+        for arc in range(tail, len(vexp)):
+            vexp[arc] -= e
+    return classes, vexp, tuple(col_names)
+
+
+def merged_arc_rows(d):
+    """Sparse rows {column: {(u_exp, v_exp): coeff}} of the merged arc matrix A(u, v), and its columns.
+
+    One row per crossing, each arc entered as v^e times its column
+    generator (``_arc_classes``): OI + u*UI - UO - u*OO at a positive
+    crossing, UI + u*OI - OO - u*UO at a negative one.  These are the first
+    relation family's rows once the second family has eliminated the OO
+    (or OI) columns, so A(u, v) has the elementary ideals of
+    ``abelianize(extended_presentation(d))``.
+    """
+    arcs = arc_structure(d)
+    classes, vexp, cols = _arc_classes(d)
+    sign_of = {p.crossing: p.sign for p in d.passages}
+
+    def letter(arc, u):
+        return cols[classes[arc]], (u, vexp[arc]), 1
+
+    rows = []
+    for cid in sorted(arcs.crossings):
+        oi, oo, ui, uo = arcs.crossings[cid]
+        if sign_of[cid] > 0:
+            left, right = (letter(oi, 0), letter(ui, 1)), (letter(uo, 0), letter(oo, 1))
+        else:
+            left, right = (letter(ui, 0), letter(oi, 1)), (letter(oo, 0), letter(uo, 1))
+        rows.append(_word_row(left, right))
+    return rows, cols
+
+
+def one_var_matrix(d, t=T_GEN):
+    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+
+    Its columns are those of ``_arc_classes``.  ``t`` is the image of t.
+    T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives
+    the integer specialization (ring "Z"), where t^-1 = t.  The coloring
+    matrix is -A(-1).
+    """
+    arcs = arc_structure(d)
+    classes, _, col_names = _arc_classes(d)
+    count = len(col_names)
     if isinstance(t, int):
         if t not in (1, -1):
             raise ValueError(f"{t} is not a unit of Z")
@@ -598,4 +651,4 @@ def one_var_matrix(d, t=T_GEN):
         row[ui] = row[ui] - tt
         row[ov] = row[ov] - (one - tt)
         rows.append(tuple(row))
-    return PresentationMatrix(ring, tuple(col_names), tuple(rows))
+    return PresentationMatrix(ring, col_names, tuple(rows))

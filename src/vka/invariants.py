@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alexander import (
+    _reduce,
     extended_presentation,
+    merged_arc_rows,
     one_var_matrix,
     quotient_kill,
-    reduced_matrix,
     tietze_eliminate,
 )
 from .diagram import LONG
@@ -199,6 +200,10 @@ def smith_normal_form(rows):
                 if A[i][j] and (best is None or abs(A[i][j]) < best):
                     best = abs(A[i][j])
                     pivot = (i, j)
+                    if best == 1:  # no entry is smaller
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         A[t], A[pivot[0]] = A[pivot[0]], A[t]
@@ -406,20 +411,24 @@ def transfer_condition(n, p):
 # -- aggregate profile (move-invariance fuzzing) -------------------------
 
 
+_KILLED_ENDS = {"none": (), "end-minus": (0,), "end-plus": (-1,), "ends": (0, -1)}
+
+
+def _killed_ends(long, quotient):
+    """The ends that ``quotient`` kills, 0 for the minus end and -1 for the plus end."""
+    if quotient != "none" and not long:
+        raise ValueError("end quotients require a long diagram")
+    if quotient not in _KILLED_ENDS:
+        raise ValueError(f"unknown quotient {quotient!r}")
+    return _KILLED_ENDS[quotient]
+
+
 def _end_quotient(pres, quotient):
     """``pres`` with the end generators that ``quotient`` names killed."""
-    if quotient == "none":
+    ends = _killed_ends(pres.end_minus is not None, quotient)
+    if not ends:
         return pres
-    if pres.end_minus is None:
-        raise ValueError("end quotients require a long diagram")
-    victims = set()
-    if quotient in ("end-minus", "ends"):
-        victims.add(pres.end_minus[0].gen)
-    if quotient in ("end-plus", "ends"):
-        victims.add(pres.end_plus[0].gen)
-    if not victims:
-        raise ValueError(f"unknown quotient {quotient!r}")
-    return quotient_kill(pres, victims)
+    return quotient_kill(pres, {(pres.end_minus, pres.end_plus)[e][0].gen for e in ends})
 
 
 def quotient_pipeline(d, quotient="none"):
@@ -427,26 +436,38 @@ def quotient_pipeline(d, quotient="none"):
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
+def _reduce_quotient(d, rows, cols, quotient):
+    """``_reduce`` of a copy of A(u, v) less the columns of the ends ``quotient`` kills.
+
+    The copy goes down to the term dicts, which ``_reduce`` changes in place.
+    """
+    killed = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
+    copy = [{g: dict(terms) for g, terms in row.items() if g not in killed} for row in rows]
+    return _reduce(copy, tuple(g for g in cols if g not in killed))
+
+
 def quotient_matrix(d, quotient="none"):
     """Unit-reduced module matrix of the requested end quotient.
 
-    It has the elementary ideals of the abelianized presentation, so every
-    char poly and hom count is taken from it; no word elimination runs.
+    The reduction starts from the merged arc matrix A(u, v), whose
+    elementary ideals are those of the abelianized presentation; an end
+    quotient drops the column of each killed end.  Every char poly and hom
+    count is taken from it; no word elimination runs.
     """
-    return reduced_matrix(_end_quotient(extended_presentation(d), quotient))
+    return _reduce_quotient(d, *merged_arc_rows(d), quotient)
 
 
 def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
-    One presentation serves both quotients, and one Smith form of A(-1)
-    serves the determinant and every coloring count.
+    One A(u, v) serves both quotients, and one Smith form of A(-1) serves
+    the determinant and every coloring count.
     """
     profile = {}
-    pres = extended_presentation(d)
+    rows, cols = merged_arc_rows(d)
     quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
     for quotient in quotients:
-        mat = reduced_matrix(_end_quotient(pres, quotient))
+        mat = _reduce_quotient(d, rows, cols, quotient)
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)

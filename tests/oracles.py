@@ -7,8 +7,10 @@ Laurent division, specializations by powers of the images, abelianization
 by one monomial per letter, colorings and homomorphism counts by
 exhaustive assignment, move sites by trying every combination of adjacent
 pairs (through the library's own site matchers, which define what a legal
-site is), and Tietze elimination by the rescanning implementation the
-incremental one replaced.
+site is), Tietze elimination by the rescanning implementation the
+incremental one replaced, the end-quotient module matrix by the word
+route the merged arc matrix replaced, and Smith normal form by a full
+smallest-entry scan at every pivot.
 
 The helpers at the end are test conveniences built on the library:
 polynomial literals, evaluation at +-1, end columns, row-span membership
@@ -21,6 +23,7 @@ from itertools import combinations
 
 from vka.alexander import (
     E0,
+    arc_names,
     GroupPresentationZ2,
     OpLetter,
     OpRelation,
@@ -29,14 +32,16 @@ from vka.alexander import (
     _exp_neg,
     _solve,
     _word_row,
+    extended_presentation,
     free_reduce,
+    reduced_matrix,
     relation_is_trivial,
     tietze_eliminate,
     word_inverse,
     word_shift,
 )
 from vka.diagram import Diagram, LONG, OVER, Passage, UNDER, arc_structure
-from vka.invariants import RING_VARS, rank_mod
+from vka.invariants import RING_VARS, _end_quotient, rank_mod
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
 from vka.moves import MoveSite, _r2_pairs_match, _r3_match
 
@@ -493,6 +498,119 @@ def shrinking_sites_brute_force(passages):
                     if matched:
                         break
     return sites
+
+
+# -- references for the module-matrix route ----------------------------
+
+
+def quotient_matrix_reference(d, quotient="none"):
+    """The unit-reduced matrix of the word route that ``quotient_matrix`` replaced.
+
+    The end quotient of the raw 2c x (2c+1) presentation is taken by
+    killing generator families, and ``reduced_matrix`` abelianizes and
+    reduces its relation words; the v-relations are eliminated as pivots.
+    """
+    return reduced_matrix(_end_quotient(extended_presentation(d), quotient))
+
+
+def merged_arc_rows_reference(d):
+    """A(u, v) by a search over the over strands and one rewritten word per crossing.
+
+    Each crossing's second relation makes its two over arcs one generator
+    up to a power of v: OO = v*OI when positive, OI = v*OO when negative.
+    A search from each unvisited arc, in arc order, gives every arc its
+    class (named after its smallest arc) and its v-exponent against that
+    arc.  The first relation of each crossing is then rewritten through
+    the classes and abelianized one letter at a time.
+    """
+    arcs = arc_structure(d)
+    n = arcs.arc_count
+    sign_of = {p.crossing: p.sign for p in d.passages}
+    links = {a: [] for a in range(n)}
+    for cid, inc in arcs.crossings.items():
+        links[inc.over_in].append((inc.over_out, sign_of[cid]))
+        links[inc.over_out].append((inc.over_in, -sign_of[cid]))
+    cls, vexp, reps = [None] * n, [0] * n, []
+    for start in range(n):
+        if cls[start] is not None:
+            continue
+        cls[start], todo = len(reps), [start]
+        reps.append(start)
+        while todo:
+            a = todo.pop()
+            for b, step in links[a]:
+                if cls[b] is None:
+                    cls[b], vexp[b] = cls[a], vexp[a] + step
+                    todo.append(b)
+    names = arc_names(n)
+    arc_of = {name: i for i, name in enumerate(names)}
+    cols = tuple(names[r] for r in reps)
+    rows = []
+    for rel in extended_presentation(d).relations[::2]:
+        row = {}
+        for word, scale in ((rel.left, 1), (rel.right, -1)):
+            for l in word:
+                arc = arc_of[l.gen]
+                entry = row.setdefault(cols[cls[arc]], {})
+                exp = (l.exp[0], l.exp[1] + vexp[arc])
+                entry[exp] = entry.get(exp, 0) + scale * l.sign
+        rows.append({g: {e: c for e, c in entry.items() if c} for g, entry in row.items()})
+    return [{g: entry for g, entry in row.items() if entry} for row in rows], cols
+
+
+def smith_normal_form_reference(rows):
+    """Smith invariants with a full scan for the smallest entry at every pivot.
+
+    The version ``smith_normal_form`` replaced, which stops its scan at the
+    first entry of absolute value 1.
+    """
+    A = [list(r) for r in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] and (best is None or abs(A[i][j]) < best):
+                    best = abs(A[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        A[t], A[pivot[0]] = A[pivot[0]], A[t]
+        for r in A:
+            r[t], r[pivot[1]] = r[pivot[1]], r[t]
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t]:
+                q = A[i][t] // A[t][t]
+                A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+                if A[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if A[t][j]:
+                q = A[t][j] // A[t][t]
+                for r in A:
+                    r[j] -= q * r[t]
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % A[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            A[t] = [a + b for a, b in zip(A[t], A[offender])]
+            continue
+        t += 1
+    return tuple(abs(A[i][i]) for i in range(limit))
 
 
 # -- test helpers --------------------------------------------------------

@@ -1,0 +1,195 @@
+"""The merged two-variable arc matrix A(u, v) and the route built on it.
+
+``invariants.quotient_matrix`` reduces A(u, v) with the killed end columns
+dropped.  It must give every char poly and hom count that the word route
+it replaced gives (``oracles.quotient_matrix_reference``: the raw
+presentation's end quotient, then ``reduced_matrix``), and
+``invariant_profile``, which reduces two copies of one A(u, v), must
+agree with a fresh ``quotient_matrix`` per quotient.
+"""
+
+import random
+
+import pytest
+
+import catalog
+from oracles import (
+    merged_arc_rows_reference,
+    quotient_matrix_reference,
+    random_code,
+    smith_normal_form_reference,
+)
+from vka import cli, invariants
+from vka.alexander import diagonal_t, merged_arc_rows, one_var_matrix, one_variable
+from vka.diagram import LONG, dn_family, parse_gauss
+from vka.invariants import char_poly, hom_count_to_cyclic, invariant_profile, quotient_matrix, smith_normal_form
+from vka.moves import random_walk
+
+QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
+HOM_CASES = ((5, 3), (7, 3), (11, 2))
+SPECIALIZATIONS = (lambda m: m, one_variable, diagonal_t)
+
+
+def _quotients(d):
+    return QUOTIENTS if d.kind == LONG else ("none",)
+
+
+def _random(crossings, seeds):
+    return [
+        parse_gauss(random_code(random.Random(seed), crossings, closed=closed))
+        for seed in seeds
+        for closed in (False, True)
+    ]
+
+
+def _assert_matches_word_route(d, ks=(0, 1, 2)):
+    """Char polys over L2, v1 and diag, and hom counts, for every quotient of d."""
+    assert merged_arc_rows(d) == merged_arc_rows_reference(d)
+    for quotient in _quotients(d):
+        old, new = quotient_matrix_reference(d, quotient), quotient_matrix(d, quotient)
+        for specialize in SPECIALIZATIONS:
+            a, b = specialize(old), specialize(new)
+            for k in ks:
+                assert char_poly(a, k) == char_poly(b, k), (d, quotient, a.ring, k)
+        for specialize in SPECIALIZATIONS[1:]:
+            a, b = specialize(old), specialize(new)
+            for prime, s in HOM_CASES:
+                assert hom_count_to_cyclic(a, prime, s) == hom_count_to_cyclic(b, prime, s), (d, quotient, prime, s)
+
+
+@pytest.mark.parametrize("crossings", [None, 0, 1, 2, 4, 8, 12, 20, 30])
+def test_quotient_matrix_matches_word_route(crossings):
+    if crossings is None:
+        diagrams = list(catalog.corpus().values())
+    else:
+        diagrams = _random(crossings, range(5 if crossings == 30 else 10))
+    for d in diagrams:
+        _assert_matches_word_route(d)
+
+
+# -- closed diagrams wrap into column 0 ------------------------------------
+
+
+@pytest.mark.parametrize("code", [
+    # ends in over passages of mixed signs; a nonzero sum shifts the wrapped arcs
+    "closed\nU1+ U2- U3+ O1+ O2- O3+",
+    "closed\nU1- U2+ U3+ O3+ O1- O2+",
+    "closed\nU2- U1- U3+ U4- O1- O3+ O4- O2-",
+    "closed\nU1- U2+ O3- U3- O1- O2+",  # a zero sum
+    # starts with over passages
+    "closed\nO1+ O2- U1+ U2-",
+    "closed\nO1- O2+ O3- U2+ U3- U1-",
+    "closed\nO1+ O2- U3+ U1+ O3+ U2-",
+    # both
+    "closed\nO1- U2- U3- U1- U4+ O3- O2- O4+",
+])
+def test_closed_wrap(code):
+    _assert_matches_word_route(parse_gauss(code), ks=range(4))
+
+
+def test_closed_wrap_shifts_the_tail_by_the_over_signs_up_to_arc_0():
+    # arcs d, e and f run on into column a through O1+, O2- and O3+
+    rows, cols = merged_arc_rows(parse_gauss("closed\nU1+ U2- U3+ O1+ O2- O3+"))
+    assert cols == ("a", "b", "c")
+    assert rows[0] == {"a": {(0, -1): 1}, "b": {(0, 0): -1}}  # d + u*a - b - u*e, d = e/v = a/v
+
+
+@pytest.mark.parametrize("code", ["closed\n", "closed\nO1+ U1+", "closed\nU1- O1-", "closed\nO1- U1-"])
+def test_closed_with_zero_and_one_crossing(code):
+    d = parse_gauss(code)
+    rows, cols = merged_arc_rows(d)
+    assert cols == ("a",) and len(rows) == d.crossings
+    _assert_matches_word_route(d, ks=range(3))
+
+
+@pytest.mark.parametrize("quotient", ["end-minus", "end-plus", "ends"])
+def test_long_with_no_crossings(quotient):
+    d = parse_gauss("")
+    assert merged_arc_rows(d) == ([], ("a",))
+    m = quotient_matrix(d, quotient)
+    assert m.shape == (0, 0)  # both ends are arc a
+    assert char_poly(m, 0).is_one
+    _assert_matches_word_route(d)
+
+
+def test_quotient_errors_keep_their_messages():
+    closed = parse_gauss("closed\nO1+ U1+")
+    with pytest.raises(ValueError, match="end quotients require a long diagram"):
+        quotient_matrix(closed, "end-minus")
+    with pytest.raises(ValueError, match="end quotients require a long diagram"):
+        quotient_matrix(closed, "sideways")
+    with pytest.raises(ValueError, match="unknown quotient 'sideways'"):
+        quotient_matrix(catalog.k1(), "sideways")
+
+
+def test_trefoil_ends_shape():
+    # the word route reduced to 1x1; A(u, v) less both end columns reduces to 2x1
+    assert quotient_matrix_reference(catalog.trefoil(), "ends").shape == (1, 1)
+    m = quotient_matrix(catalog.trefoil(), "ends")
+    assert m.shape == (2, 1)
+    assert char_poly(m, 0) == char_poly(quotient_matrix_reference(catalog.trefoil(), "ends"), 0)
+
+
+# -- invariant_profile reduces two copies of one A(u, v) ------------------
+
+
+def test_profile_matches_a_fresh_quotient_matrix_per_quotient():
+    for d in catalog.corpus().values():
+        for walked in [d] + [random_walk(d, seed, 20, max_crossings=d.crossings + 6) for seed in range(15)]:
+            profile = invariant_profile(walked)
+            for quotient in ("none", "end-minus") if walked.kind == LONG else ("none",):
+                fresh = quotient_matrix(walked, quotient)
+                for k in (0, 1):
+                    assert profile[f"charpoly k={k} quotient={quotient}"] == str(char_poly(fresh, k)), \
+                        (walked, quotient, k)
+
+
+def test_word_presentation_is_built_only_for_presentation(capsys, corpus_dir, monkeypatch):
+    calls = []
+    for name in ("extended_presentation", "quotient_kill", "_end_quotient"):
+        real = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    k1 = str(corpus_dir / "k1.gauss")
+    for argv in (
+        ["invariants", k1, "--charpoly", "0", "--charpoly", "1", "--quotient", "ends"],
+        ["invariants", k1, "--charpoly", "1", "--t", "v1", "--det", "--color", "3"],
+        ["homcount", k1, "-p", "5", "-s", "3", "--quotient", "end-minus"],
+        ["fuzz", k1, "--steps", "5", "--walks", "2"],
+    ):
+        assert cli.main(argv) == 0
+        assert calls == [], argv
+    assert cli.main(["invariants", k1, "--presentation", "--charpoly", "0", "--quotient", "end-plus"]) == 0
+    assert calls == ["extended_presentation", "_end_quotient", "quotient_kill"]
+    capsys.readouterr()
+
+
+# -- Smith normal form stops its pivot scan at the first +-1 --------------
+
+
+def _a_minus_one_matrices():
+    """A(-1) of the benchmark's shapes: corpus, windings of corpus bases, random codes."""
+    bases = list(catalog.corpus().values())
+    diagrams = bases + [dn_family(b, n) for b in bases[:4] for n in range(1, 7)]
+    for crossings in (8, 12, 20, 30):
+        diagrams += _random(crossings, range(3))
+    return [one_var_matrix(d, -1).rows for d in diagrams]
+
+
+def test_smith_matches_full_scan_on_arc_matrices():
+    for rows in _a_minus_one_matrices():
+        assert smith_normal_form(rows) == smith_normal_form_reference(rows)
+
+
+def test_smith_matches_full_scan_on_dense_and_divisor_chain_matrices():
+    rng = random.Random(0)
+    cases = [[[2, 0], [0, 3]], [[4, 0, 0], [0, 6, 0], [0, 0, 9]]]
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    for _ in range(100):
+        # diagonal, no entry +-1: the smallest entry seldom divides the others,
+        # so the divisor-chain fix-up runs with no elimination before it
+        n = rng.randint(2, 5)
+        cases.append([[rng.choice((2, 3, 4, 5, 6, 9, 10, 15)) if i == j else 0 for j in range(n)] for i in range(n)])
+    for rows in cases:
+        assert smith_normal_form(rows) == smith_normal_form_reference(rows), rows
