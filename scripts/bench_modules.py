@@ -2,15 +2,16 @@
 
     python scripts/bench_modules.py [--out BENCH_modules.json]
 
-Run from anywhere; ``vka`` is imported from ``src/`` and ``random_code``
-from ``tests/oracles.py``.  For ``random_code`` seeds 0-4, long and closed,
+Run from anywhere; ``vka`` is imported from ``src/``, and ``random_code``
+and ``reduced_matrix`` from ``tests/oracles.py``.  For ``random_code`` seeds 0-4, long and closed,
 at c = 8, 12, 20 and 30 crossings, and the quotients ``none`` and (long
 diagrams only) ``end-minus``, the script times three routes to the
 quotient's char polys at k = 0 and 1:
 
 - ``tietze``: ``abelianize(tietze_eliminate(p))`` of the quotient's raw
   presentation p, then ``char_poly``;
-- ``reduced``: ``reduced_matrix(p)``, then ``char_poly``;
+- ``reduced``: ``reduced_matrix(p)``, the unit reduction of the
+  abelianized relation words, then ``char_poly``;
 - ``merged``: ``quotient_matrix(d, quotient)``, the unit reduction of the
   merged arc matrix A(u, v) less the killed end columns, then
   ``char_poly``; its build time starts from the diagram, not from p.
@@ -37,8 +38,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from oracles import random_code  # noqa: E402
-from vka.alexander import abelianize, extended_presentation, reduced_matrix, tietze_eliminate  # noqa: E402
+from oracles import random_code, reduced_matrix  # noqa: E402
+from vka.alexander import abelianize, extended_presentation, tietze_eliminate  # noqa: E402
 from vka.diagram import parse_gauss  # noqa: E402
 from vka.invariants import _end_quotient, char_poly, quotient_matrix  # noqa: E402
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagram import LONG, UNDER, arc_structure
+from .diagram import LONG, OVER, UNDER, arc_structure
 from .laurent import UV, LaurentPoly, TVAR
 
 
@@ -466,11 +466,6 @@ def _unit_columns(row):
     return [g for g, entry in row.items() if len(entry) == 1 and abs(next(iter(entry.values()))) == 1]
 
 
-def reduced_matrix(p):
-    """``_reduce`` of the abelianized relation words: the elementary ideals of ``abelianize(p)``."""
-    return _reduce([_word_row(rel.left, rel.right) for rel in p.relations], p.generators)
-
-
 def _reduce(rows, cols):
     """Sparse rows over ``cols``, unit pivots eliminated, as an L2 matrix.
 
@@ -560,95 +555,92 @@ def diagonal_t(m):
 # -- merged arc matrices -----------------------------------------------
 
 
-def _arc_classes(d):
-    """Column and v-exponent of every arc in the merged arc matrices, and the column names.
-
-    Over passages do not split its arcs, so column j holds the arcs after
-    the j-th under passage, named after its first arc: c+1 columns for a
-    long diagram with c crossings, arc 0 in the first and the last arc in
-    the last.  A closed diagram has c columns (one if c = 0); the arcs after
-    its last under passage run on into column 0.
-
-    The relation OI^v = OO (OO^v = OI when negative) makes an arc v^e times
-    the first arc of its column, with e the sum of the signs of the over
-    passages between them.  The arcs that run on into column 0 are shifted
-    by the signs of the over passages up to arc 0.
-    """
-    count = d.crossings + 1 if d.kind == LONG else max(d.crossings, 1)
-    classes, vexp, col_names = [], [], []
-    unders = e = tail = 0
-    for arc, name in enumerate(arc_names(d.arc_count)):
-        col = unders % count
-        if col == len(col_names):
-            col_names.append(name)
-        classes.append(col)
-        vexp.append(e)
-        if arc < len(d.passages):
-            p = d.passages[arc]
-            if p.role == UNDER:
-                unders, e, tail = unders + 1, 0, arc + 1
-            else:
-                e += p.sign
-    if d.kind != LONG:
-        for arc in range(tail, len(vexp)):
-            vexp[arc] -= e
-    return classes, vexp, tuple(col_names)
-
-
 def merged_arc_rows(d):
     """Sparse rows {column: {(u_exp, v_exp): coeff}} of the merged arc matrix A(u, v), and its columns.
 
-    One row per crossing, each arc entered as v^e times its column
-    generator (``_arc_classes``): OI + u*UI - UO - u*OO at a positive
+    Over passages do not split its arcs, so column j holds the arcs after
+    the j-th under passage, named after its first arc: c+1 columns for a
+    long diagram with c crossings, c for a closed one (one if c = 0), where
+    the arcs after the last under passage run on into column 0.  The
+    relation OI^v = OO (OO^v = OI when negative) makes an arc v^e times the
+    first arc of its column, e the sum of the signs of the over passages
+    between them; the arcs that run on into column 0 are shifted by the
+    signs of the over passages up to arc 0.
+
+    One row per crossing, in id order: OI + u*UI - UO - u*OO at a positive
     crossing, UI + u*OI - OO - u*UO at a negative one.  These are the first
-    relation family's rows once the second family has eliminated the OO
-    (or OI) columns, so A(u, v) has the elementary ideals of
+    relation family's rows once the second family has eliminated the OO (or
+    OI) columns, so A(u, v) has the elementary ideals of
     ``abelianize(extended_presentation(d))``.
     """
-    arcs = arc_structure(d)
-    classes, vexp, cols = _arc_classes(d)
-    sign_of = {p.crossing: p.sign for p in d.passages}
-
-    def letter(arc, u):
-        return cols[classes[arc]], (u, vexp[arc]), 1
-
-    rows = []
-    for cid in sorted(arcs.crossings):
-        oi, oo, ui, uo = arcs.crossings[cid]
-        if sign_of[cid] > 0:
-            left, right = (letter(oi, 0), letter(ui, 1)), (letter(uo, 0), letter(oo, 1))
+    names = arc_names(d.arc_count)
+    cols = [names[0]]
+    col = e = tail = 0  # tail: the v-exponent of the arc after a closed diagram's last under passage
+    if d.kind != LONG:
+        for p in reversed(d.passages):
+            if p.role == UNDER:
+                break
+            tail -= p.sign
+    overs, unders = [None] * d.crossings, [None] * d.crossings  # each crossing's arcs in and out, as (column, v-exponent)
+    for i, (cid, role, sign) in enumerate(d.passages):
+        arc_in = cols[col], e
+        if role == OVER:
+            e += sign
+            overs[cid - 1] = arc_in, (cols[col], e), sign
+            continue
+        if d.kind == LONG or len(cols) < d.crossings:
+            col, e = len(cols), 0
+            cols.append(names[i + 1])
         else:
-            left, right = (letter(ui, 0), letter(oi, 1)), (letter(oo, 0), letter(uo, 1))
+            col, e = 0, tail
+        unders[cid - 1] = arc_in, (cols[col], e)
+    rows = []
+    for ((oi, ei), (oo, eo), sign), ((ui, fi), (uo, fo)) in zip(overs, unders):
+        if sign > 0:
+            left, right = ((oi, (0, ei), 1), (ui, (1, fi), 1)), ((uo, (0, fo), 1), (oo, (1, eo), 1))
+        else:
+            left, right = ((ui, (0, fi), 1), (oi, (1, ei), 1)), ((oo, (0, eo), 1), (uo, (1, fo), 1))
         rows.append(_word_row(left, right))
-    return rows, cols
+    return rows, tuple(cols)
+
+
+def _arc_matrix_at(d, arcs, t):
+    """A(t) from A(u, v) = ``arcs``, as ``merged_arc_rows(d)`` gives it: see ``one_var_matrix``."""
+    rows, cols = arcs
+    index = {g: j for j, g in enumerate(cols)}
+    sign_of = {p.crossing: p.sign for p in d.passages}
+    if isinstance(t, int):
+        if t not in (1, -1):
+            raise ValueError(f"{t} is not a unit of Z")
+        ring, zero = "Z", 0
+
+        def value(entry, sign):
+            # at (u, v) = (t, 1), times -1 or -t^-1 = -t: t^a is t for odd a, else 1
+            return -sum(c * t if (a + (sign < 0)) % 2 else c for (a, _), c in entry.items())
+    else:
+        ring, zero, one = "L1", LaurentPoly.zero(t.vars), LaurentPoly.const(t.vars, 1)
+        units = {1: -one, -1: -t.inverse()}
+
+        def value(entry, sign):
+            return LaurentPoly._raw(UV, entry).subs((t, one)) * units[sign]
+    out = []
+    for cid, row in enumerate(rows, 1):
+        dense = [zero] * len(cols)
+        for g, entry in row.items():
+            dense[index[g]] = value(entry, sign_of[cid])
+        out.append(tuple(dense))
+    return PresentationMatrix(ring, cols, tuple(out))
 
 
 def one_var_matrix(d, t=T_GEN):
     """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
 
-    Its columns are those of ``_arc_classes``.  ``t`` is the image of t.
-    T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives
-    the integer specialization (ring "Z"), where t^-1 = t.  The coloring
-    matrix is -A(-1).
+    Its rows are those of A(u, v) (``merged_arc_rows``) at (u, v) = (t, 1),
+    each scaled by its unit: -1 at a positive crossing, -t^-1 at a negative
+    one, where the row becomes UO - t^-1*UI - (1-t^-1)*OV.  ``t`` is the
+    image of t: T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1");
+    1 or -1 gives the integer specialization (ring "Z"), where t^-1 = t.
+    The coloring matrix is -A(-1): A(-1, 1) with the rows of the negative
+    crossings negated.
     """
-    arcs = arc_structure(d)
-    classes, _, col_names = _arc_classes(d)
-    count = len(col_names)
-    if isinstance(t, int):
-        if t not in (1, -1):
-            raise ValueError(f"{t} is not a unit of Z")
-        ring, zero, one, tinv = "Z", 0, 1, t
-    else:
-        ring, zero, one, tinv = "L1", LaurentPoly.zero(TVAR), T_ONE, t.inverse()
-    sign_of = {p.crossing: p.sign for p in d.passages}
-    rows = []
-    for cid in sorted(arcs.crossings):
-        inc = arcs.crossings[cid]
-        row = [zero] * count
-        ov, ui, uo = classes[inc.over_in], classes[inc.under_in], classes[inc.under_out]
-        tt = t if sign_of[cid] > 0 else tinv
-        row[uo] = row[uo] + one
-        row[ui] = row[ui] - tt
-        row[ov] = row[ov] - (one - tt)
-        rows.append(tuple(row))
-    return PresentationMatrix(ring, col_names, tuple(rows))
+    return _arc_matrix_at(d, merged_arc_rows(d), t)

@@ -111,12 +111,10 @@ def cmd_invariants(args):
         payload["presentation"] = pres.to_json()
         if not args.json:  # --json prints no text lines
             lines.append(str(pres))
+    if args.charpoly or args.det or args.color:
+        arcs = alexander.merged_arc_rows(d)  # A(u, v): the char polys, A(-1) and colorings all come from it
     if args.charpoly:
-        # one word elimination per request: reduce the presentation already eliminated for display
-        if args.presentation:
-            mat = alexander.reduced_matrix(pres)
-        else:
-            mat = invariants.quotient_matrix(d, args.quotient)
+        mat = invariants.module_matrix(d, arcs, args.quotient)
         if args.t == "v1":
             mat = alexander.one_variable(mat)
         elif args.t == "diag":
@@ -128,15 +126,16 @@ def cmd_invariants(args):
             entries.append({"k": k, "ring": mat.ring, "value": str(value)})
             lines.append(str(value))
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
-    # the determinant reuses the colorings' Smith form of A(-1)
-    colorings = invariants.coloring_count(d, args.color or ())
-    if args.det:
-        det = invariants.determinant_long(d, colorings[0].smith if colorings else None)
-        payload["determinant"] = det
-        lines.append(str(det))
-    if colorings:
-        payload["colorings"], color_lines = _colorings(colorings)
-        lines += color_lines
+    if args.det or args.color:
+        # the determinant reuses the colorings' Smith form of A(-1)
+        smith, colorings = invariants.coloring_reports(d, arcs, args.color or ())
+        if args.det:
+            det = invariants.determinant_long(d, smith)
+            payload["determinant"] = det
+            lines.append(str(det))
+        if colorings:
+            payload["colorings"], color_lines = _colorings(colorings)
+            lines += color_lines
     _emit(args, payload, lines)
     return EXIT_OK
 

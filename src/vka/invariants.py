@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alexander import (
+    _arc_matrix_at,
     _reduce,
     extended_presentation,
     merged_arc_rows,
@@ -335,16 +336,9 @@ class ColoringReport:
     smith: tuple  # Smith invariants of the matrix, shared by every modulus
 
 
-def coloring_count(d, ps):
-    """One report per modulus in ``ps`` (input order, duplicates kept).
-
-    A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing.  All moduli share one Smith form of -A(-1), which
-    each report carries for ``determinant_long``.
-    """
-    if not ps:
-        return []
-    a = one_var_matrix(d, -1)
+def coloring_reports(d, arcs, ps):
+    """Smith invariants of -A(-1), from A(u, v) = ``arcs``, and one report per modulus in ``ps``."""
+    a = _arc_matrix_at(d, arcs, -1)
     matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
     free = len(a.cols) - len(inv)
@@ -354,7 +348,17 @@ def coloring_count(d, ps):
             raise ValueError("modulus must be at least 2")
         count = p ** free * math.prod(math.gcd(s, p) for s in inv)
         reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p, smith=inv))
-    return reports
+    return inv, reports
+
+
+def coloring_count(d, ps):
+    """One report per modulus in ``ps`` (input order, duplicates kept).
+
+    A coloring mod p labels the arcs over Z/p with 2*over = under + under
+    at every crossing.  All moduli share one Smith form of -A(-1), which
+    each report carries for ``determinant_long``.
+    """
+    return coloring_reports(d, merged_arc_rows(d), ps)[1] if ps else []
 
 
 def hom_count_to_cyclic(m, p, s):
@@ -436,11 +440,12 @@ def quotient_pipeline(d, quotient="none"):
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
-def _reduce_quotient(d, rows, cols, quotient):
-    """``_reduce`` of a copy of A(u, v) less the columns of the ends ``quotient`` kills.
+def module_matrix(d, arcs, quotient):
+    """``_reduce`` of a copy of A(u, v) = ``arcs`` less the columns of the ends ``quotient`` kills.
 
     The copy goes down to the term dicts, which ``_reduce`` changes in place.
     """
+    rows, cols = arcs
     killed = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
     copy = [{g: dict(terms) for g, terms in row.items() if g not in killed} for row in rows]
     return _reduce(copy, tuple(g for g in cols if g not in killed))
@@ -454,26 +459,26 @@ def quotient_matrix(d, quotient="none"):
     quotient drops the column of each killed end.  Every char poly and hom
     count is taken from it; no word elimination runs.
     """
-    return _reduce_quotient(d, *merged_arc_rows(d), quotient)
+    return module_matrix(d, merged_arc_rows(d), quotient)
 
 
 def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
-    One A(u, v) serves both quotients, and one Smith form of A(-1) serves
-    the determinant and every coloring count.
+    One A(u, v) serves both quotients and A(-1), and one Smith form of
+    A(-1) serves the determinant and every coloring count.
     """
     profile = {}
-    rows, cols = merged_arc_rows(d)
+    arcs = merged_arc_rows(d)
     quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
     for quotient in quotients:
-        mat = _reduce_quotient(d, rows, cols, quotient)
+        mat = module_matrix(d, arcs, quotient)
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
-    colorings = coloring_count(d, ps)
+    smith, colorings = coloring_reports(d, arcs, ps)
     if d.kind == LONG:
-        profile["determinant"] = determinant_long(d, colorings[0].smith if colorings else None)
+        profile["determinant"] = determinant_long(d, smith)
     for rep in colorings:
         profile[f"colorings p={rep.p}"] = rep.count
     return profile

@@ -23,6 +23,8 @@ from itertools import combinations
 
 from vka.alexander import (
     E0,
+    T_GEN,
+    T_ONE,
     arc_names,
     GroupPresentationZ2,
     OpLetter,
@@ -30,11 +32,11 @@ from vka.alexander import (
     PresentationMatrix,
     _dense,
     _exp_neg,
+    _reduce,
     _solve,
     _word_row,
     extended_presentation,
     free_reduce,
-    reduced_matrix,
     relation_is_trivial,
     tietze_eliminate,
     word_inverse,
@@ -503,6 +505,16 @@ def shrinking_sites_brute_force(passages):
 # -- references for the module-matrix route ----------------------------
 
 
+def reduced_matrix(p):
+    """``_reduce`` of the abelianized relation words: the elementary ideals of ``abelianize(p)``.
+
+    The word route's module matrix, which ``invariants --presentation
+    --charpoly`` reduced before every request took its char polys from
+    A(u, v).
+    """
+    return _reduce([_word_row(rel.left, rel.right) for rel in p.relations], p.generators)
+
+
 def quotient_matrix_reference(d, quotient="none"):
     """The unit-reduced matrix of the word route that ``quotient_matrix`` replaced.
 
@@ -556,6 +568,74 @@ def merged_arc_rows_reference(d):
                 entry[exp] = entry.get(exp, 0) + scale * l.sign
         rows.append({g: {e: c for e, c in entry.items() if c} for g, entry in row.items()})
     return [{g: entry for g, entry in row.items() if entry} for row in rows], cols
+
+
+def _arc_classes(d):
+    """Column and v-exponent of every arc in the merged arc matrices, and the column names.
+
+    Over passages do not split its arcs, so column j holds the arcs after
+    the j-th under passage, named after its first arc: c+1 columns for a
+    long diagram with c crossings, arc 0 in the first and the last arc in
+    the last.  A closed diagram has c columns (one if c = 0); the arcs after
+    its last under passage run on into column 0.
+
+    The relation OI^v = OO (OO^v = OI when negative) makes an arc v^e times
+    the first arc of its column, with e the sum of the signs of the over
+    passages between them.  The arcs that run on into column 0 are shifted
+    by the signs of the over passages up to arc 0.
+    """
+    count = d.crossings + 1 if d.kind == LONG else max(d.crossings, 1)
+    classes, vexp, col_names = [], [], []
+    unders = e = tail = 0
+    for arc, name in enumerate(arc_names(d.arc_count)):
+        col = unders % count
+        if col == len(col_names):
+            col_names.append(name)
+        classes.append(col)
+        vexp.append(e)
+        if arc < len(d.passages):
+            p = d.passages[arc]
+            if p.role == UNDER:
+                unders, e, tail = unders + 1, 0, arc + 1
+            else:
+                e += p.sign
+    if d.kind != LONG:
+        for arc in range(tail, len(vexp)):
+            vexp[arc] -= e
+    return classes, vexp, tuple(col_names)
+
+
+def one_var_matrix_reference(d, t=T_GEN):
+    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+
+    The per-crossing builder that ``one_var_matrix`` replaced by units
+    times the rows of A(u, v); kept as it was, with ``_arc_classes``.
+    Its columns are those of ``_arc_classes``.  ``t`` is the image of t.
+    T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives
+    the integer specialization (ring "Z"), where t^-1 = t.  The coloring
+    matrix is -A(-1).
+    """
+    arcs = arc_structure(d)
+    classes, _, col_names = _arc_classes(d)
+    count = len(col_names)
+    if isinstance(t, int):
+        if t not in (1, -1):
+            raise ValueError(f"{t} is not a unit of Z")
+        ring, zero, one, tinv = "Z", 0, 1, t
+    else:
+        ring, zero, one, tinv = "L1", LaurentPoly.zero(TVAR), T_ONE, t.inverse()
+    sign_of = {p.crossing: p.sign for p in d.passages}
+    rows = []
+    for cid in sorted(arcs.crossings):
+        inc = arcs.crossings[cid]
+        row = [zero] * count
+        ov, ui, uo = classes[inc.over_in], classes[inc.under_in], classes[inc.under_out]
+        tt = t if sign_of[cid] > 0 else tinv
+        row[uo] = row[uo] + one
+        row[ui] = row[ui] - tt
+        row[ov] = row[ov] - (one - tt)
+        rows.append(tuple(row))
+    return PresentationMatrix(ring, col_names, tuple(rows))
 
 
 def smith_normal_form_reference(rows):

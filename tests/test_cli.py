@@ -202,6 +202,57 @@ def test_golden_presentation_digest(capsys, corpus_dir, tmp_path):
     assert digest == "3adfeb70a39ed15c6a98d9ca9958ee264e01f71cd79c22b6fcb60ec5070a3676"
 
 
+def test_golden_coloring_matrix_bytes(capsys, corpus_dir, monkeypatch):
+    # pins -A(-1) as `color --matrix` prints it, for every corpus file
+    monkeypatch.chdir(corpus_dir)
+    outputs = []
+    for path in sorted(corpus_dir.glob("*.gauss")):
+        code, out, _ = run(capsys, "--json", "color", path.name, "-p", "3", "--matrix")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[5] == ('{"colorings": {"count": 3, "matrix": [[-1, -1, 2], [0, -1, 1]], "nontrivial": false, '
+                          '"p": 3}, "input": "k2.gauss", "schema": 1}\n')
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == "7313dbad907877f5971b1a814e32598a6734c57828a53f34ea775823c26f0b25"
+
+
+def test_presentation_adds_nothing_to_the_char_polys(capsys, corpus_dir, tmp_path):
+    # the char polys and their budget come from A(u, v) with or without --presentation
+    inputs = [(path.stem, path.read_text()) for path in sorted(corpus_dir.glob("*.gauss"))]
+    for crossings in range(13):
+        for seed in range(2):
+            for closed in (False, True):
+                inputs.append((f"{closed}-{crossings}-{seed}", random_code(random.Random(seed), crossings, closed)))
+    for name, text in inputs:
+        path = tmp_path / f"{name}.gauss"
+        path.write_text(text + "\n")
+        closed = text.lstrip().startswith("closed")
+        for quotient in ("none",) if closed else ("none", "end-minus", "end-plus", "ends"):
+            argv = ["invariants", str(path), "--charpoly", "0", "--charpoly", "1", "--quotient", quotient]
+            for budget in ((), ("--max-minors", "1")):
+                code, out, _ = run(capsys, "--json", *budget, *argv)
+                shown_code, shown, _ = run(capsys, "--json", *budget, *argv, "--presentation")
+                assert shown_code == code, (name, quotient, budget)
+                if code == 0:
+                    assert json.loads(shown)["charpoly"] == json.loads(out)["charpoly"], (name, quotient)
+
+
+@pytest.mark.parametrize("text, quotient, expected", [
+    # the trefoil's word route reduced to 1x1 and printed u^2*v^2 - u*v + 1
+    ("O1+ U2+ O3+ U1+ O2+ U3+", "ends", 3),
+    # the word route reduced to 2x2, needed 4 minors and exited 3
+    ("closed\nO3+ O2+ U4- U1- O4- U2+ O1- U3+", "none", 0),
+])
+def test_presentation_budget_is_counted_on_the_merged_route(capsys, tmp_path, text, quotient, expected):
+    path = tmp_path / "d.gauss"
+    path.write_text(text + "\n")
+    for presentation in ((), ("--presentation",)):
+        code, _, err = run(capsys, "--max-minors", "1", "invariants", str(path), "--charpoly", "0",
+                           "--charpoly", "1", "--quotient", quotient, *presentation)
+        assert code == expected, presentation
+        assert ("budget exceeded: 2 minors of size 1" in err) == (expected == 3)
+
+
 def test_json_presentation_renders_no_text(capsys, corpus_dir, monkeypatch):
     rendered = []
     real = alexander.GroupPresentationZ2.__str__
@@ -301,10 +352,8 @@ def test_color_command(capsys, corpus_dir):
     assert payload["colorings"]["count"] == 9
 
 
-def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch):
-    calls, smith = [], []
-    real = alexander.arc_structure
-    monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch, arc_builds):
+    smith = []
     real_smith = invariants.smith_normal_form
     monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: smith.append(rows) or real_smith(rows))
     moduli = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -313,24 +362,40 @@ def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch
         argv += ["-p", str(p)]
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == 1
+    assert len(arc_builds) == 1
     assert len(smith) == 1
 
 
-def test_det_and_colors_share_one_smith_form(capsys, corpus_dir, monkeypatch):
-    calls, smith = [], []
-    real = alexander.arc_structure
-    monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+def test_det_and_colors_share_one_smith_form(capsys, corpus_dir, monkeypatch, arc_builds):
+    smith = []
     real_smith = invariants.smith_normal_form
     monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: smith.append(rows) or real_smith(rows))
     code, out, _ = run(capsys, "--json", "invariants", str(corpus_dir / "k1.gauss"),
                        "--det", "--color", "3", "--color", "5")
     assert code == 0
-    assert len(calls) == 1
+    assert len(arc_builds) == 1
     assert len(smith) == 1
     payload = json.loads(out)
     assert payload["determinant"] == 3
     assert [c["count"] for c in payload["colorings"]] == [9, 5]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--charpoly", "1", "--det", "--color", "3"),
+    ("--charpoly", "1", "--det"),
+    ("--presentation", "--charpoly", "0", "--charpoly", "1", "--det", "--color", "3", "--color", "5"),
+])
+def test_char_polys_det_and_colors_share_one_arc_matrix(capsys, corpus_dir, arc_builds, flags):
+    code, out, _ = run(capsys, "--json", "invariants", str(corpus_dir / "k1.gauss"), *flags)
+    assert code == 0
+    assert len(arc_builds) == 1
+    assert json.loads(out)["determinant"] == 3
+
+
+def test_presentation_alone_builds_no_arc_matrix(capsys, corpus_dir, arc_builds):
+    code, _, _ = run(capsys, "invariants", str(corpus_dir / "k1.gauss"), "--presentation")
+    assert code == 0
+    assert arc_builds == []
 
 
 def test_homcount_command(capsys, corpus_dir):

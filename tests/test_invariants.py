@@ -601,17 +601,14 @@ def test_dn_closure_is_move_equivalent_to_base_closure():
             assert invariant_profile(wound) == target
 
 
-def test_one_arc_structure_per_one_var_matrix(monkeypatch):
-    calls = []
-    real = alexander.arc_structure
-    monkeypatch.setattr(alexander, "arc_structure", lambda d: calls.append(d) or real(d))
+def test_one_arc_structure_per_one_var_matrix(arc_builds):
     one_var_matrix(catalog.k1(), -1)
-    assert len(calls) == 1
-    calls.clear()
-    # one presentation for both quotients (none, end-minus) and one A(-1)
-    # for the determinant and all colorings; the profile builds no A(1)
+    assert len(arc_builds) == 1
+    arc_builds.clear()
+    # one A(u, v) for both quotients (none, end-minus) and for the A(-1)
+    # of the determinant and all colorings; the profile builds no A(1)
     invariant_profile(catalog.k1())
-    assert len(calls) == 2
+    assert len(arc_builds) == 1
 
 
 def test_profile_builds_one_smith_form(monkeypatch):

@@ -15,12 +15,13 @@ import pytest
 import catalog
 from oracles import (
     merged_arc_rows_reference,
+    one_var_matrix_reference,
     quotient_matrix_reference,
     random_code,
     smith_normal_form_reference,
 )
 from vka import cli, invariants
-from vka.alexander import diagonal_t, merged_arc_rows, one_var_matrix, one_variable
+from vka.alexander import T_GEN, diagonal_t, merged_arc_rows, one_var_matrix, one_variable
 from vka.diagram import LONG, dn_family, parse_gauss
 from vka.invariants import char_poly, hom_count_to_cyclic, invariant_profile, quotient_matrix, smith_normal_form
 from vka.moves import random_walk
@@ -161,6 +162,35 @@ def test_word_presentation_is_built_only_for_presentation(capsys, corpus_dir, mo
     assert cli.main(["invariants", k1, "--presentation", "--charpoly", "0", "--quotient", "end-plus"]) == 0
     assert calls == ["extended_presentation", "_end_quotient", "quotient_kill"]
     capsys.readouterr()
+
+
+# -- A(t) is A(u, v) at (u, v) = (t, 1), each row times a unit ------------
+
+
+def _one_var_diagrams():
+    """The corpus, dn n = 1-6 of each long corpus code, and random codes at c = 0-30."""
+    bases = list(catalog.corpus().values())
+    diagrams = bases + [dn_family(b, n) for b in bases if b.kind == LONG for n in range(1, 7)]
+    for crossings in range(31):
+        diagrams += _random(crossings, range(2))
+    return diagrams
+
+
+def test_one_var_matrix_matches_the_per_crossing_builder():
+    for d in _one_var_diagrams():
+        rows, cols = merged_arc_rows(d)
+        reference_rows, reference_cols = merged_arc_rows_reference(d)
+        assert cols == reference_cols
+        # the column order within a row sets the reduction's pivot ties
+        assert [list(row) for row in rows] == [list(row) for row in reference_rows]
+        for t in (T_GEN, 1, -1, -T_GEN, T_GEN ** 2):
+            assert one_var_matrix(d, t) == one_var_matrix_reference(d, t), (d, t)
+
+
+def test_one_var_matrix_rejects_integers_that_are_not_units():
+    for t in (0, 2, -3):
+        with pytest.raises(ValueError):
+            one_var_matrix(catalog.k1(), t)
 
 
 # -- Smith normal form stops its pivot scan at the first +-1 --------------

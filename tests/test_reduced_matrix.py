@@ -1,4 +1,4 @@
-"""``alexander.reduced_matrix`` against the abelianized Tietze presentation.
+"""``oracles.reduced_matrix`` against the abelianized Tietze presentation.
 
 Unit-pivot elimination is an elementary equivalence of presentations, so
 the reduced matrix must give every characteristic polynomial (k-th Fitting
@@ -12,7 +12,7 @@ import time
 import pytest
 
 import catalog
-from oracles import random_code
+from oracles import random_code, reduced_matrix
 from vka import alexander, cli, invariants
 from vka.alexander import (
     GroupPresentationZ2,
@@ -22,7 +22,6 @@ from vka.alexander import (
     diagonal_t,
     extended_presentation,
     one_variable,
-    reduced_matrix,
     tietze_eliminate,
 )
 from vka.diagram import LONG, UNKNOT, parse_gauss
@@ -77,7 +76,7 @@ def test_reduced_matrix_matches_tietze_route_at_30_crossings():
 
 
 def test_reduced_matrix_of_an_eliminated_presentation():
-    # what `invariants --presentation --charpoly K` reduces
+    # what `invariants --presentation --charpoly K` reduced before it took A(u, v)
     for d in list(catalog.corpus().values()) + _diagrams(8):
         for quotient in _quotients(d):
             shown = tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
@@ -211,7 +210,7 @@ def test_ties_go_to_the_first_row():
     assert _entries(reduced) == [[{(1, 0): -1, (0, 1): -1, (1, 1): -1}]]
 
 
-# -- the CLI takes its module matrices from reduced_matrix ---------------
+# -- the CLI builds word presentations only for --presentation ----------
 
 
 def test_tietze_is_reached_only_through_presentation(capsys, corpus_dir, monkeypatch):
