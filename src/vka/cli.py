@@ -97,8 +97,8 @@ def cmd_invariants(args):
     # checked before the diagram is read, so a bad request costs no elimination or minors
     if any(k < 0 for k in args.charpoly or ()):
         raise ConfigError("k must be nonnegative")
-    if any(p < 2 for p in args.color or ()):
-        raise ConfigError("modulus must be at least 2")
+    for p in args.color or ():
+        invariants.check_modulus(p)
     d = _load(args.input)
     if not (args.presentation or args.charpoly or args.det or args.color):
         raise ConfigError("nothing requested: use --charpoly/--det/--color/--presentation")
@@ -169,6 +169,8 @@ def cmd_construct(args):
 
 
 def cmd_color(args):
+    for p in args.p:  # before the diagram is read, as in cmd_invariants
+        invariants.check_modulus(p)
     d = _load(args.input)
     reports, lines = _colorings(invariants.coloring_count(d, args.p), matrix=args.matrix)
     _emit(args, {"input": args.input, "colorings": reports}, lines)
@@ -176,6 +178,7 @@ def cmd_color(args):
 
 
 def cmd_homcount(args):
+    invariants.check_modulus(args.p, args.s)  # before the diagram is read
     d = _load(args.input)
     mat = invariants.quotient_matrix(d, args.quotient)
     mat = alexander.one_variable(mat) if args.t == "v1" else alexander.diagonal_t(mat)

@@ -20,7 +20,7 @@ from .alexander import (
     tietze_eliminate,
 )
 from .diagram import LONG
-from .laurent import UV, TVAR, LaurentPoly, gcd_many
+from .laurent import UV, TVAR, LaurentPoly, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
 
@@ -74,12 +74,13 @@ def _kronecker(rows, size, vars):
     Each row, and then each column, is divided by the monomial of its
     least exponents, so that every entry is a polynomial; the minors pick
     the shifts of their rows and columns back up.  The entries are then
-    mapped by u -> X = 2^B, v -> X^D (t -> X in one variable).  That map
-    is a ring homomorphism, so an integer minor is the image of the
-    polynomial minor.  A minor's coefficients are at most the product of
-    its rows' 1-norms, below 2^(B-1), and its u-degree is at most the sum
-    of its rows' u-degrees, below D, so the balanced base-X digits of the
-    image are its coefficients, exponent (a, b) at digit a + D*b.
+    mapped by ``laurent.pack``: u -> X = 2^B, v -> X^D (t -> X in one
+    variable).  That map is a ring homomorphism, so an integer minor is
+    the image of the polynomial minor.  A minor's coefficients are at
+    most the product of its rows' 1-norms, below 2^(B-1), and its u-degree
+    is at most the sum of its rows' u-degrees, below D, so
+    ``laurent.unpack`` reads its coefficients off the balanced base-X
+    digits of the image, exponent (a, b) at digit a + D*b.
     """
     nvars = len(vars)
     lows = [[_least(p.terms, nvars) if p else None for p in row] for row in rows]
@@ -91,49 +92,18 @@ def _kronecker(rows, size, vars):
     offsets = [[tuple(map(operator.add, rlow, clow)) for clow in col_low] for rlow in row_low]
     norms = [sum(abs(c) for p in row for c in p.terms.values()) for row in rows]
     B = math.prod(sorted(norms)[-size:]).bit_length() + 1
+    D = 1
     if nvars == 2:
         degrees = [
             max((max(p.terms)[0] - o[0] for p, o in zip(row, offs) if p), default=0)
             for row, offs in zip(rows, offsets)
         ]
         D = sum(sorted(degrees)[-size:]) + 1
-        BD = B * D
-        packed = [
-            [
-                sum(c << (a - ou) * B + (b - ov) * BD for (a, b), c in p.terms.items())
-                for p, (ou, ov) in zip(row, offs)
-            ]
-            for row, offs in zip(rows, offsets)
-        ]
-    else:
-        packed = [
-            [sum(c << (a - ot) * B for (a,), c in p.terms.items()) for p, (ot,) in zip(row, offs)]
-            for row, offs in zip(rows, offsets)
-        ]
-    base, half = 1 << B, 1 << (B - 1)
-    mask = base - 1
+    packed = [[pack(p, o, B, D) for p, o in zip(row, offs)] for row, offs in zip(rows, offsets)]
 
     def decode(x, rs, cs):
-        digits = []
-        n = 0
-        while x:
-            c = x & mask
-            if not c:  # skip the run of zero digits
-                zeros = ((x & -x).bit_length() - 1) // B
-                x >>= zeros * B
-                n += zeros
-                continue
-            x >>= B
-            if c >= half:
-                c -= base
-                x += 1
-            digits.append((n, c))
-            n += 1
-        shift = [sum(v) for v in zip(*[row_low[i] for i in rs], *[col_low[j] for j in cs])]
-        if nvars == 2:
-            su, sv = shift
-            return LaurentPoly._raw(vars, {(n % D + su, n // D + sv): c for n, c in digits})
-        return LaurentPoly._raw(vars, {(n + shift[0],): c for n, c in digits})
+        shift = tuple(map(sum, zip(*[row_low[i] for i in rs], *[col_low[j] for j in cs])))
+        return unpack(x, B, D, vars, shift)
 
     return packed, decode
 
@@ -297,6 +267,18 @@ def is_prime(p):
     return True
 
 
+def check_modulus(p, s=None):
+    """Raise ValueError unless p is a coloring modulus (at least 2) or,
+    given the unit s of a hom count, a prime with s invertible mod p."""
+    if s is None:
+        if p < 2:
+            raise ValueError("modulus must be at least 2")
+    elif not is_prime(p):
+        raise ValueError("p must be prime")
+    elif s % p == 0:
+        raise ValueError("s must be invertible mod p")
+
+
 # -- knot determinant and colorings ------------------------------------
 
 
@@ -338,14 +320,14 @@ class ColoringReport:
 
 def coloring_reports(d, arcs, ps):
     """Smith invariants of -A(-1), from A(u, v) = ``arcs``, and one report per modulus in ``ps``."""
+    for p in ps:
+        check_modulus(p)
     a = _arc_matrix_at(d, arcs, -1)
     matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
     free = len(a.cols) - len(inv)
     reports = []
     for p in ps:
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
         count = p ** free * math.prod(math.gcd(s, p) for s in inv)
         reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p, smith=inv))
     return inv, reports
@@ -368,10 +350,7 @@ def hom_count_to_cyclic(m, p, s):
     """
     if m.ring != "L1":
         raise ValueError("hom counting expects an L1 matrix")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if s % p == 0:
-        raise ValueError("s must be invertible mod p")
+    check_modulus(p, s)
     rank = rank_mod([[e.subs_mod((s,), p) for e in row] for row in m.rows], p)
     return p ** (len(m.cols) - rank)
 
@@ -407,8 +386,7 @@ def transfer_condition(n, p):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
+    check_modulus(p)
     return math.gcd(2 * n + 1, p) > 1
 
 

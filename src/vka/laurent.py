@@ -10,6 +10,7 @@ with arbitrary-precision integers.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 UV = ("u", "v")
@@ -556,80 +557,86 @@ def gcd(p, q):
     return _gcd_rec(pp, qq, len(p.vars) - 1).canonical()
 
 
-_CERT_PRIME = 2**31 - 1
-_CERT_POINTS = (16807, 48271, 69621)  # values tried for the other variable
+# -- Kronecker packing ------------------------------------------------
 
 
-def _image(p, k, r):
-    """p mod _CERT_PRIME as a polynomial in variable k, the other set to r.
+def pack(p, low, B, D):
+    """The integer image of p / x^low under u -> X = 2^B, v -> X^D (t -> X).
 
-    Dense coefficients from p's highest power of variable k down to its
-    lowest; r is None for one-variable p.
+    ``low`` is at most p's least exponents, so every shifted exponent is
+    nonnegative; D is unused in one variable.  The map is a ring
+    homomorphism on polynomials, and ``unpack`` inverts it while the
+    coefficients of p lie in [-2^(B-1), 2^(B-1)) and p / x^low has u-degree
+    below D.
     """
-    acc = {}
-    for exps, c in p.terms.items():
-        if r is not None:
-            c *= pow(r, exps[1 - k], _CERT_PRIME)
-        acc[exps[k]] = acc.get(exps[k], 0) + c
-    return [acc.get(e, 0) % _CERT_PRIME for e in range(max(acc), min(acc) - 1, -1)]
+    if len(low) == 2:
+        lu, lv = low
+        BD = B * D
+        return sum(c << (a - lu) * B + (b - lv) * BD for (a, b), c in p.terms.items())
+    (lt,) = low
+    return sum(c << (a - lt) * B for (a,), c in p.terms.items())
 
 
-def _gcd_mod(a, b):
-    """A gcd over GF(_CERT_PRIME) of dense coefficient lists, highest power first.
+def unpack(x, B, D, vars, low):
+    """The polynomial whose ``pack`` with these arguments is x.
 
-    a has a nonzero leading coefficient; b may have leading zeros.
+    The balanced base-2^B digits of x are the coefficients, each in
+    [-2^(B-1), 2^(B-1)); digit n is the coefficient of u^(n mod D) v^(n // D)
+    (of t^n in one variable), times x^low.
     """
-    m = _CERT_PRIME
-    while True:
-        lead = next((i for i, c in enumerate(b) if c), None)
-        if lead is None:
-            return a
-        b = b[lead:]
-        if len(a) < len(b):
-            a, b = b, a
-        a, inv, n = a[:], pow(b[0], -1, m), len(a) - len(b) + 1
-        for i in range(n):
-            q = a[i] * inv % m
-            if q:
-                for j in range(1, len(b)):
-                    a[i + j] = (a[i + j] - q * b[j]) % m
-        a, b = b, a[n:]
+    base, half = 1 << B, 1 << (B - 1)
+    mask = base - 1
+    digits = []
+    n = 0
+    while x:
+        c = x & mask
+        if not c:  # skip the run of zero digits
+            zeros = ((x & -x).bit_length() - 1) // B
+            x >>= zeros * B
+            n += zeros
+            continue
+        x >>= B
+        if c >= half:
+            c -= base
+            x += 1
+        digits.append((n, c))
+        n += 1
+    if len(low) == 1:
+        return LaurentPoly._raw(vars, {(n + low[0],): c for n, c in digits})
+    return LaurentPoly._raw(vars, {(n % D + low[0], n // D + low[1]): c for n, c in digits})
 
 
-def _coprime_certificate(polys):
-    """True when no common factor of the nonzero polys has a positive span in any variable.
+_HEU_MARGIN = 16  # bits of 2^B beyond the bound of the heuristic gcd
 
-    The gcd is then the integer gcd of the contents.  Per variable x: pick
-    a value r of the other variable at which the first poly's highest and
-    lowest x-coefficients do not vanish mod the prime.  A common factor's
-    highest and lowest x-coefficients divide those, so its image keeps its
-    x-span and would divide every image; a constant gcd of the images rules
-    it out.  False only means "not certified".
-    """
-    first = polys[0]
-    two = len(first.vars) == 2
-    for k in range(len(first.vars)):
-        for r in _CERT_POINTS if two else (None,):
-            g = _image(first, k, r)
-            if g[0] and g[-1]:
-                break
-        else:
-            return False
-        for p in polys[1:]:
-            if len(g) == 1:
-                break
-            g = _gcd_mod(g, _image(p, k, r))
-        if len(g) != 1:
-            return False
-    return True
+
+def _primitive(p):
+    """The canonical form of p divided by its content (p != 0)."""
+    k = p.content() if p.terms[max(p.terms)] > 0 else -p.content()
+    low = p.min_exps()
+    return LaurentPoly._raw(p.vars, {tuple(map(operator.sub, e, low)): c // k for e, c in p.terms.items()})
 
 
 def gcd_many(polys, vars=None):
-    """gcd of a collection; the empty collection has gcd 0.
+    """Canonical gcd of a collection; the empty collection has gcd 0.
 
-    Two exact shortcuts run before the pairwise subresultant loop: the
-    modular certificate above (the gcd is then the integer gcd of the
-    contents), and the input with fewest terms dividing all the others.
+    One nonzero input is its own gcd.  Otherwise GCDHEU (Char, Geddes and
+    Gonnet, JSC 7, 1989) runs on the primitive parts A_i: each is packed
+    with 2^B > 2 min ||A_i||_inf + 1 plus ``_HEU_MARGIN`` bits and
+    D = 1 + the largest u-span, h is the integer gcd of the images, and
+    the candidate C is the primitive part of ``unpack(h)``.  C, times the
+    gcd of the contents, is the gcd when X^j, the power of X = 2^B in h,
+    divides every image as a polynomial and C is a monomial or divides
+    every A_i.  Else D + 1 is tried once, as v -> X^D can give images of
+    coprime inputs a factor such as X - 1; then the subresultant loop runs.
+
+    Exactness: below u-span D, S: u -> X, v -> X^D keeps the terms of an
+    A_i and of its divisors apart, so P_i = S(A_i) has the coefficients of
+    A_i, and h = k S(C)(2^B) with |k| <= 2^(B-1).  S(C) divides every P_i
+    in Z[X], so their gcd H is S(C) c, and c(2^B) divides k.  A
+    nonconstant c divides the P_i of least norm, whose roots lie below
+    1 + ||P_i||_inf <= 2^(B-1) (Cauchy), so |c(2^B)| > 2^(B-1): c = +-1.
+    C divides G = gcd(A_i) and S(G) divides H, so S(G / C) = +-X^r, and
+    G / C, whose terms S keeps apart, is a unit.
     """
     polys = list(polys)
     if not polys:
@@ -637,12 +644,22 @@ def gcd_many(polys, vars=None):
             raise ValueError("vars required for an empty collection")
         return LaurentPoly.zero(vars)
     nonzero = [p for p in polys if p]
-    if nonzero:
-        if _coprime_certificate(nonzero):
-            return LaurentPoly.const(nonzero[0].vars, math.gcd(*(p.content() for p in nonzero)))
-        small = min(nonzero, key=lambda p: len(p.terms))
-        if all(divides(small, p) for p in nonzero if p is not small):
-            return small.canonical()
+    if len(nonzero) <= 1:
+        return (nonzero or polys)[0].canonical()
+    vars = polys[0].vars
+    content = math.gcd(*(p.content() for p in nonzero))
+    prims = [_primitive(p) for p in nonzero]  # least exponents 0
+    B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + _HEU_MARGIN
+    span = max(p.max_degree(0) for p in prims) + 1
+    zero = (0,) * len(vars)
+    for D in (span, span + 1) if len(vars) == 2 else (1,):
+        h = math.gcd(*(pack(p, zero, B, D) for p in prims))
+        j = ((h & -h).bit_length() - 1) // B  # 0 in one variable, where every P_i(0) != 0
+        if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
+            continue
+        candidate = _primitive(unpack(h, B, D, vars, zero))
+        if len(candidate.terms) == 1 or all(p == candidate or divides(candidate, p) for p in prims):
+            return candidate * content
     g = polys[0]
     for p in polys[1:]:
         g = gcd(g, p)

@@ -99,6 +99,24 @@ def test_bad_charpoly_or_color_fails_before_any_computation(capsys, corpus_dir, 
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["color", "-p", "3", "-p", "1"], "modulus must be at least 2"),
+    (["homcount", "-p", "1", "-s", "3"], "p must be prime"),
+    (["homcount", "-p", "4", "-s", "3"], "p must be prime"),
+    (["homcount", "-p", "5", "-s", "10"], "s must be invertible mod p"),
+    (["homcount", "-p", "3317044064679887385961981", "-s", "3"], "is not certified"),
+])
+def test_bad_modulus_fails_before_the_diagram_is_read(capsys, tmp_path, monkeypatch, argv, message):
+    # a missing input would be "cannot read"; the modulus is checked first
+    calls = []
+    monkeypatch.setattr(invariants, "coloring_count", lambda *a: calls.append(a))
+    monkeypatch.setattr(invariants, "quotient_matrix", lambda *a: calls.append(a))
+    code, _, err = run(capsys, *argv[:1], str(tmp_path / "missing.gauss"), *argv[1:])
+    assert code == 2
+    assert err.startswith("invalid configuration: ") and message in err
+    assert calls == []
+
+
 def test_budget_exit_3(capsys, corpus_dir):
     code, _, err = run(
         capsys, "--max-minors", "1", "invariants", str(corpus_dir / "k4k5.gauss"),

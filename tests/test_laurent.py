@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import convolve, l1, l2, random_poly, random_unit, subs_int, subs_reference
+from vka import laurent
 from vka.laurent import (
-    _CERT_POINTS,
-    _CERT_PRIME,
-    _coprime_certificate,
     InexactDivision,
     LaurentPoly,
     NonUnitImage,
@@ -19,7 +17,9 @@ from vka.laurent import (
     divides,
     gcd,
     gcd_many,
+    pack,
     parse_poly,
+    unpack,
 )
 
 U = LaurentPoly.monomial(UV, (1, 0))
@@ -224,7 +224,44 @@ def test_gcd_divides_both_hypothesis(da, db):
         assert divides(g, q)
 
 
-# -- gcd_many: certified fast paths against the subresultant loop ----
+# -- Kronecker packing ---------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), st.integers(-2**70, 2**70), max_size=8),
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 8),
+)
+def test_pack_round_trip_two_variables(terms, du, dv, extra_d, extra_b):
+    p = l2(terms)
+    lu, lv = p.min_exps()
+    low = (lu - du, lv - dv)  # at most the least exponents
+    D = p.max_degree(0) - low[0] + 1 + extra_d  # u-span of p / x^low below D
+    B = max((abs(c).bit_length() for c in p.terms.values()), default=0) + 1 + extra_b
+    assert unpack(pack(p, low, B, D), B, D, UV, low) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(-9, 9), st.integers(-2**70, 2**70), max_size=8),
+    st.integers(0, 3), st.integers(0, 8), st.integers(1, 5),
+)
+def test_pack_round_trip_one_variable(terms, dt, extra_b, D):
+    p = l1(terms)
+    low = (p.min_exps()[0] - dt,)
+    B = max((abs(c).bit_length() for c in p.terms.values()), default=0) + 1 + extra_b
+    assert unpack(pack(p, low, B, D), B, D, TVAR, low) == p  # D is unused in one variable
+
+
+def test_pack_at_the_digit_bounds():
+    # the balanced digits reach -2^(B-1) but not 2^(B-1)
+    for c in (-8, 7, -1, 1):
+        p = l2({(0, 0): c, (2, 1): c, (1, 3): c, (2, 3): -1})
+        assert unpack(pack(p, (0, 0), 4, 3), 4, 3, UV, (0, 0)) == p
+    assert unpack(pack(l1({0: 8}), (0,), 4, 1), 4, 1, TVAR, (0,)) != l1({0: 8})
+
+
+# -- gcd_many: single input, GCDHEU at D and D + 1, subresultant fallback ----
 
 
 def pairwise_gcd(polys):
@@ -247,19 +284,46 @@ def planted_lists(seed, vars):
         ]
 
 
-def certified(polys):
-    nonzero = [p for p in polys if p]
-    return bool(nonzero) and _coprime_certificate(nonzero)
+@pytest.fixture
+def traced_paths(monkeypatch):
+    """Record the D of every ``pack`` and count the calls of the subresultant ``gcd``."""
+    seen = {"D": [], "gcd": 0}
+
+    def counted_pack(p, low, B, D):
+        seen["D"].append(D)
+        return pack(p, low, B, D)
+
+    def counted_gcd(p, q):
+        seen["gcd"] += 1
+        return gcd(p, q)
+
+    monkeypatch.setattr(laurent, "pack", counted_pack)
+    monkeypatch.setattr(laurent, "gcd", counted_gcd)
+
+    def path(polys, vars=None):
+        """gcd_many(polys) and the path it took."""
+        seen["D"].clear()
+        seen["gcd"] = 0
+        value = gcd_many(polys, vars=vars)
+        if sum(1 for p in polys if p) <= 1:
+            return value, "single"
+        if seen["gcd"]:
+            return value, "fallback"
+        return value, "retry" if len(set(seen["D"])) == 2 else "heuristic"
+
+    return path
 
 
 @pytest.mark.parametrize("vars", [UV, TVAR], ids=["uv", "t"])
-def test_gcd_many_matches_pairwise_subresultant_gcd(vars):
-    paths = {True: 0, False: 0}
-    for polys in planted_lists(31, vars):
-        paths[certified(polys)] += 1
-        assert gcd_many(polys, vars=vars) == pairwise_gcd(polys), polys
-    # both the certificate and the later paths are exercised
-    assert min(paths.values()) >= 50, paths
+def test_gcd_many_matches_pairwise_subresultant_gcd(vars, traced_paths):
+    paths = {"single": 0, "heuristic": 0, "retry": 0, "fallback": 0}
+    for seed in (31, 41, 43):
+        for polys in planted_lists(seed, vars):
+            value, path = traced_paths(polys, vars=vars)
+            paths[path] += 1
+            assert value == pairwise_gcd(polys), polys
+    # both the single-input path and the heuristic gcd are exercised
+    assert min(paths["single"], paths["heuristic"]) >= 50, paths
 
 
 def sympy_gcd(sympy, polys, vars):
@@ -278,13 +342,42 @@ def test_gcd_many_matches_sympy(vars):
         assert gcd_many(polys, vars=vars) == sympy_gcd(sympy, polys, vars), polys
 
 
+# v -> X^D maps both inputs to multiples of X - 1 for every D; in the last
+# list 2^B = 2^18 divides both packed integers, but X does not divide the
+# image of 2^18 + u*v as a polynomial
+FALLBACK = {
+    "u-1, v-1": [U - 1, V - 1],
+    "v^2-1, u^2-1": [V ** 2 - 1, U ** 2 - 1],
+    "u+v, 2^18+u*v": [U + V, 2**18 + U * V],
+}
+# u(1 - v) and v(u^2 + u + 1): at D = 3 both images hold X^2 + X + 1
+RETRY = {"u(1-v), v(u^2+u+1)": [-U * V + U, U ** 2 * V + U * V + V]}
+
+
+@pytest.mark.parametrize("name, path", [(n, "fallback") for n in FALLBACK] + [(n, "retry") for n in RETRY])
+def test_gcd_many_reaches_retry_and_fallback(name, path, traced_paths):
+    polys = {**FALLBACK, **RETRY}[name]
+    value, taken = traced_paths(polys)
+    assert taken == path
+    assert value.is_one and value == pairwise_gcd(polys)
+    shared = [(U * V + 3) * p for p in polys]
+    assert gcd_many(shared) == pairwise_gcd(shared) == U * V + 3
+    sympy = pytest.importorskip("sympy")
+    assert sympy_gcd(sympy, polys, UV).is_one and sympy_gcd(sympy, shared, UV) == U * V + 3
+
+
+# Lists once built against a modular coprimality certificate over GF(l) with
+# l = 2^31 - 1 and the evaluation points 16807, 48271 and 69621; they stay as
+# gcd vectors.
+ELL = LaurentPoly.const(UV, 2**31 - 1)
+ELL_T = LaurentPoly.const(TVAR, 2**31 - 1)
+
+
 def vanishing_at_points(x):
-    """A polynomial in one variable that is zero at every evaluation point."""
-    return math.prod(x - r for r in _CERT_POINTS)
+    """A polynomial in one variable that is zero at 16807, 48271 and 69621."""
+    return math.prod(x - r for r in (16807, 48271, 69621))
 
 
-ELL = LaurentPoly.const(UV, _CERT_PRIME)
-ELL_T = LaurentPoly.const(TVAR, _CERT_PRIME)
 # its highest u- and v-coefficients vanish at every point, where its image is 1
 LEAD_VANISHES = 1 + U * V * vanishing_at_points(U) * vanishing_at_points(V)
 ADVERSARIAL = {
@@ -303,9 +396,11 @@ ADVERSARIAL = {
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
 def test_certificate_declines_adversarial_lists(name):
+    """Lists on which the former coprimality certificate declined: gcd_many equals the references."""
     polys = ADVERSARIAL[name]
-    assert not _coprime_certificate(polys)
     assert gcd_many(polys) == pairwise_gcd(polys)
+    sympy = pytest.importorskip("sympy")
+    assert gcd_many(polys) == sympy_gcd(sympy, polys, polys[0].vars)
 
 
 def test_adversarial_gcds():
@@ -318,7 +413,10 @@ def test_adversarial_gcds():
 
 
 def test_certificate_returns_integer_content():
+    """Coprime primitive parts: the gcd is the gcd of the contents, as the former certificate returned."""
     polys = [6 * (U + 1), LaurentPoly.zero(UV), 10 * (V - 1) * U ** -2]
-    assert _coprime_certificate([p for p in polys if p])
     assert gcd_many(polys) == LaurentPoly.const(UV, 2)
     assert gcd_many([LaurentPoly.const(TVAR, -4), 6 * T]) == LaurentPoly.const(TVAR, 2)
+    # one nonzero input is its own gcd, zeros included
+    assert gcd_many([LaurentPoly.zero(UV), -3 * U ** -1 * (V - 2)]) == 3 * V - 6
+    assert gcd_many([LaurentPoly.zero(TVAR)] * 3) == LaurentPoly.zero(TVAR)
