@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagram import LONG, OVER, UNDER, arc_structure
+from .diagram import LONG, OVER, UNDER
 from .laurent import UV, LaurentPoly, TVAR
 
 
@@ -180,14 +180,14 @@ class GroupPresentationZ2:
 
 def extended_presentation(d):
     """Two-variable arc-group presentation of a diagram."""
-    arcs = arc_structure(d)
-    names = arc_names(arcs.arc_count)
+    names = arc_names(d.arc_count)
+    over, under, sign_of = {}, {}, {}
+    for i, p in enumerate(d.passages):  # the passage at i runs from arc i to arc i + 1
+        (over if p.role == OVER else under)[p.crossing] = names[i], names[(i + 1) % d.arc_count]
+        sign_of[p.crossing] = p.sign
     relations = []
-    sign_of = {p.crossing: p.sign for p in d.passages}
-    for cid in sorted(arcs.crossings):
-        inc = arcs.crossings[cid]
-        oi, oo = names[inc.over_in], names[inc.over_out]
-        ui, uo = names[inc.under_in], names[inc.under_out]
+    for cid in range(1, d.crossings + 1):
+        (oi, oo), (ui, uo) = over[cid], under[cid]
         if sign_of[cid] > 0:
             relations.append(OpRelation(
                 (OpLetter(oi, E0, 1), OpLetter(ui, EU, 1)),

@@ -193,12 +193,11 @@ def cmd_homcount(args):
 
 def cmd_fuzz(args):
     d = _load(args.input)
-    cap = args.max_crossings if args.max_crossings is not None else d.crossings + 6
     baseline = invariants.invariant_profile(d, max_minors=args.max_minors)
     walks = []
     for w in range(args.walks):
         seed = args.seed + w
-        walked = moves.random_walk(d, seed, args.steps, max_crossings=cap)
+        walked = moves.random_walk(d, seed, args.steps, max_crossings=args.max_crossings)
         profile = invariants.invariant_profile(walked, max_minors=args.max_minors)
         if profile != baseline:
             drift = sorted(k for k in baseline if profile.get(k) != baseline[k])

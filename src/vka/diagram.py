@@ -14,7 +14,6 @@ then whitespace-separated tokens matching ``[OU][1-9][0-9]*[+-]``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 LONG = "long"
@@ -204,48 +203,6 @@ def dn_family(base, n):
     overs.reverse()
     middle = [Passage(p.crossing + offset, p.role, p.sign) for p in base.passages]
     return Diagram(LONG, forward + unders + middle + overs)
-
-
-class CrossingArcs(NamedTuple):
-    over_in: int
-    over_out: int
-    under_in: int
-    under_out: int
-
-
-@dataclass(frozen=True)
-class ArcStructure:
-    """Arc numbering and per-crossing incidences of a diagram.
-
-    Arcs break at every passage, over and under alike.  For a long diagram
-    with c crossings there are 2c+1 arcs numbered in traversal order; arc 0
-    runs in from infinity and arc 2c runs back out.  Closed diagrams have
-    2c arcs, cyclically.
-    """
-
-    arc_count: int
-    crossings: dict  # crossing id -> CrossingArcs
-
-
-def arc_structure(d):
-    n = len(d.passages)
-    if d.kind == LONG:
-        arc_in = list(range(n))
-        arc_out = list(range(1, n + 1))
-        count = n + 1
-    else:
-        arc_in = list(range(n))
-        arc_out = [(i + 1) % n for i in range(n)]
-        count = n if n else 1
-    halves = {}
-    for idx, p in enumerate(d.passages):
-        halves.setdefault(p.crossing, {})[p.role] = (arc_in[idx], arc_out[idx])
-    crossings = {}
-    for cid, roles in halves.items():
-        oi, oo = roles[OVER]
-        ui, uo = roles[UNDER]
-        crossings[cid] = CrossingArcs(oi, oo, ui, uo)
-    return ArcStructure(arc_count=count, crossings=crossings)
 
 
 TRIVIAL_LONG = Diagram(LONG, ())

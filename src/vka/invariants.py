@@ -287,12 +287,13 @@ def determinant_long(d, smith=None):
 
     A(-1) is c x (c+1), so this is the product of its Smith invariants
     (0 below full rank).  ``smith`` passes those invariants in when the
-    caller has them already, as every ``ColoringReport`` of d does.
+    caller has them already, as every ``ColoringReport`` of d does;
+    otherwise ``coloring_reports`` computes them.
     """
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
     if smith is None:
-        smith = smith_normal_form(one_var_matrix(d, -1).rows)
+        smith = coloring_reports(d, merged_arc_rows(d), ())[0]
     return math.prod(smith)
 
 

@@ -6,8 +6,9 @@ recursion, minors of Laurent matrices by Bareiss elimination with exact
 Laurent division, specializations by powers of the images, abelianization
 by one monomial per letter, colorings and homomorphism counts by
 exhaustive assignment, move sites by trying every combination of adjacent
-pairs (through the library's own site matchers, which define what a legal
-site is), Tietze elimination by the rescanning implementation the
+pairs through matchers of their own (in ``vka`` the partner-index scan is
+the only definition of a legal site), arc incidences by a per-crossing
+table, Tietze elimination by the rescanning implementation the
 incremental one replaced, the end-quotient module matrix by the word
 route the merged arc matrix replaced, and Smith normal form by a full
 smallest-entry scan at every pivot.
@@ -19,7 +20,9 @@ and relation comparison.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from vka.alexander import (
     E0,
@@ -42,10 +45,10 @@ from vka.alexander import (
     word_inverse,
     word_shift,
 )
-from vka.diagram import Diagram, LONG, OVER, Passage, UNDER, arc_structure
+from vka.diagram import Diagram, LONG, OVER, Passage, UNDER
 from vka.invariants import RING_VARS, _end_quotient, rank_mod
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
-from vka.moves import MoveSite, _r2_pairs_match, _r3_match
+from vka.moves import MoveSite
 
 
 def convolve(p, q):
@@ -142,6 +145,48 @@ def abelianize_reference(p):
         tuple(a - b for a, b in zip(row(rel.left), row(rel.right))) for rel in p.relations
     )
     return PresentationMatrix("L2", tuple(p.generators), rows)
+
+
+class CrossingArcs(NamedTuple):
+    over_in: int
+    over_out: int
+    under_in: int
+    under_out: int
+
+
+@dataclass(frozen=True)
+class ArcStructure:
+    """Arc numbering and per-crossing incidences of a diagram.
+
+    Arcs break at every passage, over and under alike.  For a long diagram
+    with c crossings there are 2c+1 arcs numbered in traversal order; arc 0
+    runs in from infinity and arc 2c runs back out.  Closed diagrams have
+    2c arcs, cyclically.
+    """
+
+    arc_count: int
+    crossings: dict  # crossing id -> CrossingArcs
+
+
+def arc_structure(d):
+    n = len(d.passages)
+    if d.kind == LONG:
+        arc_in = list(range(n))
+        arc_out = list(range(1, n + 1))
+        count = n + 1
+    else:
+        arc_in = list(range(n))
+        arc_out = [(i + 1) % n for i in range(n)]
+        count = n if n else 1
+    halves = {}
+    for idx, p in enumerate(d.passages):
+        halves.setdefault(p.crossing, {})[p.role] = (arc_in[idx], arc_out[idx])
+    crossings = {}
+    for cid, roles in halves.items():
+        oi, oo = roles[OVER]
+        ui, uo = roles[UNDER]
+        crossings[cid] = CrossingArcs(oi, oo, ui, uo)
+    return ArcStructure(arc_count=count, crossings=crossings)
 
 
 def arc_classes(d):
@@ -457,6 +502,53 @@ def transfer_brute_force(n, p):
             if (second - beta) % p == 0:
                 return True
     return False
+
+
+def _r2_pairs_match(passages, i, j):
+    a1, a2 = passages[i], passages[i + 1]
+    b1, b2 = passages[j], passages[j + 1]
+    if a1.crossing == a2.crossing or b1.crossing == b2.crossing:
+        return False
+    if {a1.crossing, a2.crossing} != {b1.crossing, b2.crossing}:
+        return False
+    if a1.role != a2.role or b1.role != b2.role or a1.role == b1.role:
+        return False
+    if a1.sign == a2.sign:
+        return False
+    return True
+
+
+def _r3_match(passages, site, sign_of=None):
+    """Check the braid-relation pattern; returns True when the site is legal."""
+    (it, im, ib, e_top, e_bot) = site
+    if len({it, it + 1, im, im + 1, ib, ib + 1}) != 6:
+        return False
+    if max(it, im, ib) + 1 >= len(passages) or min(it, im, ib) < 0:
+        return False
+    top = passages[it], passages[it + 1]
+    mid = passages[im], passages[im + 1]
+    bot = passages[ib], passages[ib + 1]
+    if top[0].role != OVER or top[1].role != OVER:
+        return False
+    if bot[0].role != UNDER or bot[1].role != UNDER:
+        return False
+    if mid[0].role == UNDER and mid[1].role == OVER:
+        e_mid = 1
+        x2, z2 = mid[0].crossing, mid[1].crossing
+    elif mid[0].role == OVER and mid[1].role == UNDER:
+        e_mid = -1
+        z2, x2 = mid[0].crossing, mid[1].crossing
+    else:
+        return False
+    x, y = (top[0].crossing, top[1].crossing) if e_top > 0 else (top[1].crossing, top[0].crossing)
+    y2, z3 = (bot[0].crossing, bot[1].crossing) if e_bot > 0 else (bot[1].crossing, bot[0].crossing)
+    if x2 != x or y2 != y or z2 != z3 or len({x, y, z2}) != 3:
+        return False
+    if sign_of is None:
+        sign_of = {p.crossing: p.sign for p in passages}
+    if sign_of[x] != e_top * e_mid or sign_of[y] != e_top * e_bot or sign_of[z2] != e_mid * e_bot:
+        return False
+    return True
 
 
 def shrinking_sites_brute_force(passages):

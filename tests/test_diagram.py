@@ -4,14 +4,14 @@ import random
 import pytest
 
 import catalog
-from oracles import random_long_diagram
+from oracles import arc_structure, random_long_diagram
 from vka.diagram import (
     CLOSED,
     Diagram,
     GaussCodeError,
     LONG,
     TRIVIAL_LONG,
-    arc_structure,
+    UNKNOT,
     close,
     concatenate,
     dn_family,
@@ -189,16 +189,15 @@ def test_dn_rejects_bad_input():
 
 
 def test_arc_structure_trivial():
-    arcs = arc_structure(TRIVIAL_LONG)
-    assert arcs.arc_count == 1
-    assert arcs.crossings == {}
+    assert TRIVIAL_LONG.arc_count == 1
+    assert UNKNOT.arc_count == 1
+    assert arc_structure(TRIVIAL_LONG).crossings == {}
 
 
 def test_arc_structure_one_crossing():
     d = parse_gauss("O1+ U1+")
-    arcs = arc_structure(d)
-    assert arcs.arc_count == 3
-    inc = arcs.crossings[1]
+    assert d.arc_count == 3
+    inc = arc_structure(d).crossings[1]
     assert (inc.over_in, inc.over_out, inc.under_in, inc.under_out) == (0, 1, 1, 2)
 
 
@@ -206,14 +205,14 @@ def test_arc_counts_random():
     rng = random.Random(11)
     for _ in range(100):
         d = random_long_diagram(rng)
-        assert arc_structure(d).arc_count == 2 * d.crossings + 1
+        assert d.arc_count == 2 * d.crossings + 1
         if d.crossings:
             c = close(d)
-            assert arc_structure(c).arc_count == 2 * c.crossings
+            assert c.arc_count == 2 * c.crossings
 
 
 def test_k1_has_five_arcs():
-    assert arc_structure(catalog.k1()).arc_count == 5
+    assert catalog.k1().arc_count == 5
 
 
 def test_closed_equality_up_to_rotation():

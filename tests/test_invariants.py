@@ -7,6 +7,7 @@ import pytest
 import catalog
 from oracles import (
     arc_classes,
+    arc_structure,
     brute_force_colorings,
     brute_force_hom_count,
     det_cofactor,
@@ -307,7 +308,7 @@ def test_one_var_matrix_columns_are_union_find_classes():
             assert a.cols == tuple(names[classes.index(j)] for j in range(count))
             if not closed:
                 assert classes[0] == 0 and classes[-1] == count - 1
-            arcs = alexander.arc_structure(d)
+            arcs = arc_structure(d)
             signs = {p.crossing: p.sign for p in d.passages}
             expected = []
             for cid in sorted(arcs.crossings):

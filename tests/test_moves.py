@@ -4,9 +4,15 @@ import random
 import pytest
 
 import catalog
-from oracles import random_code, random_long_diagram, shrinking_sites_brute_force
+from oracles import (
+    _r2_pairs_match,
+    _r3_match,
+    random_code,
+    random_long_diagram,
+    shrinking_sites_brute_force,
+)
 from vka import moves
-from vka.diagram import Diagram, LONG, TRIVIAL_LONG, parse_gauss, serialize_gauss
+from vka.diagram import Diagram, LONG, TRIVIAL_LONG, close, parse_gauss, serialize_gauss
 from vka.invariants import determinant_long, invariant_profile
 from vka.moves import IllegalMove, MoveSite, apply_move, legal_sites, random_walk
 
@@ -59,6 +65,10 @@ def test_illegal_sites_rejected():
         apply_move(d, MoveSite("r2-", (0, 2)))
     with pytest.raises(IllegalMove):
         apply_move(d, MoveSite("r3", (0, 1, 2, 1, 1)))
+    # z's over passage must not be x's own: here "z" is x and the
+    # six positions overlap, though every partner and sign fits
+    with pytest.raises(IllegalMove):
+        apply_move(parse_gauss("U1+ U2+ O2+ O1+"), MoveSite("r3", (2, 1, 0, 1, 1)))
     with pytest.raises(IllegalMove):
         apply_move(d, MoveSite("r1+", (99, 1, "OU")))
     with pytest.raises(IllegalMove):
@@ -126,18 +136,96 @@ def test_sites_match_brute_force_on_random_diagrams():
 
 
 def test_sites_match_brute_force_along_corpus_walks(monkeypatch):
-    states = []
-    real_apply = moves.apply_move
-    monkeypatch.setattr(moves, "apply_move", lambda d, site: states.append(d) or real_apply(d, site))
+    captured = []
+    real_table = moves._site_table
+    monkeypatch.setattr(
+        moves, "_site_table", lambda ps, cap: captured.append(tuple(ps)) or real_table(ps, cap)
+    )
     corpus = catalog.corpus()
+    states = []
     for d in corpus.values():
         for seed in range(20):
+            captured.clear()
             random_walk(d, seed, 50)
+            states.extend(Diagram(d.kind, ps) for ps in captured)
     monkeypatch.undo()
     assert len(states) == len(corpus) * 20 * 50
     r3_counts = [sum(s.kind == "r3" for s in check_shrinking_sites(d)) for d in states]
     # walk states hold R3 sites far more often than random diagrams do
     assert sum(1 for k in r3_counts if k) >= 2000
+
+
+def _oracle_accepts(passages, site):
+    """Whether the brute-force matchers take a shrinking site."""
+    n = len(passages)
+    if site.kind == "r1-":
+        (i,) = site.data
+        return 0 <= i < n - 1 and passages[i].crossing == passages[i + 1].crossing
+    if site.kind == "r2-":
+        i, j = site.data
+        return 0 <= i and i + 1 < j and j + 1 < n and _r2_pairs_match(passages, i, j)
+    return _r3_match(passages, site.data)
+
+
+def test_apply_move_accepts_exactly_the_oracle_sites():
+    rng = random.Random(23)
+    # many codes of up to three crossings meet most near misses of a
+    # triangle; a few larger ones test the scan's index arithmetic
+    diagrams = [
+        parse_gauss(random_code(rng, rng.randrange(c), closed=k % 2 == 1))
+        for c, count in ((4, 150), (9, 6))
+        for k in range(count)
+    ]
+    # a braid triangle, and walks on windings, hold the R3 sites that
+    # random codes rarely do
+    diagrams += [parse_gauss(kind + "O1+ O2+ U1+ O3+ U2+ U3+") for kind in ("", "closed\n")]
+    for seed, base in enumerate((catalog.dn(1), catalog.dn(2), close(catalog.dn(2)))):
+        diagrams += [random_walk(base, seed + k, 12, max_crossings=8) for k in (0, 10)]
+    accepted = {"r1-": 0, "r2-": 0, "r3": 0}
+    for d in diagrams:
+        assert d.crossings <= 8
+        positions = range(-1, len(d.passages))
+        candidates = [MoveSite("r1-", (i,)) for i in positions]
+        candidates += [MoveSite("r2-", (i, j)) for i in positions for j in positions]
+        candidates += [
+            MoveSite("r3", (it, im, ib, e_top, e_bot))
+            for it in positions
+            for im in positions
+            for ib in positions
+            for e_top in (1, -1)
+            for e_bot in (1, -1)
+        ]
+        for site in candidates:
+            expected = _oracle_accepts(d.passages, site)
+            try:
+                apply_move(d, site)
+            except IllegalMove:
+                assert not expected, (d, site)
+            else:
+                assert expected, (d, site)
+                accepted[site.kind] += 1
+    assert min(accepted.values()) > 0, accepted
+
+
+def test_random_walk_builds_one_diagram_and_no_apply_move(monkeypatch):
+    built = []
+    real_diagram = moves.Diagram
+
+    def counted(kind, passages):
+        built.append(kind)
+        return real_diagram(kind, passages)
+
+    def forbidden(d, site):
+        raise AssertionError("random_walk called apply_move")
+
+    monkeypatch.setattr(moves, "Diagram", counted)
+    monkeypatch.setattr(moves, "apply_move", forbidden)
+    for d in (catalog.k1(), close(catalog.k3())):
+        for steps in (0, 1, 40):
+            built.clear()
+            walked = random_walk(d, 5, steps)
+            assert built == [d.kind]
+            assert isinstance(walked, real_diagram)
 
 
 def test_golden_seed_to_walk_mapping():
