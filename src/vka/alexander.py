@@ -8,6 +8,8 @@ outgoing arcs and UI/UO for the under-strand's:
     positive crossing:   OI * UI^u = UO * OO^u      OI^v = OO
     negative crossing:   UI * OI^u = OO * UO^u      OO^v = OI
 
+The first family is written in one place, ``_crossing_relation``, which
+both the word presentation and the merged arc matrix A(u, v) call.
 Setting v = 1 recovers the classical one-variable arc relations, with the
 two halves of each over-arc merged.  Abelianizing yields presentation
 matrices over Z[u^+-1, v^+-1] whose minors drive all downstream invariants.
@@ -34,7 +36,6 @@ class OpRelation(NamedTuple):
 
 
 E0 = (0, 0)
-EU = (1, 0)
 EV = (0, 1)
 
 
@@ -178,34 +179,28 @@ class GroupPresentationZ2:
         }
 
 
+def _crossing_relation(sign, oi, oo, ui, uo):
+    """The first-family relation of a crossing, each arc given as (generator, v-exponent)."""
+    if sign < 0:  # UI * OI^u = OO * UO^u is OI * UI^u = UO * OO^u with over and under swapped
+        oi, oo, ui, uo = ui, uo, oi, oo
+    return OpRelation(
+        (OpLetter(oi[0], (0, oi[1]), 1), OpLetter(ui[0], (1, ui[1]), 1)),
+        (OpLetter(uo[0], (0, uo[1]), 1), OpLetter(oo[0], (1, oo[1]), 1)),
+    )
+
+
 def extended_presentation(d):
     """Two-variable arc-group presentation of a diagram."""
     names = arc_names(d.arc_count)
-    over, under, sign_of = {}, {}, {}
-    for i, p in enumerate(d.passages):  # the passage at i runs from arc i to arc i + 1
-        (over if p.role == OVER else under)[p.crossing] = names[i], names[(i + 1) % d.arc_count]
-        sign_of[p.crossing] = p.sign
+    over, under = {}, {}
+    for i, (cid, role, sign) in enumerate(d.passages):  # the passage at i runs from arc i to arc i + 1
+        (over if role == OVER else under)[cid] = (names[i], 0), (names[(i + 1) % d.arc_count], 0), sign
     relations = []
     for cid in range(1, d.crossings + 1):
-        (oi, oo), (ui, uo) = over[cid], under[cid]
-        if sign_of[cid] > 0:
-            relations.append(OpRelation(
-                (OpLetter(oi, E0, 1), OpLetter(ui, EU, 1)),
-                (OpLetter(uo, E0, 1), OpLetter(oo, EU, 1)),
-            ))
-            relations.append(OpRelation(
-                (OpLetter(oi, EV, 1),),
-                (OpLetter(oo, E0, 1),),
-            ))
-        else:
-            relations.append(OpRelation(
-                (OpLetter(ui, E0, 1), OpLetter(oi, EU, 1)),
-                (OpLetter(oo, E0, 1), OpLetter(uo, EU, 1)),
-            ))
-            relations.append(OpRelation(
-                (OpLetter(oo, EV, 1),),
-                (OpLetter(oi, E0, 1),),
-            ))
+        (oi, oo, sign), (ui, uo, _) = over[cid], under[cid]
+        relations.append(_crossing_relation(sign, oi, oo, ui, uo))
+        shifted, plain = (oi, oo) if sign > 0 else (oo, oi)  # OI^v = OO, or OO^v = OI
+        relations.append(OpRelation((OpLetter(shifted[0], EV, 1),), (OpLetter(plain[0], E0, 1),)))
     if d.kind == LONG:
         end_minus = (OpLetter(names[0], E0, 1),)
         end_plus = (OpLetter(names[-1], E0, 1),)
@@ -567,11 +562,11 @@ def merged_arc_rows(d):
     between them; the arcs that run on into column 0 are shifted by the
     signs of the over passages up to arc 0.
 
-    One row per crossing, in id order: OI + u*UI - UO - u*OO at a positive
-    crossing, UI + u*OI - OO - u*UO at a negative one.  These are the first
-    relation family's rows once the second family has eliminated the OO (or
-    OI) columns, so A(u, v) has the elementary ideals of
-    ``abelianize(extended_presentation(d))``.
+    One row per crossing, in id order: the abelianized ``_crossing_relation``,
+    OI + u*UI - UO - u*OO at a positive crossing, UI + u*OI - OO - u*UO at a
+    negative one.  These are the first relation family's rows once the
+    second family has eliminated the OO (or OI) columns, so A(u, v) has the
+    elementary ideals of ``abelianize(extended_presentation(d))``.
     """
     names = arc_names(d.arc_count)
     cols = [names[0]]
@@ -594,13 +589,9 @@ def merged_arc_rows(d):
         else:
             col, e = 0, tail
         unders[cid - 1] = arc_in, (cols[col], e)
-    rows = []
-    for ((oi, ei), (oo, eo), sign), ((ui, fi), (uo, fo)) in zip(overs, unders):
-        if sign > 0:
-            left, right = ((oi, (0, ei), 1), (ui, (1, fi), 1)), ((uo, (0, fo), 1), (oo, (1, eo), 1))
-        else:
-            left, right = ((ui, (0, fi), 1), (oi, (1, ei), 1)), ((oo, (0, eo), 1), (uo, (1, fo), 1))
-        rows.append(_word_row(left, right))
+    rows = [
+        _word_row(*_crossing_relation(sign, oi, oo, ui, uo)) for (oi, oo, sign), (ui, uo) in zip(overs, unders)
+    ]
     return rows, tuple(cols)
 
 

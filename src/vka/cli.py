@@ -25,6 +25,8 @@ EXIT_UNSTABLE = 4
 
 SCHEMA = 1
 MAX_WINDINGS = 10_000  # dn builds 4n passages
+# --t: the specialization, by name, so a rebound ``alexander`` function (perfbench's tracer) is called
+SPECIALIZATIONS = {"v1": "one_variable", "diag": "diagonal_t"}
 
 
 class ConfigError(ValueError):
@@ -115,10 +117,8 @@ def cmd_invariants(args):
         arcs = alexander.merged_arc_rows(d)  # A(u, v): the char polys, A(-1) and colorings all come from it
     if args.charpoly:
         mat = invariants.module_matrix(d, arcs, args.quotient)
-        if args.t == "v1":
-            mat = alexander.one_variable(mat)
-        elif args.t == "diag":
-            mat = alexander.diagonal_t(mat)
+        if args.t in SPECIALIZATIONS:
+            mat = getattr(alexander, SPECIALIZATIONS[args.t])(mat)
         _check_coeff_budget(mat, args.max_coeff_bits)
         entries = []
         for k in args.charpoly:
@@ -149,7 +149,7 @@ def cmd_construct(args):
         out = diagram.close(_load(args.input))
     elif args.op == "switch":
         out = diagram.switch_all_crossings(_load(args.input))
-    elif args.op == "dn":
+    else:  # dn; argparse rejects any other op
         try:
             n = int(args.other)
         except (TypeError, ValueError):
@@ -157,8 +157,6 @@ def cmd_construct(args):
         if not 1 <= n <= MAX_WINDINGS:
             raise ConfigError(f"dn requires a winding count from 1 to {MAX_WINDINGS}")
         out = diagram.dn_family(_load(args.input), n)
-    else:
-        raise ConfigError(f"unknown construction {args.op!r}")
     text = serialize_gauss(out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -180,8 +178,7 @@ def cmd_color(args):
 def cmd_homcount(args):
     invariants.check_modulus(args.p, args.s)  # before the diagram is read
     d = _load(args.input)
-    mat = invariants.quotient_matrix(d, args.quotient)
-    mat = alexander.one_variable(mat) if args.t == "v1" else alexander.diagonal_t(mat)
+    mat = getattr(alexander, SPECIALIZATIONS[args.t])(invariants.quotient_matrix(d, args.quotient))
     count = invariants.hom_count_to_cyclic(mat, args.p, args.s)
     _emit(
         args,
@@ -244,8 +241,8 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--charpoly", type=int, action="append", metavar="K",
                    help="characteristic polynomial of the K-th ideal (repeatable)")
-    p.add_argument("--quotient", choices=["none", "end-minus", "end-plus", "ends"], default="none")
-    p.add_argument("--t", choices=["uv", "v1", "diag"], default="uv",
+    p.add_argument("--quotient", choices=list(invariants._KILLED_ENDS), default="none")
+    p.add_argument("--t", choices=["uv", *SPECIALIZATIONS], default="uv",
                    help="coefficients: two-variable, v=1, or u=v=t")
     p.add_argument("--det", action="store_true", help="knot determinant")
     p.add_argument("--color", type=int, action="append", metavar="P", help="coloring count mod P")
@@ -269,8 +266,8 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
-    p.add_argument("--quotient", choices=["none", "end-minus", "end-plus", "ends"], default="none")
-    p.add_argument("--t", choices=["v1", "diag"], default="diag")
+    p.add_argument("--quotient", choices=list(invariants._KILLED_ENDS), default="none")
+    p.add_argument("--t", choices=list(SPECIALIZATIONS), default="diag")
     p.set_defaults(func=cmd_homcount)
 
     p = sub.add_parser("fuzz", help="seeded move walks, checking invariant stability")

@@ -40,7 +40,7 @@ class Passage(NamedTuple):
     sign: int  # +1 or -1
 
 
-def _validate(passages, kind):
+def _validate(passages):
     seen = {}
     for idx, p in enumerate(passages):
         if p.role not in (OVER, UNDER) or p.sign not in (1, -1) or p.crossing < 1:
@@ -74,7 +74,7 @@ class Diagram:
         if kind not in (LONG, CLOSED):
             raise GaussCodeError(f"unknown diagram kind {kind!r}")
         passages = tuple(passages)
-        _validate(passages, kind)
+        _validate(passages)
         self.kind = kind
         self.passages = _relabel(passages)
 

@@ -23,6 +23,7 @@ from .diagram import LONG
 from .laurent import UV, TVAR, LaurentPoly, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
+PROFILE_MODULI = (3, 5, 7)  # the coloring counts of ``invariant_profile``
 
 
 class BudgetExceeded(RuntimeError):
@@ -212,28 +213,9 @@ def smith_normal_form(rows):
     return tuple(abs(A[i][i]) for i in range(limit))
 
 
-def rank_mod(rows, p):
-    """Rank of an integer matrix over the field Z/p (p prime)."""
-    A = [[x % p for x in row] for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = next((i for i in range(rank, m) if A[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        A[rank], A[pivot] = A[pivot], A[rank]
-        inv = pow(A[rank][col], -1, p)
-        A[rank] = [x * inv % p for x in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                f = A[i][col]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _solutions_mod(inv, ncols, p):
+    """Solutions of M x = 0 mod p from M's Smith invariants: p^(ncols - rank mod p) for a prime p."""
+    return p ** (ncols - len(inv)) * math.prod(math.gcd(d, p) for d in inv)
 
 
 # Miller-Rabin bases: the first 13 primes.  The smallest strong pseudoprime
@@ -287,8 +269,8 @@ def determinant_long(d, smith=None):
 
     A(-1) is c x (c+1), so this is the product of its Smith invariants
     (0 below full rank).  ``smith`` passes those invariants in when the
-    caller has them already, as every ``ColoringReport`` of d does;
-    otherwise ``coloring_reports`` computes them.
+    caller has them already, as the first value ``coloring_reports``
+    returns; otherwise ``coloring_reports`` computes them.
     """
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
@@ -316,21 +298,19 @@ class ColoringReport:
     matrix: tuple
     count: int
     nontrivial: bool
-    smith: tuple  # Smith invariants of the matrix, shared by every modulus
 
 
 def coloring_reports(d, arcs, ps):
-    """Smith invariants of -A(-1), from A(u, v) = ``arcs``, and one report per modulus in ``ps``."""
+    """Smith invariants of -A(-1) (A(u, v) = ``arcs``) and a ``_solutions_mod`` report per modulus in ``ps``."""
     for p in ps:
         check_modulus(p)
     a = _arc_matrix_at(d, arcs, -1)
     matrix = tuple(tuple(-x for x in row) for row in a.rows)
     inv = smith_normal_form(matrix)
-    free = len(a.cols) - len(inv)
     reports = []
     for p in ps:
-        count = p ** free * math.prod(math.gcd(s, p) for s in inv)
-        reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p, smith=inv))
+        count = _solutions_mod(inv, len(a.cols), p)
+        reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p))
     return inv, reports
 
 
@@ -338,8 +318,7 @@ def coloring_count(d, ps):
     """One report per modulus in ``ps`` (input order, duplicates kept).
 
     A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing.  All moduli share one Smith form of -A(-1), which
-    each report carries for ``determinant_long``.
+    at every crossing.  All moduli share one Smith form of -A(-1).
     """
     return coloring_reports(d, merged_arc_rows(d), ps)[1] if ps else []
 
@@ -347,13 +326,15 @@ def coloring_count(d, ps):
 def hom_count_to_cyclic(m, p, s):
     """Number of module maps to Z/p with t acting as the unit s.
 
-    p must be a prime below MR_LIMIT, where ``is_prime`` is exact.
+    They are the solutions of M(s) x = 0 mod p, counted from the Smith form
+    of M(s) as the colorings are.  p must be a prime below MR_LIMIT, where
+    ``is_prime`` is exact and the Smith form's integers stay small.
     """
     if m.ring != "L1":
         raise ValueError("hom counting expects an L1 matrix")
     check_modulus(p, s)
-    rank = rank_mod([[e.subs_mod((s,), p) for e in row] for row in m.rows], p)
-    return p ** (len(m.cols) - rank)
+    inv = smith_normal_form([[e.subs_mod((s,), p) for e in row] for row in m.rows])
+    return _solutions_mod(inv, len(m.cols), p)
 
 
 # -- winding-family transfer criterion ----------------------------------
@@ -394,7 +375,7 @@ def transfer_condition(n, p):
 # -- aggregate profile (move-invariance fuzzing) -------------------------
 
 
-_KILLED_ENDS = {"none": (), "end-minus": (0,), "end-plus": (-1,), "ends": (0, -1)}
+_KILLED_ENDS = {"none": (), "end-minus": (0,), "end-plus": (-1,), "ends": (0, -1)}  # --quotient's choices
 
 
 def _killed_ends(long, quotient):
@@ -441,7 +422,7 @@ def quotient_matrix(d, quotient="none"):
     return module_matrix(d, merged_arc_rows(d), quotient)
 
 
-def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
+def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
     One A(u, v) serves both quotients and A(-1), and one Smith form of
@@ -455,7 +436,7 @@ def invariant_profile(d, ps=(3, 5, 7), max_minors=DEFAULT_MINOR_BUDGET):
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
-    smith, colorings = coloring_reports(d, arcs, ps)
+    smith, colorings = coloring_reports(d, arcs, PROFILE_MODULI)
     if d.kind == LONG:
         profile["determinant"] = determinant_long(d, smith)
     for rep in colorings:

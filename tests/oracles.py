@@ -10,8 +10,9 @@ pairs through matchers of their own (in ``vka`` the partner-index scan is
 the only definition of a legal site), arc incidences by a per-crossing
 table, Tietze elimination by the rescanning implementation the
 incremental one replaced, the end-quotient module matrix by the word
-route the merged arc matrix replaced, and Smith normal form by a full
-smallest-entry scan at every pivot.
+route the merged arc matrix replaced, Smith normal form by a full
+smallest-entry scan at every pivot, and ranks mod p by Gauss-Jordan
+elimination over Z/p (the library counts maps to Z/p from Smith forms).
 
 The helpers at the end are test conveniences built on the library:
 polynomial literals, evaluation at +-1, end columns, row-span membership
@@ -46,7 +47,7 @@ from vka.alexander import (
     word_shift,
 )
 from vka.diagram import Diagram, LONG, OVER, Passage, UNDER
-from vka.invariants import RING_VARS, _end_quotient, rank_mod
+from vka.invariants import RING_VARS, _end_quotient
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
 from vka.moves import MoveSite
 
@@ -783,6 +784,30 @@ def smith_normal_form_reference(rows):
             continue
         t += 1
     return tuple(abs(A[i][i]) for i in range(limit))
+
+
+def rank_mod(rows, p):
+    """Rank of an integer matrix over the field Z/p (p prime)."""
+    A = [[x % p for x in row] for row in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rank = 0
+    col = 0
+    while rank < m and col < n:
+        pivot = next((i for i in range(rank, m) if A[i][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][col], -1, p)
+        A[rank] = [x * inv % p for x in A[rank]]
+        for i in range(m):
+            if i != rank and A[i][col]:
+                f = A[i][col]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 # -- test helpers --------------------------------------------------------

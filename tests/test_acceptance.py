@@ -15,6 +15,7 @@ from oracles import (
     random_long_diagram,
     random_poly,
     random_unit,
+    rank_mod,
     subs_int,
     transfer_brute_force,
 )
@@ -36,7 +37,6 @@ from vka.invariants import (
     hom_count_to_cyclic,
     invariant_profile,
     quotient_pipeline,
-    rank_mod,
     transfer_condition,
     unit_minor_check,
 )

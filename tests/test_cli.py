@@ -486,8 +486,8 @@ def test_fuzz_instability_exit_4(capsys, corpus_dir, monkeypatch):
     real = invariants.invariant_profile
     calls = []
 
-    def drifting(d, ps=(3, 5, 7), max_minors=invariants.DEFAULT_MINOR_BUDGET):
-        profile = dict(real(d, ps, max_minors))
+    def drifting(d, max_minors=invariants.DEFAULT_MINOR_BUDGET):
+        profile = dict(real(d, max_minors))
         profile["drift"] = len(calls)
         calls.append(None)
         return profile

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from oracles import (
     minors_reference,
     random_code,
     random_long_diagram,
+    rank_mod,
     subs_int,
     transfer_brute_force,
 )
@@ -41,8 +42,8 @@ from vka.invariants import (
     hom_count_to_cyclic,
     invariant_profile,
     is_prime,
+    quotient_matrix,
     quotient_pipeline,
-    rank_mod,
     smith_normal_form,
     transfer_condition,
     transfer_matrix,
@@ -520,6 +521,39 @@ def test_hom_count_matches_oracle_random():
             assert hom_count_to_cyclic(m, p, s) == brute_force_hom_count(pres, p, s)
 
 
+def test_solutions_mod_counts_from_the_smith_form():
+    cases = [
+        ([], 3, (), {2: 8, 5: 125}),  # no rows: every vector is a solution
+        ([[0, 0, 0], [0, 0, 0]], 3, (0, 0), {2: 8, 5: 125}),
+        ([[3, 6], [6, 12]], 2, (3, 0), {2: 2, 3: 9, 5: 5}),  # singular: rank 1, and 0 mod 3
+    ]
+    for rows, ncols, smith, counts in cases:
+        assert smith_normal_form(rows) == smith
+        for p, count in counts.items():
+            assert invariants._solutions_mod(smith, ncols, p) == count == p ** (ncols - rank_mod(rows, p))
+
+
+HOM_PRIMES = (2, 3, 5, 7, 3317044064679887385961813)  # the last is the largest prime below MR_LIMIT
+
+
+def test_hom_count_equals_rank_mod_oracle_to_30_crossings():
+    rank_drops = 0  # counts above p^(columns - rows): some Smith invariant is 0 mod p
+    for seed in range(3):
+        rng = random.Random(seed)
+        for c, closed in product((0, 1, 3, 6, 10, 15, 22, 30), (False, True)):
+            d = parse_gauss(random_code(rng, c, closed))
+            for quotient in ("none",) if closed else invariants._KILLED_ENDS:
+                mat = quotient_matrix(d, quotient)
+                for m in (one_variable(mat), diagonal_t(mat)):
+                    for p in HOM_PRIMES:
+                        for s in {1, p - 1, 2 % p, rng.randrange(1, p)} - {0}:
+                            values = [[e.subs_mod((s,), p) for e in row] for row in m.rows]
+                            count = hom_count_to_cyclic(m, p, s)
+                            assert count == p ** (len(m.cols) - rank_mod(values, p)), (c, closed, quotient, p, s)
+                            rank_drops += count > p ** max(len(m.cols) - len(m.rows), 0)
+    assert rank_drops >= 400
+
+
 def test_hom_count_validation():
     m = PresentationMatrix("L1", ("a",), ())
     with pytest.raises(ValueError):
@@ -622,9 +656,9 @@ def test_profile_builds_one_smith_form(monkeypatch):
         assert len(calls) == 1
         if d.kind == LONG:
             assert profile["determinant"] == determinant_long(d)
-    # without moduli the determinant builds its own
+    # without the colorings' invariants the determinant builds its own
     calls.clear()
-    assert invariant_profile(catalog.k1(), ps=())["determinant"] == 3
+    assert determinant_long(catalog.k1()) == 3
     assert len(calls) == 1
 
 
