@@ -6,9 +6,9 @@ Run from anywhere; ``vka`` is imported from ``src/`` and the reference from
 ``tests/oracles.py``.  For ``random_code`` seeds 0-4, long and closed, at
 c = 8, 12, 20 and 30 crossings, with k = 0 and 1, the script times
 ``elementary_minors`` (best of three calls) and the same minors by
-``det_exact_reference`` (one call) on the abelianized, Tietze-eliminated
-presentation, checks that both give equal minors, and writes one JSON
-record.  The reference makes the whole run take about a minute.
+``det_exact_reference`` (one call) on ``quotient_matrix(d)``, the
+unit-reduced module matrix that every ``--charpoly`` and ``fuzz`` request
+packs, checks that both give equal minors, and writes one JSON record.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import minors_reference, random_code  # noqa: E402
-from vka.alexander import abelianize  # noqa: E402
 from vka.diagram import parse_gauss  # noqa: E402
-from vka.invariants import elementary_minors, quotient_pipeline  # noqa: E402
+from vka.invariants import elementary_minors, quotient_matrix  # noqa: E402
 
 CROSSINGS = (8, 12, 20, 30)
 SEEDS = range(5)
@@ -52,7 +51,7 @@ def run():
         for seed in SEEDS:
             for closed in (False, True):
                 d = parse_gauss(random_code(random.Random(seed), crossings, closed=closed))
-                m = abelianize(quotient_pipeline(d))
+                m = quotient_matrix(d)
                 for k in KS:
                     packed, packed_s = _timed(lambda: elementary_minors(m, k), REPEATS)
                     reference, reference_s = _timed(lambda: minors_reference(m, k), 1)
@@ -78,7 +77,7 @@ def run():
     return {
         "schema": 1,
         "layer": "invariants.elementary_minors",
-        "workload": "random_code seeds 0-4, long and closed, no quotient, k = 0 and 1",
+        "workload": "quotient_matrix of random_code seeds 0-4, long and closed, no quotient, k = 0 and 1",
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "all_equal": all(c["equal"] for c in cases),
         "totals_by_crossings": totals,

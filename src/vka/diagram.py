@@ -39,6 +39,10 @@ class Passage(NamedTuple):
     role: str  # OVER or UNDER
     sign: int  # +1 or -1
 
+    def __str__(self):
+        """The Gauss-code token ``[OU]<id>[+-]``."""
+        return f"{self.role}{self.crossing}{'+' if self.sign > 0 else '-'}"
+
 
 def _validate(passages):
     seen = {}
@@ -110,8 +114,7 @@ class Diagram:
         return hash(self.canonical_key())
 
     def __repr__(self):
-        body = " ".join(f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in self.passages)
-        return f"Diagram({self.kind}: {body})"
+        return f"Diagram({self.kind}: {' '.join(map(str, self.passages))})"
 
 
 _TOKEN_RE = re.compile(r"[OU][1-9][0-9]*[+-]$")
@@ -144,7 +147,7 @@ def parse_gauss(text):
 
 def serialize_gauss(d):
     """Render a Diagram in the normalized text format; inverse of parse_gauss."""
-    body = " ".join(f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in d.passages)
+    body = " ".join(map(str, d.passages))
     if d.kind == CLOSED:
         return "closed\n" + body if body else "closed"
     return body

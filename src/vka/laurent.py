@@ -45,10 +45,10 @@ class LaurentPoly:
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != n:
                 raise ValueError(f"exponent {exps} has wrong arity for vars {self.vars}")
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
                 if not clean[exps]:
@@ -312,80 +312,49 @@ class LaurentPoly:
         return f"LaurentPoly({'.'.join(self.vars)}: {self})"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(\^)|(\*)|(\+)|(-))")
+_FACTOR = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]\w*)(?:\s*\^\s*(-?)\s*([0-9]+))?)")
+_JOINER = re.compile(r"\s*([-+*]?)")
 
 
 def parse_poly(text, vars=UV):
-    """Parse the textual polynomial format produced by ``str()``.
+    """Parse polynomial text, the format ``str()`` writes.
 
-    Accepts e.g. ``u^2*v - u + 1``, ``t^-1 + 2`` or ``0``.
+    The grammar, with whitespace allowed between any two tokens::
+
+        poly   := ("+" | "-")? term (("+" | "-") term)*
+        term   := factor ("*" factor)*
+        factor := digits | name ("^" "-"? digits)?
+
+    where each name is one of ``vars``.  Examples: ``u^2*v - u + 1``,
+    ``t^-1 + 2``, ``0``.  Any other text, the empty text included, raises
+    ValueError.
     """
     vars = tuple(vars)
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"bad polynomial syntax near {rest[:12]!r}")
-        pos = m.end()
-        tokens.append(m)
-    terms = {}
-    i = 0
-
-    def tok(j):
-        return tokens[j] if j < len(tokens) else None
-
-    while i < len(tokens):
-        sign = 1
-        while tok(i) and (tok(i).group(5) or tok(i).group(6)):
-            if tok(i).group(6):
-                sign = -sign
-            i += 1
-        if tok(i) is None:
-            raise ValueError("dangling sign in polynomial")
-        coeff = sign
-        exps = [0] * len(vars)
-        saw_factor = False
-        expect_factor = True
-        while tok(i) is not None and (expect_factor or (tok(i).group(4) is not None)):
-            if tok(i).group(4):  # '*'
-                i += 1
-                expect_factor = True
-                continue
-            t = tok(i)
-            if t.group(1):
-                coeff *= int(t.group(1))
-                i += 1
-                saw_factor = True
-            elif t.group(2):
-                name = t.group(2)
-                if name not in vars:
-                    raise ValueError(f"unknown variable {name!r}")
-                e = 1
-                i += 1
-                if tok(i) and tok(i).group(3):  # '^'
-                    i += 1
-                    esign = 1
-                    if tok(i) and tok(i).group(6):
-                        esign = -1
-                        i += 1
-                    if not (tok(i) and tok(i).group(1)):
-                        raise ValueError("exponent expected after '^'")
-                    e = esign * int(tok(i).group(1))
-                    i += 1
-                exps[vars.index(name)] += e
-                saw_factor = True
-            else:
-                break
-            expect_factor = False
-        if not saw_factor:
-            raise ValueError("empty term in polynomial")
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(vars, terms)
+    terms = []
+    lead = _JOINER.match(text)
+    # a leading "*" is left for the factor match to reject
+    op, pos = ("", 0) if lead.group(1) == "*" else (lead.group(1), lead.end())
+    while True:
+        if op != "*":  # a term starts
+            coeff, exps = -1 if op == "-" else 1, [0] * len(vars)
+        factor = _FACTOR.match(text, pos)
+        if factor is None:
+            raise ValueError(f"bad polynomial syntax at column {pos + 1} of {text!r}")
+        digits, name, minus, power = factor.groups()
+        if digits:
+            coeff *= int(digits)
+        elif name in vars:
+            exps[vars.index(name)] += int(minus + power) if power else 1
+        else:
+            raise ValueError(f"unknown variable {name!r}")
+        join = _JOINER.match(text, factor.end())
+        op, pos = join.group(1), join.end()
+        if op != "*":  # the term ends
+            terms.append((exps, coeff))
+        if not op:
+            if pos < len(text):
+                raise ValueError(f"bad polynomial syntax at column {pos + 1} of {text!r}")
+            return LaurentPoly(vars, terms)
 
 
 # -- exact division and gcd ------------------------------------------

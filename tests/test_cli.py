@@ -12,6 +12,7 @@ from oracles import random_code
 from conftest import REPO_ROOT
 from vka import alexander, cli, diagram, invariants
 from vka.cli import MAX_WINDINGS, main
+from vka.laurent import parse_poly
 
 
 def run(capsys, *argv):
@@ -174,6 +175,19 @@ def test_json_deterministic(capsys, corpus_dir):
     assert payload["determinant"] == 3
     assert payload["charpoly"]["value"] == "u^2*v - u + 1"
     assert payload["colorings"] == {"p": 3, "count": 9, "nontrivial": True}
+
+
+@pytest.mark.parametrize("t", ["uv", "v1", "diag"])
+def test_json_char_polys_read_back(capsys, corpus_dir, t):
+    for path in sorted(corpus_dir.glob("*.gauss")):
+        code, out, _ = run(capsys, "--json", "invariants", str(path), "--charpoly", "0", "--charpoly", "1", "--t", t)
+        assert code == 0
+        mat = invariants.quotient_matrix(diagram.parse_gauss(path.read_text()))
+        if t in cli.SPECIALIZATIONS:
+            mat = getattr(alexander, cli.SPECIALIZATIONS[t])(mat)
+        for entry in json.loads(out)["charpoly"]:
+            value = parse_poly(entry["value"], invariants.RING_VARS[entry["ring"]])
+            assert value == invariants.char_poly(mat, entry["k"]), (path.name, entry)
 
 
 def test_presentation_follows_quotient(capsys, corpus_dir):

@@ -194,6 +194,42 @@ def test_parse_render_round_trip():
         assert parse_poly(str(p), TVAR) == p
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("u^2*v - u + 1", U * U * V - U + 1),
+    ("0", LaurentPoly.zero(UV)),
+    (" u ^ 2 * v ", U * U * V),
+    ("2*3*u", 6 * U),
+    ("u*u", U * U),
+    ("u^-1*u", LaurentPoly.const(UV, 1)),
+    ("+u", U),
+    ("u^ -1", U.inverse()),
+    ("t^-1 + 2", T.inverse() + 2),
+])
+def test_parse_poly_accepts_the_grammar(text, expected):
+    assert parse_poly(text, expected.vars) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "2u", "2u^2 - 3u + 1", "u^2v", "1 2",  # juxtaposed factors
+    "u*", "u +", "3*-u", "--u", "u - - v", "u^", "^", "*u", "", " ", "w", "t",
+])
+def test_parse_poly_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("terms", [
+    {(0.5, 1.9): 2.7}, {(0, 1): 2.7}, {(0.0, 1): 2}, {("1", 0): 1}, {(0, 1): "3"},
+])
+def test_constructor_rejects_non_integers(terms):
+    with pytest.raises(TypeError):
+        LaurentPoly(UV, terms)
+
+
+def test_constructor_takes_ints_and_bools():
+    assert LaurentPoly(UV, [((True, False), True), ((1, 0), 2)]) == 3 * U
+
+
 def test_render_graded_lex():
     assert str(parse_poly("1 - u + u^2*v")) == "u^2*v - u + 1"
     assert str(l1({2: 1, 0: 1, 1: -1})) == "t^2 - t + 1"
