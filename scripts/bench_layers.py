@@ -1,0 +1,299 @@
+"""Time the library's layers on fixed seeds and write one record, ``BENCH_layers.json``.
+
+    python scripts/bench_layers.py [--out BENCH_layers.json]
+
+Run from anywhere; ``vka`` is imported from ``src/``, the oracles from
+``tests/oracles.py`` and the workloads from ``perfbench/workloads.py``,
+which the script only reads.  Each benchmark workload's seed-1 requests
+run once through ``vka.cli.main`` with ``gcd_many`` and ``random_walk``
+wrapped to capture their inputs.  The ladder is ``random_code`` seeds
+0-4, long and closed, at c = 8, 12, 20 and 30 crossings.  Library calls
+take the best of three, references one call.  One section per layer:
+
+- ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
+  ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
+  with one, and that reach ``laurent.gcd``;
+- ``minors``: ``elementary_minors`` against ``minors_reference`` on the
+  ladder's ``quotient_matrix(d)``, at k = 0 and 1;
+- ``modules``: the ladder's char polys at k = 0 and 1, quotients ``none``
+  and (long only) ``end-minus``, by three routes: ``tietze``
+  (``abelianize(tietze_eliminate(p))``), ``reduced`` (``reduced_matrix(p)``)
+  and ``merged`` (``quotient_matrix(d, quotient)``, timed from the diagram);
+- ``walks``: the fuzz-walks workload's walks, best and median of 15
+  passes, and the sha256 of the walked codes.
+
+It exits 1 if two routes give unequal values.  A run takes about half a
+minute on a 2-core x86-64 host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import hashlib
+import io
+import json
+import os
+import pathlib
+import platform
+import random
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from oracles import minors_reference, random_code, reduced_matrix  # noqa: E402
+from vka import cli, invariants, laurent, moves  # noqa: E402
+from vka.alexander import abelianize, extended_presentation, tietze_eliminate  # noqa: E402
+from vka.diagram import parse_gauss, serialize_gauss  # noqa: E402
+from vka.invariants import _end_quotient, char_poly, elementary_minors, quotient_matrix  # noqa: E402
+
+SEED = 1
+CROSSINGS = (8, 12, 20, 30)
+SEEDS = range(5)
+KS = (0, 1)
+BEST_OF = 3
+WALK_REPEATS = 15
+WALK_WORKLOAD = "fuzz-walks"
+
+
+def timed(fn, repeats=BEST_OF):
+    """fn()'s last result and the seconds each of ``repeats`` calls took."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return result, times
+
+
+def ladder():
+    """(crossings, seed, closed, diagram) of every ``random_code`` diagram of the ladder."""
+    return [(crossings, seed, closed, parse_gauss(random_code(random.Random(seed), crossings, closed=closed)))
+            for crossings in CROSSINGS for seed in SEEDS for closed in (False, True)]
+
+
+def totals_by_crossings(cases, columns, counters=None):
+    """Per rung, the sum and the max of each column (the seconds of some fields, added up)
+    and the number of cases each counter holds for."""
+    totals = {}
+    for crossings in CROSSINGS:
+        rows = [c for c in cases if c["crossings"] == crossings]
+        rung = {}
+        for name, fields in columns.items():
+            seconds = [sum(c[field] for field in fields) for c in rows]
+            rung[f"{name}_s"] = round(sum(seconds), 6)
+            rung[f"{name}_max_s"] = round(max(seconds), 6)
+        for name, counted in (counters or {}).items():
+            rung[name] = sum(map(counted, rows))
+        totals[str(crossings)] = rung
+    return totals
+
+
+def replay(workload):
+    """The (polys, vars) of every ``gcd_many`` call and the (diagram, seed, steps,
+    max_crossings) of every ``random_walk`` call that the workload's requests make."""
+    gcd_calls, walks = [], []
+    real_gcd_many, real_random_walk = invariants.gcd_many, moves.random_walk
+
+    def gcd_many(polys, vars=None):
+        polys = list(polys)
+        gcd_calls.append((polys, vars))
+        return real_gcd_many(polys, vars=vars)
+
+    def random_walk(d, seed, steps, max_crossings=None):
+        walks.append((d, seed, steps, max_crossings))
+        return real_random_walk(d, seed, steps, max_crossings=max_crossings)
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="bench_layers_") as work:
+        os.chdir(ROOT)  # the workloads read corpus/ from the checkout root
+        invariants.gcd_many, moves.random_walk = gcd_many, random_walk
+        try:
+            requests = workloads.build(workload, SEED, pathlib.Path(work))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                for request in requests:
+                    cli.main(request)
+        finally:
+            invariants.gcd_many, moves.random_walk = real_gcd_many, real_random_walk
+            os.chdir(cwd)
+    return gcd_calls, walks
+
+
+def pairwise(polys, vars):
+    """The reference: ``laurent.gcd`` folded pair by pair, without shortcuts."""
+    if not polys:
+        return laurent.LaurentPoly.zero(vars)
+    return functools.reduce(laurent.gcd, polys).canonical()
+
+
+def fallback_calls(calls):
+    """How many ``gcd_many`` calls reach ``laurent.gcd``."""
+    reached = [0]
+    real = laurent.gcd
+
+    def counting(p, q):
+        reached[0] += 1
+        return real(p, q)
+
+    laurent.gcd = counting
+    try:
+        count = 0
+        for polys, vars in calls:
+            before = reached[0]
+            laurent.gcd_many(polys, vars=vars)
+            count += reached[0] > before
+    finally:
+        laurent.gcd = real
+    return count
+
+
+def gcd_case(calls):
+    """The ``gcd`` section's entry for one workload's captured calls."""
+    values, gcd_many_s = timed(lambda: [laurent.gcd_many(polys, vars=vars) for polys, vars in calls])
+    reference, reference_s = timed(lambda: [pairwise(polys, vars) for polys, vars in calls], 1)
+    return {
+        "calls": len(calls),
+        "inputs": sum(len(polys) for polys, _ in calls),
+        "no_input_calls": sum(not any(polys) for polys, _ in calls),
+        "single_input_calls": sum(sum(1 for p in polys if p) == 1 for polys, _ in calls),
+        "fallback_calls": fallback_calls(calls),
+        "gcd_many_s": round(min(gcd_many_s), 6),
+        "reference_s": round(min(reference_s), 6),
+        "unequal": sum(a != b for a, b in zip(values, reference)),
+    }
+
+
+def minors_cases(crossings, seed, closed, d):
+    """The ``minors`` section's cases of one ladder diagram, one per k."""
+    m = quotient_matrix(d)
+    cases = []
+    for k in KS:
+        packed, packed_s = timed(lambda: elementary_minors(m, k))
+        reference, reference_s = timed(lambda: minors_reference(m, k), 1)
+        cases.append({
+            "crossings": crossings, "seed": seed, "closed": closed, "k": k,
+            "shape": list(m.shape), "minors": len(packed),
+            "packed_s": round(min(packed_s), 6), "reference_s": round(min(reference_s), 6),
+            "equal": packed == reference,
+        })
+    return cases
+
+
+def modules_cases(crossings, seed, closed, d):
+    """The ``modules`` section's cases of one ladder diagram, one per quotient."""
+    cases = []
+    for quotient in ("none",) if closed else ("none", "end-minus"):
+        p = _end_quotient(extended_presentation(d), quotient)
+        routes = {
+            "tietze": lambda: abelianize(tietze_eliminate(p)),
+            "reduced": lambda: reduced_matrix(p),
+            "merged": lambda: quotient_matrix(d, quotient),
+        }
+        shapes, seconds, polys = {}, {}, []
+        for name, build in routes.items():
+            m, build_s = timed(build)
+            route_polys, charpoly_s = timed(lambda: [char_poly(m, k) for k in KS])
+            shapes[f"{name}_shape"] = list(m.shape)
+            seconds[f"{name}_build_s"] = round(min(build_s), 6)
+            seconds[f"{name}_charpoly_s"] = round(min(charpoly_s), 6)
+            polys.append(route_polys)
+        cases.append({
+            "crossings": crossings, "seed": seed, "closed": closed, "quotient": quotient,
+            **shapes, **seconds, "equal": all(route == polys[0] for route in polys),
+        })
+    return cases
+
+
+ROUTES = ("tietze", "reduced", "merged")
+# each route's build plus char polys, and its build alone
+ROUTE_COLUMNS = {
+    **{name: (f"{name}_build_s", f"{name}_charpoly_s") for name in ROUTES},
+    **{f"{name}_build": (f"{name}_build_s",) for name in ROUTES},
+}
+SHAPE_COUNTERS = {
+    "fewer_columns": lambda c: c["reduced_shape"][1] < c["tietze_shape"][1],
+    "more_columns": lambda c: c["reduced_shape"][1] > c["tietze_shape"][1],
+    "merged_more_rows": lambda c: c["merged_shape"][0] > c["reduced_shape"][0],
+    "merged_fewer_rows": lambda c: c["merged_shape"][0] < c["reduced_shape"][0],
+    "merged_more_columns": lambda c: c["merged_shape"][1] > c["reduced_shape"][1],
+    "merged_fewer_columns": lambda c: c["merged_shape"][1] < c["reduced_shape"][1],
+}
+
+
+def walks_section(walks, repeats=WALK_REPEATS):
+    """The ``walks`` section: the captured walks, walked again ``repeats`` times."""
+    ends, seconds = timed(lambda: [moves.random_walk(d, seed, steps, max_crossings=cap)
+                                   for d, seed, steps, cap in walks], repeats)
+    return {
+        "layer": "moves.random_walk",
+        "workload": f"the walks of the {WALK_WORKLOAD} request list, seed {SEED}",
+        "walks": len(walks),
+        "steps": sum(steps for _, _, steps, _ in walks),
+        "repeats": repeats,
+        "best_s": round(min(seconds), 6),
+        "median_s": round(statistics.median(seconds), 6),
+        "walked_sha256": hashlib.sha256("\n".join(map(serialize_gauss, ends)).encode("utf-8")).hexdigest(),
+    }
+
+
+def run():
+    replays = {workload: replay(workload) for workload in workloads.WORKLOADS}
+    gcd = {workload: gcd_case(calls) for workload, (calls, _) in replays.items()}
+    print(f"gcd: {sum(r['calls'] for r in gcd.values())} calls, {sum(r['unequal'] for r in gcd.values())} unequal",
+          file=sys.stderr)
+
+    walks = walks_section(replays[WALK_WORKLOAD][1])
+    print(f"walks: {walks['walks']} walks, best {walks['best_s']:.4f} s", file=sys.stderr)
+
+    rungs = ladder()
+    minors = [case for rung in rungs for case in minors_cases(*rung)]
+    print(f"minors: {len(minors)} cases", file=sys.stderr)
+    modules = [case for rung in rungs for case in modules_cases(*rung)]
+    print(f"modules: {len(modules)} cases", file=sys.stderr)
+
+    record = {
+        "schema": 1,
+        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "gcd": {
+            "layer": "laurent.gcd_many",
+            "workload": f"the gcd_many inputs of every benchmark workload's request list, seed {SEED}",
+            "all_equal": all(r["unequal"] == 0 for r in gcd.values()),
+            "workloads": gcd,
+        },
+        "minors": {
+            "layer": "invariants.elementary_minors",
+            "workload": "quotient_matrix of random_code seeds 0-4, long and closed, no quotient, k = 0 and 1",
+            "all_equal": all(c["equal"] for c in minors),
+            "totals_by_crossings": totals_by_crossings(minors, {"packed": ("packed_s",), "reference": ("reference_s",)}),
+            "cases": minors,
+        },
+        "modules": {
+            "layer": "module matrix and char polys (k = 0, 1)",
+            "workload": "random_code seeds 0-4, long and closed, quotients none and end-minus (long only)",
+            "all_equal": all(c["equal"] for c in modules),
+            "totals_by_crossings": totals_by_crossings(modules, ROUTE_COLUMNS, SHAPE_COUNTERS),
+            "cases": modules,
+        },
+        "walks": walks,
+    }
+    record["all_equal"] = all(record[name]["all_equal"] for name in ("gcd", "minors", "modules"))
+    return record
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"), help="where to write the record")
+    args = parser.parse_args(argv)
+    record = run()
+    pathlib.Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0 if record["all_equal"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -209,6 +209,9 @@ class LaurentPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        zero_exp = (0,) * len(self.vars)
+        if all(e == zero_exp for e in self.terms):  # a constant, zero included, equals its int
+            return hash(self.terms.get(zero_exp, 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- canonical form ----------------------------------------------

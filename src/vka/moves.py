@@ -192,7 +192,8 @@ def apply_move(d, site):
             raise IllegalMove(f"bad r1+ site {data}")
     elif kind == "r2+":
         i, j, sign, first_role, parallel = data
-        if not (0 <= i <= j <= n) or sign not in (1, -1) or first_role not in (OVER, UNDER):
+        if (not (0 <= i <= j <= n) or sign not in (1, -1) or first_role not in (OVER, UNDER)
+                or not isinstance(parallel, bool)):
             raise IllegalMove(f"bad r2+ site {data}")
     elif kind in _NO_SITE:
         if site not in _shrinking_sites(d.passages):

@@ -1,0 +1,65 @@
+"""``scripts/bench_layers.py`` runs against the library as it stands.
+
+The full ladder is not run here: one c = 8 diagram goes through the
+per-case helpers, and the fuzz-walks replay is checked against the
+committed ``BENCH_layers.json``.
+"""
+
+import importlib.util
+import json
+import os
+import random
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+from oracles import random_code
+from vka import invariants, moves
+from vka.diagram import parse_gauss
+
+RECORD = json.loads((REPO_ROOT / "BENCH_layers.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def bench():
+    path = sys.path[:]
+    spec = importlib.util.spec_from_file_location("bench_layers", REPO_ROOT / "scripts" / "bench_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+def _untimed(case):
+    return {k: v for k, v in case.items() if not k.endswith("_s")}
+
+
+def _recorded(section, case):
+    keys = ("crossings", "seed", "closed", "k", "quotient")
+    return [_untimed(c) for c in RECORD[section]["cases"]
+            if all(c.get(k) == case.get(k) for k in keys)]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_case_helpers_agree_on_a_small_diagram(bench, closed):
+    d = parse_gauss(random_code(random.Random(0), 8, closed=closed))
+    for section, helper in (("minors", bench.minors_cases), ("modules", bench.modules_cases)):
+        cases = helper(8, 0, closed, d)
+        assert cases and all(c["equal"] for c in cases)
+        for case in cases:
+            assert _recorded(section, case) == [_untimed(case)]
+
+
+def test_fuzz_walks_replay_matches_the_record(bench):
+    before = (invariants.gcd_many, moves.random_walk, os.getcwd())
+    gcd_calls, walks = bench.replay("fuzz-walks")
+    assert (invariants.gcd_many, moves.random_walk, os.getcwd()) == before
+    assert len(walks) == 165
+    assert sum(steps for _, _, steps, _ in walks) == 3300
+    assert _untimed(bench.gcd_case(gcd_calls)) == _untimed(RECORD["gcd"]["workloads"]["fuzz-walks"])
+    section = bench.walks_section(walks, repeats=1)
+    assert (section["walks"], section["steps"], section["walked_sha256"]) == (
+        RECORD["walks"]["walks"], RECORD["walks"]["steps"], RECORD["walks"]["walked_sha256"])

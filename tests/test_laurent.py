@@ -230,6 +230,16 @@ def test_constructor_takes_ints_and_bools():
     assert LaurentPoly(UV, [((True, False), True), ((1, 0), 2)]) == 3 * U
 
 
+@pytest.mark.parametrize("c", [0, 1, 3, -2])
+def test_constants_hash_as_the_ints_they_equal(c):
+    for vars in (UV, TVAR):
+        p = LaurentPoly.const(vars, c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert len({LaurentPoly.zero(UV), 0}) == 1
+    assert hash(parse_poly("u*v - 1")) == hash(U * V - 1)
+
+
 def test_render_graded_lex():
     assert str(parse_poly("1 - u + u^2*v")) == "u^2*v - u + 1"
     assert str(l1({2: 1, 0: 1, 1: -1})) == "t^2 - t + 1"

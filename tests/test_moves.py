@@ -71,6 +71,9 @@ def test_illegal_sites_rejected():
         apply_move(parse_gauss("U1+ U2+ O2+ O1+"), MoveSite("r3", (2, 1, 0, 1, 1)))
     with pytest.raises(IllegalMove):
         apply_move(d, MoveSite("r1+", (99, 1, "OU")))
+    for parallel in ("yes", 1, None):
+        with pytest.raises(IllegalMove):
+            apply_move(d, MoveSite("r2+", (0, 0, 1, "O", parallel)))
     with pytest.raises(IllegalMove):
         apply_move(d, MoveSite("nope", ()))
 
