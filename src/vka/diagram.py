@@ -44,10 +44,21 @@ class Passage(NamedTuple):
         return f"{self.role}{self.crossing}{'+' if self.sign > 0 else '-'}"
 
 
+def is_int(x):
+    """True for an int that is not a bool (nor any other subclass of int).
+
+    Crossing ids (at least 1), signs (1 or -1) and move positions are such
+    ints.  ``True == 1`` and ``1.0 == 1``, so a range check alone would let
+    bools and floats through.
+    """
+    return type(x) is int
+
+
 def _validate(passages):
     seen = {}
     for idx, p in enumerate(passages):
-        if p.role not in (OVER, UNDER) or p.sign not in (1, -1) or p.crossing < 1:
+        if not (p.role in (OVER, UNDER) and is_int(p.sign) and p.sign in (1, -1)
+                and is_int(p.crossing) and p.crossing >= 1):
             raise GaussCodeError(f"bad passage {p!r} at position {idx}")
         seen.setdefault(p.crossing, []).append(p)
     for cid, ps in seen.items():

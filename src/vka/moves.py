@@ -23,7 +23,7 @@ import itertools
 import random
 from typing import NamedTuple
 
-from .diagram import Diagram, OVER, Passage, UNDER
+from .diagram import Diagram, OVER, Passage, UNDER, is_int
 
 
 class MoveSite(NamedTuple):
@@ -187,13 +187,13 @@ def apply_move(d, site):
     site = MoveSite(site.kind, tuple(site.data))
     kind, data = site
     if kind == "r1+":
-        pos, sign, order = data
-        if not (0 <= pos <= n) or sign not in (1, -1) or order not in ("OU", "UO"):
+        pos, sign, order = data if len(data) == 3 else (None,) * 3
+        if not (is_int(pos) and 0 <= pos <= n and is_int(sign) and sign in (1, -1) and order in ("OU", "UO")):
             raise IllegalMove(f"bad r1+ site {data}")
     elif kind == "r2+":
-        i, j, sign, first_role, parallel = data
-        if (not (0 <= i <= j <= n) or sign not in (1, -1) or first_role not in (OVER, UNDER)
-                or not isinstance(parallel, bool)):
+        i, j, sign, first_role, parallel = data if len(data) == 5 else (None,) * 5
+        if not (is_int(i) and is_int(j) and 0 <= i <= j <= n and is_int(sign) and sign in (1, -1)
+                and first_role in (OVER, UNDER) and isinstance(parallel, bool)):
             raise IllegalMove(f"bad r2+ site {data}")
     elif kind in _NO_SITE:
         if site not in _shrinking_sites(d.passages):

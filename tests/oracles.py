@@ -8,21 +8,26 @@ by one monomial per letter, colorings and homomorphism counts by
 exhaustive assignment, move sites by trying every combination of adjacent
 pairs through matchers of their own (in ``vka`` the partner-index scan is
 the only definition of a legal site), arc incidences by a per-crossing
-table, Tietze elimination by the rescanning implementation the
-incremental one replaced, the end-quotient module matrix by the word
-route the merged arc matrix replaced, Smith normal form by a full
-smallest-entry scan at every pivot, and ranks mod p by Gauss-Jordan
-elimination over Z/p (the library counts maps to Z/p from Smith forms).
+table, merged arcs by a search along the over strands (``arc_classes``,
+the one partition under the references for A(u, v), A(t) and the
+colorings; the library walks the under passages), Tietze elimination by
+the rescanning implementation the incremental one replaced, the
+end-quotient module matrix by the word route the merged arc matrix
+replaced, Smith normal form by a full smallest-entry scan at every
+pivot, and ranks mod p by Gauss-Jordan elimination over Z/p (the library
+counts maps to Z/p from Smith forms).
 
 The helpers at the end are test conveniences built on the library:
-polynomial literals, evaluation at +-1, end columns, row-span membership
-and relation comparison.
+polynomial literals, the quotient list, one char-poly and hom-count
+comparison of two module matrices, evaluation at +-1, end columns,
+row-space membership of an end difference and relation comparison.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from vka.alexander import (
@@ -39,15 +44,17 @@ from vka.alexander import (
     _reduce,
     _solve,
     _word_row,
+    diagonal_t,
     extended_presentation,
     free_reduce,
+    one_variable,
     relation_is_trivial,
     tietze_eliminate,
     word_inverse,
     word_shift,
 )
-from vka.diagram import Diagram, LONG, OVER, Passage, UNDER
-from vka.invariants import RING_VARS, _end_quotient
+from vka.diagram import LONG, OVER, UNDER, parse_gauss
+from vka.invariants import RING_VARS, _end_quotient, char_poly, hom_count_to_cyclic
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
 from vka.moves import MoveSite
 
@@ -76,6 +83,14 @@ def det_cofactor(rows):
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         total += (-1) ** j * head * det_cofactor(minor)
     return total
+
+
+def maximal_minors(rows, ncols):
+    """Cofactor determinants of every square submatrix keeping all rows."""
+    return [
+        det_cofactor([[r[j] for j in cs] for r in rows])
+        for cs in combinations(range(ncols), len(rows))
+    ]
 
 
 def det_exact_reference(rows, vars):
@@ -191,38 +206,50 @@ def arc_structure(d):
 
 
 def arc_classes(d):
-    """Merged-arc class of every arc, by union-find over the over passages.
+    """Merged-arc class and v-exponent of every arc, and the class names.
 
-    Classes are numbered in order of their smallest arc.  This is the
-    reference for the columns of ``one_var_matrix``, which finds them in
-    one pass over the under passages.
+    Each crossing's second relation makes its two over arcs one generator
+    up to a power of v: OO = v*OI when positive, OI = v*OO when negative.
+    A search along these links from each unvisited arc, in arc order,
+    numbers the classes in order of their smallest arc, names each after
+    that arc and gives every arc its v-exponent against it.  The library's
+    ``merged_arc_rows`` finds the classes by one walk over the under
+    passages instead.
     """
     arcs = arc_structure(d)
-    parent = list(range(arcs.arc_count))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for inc in arcs.crossings.values():
-        a, b = find(inc.over_in), find(inc.over_out)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    reps = sorted({find(i) for i in range(arcs.arc_count)})
-    index = {r: i for i, r in enumerate(reps)}
-    return [index[find(i)] for i in range(arcs.arc_count)]
+    n = arcs.arc_count
+    sign_of = {p.crossing: p.sign for p in d.passages}
+    links = {a: [] for a in range(n)}
+    for cid, inc in arcs.crossings.items():
+        links[inc.over_in].append((inc.over_out, sign_of[cid]))
+        links[inc.over_out].append((inc.over_in, -sign_of[cid]))
+    classes, vexp, firsts = [None] * n, [0] * n, []
+    for start in range(n):
+        if classes[start] is not None:
+            continue
+        classes[start], todo = len(firsts), [start]
+        firsts.append(start)
+        while todo:
+            a = todo.pop()
+            for b, step in links[a]:
+                if classes[b] is None:
+                    classes[b], vexp[b] = classes[a], vexp[a] + step
+                    todo.append(b)
+    names = arc_names(n)
+    return classes, vexp, tuple(names[a] for a in firsts)
 
 
 def brute_force_colorings(d, p):
-    """Count colorings by trying every assignment on the merged arcs.
+    """Count colorings mod p by trying every assignment on the merged arcs.
 
-    Arc classes come from the union-find above, so the count does not
+    A coloring gives each class of ``arc_classes`` a residue, with twice
+    the over arc's equal to the sum of the under arcs' at every crossing.
+    The classes come from a search of their own, so the count does not
     depend on the library's column construction.
     """
     arcs = arc_structure(d)
-    classes = arc_classes(d)
-    k = max(classes) + 1
+    classes, _, names = arc_classes(d)
+    k = len(names)
     count = 0
     for assignment in range(p ** k):
         colors = []
@@ -292,17 +319,7 @@ def random_unit(rng, vars, max_exp=3):
 
 def random_long_diagram(rng, max_crossings=6):
     """A uniformly scrambled valid long Gauss code (any code is valid)."""
-    c = rng.randrange(0, max_crossings + 1)
-    slots = list(range(2 * c))
-    rng.shuffle(slots)
-    passages = [None] * (2 * c)
-    for cid in range(1, c + 1):
-        i, j = slots[2 * (cid - 1)], slots[2 * cid - 1]
-        sign = rng.choice((1, -1))
-        roles = [OVER, UNDER] if rng.random() < 0.5 else [UNDER, OVER]
-        passages[i] = Passage(cid, roles[0], sign)
-        passages[j] = Passage(cid, roles[1], sign)
-    return Diagram(LONG, passages)
+    return parse_gauss(random_code(rng, rng.randrange(0, max_crossings + 1)))
 
 
 def random_code(rng, crossings, closed=False):
@@ -318,6 +335,15 @@ def random_code(rng, crossings, closed=False):
         tokens[j] = f"{second}{cid}{sign}"
     body = " ".join(tokens)
     return f"closed\n{body}" if closed else body
+
+
+def random_diagrams(crossings, seeds):
+    """``random_code`` diagrams from ``random.Random(seed)``, long then closed, for each seed."""
+    return [
+        parse_gauss(random_code(random.Random(seed), crossings, closed=closed))
+        for seed in seeds
+        for closed in (False, True)
+    ]
 
 
 # -- reference Tietze elimination -------------------------------------
@@ -396,7 +422,8 @@ def _shaped_candidate(rel):
     return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
 
 
-def _dedupe(relations):
+def dedupe_relations(relations):
+    """The relations in order, less each that repeats an earlier one, either side first."""
     seen = set()
     out = []
     for rel in relations:
@@ -420,7 +447,7 @@ def tietze_eliminate_reference(p):
     """
     gens = list(p.generators)
     rels = [normalize_relation_reference(r) for r in p.relations]
-    rels = _dedupe([r for r in rels if not relation_is_trivial(r)])
+    rels = dedupe_relations([r for r in rels if not relation_is_trivial(r)])
     ends = [p.end_minus, p.end_plus]
     protected = set()
     for e in ends:
@@ -439,7 +466,7 @@ def tietze_eliminate_reference(p):
             ))
             if not relation_is_trivial(r2):
                 new.append(r2)
-        rels[:] = _dedupe(new)
+        rels[:] = dedupe_relations(new)
         for i, e in enumerate(ends):
             if e is not None:
                 ends[i] = _substitute_word(e, gen, expr)
@@ -619,97 +646,38 @@ def quotient_matrix_reference(d, quotient="none"):
 
 
 def merged_arc_rows_reference(d):
-    """A(u, v) by a search over the over strands and one rewritten word per crossing.
+    """A(u, v) by one rewritten word per crossing.
 
-    Each crossing's second relation makes its two over arcs one generator
-    up to a power of v: OO = v*OI when positive, OI = v*OO when negative.
-    A search from each unvisited arc, in arc order, gives every arc its
-    class (named after its smallest arc) and its v-exponent against that
-    arc.  The first relation of each crossing is then rewritten through
-    the classes and abelianized one letter at a time.
+    The first relation of each crossing is rewritten through
+    ``arc_classes``, each arc as its class's generator times v to its
+    exponent, and abelianized one letter at a time.
     """
-    arcs = arc_structure(d)
-    n = arcs.arc_count
-    sign_of = {p.crossing: p.sign for p in d.passages}
-    links = {a: [] for a in range(n)}
-    for cid, inc in arcs.crossings.items():
-        links[inc.over_in].append((inc.over_out, sign_of[cid]))
-        links[inc.over_out].append((inc.over_in, -sign_of[cid]))
-    cls, vexp, reps = [None] * n, [0] * n, []
-    for start in range(n):
-        if cls[start] is not None:
-            continue
-        cls[start], todo = len(reps), [start]
-        reps.append(start)
-        while todo:
-            a = todo.pop()
-            for b, step in links[a]:
-                if cls[b] is None:
-                    cls[b], vexp[b] = cls[a], vexp[a] + step
-                    todo.append(b)
-    names = arc_names(n)
-    arc_of = {name: i for i, name in enumerate(names)}
-    cols = tuple(names[r] for r in reps)
+    classes, vexp, cols = arc_classes(d)
+    arc_of = {name: i for i, name in enumerate(arc_names(len(classes)))}
     rows = []
     for rel in extended_presentation(d).relations[::2]:
         row = {}
         for word, scale in ((rel.left, 1), (rel.right, -1)):
             for l in word:
                 arc = arc_of[l.gen]
-                entry = row.setdefault(cols[cls[arc]], {})
+                entry = row.setdefault(cols[classes[arc]], {})
                 exp = (l.exp[0], l.exp[1] + vexp[arc])
                 entry[exp] = entry.get(exp, 0) + scale * l.sign
         rows.append({g: {e: c for e, c in entry.items() if c} for g, entry in row.items()})
     return [{g: entry for g, entry in row.items() if entry} for row in rows], cols
 
 
-def _arc_classes(d):
-    """Column and v-exponent of every arc in the merged arc matrices, and the column names.
-
-    Over passages do not split its arcs, so column j holds the arcs after
-    the j-th under passage, named after its first arc: c+1 columns for a
-    long diagram with c crossings, arc 0 in the first and the last arc in
-    the last.  A closed diagram has c columns (one if c = 0); the arcs after
-    its last under passage run on into column 0.
-
-    The relation OI^v = OO (OO^v = OI when negative) makes an arc v^e times
-    the first arc of its column, with e the sum of the signs of the over
-    passages between them.  The arcs that run on into column 0 are shifted
-    by the signs of the over passages up to arc 0.
-    """
-    count = d.crossings + 1 if d.kind == LONG else max(d.crossings, 1)
-    classes, vexp, col_names = [], [], []
-    unders = e = tail = 0
-    for arc, name in enumerate(arc_names(d.arc_count)):
-        col = unders % count
-        if col == len(col_names):
-            col_names.append(name)
-        classes.append(col)
-        vexp.append(e)
-        if arc < len(d.passages):
-            p = d.passages[arc]
-            if p.role == UNDER:
-                unders, e, tail = unders + 1, 0, arc + 1
-            else:
-                e += p.sign
-    if d.kind != LONG:
-        for arc in range(tail, len(vexp)):
-            vexp[arc] -= e
-    return classes, vexp, tuple(col_names)
-
-
 def one_var_matrix_reference(d, t=T_GEN):
     """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
 
     The per-crossing builder that ``one_var_matrix`` replaced by units
-    times the rows of A(u, v); kept as it was, with ``_arc_classes``.
-    Its columns are those of ``_arc_classes``.  ``t`` is the image of t.
-    T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives
-    the integer specialization (ring "Z"), where t^-1 = t.  The coloring
-    matrix is -A(-1).
+    times the rows of A(u, v), on the columns of ``arc_classes``.  ``t`` is
+    the image of t.  T_GEN gives the Laurent matrix over Z[t^+-1] (ring
+    "L1"); 1 or -1 gives the integer specialization (ring "Z"), where
+    t^-1 = t.  The coloring matrix is -A(-1).
     """
     arcs = arc_structure(d)
-    classes, _, col_names = _arc_classes(d)
+    classes, _, col_names = arc_classes(d)
     count = len(col_names)
     if isinstance(t, int):
         if t not in (1, -1):
@@ -812,6 +780,30 @@ def rank_mod(rows, p):
 
 # -- test helpers --------------------------------------------------------
 
+QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
+HOM_CASES = ((5, 3), (7, 3), (11, 2))  # (p, image of t) for hom_count_to_cyclic
+
+
+def quotients(d):
+    """The quotients ``d`` has: all four when long, only "none" when closed."""
+    return QUOTIENTS if d.kind == LONG else ("none",)
+
+
+def assert_same_module(a, b, ks=(0, 1, 2), context=()):
+    """Matrices ``a`` and ``b`` give the same char polys and hom counts.
+
+    Char polys for each k in ``ks`` over L2 and after the v1 and diag
+    specializations; hom counts for every ``HOM_CASES`` entry after both.
+    ``context`` heads the message of a failing assertion.
+    """
+    pairs = [(a, b)] + [(f(a), f(b)) for f in (one_variable, diagonal_t)]
+    for x, y in pairs:
+        for k in ks:
+            assert char_poly(x, k) == char_poly(y, k), (*context, x.ring, k)
+    for x, y in pairs[1:]:
+        for prime, s in HOM_CASES:
+            assert hom_count_to_cyclic(x, prime, s) == hom_count_to_cyclic(y, prime, s), (*context, x.ring, prime, s)
+
 
 def l2(terms):
     """Two-variable polynomial from {(u_exp, v_exp): coeff}."""
@@ -849,10 +841,24 @@ def end_generator_columns(p, m):
     return _dense(_word_row(p.end_minus), m.cols), _dense(_word_row(p.end_plus), m.cols)
 
 
-def in_rowspan_mod(rows, vec, p):
-    """True when vec lies in the Z/p row space of the matrix."""
-    base = rank_mod(rows, p)
-    return rank_mod(list(rows) + [vec], p) == base
+def end_arc_columns(m):
+    """Unit columns at the first and at the last column of m: the end arcs in a long diagram's A(t)."""
+    vars = RING_VARS[m.ring]
+    units = [LaurentPoly.const(vars, 1)] + [LaurentPoly.zero(vars)] * (len(m.cols) - 1)
+    return units, units[::-1]
+
+
+def difference_in_rowspan(m, a, b):
+    """Whether a - b lies in the row space of the Laurent matrix m mod p at each unit point.
+
+    ``a`` and ``b`` are columns of Laurent polynomials over m's ring.  One
+    bool per p = 3, 5, 7 and per point of nonzero residues mod p, in order.
+    """
+    for p in (3, 5, 7):
+        for point in product(range(1, p), repeat=len(RING_VARS[m.ring])):
+            rows = [[x.subs_mod(point, p) for x in row] for row in m.rows]
+            diff = [(x - y).subs_mod(point, p) for x, y in zip(a, b)]
+            yield rank_mod(rows + [diff], p) == rank_mod(rows, p)
 
 
 def is_trivial_presentation(p):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from oracles import random_code
+from oracles import quotients, random_code
 from conftest import REPO_ROOT
 from vka import alexander, cli, diagram, invariants
 from vka.cli import MAX_WINDINGS, main
@@ -125,6 +125,13 @@ def test_budget_exit_3(capsys, corpus_dir):
     )
     assert code == 3
     assert "budget" in err
+    k1 = str(corpus_dir / "k1.gauss")
+    code, _, err = run(capsys, "--max-coeff-bits", "0", "invariants", k1, "--charpoly", "0")
+    assert code == 3
+    assert "budget exceeded: coefficient exceeds 0 bits" in err
+    # a budget the matrix fits in changes nothing
+    assert run(capsys, "--max-coeff-bits", "1", "invariants", k1, "--charpoly", "1") == (0, "1\n", "")
+    assert run(capsys, "invariants", k1, "--charpoly", "1") == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("flag", ["--max-minors", "--max-coeff-bits"])
@@ -222,8 +229,7 @@ def test_golden_presentation_digest(capsys, corpus_dir, tmp_path):
     for name, text in inputs:
         path = tmp_path / f"{name}.gauss"
         path.write_text(text + "\n")
-        closed = text.lstrip().startswith("closed")
-        for quotient in ("none",) if closed else ("none", "end-minus", "end-plus", "ends"):
+        for quotient in quotients(diagram.parse_gauss(text)):
             code, out, _ = run(capsys, "--json", "invariants", str(path), "--presentation",
                                "--quotient", quotient)
             assert code == 0
@@ -258,8 +264,7 @@ def test_presentation_adds_nothing_to_the_char_polys(capsys, corpus_dir, tmp_pat
     for name, text in inputs:
         path = tmp_path / f"{name}.gauss"
         path.write_text(text + "\n")
-        closed = text.lstrip().startswith("closed")
-        for quotient in ("none",) if closed else ("none", "end-minus", "end-plus", "ends"):
+        for quotient in quotients(diagram.parse_gauss(text)):
             argv = ["invariants", str(path), "--charpoly", "0", "--charpoly", "1", "--quotient", quotient]
             for budget in ((), ("--max-minors", "1")):
                 code, out, _ = run(capsys, "--json", *budget, *argv)
@@ -319,6 +324,9 @@ def test_construct_concat(capsys, corpus_dir):
     )
     assert code == 0
     assert out.strip() == "U1- O2+ O1- U2+ O3+ U4- U3+ O4-"
+    code, _, err = run(capsys, "construct", "concat", str(corpus_dir / "k1.gauss"))
+    assert code == 2
+    assert "concat requires two diagrams" in err
 
 
 def test_construct_close(capsys, corpus_dir):
@@ -368,6 +376,9 @@ def test_construct_dn_rejects_huge_winding_count_exit_2(capsys, corpus_dir, monk
     )
     assert code == 2
     assert str(MAX_WINDINGS) in err
+    code, _, err = run(capsys, "construct", "dn", str(corpus_dir / "k1.gauss"), "abc")
+    assert code == 2
+    assert "dn requires a winding count" in err
     assert built == []
 
 

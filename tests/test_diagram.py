@@ -10,6 +10,7 @@ from vka.diagram import (
     Diagram,
     GaussCodeError,
     LONG,
+    Passage,
     TRIVIAL_LONG,
     UNKNOT,
     close,
@@ -50,6 +51,15 @@ def test_parse_rejects_wrong_multiplicity():
 def test_parse_rejects_same_role_twice():
     with pytest.raises(GaussCodeError, match="two O passages"):
         parse_gauss("O1+ O1+")
+
+
+def test_diagram_rejects_bad_kinds_ids_and_signs():
+    with pytest.raises(GaussCodeError, match="unknown diagram kind"):
+        Diagram("open", ())
+    # ids and signs are ints, not bools or floats that equal them
+    for cid, sign in ((1, True), (1, 1.0), (1.0, 1), (True, -1), ("1", 1)):
+        with pytest.raises(GaussCodeError, match="bad passage"):
+            Diagram(LONG, [Passage(cid, "O", sign), Passage(cid, "U", sign)])
 
 
 def test_parse_error_location():

@@ -7,19 +7,21 @@ import pytest
 import catalog
 from oracles import (
     arc_classes,
-    arc_structure,
     brute_force_colorings,
     brute_force_hom_count,
     det_cofactor,
     det_exact_reference,
+    maximal_minors,
     minors_reference,
+    one_var_matrix_reference,
+    quotients,
     random_code,
     random_long_diagram,
     rank_mod,
     subs_int,
     transfer_brute_force,
 )
-from vka import alexander, invariants, laurent
+from vka import invariants, laurent
 from vka.alexander import (
     abelianize,
     diagonal_t,
@@ -53,33 +55,32 @@ from vka.laurent import LaurentPoly, TVAR, UV, parse_poly
 from vka.alexander import PresentationMatrix
 
 
-def int_matrix(rows):
-    rows = tuple(tuple(r) for r in rows)
-    cols = tuple(f"x{i}" for i in range(len(rows[0]) if rows else 0))
-    return PresentationMatrix("Z", cols, rows)
+def _matrix(ring, rows):
+    return PresentationMatrix(ring, tuple(f"x{i}" for i in range(len(rows[0]) if rows else 0)),
+                              tuple(map(tuple, rows)))
 
 
 # -- minors ---------------------------------------------------------------
 
 
 def test_minors_single_entry():
-    m = int_matrix([[7]])
+    m = _matrix("Z", [[7]])
     assert elementary_minors(m, 0) == [7]
 
 
 def test_minors_empty_convention():
-    m = int_matrix([[7]])
+    m = _matrix("Z", [[7]])
     assert elementary_minors(m, 1) == [1]
     assert elementary_minors(m, 5) == [1]
 
 
 def test_minors_size_one_enumeration():
-    m = int_matrix([[5, 0], [0, 5]])
+    m = _matrix("Z", [[5, 0], [0, 5]])
     assert sorted(elementary_minors(m, 1)) == [0, 0, 5, 5]
 
 
 def test_minors_exceeding_dimensions():
-    m = int_matrix([[1, 2, 3]])
+    m = _matrix("Z", [[1, 2, 3]])
     assert elementary_minors(m, 1) == []
 
 
@@ -87,7 +88,7 @@ def test_minors_budget():
     rng = random.Random(0)
     rows = [[rng.randrange(-3, 4) for _ in range(8)] for _ in range(8)]
     with pytest.raises(BudgetExceeded):
-        elementary_minors(int_matrix(rows), 4, max_minors=10)
+        elementary_minors(_matrix("Z", rows), 4, max_minors=10)
 
 
 def test_det_exact_matches_cofactor_oracle():
@@ -107,12 +108,10 @@ def test_det_exact_laurent():
 
 # -- packed minors against the Laurent Bareiss reference -------------------
 
-QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
-
 
 def _char_poly_inputs(d):
     """The L2 matrix of every valid quotient of d, and its v1 and diag specializations."""
-    for quotient in QUOTIENTS if d.kind == LONG else ("none",):
+    for quotient in quotients(d):
         m = abelianize(quotient_pipeline(d, quotient))
         yield from (m, one_variable(m), diagonal_t(m))
 
@@ -135,11 +134,6 @@ def test_packed_minors_match_reference_at_30_crossings():
     for seed, closed, k in cases:
         m = abelianize(quotient_pipeline(parse_gauss(random_code(random.Random(seed), 30, closed=closed))))
         assert elementary_minors(m, k) == minors_reference(m, k), (seed, closed, k)
-
-
-def _matrix(ring, rows):
-    return PresentationMatrix(ring, tuple(f"x{i}" for i in range(len(rows[0]) if rows else 0)),
-                              tuple(map(tuple, rows)))
 
 
 def test_packed_minors_adversarial_matrices():
@@ -302,38 +296,17 @@ def test_one_var_matrix_columns_are_union_find_classes():
     for c in range(31):
         for closed in (False, True):
             d = parse_gauss(random_code(rng, c, closed=closed))
-            classes = arc_classes(d)
-            count = max(classes) + 1
-            names = alexander.arc_names(d.arc_count)
+            classes, _, names = arc_classes(d)
             a = one_var_matrix(d)
-            assert a.cols == tuple(names[classes.index(j)] for j in range(count))
+            assert a.cols == names
             if not closed:
-                assert classes[0] == 0 and classes[-1] == count - 1
-            arcs = arc_structure(d)
-            signs = {p.crossing: p.sign for p in d.passages}
-            expected = []
-            for cid in sorted(arcs.crossings):
-                inc = arcs.crossings[cid]
-                t = LaurentPoly.monomial(TVAR, (signs[cid],))
-                row = [LaurentPoly.zero(TVAR)] * count
-                row[classes[inc.under_out]] += 1
-                row[classes[inc.under_in]] -= t
-                row[classes[inc.over_in]] -= 1 - t
-                expected.append(tuple(row))
-            assert a.rows == tuple(expected)
+                assert classes[0] == 0 and classes[-1] == len(names) - 1
+            assert a == one_var_matrix_reference(d)
 
 
 def _a_at(d, t0):
     """A(t0), evaluated entry by entry from the Laurent matrix A(t)."""
     return [[subs_int(e, (t0,)) for e in row] for row in one_var_matrix(d).rows]
-
-
-def _maximal_minors(rows, ncols):
-    """Cofactor determinants of every square submatrix keeping all rows."""
-    return [
-        det_cofactor([[r[j] for j in cs] for r in rows])
-        for cs in combinations(range(ncols), len(rows))
-    ]
 
 
 def test_integer_specializations_match_laurent_matrix():
@@ -353,7 +326,7 @@ def test_determinant_is_gcd_of_maximal_minors():
     rng = random.Random(43)
     for _ in range(80):
         d = random_long_diagram(rng)
-        minors = _maximal_minors(_a_at(d, -1), d.crossings + 1)
+        minors = maximal_minors(_a_at(d, -1), d.crossings + 1)
         assert determinant_long(d) == math.gcd(*minors)
 
 
@@ -377,7 +350,7 @@ def test_smith_product_is_gcd_of_maximal_minors():
         rows = [[rng.randrange(-3, 4) for _ in range(c + 1)] for _ in range(c)]
         if c > 1 and rng.random() < 0.3:
             rows[-1] = [2 * x for x in rows[0]]
-        minors = _maximal_minors(rows, c + 1)
+        minors = maximal_minors(rows, c + 1)
         assert math.prod(smith_normal_form(rows)) == math.gcd(*minors)
 
 
@@ -400,8 +373,6 @@ def test_smith_divisibility_chain_and_minor_gcd_oracle():
             else:
                 assert b % a == 0
         # d1*...*dk equals the gcd of all k x k minors
-        from itertools import combinations
-
         prod = 1
         for k, dk in enumerate(inv, start=1):
             prod *= dk
@@ -542,7 +513,7 @@ def test_hom_count_equals_rank_mod_oracle_to_30_crossings():
         rng = random.Random(seed)
         for c, closed in product((0, 1, 3, 6, 10, 15, 22, 30), (False, True)):
             d = parse_gauss(random_code(rng, c, closed))
-            for quotient in ("none",) if closed else invariants._KILLED_ENDS:
+            for quotient in quotients(d):
                 mat = quotient_matrix(d, quotient)
                 for m in (one_variable(mat), diagonal_t(mat)):
                     for p in HOM_PRIMES:

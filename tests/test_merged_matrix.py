@@ -14,48 +14,26 @@ import pytest
 
 import catalog
 from oracles import (
+    assert_same_module,
     merged_arc_rows_reference,
     one_var_matrix_reference,
     quotient_matrix_reference,
-    random_code,
+    quotients,
+    random_diagrams,
     smith_normal_form_reference,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, diagonal_t, merged_arc_rows, one_var_matrix, one_variable
+from vka.alexander import T_GEN, merged_arc_rows, one_var_matrix
 from vka.diagram import LONG, dn_family, parse_gauss
-from vka.invariants import char_poly, hom_count_to_cyclic, invariant_profile, quotient_matrix, smith_normal_form
+from vka.invariants import char_poly, invariant_profile, quotient_matrix, smith_normal_form
 from vka.moves import random_walk
-
-QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
-HOM_CASES = ((5, 3), (7, 3), (11, 2))
-SPECIALIZATIONS = (lambda m: m, one_variable, diagonal_t)
-
-
-def _quotients(d):
-    return QUOTIENTS if d.kind == LONG else ("none",)
-
-
-def _random(crossings, seeds):
-    return [
-        parse_gauss(random_code(random.Random(seed), crossings, closed=closed))
-        for seed in seeds
-        for closed in (False, True)
-    ]
 
 
 def _assert_matches_word_route(d, ks=(0, 1, 2)):
     """Char polys over L2, v1 and diag, and hom counts, for every quotient of d."""
     assert merged_arc_rows(d) == merged_arc_rows_reference(d)
-    for quotient in _quotients(d):
-        old, new = quotient_matrix_reference(d, quotient), quotient_matrix(d, quotient)
-        for specialize in SPECIALIZATIONS:
-            a, b = specialize(old), specialize(new)
-            for k in ks:
-                assert char_poly(a, k) == char_poly(b, k), (d, quotient, a.ring, k)
-        for specialize in SPECIALIZATIONS[1:]:
-            a, b = specialize(old), specialize(new)
-            for prime, s in HOM_CASES:
-                assert hom_count_to_cyclic(a, prime, s) == hom_count_to_cyclic(b, prime, s), (d, quotient, prime, s)
+    for quotient in quotients(d):
+        assert_same_module(quotient_matrix_reference(d, quotient), quotient_matrix(d, quotient), ks, (d, quotient))
 
 
 @pytest.mark.parametrize("crossings", [None, 0, 1, 2, 4, 8, 12, 20, 30])
@@ -63,7 +41,7 @@ def test_quotient_matrix_matches_word_route(crossings):
     if crossings is None:
         diagrams = list(catalog.corpus().values())
     else:
-        diagrams = _random(crossings, range(5 if crossings == 30 else 10))
+        diagrams = random_diagrams(crossings, range(5 if crossings == 30 else 10))
     for d in diagrams:
         _assert_matches_word_route(d)
 
@@ -172,7 +150,7 @@ def _one_var_diagrams():
     bases = list(catalog.corpus().values())
     diagrams = bases + [dn_family(b, n) for b in bases if b.kind == LONG for n in range(1, 7)]
     for crossings in range(31):
-        diagrams += _random(crossings, range(2))
+        diagrams += random_diagrams(crossings, range(2))
     return diagrams
 
 
@@ -201,7 +179,7 @@ def _a_minus_one_matrices():
     bases = list(catalog.corpus().values())
     diagrams = bases + [dn_family(b, n) for b in bases[:4] for n in range(1, 7)]
     for crossings in (8, 12, 20, 30):
-        diagrams += _random(crossings, range(3))
+        diagrams += random_diagrams(crossings, range(3))
     return [one_var_matrix(d, -1).rows for d in diagrams]
 
 

@@ -74,6 +74,13 @@ def test_illegal_sites_rejected():
     for parallel in ("yes", 1, None):
         with pytest.raises(IllegalMove):
             apply_move(d, MoveSite("r2+", (0, 0, 1, "O", parallel)))
+    # positions and signs are ints, not bools or floats; each site has its length
+    for data in ((0, True, "OU"), (0, 1.0, "OU"), (1.0, 1, "OU"), (True, 1, "OU"), (0, 1)):
+        with pytest.raises(IllegalMove):
+            apply_move(d, MoveSite("r1+", data))
+    for data in ((0, 1, 1.0, "O", True), (0, 1, True, "O", True), (0.0, 1, 1, "O", True), (0, 1, 1, "O")):
+        with pytest.raises(IllegalMove):
+            apply_move(d, MoveSite("r2+", data))
     with pytest.raises(IllegalMove):
         apply_move(d, MoveSite("nope", ()))
 
@@ -103,6 +110,8 @@ def test_random_walk_respects_cap():
     for seed in range(10):
         w = random_walk(d, seed, 40, max_crossings=5)
         assert w.crossings <= 5
+    # no shrinking site and no room to grow: the walk stays put
+    assert random_walk(TRIVIAL_LONG, 0, 5, max_crossings=0) == TRIVIAL_LONG
 
 
 def test_walk_preserves_k1_invariants():

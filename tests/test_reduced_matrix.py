@@ -12,73 +12,48 @@ import time
 import pytest
 
 import catalog
-from oracles import random_code, reduced_matrix
+from oracles import assert_same_module, quotients, random_code, random_diagrams, reduced_matrix
 from vka import alexander, cli, invariants
 from vka.alexander import (
     GroupPresentationZ2,
     OpLetter,
     OpRelation,
     abelianize,
-    diagonal_t,
     extended_presentation,
-    one_variable,
     tietze_eliminate,
 )
-from vka.diagram import LONG, UNKNOT, parse_gauss
-from vka.invariants import _end_quotient, char_poly, hom_count_to_cyclic
+from vka.diagram import UNKNOT, parse_gauss
+from vka.invariants import _end_quotient, char_poly
 from vka.laurent import LaurentPoly, UV
-
-QUOTIENTS = ("none", "end-minus", "end-plus", "ends")
-HOM_CASES = ((5, 3), (7, 3), (11, 2))
-
-
-def _quotients(d):
-    return QUOTIENTS if d.kind == LONG else ("none",)
 
 
 def _assert_same_module(p, reduced, ks=(0, 1, 2)):
     """Char polys over L2, v1 and diag, and hom counts, agree with today's route."""
-    full = abelianize(tietze_eliminate(p))
     assert len(reduced.cols) <= len(abelianize(p).cols)
-    for specialize in (lambda m: m, one_variable, diagonal_t):
-        a, b = specialize(full), specialize(reduced)
-        for k in ks:
-            assert char_poly(a, k) == char_poly(b, k), (a.ring, k)
-    for specialize in (one_variable, diagonal_t):
-        a, b = specialize(full), specialize(reduced)
-        for prime, s in HOM_CASES:
-            assert hom_count_to_cyclic(a, prime, s) == hom_count_to_cyclic(b, prime, s), (prime, s)
-
-
-def _diagrams(crossings):
-    return [
-        parse_gauss(random_code(random.Random(seed), crossings, closed=closed))
-        for seed in range(5)
-        for closed in (False, True)
-    ]
+    assert_same_module(abelianize(tietze_eliminate(p)), reduced, ks)
 
 
 @pytest.mark.parametrize("crossings", [None, 8, 12, 20])
 def test_reduced_matrix_matches_tietze_route(crossings):
-    diagrams = list(catalog.corpus().values()) if crossings is None else _diagrams(crossings)
+    diagrams = list(catalog.corpus().values()) if crossings is None else random_diagrams(crossings, range(5))
     for d in diagrams:
-        for quotient in _quotients(d):
+        for quotient in quotients(d):
             p = _end_quotient(extended_presentation(d), quotient)
             _assert_same_module(p, reduced_matrix(p))
 
 
 def test_reduced_matrix_matches_tietze_route_at_30_crossings():
     # k = 2 and the L2 lists of every quotient would take minutes on today's route
-    for d in _diagrams(30):
-        for quotient in _quotients(d):
+    for d in random_diagrams(30, range(5)):
+        for quotient in quotients(d):
             p = _end_quotient(extended_presentation(d), quotient)
             _assert_same_module(p, reduced_matrix(p), ks=(0, 1))
 
 
 def test_reduced_matrix_of_an_eliminated_presentation():
     # what `invariants --presentation --charpoly K` reduced before it took A(u, v)
-    for d in list(catalog.corpus().values()) + _diagrams(8):
-        for quotient in _quotients(d):
+    for d in list(catalog.corpus().values()) + random_diagrams(8, range(5)):
+        for quotient in quotients(d):
             shown = tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
             reduced = reduced_matrix(shown)
             assert len(reduced.cols) <= len(shown.generators)
@@ -116,13 +91,7 @@ def _assert_same_ideals(p, ks=range(5)):
     full, reduced = abelianize(p), reduced_matrix(p)
     assert len(reduced.cols) <= len(full.cols)
     assert not any(e.is_unit for row in reduced.rows for e in row)  # no pivot left
-    for specialize in (lambda m: m, one_variable, diagonal_t):
-        for k in ks:
-            assert char_poly(specialize(full), k) == char_poly(specialize(reduced), k), k
-    for specialize in (one_variable, diagonal_t):
-        for prime, s in HOM_CASES:
-            assert hom_count_to_cyclic(specialize(full), prime, s) == \
-                hom_count_to_cyclic(specialize(reduced), prime, s)
+    assert_same_module(full, reduced, ks)
     return reduced
 
 

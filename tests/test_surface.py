@@ -4,6 +4,10 @@ A definition is used when code in ``src/vka`` refers to it outside its own
 body, when ``vka.__all__`` exports it, or when ``perfbench/`` refers to it
 (the tracer names the layer functions it wraps as strings).  Helpers that
 only tests call belong in ``tests/``.
+
+Every module-level function and class of ``tests/oracles.py`` has a user
+too: another file in ``tests/``, ``scripts/bench_layers.py``, or another
+oracle outside the definition's own body.
 """
 
 import ast
@@ -29,6 +33,25 @@ def _references(tree, strings=False):
             yield node.value, node.lineno
 
 
+def _unused(module, tree, refs, elsewhere):
+    """``module:line name`` of each module-level function and class of ``tree`` with no user.
+
+    ``refs`` maps module names to their references; a definition is used when
+    ``elsewhere`` holds its name or some module refers to it outside its own body.
+    """
+    return [
+        f"{module}:{node.lineno} {node.name}"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in elsewhere
+        and not any(
+            name == node.name and not (other == module and node.lineno <= line <= node.end_lineno)
+            for other, found in refs.items()
+            for name, line in found
+        )
+    ]
+
+
 def test_every_library_definition_has_a_user():
     modules = {path.name: _parse(path) for path in sorted((ROOT / "src" / "vka").glob("*.py"))}
     refs = {name: list(_references(tree)) for name, tree in modules.items()}
@@ -37,16 +60,15 @@ def test_every_library_definition_has_a_user():
         for path in sorted((ROOT / "perfbench").glob("*.py"))
         for name, _ in _references(_parse(path), strings=True)
     }
-    unused = []
-    for module, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            used = node.name in vka.__all__ or node.name in bench or any(
-                name == node.name and not (other == module and node.lineno <= line <= node.end_lineno)
-                for other, found in refs.items()
-                for name, line in found
-            )
-            if not used:
-                unused.append(f"{module}:{node.lineno} {node.name}")
+    elsewhere = set(vka.__all__) | bench
+    unused = [line for module, tree in modules.items() for line in _unused(module, tree, refs, elsewhere)]
     assert not unused, "used only by tests or by nothing: " + ", ".join(unused)
+
+
+def test_every_oracle_has_a_user():
+    oracles = _parse(ROOT / "tests" / "oracles.py")
+    users = [path for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "oracles.py"]
+    users.append(ROOT / "scripts" / "bench_layers.py")
+    elsewhere = {name for path in users for name, _ in _references(_parse(path))}
+    unused = _unused("oracles.py", oracles, {"oracles.py": list(_references(oracles))}, elsewhere)
+    assert not unused, "used by no test, no layer bench and no other oracle: " + ", ".join(unused)
