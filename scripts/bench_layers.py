@@ -5,10 +5,11 @@
 Run from anywhere; ``vka`` is imported from ``src/``, the oracles from
 ``tests/oracles.py`` and the workloads from ``perfbench/workloads.py``,
 which the script only reads.  Each benchmark workload's seed-1 requests
-run once through ``vka.cli.main`` with ``gcd_many`` and ``random_walk``
-wrapped to capture their inputs.  The ladder is ``random_code`` seeds
-0-4, long and closed, at c = 8, 12, 20 and 30 crossings.  Library calls
-take the best of three, references one call.  One section per layer:
+run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk`` and
+``quotient_pipeline`` wrapped to capture their inputs.  The ladder is
+``random_code`` seeds 0-4, long and closed, at c = 8, 12, 20 and 30
+crossings.  Library calls take the best of three, references one call.
+One section per layer:
 
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
   ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
@@ -19,6 +20,11 @@ take the best of three, references one call.  One section per layer:
   and (long only) ``end-minus``, by three routes: ``tietze``
   (``abelianize(tietze_eliminate(p))``), ``reduced`` (``reduced_matrix(p)``)
   and ``merged`` (``quotient_matrix(d, quotient)``, timed from the diagram);
+- ``presentations``: the displayed presentation, ``quotient_pipeline(d)``
+  (the first Tietze pass read off the diagram) against
+  ``tietze_eliminate(extended_presentation(d))``, on the invariants-ladder
+  workload's ``--presentation`` diagrams (best of 15 interleaved passes)
+  and on the ladder;
 - ``walks``: the fuzz-walks workload's walks, best and median of 15
   passes, and the sha256 of the walked codes.
 
@@ -51,7 +57,7 @@ from oracles import minors_reference, random_code, reduced_matrix  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
 from vka.alexander import abelianize, extended_presentation, tietze_eliminate  # noqa: E402
 from vka.diagram import parse_gauss, serialize_gauss  # noqa: E402
-from vka.invariants import _end_quotient, char_poly, elementary_minors, quotient_matrix  # noqa: E402
+from vka.invariants import _end_quotient, char_poly, elementary_minors, quotient_matrix, quotient_pipeline  # noqa: E402
 
 SEED = 1
 CROSSINGS = (8, 12, 20, 30)
@@ -60,6 +66,8 @@ KS = (0, 1)
 BEST_OF = 3
 WALK_REPEATS = 15
 WALK_WORKLOAD = "fuzz-walks"
+PRESENTATION_REPEATS = 15
+PRESENTATION_WORKLOAD = "invariants-ladder"
 
 
 def timed(fn, repeats=BEST_OF):
@@ -96,10 +104,11 @@ def totals_by_crossings(cases, columns, counters=None):
 
 
 def replay(workload):
-    """The (polys, vars) of every ``gcd_many`` call and the (diagram, seed, steps,
-    max_crossings) of every ``random_walk`` call that the workload's requests make."""
-    gcd_calls, walks = [], []
-    real_gcd_many, real_random_walk = invariants.gcd_many, moves.random_walk
+    """The (polys, vars) of every ``gcd_many`` call, the (diagram, seed, steps,
+    max_crossings) of every ``random_walk`` call and the (diagram, quotient) of
+    every ``quotient_pipeline`` call that the workload's requests make."""
+    gcd_calls, walks, presentations = [], [], []
+    real_gcd_many, real_random_walk, real_pipeline = invariants.gcd_many, moves.random_walk, quotient_pipeline
 
     def gcd_many(polys, vars=None):
         polys = list(polys)
@@ -110,19 +119,24 @@ def replay(workload):
         walks.append((d, seed, steps, max_crossings))
         return real_random_walk(d, seed, steps, max_crossings=max_crossings)
 
+    def pipeline(d, quotient="none"):
+        presentations.append((d, quotient))
+        return real_pipeline(d, quotient)
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as work:
         os.chdir(ROOT)  # the workloads read corpus/ from the checkout root
-        invariants.gcd_many, moves.random_walk = gcd_many, random_walk
+        invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline = gcd_many, random_walk, pipeline
         try:
             requests = workloads.build(workload, SEED, pathlib.Path(work))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 for request in requests:
                     cli.main(request)
         finally:
-            invariants.gcd_many, moves.random_walk = real_gcd_many, real_random_walk
+            invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline = (
+                real_gcd_many, real_random_walk, real_pipeline)
             os.chdir(cwd)
-    return gcd_calls, walks
+    return gcd_calls, walks, presentations
 
 
 def pairwise(polys, vars):
@@ -226,6 +240,39 @@ SHAPE_COUNTERS = {
 }
 
 
+def presentations_cases(crossings, seed, closed, d):
+    """The ``presentations`` section's case of one ladder diagram."""
+    shown, pipeline_s = timed(lambda: quotient_pipeline(d))
+    generic, generic_s = timed(lambda: tietze_eliminate(extended_presentation(d)))
+    return [{
+        "crossings": crossings, "seed": seed, "closed": closed,
+        "generators": len(shown.generators), "relations": len(shown.relations),
+        "pipeline_s": round(min(pipeline_s), 6), "generic_s": round(min(generic_s), 6),
+        "equal": shown == generic,
+    }]
+
+
+def presentations_workload(calls, repeats=PRESENTATION_REPEATS):
+    """Both routes on the captured ``quotient_pipeline`` calls, best of ``repeats`` interleaved passes."""
+    assert all(quotient == "none" for _, quotient in calls)
+    diagrams = [d for d, _ in calls]
+    pipeline_s, generic_s = [], []
+    for _ in range(repeats):
+        shown, seconds = timed(lambda: [quotient_pipeline(d) for d in diagrams], 1)
+        pipeline_s += seconds
+        generic, seconds = timed(lambda: [tietze_eliminate(extended_presentation(d)) for d in diagrams], 1)
+        generic_s += seconds
+    return {
+        "workload": f"the --presentation diagrams of the {PRESENTATION_WORKLOAD} request list, seed {SEED}",
+        "diagrams": len(diagrams),
+        "repeats": repeats,
+        "pipeline_s": round(min(pipeline_s), 6),
+        "generic_s": round(min(generic_s), 6),
+        "speedup": round(min(generic_s) / min(pipeline_s), 2),
+        "unequal": sum(a != b for a, b in zip(shown, generic)),
+    }
+
+
 def walks_section(walks, repeats=WALK_REPEATS):
     """The ``walks`` section: the captured walks, walked again ``repeats`` times."""
     ends, seconds = timed(lambda: [moves.random_walk(d, seed, steps, max_crossings=cap)
@@ -244,7 +291,7 @@ def walks_section(walks, repeats=WALK_REPEATS):
 
 def run():
     replays = {workload: replay(workload) for workload in workloads.WORKLOADS}
-    gcd = {workload: gcd_case(calls) for workload, (calls, _) in replays.items()}
+    gcd = {workload: gcd_case(calls) for workload, (calls, _, _) in replays.items()}
     print(f"gcd: {sum(r['calls'] for r in gcd.values())} calls, {sum(r['unequal'] for r in gcd.values())} unequal",
           file=sys.stderr)
 
@@ -256,6 +303,9 @@ def run():
     print(f"minors: {len(minors)} cases", file=sys.stderr)
     modules = [case for rung in rungs for case in modules_cases(*rung)]
     print(f"modules: {len(modules)} cases", file=sys.stderr)
+    workload = presentations_workload(replays[PRESENTATION_WORKLOAD][2])
+    ladder_presentations = [case for rung in rungs for case in presentations_cases(*rung)]
+    print(f"presentations: {workload['diagrams']} workload diagrams, {workload['speedup']}x", file=sys.stderr)
 
     record = {
         "schema": 1,
@@ -280,9 +330,19 @@ def run():
             "totals_by_crossings": totals_by_crossings(modules, ROUTE_COLUMNS, SHAPE_COUNTERS),
             "cases": modules,
         },
+        "presentations": {
+            "layer": "invariants.quotient_pipeline against tietze_eliminate(extended_presentation(d))",
+            "all_equal": workload["unequal"] == 0 and all(c["equal"] for c in ladder_presentations),
+            "workload": workload,
+            "ladder": "random_code seeds 0-4, long and closed, no quotient",
+            "totals_by_crossings": totals_by_crossings(
+                ladder_presentations, {"pipeline": ("pipeline_s",), "generic": ("generic_s",)}),
+            "cases": ladder_presentations,
+        },
         "walks": walks,
     }
-    record["all_equal"] = all(record[name]["all_equal"] for name in ("gcd", "minors", "modules"))
+    sections = ("gcd", "minors", "modules", "presentations")
+    record["all_equal"] = all(record[name]["all_equal"] for name in sections)
     return record
 
 

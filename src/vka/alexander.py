@@ -189,18 +189,24 @@ def _crossing_relation(sign, oi, oo, ui, uo):
     )
 
 
+def _crossings(d, names):
+    """Per crossing, in id order: its sign and its arcs OI, OO, UI, UO, and the arcs (shifted, plain)
+    of its second-family relation shifted^v = plain."""
+    over, under = {}, {}
+    for i, (cid, role, sign) in enumerate(d.passages):  # the passage at i runs from arc i to arc i + 1
+        (over if role == OVER else under)[cid] = names[i], names[(i + 1) % d.arc_count], sign
+    for cid in range(1, d.crossings + 1):
+        (oi, oo, sign), (ui, uo, _) = over[cid], under[cid]
+        yield sign, (oi, oo, ui, uo), ((oi, oo) if sign > 0 else (oo, oi))  # OI^v = OO, or OO^v = OI
+
+
 def extended_presentation(d):
     """Two-variable arc-group presentation of a diagram."""
     names = arc_names(d.arc_count)
-    over, under = {}, {}
-    for i, (cid, role, sign) in enumerate(d.passages):  # the passage at i runs from arc i to arc i + 1
-        (over if role == OVER else under)[cid] = (names[i], 0), (names[(i + 1) % d.arc_count], 0), sign
     relations = []
-    for cid in range(1, d.crossings + 1):
-        (oi, oo, sign), (ui, uo, _) = over[cid], under[cid]
-        relations.append(_crossing_relation(sign, oi, oo, ui, uo))
-        shifted, plain = (oi, oo) if sign > 0 else (oo, oi)  # OI^v = OO, or OO^v = OI
-        relations.append(OpRelation((OpLetter(shifted[0], EV, 1),), (OpLetter(plain[0], E0, 1),)))
+    for sign, arcs, (shifted, plain) in _crossings(d, names):
+        relations.append(_crossing_relation(sign, *((arc, 0) for arc in arcs)))
+        relations.append(OpRelation((OpLetter(shifted, EV, 1),), (OpLetter(plain, E0, 1),)))
     if d.kind == LONG:
         end_minus = (OpLetter(names[0], E0, 1),)
         end_plus = (OpLetter(names[-1], E0, 1),)
@@ -297,9 +303,11 @@ def tietze_eliminate(p):
     a single positive letter (preferring the bare-exponent side) to delete
     that generator.  Second pass: delete non-end generators that occur
     exactly once in some relation, preferring exponent-free occurrences and
-    scanning generators in arc order.  End-arc generators survive the second
-    pass so the distinguished elements stay visible; if the first pass
-    consumes one, its image is retained as a word.
+    scanning generators in arc order.  The generators of the input's end
+    words are protected: they survive the second pass so the distinguished
+    elements stay visible.  The first pass may still consume one; its image
+    is then kept as the end word, and the generator it went to stays
+    unprotected.
 
     Each relation keeps which generators it holds once, its pass-1
     candidate and its dedupe key, so an elimination rewrites only the
@@ -307,19 +315,57 @@ def tietze_eliminate(p):
     are already normalized.  End words are taken to be free-reduced, as
     every presentation built here has them.
     """
-    gens = list(p.generators)
+    ends = [p.end_minus, p.end_plus]
+    protected = {l.gen for e in ends if e is not None for l in e}
+    return _eliminate(list(p.generators), _entries(map(normalize_relation, p.relations)), ends, protected)
+
+
+def tietze_from_diagram(d):
+    """``tietze_eliminate(extended_presentation(d))``, with the first pass read off the diagram.
+
+    Until the second-family relations are used up, the first pass takes
+    them in crossing-id order: their sides are single letters, and the
+    first-family relations keep two positive letters a side.  Each one,
+    x^{v^a} = y^{v^b} at the arcs' current images, sends every arc of one
+    generator to the other, times a power of v: x goes if a = 0 or b != 0,
+    else y.  x and y differ, as no loop of the diagram is over passages
+    only.  Each first-family relation is then written once, at the arcs'
+    images, already normalized, and the elimination goes on from there.
+    """
+    names = arc_names(d.arc_count)
+    image = {g: (g, 0) for g in names}  # arc -> (surviving generator, v-exponent)
+    members = {g: [g] for g in names}  # surviving generator -> the arcs whose image it is
+    crossings = list(_crossings(d, names))
+    for _, _, (shifted, plain) in crossings:
+        (x, a), (y, b) = image[shifted], image[plain]
+        a += 1
+        gone, kept, shift = (x, y, b - a) if a == 0 or b != 0 else (y, x, a)
+        for g in members[gone]:
+            image[g] = kept, image[g][1] + shift
+        members[kept] += members.pop(gone)
+    entries = _entries(_crossing_relation(sign, *map(image.get, arcs)) for sign, arcs, _ in crossings)
+    long = d.kind == LONG
+    ends = [(OpLetter(image[g][0], (0, image[g][1]), 1),) if long else None for g in (names[0], names[-1])]
+    return _eliminate([g for g in names if g in members], entries, ends, {names[0], names[-1]} if long else set())
+
+
+def _entries(relations):
+    """The entries of the nontrivial normalized ``relations``, less each that repeats an earlier one."""
     firsts = {}  # dedupe key -> the first entry with it
-    for r in p.relations:
-        r = normalize_relation(r)
+    for r in relations:
         if not relation_is_trivial(r):
             e = _entry(r)
             firsts.setdefault(e.key, e)
-    entries = list(firsts.values())
-    ends = [p.end_minus, p.end_plus]
-    protected = set()
-    for e in ends:
-        if e is not None:
-            protected.update(l.gen for l in e)
+    return list(firsts.values())
+
+
+def _eliminate(gens, entries, ends, protected):
+    """``tietze_eliminate``'s loop, from normalized, nontrivial, deduplicated ``entries``.
+
+    ``gens`` and ``ends`` are lists, changed in place; ``protected`` holds
+    the generators that the second pass keeps.
+    """
+    firsts = {}
 
     def eliminate(gen, expr, used):
         gens.remove(gen)

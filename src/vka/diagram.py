@@ -151,7 +151,10 @@ def parse_gauss(text):
                 raise GaussCodeError(f"malformed token {raw!r}", lineno, column)
             role = raw[0]
             sign = 1 if raw[-1] == "+" else -1
-            cid = int(raw[1:-1])
+            try:
+                cid = int(raw[1:-1])
+            except ValueError:  # more digits than int() converts
+                raise GaussCodeError(f"crossing id of {len(raw) - 2} digits", lineno, column) from None
             passages.append(Passage(cid, role, sign))
     return Diagram(kind, passages)
 

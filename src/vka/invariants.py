@@ -18,6 +18,7 @@ from .alexander import (
     one_var_matrix,
     quotient_kill,
     tietze_eliminate,
+    tietze_from_diagram,
 )
 from .diagram import LONG
 from .laurent import UV, TVAR, LaurentPoly, gcd_many, pack, unpack
@@ -396,7 +397,14 @@ def _end_quotient(pres, quotient):
 
 
 def quotient_pipeline(d, quotient="none"):
-    """Tietze-eliminated presentation of the requested end quotient, for display."""
+    """Tietze-eliminated presentation of the requested end quotient, for display.
+
+    With no quotient the first pass is read off the diagram.  A killed end
+    erases letters, which makes first-family relations into first-pass
+    candidates, so the end quotients take the generic ``tietze_eliminate``.
+    """
+    if quotient == "none":
+        return tietze_from_diagram(d)
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 

@@ -184,6 +184,8 @@ def apply_move(d, site):
     A shrinking site is legal exactly when ``legal_sites`` lists it.
     """
     n = len(d.passages)
+    if not isinstance(site.data, (tuple, list)):
+        raise IllegalMove(f"bad {site.kind} site data {site.data!r}")
     site = MoveSite(site.kind, tuple(site.data))
     kind, data = site
     if kind == "r1+":

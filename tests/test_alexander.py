@@ -15,6 +15,7 @@ from oracles import (
     l2,
     normalize_relation_reference,
     random_code,
+    random_diagrams,
     random_long_diagram,
     same_relation,
     tietze_eliminate_reference,
@@ -188,6 +189,28 @@ def test_elimination_matches_reference():
         assert fast.to_json() == ref.to_json()
         count += 1
     assert count >= 1000
+
+
+def test_pipeline_with_first_pass_from_diagram_matches_reference(corpus_dir):
+    diagrams = [d for c in range(15) for d in random_diagrams(c, range(20))]
+    diagrams += [d for c in (20, 30, 40) for d in random_diagrams(c, range(5))]
+    diagrams += [parse_gauss(f.read_text()) for f in sorted(corpus_dir.glob("*.gauss"))]
+    # at crossing 4 both sides of the second relation are bare, c = g: the left one goes
+    diagrams.append(parse_gauss("U1+ U2- O1+ O3- O2- O4+ U3- U4+"))
+    for d in diagrams:
+        assert quotient_pipeline(d) == tietze_eliminate_reference(extended_presentation(d)), d
+
+
+def test_first_pass_may_consume_a_protected_end_generator():
+    # crossing 1 is negative, so its second relation is b^v = a: the first
+    # pass replaces the end generator a by b^v.  Only a and e are protected,
+    # so the second pass eliminates b, and the minus end becomes c^{v^2}.
+    d = parse_gauss("O1- U2+ O2+ U1-")
+    shown = quotient_pipeline(d)
+    assert str(shown) == "<c, e | c^v c^{u v^2} = c^v e^u>"
+    assert (shown.end_minus, shown.end_plus) == ((L("c", v=2),), (L("e"),))
+    p = extended_presentation(d)
+    assert shown == tietze_eliminate(p) == tietze_eliminate_reference(p)
 
 
 def test_abelianize_matches_reference():

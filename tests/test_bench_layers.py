@@ -1,8 +1,8 @@
 """``scripts/bench_layers.py`` runs against the library as it stands.
 
 The full ladder is not run here: one c = 8 diagram goes through the
-per-case helpers, and the fuzz-walks replay is checked against the
-committed ``BENCH_layers.json``.
+per-case helpers, and the fuzz-walks and invariants-ladder replays are
+checked against the committed ``BENCH_layers.json``.
 """
 
 import importlib.util
@@ -46,7 +46,9 @@ def _recorded(section, case):
 @pytest.mark.parametrize("closed", [False, True])
 def test_case_helpers_agree_on_a_small_diagram(bench, closed):
     d = parse_gauss(random_code(random.Random(0), 8, closed=closed))
-    for section, helper in (("minors", bench.minors_cases), ("modules", bench.modules_cases)):
+    helpers = (("minors", bench.minors_cases), ("modules", bench.modules_cases),
+               ("presentations", bench.presentations_cases))
+    for section, helper in helpers:
         cases = helper(8, 0, closed, d)
         assert cases and all(c["equal"] for c in cases)
         for case in cases:
@@ -54,12 +56,19 @@ def test_case_helpers_agree_on_a_small_diagram(bench, closed):
 
 
 def test_fuzz_walks_replay_matches_the_record(bench):
-    before = (invariants.gcd_many, moves.random_walk, os.getcwd())
-    gcd_calls, walks = bench.replay("fuzz-walks")
-    assert (invariants.gcd_many, moves.random_walk, os.getcwd()) == before
+    before = (invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, os.getcwd())
+    gcd_calls, walks, presentations = bench.replay("fuzz-walks")
+    assert (invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, os.getcwd()) == before
+    assert presentations == []
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
     assert _untimed(bench.gcd_case(gcd_calls)) == _untimed(RECORD["gcd"]["workloads"]["fuzz-walks"])
     section = bench.walks_section(walks, repeats=1)
     assert (section["walks"], section["steps"], section["walked_sha256"]) == (
         RECORD["walks"]["walks"], RECORD["walks"]["steps"], RECORD["walks"]["walked_sha256"])
+
+
+def test_ladder_presentations_replay_matches_the_record(bench):
+    _, _, presentations = bench.replay("invariants-ladder")
+    workload, recorded = bench.presentations_workload(presentations, repeats=1), RECORD["presentations"]["workload"]
+    assert (workload["diagrams"], workload["unequal"]) == (recorded["diagrams"], recorded["unequal"]) == (220, 0)

@@ -36,6 +36,14 @@ def test_parse_error_exit_1(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_parse_huge_crossing_id_exit_1(capsys, tmp_path):
+    huge = tmp_path / "huge.gauss"
+    huge.write_text(f"O{'1' * 5000}+ U{'1' * 5000}+\n")
+    code, _, err = run(capsys, "parse", str(huge))
+    assert code == 1
+    assert "crossing id of 5000 digits (line 1, column 1)" in err
+
+
 def test_charpoly_quotient_end_minus(capsys, corpus_dir):
     code, out, _ = run(
         capsys, "invariants", str(corpus_dir / "k1.gauss"), "--charpoly", "0",
@@ -307,10 +315,10 @@ def test_json_presentation_renders_no_text(capsys, corpus_dir, monkeypatch):
 
 
 def test_presentation_and_charpoly_share_one_elimination(capsys, corpus_dir, monkeypatch):
+    # every Tietze elimination, from a presentation or from a diagram, runs one _eliminate loop
     calls = []
-    real = alexander.tietze_eliminate
-    for module in (alexander, invariants):
-        monkeypatch.setattr(module, "tietze_eliminate", lambda p: calls.append(p) or real(p))
+    real = alexander._eliminate
+    monkeypatch.setattr(alexander, "_eliminate", lambda *a: calls.append(a) or real(*a))
     code, _, _ = run(
         capsys, "invariants", str(corpus_dir / "k1.gauss"), "--presentation", "--charpoly", "0",
     )

@@ -41,6 +41,14 @@ def test_parse_rejects_malformed_token():
         parse_gauss("O01+")
 
 
+def test_parse_rejects_huge_crossing_id():
+    # more digits than int() converts: a parse error at the token, not a ValueError from int()
+    huge = "1" * 5000
+    with pytest.raises(GaussCodeError, match="crossing id of 5000 digits") as err:
+        parse_gauss(f"closed\nO2+ U2+  O{huge}+ U{huge}+")
+    assert (err.value.line, err.value.column) == (2, 10)
+
+
 def test_parse_rejects_wrong_multiplicity():
     with pytest.raises(GaussCodeError, match="appears 1 times"):
         parse_gauss("O1+ U2+ O2+")

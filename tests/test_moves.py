@@ -83,6 +83,12 @@ def test_illegal_sites_rejected():
             apply_move(d, MoveSite("r2+", data))
     with pytest.raises(IllegalMove):
         apply_move(d, MoveSite("nope", ()))
+    # site data that is not a tuple or a list, for every kind
+    for kind in ("r1+", "r1-", "r2+", "r2-", "r3", "nope"):
+        for data in (None, 5, 1.5, "OU", {0: 1}):
+            for base in (d, TRIVIAL_LONG):
+                with pytest.raises(IllegalMove):
+                    apply_move(base, MoveSite(kind, data))
 
 
 def test_r3_fires_and_preserves_invariants():

@@ -13,7 +13,7 @@ import pytest
 
 import catalog
 from oracles import assert_same_module, quotients, random_code, random_diagrams, reduced_matrix
-from vka import alexander, cli, invariants
+from vka import alexander, cli
 from vka.alexander import (
     GroupPresentationZ2,
     OpLetter,
@@ -183,10 +183,10 @@ def test_ties_go_to_the_first_row():
 
 
 def test_tietze_is_reached_only_through_presentation(capsys, corpus_dir, monkeypatch):
+    # every Tietze elimination, from a presentation or from a diagram, runs one _eliminate loop
     calls = []
-    real = alexander.tietze_eliminate
-    for module in (alexander, invariants):
-        monkeypatch.setattr(module, "tietze_eliminate", lambda p: calls.append(p) or real(p))
+    real = alexander._eliminate
+    monkeypatch.setattr(alexander, "_eliminate", lambda *a: calls.append(a) or real(*a))
     k1 = str(corpus_dir / "k1.gauss")
     for argv in (
         ["invariants", k1, "--charpoly", "0", "--charpoly", "1", "--quotient", "end-minus"],
