@@ -5,8 +5,9 @@
 Run from anywhere; ``vka`` is imported from ``src/``, the oracles from
 ``tests/oracles.py`` and the workloads from ``perfbench/workloads.py``,
 which the script only reads.  Each benchmark workload's seed-1 requests
-run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk`` and
-``quotient_pipeline`` wrapped to capture their inputs.  The ladder is
+run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk``,
+``quotient_pipeline`` and ``coloring_count`` wrapped to capture their
+inputs.  The ladder is
 ``random_code`` seeds 0-4, long and closed, at c = 8, 12, 20 and 30
 crossings.  Library calls take the best of three, references one call.
 One section per layer:
@@ -26,10 +27,19 @@ One section per layer:
   workload's ``--presentation`` diagrams (best of 15 interleaved passes)
   and on the ladder;
 - ``walks``: the fuzz-walks workload's walks, best and median of 15
-  passes, and the sha256 of the walked codes.
+  passes, and the sha256 of the walked codes;
+- ``profile``: ``invariant_profile`` on the start and walked diagram of
+  each of the fuzz-walks workload's walks, against its route before
+  (``full_smith_profile``: the determinant and the colorings from the
+  Smith form of the full A(-1)), best of 15 interleaved passes, with
+  the shapes of the reduced ``none`` matrices;
+- ``colorings``: ``coloring_count`` on the winding-colorings workload's
+  ``color`` requests (p = 2..29), against ``full_smith_colorings`` (its
+  route before, by ``colorings_reference`` on the full A(-1)), best of
+  15 interleaved passes.
 
-It exits 1 if two routes give unequal values.  A run takes about half a
-minute on a 2-core x86-64 host.
+It exits 1 if two routes give unequal values.  A run takes about 40
+seconds on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -53,11 +63,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from oracles import minors_reference, random_code, reduced_matrix  # noqa: E402
+from oracles import colorings_reference, minors_reference, random_code, reduced_matrix  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
-from vka.alexander import abelianize, extended_presentation, tietze_eliminate  # noqa: E402
-from vka.diagram import parse_gauss, serialize_gauss  # noqa: E402
-from vka.invariants import _end_quotient, char_poly, elementary_minors, quotient_matrix, quotient_pipeline  # noqa: E402
+from vka.alexander import (  # noqa: E402
+    _arc_matrix_at, abelianize, extended_presentation, merged_arc_rows, tietze_eliminate,
+)
+from vka.diagram import LONG, parse_gauss, serialize_gauss  # noqa: E402
+from vka.invariants import (  # noqa: E402
+    PROFILE_MODULI, ColoringReport, _end_quotient, char_poly, check_modulus, coloring_count,
+    elementary_minors, invariant_profile, module_matrix, quotient_matrix, quotient_pipeline,
+)
 
 SEED = 1
 CROSSINGS = (8, 12, 20, 30)
@@ -68,6 +83,9 @@ WALK_REPEATS = 15
 WALK_WORKLOAD = "fuzz-walks"
 PRESENTATION_REPEATS = 15
 PRESENTATION_WORKLOAD = "invariants-ladder"
+PROFILE_REPEATS = 15
+COLORING_REPEATS = 15
+COLORING_WORKLOAD = "winding-colorings"
 
 
 def timed(fn, repeats=BEST_OF):
@@ -78,6 +96,16 @@ def timed(fn, repeats=BEST_OF):
         result = fn()
         times.append(time.perf_counter() - start)
     return result, times
+
+
+def interleaved(routes, repeats):
+    """Each route's result and its best seconds over ``repeats`` passes, one call per route and pass."""
+    results, best = {}, {}
+    for _ in range(repeats):
+        for name, fn in routes.items():
+            results[name], (seconds,) = timed(fn, 1)
+            best[name] = min(best.get(name, seconds), seconds)
+    return results, best
 
 
 def ladder():
@@ -105,9 +133,10 @@ def totals_by_crossings(cases, columns, counters=None):
 
 def replay(workload):
     """The (polys, vars) of every ``gcd_many`` call, the (diagram, seed, steps,
-    max_crossings) of every ``random_walk`` call and the (diagram, quotient) of
-    every ``quotient_pipeline`` call that the workload's requests make."""
-    gcd_calls, walks, presentations = [], [], []
+    max_crossings) of every ``random_walk`` call, the (diagram, quotient) of
+    every ``quotient_pipeline`` call and the (diagram, moduli) of every
+    ``coloring_count`` call that the workload's requests make."""
+    gcd_calls, walks, presentations, colorings = [], [], [], []
     real_gcd_many, real_random_walk, real_pipeline = invariants.gcd_many, moves.random_walk, quotient_pipeline
 
     def gcd_many(polys, vars=None):
@@ -123,20 +152,25 @@ def replay(workload):
         presentations.append((d, quotient))
         return real_pipeline(d, quotient)
 
+    def colors(d, ps):
+        colorings.append((d, list(ps)))
+        return coloring_count(d, ps)
+
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as work:
         os.chdir(ROOT)  # the workloads read corpus/ from the checkout root
-        invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline = gcd_many, random_walk, pipeline
+        invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count = (
+            gcd_many, random_walk, pipeline, colors)
         try:
             requests = workloads.build(workload, SEED, pathlib.Path(work))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 for request in requests:
                     cli.main(request)
         finally:
-            invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline = (
-                real_gcd_many, real_random_walk, real_pipeline)
+            invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count = (
+                real_gcd_many, real_random_walk, real_pipeline, coloring_count)
             os.chdir(cwd)
-    return gcd_calls, walks, presentations
+    return gcd_calls, walks, presentations, colorings
 
 
 def pairwise(polys, vars):
@@ -256,20 +290,18 @@ def presentations_workload(calls, repeats=PRESENTATION_REPEATS):
     """Both routes on the captured ``quotient_pipeline`` calls, best of ``repeats`` interleaved passes."""
     assert all(quotient == "none" for _, quotient in calls)
     diagrams = [d for d, _ in calls]
-    pipeline_s, generic_s = [], []
-    for _ in range(repeats):
-        shown, seconds = timed(lambda: [quotient_pipeline(d) for d in diagrams], 1)
-        pipeline_s += seconds
-        generic, seconds = timed(lambda: [tietze_eliminate(extended_presentation(d)) for d in diagrams], 1)
-        generic_s += seconds
+    shown, best = interleaved({
+        "pipeline": lambda: [quotient_pipeline(d) for d in diagrams],
+        "generic": lambda: [tietze_eliminate(extended_presentation(d)) for d in diagrams],
+    }, repeats)
     return {
         "workload": f"the --presentation diagrams of the {PRESENTATION_WORKLOAD} request list, seed {SEED}",
         "diagrams": len(diagrams),
         "repeats": repeats,
-        "pipeline_s": round(min(pipeline_s), 6),
-        "generic_s": round(min(generic_s), 6),
-        "speedup": round(min(generic_s) / min(pipeline_s), 2),
-        "unequal": sum(a != b for a, b in zip(shown, generic)),
+        "pipeline_s": round(best["pipeline"], 6),
+        "generic_s": round(best["generic"], 6),
+        "speedup": round(best["generic"] / best["pipeline"], 2),
+        "unequal": sum(a != b for a, b in zip(shown["pipeline"], shown["generic"])),
     }
 
 
@@ -289,14 +321,94 @@ def walks_section(walks, repeats=WALK_REPEATS):
     }
 
 
+def full_smith_colorings(d, arcs, ps):
+    """The determinant and the coloring reports of ``d`` (A(u, v) = ``arcs``) by the route
+    before the reduced ``none`` matrix served them: the Smith form of the full A(-1)."""
+    for p in ps:
+        check_modulus(p)
+    det, counts = colorings_reference(_arc_matrix_at(d, arcs, -1), ps)
+    return det, [ColoringReport(p=p, count=count, nontrivial=count > p) for p, count in zip(ps, counts)]
+
+
+def full_smith_profile(d):
+    """``invariant_profile`` with the determinant and the colorings from ``full_smith_colorings``."""
+    profile = {}
+    arcs = merged_arc_rows(d)
+    for quotient in ("none", "end-minus") if d.kind == LONG else ("none",):
+        mat = module_matrix(d, arcs, quotient)
+        for k in KS:
+            profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(mat, k))
+    det, reports = full_smith_colorings(d, arcs, PROFILE_MODULI)
+    if d.kind == LONG:
+        profile["determinant"] = det
+    profile.update((f"colorings p={rep.p}", rep.count) for rep in reports)
+    return profile
+
+
+def shape_counts(diagrams):
+    """How many of ``diagrams`` have each shape of the reduced ``none`` matrix, as "rows x columns"."""
+    shapes = [f"{rows}x{columns}" for rows, columns in (quotient_matrix(d).shape for d in diagrams)]
+    return {shape: shapes.count(shape) for shape in sorted(set(shapes))}
+
+
+def change_and_parent(routes, repeats):
+    """The timing fields of a section whose ``routes`` are named "change" and "parent"."""
+    values, best = interleaved(routes, repeats)
+    return {
+        "repeats": repeats,
+        "change_s": round(best["change"], 6),
+        "parent_s": round(best["parent"], 6),
+        "speedup": round(best["parent"] / best["change"], 2),
+        "unequal": sum(a != b for a, b in zip(values["change"], values["parent"])),
+    }
+
+
+def profile_section(walks, repeats=PROFILE_REPEATS):
+    """The ``profile`` section: the start and walked diagram of each captured walk."""
+    walked = [moves.random_walk(d, seed, steps, max_crossings=cap) for d, seed, steps, cap in walks]
+    diagrams = [d for d, _, _, _ in walks] + walked
+    return {
+        "layer": "invariants.invariant_profile",
+        "workload": f"the start and walked diagrams of the {WALK_WORKLOAD} request list, seed {SEED}",
+        "parent": "full_smith_profile: the determinant and the colorings from the Smith form of the full A(-1)",
+        "diagrams": len(diagrams),
+        "start_shapes": shape_counts(diagrams[:len(walks)]),
+        "walked_shapes": shape_counts(walked),
+        **change_and_parent({
+            "change": lambda: [invariant_profile(d) for d in diagrams],
+            "parent": lambda: [full_smith_profile(d) for d in diagrams],
+        }, repeats),
+    }
+
+
+def colorings_section(calls, repeats=COLORING_REPEATS):
+    """The ``colorings`` section: the captured ``coloring_count`` calls."""
+    return {
+        "layer": "invariants.coloring_count",
+        "workload": f"the color requests of the {COLORING_WORKLOAD} request list (p = 2..29), seed {SEED}",
+        "parent": "full_smith_colorings: the Smith form of the full A(-1)",
+        "diagrams": len(calls),
+        "moduli": sum(len(ps) for _, ps in calls),
+        "shapes": shape_counts([d for d, _ in calls]),
+        **change_and_parent({
+            "change": lambda: [coloring_count(d, ps) for d, ps in calls],
+            "parent": lambda: [full_smith_colorings(d, merged_arc_rows(d), ps)[1] for d, ps in calls],
+        }, repeats),
+    }
+
+
 def run():
     replays = {workload: replay(workload) for workload in workloads.WORKLOADS}
-    gcd = {workload: gcd_case(calls) for workload, (calls, _, _) in replays.items()}
+    gcd = {workload: gcd_case(calls) for workload, (calls, *_) in replays.items()}
     print(f"gcd: {sum(r['calls'] for r in gcd.values())} calls, {sum(r['unequal'] for r in gcd.values())} unequal",
           file=sys.stderr)
 
     walks = walks_section(replays[WALK_WORKLOAD][1])
     print(f"walks: {walks['walks']} walks, best {walks['best_s']:.4f} s", file=sys.stderr)
+    profile = profile_section(replays[WALK_WORKLOAD][1])
+    print(f"profile: {profile['diagrams']} diagrams, {profile['speedup']}x", file=sys.stderr)
+    colorings = colorings_section(replays[COLORING_WORKLOAD][3])
+    print(f"colorings: {colorings['diagrams']} diagrams, {colorings['speedup']}x", file=sys.stderr)
 
     rungs = ladder()
     minors = [case for rung in rungs for case in minors_cases(*rung)]
@@ -340,9 +452,12 @@ def run():
             "cases": ladder_presentations,
         },
         "walks": walks,
+        "profile": profile,
+        "colorings": colorings,
     }
     sections = ("gcd", "minors", "modules", "presentations")
-    record["all_equal"] = all(record[name]["all_equal"] for name in sections)
+    record["all_equal"] = (all(record[name]["all_equal"] for name in sections)
+                           and profile["unequal"] == colorings["unequal"] == 0)
     return record
 
 

@@ -83,13 +83,13 @@ def cmd_parse(args):
     return EXIT_OK
 
 
-def _colorings(reports, matrix=False):
-    """JSON value and text lines of coloring reports, one per modulus."""
+def _colorings(reports, matrix=None):
+    """JSON value and text lines of coloring reports, one per modulus; ``matrix`` goes into each JSON item."""
     items, lines = [], []
     for rep in reports:
         item = {"p": rep.p, "count": rep.count, "nontrivial": rep.nontrivial}
-        if matrix:
-            item["matrix"] = [list(r) for r in rep.matrix]
+        if matrix is not None:
+            item["matrix"] = matrix
         items.append(item)
         lines.append(f"p={rep.p}: {rep.count} colorings" + (" (nontrivial)" if rep.nontrivial else ""))
     return (items[0] if len(items) == 1 else items), lines
@@ -114,9 +114,11 @@ def cmd_invariants(args):
         if not args.json:  # --json prints no text lines
             lines.append(str(pres))
     if args.charpoly or args.det or args.color:
-        arcs = alexander.merged_arc_rows(d)  # A(u, v): the char polys, A(-1) and colorings all come from it
+        arcs = alexander.merged_arc_rows(d)  # A(u, v): every matrix below is a unit reduction of it
+        if args.det or args.color or args.quotient == "none":
+            none = invariants.module_matrix(d, arcs, "none")
     if args.charpoly:
-        mat = invariants.module_matrix(d, arcs, args.quotient)
+        mat = none if args.quotient == "none" else invariants.module_matrix(d, arcs, args.quotient)
         if args.t in SPECIALIZATIONS:
             mat = getattr(alexander, SPECIALIZATIONS[args.t])(mat)
         _check_coeff_budget(mat, args.max_coeff_bits)
@@ -127,10 +129,9 @@ def cmd_invariants(args):
             lines.append(str(value))
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
-        # the determinant reuses the colorings' Smith form of A(-1)
-        smith, colorings = invariants.coloring_reports(d, arcs, args.color or ())
+        # the diagram's, whatever --quotient says: the L2 "none" matrix at (u, v) = (-1, 1), never its --t image
+        det, colorings = invariants.coloring_reports(none, args.color or ())
         if args.det:
-            det = invariants.determinant_long(d, smith)
             payload["determinant"] = det
             lines.append(str(det))
         if colorings:
@@ -170,7 +171,8 @@ def cmd_color(args):
     for p in args.p:  # before the diagram is read, as in cmd_invariants
         invariants.check_modulus(p)
     d = _load(args.input)
-    reports, lines = _colorings(invariants.coloring_count(d, args.p), matrix=args.matrix)
+    matrix = [[-x for x in row] for row in alexander.one_var_matrix(d, -1).rows] if args.matrix else None
+    reports, lines = _colorings(invariants.coloring_count(d, args.p), matrix)
     _emit(args, {"input": args.input, "colorings": reports}, lines)
     return EXIT_OK
 

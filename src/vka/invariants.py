@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alexander import (
-    _arc_matrix_at,
     _reduce,
     extended_presentation,
     merged_arc_rows,
@@ -265,19 +264,11 @@ def check_modulus(p, s=None):
 # -- knot determinant and colorings ------------------------------------
 
 
-def determinant_long(d, smith=None):
-    """gcd of the maximal minors of the merged arc matrix A(-1).
-
-    A(-1) is c x (c+1), so this is the product of its Smith invariants
-    (0 below full rank).  ``smith`` passes those invariants in when the
-    caller has them already, as the first value ``coloring_reports``
-    returns; otherwise ``coloring_reports`` computes them.
-    """
+def determinant_long(d):
+    """gcd of the maximal minors of the merged arc matrix A(-1), from ``coloring_reports``."""
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
-    if smith is None:
-        smith = coloring_reports(d, merged_arc_rows(d), ())[0]
-    return math.prod(smith)
+    return coloring_reports(quotient_matrix(d), ())[0]
 
 
 def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
@@ -296,32 +287,38 @@ def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
 @dataclass(frozen=True)
 class ColoringReport:
     p: int
-    matrix: tuple
     count: int
     nontrivial: bool
 
 
-def coloring_reports(d, arcs, ps):
-    """Smith invariants of -A(-1) (A(u, v) = ``arcs``) and a ``_solutions_mod`` report per modulus in ``ps``."""
+def coloring_reports(m, ps):
+    """The gcd of the maximal minors of ``m`` at (u, v) = (-1, 1), and a report per modulus in ``ps``.
+
+    ``m`` is the reduced ``none`` matrix (``quotient_matrix``).  At (-1, 1)
+    A(u, v) is -A(-1) up to row signs and each ``_reduce`` pivot is +-1, so
+    the colorings mod p are the solutions of one small Smith form
+    (``_solutions_mod``).  A long diagram's ``m`` is r x (r+1), as A(1) has
+    unit maximal minors, so the gcd is the determinant (README).
+    """
     for p in ps:
         check_modulus(p)
-    a = _arc_matrix_at(d, arcs, -1)
-    matrix = tuple(tuple(-x for x in row) for row in a.rows)
-    inv = smith_normal_form(matrix)
+    at = [[sum(-c if a % 2 else c for (a, _), c in e.terms.items()) for e in row] for row in m.rows]
+    inv = smith_normal_form(at)
     reports = []
     for p in ps:
-        count = _solutions_mod(inv, len(a.cols), p)
-        reports.append(ColoringReport(p=p, matrix=matrix, count=count, nontrivial=count > p))
-    return inv, reports
+        count = _solutions_mod(inv, len(m.cols), p)
+        reports.append(ColoringReport(p=p, count=count, nontrivial=count > p))
+    return math.prod(inv), reports
 
 
 def coloring_count(d, ps):
     """One report per modulus in ``ps`` (input order, duplicates kept).
 
     A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing.  All moduli share one Smith form of -A(-1).
+    at every crossing.  All moduli share one Smith form of the reduced
+    A(u, v) at (-1, 1) (``coloring_reports``).
     """
-    return coloring_reports(d, merged_arc_rows(d), ps)[1] if ps else []
+    return coloring_reports(quotient_matrix(d), ps)[1] if ps else []
 
 
 def hom_count_to_cyclic(m, p, s):
@@ -433,20 +430,21 @@ def quotient_matrix(d, quotient="none"):
 def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
-    One A(u, v) serves both quotients and A(-1), and one Smith form of
-    A(-1) serves the determinant and every coloring count.
+    One A(u, v) serves both quotients, and the reduced ``none`` matrix also
+    serves the determinant and every coloring count (``coloring_reports``).
     """
     profile = {}
     arcs = merged_arc_rows(d)
     quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
     for quotient in quotients:
         mat = module_matrix(d, arcs, quotient)
+        if quotient == "none":
+            det, colorings = coloring_reports(mat, PROFILE_MODULI)
         for k in (0, 1):
             value = char_poly(mat, k, max_minors=max_minors)
             profile[f"charpoly k={k} quotient={quotient}"] = str(value)
-    smith, colorings = coloring_reports(d, arcs, PROFILE_MODULI)
     if d.kind == LONG:
-        profile["determinant"] = determinant_long(d, smith)
+        profile["determinant"] = det
     for rep in colorings:
         profile[f"colorings p={rep.p}"] = rep.count
     return profile

@@ -3,19 +3,20 @@
 Everything here deliberately avoids the library's own computation paths:
 polynomial products by direct convolution, determinants by cofactor
 recursion, minors of Laurent matrices by Bareiss elimination with exact
-Laurent division, specializations by powers of the images, abelianization
-by one monomial per letter, colorings and homomorphism counts by
-exhaustive assignment, move sites by trying every combination of adjacent
-pairs through matchers of their own (in ``vka`` the partner-index scan is
-the only definition of a legal site), arc incidences by a per-crossing
-table, merged arcs by a search along the over strands (``arc_classes``,
-the one partition under the references for A(u, v), A(t) and the
-colorings; the library walks the under passages), Tietze elimination by
-the rescanning implementation the incremental one replaced, the
-end-quotient module matrix by the word route the merged arc matrix
-replaced, Smith normal form by a full smallest-entry scan at every
-pivot, and ranks mod p by Gauss-Jordan elimination over Z/p (the library
-counts maps to Z/p from Smith forms).
+Laurent division, specializations by powers of the images,
+abelianization by one monomial per letter, colorings and homomorphism
+counts by exhaustive assignment, colorings and determinants also by the
+Smith form of the full A(-1) that the reduced A(u, v) replaced, move
+sites by trying every combination of adjacent pairs through matchers of
+their own (in ``vka`` the partner-index scan is the only definition of a
+legal site), arc incidences by a per-crossing table, merged arcs by a
+search along the over strands (``arc_classes``, the one partition under
+the references for A(u, v), A(t) and the colorings; the library walks
+the under passages), Tietze elimination by the rescanning implementation
+the incremental one replaced, the end-quotient module matrix by the word
+route the merged arc matrix replaced, Smith normal form by a full
+smallest-entry scan at every pivot, and ranks mod p by Gauss-Jordan
+elimination over Z/p (the library counts maps to Z/p from Smith forms).
 
 The helpers at the end are test conveniences built on the library:
 polynomial literals, the quotient list, one char-poly and hom-count
@@ -25,6 +26,7 @@ row-space membership of an end difference and relation comparison.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -54,7 +56,14 @@ from vka.alexander import (
     word_shift,
 )
 from vka.diagram import LONG, OVER, UNDER, parse_gauss
-from vka.invariants import RING_VARS, _end_quotient, char_poly, hom_count_to_cyclic
+from vka.invariants import (
+    RING_VARS,
+    _end_quotient,
+    _solutions_mod,
+    char_poly,
+    hom_count_to_cyclic,
+    smith_normal_form,
+)
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
 from vka.moves import MoveSite
 
@@ -697,6 +706,21 @@ def one_var_matrix_reference(d, t=T_GEN):
         row[ov] = row[ov] - (one - tt)
         rows.append(tuple(row))
     return PresentationMatrix(ring, col_names, tuple(rows))
+
+
+def colorings_reference(a, ps):
+    """The gcd of the maximal minors of A(-1) = ``a`` and the coloring count mod each p in ``ps``.
+
+    The route ``coloring_count`` and ``determinant_long`` took before they
+    reduced A(u, v) first: one Smith form of the full integer matrix A(-1)
+    (``one_var_matrix(d, -1)``, c x (c+1) for a long diagram, whose gcd is
+    then the determinant), counted by ``_solutions_mod``.  Its rows are
+    those of the coloring matrix -A(-1) up to sign.  Its parts have
+    references of their own: ``one_var_matrix_reference`` and
+    ``smith_normal_form_reference``.
+    """
+    inv = smith_normal_form(a.rows)
+    return math.prod(inv), [_solutions_mod(inv, len(a.cols), p) for p in ps]
 
 
 def smith_normal_form_reference(rows):

@@ -1,8 +1,9 @@
 """``scripts/bench_layers.py`` runs against the library as it stands.
 
 The full ladder is not run here: one c = 8 diagram goes through the
-per-case helpers, and the fuzz-walks and invariants-ladder replays are
-checked against the committed ``BENCH_layers.json``.
+per-case helpers, and the fuzz-walks, invariants-ladder and
+winding-colorings replays are checked against the committed
+``BENCH_layers.json``.
 """
 
 import importlib.util
@@ -55,20 +56,42 @@ def test_case_helpers_agree_on_a_small_diagram(bench, closed):
             assert _recorded(section, case) == [_untimed(case)]
 
 
+def _matches_record(section, recorded):
+    """``section`` has the recorded section's keys and, but for its repeats and speedup, its untimed values."""
+    assert section.keys() == recorded.keys()
+    assert _untimed(section) == _untimed({**recorded, "repeats": section["repeats"], "speedup": section["speedup"]})
+
+
+def _hooks():
+    """What ``replay`` rebinds while it runs, and the working directory."""
+    return invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count, os.getcwd()
+
+
 def test_fuzz_walks_replay_matches_the_record(bench):
-    before = (invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, os.getcwd())
-    gcd_calls, walks, presentations = bench.replay("fuzz-walks")
-    assert (invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, os.getcwd()) == before
-    assert presentations == []
+    before = _hooks()
+    gcd_calls, walks, presentations, colorings = bench.replay("fuzz-walks")
+    assert _hooks() == before
+    assert presentations == colorings == []
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
     assert _untimed(bench.gcd_case(gcd_calls)) == _untimed(RECORD["gcd"]["workloads"]["fuzz-walks"])
     section = bench.walks_section(walks, repeats=1)
     assert (section["walks"], section["steps"], section["walked_sha256"]) == (
         RECORD["walks"]["walks"], RECORD["walks"]["steps"], RECORD["walks"]["walked_sha256"])
+    profile = bench.profile_section(walks, repeats=1)
+    _matches_record(profile, RECORD["profile"])
+    assert profile["diagrams"] == 330 and profile["unequal"] == 0
+
+
+def test_winding_colorings_replay_matches_the_record(bench):
+    _, _, _, colorings = bench.replay("winding-colorings")
+    assert colorings and all(ps == list(range(2, 30)) for _, ps in colorings)
+    section = bench.colorings_section(colorings, repeats=1)
+    _matches_record(section, RECORD["colorings"])
+    assert section["unequal"] == 0
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):
-    _, _, presentations = bench.replay("invariants-ladder")
+    _, _, presentations, _ = bench.replay("invariants-ladder")
     workload, recorded = bench.presentations_workload(presentations, repeats=1), RECORD["presentations"]["workload"]
     assert (workload["diagrams"], workload["unequal"]) == (recorded["diagrams"], recorded["unequal"]) == (220, 0)

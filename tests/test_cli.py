@@ -443,6 +443,47 @@ def test_char_polys_det_and_colors_share_one_arc_matrix(capsys, corpus_dir, arc_
     assert json.loads(out)["determinant"] == 3
 
 
+def _coloring_report(capsys, *argv):
+    """The colorings and the determinant of a --json report (None where absent)."""
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    return payload.get("colorings"), payload.get("determinant")
+
+
+@pytest.mark.parametrize("t", ["diag", "v1"])
+def test_colorings_and_det_ignore_t(capsys, corpus_dir, t):
+    # taken from the L2 matrix at (u, v) = (-1, 1), not from its --t specialization
+    for path in sorted(corpus_dir.glob("*.gauss")):
+        flags = ["invariants", str(path), "--charpoly", "1", "--color", "3", "--det"]
+        report = _coloring_report(capsys, *flags, "--t", t)
+        assert report == _coloring_report(capsys, *flags), path.name
+        assert report[1] == invariants.determinant_long(diagram.parse_gauss(path.read_text()))
+
+
+def test_end_quotient_colors_the_diagram(capsys, corpus_dir):
+    # --quotient changes the char polys, not the colorings: they are the diagram's
+    for path in sorted(corpus_dir.glob("*.gauss")):
+        for quotient in ("end-minus", "ends"):
+            colorings, _ = _coloring_report(capsys, "invariants", str(path), "--charpoly", "0",
+                                            "--quotient", quotient, "--color", "3")
+            assert colorings == _coloring_report(capsys, "color", str(path), "-p", "3")[0], (path.name, quotient)
+
+
+def test_only_color_matrix_builds_a_minus_one(capsys, corpus_dir, monkeypatch):
+    built = []
+    real = alexander._arc_matrix_at
+    monkeypatch.setattr(alexander, "_arc_matrix_at", lambda *a: built.append(a) or real(*a))
+    k1 = str(corpus_dir / "k1.gauss")
+    for argv in (["color", k1, "-p", "3", "-p", "5"],
+                 ["invariants", k1, "--color", "3", "--det"],
+                 ["invariants", k1, "--charpoly", "1", "--quotient", "end-minus", "--t", "diag", "--color", "3"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+    assert run(capsys, "--json", "color", k1, "-p", "3", "--matrix")[0] == 0
+    assert len(built) == 1
+
+
 def test_presentation_alone_builds_no_arc_matrix(capsys, corpus_dir, arc_builds):
     code, _, _ = run(capsys, "invariants", str(corpus_dir / "k1.gauss"), "--presentation")
     assert code == 0

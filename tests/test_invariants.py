@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations, product
@@ -9,6 +10,7 @@ from oracles import (
     arc_classes,
     brute_force_colorings,
     brute_force_hom_count,
+    colorings_reference,
     det_cofactor,
     det_exact_reference,
     maximal_minors,
@@ -16,12 +18,13 @@ from oracles import (
     one_var_matrix_reference,
     quotients,
     random_code,
+    random_diagrams,
     random_long_diagram,
     rank_mod,
     subs_int,
     transfer_brute_force,
 )
-from vka import invariants, laurent
+from vka import cli, invariants, laurent
 from vka.alexander import (
     abelianize,
     diagonal_t,
@@ -32,7 +35,7 @@ from vka.alexander import (
     specialize_uv,
     tietze_eliminate,
 )
-from vka.diagram import LONG, TRIVIAL_LONG, close, dn_family, parse_gauss
+from vka.diagram import LONG, TRIVIAL_LONG, close, dn_family, parse_gauss, serialize_gauss
 from vka.invariants import (
     BudgetExceeded,
     char_poly,
@@ -330,13 +333,17 @@ def test_determinant_is_gcd_of_maximal_minors():
         assert determinant_long(d) == math.gcd(*minors)
 
 
-def test_coloring_matrix_is_minus_a_at_minus_one():
+def test_coloring_matrix_is_minus_a_at_minus_one(capsys, tmp_path):
+    # the matrix `color --matrix` prints, the only place -A(-1) is built
     rng = random.Random(47)
+    path = tmp_path / "d.gauss"
     for _ in range(60):
         d = random_long_diagram(rng)
         for diagram in (d, close(d)):
-            expected = tuple(tuple(-x for x in row) for row in _a_at(diagram, -1))
-            assert coloring_count(diagram, [3])[0].matrix == expected
+            path.write_text(serialize_gauss(diagram) + "\n")
+            assert cli.main(["--json", "color", str(path), "-p", "3", "--matrix"]) == 0
+            shown = json.loads(capsys.readouterr().out)["colorings"]["matrix"]
+            assert shown == [[-x for x in row] for row in _a_at(diagram, -1)]
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -386,6 +393,22 @@ def test_smith_divisibility_chain_and_minor_gcd_oracle():
 # -- colorings ---------------------------------------------------------------
 
 
+def _coloring_diagrams():
+    """The corpus and its closures, the windings n <= 6 of its entries of up to 4 crossings,
+    and random long and closed codes to 12 crossings."""
+    corpus = list(catalog.corpus().values())
+    windings = [dn_family(b, n) for b in corpus if b.crossings <= 4 for n in range(1, 7)]
+    diagrams = corpus + [close(b) for b in corpus] + windings
+    rng = random.Random(59)
+    for c in range(13):
+        for closed in (False, True):
+            diagrams += [parse_gauss(random_code(rng, c, closed=closed)) for _ in range(3)]
+    return diagrams
+
+
+COLORING_MODULI = range(2, 30)
+
+
 def test_coloring_trivial_long():
     (rep,) = coloring_count(TRIVIAL_LONG, [5])
     assert rep.count == 5
@@ -398,15 +421,16 @@ def test_coloring_rejects_small_modulus():
 
 
 def test_coloring_reports_follow_the_moduli(monkeypatch):
-    from vka import invariants
-
     calls = []
     real = invariants.smith_normal_form
     monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: calls.append(rows) or real(rows))
     d = catalog.trefoil()
     moduli = [9, 3, 2, 3, 15, 4]
     reports = coloring_count(d, moduli)
-    assert len(calls) == 1
+    # one Smith form, of the reduced A(u, v) at (-1, 1), for every modulus
+    m = quotient_matrix(d)
+    assert calls == [[[subs_int(e, (-1, 1)) for e in row] for row in m.rows]]
+    assert m.shape == (1, 2)
     assert [rep.p for rep in reports] == moduli
     assert [rep.count for rep in reports] == [brute_force_colorings(d, p) for p in moduli]
     assert coloring_count(d, []) == []
@@ -421,11 +445,16 @@ def test_coloring_closed_trefoil():
 
 
 def test_coloring_matches_brute_force():
+    # every modulus up to 29 where trying all p^(arc classes) colorings is cheap
     rng = random.Random(23)
-    for _ in range(40):
-        d = random_long_diagram(rng, 3)
-        for rep in coloring_count(d, (2, 3, 4, 5, 6)):
-            assert rep.count == brute_force_colorings(d, rep.p)
+    checked = 0
+    for d in [random_long_diagram(rng, 3) for _ in range(40)] + _coloring_diagrams():
+        classes = len(arc_classes(d)[2])
+        for rep in coloring_count(d, COLORING_MODULI):
+            if rep.p ** classes <= 3000:
+                assert rep.count == brute_force_colorings(d, rep.p), (d, rep.p)
+                checked += 1
+    assert checked >= 500
 
 
 def test_coloring_count_is_power_of_p_for_primes():
@@ -444,9 +473,33 @@ def test_coloring_smith_route_equals_elimination_route():
     for _ in range(60):
         d = random_long_diagram(rng)
         (rep,) = coloring_count(d, [5])
-        ncols = len(rep.matrix[0]) if rep.matrix else 1
-        nullity = ncols - rank_mod([list(r) for r in rep.matrix], 5)
+        a = one_var_matrix(d, -1)
+        nullity = len(a.cols) - rank_mod([list(r) for r in a.rows], 5)
         assert rep.count == 5 ** nullity
+
+
+def test_colorings_and_determinant_match_the_full_smith_route():
+    for d in _coloring_diagrams():
+        det, counts = colorings_reference(one_var_matrix(d, -1), COLORING_MODULI)
+        assert [rep.count for rep in coloring_count(d, COLORING_MODULI)] == counts, d
+        if d.kind == LONG:
+            assert determinant_long(d) == det, d
+        count = dict(zip(COLORING_MODULI, counts))
+        profile = invariant_profile(d)
+        assert [profile[f"colorings p={p}"] for p in invariants.PROFILE_MODULI] == [
+            count[p] for p in invariants.PROFILE_MODULI]
+        assert profile.get("determinant") == (det if d.kind == LONG else None)
+
+
+def test_long_reduced_matrix_is_r_by_r_plus_one():
+    # A(1) has unit maximal minors, so no row of a long diagram reduces to zero
+    shapes = set()
+    for d in _coloring_diagrams() + random_diagrams(20, range(5)) + random_diagrams(30, range(3)):
+        if d.kind == LONG:
+            r, columns = quotient_matrix(d).shape
+            assert columns == r + 1, d
+            shapes.add(r)
+    assert {0, 1, 2} <= shapes
 
 
 def test_coloring_divisibility_criterion():
@@ -627,7 +680,7 @@ def test_profile_builds_one_smith_form(monkeypatch):
         assert len(calls) == 1
         if d.kind == LONG:
             assert profile["determinant"] == determinant_long(d)
-    # without the colorings' invariants the determinant builds its own
+    # determinant_long on its own takes one Smith form too
     calls.clear()
     assert determinant_long(catalog.k1()) == 3
     assert len(calls) == 1
