@@ -37,6 +37,13 @@ One section per layer:
   ``color`` requests (p = 2..29), against ``full_smith_colorings`` (its
   route before, by ``colorings_reference`` on the full A(-1)), best of
   15 interleaved passes.
+- ``import``: ``import vka.cli`` timed in 15 fresh interpreters without
+  bytecode (``PYTHONDONTWRITEBYTECODE=1``: ``vka`` is compiled from
+  source, as in a fresh checkout) and in 15 with it cached (under a
+  ``PYTHONPYCACHEPREFIX`` primed once); the median and quartiles of each,
+  and the modules the import adds to the interpreter's own start-up set.
+  Both import a copy of ``src/vka``, so nothing is read from or written
+  to ``src/``.
 
 It exits 1 if two routes give unequal values.  A run takes about 40
 seconds on a 2-core x86-64 host.
@@ -54,7 +61,9 @@ import os
 import pathlib
 import platform
 import random
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -86,6 +95,17 @@ PRESENTATION_WORKLOAD = "invariants-ladder"
 PROFILE_REPEATS = 15
 COLORING_REPEATS = 15
 COLORING_WORKLOAD = "winding-colorings"
+IMPORT_REPEATS = 15
+IMPORT_PROBE = (
+    "import sys, time\n"
+    "before = set(sys.modules)\n"
+    "start = time.perf_counter()\n"
+    "import vka.cli\n"
+    "seconds = time.perf_counter() - start\n"
+    "added = sorted(set(sys.modules) - before)\n"
+    "import json\n"
+    "print(json.dumps([seconds, added]))\n"
+)
 
 
 def timed(fn, repeats=BEST_OF):
@@ -397,6 +417,42 @@ def colorings_section(calls, repeats=COLORING_REPEATS):
     }
 
 
+def import_once(env):
+    """Seconds that ``import vka.cli`` takes in a fresh interpreter under ``env``, and the modules it adds."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    return json.loads(out)
+
+
+def import_section(repeats=IMPORT_REPEATS):
+    """The ``import`` section: ``import vka.cli`` from a copy of ``src/vka``, without bytecode and with it cached.
+
+    ``repeats`` is at least 2, as the quartiles need two runs.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench_layers_import_") as work:
+        work = pathlib.Path(work)
+        shutil.copytree(ROOT / "src" / "vka", work / "src" / "vka", ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        env["PYTHONPATH"] = str(work / "src")
+        envs = {
+            "cold": {**env, "PYTHONDONTWRITEBYTECODE": "1"},
+            "warm": {**env, "PYTHONPYCACHEPREFIX": str(work / "pycache")},
+        }
+        import_once(envs["warm"])  # writes the bytecode the warm runs read
+        runs = {name: [import_once(e) for _ in range(repeats)] for name, e in envs.items()}
+    section = {
+        "layer": "import vka.cli",
+        "workload": "a fresh interpreter per import; cold: PYTHONDONTWRITEBYTECODE=1, warm: bytecode cached",
+        "repeats": repeats,
+    }
+    for name, results in runs.items():
+        seconds = [s for s, _ in results]
+        q1, median, q3 = statistics.quantiles(seconds, n=4)
+        section[name] = {"median_s": round(median, 6), "q1_s": round(q1, 6), "q3_s": round(q3, 6)}
+    section["modules"] = runs["cold"][0][1]
+    return section
+
+
 def run():
     replays = {workload: replay(workload) for workload in workloads.WORKLOADS}
     gcd = {workload: gcd_case(calls) for workload, (calls, *_) in replays.items()}
@@ -409,6 +465,9 @@ def run():
     print(f"profile: {profile['diagrams']} diagrams, {profile['speedup']}x", file=sys.stderr)
     colorings = colorings_section(replays[COLORING_WORKLOAD][3])
     print(f"colorings: {colorings['diagrams']} diagrams, {colorings['speedup']}x", file=sys.stderr)
+    imports = import_section()
+    print(f"import: cold {imports['cold']['median_s'] * 1e3:.1f} ms, warm {imports['warm']['median_s'] * 1e3:.1f} ms",
+          file=sys.stderr)
 
     rungs = ladder()
     minors = [case for rung in rungs for case in minors_cases(*rung)]
@@ -454,6 +513,7 @@ def run():
         "walks": walks,
         "profile": profile,
         "colorings": colorings,
+        "import": imports,
     }
     sections = ("gcd", "minors", "modules", "presentations")
     record["all_equal"] = (all(record[name]["all_equal"] for name in sections)

@@ -17,7 +17,6 @@ matrices over Z[u^+-1, v^+-1] whose minors drive all downstream invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .diagram import LONG, OVER, UNDER
@@ -146,8 +145,7 @@ def relation_is_trivial(rel):
     return rel.left == rel.right
 
 
-@dataclass(frozen=True)
-class GroupPresentationZ2:
+class GroupPresentationZ2(NamedTuple):
     """Generators, Z^2-operator relations, and the two distinguished ends.
 
     ``end_minus`` / ``end_plus`` are words expressing the images of the
@@ -443,8 +441,7 @@ def quotient_kill(p, victims):
 # -- abelianization ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresentationMatrix:
+class PresentationMatrix(NamedTuple):
     """Relations-by-generators matrix over a tagged coefficient ring.
 
     ring is one of "L2" (Z[u,v] Laurent), "L1" (Z[t] Laurent) or "Z";

@@ -160,8 +160,11 @@ def cmd_construct(args):
         out = diagram.dn_family(_load(args.input), n)
     text = serialize_gauss(out)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n" if text else text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n" if text else text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
     else:
         _emit(args, {"code": text, "crossings": out.crossings}, [text])
     return EXIT_OK

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .alexander import (
     _reduce,
@@ -284,8 +284,7 @@ def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
     return all(x in (1, -1) for x in _minors(one_var_matrix(d, 1), 1, max_minors))
 
 
-@dataclass(frozen=True)
-class ColoringReport:
+class ColoringReport(NamedTuple):
     p: int
     count: int
     nontrivial: bool
@@ -405,15 +404,22 @@ def quotient_pipeline(d, quotient="none"):
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
+def _reduce_quotient(d, rows, cols, quotient):
+    """``_reduce`` of the rows of A(u, v) less the columns of the ends ``quotient`` kills; ``rows`` are used up."""
+    killed = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
+    for row in rows:
+        for g in killed:
+            row.pop(g, None)
+    return _reduce(rows, tuple(g for g in cols if g not in killed))
+
+
 def module_matrix(d, arcs, quotient):
-    """``_reduce`` of a copy of A(u, v) = ``arcs`` less the columns of the ends ``quotient`` kills.
+    """``_reduce_quotient`` of a copy of A(u, v) = ``arcs``, so ``arcs`` serves more quotients.
 
     The copy goes down to the term dicts, which ``_reduce`` changes in place.
     """
     rows, cols = arcs
-    killed = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
-    copy = [{g: dict(terms) for g, terms in row.items() if g not in killed} for row in rows]
-    return _reduce(copy, tuple(g for g in cols if g not in killed))
+    return _reduce_quotient(d, [{g: dict(terms) for g, terms in row.items()} for row in rows], cols, quotient)
 
 
 def quotient_matrix(d, quotient="none"):
@@ -424,7 +430,7 @@ def quotient_matrix(d, quotient="none"):
     quotient drops the column of each killed end.  Every char poly and hom
     count is taken from it; no word elimination runs.
     """
-    return module_matrix(d, merged_arc_rows(d), quotient)
+    return _reduce_quotient(d, *merged_arc_rows(d), quotient)
 
 
 def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):

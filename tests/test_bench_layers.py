@@ -95,3 +95,13 @@ def test_ladder_presentations_replay_matches_the_record(bench):
     _, _, presentations, _ = bench.replay("invariants-ladder")
     workload, recorded = bench.presentations_workload(presentations, repeats=1), RECORD["presentations"]["workload"]
     assert (workload["diagrams"], workload["unequal"]) == (recorded["diagrams"], recorded["unequal"]) == (220, 0)
+
+
+def test_import_section_matches_the_record(bench):
+    recorded = RECORD["import"]
+    assert "dataclasses" not in recorded["modules"] and "inspect" not in recorded["modules"]
+    assert recorded["cold"]["median_s"] > recorded["warm"]["median_s"]
+    section = bench.import_section(repeats=2)
+    assert section.keys() == recorded.keys()
+    assert section["modules"] == recorded["modules"]
+    assert "vka.cli" in section["modules"]

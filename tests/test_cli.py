@@ -584,6 +584,16 @@ def test_missing_file_exit_2(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("target", ["missing/x.gauss", "."])
+def test_unwritable_output_exit_2(capsys, corpus_dir, tmp_path, target):
+    out_path = tmp_path / target  # a file in a missing directory, or a directory
+    code, out, err = run(capsys, "construct", "dn", str(corpus_dir / "d1.gauss"), "2", "-o", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"invalid configuration: cannot write {out_path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _reuse_calls(corpus_dir):
     k1, k4k5, trefoil = (str(corpus_dir / f"{name}.gauss") for name in ("k1", "k4k5", "trefoil"))
     return [
