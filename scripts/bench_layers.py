@@ -30,9 +30,9 @@ One section per layer:
   passes, and the sha256 of the walked codes;
 - ``profile``: ``invariant_profile`` on the start and walked diagram of
   each of the fuzz-walks workload's walks, against its route before
-  (``full_smith_profile``: the determinant and the colorings from the
-  Smith form of the full A(-1)), best of 15 interleaved passes, with
-  the shapes of the reduced ``none`` matrices;
+  (``per_quotient_profile``: a fresh ``quotient_matrix(d, quotient)`` per
+  quotient), best of 15 interleaved passes, with the shapes of the
+  reduced ``none`` and ``end-minus`` matrices by both routes;
 - ``colorings``: ``coloring_count`` on the winding-colorings workload's
   ``color`` requests (p = 2..29), against ``full_smith_colorings`` (its
   route before, by ``colorings_reference`` on the full A(-1)), best of
@@ -75,12 +75,12 @@ import workloads  # noqa: E402
 from oracles import colorings_reference, minors_reference, random_code, reduced_matrix  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
 from vka.alexander import (  # noqa: E402
-    _arc_matrix_at, abelianize, extended_presentation, merged_arc_rows, tietze_eliminate,
+    abelianize, extended_presentation, one_var_matrix, tietze_eliminate,
 )
 from vka.diagram import LONG, parse_gauss, serialize_gauss  # noqa: E402
 from vka.invariants import (  # noqa: E402
-    PROFILE_MODULI, ColoringReport, _end_quotient, char_poly, check_modulus, coloring_count,
-    elementary_minors, invariant_profile, module_matrix, quotient_matrix, quotient_pipeline,
+    PROFILE_MODULI, ColoringReport, _end_quotient, char_poly, check_modulus, coloring_count, coloring_reports,
+    elementary_minors, invariant_profile, quotient_matrices, quotient_matrix, quotient_pipeline,
 )
 
 SEED = 1
@@ -341,34 +341,58 @@ def walks_section(walks, repeats=WALK_REPEATS):
     }
 
 
-def full_smith_colorings(d, arcs, ps):
-    """The determinant and the coloring reports of ``d`` (A(u, v) = ``arcs``) by the route
-    before the reduced ``none`` matrix served them: the Smith form of the full A(-1)."""
+def full_smith_colorings(d, ps):
+    """The coloring reports of ``d`` by the route before the reduced ``none`` matrix
+    served them: the Smith form of the full A(-1)."""
     for p in ps:
         check_modulus(p)
-    det, counts = colorings_reference(_arc_matrix_at(d, arcs, -1), ps)
-    return det, [ColoringReport(p=p, count=count, nontrivial=count > p) for p, count in zip(ps, counts)]
+    _, counts = colorings_reference(one_var_matrix(d, -1), ps)
+    return [ColoringReport(p=p, count=count, nontrivial=count > p) for p, count in zip(ps, counts)]
 
 
-def full_smith_profile(d):
-    """``invariant_profile`` with the determinant and the colorings from ``full_smith_colorings``."""
+def profile_quotients(d):
+    """The quotients whose char polys ``invariant_profile`` takes."""
+    return ("none", "end-minus") if d.kind == LONG else ("none",)
+
+
+def per_quotient_profile(d):
+    """``invariant_profile`` by its route before one reduction of A(u, v) served
+    both quotients: a fresh ``quotient_matrix(d, quotient)`` per quotient."""
     profile = {}
-    arcs = merged_arc_rows(d)
-    for quotient in ("none", "end-minus") if d.kind == LONG else ("none",):
-        mat = module_matrix(d, arcs, quotient)
+    for quotient in profile_quotients(d):
+        mat = quotient_matrix(d, quotient)
+        if quotient == "none":
+            det, reports = coloring_reports(mat, PROFILE_MODULI)
         for k in KS:
             profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(mat, k))
-    det, reports = full_smith_colorings(d, arcs, PROFILE_MODULI)
     if d.kind == LONG:
         profile["determinant"] = det
     profile.update((f"colorings p={rep.p}", rep.count) for rep in reports)
     return profile
 
 
-def shape_counts(diagrams):
-    """How many of ``diagrams`` have each shape of the reduced ``none`` matrix, as "rows x columns"."""
-    shapes = [f"{rows}x{columns}" for rows, columns in (quotient_matrix(d).shape for d in diagrams)]
+def shape_counts(shapes):
+    """How many of ``shapes`` are each shape, as "rows x columns"."""
+    shapes = [f"{rows}x{columns}" for rows, columns in shapes]
     return {shape: shapes.count(shape) for shape in sorted(set(shapes))}
+
+
+def route_shapes(diagrams):
+    """Per profile quotient, the shapes of the reduced matrices of ``diagrams`` by the shared
+    route (``quotient_matrices`` of the profile's quotients) and the per-quotient route, and
+    how often the shared route's matrix has more, or fewer, rows plus columns."""
+    section = {}
+    for quotient in ("none", "end-minus"):
+        chosen = [d for d in diagrams if quotient in profile_quotients(d)]
+        change = [quotient_matrices(d, profile_quotients(d))[quotient].shape for d in chosen]
+        parent = [quotient_matrix(d, quotient).shape for d in chosen]
+        section[quotient] = {
+            "change": shape_counts(change),
+            "parent": shape_counts(parent),
+            "larger": sum(sum(a) > sum(b) for a, b in zip(change, parent)),
+            "smaller": sum(sum(a) < sum(b) for a, b in zip(change, parent)),
+        }
+    return section
 
 
 def change_and_parent(routes, repeats):
@@ -390,13 +414,12 @@ def profile_section(walks, repeats=PROFILE_REPEATS):
     return {
         "layer": "invariants.invariant_profile",
         "workload": f"the start and walked diagrams of the {WALK_WORKLOAD} request list, seed {SEED}",
-        "parent": "full_smith_profile: the determinant and the colorings from the Smith form of the full A(-1)",
+        "parent": "per_quotient_profile: a fresh quotient_matrix(d, quotient) per quotient",
         "diagrams": len(diagrams),
-        "start_shapes": shape_counts(diagrams[:len(walks)]),
-        "walked_shapes": shape_counts(walked),
+        "shapes": route_shapes(diagrams),
         **change_and_parent({
             "change": lambda: [invariant_profile(d) for d in diagrams],
-            "parent": lambda: [full_smith_profile(d) for d in diagrams],
+            "parent": lambda: [per_quotient_profile(d) for d in diagrams],
         }, repeats),
     }
 
@@ -409,10 +432,10 @@ def colorings_section(calls, repeats=COLORING_REPEATS):
         "parent": "full_smith_colorings: the Smith form of the full A(-1)",
         "diagrams": len(calls),
         "moduli": sum(len(ps) for _, ps in calls),
-        "shapes": shape_counts([d for d, _ in calls]),
+        "shapes": shape_counts(quotient_matrix(d).shape for d, _ in calls),
         **change_and_parent({
             "change": lambda: [coloring_count(d, ps) for d, ps in calls],
-            "parent": lambda: [full_smith_colorings(d, merged_arc_rows(d), ps)[1] for d, ps in calls],
+            "parent": lambda: [full_smith_colorings(d, ps) for d, ps in calls],
         }, repeats),
     }
 

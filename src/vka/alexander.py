@@ -499,28 +499,31 @@ def _sub_product(target, f, g):
                 del target[e]
 
 
-def _unit_columns(row):
-    """The columns of a sparse row whose entry is a unit +-u^a v^b."""
-    return [g for g, entry in row.items() if len(entry) == 1 and abs(next(iter(entry.values()))) == 1]
+def _unit_columns(row, keep):
+    """The columns of a sparse row, outside ``keep``, whose entry is a unit +-u^a v^b."""
+    return [g for g, entry in row.items()
+            if len(entry) == 1 and abs(next(iter(entry.values()))) == 1 and g not in keep]
 
 
-def _reduce(rows, cols):
+def _reduce(rows, cols, keep=(), sparse=False):
     """Sparse rows over ``cols``, unit pivots eliminated, as an L2 matrix.
 
     A row maps column -> {exp: coeff}; the rows and their entries are
-    changed in place.  While an entry is a unit +-u^a v^b, the one of
-    least Markowitz cost (row entries - 1) * (column entries - 1) is
-    taken, first in row order on ties: its column is cleared from the
-    other rows, and its row and column are dropped.  Each step is an
-    elementary equivalence of presentations, so every Fitting ideal, and
-    with it every char poly and hom count, is kept.  Zero rows are dropped.
+    changed in place.  While an entry outside the columns ``keep`` is a
+    unit +-u^a v^b, the one of least Markowitz cost (row entries - 1) *
+    (column entries - 1) is taken, first in row order on ties: its column
+    is cleared from the other rows, and its row and column are dropped.
+    Each step is an elementary equivalence of presentations, so every
+    Fitting ideal, and with it every char poly and hom count, is kept.
+    Zero rows are dropped.  With ``sparse`` the rows left and their
+    columns are returned as they are, for a later ``_reduce``.
     """
     where = {g: set() for g in cols}  # column -> ids of the rows holding it
     rows = {i: row for i, row in enumerate(rows) if row}  # in input order
     for i, row in rows.items():
         for g in row:
             where[g].add(i)
-    units = {i: _unit_columns(row) for i, row in rows.items()}  # kept until the row changes
+    units = {i: _unit_columns(row, keep) for i, row in rows.items()}  # kept until the row changes
     while True:
         best = None
         for i, row_units in units.items():
@@ -559,10 +562,12 @@ def _reduce(rows, cols):
                     del row[h]
                     where[h].discard(j)
             if row:
-                units[j] = _unit_columns(row)
+                units[j] = _unit_columns(row, keep)
             else:
                 del rows[j], units[j]
     cols = tuple(g for g in cols if g in where)
+    if sparse:
+        return list(rows.values()), cols
     return PresentationMatrix("L2", cols, tuple(_dense(row, cols) for row in rows.values()))
 
 

@@ -113,12 +113,12 @@ def cmd_invariants(args):
         payload["presentation"] = pres.to_json()
         if not args.json:  # --json prints no text lines
             lines.append(str(pres))
-    if args.charpoly or args.det or args.color:
-        arcs = alexander.merged_arc_rows(d)  # A(u, v): every matrix below is a unit reduction of it
-        if args.det or args.color or args.quotient == "none":
-            none = invariants.module_matrix(d, arcs, "none")
+    # one reduction of A(u, v) serves the --charpoly quotient and "none", which --det and --color read
+    needed = ([args.quotient] if args.charpoly else []) + (["none"] if args.det or args.color else [])
+    if needed:
+        matrices = invariants.quotient_matrices(d, tuple(dict.fromkeys(needed)))
     if args.charpoly:
-        mat = none if args.quotient == "none" else invariants.module_matrix(d, arcs, args.quotient)
+        mat = matrices[args.quotient]
         if args.t in SPECIALIZATIONS:
             mat = getattr(alexander, SPECIALIZATIONS[args.t])(mat)
         _check_coeff_budget(mat, args.max_coeff_bits)
@@ -130,7 +130,7 @@ def cmd_invariants(args):
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
         # the diagram's, whatever --quotient says: the L2 "none" matrix at (u, v) = (-1, 1), never its --t image
-        det, colorings = invariants.coloring_reports(none, args.color or ())
+        det, colorings = invariants.coloring_reports(matrices["none"], args.color or ())
         if args.det:
             payload["determinant"] = det
             lines.append(str(det))

@@ -404,46 +404,47 @@ def quotient_pipeline(d, quotient="none"):
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
-def _reduce_quotient(d, rows, cols, quotient):
-    """``_reduce`` of the rows of A(u, v) less the columns of the ends ``quotient`` kills; ``rows`` are used up."""
-    killed = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
-    for row in rows:
-        for g in killed:
-            row.pop(g, None)
-    return _reduce(rows, tuple(g for g in cols if g not in killed))
+def quotient_matrices(d, quotients):
+    """A unit-reduced module matrix per end quotient in ``quotients``, from one reduction of A(u, v).
 
-
-def module_matrix(d, arcs, quotient):
-    """``_reduce_quotient`` of a copy of A(u, v) = ``arcs``, so ``arcs`` serves more quotients.
-
-    The copy goes down to the term dicts, which ``_reduce`` changes in place.
+    An end quotient drops the columns of the ends it kills from the merged
+    arc matrix A(u, v), which has the elementary ideals of the abelianized
+    presentation; no word elimination runs.  One ``_reduce`` takes no pivot
+    in the columns that only some quotients kill.  A row operation acts on
+    each column on its own, so each quotient drops its columns from the
+    rows left and finishes there with the Fitting ideals it would have had.
     """
-    rows, cols = arcs
-    return _reduce_quotient(d, [{g: dict(terms) for g, terms in row.items()} for row in rows], cols, quotient)
+    rows, cols = merged_arc_rows(d)
+    killed = {q: {cols[e] for e in _killed_ends(d.kind == LONG, q)} for q in quotients}
+    common = set.intersection(*killed.values())
+    keep = set.union(*killed.values()) - common
+    if common:
+        rows = [{g: terms for g, terms in row.items() if g not in common} for row in rows]
+    reduced = _reduce(rows, tuple(g for g in cols if g not in common), keep, sparse=bool(keep))
+    if not keep:  # nothing is protected, so nothing is left to finish
+        return dict.fromkeys(killed, reduced)
+    (rows, cols), last, matrices = reduced, len(killed) - 1, {}
+    for n, (q, own) in enumerate(killed.items()):
+        # ``_reduce`` changes its rows' entries in place: the last quotient takes the shared ones
+        rows_q = [{g: dict(t) if n < last else t for g, t in row.items() if g not in own} for row in rows]
+        matrices[q] = _reduce(rows_q, tuple(g for g in cols if g not in own))
+    return matrices
 
 
 def quotient_matrix(d, quotient="none"):
-    """Unit-reduced module matrix of the requested end quotient.
-
-    The reduction starts from the merged arc matrix A(u, v), whose
-    elementary ideals are those of the abelianized presentation; an end
-    quotient drops the column of each killed end.  Every char poly and hom
-    count is taken from it; no word elimination runs.
-    """
-    return _reduce_quotient(d, *merged_arc_rows(d), quotient)
+    """The unit-reduced module matrix of the requested end quotient (``quotient_matrices``)."""
+    return quotient_matrices(d, (quotient,))[quotient]
 
 
 def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
-    One A(u, v) serves both quotients, and the reduced ``none`` matrix also
-    serves the determinant and every coloring count (``coloring_reports``).
+    One reduction of A(u, v) serves both quotients, and the reduced
+    ``none`` matrix also serves the determinant and every coloring count
+    (``coloring_reports``).
     """
     profile = {}
-    arcs = merged_arc_rows(d)
-    quotients = ["none"] + (["end-minus"] if d.kind == LONG else [])
-    for quotient in quotients:
-        mat = module_matrix(d, arcs, quotient)
+    for quotient, mat in quotient_matrices(d, ("none", "end-minus") if d.kind == LONG else ("none",)).items():
         if quotient == "none":
             det, colorings = coloring_reports(mat, PROFILE_MODULI)
         for k in (0, 1):

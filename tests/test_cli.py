@@ -126,6 +126,28 @@ def test_bad_modulus_fails_before_the_diagram_is_read(capsys, tmp_path, monkeypa
     assert calls == []
 
 
+def test_combined_invariants_request_matches_its_parts(capsys, corpus_dir, tmp_path):
+    # one reduction serves "end-minus" for --charpoly and "none" for --det and --color
+    rng = random.Random(5)
+    paths = [p for p in sorted(corpus_dir.glob("*.gauss")) if not p.read_text().startswith("closed")]
+    for n in range(12):
+        paths.append(tmp_path / f"r{n}.gauss")
+        paths[-1].write_text(random_code(rng, rng.randint(0, 14)))
+    for path in paths:
+        charpoly = ["--charpoly", "1", "--quotient", "end-minus"]
+        colorings = ["--det", "--color", "3"]
+        parts, text = {}, ""
+        for argv in (charpoly, colorings):
+            code, out, _ = run(capsys, "--json", "invariants", str(path), *argv)
+            assert code == 0
+            parts.update(json.loads(out))
+            text += run(capsys, "invariants", str(path), *argv)[1]
+        code, out, _ = run(capsys, "--json", "invariants", str(path), *charpoly, *colorings)
+        assert code == 0
+        assert json.loads(out) == {**parts, "quotient": "end-minus"}, path.name
+        assert run(capsys, "invariants", str(path), *charpoly, *colorings)[1] == text, path.name
+
+
 def test_budget_exit_3(capsys, corpus_dir):
     code, _, err = run(
         capsys, "--max-minors", "1", "invariants", str(corpus_dir / "k4k5.gauss"),

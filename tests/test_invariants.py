@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from vka.alexander import (
     specialize_uv,
     tietze_eliminate,
 )
-from vka.diagram import LONG, TRIVIAL_LONG, close, dn_family, parse_gauss, serialize_gauss
+from vka.diagram import LONG, TRIVIAL_LONG, close, concatenate, dn_family, parse_gauss, serialize_gauss
 from vka.invariants import (
     BudgetExceeded,
     char_poly,
@@ -47,6 +48,7 @@ from vka.invariants import (
     hom_count_to_cyclic,
     invariant_profile,
     is_prime,
+    quotient_matrices,
     quotient_matrix,
     quotient_pipeline,
     smith_normal_form,
@@ -55,6 +57,7 @@ from vka.invariants import (
     unit_minor_check,
 )
 from vka.laurent import LaurentPoly, TVAR, UV, parse_poly
+from vka.moves import random_walk
 from vka.alexander import PresentationMatrix
 
 
@@ -492,14 +495,59 @@ def test_colorings_and_determinant_match_the_full_smith_route():
 
 
 def test_long_reduced_matrix_is_r_by_r_plus_one():
-    # A(1) has unit maximal minors, so no row of a long diagram reduces to zero
+    # A(1) has unit maximal minors, so no row of a long diagram reduces to zero,
+    # whichever end quotients share the reduction with "none"
     shapes = set()
+    others = [q for q in quotients(catalog.k1()) if q != "none"]
     for d in _coloring_diagrams() + random_diagrams(20, range(5)) + random_diagrams(30, range(3)):
         if d.kind == LONG:
             r, columns = quotient_matrix(d).shape
             assert columns == r + 1, d
             shapes.add(r)
+            for n in range(1, len(others) + 1):
+                for subset in combinations(others, n):
+                    r, columns = quotient_matrices(d, ("none", *subset))["none"].shape
+                    assert columns == r + 1, (d, subset)
     assert {0, 1, 2} <= shapes
+
+
+def _det_and_colorings(d, ps=(3, 5, 7)):
+    det, reports = invariants.coloring_reports(quotient_matrices(d, ("none",))["none"], ps)
+    return det, [rep.count for rep in reports]
+
+
+def test_determinant_and_colorings_multiply_under_concatenation():
+    """det(K1 K2) = det(K1) det(K2) and col_p(K1 K2) = col_p(K1) col_p(K2) / p, past 100 crossings.
+
+    Proof sketch.  A long diagram's coloring module M(K) is presented by
+    A(-1): one generator per column (arc) and one relation per crossing,
+    UO + UI - 2 OV.  Each relation maps to 0 under the augmentation that
+    sends every generator to 1, so M(K) = Z x + T(K) for any generator x,
+    where T(K) is the augmentation's kernel.  A(-1) is c x (c+1), so its
+    Smith form makes M(K) = Z + T'(K) with |T'(K)| the gcd of the maximal
+    minors, and T(K) = T'(K): det(K) = |T(K)|, read as 0 when T(K) is
+    infinite, and col_p(K) = |Hom(M(K), Z/p)| = p |Hom(T(K), Z/p)|.  K1 K2
+    joins K1's plus-end arc to K2's minus-end arc, and no crossing of one
+    piece holds an arc of the other, so M(K1 K2) is M(K1) + M(K2) with those
+    two generators identified: Z + T(K1) + T(K2).  Both products follow,
+    and a Reidemeister walk keeps the module, so the walked chain has them
+    too.  Closing a chain identifies two generators of one summand instead,
+    and the products can fail there, so closed chains are not checked.
+    """
+    rng = random.Random(21)
+    for seed in range(6):
+        pieces = []
+        while sum(p.crossings for p in pieces) < 100:
+            pieces.append(parse_gauss(random_code(rng, rng.randint(4, 8))))
+        chain = functools.reduce(concatenate, pieces)
+        dets, counts = zip(*map(_det_and_colorings, pieces))
+        assert all(count % p == 0 for piece in counts for count, p in zip(piece, (3, 5, 7)))
+        expected = (math.prod(dets), [p * math.prod(piece[i] // p for piece in counts) for i, p in enumerate((3, 5, 7))])
+        assert chain.crossings >= 100
+        assert _det_and_colorings(chain) == expected, seed
+        walked = random_walk(chain, seed, 40)
+        assert walked != chain
+        assert _det_and_colorings(walked) == expected, seed
 
 
 def test_coloring_divisibility_criterion():

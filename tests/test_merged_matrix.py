@@ -1,14 +1,17 @@
 """The merged two-variable arc matrix A(u, v) and the route built on it.
 
-``invariants.quotient_matrix`` reduces A(u, v) with the killed end columns
-dropped.  It must give every char poly and hom count that the word route
-it replaced gives (``oracles.quotient_matrix_reference``: the raw
-presentation's end quotient, then ``reduced_matrix``), and
-``invariant_profile``, which reduces two copies of one A(u, v), must
-agree with a fresh ``quotient_matrix`` per quotient.
+``invariants.quotient_matrices`` reduces A(u, v) once for a set of end
+quotients, then drops each quotient's killed end columns and finishes.
+Every matrix it gives, for every set of quotients, must give every char
+poly and hom count that the word route it replaced gives
+(``oracles.quotient_matrix_reference``: the raw presentation's end
+quotient, then ``reduced_matrix``), and ``invariant_profile``, which asks
+for two quotients at once, must agree with a fresh ``quotient_matrix`` per
+quotient.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,27 +26,103 @@ from oracles import (
     smith_normal_form_reference,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, merged_arc_rows, one_var_matrix
+from vka.alexander import T_GEN, _reduce, merged_arc_rows, one_var_matrix
 from vka.diagram import LONG, dn_family, parse_gauss
-from vka.invariants import char_poly, invariant_profile, quotient_matrix, smith_normal_form
+from vka.invariants import char_poly, invariant_profile, quotient_matrices, quotient_matrix, smith_normal_form
+from vka.laurent import UV, LaurentPoly
 from vka.moves import random_walk
 
 
+def _quotient_sets(d):
+    """Every non-empty set of the quotients ``d`` has."""
+    qs = quotients(d)
+    return [subset for n in range(1, len(qs) + 1) for subset in combinations(qs, n)]
+
+
 def _assert_matches_word_route(d, ks=(0, 1, 2)):
-    """Char polys over L2, v1 and diag, and hom counts, for every quotient of d."""
+    """Char polys over L2, v1 and diag, and hom counts, for every quotient of d,
+    from every set of quotients that ``quotient_matrices`` may be asked for."""
     assert merged_arc_rows(d) == merged_arc_rows_reference(d)
-    for quotient in quotients(d):
-        assert_same_module(quotient_matrix_reference(d, quotient), quotient_matrix(d, quotient), ks, (d, quotient))
+    matrices = {}  # quotient -> the distinct matrices the sets holding it give
+    for subset in _quotient_sets(d):
+        given = quotient_matrices(d, subset)
+        assert list(given) == list(subset)
+        for quotient, m in given.items():
+            if m not in matrices.setdefault(quotient, []):
+                matrices[quotient].append(m)
+    assert list(matrices) == list(quotients(d))
+    for quotient, ms in matrices.items():
+        assert ms[0] == quotient_matrix(d, quotient)  # the set of that quotient alone comes first
+        reference = quotient_matrix_reference(d, quotient)
+        for m in ms:
+            assert_same_module(reference, m, ks, (d, quotient))
 
 
-@pytest.mark.parametrize("crossings", [None, 0, 1, 2, 4, 8, 12, 20, 30])
+@pytest.mark.parametrize("crossings", [None, "windings", 0, 1, 2, 4, 8, 12, 20, 30])
 def test_quotient_matrix_matches_word_route(crossings):
     if crossings is None:
         diagrams = list(catalog.corpus().values())
+    elif crossings == "windings":
+        diagrams = [dn_family(b, n) for b in catalog.corpus().values() if b.kind == LONG for n in range(1, 7)]
     else:
         diagrams = random_diagrams(crossings, range(5 if crossings == 30 else 10))
     for d in diagrams:
         _assert_matches_word_route(d)
+
+
+# -- one reduction serves every quotient --------------------------------
+
+
+def _sparse(entries):
+    """Sparse rows from rows of {column: {(u_exp, v_exp): coeff}}, fresh on every call."""
+    return [{g: dict(terms) for g, terms in row.items()} for row in entries]
+
+
+def test_reduce_never_pivots_in_a_kept_column():
+    # row 0's unit in column a costs 0, row 1's unit in column b costs 2 * 1
+    rows = [
+        {"a": {(0, 0): 1}},
+        {"a": {(0, 0): 2}, "b": {(1, 0): -1}, "c": {(0, 0): 1, (1, 0): 1}},
+        {"b": {(0, 0): 3}, "c": {(0, 0): 1, (0, 1): 1}},
+    ]
+    cols = ("a", "b", "c")
+    free = _reduce(_sparse(rows), cols)
+    assert "a" not in free.cols
+    kept = _reduce(_sparse(rows), cols, keep={"a"})
+    assert kept.cols == ("a", "c") and kept.shape == (2, 2)
+    assert kept.rows[0] == (LaurentPoly.const(UV, 1), LaurentPoly.zero(UV))  # row 0 is untouched
+    sparse_rows, sparse_cols = _reduce(_sparse(rows), cols, keep={"a"}, sparse=True)
+    assert sparse_cols == kept.cols and sparse_rows[0] == rows[0]
+    assert _reduce(sparse_rows, sparse_cols) == free  # finished once a is free, as if it never was kept
+    for k in range(3):
+        assert char_poly(kept, k) == char_poly(free, k)
+
+
+def test_profile_reduces_all_of_a_once(monkeypatch):
+    builds, reductions = [], []
+    real_rows, real_reduce = invariants.merged_arc_rows, invariants._reduce
+
+    def build(d):
+        rows, cols = real_rows(d)
+        builds.append(len(rows))
+        return rows, cols
+
+    def reduce(rows, *args, **kwargs):
+        reductions.append(len(rows))
+        return real_reduce(rows, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "merged_arc_rows", build)
+    monkeypatch.setattr(invariants, "_reduce", reduce)
+    for d in catalog.corpus().values():
+        if d.kind != LONG or not d.crossings:
+            continue
+        builds.clear()
+        reductions.clear()
+        invariant_profile(d)
+        assert builds == [d.crossings], d
+        # one reduction of all of A(u, v), then one finish per quotient on the rows it left
+        assert reductions[0] == d.crossings and len(reductions) == 3, d
+        assert all(r < d.crossings for r in reductions[1:]), d
 
 
 # -- closed diagrams wrap into column 0 ------------------------------------
