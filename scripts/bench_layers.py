@@ -26,8 +26,12 @@ One section per layer:
   ``tietze_eliminate(extended_presentation(d))``, on the invariants-ladder
   workload's ``--presentation`` diagrams (best of 15 interleaved passes)
   and on the ladder;
-- ``walks``: the fuzz-walks workload's walks, best and median of 15
-  passes, and the sha256 of the walked codes;
+- ``walks``: the fuzz-walks workload's walks by ``random_walk`` and by
+  ``random_walk_reference`` (a scan and one draw into the ``legal_sites``
+  order at every step, the mapping before the walk drew against a bound),
+  best and median of 15 interleaved passes, the ``_shrinking_sites`` calls
+  of each, the mean walked crossing count and the sha256 of the walked
+  codes;
 - ``profile``: ``invariant_profile`` on the start and walked diagram of
   each of the fuzz-walks workload's walks, against its route before
   (``per_quotient_profile``: a fresh ``quotient_matrix(d, quotient)`` per
@@ -72,7 +76,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from oracles import colorings_reference, minors_reference, random_code, reduced_matrix  # noqa: E402
+from oracles import (  # noqa: E402
+    colorings_reference, minors_reference, random_code, random_walk_reference, reduced_matrix,
+)
 from vka import cli, invariants, laurent, moves  # noqa: E402
 from vka.alexander import (  # noqa: E402
     abelianize, extended_presentation, one_var_matrix, tietze_eliminate,
@@ -325,20 +331,53 @@ def presentations_workload(calls, repeats=PRESENTATION_REPEATS):
     }
 
 
+def counted_scans(fn):
+    """fn()'s result and the number of ``moves._shrinking_sites`` calls it made."""
+    calls, real = [0], moves._shrinking_sites
+
+    def counting(passages):
+        calls[0] += 1
+        return real(passages)
+
+    moves._shrinking_sites = counting
+    try:
+        return fn(), calls[0]
+    finally:
+        moves._shrinking_sites = real
+
+
 def walks_section(walks, repeats=WALK_REPEATS):
-    """The ``walks`` section: the captured walks, walked again ``repeats`` times."""
-    ends, seconds = timed(lambda: [moves.random_walk(d, seed, steps, max_crossings=cap)
-                                   for d, seed, steps, cap in walks], repeats)
-    return {
+    """The ``walks`` section: the captured walks by ``random_walk`` and by
+    ``random_walk_reference``, walked again ``repeats`` interleaved times."""
+    routes = {
+        "change": lambda: [moves.random_walk(d, seed, steps, max_crossings=cap) for d, seed, steps, cap in walks],
+        "reference": lambda: [random_walk_reference(d, seed, steps, max_crossings=cap)
+                              for d, seed, steps, cap in walks],
+    }
+    counted = {name: counted_scans(fn) for name, fn in routes.items()}
+    seconds = {name: [] for name in routes}
+    for _ in range(repeats):
+        for name, fn in routes.items():
+            seconds[name] += timed(fn, 1)[1]
+    section = {
         "layer": "moves.random_walk",
         "workload": f"the walks of the {WALK_WORKLOAD} request list, seed {SEED}",
+        "reference": "random_walk_reference: a scan and one draw into the legal_sites order at every step",
         "walks": len(walks),
         "steps": sum(steps for _, _, steps, _ in walks),
         "repeats": repeats,
-        "best_s": round(min(seconds), 6),
-        "median_s": round(statistics.median(seconds), 6),
-        "walked_sha256": hashlib.sha256("\n".join(map(serialize_gauss, ends)).encode("utf-8")).hexdigest(),
     }
+    for name, prefix in (("change", ""), ("reference", "reference_")):
+        ends, scans = counted[name]
+        section.update({
+            f"{prefix}scans": scans,
+            f"{prefix}best_s": round(min(seconds[name]), 6),
+            f"{prefix}median_s": round(statistics.median(seconds[name]), 6),
+            f"{prefix}mean_crossings": round(statistics.mean(d.crossings for d in ends), 4),
+            f"{prefix}walked_sha256": hashlib.sha256("\n".join(map(serialize_gauss, ends)).encode("utf-8")).hexdigest(),
+        })
+    section["speedup"] = round(section["reference_best_s"] / section["best_s"], 2)
+    return section
 
 
 def full_smith_colorings(d, ps):
@@ -483,7 +522,7 @@ def run():
           file=sys.stderr)
 
     walks = walks_section(replays[WALK_WORKLOAD][1])
-    print(f"walks: {walks['walks']} walks, best {walks['best_s']:.4f} s", file=sys.stderr)
+    print(f"walks: {walks['walks']} walks, {walks['scans']} scans, {walks['speedup']}x", file=sys.stderr)
     profile = profile_section(replays[WALK_WORKLOAD][1])
     print(f"profile: {profile['diagrams']} diagrams, {profile['speedup']}x", file=sys.stderr)
     colorings = colorings_section(replays[COLORING_WORKLOAD][3])

@@ -12,9 +12,11 @@ Site enumeration builds one index per diagram, the position of each
 passage's partner (the other passage of its crossing).  With it the
 shrinking sites (R1-, R2-, R3) come from one O(n) scan over adjacent
 pairs, which is the only definition of their legality; the growing sites
-(R1+, R2+) are counted and decoded from their index on demand.  A
-random-walk step moves on the bare passage list and costs O(n); the walk
-builds and validates one ``Diagram`` at its end.
+(R1+, R2+) are counted in closed form and decoded from their index on
+demand.  A random-walk step draws against the growing count plus a bound
+on the shrinking count, so it scans only when the draw lands past the
+growing sites; it moves on the bare passage list, and the walk builds and
+validates one ``Diagram`` at its end.
 """
 
 from __future__ import annotations
@@ -54,61 +56,81 @@ def _shrinking_sites(passages):
     This scan defines which shrinking sites are legal.  Sites come in kind
     order (R1-, R2-, R3), each kind sorted by its data.  Every site uses an
     adjacent pair of passages a, b at i, i + 1, and the partner index fixes
-    the rest of it.  An R2- partner pair can only sit at the other passages
-    of the two crossings, which already have the other role and the same
-    crossings, so a and b need only equal roles and opposite signs.  An
-    over-over pair fixes the crossings x, y of an R3 triangle, so the
-    middle pair holds x's under passage and the bottom pair y's, two
-    positions each (see ``_r3_sites``).
+    the rest of it.  A kink is a pair of partners.  An R2- or R3 site needs
+    a and b of equal roles, which a kink never has.  An R2- partner pair
+    can only sit at the other passages of the two crossings, which already
+    have the other role and the same crossings, so a and b need only
+    opposite signs.  An over-over pair fixes the crossings x, y of an R3
+    triangle, so the middle pair holds x's under passage and the bottom
+    pair y's (see ``_r3_sites``).
     """
     n = len(passages)
     partner = _partners(passages)
-    r1, r2, r3 = [], [], []
-    for i in range(n - 1):
-        a, b = passages[i], passages[i + 1]
-        if a.crossing == b.crossing:
-            r1.append(MoveSite("r1-", (i,)))
-            continue
+    r1 = [MoveSite("r1-", (i,)) for i in range(n - 1) if partner[i] == i + 1]
+    r2, r3 = [], []
+    roles = [p.role for p in passages]
+    for i in [i for i in range(n - 1) if roles[i] == roles[i + 1]]:
         pa, pb = partner[i], partner[i + 1]
         j = min(pa, pb)
-        if abs(pa - pb) == 1 and j > i + 1 and a.role == b.role and a.sign != b.sign:
+        if abs(pa - pb) == 1 and j > i + 1 and passages[i].sign != passages[i + 1].sign:
             r2.append(MoveSite("r2-", (i, j)))
-        if a.role == OVER and b.role == OVER:
+        if roles[i] == OVER:
             r3.extend(_r3_sites(passages, partner, i))
     r3.sort(key=lambda site: site.data)
     return r1 + r2 + r3
 
 
 def _r3_sites(passages, partner, it):
-    """The R3 sites whose top (over-over) pair sits at ``it``.
+    """The R3 sites whose top (over-over) pair sits at ``it``: at most two.
 
     A site (it, im, ib, e_top, e_bot) reads the top pair as (O x, O y) when
     e_top = 1 and (O y, O x) when it is -1; the middle pair is (U x, O z)
     or (O z, U x) (e_mid = 1 or -1) and the bottom pair (U y, U z) or
-    (U z, U y) (e_bot = 1 or -1).  The partner index places all six
-    passages, but the one taken for z's over passage, at x's under passage
-    +-1, must be an over passage other than x's own (in ``U1+ U2+ O2+ O1+``
-    it is x's own); the signs of x, y and z must be e_top * e_mid,
-    e_top * e_bot and e_mid * e_bot.
+    (U z, U y) (e_bot = 1 or -1).  The signs of x, y and z must be
+    e_top * e_mid, e_top * e_bot and e_mid * e_bot, so x's sign fixes
+    e_mid for each e_top.  The partner index then places all six passages,
+    but the one taken for z's over passage, at x's under passage + e_mid,
+    must be an over passage other than x's own (in ``U1+ U2+ O2+ O1+`` it
+    is x's own); z's under passage beside y's fixes e_bot.
     """
     n = len(passages)
     sites = []
     for e_top, xo, yo in ((1, it, it + 1), (-1, it + 1, it)):
-        xu, yu = partner[xo], partner[yo]
-        for e_mid, im, zo in ((1, xu, xu + 1), (-1, xu - 1, xu - 1)):
-            if not 0 <= zo < n or zo == xo or passages[zo].role != OVER:
-                continue
-            zu = partner[zo]
-            if zu == yu + 1:
-                ib, e_bot = yu, 1
-            elif zu == yu - 1:
-                ib, e_bot = yu - 1, -1
-            else:
-                continue
-            signs = passages[xo].sign, passages[yo].sign, passages[zo].sign
-            if signs == (e_top * e_mid, e_top * e_bot, e_mid * e_bot):
-                sites.append(MoveSite("r3", (it, im, ib, e_top, e_bot)))
+        e_mid = e_top * passages[xo].sign
+        xu = partner[xo]
+        im, zo = (xu, xu + 1) if e_mid == 1 else (xu - 1, xu - 1)
+        if not 0 <= zo < n or zo == xo or passages[zo].role != OVER:
+            continue
+        zu, yu = partner[zo], partner[yo]
+        if zu == yu + 1:
+            ib, e_bot = yu, 1
+        elif zu == yu - 1:
+            ib, e_bot = yu - 1, -1
+        else:
+            continue
+        if passages[yo].sign == e_top * e_bot and passages[zo].sign == e_mid * e_bot:
+            sites.append(MoveSite("r3", (it, im, ib, e_top, e_bot)))
     return sites
+
+
+def _shrink_bound(n):
+    """An upper bound on the shrinking sites of an n-passage list: 2(n - 1).
+
+    Each site is anchored at one of the n - 1 adjacent pairs a, b at i,
+    i + 1: an R1- site at its kink, an R2- site at its first pair and an
+    R3 site at its top pair.  A kink anchors its R1- site only, a pair of
+    an over and an under passage of two crossings nothing, and an
+    under-under pair at most one R2- site, whose second pair the partner
+    index fixes.  An over-over pair anchors at most two R3 sites, one per
+    e_top (see ``_r3_sites``).  If it also anchors an R2- site, a and b
+    have opposite signs and adjacent under passages.  z's over passage sits
+    at x's under passage + e_mid, so y's under passage must sit at x's -
+    e_mid: at a's - sign(a) when e_top = 1 (x = a, e_mid = sign(a)) and at
+    a's + sign(a) when e_top = -1 (x = b, e_mid = -sign(b) = sign(a)).  So
+    at most one R3 site joins the R2- site, and no pair anchors more than
+    two sites.
+    """
+    return 2 * (n - 1) if n else 0
 
 
 def _r1_add_count(n):
@@ -141,38 +163,33 @@ def _decode_r2_add(n, idx):
     return MoveSite("r2+", (i, j, sign, first_role, parallel))
 
 
-def _site_table(passages, max_crossings):
-    """The legal sites of a passage list in their fixed order, as (count, site_at).
+def _growth(n, max_crossings):
+    """The R1+ and R2+ site counts of an n-passage list.
 
-    The shrinking sites come first, listed by one O(n) scan; the R1+ and
-    R2+ sites after them are decoded from their index on demand.  Growing
-    moves are withheld once the crossing count reaches ``max_crossings``.
+    Growing moves are withheld once the crossing count reaches
+    ``max_crossings``: R2+ once it is within two of it.
     """
-    n = len(passages)
     crossings = n // 2
-    shrink = _shrinking_sites(passages)
     r1 = _r1_add_count(n) if max_crossings is None or crossings < max_crossings else 0
     r2 = _r2_add_count(n) if max_crossings is None or crossings + 2 <= max_crossings else 0
+    return r1, r2
 
-    def site_at(k):
-        if k < len(shrink):
-            return shrink[k]
-        k -= len(shrink)
-        if k < r1:
-            return _decode_r1_add(k)
-        return _decode_r2_add(n, k - r1)
 
-    return len(shrink) + r1 + r2, site_at
+def _growing_site(n, r1, k):
+    """Growing site ``k`` of an n-passage list with ``r1`` R1+ sites: the R1+ sites, then the R2+."""
+    return _decode_r1_add(k) if k < r1 else _decode_r2_add(n, k - r1)
 
 
 def legal_sites(d, max_crossings=None):
     """Deterministically ordered legal move sites for a diagram.
 
-    Growing moves (R1+, R2+) are withheld once the crossing count reaches
-    ``max_crossings``.
+    The shrinking sites come first, in the order of ``_shrinking_sites``,
+    then the R1+ and R2+ sites.  Growing moves are withheld once the
+    crossing count reaches ``max_crossings``.
     """
-    count, site_at = _site_table(d.passages, max_crossings)
-    return [site_at(k) for k in range(count)]
+    n = len(d.passages)
+    r1, r2 = _growth(n, max_crossings)
+    return _shrinking_sites(d.passages) + [_growing_site(n, r1, k) for k in range(r1 + r2)]
 
 
 _NO_SITE = {"r1-": "no kink at", "r2-": "no poke pair at", "r3": "no triangle at"}
@@ -245,11 +262,16 @@ def random_walk(d, seed, steps, max_crossings=None):
 
     Growth is capped at the starting crossing count plus six unless an
     explicit cap is given, keeping fuzz campaigns within minor budgets.
-    Each step draws one index into the site table of ``legal_sites``: the
-    shrinking sites come from one O(n) scan of the partner index and only
-    the drawn growing site is decoded.  The walk moves on the bare passage
-    list, whose sites are legal by construction, so a step costs O(n); one
-    ``Diagram`` at the end validates and relabels the result.
+    A step with G growing sites draws k from [0, G + B), where B =
+    ``_shrink_bound(n)`` bounds the S shrinking sites.  If k < G it decodes
+    growing site k with no scan.  Otherwise it scans once, takes shrinking
+    site k - G if k - G < S and else redraws once from [0, G + S); with
+    G + S = 0 the walk stops.  Each legal site has probability 1/(G + B)
+    on the first draw and the same share, (B - S)/(G + B) * 1/(G + S), on
+    the redraw: 1/(G + S) in all, the uniform law over ``legal_sites``.
+    The walk moves on the bare passage list, whose sites are legal by
+    construction, so a step costs O(n); one ``Diagram`` at the end
+    validates and relabels the result.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -259,8 +281,19 @@ def random_walk(d, seed, steps, max_crossings=None):
     passages = list(d.passages)
     fresh = itertools.count(d.crossings + 1)
     for _ in range(steps):
-        count, site_at = _site_table(passages, max_crossings)
-        if count == 0:
+        n = len(passages)
+        r1, r2 = _growth(n, max_crossings)
+        grow = r1 + r2
+        total = grow + _shrink_bound(n)
+        if total == 0:
             break
-        passages = _moved(passages, site_at(rng.randrange(count)), fresh)
+        k = rng.randrange(total)
+        if k >= grow:
+            shrink = _shrinking_sites(passages)
+            if k - grow >= len(shrink):  # past the shrinking sites: redraw from the exact range
+                if grow + len(shrink) == 0:
+                    break
+                k = rng.randrange(grow + len(shrink))
+        site = _growing_site(n, r1, k) if k < grow else shrink[k - grow]
+        passages = _moved(passages, site, fresh)
     return Diagram(d.kind, passages)

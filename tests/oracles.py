@@ -9,8 +9,10 @@ counts by exhaustive assignment, colorings and determinants also by the
 Smith form of the full A(-1) that the reduced A(u, v) replaced, move
 sites by trying every combination of adjacent pairs through matchers of
 their own (in ``vka`` the partner-index scan is the only definition of a
-legal site), arc incidences by a per-crossing table, merged arcs by a
-search along the over strands (``arc_classes``, the one partition under
+legal site), seeded walks by a scan and one draw into the ``legal_sites``
+order at every step (the mapping before the walk drew against a bound),
+arc incidences by a per-crossing table, merged arcs by a search along
+the over strands (``arc_classes``, the one partition under
 the references for A(u, v), A(t) and the colorings; the library walks
 the under passages), Tietze elimination by the rescanning implementation
 the incremental one replaced, the end-quotient module matrix by the word
@@ -26,6 +28,7 @@ row-space membership of an end difference and relation comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -55,7 +58,8 @@ from vka.alexander import (
     word_inverse,
     word_shift,
 )
-from vka.diagram import LONG, OVER, UNDER, parse_gauss
+from vka import moves
+from vka.diagram import LONG, OVER, UNDER, Diagram, parse_gauss
 from vka.invariants import (
     RING_VARS,
     _end_quotient,
@@ -629,6 +633,32 @@ def shrinking_sites_brute_force(passages):
                     if matched:
                         break
     return sites
+
+
+def random_walk_reference(d, seed, steps, max_crossings=None):
+    """``vka.moves.random_walk`` by its route before rejection sampling.
+
+    Every step scans for the shrinking sites and draws one index into the
+    ``legal_sites`` order: the shrinking sites, then the R1+ and R2+ sites.
+    Each step has the law of ``random_walk``, uniform over ``legal_sites``;
+    the seed-to-walk mapping is the one before it drew against a bound.
+    """
+    if max_crossings is None:
+        max_crossings = d.crossings + 6
+    rng = random.Random(seed)
+    passages = list(d.passages)
+    fresh = itertools.count(d.crossings + 1)
+    for _ in range(steps):
+        n = len(passages)
+        shrink = moves._shrinking_sites(passages)
+        r1, r2 = moves._growth(n, max_crossings)
+        count = len(shrink) + r1 + r2
+        if count == 0:
+            break
+        k = rng.randrange(count)
+        site = shrink[k] if k < len(shrink) else moves._growing_site(n, r1, k - len(shrink))
+        passages = moves._moved(passages, site, fresh)
+    return Diagram(d.kind, passages)
 
 
 # -- references for the module-matrix route ----------------------------

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import random
+import types
+from fractions import Fraction
 
 import pytest
 
@@ -9,10 +12,11 @@ from oracles import (
     _r3_match,
     random_code,
     random_long_diagram,
+    random_walk_reference,
     shrinking_sites_brute_force,
 )
 from vka import moves
-from vka.diagram import Diagram, LONG, TRIVIAL_LONG, close, parse_gauss, serialize_gauss
+from vka.diagram import Diagram, LONG, OVER, TRIVIAL_LONG, UNDER, Passage, close, parse_gauss, serialize_gauss
 from vka.invariants import determinant_long, invariant_profile
 from vka.moves import IllegalMove, MoveSite, apply_move, legal_sites, random_walk
 
@@ -141,6 +145,7 @@ def check_shrinking_sites(d):
     """The shrinking sites of ``d``, checked against the brute force and applied."""
     sites = legal_sites(d, max_crossings=d.crossings)
     assert sites == shrinking_sites_brute_force(d.passages)
+    assert len(sites) <= moves._shrink_bound(len(d.passages))
     for site in sites:
         apply_move(d, site)  # raises IllegalMove on a bad site
     return sites
@@ -155,16 +160,19 @@ def test_sites_match_brute_force_on_random_diagrams():
 
 def test_sites_match_brute_force_along_corpus_walks(monkeypatch):
     captured = []
-    real_table = moves._site_table
+    real_moved = moves._moved
     monkeypatch.setattr(
-        moves, "_site_table", lambda ps, cap: captured.append(tuple(ps)) or real_table(ps, cap)
+        moves, "_moved", lambda ps, site, fresh: captured.append(tuple(ps)) or real_moved(ps, site, fresh)
     )
     corpus = catalog.corpus()
     states = []
     for d in corpus.values():
         for seed in range(20):
             captured.clear()
-            random_walk(d, seed, 50)
+            # the states this test checked before the walk drew against a
+            # bound: the two walks share one step law (see
+            # test_one_walk_step_is_uniform_over_legal_sites), not one mapping
+            random_walk_reference(d, seed, 50)
             states.extend(Diagram(d.kind, ps) for ps in captured)
     monkeypatch.undo()
     assert len(states) == len(corpus) * 20 * 50
@@ -246,11 +254,149 @@ def test_random_walk_builds_one_diagram_and_no_apply_move(monkeypatch):
             assert isinstance(walked, real_diagram)
 
 
-def test_golden_seed_to_walk_mapping():
+def _walks_digest(walk):
     lines = [
-        f"{name} {seed} {serialize_gauss(random_walk(d, seed, 50))}"
+        f"{name} {seed} {serialize_gauss(walk(d, seed, 50))}"
         for name, d in sorted(catalog.corpus().items())
         for seed in range(100)
     ]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "db661c56dc23b28d5cb17e1669496debc1cc2c080df591ba53ef77bcaad49957"
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_golden_seed_to_walk_mapping():
+    # re-pinned when the walk began to draw against a bound on the
+    # shrinking sites and to scan only on a draw past the growing sites:
+    # the law of a step is unchanged, the seed-to-walk mapping is not
+    assert _walks_digest(random_walk) == "dd723bf321a14bf3cf3c2ba9dc97e3900c52b6a8b40d0063a8e907e7b127eb1a"
+
+
+def test_walk_reference_keeps_the_mapping_before_the_bound():
+    assert _walks_digest(random_walk_reference) == "db661c56dc23b28d5cb17e1669496debc1cc2c080df591ba53ef77bcaad49957"
+
+
+def test_walk_scans_at_most_once_per_step(monkeypatch):
+    events = []
+    real_scan, real_moved = moves._shrinking_sites, moves._moved
+    monkeypatch.setattr(moves, "_shrinking_sites", lambda ps: events.append("scan") or real_scan(ps))
+    monkeypatch.setattr(moves, "_moved", lambda ps, site, fresh: events.append("move") or real_moved(ps, site, fresh))
+    for d in list(catalog.corpus().values()) + [close(catalog.k3())]:
+        for seed in range(5):
+            for cap in (d.crossings, None):
+                events.clear()
+                random_walk(d, seed, 50, max_crossings=cap)
+                assert "scan scan" not in " ".join(events)  # a stopped walk ends on its scan
+                if cap is None:  # growth allowed: some steps decode a growing site unscanned
+                    assert events.count("move") == 50 and events.count("scan") < 50
+
+
+class _Exhausted(Exception):
+    """The scripted draws ran out; ``bound`` is the range of the next draw."""
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        self.bound = bound
+
+
+def _step_law(monkeypatch, d, max_crossings):
+    """The exact law of one ``random_walk`` step from ``d``: each site's mass, and the mass that stops.
+
+    The walk's RNG is scripted through every sequence of draws it asks
+    for, the first draw and, after a miss, the redraw; each sequence has
+    mass 1/(product of the draws' ranges).
+    """
+    law, stopped, taken = {}, Fraction(0), []
+
+    def scripted(prefix):
+        class Scripted:
+            def __init__(self, seed):
+                self.draws = iter(prefix)
+
+            def randrange(self, bound):
+                k = next(self.draws, None)
+                if k is None:
+                    raise _Exhausted(bound)
+                return k
+
+        return types.SimpleNamespace(Random=Scripted)
+
+    monkeypatch.setattr(moves, "_moved", lambda ps, site, fresh: taken.append(site) or ps)
+    pending = [((), Fraction(1))]
+    while pending:
+        prefix, mass = pending.pop()
+        monkeypatch.setattr(moves, "random", scripted(prefix))
+        taken.clear()
+        try:
+            random_walk(d, 0, 1, max_crossings=max_crossings)
+        except _Exhausted as out:
+            pending.extend((prefix + (k,), mass / out.bound) for k in range(out.bound))
+            continue
+        if taken:
+            (site,) = taken
+            law[site] = law.get(site, 0) + mass
+        else:
+            stopped += mass
+    monkeypatch.undo()
+    return law, stopped
+
+
+@pytest.mark.parametrize("code, extra, growing, shrinking", [
+    ("O1- O2+ O3+ O4- U1- U2+ U4- U3+", 6, 396, 3),  # far below the cap
+    ("closed\nO1+ O2+ U1+ O3+ U2+ U3+", 6, 252, 1),
+    ("O1- O2+ O3+ O4- U1- U2+ U4- U3+", 1, 36, 3),  # one below the cap: R1+ only
+    ("closed\nO1+ O2+ U1+ O3+ U2+ U3+", 1, 28, 1),
+    ("", 1, 4, 0),
+    ("O1+ U2+ U3+ O3+ U4+ O4+ U1+ U5+ O6+ U6+ O5+ O2+", 0, 0, 4),  # at the cap
+    ("closed\nO1+ O2+ U1+ O3+ U2+ U3+", 0, 0, 1),
+    ("O1+ U2+ U1+ O2+", 6, 140, 0),  # no shrinking site: every scan misses
+    ("O1+ U2+ U1+ O2+", 0, 0, 0),  # no site: the walk stops
+    ("", 0, 0, 0),
+])
+def test_one_walk_step_is_uniform_over_legal_sites(monkeypatch, code, extra, growing, shrinking):
+    d = parse_gauss(code)
+    cap = d.crossings + extra
+    sites = legal_sites(d, max_crossings=cap)
+    assert len(set(sites)) == len(sites)
+    assert len(moves._shrinking_sites(d.passages)) == shrinking
+    assert len(sites) == growing + shrinking
+    law, stopped = _step_law(monkeypatch, d, cap)
+    if sites:
+        assert stopped == 0
+        assert law == {site: Fraction(1, len(sites)) for site in sites}
+    else:
+        assert (law, stopped) == ({}, 1)
+
+
+def _all_codes(crossings):
+    """Every passage list of ``crossings`` crossings, ids in first-appearance order."""
+    def orders(seq, fresh, open_ids):
+        if len(seq) == 2 * crossings:
+            yield seq
+            return
+        if len(open_ids) < 2 * crossings - len(seq):
+            yield from orders(seq + (fresh,), fresh + 1, open_ids + (fresh,))
+        for c in open_ids:
+            yield from orders(seq + (c,), fresh, tuple(o for o in open_ids if o != c))
+
+    for seq in orders((), 1, ()):
+        for roles in itertools.product((OVER, UNDER), repeat=crossings):
+            for signs in itertools.product((1, -1), repeat=crossings):
+                seen = set()
+                passages = []
+                for c in seq:
+                    role = roles[c - 1] if c not in seen else ({OVER, UNDER} - {roles[c - 1]}).pop()
+                    seen.add(c)
+                    passages.append(Passage(c, role, signs[c - 1]))
+                yield passages
+
+
+def test_shrink_bound_holds_on_every_small_code():
+    counted = 0
+    for crossings in range(5):
+        for passages in _all_codes(crossings):
+            counted += 1
+            sites = moves._shrinking_sites(passages)
+            # the lemma behind the bound: no adjacent pair anchors more than two sites
+            anchors = [site.data[0] for site in sites]
+            assert all(anchors.count(i) <= 2 for i in anchors)
+            assert len(sites) <= moves._shrink_bound(len(passages))
+    assert counted == 1 + 4 + 48 + 960 + 26880
