@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .diagram import LONG, OVER, UNDER
+from .diagram import LONG, OVER, UNDER, is_int
 from .laurent import UV, LaurentPoly, TVAR
 
 
@@ -571,28 +571,29 @@ def _reduce(rows, cols, keep=(), sparse=False):
     return PresentationMatrix("L2", cols, tuple(_dense(row, cols) for row in rows.values()))
 
 
-def specialize_uv(m, u_image, v_image):
-    """Entry-wise ring homomorphism from an L2 matrix into Z[t^+-1]."""
-    if m.ring != "L2":
-        raise ValueError("specialize_uv expects an L2 matrix")
-    rows = tuple(
-        tuple(e.subs((u_image, v_image)) for e in row) for row in m.rows
-    )
-    return PresentationMatrix("L1", m.cols, rows)
-
-
 T_GEN = LaurentPoly.monomial(TVAR, (1,))
-T_ONE = LaurentPoly.const(TVAR, 1)
+
+
+def _t_image(terms, exp, scale=1):
+    """The sum of scale * c * t^exp(a, b) over the L2 terms {(a, b): c}, in Z[t^+-1]; equal exponents add up."""
+    return LaurentPoly(TVAR, (((exp(a, b),), scale * c) for (a, b), c in terms.items()))
+
+
+def _specialized(m, exp):
+    """The L1 matrix of ``_t_image`` of each entry of the L2 matrix ``m``."""
+    if m.ring != "L2":
+        raise ValueError("a specialization expects an L2 matrix")
+    return PresentationMatrix("L1", m.cols, tuple(tuple(_t_image(e.terms, exp) for e in row) for row in m.rows))
 
 
 def one_variable(m):
-    """Set v = 1 and rename u to t (the one-variable specialization)."""
-    return specialize_uv(m, T_GEN, T_ONE)
+    """Set v = 1 and rename u to t (the one-variable specialization): u^a v^b -> t^a."""
+    return _specialized(m, lambda a, b: a)
 
 
 def diagonal_t(m):
-    """Set u = v = t."""
-    return specialize_uv(m, T_GEN, T_GEN)
+    """Set u = v = t: u^a v^b -> t^(a + b)."""
+    return _specialized(m, lambda a, b: a + b)
 
 
 # -- merged arc matrices -----------------------------------------------
@@ -645,28 +646,24 @@ def merged_arc_rows(d):
 
 def _arc_matrix_at(d, arcs, t):
     """A(t) from A(u, v) = ``arcs``, as ``merged_arc_rows(d)`` gives it: see ``one_var_matrix``."""
+    if is_int(t) and t in (1, -1):
+        ring, zero = "Z", 0
+    elif t == T_GEN:
+        ring, zero = "L1", LaurentPoly.zero(TVAR)
+    else:
+        raise ValueError(f"{t!r} is not t, 1 or -1")
     rows, cols = arcs
     index = {g: j for j, g in enumerate(cols)}
     sign_of = {p.crossing: p.sign for p in d.passages}
-    if isinstance(t, int):
-        if t not in (1, -1):
-            raise ValueError(f"{t} is not a unit of Z")
-        ring, zero = "Z", 0
-
-        def value(entry, sign):
-            # at (u, v) = (t, 1), times -1 or -t^-1 = -t: t^a is t for odd a, else 1
-            return -sum(c * t if (a + (sign < 0)) % 2 else c for (a, _), c in entry.items())
-    else:
-        ring, zero, one = "L1", LaurentPoly.zero(t.vars), LaurentPoly.const(t.vars, 1)
-        units = {1: -one, -1: -t.inverse()}
-
-        def value(entry, sign):
-            return LaurentPoly._raw(UV, entry).subs((t, one)) * units[sign]
+    # at (u, v) = (t, 1), times -1 at a positive crossing and -t^-1 at a negative one
+    exps = {1: lambda a, b: a, -1: lambda a, b: a - 1}
     out = []
     for cid, row in enumerate(rows, 1):
         dense = [zero] * len(cols)
         for g, entry in row.items():
-            dense[index[g]] = value(entry, sign_of[cid])
+            image = _t_image(entry, exps[sign_of[cid]], -1)
+            # at t = +-1, t^e is t for odd e, else 1
+            dense[index[g]] = image if ring == "L1" else sum(c * t if e % 2 else c for (e,), c in image.terms.items())
         out.append(tuple(dense))
     return PresentationMatrix(ring, cols, tuple(out))
 
@@ -676,10 +673,10 @@ def one_var_matrix(d, t=T_GEN):
 
     Its rows are those of A(u, v) (``merged_arc_rows``) at (u, v) = (t, 1),
     each scaled by its unit: -1 at a positive crossing, -t^-1 at a negative
-    one, where the row becomes UO - t^-1*UI - (1-t^-1)*OV.  ``t`` is the
-    image of t: T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1");
-    1 or -1 gives the integer specialization (ring "Z"), where t^-1 = t.
-    The coloring matrix is -A(-1): A(-1, 1) with the rows of the negative
-    crossings negated.
+    one, where the row becomes UO - t^-1*UI - (1-t^-1)*OV.  ``t`` = T_GEN
+    gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives the
+    integer specialization (ring "Z"), where t^-1 = t; any other ``t``
+    raises ValueError.  The coloring matrix is -A(-1): A(-1, 1) with the
+    rows of the negative crossings negated.
     """
     return _arc_matrix_at(d, merged_arc_rows(d), t)

@@ -234,38 +234,6 @@ class LaurentPoly:
 
     # -- specializations ---------------------------------------------
 
-    def subs(self, images):
-        """Ring homomorphism into another Laurent ring; images must be units.
-
-        An image is +-x^a, so a monomial maps to one monomial: its
-        coefficient times the images' signs, at the exponent sum of e_i*a_i.
-        """
-        images = tuple(images)
-        if len(images) != len(self.vars):
-            raise ValueError("one image per variable required")
-        for im in images:
-            if not isinstance(im, LaurentPoly) or not im.is_unit:
-                raise NonUnitImage(f"{im!r} is not a unit image")
-        tvars = images[0].vars
-        if any(im.vars != tvars for im in images):
-            raise ValueError("mixed variable sets in the images")
-        units = [next(iter(im.terms.items())) for im in images]
-        out = {}
-        for exps, coeff in self.terms.items():
-            target = [0] * len(tvars)
-            for (a, s), e in zip(units, exps):
-                if s < 0 and e % 2:
-                    coeff = -coeff
-                for j, aj in enumerate(a):
-                    target[j] += e * aj
-            key = tuple(target)
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-        return LaurentPoly._raw(tvars, out)
-
     def subs_mod(self, images, m):
         """Evaluate in Z/m; images must be invertible mod m."""
         if m < 2:

@@ -22,6 +22,7 @@ validates one ``Diagram`` at its end.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import NamedTuple
 
@@ -150,13 +151,11 @@ def _r2_add_count(n):
 
 def _decode_r2_add(n, idx):
     pair, rest = divmod(idx, 8)
-    i = 0
-    span = n + 1
-    while pair >= span:
-        pair -= span
-        span -= 1
-        i += 1
-    j = i + pair
+    # the pairs i <= j <= n in row order; counted from the last pair, row i = n - k
+    # holds the k + 1 after the k * (k + 1) / 2 of the rows below it
+    back = (n + 1) * (n + 2) // 2 - 1 - pair
+    k = (math.isqrt(8 * back + 1) - 1) // 2
+    i, j = n - k, n - (back - k * (k + 1) // 2)
     sign = 1 if rest // 4 == 0 else -1
     first_role = OVER if (rest // 2) % 2 == 0 else UNDER
     parallel = rest % 2 == 0

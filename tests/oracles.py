@@ -11,7 +11,7 @@ sites by trying every combination of adjacent pairs through matchers of
 their own (in ``vka`` the partner-index scan is the only definition of a
 legal site), seeded walks by a scan and one draw into the ``legal_sites``
 order at every step (the mapping before the walk drew against a bound),
-arc incidences by a per-crossing table, merged arcs by a search along
+R2+ sites by walking the rows of the pair triangle, arc incidences by a per-crossing table, merged arcs by a search along
 the over strands (``arc_classes``, the one partition under
 the references for A(u, v), A(t) and the colorings; the library walks
 the under passages), Tietze elimination by the rescanning implementation
@@ -22,8 +22,9 @@ elimination over Z/p (the library counts maps to Z/p from Smith forms).
 
 The helpers at the end are test conveniences built on the library:
 polynomial literals, the quotient list, one char-poly and hom-count
-comparison of two module matrices, evaluation at +-1, end columns,
-row-space membership of an end difference and relation comparison.
+comparison of two module matrices, the specialization of one polynomial,
+evaluation at +-1, end columns, row-space membership of an end
+difference and relation comparison.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import NamedTuple
 from vka.alexander import (
     E0,
     T_GEN,
-    T_ONE,
     arc_names,
     GroupPresentationZ2,
     OpLetter,
@@ -70,6 +70,8 @@ from vka.invariants import (
 )
 from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
 from vka.moves import MoveSite
+
+T_ONE = LaurentPoly.const(TVAR, 1)
 
 
 def convolve(p, q):
@@ -661,6 +663,22 @@ def random_walk_reference(d, seed, steps, max_crossings=None):
     return Diagram(d.kind, passages)
 
 
+def decode_r2_add_reference(n, idx):
+    """``vka.moves._decode_r2_add`` by walking the rows of pairs i <= j <= n, as it did before ``math.isqrt``."""
+    pair, rest = divmod(idx, 8)
+    i = 0
+    span = n + 1
+    while pair >= span:
+        pair -= span
+        span -= 1
+        i += 1
+    j = i + pair
+    sign = 1 if rest // 4 == 0 else -1
+    first_role = OVER if (rest // 2) % 2 == 0 else UNDER
+    parallel = rest % 2 == 0
+    return MoveSite("r2+", (i, j, sign, first_role, parallel))
+
+
 # -- references for the module-matrix route ----------------------------
 
 
@@ -867,6 +885,11 @@ def l2(terms):
 def l1(terms):
     """One-variable polynomial from {t_exp: coeff}."""
     return LaurentPoly(TVAR, {(e,): c for e, c in terms.items()})
+
+
+def specialize_entry(f, p):
+    """``f`` (``one_variable`` or ``diagonal_t``) of ``p``, as the entry of a 1x1 L2 matrix."""
+    return f(PresentationMatrix("L2", ("x",), ((p,),))).rows[0][0]
 
 
 def subs_int(p, images):

@@ -8,6 +8,7 @@ import pytest
 
 import catalog
 from oracles import (
+    T_ONE,
     arc_classes,
     brute_force_colorings,
     brute_force_hom_count,
@@ -23,6 +24,7 @@ from oracles import (
     random_long_diagram,
     rank_mod,
     subs_int,
+    subs_reference,
     transfer_brute_force,
 )
 from vka import cli, invariants, laurent
@@ -33,7 +35,6 @@ from vka.alexander import (
     one_var_matrix,
     one_variable,
     quotient_kill,
-    specialize_uv,
     tietze_eliminate,
 )
 from vka.diagram import LONG, TRIVIAL_LONG, close, concatenate, dn_family, parse_gauss, serialize_gauss
@@ -240,7 +241,6 @@ def test_char_poly_invariant_under_matrix_equivalence():
 def test_specialization_commutes_with_minors():
     rng = random.Random(7)
     t = LaurentPoly.monomial(TVAR, (1,))
-    one = LaurentPoly.const(TVAR, 1)
     for _ in range(25):
         rows = tuple(
             tuple(
@@ -251,10 +251,11 @@ def test_specialization_commutes_with_minors():
             for _ in range(2)
         )
         m = PresentationMatrix("L2", ("x", "y", "z"), rows)
-        specialized = specialize_uv(m, t, one)
-        for k in (1, 2):
-            direct = [e.subs((t, one)) for e in elementary_minors(m, k)]
-            assert direct == elementary_minors(specialized, k)
+        for f, images in ((one_variable, (t, T_ONE)), (diagonal_t, (t, t))):
+            specialized = f(m)
+            for k in (1, 2):
+                direct = [subs_reference(e, images) for e in elementary_minors(m, k)]
+                assert direct == elementary_minors(specialized, k), (f, k)
 
 
 # -- determinant and unit minors -------------------------------------------

@@ -240,12 +240,12 @@ def test_one_var_matrix_matches_the_per_crossing_builder():
         assert cols == reference_cols
         # the column order within a row sets the reduction's pivot ties
         assert [list(row) for row in rows] == [list(row) for row in reference_rows]
-        for t in (T_GEN, 1, -1, -T_GEN, T_GEN ** 2):
+        for t in (T_GEN, 1, -1):
             assert one_var_matrix(d, t) == one_var_matrix_reference(d, t), (d, t)
 
 
 def test_one_var_matrix_rejects_integers_that_are_not_units():
-    for t in (0, 2, -3):
+    for t in (0, 2, -3, True, 1.0, -1.0, -T_GEN, T_GEN ** 2):
         with pytest.raises(ValueError):
             one_var_matrix(catalog.k1(), t)
 

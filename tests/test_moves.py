@@ -10,6 +10,7 @@ import catalog
 from oracles import (
     _r2_pairs_match,
     _r3_match,
+    decode_r2_add_reference,
     random_code,
     random_long_diagram,
     random_walk_reference,
@@ -272,6 +273,14 @@ def test_golden_seed_to_walk_mapping():
 
 def test_walk_reference_keeps_the_mapping_before_the_bound():
     assert _walks_digest(random_walk_reference) == "db661c56dc23b28d5cb17e1669496debc1cc2c080df591ba53ef77bcaad49957"
+
+
+def test_r2_add_decoder_matches_the_row_walk():
+    for n in range(61):
+        count = moves._r2_add_count(n)
+        assert [moves._decode_r2_add(n, idx) for idx in range(count)] == [
+            decode_r2_add_reference(n, idx) for idx in range(count)
+        ], n
 
 
 def test_walk_scans_at_most_once_per_step(monkeypatch):
