@@ -9,38 +9,29 @@ run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk``,
 ``quotient_pipeline`` and ``coloring_count`` wrapped to capture their
 inputs.  The ladder is
 ``random_code`` seeds 0-4, long and closed, at c = 8, 12, 20 and 30
-crossings.  Library calls take the best of three, references one call.
-One section per layer:
+crossings.  Every section times the library as it stands; a before and
+after comparison runs the script on both commits.  Ladder cases take the
+best of three calls, references one call, and the workload sections the
+best and median of 15.  One section per layer:
 
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
   ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
   with one, and that reach ``laurent.gcd``;
 - ``minors``: ``elementary_minors`` against ``minors_reference`` on the
   ladder's ``quotient_matrix(d)``, at k = 0 and 1;
-- ``modules``: the ladder's char polys at k = 0 and 1, quotients ``none``
-  and (long only) ``end-minus``, by three routes: ``tietze``
-  (``abelianize(tietze_eliminate(p))``), ``reduced`` (``reduced_matrix(p)``)
-  and ``merged`` (``quotient_matrix(d, quotient)``, timed from the diagram);
-- ``presentations``: the displayed presentation, ``quotient_pipeline(d)``
-  (the first Tietze pass read off the diagram) against
-  ``tietze_eliminate(extended_presentation(d))``, on the invariants-ladder
-  workload's ``--presentation`` diagrams (best of 15 interleaved passes)
-  and on the ladder;
-- ``walks``: the fuzz-walks workload's walks by ``random_walk`` and by
-  ``random_walk_reference`` (a scan and one draw into the ``legal_sites``
-  order at every step, the mapping before the walk drew against a bound),
-  best and median of 15 interleaved passes, the ``_shrinking_sites`` calls
-  of each, the mean walked crossing count and the sha256 of the walked
-  codes;
+- ``modules``: ``quotient_matrix(d, quotient)`` and its char polys at
+  k = 0 and 1 on the ladder, quotients ``none`` and (long only)
+  ``end-minus``, with the matrix's shape;
+- ``presentations``: the displayed presentation, ``quotient_pipeline(d)``,
+  on the invariants-ladder workload's ``--presentation`` diagrams and on
+  the ladder;
+- ``walks``: ``random_walk`` on the fuzz-walks workload's walks, with its
+  ``_shrinking_sites`` calls, the mean walked crossing count and the
+  sha256 of the walked codes;
 - ``profile``: ``invariant_profile`` on the start and walked diagram of
-  each of the fuzz-walks workload's walks, against its route before
-  (``per_quotient_profile``: a fresh ``quotient_matrix(d, quotient)`` per
-  quotient), best of 15 interleaved passes, with the shapes of the
-  reduced ``none`` and ``end-minus`` matrices by both routes;
+  each of the fuzz-walks workload's walks;
 - ``colorings``: ``coloring_count`` on the winding-colorings workload's
-  ``color`` requests (p = 2..29), against ``full_smith_colorings`` (its
-  route before, by ``colorings_reference`` on the full A(-1)), best of
-  15 interleaved passes.
+  ``color`` requests (p = 2..29);
 - ``import``: ``import vka.cli`` timed in 15 fresh interpreters without
   bytecode (``PYTHONDONTWRITEBYTECODE=1``: ``vka`` is compiled from
   source, as in a fresh checkout) and in 15 with it cached (under a
@@ -49,8 +40,9 @@ One section per layer:
   Both import a copy of ``src/vka``, so nothing is read from or written
   to ``src/``.
 
-It exits 1 if two routes give unequal values.  A run takes about 40
-seconds on a 2-core x86-64 host.
+The workload sections also record the sha256 of their results.  The
+script exits 1 if ``gcd`` or ``minors`` differs from its reference.  A
+run takes about 20 seconds on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -76,17 +68,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from oracles import (  # noqa: E402
-    colorings_reference, minors_reference, random_code, random_walk_reference, reduced_matrix,
-)
+from oracles import minors_reference, random_code  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
-from vka.alexander import (  # noqa: E402
-    abelianize, extended_presentation, one_var_matrix, tietze_eliminate,
-)
-from vka.diagram import LONG, parse_gauss, serialize_gauss  # noqa: E402
+from vka.diagram import parse_gauss, serialize_gauss  # noqa: E402
 from vka.invariants import (  # noqa: E402
-    PROFILE_MODULI, ColoringReport, _end_quotient, char_poly, check_modulus, coloring_count, coloring_reports,
-    elementary_minors, invariant_profile, quotient_matrices, quotient_matrix, quotient_pipeline,
+    char_poly, coloring_count, elementary_minors, invariant_profile, quotient_matrix, quotient_pipeline,
 )
 
 SEED = 1
@@ -94,14 +80,10 @@ CROSSINGS = (8, 12, 20, 30)
 SEEDS = range(5)
 KS = (0, 1)
 BEST_OF = 3
-WALK_REPEATS = 15
+REPEATS = 15
 WALK_WORKLOAD = "fuzz-walks"
-PRESENTATION_REPEATS = 15
 PRESENTATION_WORKLOAD = "invariants-ladder"
-PROFILE_REPEATS = 15
-COLORING_REPEATS = 15
 COLORING_WORKLOAD = "winding-colorings"
-IMPORT_REPEATS = 15
 IMPORT_PROBE = (
     "import sys, time\n"
     "before = set(sys.modules)\n"
@@ -124,14 +106,19 @@ def timed(fn, repeats=BEST_OF):
     return result, times
 
 
-def interleaved(routes, repeats):
-    """Each route's result and its best seconds over ``repeats`` passes, one call per route and pass."""
-    results, best = {}, {}
-    for _ in range(repeats):
-        for name, fn in routes.items():
-            results[name], (seconds,) = timed(fn, 1)
-            best[name] = min(best.get(name, seconds), seconds)
-    return results, best
+def best_and_median(fn, repeats):
+    """fn()'s last result and a section's timing fields: the best and median of ``repeats`` calls."""
+    result, seconds = timed(fn, repeats)
+    return result, {
+        "repeats": repeats,
+        "best_s": round(min(seconds), 6),
+        "median_s": round(statistics.median(seconds), 6),
+    }
+
+
+def sha256(texts):
+    """The sha256 of ``texts``, one a line."""
+    return hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
 
 
 def ladder():
@@ -140,9 +127,8 @@ def ladder():
             for crossings in CROSSINGS for seed in SEEDS for closed in (False, True)]
 
 
-def totals_by_crossings(cases, columns, counters=None):
-    """Per rung, the sum and the max of each column (the seconds of some fields, added up)
-    and the number of cases each counter holds for."""
+def totals_by_crossings(cases, columns):
+    """Per rung, the sum and the max of each column (the seconds of some fields, added up)."""
     totals = {}
     for crossings in CROSSINGS:
         rows = [c for c in cases if c["crossings"] == crossings]
@@ -151,8 +137,6 @@ def totals_by_crossings(cases, columns, counters=None):
             seconds = [sum(c[field] for field in fields) for c in rows]
             rung[f"{name}_s"] = round(sum(seconds), 6)
             rung[f"{name}_max_s"] = round(max(seconds), 6)
-        for name, counted in (counters or {}).items():
-            rung[name] = sum(map(counted, rows))
         totals[str(crossings)] = rung
     return totals
 
@@ -263,71 +247,35 @@ def modules_cases(crossings, seed, closed, d):
     """The ``modules`` section's cases of one ladder diagram, one per quotient."""
     cases = []
     for quotient in ("none",) if closed else ("none", "end-minus"):
-        p = _end_quotient(extended_presentation(d), quotient)
-        routes = {
-            "tietze": lambda: abelianize(tietze_eliminate(p)),
-            "reduced": lambda: reduced_matrix(p),
-            "merged": lambda: quotient_matrix(d, quotient),
-        }
-        shapes, seconds, polys = {}, {}, []
-        for name, build in routes.items():
-            m, build_s = timed(build)
-            route_polys, charpoly_s = timed(lambda: [char_poly(m, k) for k in KS])
-            shapes[f"{name}_shape"] = list(m.shape)
-            seconds[f"{name}_build_s"] = round(min(build_s), 6)
-            seconds[f"{name}_charpoly_s"] = round(min(charpoly_s), 6)
-            polys.append(route_polys)
+        m, build_s = timed(lambda: quotient_matrix(d, quotient))
+        _, charpoly_s = timed(lambda: [char_poly(m, k) for k in KS])
         cases.append({
-            "crossings": crossings, "seed": seed, "closed": closed, "quotient": quotient,
-            **shapes, **seconds, "equal": all(route == polys[0] for route in polys),
+            "crossings": crossings, "seed": seed, "closed": closed, "quotient": quotient, "shape": list(m.shape),
+            "build_s": round(min(build_s), 6), "charpoly_s": round(min(charpoly_s), 6),
         })
     return cases
-
-
-ROUTES = ("tietze", "reduced", "merged")
-# each route's build plus char polys, and its build alone
-ROUTE_COLUMNS = {
-    **{name: (f"{name}_build_s", f"{name}_charpoly_s") for name in ROUTES},
-    **{f"{name}_build": (f"{name}_build_s",) for name in ROUTES},
-}
-SHAPE_COUNTERS = {
-    "fewer_columns": lambda c: c["reduced_shape"][1] < c["tietze_shape"][1],
-    "more_columns": lambda c: c["reduced_shape"][1] > c["tietze_shape"][1],
-    "merged_more_rows": lambda c: c["merged_shape"][0] > c["reduced_shape"][0],
-    "merged_fewer_rows": lambda c: c["merged_shape"][0] < c["reduced_shape"][0],
-    "merged_more_columns": lambda c: c["merged_shape"][1] > c["reduced_shape"][1],
-    "merged_fewer_columns": lambda c: c["merged_shape"][1] < c["reduced_shape"][1],
-}
 
 
 def presentations_cases(crossings, seed, closed, d):
     """The ``presentations`` section's case of one ladder diagram."""
     shown, pipeline_s = timed(lambda: quotient_pipeline(d))
-    generic, generic_s = timed(lambda: tietze_eliminate(extended_presentation(d)))
     return [{
         "crossings": crossings, "seed": seed, "closed": closed,
         "generators": len(shown.generators), "relations": len(shown.relations),
-        "pipeline_s": round(min(pipeline_s), 6), "generic_s": round(min(generic_s), 6),
-        "equal": shown == generic,
+        "pipeline_s": round(min(pipeline_s), 6),
     }]
 
 
-def presentations_workload(calls, repeats=PRESENTATION_REPEATS):
-    """Both routes on the captured ``quotient_pipeline`` calls, best of ``repeats`` interleaved passes."""
+def presentations_workload(calls, repeats=REPEATS):
+    """``quotient_pipeline`` on the captured calls."""
     assert all(quotient == "none" for _, quotient in calls)
     diagrams = [d for d, _ in calls]
-    shown, best = interleaved({
-        "pipeline": lambda: [quotient_pipeline(d) for d in diagrams],
-        "generic": lambda: [tietze_eliminate(extended_presentation(d)) for d in diagrams],
-    }, repeats)
+    shown, timing = best_and_median(lambda: [quotient_pipeline(d) for d in diagrams], repeats)
     return {
         "workload": f"the --presentation diagrams of the {PRESENTATION_WORKLOAD} request list, seed {SEED}",
         "diagrams": len(diagrams),
-        "repeats": repeats,
-        "pipeline_s": round(best["pipeline"], 6),
-        "generic_s": round(best["generic"], 6),
-        "speedup": round(best["generic"] / best["pipeline"], 2),
-        "unequal": sum(a != b for a, b in zip(shown["pipeline"], shown["generic"])),
+        **timing,
+        "presented_sha256": sha256(map(str, shown)),
     }
 
 
@@ -346,136 +294,49 @@ def counted_scans(fn):
         moves._shrinking_sites = real
 
 
-def walks_section(walks, repeats=WALK_REPEATS):
-    """The ``walks`` section: the captured walks by ``random_walk`` and by
-    ``random_walk_reference``, walked again ``repeats`` interleaved times."""
-    routes = {
-        "change": lambda: [moves.random_walk(d, seed, steps, max_crossings=cap) for d, seed, steps, cap in walks],
-        "reference": lambda: [random_walk_reference(d, seed, steps, max_crossings=cap)
-                              for d, seed, steps, cap in walks],
-    }
-    counted = {name: counted_scans(fn) for name, fn in routes.items()}
-    seconds = {name: [] for name in routes}
-    for _ in range(repeats):
-        for name, fn in routes.items():
-            seconds[name] += timed(fn, 1)[1]
-    section = {
+def walks_section(walks, repeats=REPEATS):
+    """The ``walks`` section: the captured walks, walked again ``repeats`` times."""
+    def walk():
+        return [moves.random_walk(d, seed, steps, max_crossings=cap) for d, seed, steps, cap in walks]
+
+    ends, scans = counted_scans(walk)
+    _, timing = best_and_median(walk, repeats)
+    return {
         "layer": "moves.random_walk",
         "workload": f"the walks of the {WALK_WORKLOAD} request list, seed {SEED}",
-        "reference": "random_walk_reference: a scan and one draw into the legal_sites order at every step",
         "walks": len(walks),
         "steps": sum(steps for _, _, steps, _ in walks),
-        "repeats": repeats,
-    }
-    for name, prefix in (("change", ""), ("reference", "reference_")):
-        ends, scans = counted[name]
-        section.update({
-            f"{prefix}scans": scans,
-            f"{prefix}best_s": round(min(seconds[name]), 6),
-            f"{prefix}median_s": round(statistics.median(seconds[name]), 6),
-            f"{prefix}mean_crossings": round(statistics.mean(d.crossings for d in ends), 4),
-            f"{prefix}walked_sha256": hashlib.sha256("\n".join(map(serialize_gauss, ends)).encode("utf-8")).hexdigest(),
-        })
-    section["speedup"] = round(section["reference_best_s"] / section["best_s"], 2)
-    return section
-
-
-def full_smith_colorings(d, ps):
-    """The coloring reports of ``d`` by the route before the reduced ``none`` matrix
-    served them: the Smith form of the full A(-1)."""
-    for p in ps:
-        check_modulus(p)
-    _, counts = colorings_reference(one_var_matrix(d, -1), ps)
-    return [ColoringReport(p=p, count=count, nontrivial=count > p) for p, count in zip(ps, counts)]
-
-
-def profile_quotients(d):
-    """The quotients whose char polys ``invariant_profile`` takes."""
-    return ("none", "end-minus") if d.kind == LONG else ("none",)
-
-
-def per_quotient_profile(d):
-    """``invariant_profile`` by its route before one reduction of A(u, v) served
-    both quotients: a fresh ``quotient_matrix(d, quotient)`` per quotient."""
-    profile = {}
-    for quotient in profile_quotients(d):
-        mat = quotient_matrix(d, quotient)
-        if quotient == "none":
-            det, reports = coloring_reports(mat, PROFILE_MODULI)
-        for k in KS:
-            profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(mat, k))
-    if d.kind == LONG:
-        profile["determinant"] = det
-    profile.update((f"colorings p={rep.p}", rep.count) for rep in reports)
-    return profile
-
-
-def shape_counts(shapes):
-    """How many of ``shapes`` are each shape, as "rows x columns"."""
-    shapes = [f"{rows}x{columns}" for rows, columns in shapes]
-    return {shape: shapes.count(shape) for shape in sorted(set(shapes))}
-
-
-def route_shapes(diagrams):
-    """Per profile quotient, the shapes of the reduced matrices of ``diagrams`` by the shared
-    route (``quotient_matrices`` of the profile's quotients) and the per-quotient route, and
-    how often the shared route's matrix has more, or fewer, rows plus columns."""
-    section = {}
-    for quotient in ("none", "end-minus"):
-        chosen = [d for d in diagrams if quotient in profile_quotients(d)]
-        change = [quotient_matrices(d, profile_quotients(d))[quotient].shape for d in chosen]
-        parent = [quotient_matrix(d, quotient).shape for d in chosen]
-        section[quotient] = {
-            "change": shape_counts(change),
-            "parent": shape_counts(parent),
-            "larger": sum(sum(a) > sum(b) for a, b in zip(change, parent)),
-            "smaller": sum(sum(a) < sum(b) for a, b in zip(change, parent)),
-        }
-    return section
-
-
-def change_and_parent(routes, repeats):
-    """The timing fields of a section whose ``routes`` are named "change" and "parent"."""
-    values, best = interleaved(routes, repeats)
-    return {
-        "repeats": repeats,
-        "change_s": round(best["change"], 6),
-        "parent_s": round(best["parent"], 6),
-        "speedup": round(best["parent"] / best["change"], 2),
-        "unequal": sum(a != b for a, b in zip(values["change"], values["parent"])),
+        "scans": scans,
+        **timing,
+        "mean_crossings": round(statistics.mean(d.crossings for d in ends), 4),
+        "walked_sha256": sha256(map(serialize_gauss, ends)),
     }
 
 
-def profile_section(walks, repeats=PROFILE_REPEATS):
+def profile_section(walks, repeats=REPEATS):
     """The ``profile`` section: the start and walked diagram of each captured walk."""
     walked = [moves.random_walk(d, seed, steps, max_crossings=cap) for d, seed, steps, cap in walks]
     diagrams = [d for d, _, _, _ in walks] + walked
+    profiles, timing = best_and_median(lambda: [invariant_profile(d) for d in diagrams], repeats)
     return {
         "layer": "invariants.invariant_profile",
         "workload": f"the start and walked diagrams of the {WALK_WORKLOAD} request list, seed {SEED}",
-        "parent": "per_quotient_profile: a fresh quotient_matrix(d, quotient) per quotient",
         "diagrams": len(diagrams),
-        "shapes": route_shapes(diagrams),
-        **change_and_parent({
-            "change": lambda: [invariant_profile(d) for d in diagrams],
-            "parent": lambda: [per_quotient_profile(d) for d in diagrams],
-        }, repeats),
+        **timing,
+        "profiles_sha256": sha256(map(repr, profiles)),
     }
 
 
-def colorings_section(calls, repeats=COLORING_REPEATS):
+def colorings_section(calls, repeats=REPEATS):
     """The ``colorings`` section: the captured ``coloring_count`` calls."""
+    reports, timing = best_and_median(lambda: [coloring_count(d, ps) for d, ps in calls], repeats)
     return {
         "layer": "invariants.coloring_count",
         "workload": f"the color requests of the {COLORING_WORKLOAD} request list (p = 2..29), seed {SEED}",
-        "parent": "full_smith_colorings: the Smith form of the full A(-1)",
         "diagrams": len(calls),
         "moduli": sum(len(ps) for _, ps in calls),
-        "shapes": shape_counts(quotient_matrix(d).shape for d, _ in calls),
-        **change_and_parent({
-            "change": lambda: [coloring_count(d, ps) for d, ps in calls],
-            "parent": lambda: [full_smith_colorings(d, ps) for d, ps in calls],
-        }, repeats),
+        **timing,
+        "reports_sha256": sha256(map(repr, reports)),
     }
 
 
@@ -486,7 +347,7 @@ def import_once(env):
     return json.loads(out)
 
 
-def import_section(repeats=IMPORT_REPEATS):
+def import_section(repeats=REPEATS):
     """The ``import`` section: ``import vka.cli`` from a copy of ``src/vka``, without bytecode and with it cached.
 
     ``repeats`` is at least 2, as the quartiles need two runs.
@@ -522,11 +383,11 @@ def run():
           file=sys.stderr)
 
     walks = walks_section(replays[WALK_WORKLOAD][1])
-    print(f"walks: {walks['walks']} walks, {walks['scans']} scans, {walks['speedup']}x", file=sys.stderr)
+    print(f"walks: {walks['walks']} walks, {walks['scans']} scans", file=sys.stderr)
     profile = profile_section(replays[WALK_WORKLOAD][1])
-    print(f"profile: {profile['diagrams']} diagrams, {profile['speedup']}x", file=sys.stderr)
+    print(f"profile: {profile['diagrams']} diagrams", file=sys.stderr)
     colorings = colorings_section(replays[COLORING_WORKLOAD][3])
-    print(f"colorings: {colorings['diagrams']} diagrams, {colorings['speedup']}x", file=sys.stderr)
+    print(f"colorings: {colorings['diagrams']} diagrams", file=sys.stderr)
     imports = import_section()
     print(f"import: cold {imports['cold']['median_s'] * 1e3:.1f} ms, warm {imports['warm']['median_s'] * 1e3:.1f} ms",
           file=sys.stderr)
@@ -538,10 +399,10 @@ def run():
     print(f"modules: {len(modules)} cases", file=sys.stderr)
     workload = presentations_workload(replays[PRESENTATION_WORKLOAD][2])
     ladder_presentations = [case for rung in rungs for case in presentations_cases(*rung)]
-    print(f"presentations: {workload['diagrams']} workload diagrams, {workload['speedup']}x", file=sys.stderr)
+    print(f"presentations: {workload['diagrams']} workload diagrams", file=sys.stderr)
 
     record = {
-        "schema": 1,
+        "schema": 2,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "gcd": {
             "layer": "laurent.gcd_many",
@@ -557,19 +418,17 @@ def run():
             "cases": minors,
         },
         "modules": {
-            "layer": "module matrix and char polys (k = 0, 1)",
+            "layer": "invariants.quotient_matrix and char polys (k = 0, 1)",
             "workload": "random_code seeds 0-4, long and closed, quotients none and end-minus (long only)",
-            "all_equal": all(c["equal"] for c in modules),
-            "totals_by_crossings": totals_by_crossings(modules, ROUTE_COLUMNS, SHAPE_COUNTERS),
+            "totals_by_crossings": totals_by_crossings(
+                modules, {"total": ("build_s", "charpoly_s"), "build": ("build_s",)}),
             "cases": modules,
         },
         "presentations": {
-            "layer": "invariants.quotient_pipeline against tietze_eliminate(extended_presentation(d))",
-            "all_equal": workload["unequal"] == 0 and all(c["equal"] for c in ladder_presentations),
+            "layer": "invariants.quotient_pipeline",
             "workload": workload,
             "ladder": "random_code seeds 0-4, long and closed, no quotient",
-            "totals_by_crossings": totals_by_crossings(
-                ladder_presentations, {"pipeline": ("pipeline_s",), "generic": ("generic_s",)}),
+            "totals_by_crossings": totals_by_crossings(ladder_presentations, {"pipeline": ("pipeline_s",)}),
             "cases": ladder_presentations,
         },
         "walks": walks,
@@ -577,9 +436,7 @@ def run():
         "colorings": colorings,
         "import": imports,
     }
-    sections = ("gcd", "minors", "modules", "presentations")
-    record["all_equal"] = (all(record[name]["all_equal"] for name in sections)
-                           and profile["unequal"] == colorings["unequal"] == 0)
+    record["all_equal"] = record["gcd"]["all_equal"] and record["minors"]["all_equal"]
     return record
 
 

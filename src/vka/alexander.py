@@ -644,15 +644,24 @@ def merged_arc_rows(d):
     return rows, tuple(cols)
 
 
-def _arc_matrix_at(d, arcs, t):
-    """A(t) from A(u, v) = ``arcs``, as ``merged_arc_rows(d)`` gives it: see ``one_var_matrix``."""
+def one_var_matrix(d, t=T_GEN):
+    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+
+    Its rows are those of A(u, v) (``merged_arc_rows``) at (u, v) = (t, 1),
+    each scaled by its unit: -1 at a positive crossing, -t^-1 at a negative
+    one, where the row becomes UO - t^-1*UI - (1-t^-1)*OV.  ``t`` = T_GEN
+    gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives the
+    integer specialization (ring "Z"), where t^-1 = t; any other ``t``
+    raises ValueError.  The coloring matrix is -A(-1): A(-1, 1) with the
+    rows of the negative crossings negated.
+    """
     if is_int(t) and t in (1, -1):
         ring, zero = "Z", 0
     elif t == T_GEN:
         ring, zero = "L1", LaurentPoly.zero(TVAR)
     else:
         raise ValueError(f"{t!r} is not t, 1 or -1")
-    rows, cols = arcs
+    rows, cols = merged_arc_rows(d)
     index = {g: j for j, g in enumerate(cols)}
     sign_of = {p.crossing: p.sign for p in d.passages}
     # at (u, v) = (t, 1), times -1 at a positive crossing and -t^-1 at a negative one
@@ -666,17 +675,3 @@ def _arc_matrix_at(d, arcs, t):
             dense[index[g]] = image if ring == "L1" else sum(c * t if e % 2 else c for (e,), c in image.terms.items())
         out.append(tuple(dense))
     return PresentationMatrix(ring, cols, tuple(out))
-
-
-def one_var_matrix(d, t=T_GEN):
-    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
-
-    Its rows are those of A(u, v) (``merged_arc_rows``) at (u, v) = (t, 1),
-    each scaled by its unit: -1 at a positive crossing, -t^-1 at a negative
-    one, where the row becomes UO - t^-1*UI - (1-t^-1)*OV.  ``t`` = T_GEN
-    gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives the
-    integer specialization (ring "Z"), where t^-1 = t; any other ``t``
-    raises ValueError.  The coloring matrix is -A(-1): A(-1, 1) with the
-    rows of the negative crossings negated.
-    """
-    return _arc_matrix_at(d, merged_arc_rows(d), t)

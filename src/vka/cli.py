@@ -113,12 +113,9 @@ def cmd_invariants(args):
         payload["presentation"] = pres.to_json()
         if not args.json:  # --json prints no text lines
             lines.append(str(pres))
-    # one reduction of A(u, v) serves the --charpoly quotient and "none", which --det and --color read
-    needed = ([args.quotient] if args.charpoly else []) + (["none"] if args.det or args.color else [])
-    if needed:
-        matrices = invariants.quotient_matrices(d, tuple(dict.fromkeys(needed)))
     if args.charpoly:
-        mat = matrices[args.quotient]
+        # reduced on its own, so the budgets read the same with or without --det and --color
+        mat = reduced = invariants.quotient_matrix(d, args.quotient)
         if args.t in SPECIALIZATIONS:
             mat = getattr(alexander, SPECIALIZATIONS[args.t])(mat)
         _check_coeff_budget(mat, args.max_coeff_bits)
@@ -130,7 +127,9 @@ def cmd_invariants(args):
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
         # the diagram's, whatever --quotient says: the L2 "none" matrix at (u, v) = (-1, 1), never its --t image
-        det, colorings = invariants.coloring_reports(matrices["none"], args.color or ())
+        if not (args.charpoly and args.quotient == "none"):
+            reduced = invariants.quotient_matrix(d)
+        det, colorings = invariants.coloring_reports(reduced, args.color or ())
         if args.det:
             payload["determinant"] = det
             lines.append(str(det))

@@ -192,14 +192,9 @@ class LaurentPoly:
         (exps, coeff), = self.terms.items()
         return LaurentPoly(self.vars, {tuple(-e for e in exps): coeff})
 
-    def shift(self, exps, coeff=1):
-        """Multiply by coeff * x^exps (a single monomial)."""
-        if coeff == 0:
-            return LaurentPoly._raw(self.vars, {})
-        return LaurentPoly._raw(
-            self.vars,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
-        )
+    def shift(self, exps):
+        """Multiply by the monomial x^exps."""
+        return LaurentPoly._raw(self.vars, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -51,15 +51,17 @@ def test_case_helpers_agree_on_a_small_diagram(bench, closed):
                ("presentations", bench.presentations_cases))
     for section, helper in helpers:
         cases = helper(8, 0, closed, d)
-        assert cases and all(c["equal"] for c in cases)
+        assert cases
+        if section == "minors":
+            assert all(c["equal"] for c in cases)
         for case in cases:
             assert _recorded(section, case) == [_untimed(case)]
 
 
 def _matches_record(section, recorded):
-    """``section`` has the recorded section's keys and, but for its repeats and speedup, its untimed values."""
+    """``section`` has the recorded section's keys and, but for its repeats, its untimed values."""
     assert section.keys() == recorded.keys()
-    assert _untimed(section) == _untimed({**recorded, "repeats": section["repeats"], "speedup": section["speedup"]})
+    assert _untimed(section) == _untimed({**recorded, "repeats": section["repeats"]})
 
 
 def _hooks():
@@ -75,12 +77,11 @@ def test_fuzz_walks_replay_matches_the_record(bench):
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
     assert _untimed(bench.gcd_case(gcd_calls)) == _untimed(RECORD["gcd"]["workloads"]["fuzz-walks"])
-    section = bench.walks_section(walks, repeats=1)
-    assert (section["walks"], section["steps"], section["walked_sha256"]) == (
-        RECORD["walks"]["walks"], RECORD["walks"]["steps"], RECORD["walks"]["walked_sha256"])
+    _matches_record(bench.walks_section(walks, repeats=1), RECORD["walks"])
+    assert RECORD["walks"]["scans"] == 1611
     profile = bench.profile_section(walks, repeats=1)
     _matches_record(profile, RECORD["profile"])
-    assert profile["diagrams"] == 330 and profile["unequal"] == 0
+    assert profile["diagrams"] == 330
 
 
 def test_winding_colorings_replay_matches_the_record(bench):
@@ -88,13 +89,14 @@ def test_winding_colorings_replay_matches_the_record(bench):
     assert colorings and all(ps == list(range(2, 30)) for _, ps in colorings)
     section = bench.colorings_section(colorings, repeats=1)
     _matches_record(section, RECORD["colorings"])
-    assert section["unequal"] == 0
+    assert (section["diagrams"], section["moduli"]) == (54, 1512)
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):
     _, _, presentations, _ = bench.replay("invariants-ladder")
-    workload, recorded = bench.presentations_workload(presentations, repeats=1), RECORD["presentations"]["workload"]
-    assert (workload["diagrams"], workload["unequal"]) == (recorded["diagrams"], recorded["unequal"]) == (220, 0)
+    workload = bench.presentations_workload(presentations, repeats=1)
+    _matches_record(workload, RECORD["presentations"]["workload"])
+    assert workload["diagrams"] == 220
 
 
 def test_import_section_matches_the_record(bench):

@@ -127,7 +127,7 @@ def test_bad_modulus_fails_before_the_diagram_is_read(capsys, tmp_path, monkeypa
 
 
 def test_combined_invariants_request_matches_its_parts(capsys, corpus_dir, tmp_path):
-    # one reduction serves "end-minus" for --charpoly and "none" for --det and --color
+    # "end-minus" for --charpoly and "none" for --det and --color, in one request
     rng = random.Random(5)
     paths = [p for p in sorted(corpus_dir.glob("*.gauss")) if not p.read_text().startswith("closed")]
     for n in range(12):
@@ -320,6 +320,26 @@ def test_presentation_budget_is_counted_on_the_merged_route(capsys, tmp_path, te
         assert ("budget exceeded: 2 minors of size 1" in err) == (expected == 3)
 
 
+ELEVEN = "U5+ U7- U4- O10+ U1+ O3- O8+ U9+ O4- O2- O7- U10+ U6+ O6+ U2- O5+ O9+ U8+ O1+ U3- O11- U11-"
+THIRTEEN = ("U4+ U1+ O11- O7- U11- U12+ U9- O12+ U2- O6- U7- O5+ U10- U8+ O13- U3- O4+ U13- O9- O10- U5+ O2- "
+            "U6- O3- O8+ O1+")
+
+
+@pytest.mark.parametrize("code, budget, quotient", [
+    # reduced together with the "none" matrix of --det and --color, end-minus kept a 3-bit entry
+    (ELEVEN, ("--max-coeff-bits", "2"), "end-minus"),
+    # and these needed more than 4 minors
+    (THIRTEEN, ("--max-minors", "4"), "end-minus"),
+    (THIRTEEN, ("--max-minors", "4"), "ends"),
+], ids=["c11-end-minus", "c13-end-minus", "c13-ends"])
+def test_budgets_do_not_depend_on_det_or_color(capsys, tmp_path, code, budget, quotient):
+    path = tmp_path / "d.gauss"
+    path.write_text(code + "\n")
+    argv = [*budget, "invariants", str(path), "--charpoly", "0", "--charpoly", "1", "--quotient", quotient]
+    for extra in ([], ["--det"], ["--color", "3"], ["--det", "--color", "3"]):
+        assert run(capsys, *argv, *extra)[0] == 0, extra
+
+
 def test_json_presentation_renders_no_text(capsys, corpus_dir, monkeypatch):
     rendered = []
     real = alexander.GroupPresentationZ2.__str__
@@ -494,8 +514,9 @@ def test_end_quotient_colors_the_diagram(capsys, corpus_dir):
 
 def test_only_color_matrix_builds_a_minus_one(capsys, corpus_dir, monkeypatch):
     built = []
-    real = alexander._arc_matrix_at
-    monkeypatch.setattr(alexander, "_arc_matrix_at", lambda *a: built.append(a) or real(*a))
+    real = alexander.one_var_matrix
+    for module in (alexander, invariants):  # every module that binds the name
+        monkeypatch.setattr(module, "one_var_matrix", lambda *a: built.append(a) or real(*a))
     k1 = str(corpus_dir / "k1.gauss")
     for argv in (["color", k1, "-p", "3", "-p", "5"],
                  ["invariants", k1, "--color", "3", "--det"],
