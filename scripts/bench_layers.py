@@ -7,13 +7,17 @@ Run from anywhere; ``vka`` is imported from ``src/``, the oracles from
 which the script only reads.  Each benchmark workload's seed-1 requests
 run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk``,
 ``quotient_pipeline`` and ``coloring_count`` wrapped to capture their
-inputs.  The ladder is
+inputs, and the Gauss files it writes are read back.  The ladder is
 ``random_code`` seeds 0-4, long and closed, at c = 8, 12, 20 and 30
 crossings.  Every section times the library as it stands; a before and
 after comparison runs the script on both commits.  Ladder cases take the
 best of three calls, references one call, and the workload sections the
 best and median of 15.  One section per layer:
 
+- ``front_end``: ``parse_gauss`` on every input text of each workload and
+  ``merged_arc_rows`` on the diagrams it gives, with the texts' passage
+  count and the sha256 of the parsed codes and of the rows (their
+  ``repr``, which shows the key order of rows and entries);
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
   ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
   with one, and that reach ``laurent.gcd``;
@@ -70,6 +74,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from oracles import minors_reference, random_code  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
+from vka.alexander import merged_arc_rows  # noqa: E402
 from vka.diagram import parse_gauss, serialize_gauss  # noqa: E402
 from vka.invariants import (  # noqa: E402
     char_poly, coloring_count, elementary_minors, invariant_profile, quotient_matrix, quotient_pipeline,
@@ -145,7 +150,8 @@ def replay(workload):
     """The (polys, vars) of every ``gcd_many`` call, the (diagram, seed, steps,
     max_crossings) of every ``random_walk`` call, the (diagram, quotient) of
     every ``quotient_pipeline`` call and the (diagram, moduli) of every
-    ``coloring_count`` call that the workload's requests make."""
+    ``coloring_count`` call that the workload's requests make, and the text
+    of every Gauss file they read, in file order."""
     gcd_calls, walks, presentations, colorings = [], [], [], []
     real_gcd_many, real_random_walk, real_pipeline = invariants.gcd_many, moves.random_walk, quotient_pipeline
 
@@ -173,6 +179,7 @@ def replay(workload):
             gcd_many, random_walk, pipeline, colors)
         try:
             requests = workloads.build(workload, SEED, pathlib.Path(work))
+            texts = [path.read_text(encoding="utf-8") for path in sorted(pathlib.Path(work, "in").glob("*.gauss"))]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 for request in requests:
                     cli.main(request)
@@ -180,7 +187,7 @@ def replay(workload):
             invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count = (
                 real_gcd_many, real_random_walk, real_pipeline, coloring_count)
             os.chdir(cwd)
-    return gcd_calls, walks, presentations, colorings
+    return gcd_calls, walks, presentations, colorings, texts
 
 
 def pairwise(polys, vars):
@@ -224,6 +231,23 @@ def gcd_case(calls):
         "gcd_many_s": round(min(gcd_many_s), 6),
         "reference_s": round(min(reference_s), 6),
         "unequal": sum(a != b for a, b in zip(values, reference)),
+    }
+
+
+def front_end_case(texts, repeats=REPEATS):
+    """The ``front_end`` section's entry for one workload's input texts."""
+    diagrams, parse = best_and_median(lambda: [parse_gauss(text) for text in texts], repeats)
+    rows, merge = best_and_median(lambda: [merged_arc_rows(d) for d in diagrams], repeats)
+    return {
+        "texts": len(texts),
+        "passages": sum(len(d.passages) for d in diagrams),
+        "repeats": repeats,
+        "parse_best_s": parse["best_s"],
+        "parse_median_s": parse["median_s"],
+        "rows_best_s": merge["best_s"],
+        "rows_median_s": merge["median_s"],
+        "parsed_sha256": sha256(map(serialize_gauss, diagrams)),
+        "rows_sha256": sha256(map(repr, rows)),
     }
 
 
@@ -382,6 +406,8 @@ def run():
     print(f"gcd: {sum(r['calls'] for r in gcd.values())} calls, {sum(r['unequal'] for r in gcd.values())} unequal",
           file=sys.stderr)
 
+    front_end = {workload: front_end_case(replayed[4]) for workload, replayed in replays.items()}
+    print(f"front_end: {sum(r['texts'] for r in front_end.values())} texts", file=sys.stderr)
     walks = walks_section(replays[WALK_WORKLOAD][1])
     print(f"walks: {walks['walks']} walks, {walks['scans']} scans", file=sys.stderr)
     profile = profile_section(replays[WALK_WORKLOAD][1])
@@ -404,6 +430,11 @@ def run():
     record = {
         "schema": 2,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "front_end": {
+            "layer": "diagram.parse_gauss and alexander.merged_arc_rows",
+            "workload": f"every input text of each benchmark workload's request list, seed {SEED}",
+            "workloads": front_end,
+        },
         "gcd": {
             "layer": "laurent.gcd_many",
             "workload": f"the gcd_many inputs of every benchmark workload's request list, seed {SEED}",

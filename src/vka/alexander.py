@@ -8,8 +8,9 @@ outgoing arcs and UI/UO for the under-strand's:
     positive crossing:   OI * UI^u = UO * OO^u      OI^v = OO
     negative crossing:   UI * OI^u = OO * UO^u      OO^v = OI
 
-The first family is written in one place, ``_crossing_relation``, which
-both the word presentation and the merged arc matrix A(u, v) call.
+The first family is written in one place, ``_crossing_relation``, whose
+arcs ``_relation_arcs`` picks: the word presentation calls it, and the
+merged arc matrix A(u, v) writes its terms from those arcs.
 Setting v = 1 recovers the classical one-variable arc relations, with the
 two halves of each over-arc merged.  Abelianizing yields presentation
 matrices over Z[u^+-1, v^+-1] whose minors drive all downstream invariants.
@@ -177,14 +178,17 @@ class GroupPresentationZ2(NamedTuple):
         }
 
 
+def _relation_arcs(sign, oi, oo, ui, uo):
+    """The arcs (x, y, z, w) of a crossing's ``_crossing_relation`` x * y^u = z * w^u."""
+    # UI * OI^u = OO * UO^u at a negative crossing is OI * UI^u = UO * OO^u with over and under swapped
+    return (oi, ui, uo, oo) if sign > 0 else (ui, oi, oo, uo)
+
+
 def _crossing_relation(sign, oi, oo, ui, uo):
     """The first-family relation of a crossing, each arc given as (generator, v-exponent)."""
-    if sign < 0:  # UI * OI^u = OO * UO^u is OI * UI^u = UO * OO^u with over and under swapped
-        oi, oo, ui, uo = ui, uo, oi, oo
-    return OpRelation(
-        (OpLetter(oi[0], (0, oi[1]), 1), OpLetter(ui[0], (1, ui[1]), 1)),
-        (OpLetter(uo[0], (0, uo[1]), 1), OpLetter(oo[0], (1, oo[1]), 1)),
-    )
+    x, y, z, w = _relation_arcs(sign, oi, oo, ui, uo)
+    return OpRelation((OpLetter(x[0], (0, x[1]), 1), OpLetter(y[0], (1, y[1]), 1)),
+                      (OpLetter(z[0], (0, z[1]), 1), OpLetter(w[0], (1, w[1]), 1)))
 
 
 def _crossings(d, names):
@@ -612,10 +616,11 @@ def merged_arc_rows(d):
     signs of the over passages up to arc 0.
 
     One row per crossing, in id order: the abelianized ``_crossing_relation``,
-    OI + u*UI - UO - u*OO at a positive crossing, UI + u*OI - OO - u*UO at a
-    negative one.  These are the first relation family's rows once the
-    second family has eliminated the OO (or OI) columns, so A(u, v) has the
-    elementary ideals of ``abelianize(extended_presentation(d))``.
+    written straight from its ``_relation_arcs``: OI + u*UI - UO - u*OO at a
+    positive crossing, UI + u*OI - OO - u*UO at a negative one.  These are the
+    first relation family's rows once the second family has eliminated the
+    OO (or OI) columns, so A(u, v) has the elementary ideals of
+    ``abelianize(extended_presentation(d))``.
     """
     names = arc_names(d.arc_count)
     cols = [names[0]]
@@ -638,9 +643,16 @@ def merged_arc_rows(d):
         else:
             col, e = 0, tail
         unders[cid - 1] = arc_in, (cols[col], e)
-    rows = [
-        _word_row(*_crossing_relation(sign, oi, oo, ui, uo)) for (oi, oo, sign), (ui, uo) in zip(overs, unders)
-    ]
+    rows = []
+    for (oi, oo, sign), (ui, uo) in zip(overs, unders):
+        (x, ex), (y, ey), (z, ez), (w, ew) = _relation_arcs(sign, oi, oo, ui, uo)
+        row = {x: {(0, ex): 1}}  # x + u*y - z - u*w, in the key order of _word_row
+        row.setdefault(y, {})[1, ey] = 1
+        for g, key in ((z, (0, ez)), (w, (1, ew))):  # a key of z (of w) can only be one of x (of y)
+            entry = row.setdefault(g, {})
+            if not entry.pop(key, 0):  # else the two terms cancel
+                entry[key] = -1
+        rows.append({g: entry for g, entry in row.items() if entry})
     return rows, tuple(cols)
 
 

@@ -4,11 +4,8 @@ A diagram is a sequence of classical-crossing passages, each tagged with a
 crossing id, an over/under role and a sign.  Virtual crossings leave no
 trace in a Gauss code (any arc through them can be rerouted), so they are
 not represented.  Long diagrams read the sequence linearly, closed ones
-cyclically.
-
-Text format (one diagram per file): an optional header line ``closed``,
-then whitespace-separated tokens matching ``[OU][1-9][0-9]*[+-]``.
-``#`` starts a comment running to the end of the line.
+cyclically.  The text format, one diagram per file, is the grammar that
+``parse_gauss`` states.
 """
 
 from __future__ import annotations
@@ -54,14 +51,13 @@ def is_int(x):
     return type(x) is int
 
 
-def _validate(passages):
-    seen = {}
-    for idx, p in enumerate(passages):
-        if not (p.role in (OVER, UNDER) and is_int(p.sign) and p.sign in (1, -1)
-                and is_int(p.crossing) and p.crossing >= 1):
-            raise GaussCodeError(f"bad passage {p!r} at position {idx}")
-        seen.setdefault(p.crossing, []).append(p)
-    for cid, ps in seen.items():
+def _raise_crossing_error(ids, passages):
+    """Raise for the first crossing of ``ids`` (the given ids, in ``passages`` renumbered in order) that is
+    not two passages of opposite roles and one sign."""
+    found = {}
+    for p in passages:
+        found.setdefault(p.crossing, []).append(p)
+    for cid, ps in zip(ids, found.values()):
         if len(ps) != 2:
             raise GaussCodeError(f"crossing {cid} appears {len(ps)} times, expected 2")
         a, b = ps
@@ -71,27 +67,33 @@ def _validate(passages):
             raise GaussCodeError(f"crossing {cid} has mismatched signs")
 
 
-def _relabel(passages):
-    """Renumber crossing ids to 1..c in order of first appearance."""
-    order = {}
-    for p in passages:
-        if p.crossing not in order:
-            order[p.crossing] = len(order) + 1
-    return tuple(Passage(order[p.crossing], p.role, p.sign) for p in passages)
-
-
 class Diagram:
     """A validated Gauss code, ids normalized to first-appearance order."""
 
     __slots__ = ("kind", "passages")
 
     def __init__(self, kind, passages):
+        """Check (crossing id, role, sign) triples, ``Passage``s or not, and renumber them, in one pass."""
         if kind not in (LONG, CLOSED):
             raise GaussCodeError(f"unknown diagram kind {kind!r}")
-        passages = tuple(passages)
-        _validate(passages)
+        ids, out, paired = {}, [], True  # ids: crossing id -> its first passage, renumbered
+        for p in passages:
+            cid, role, sign = p
+            # is_int(cid) and is_int(sign), inlined: exact ints, not bools or floats
+            if not (role in (OVER, UNDER) and type(cid) is type(sign) is int and sign in (1, -1) and cid >= 1):
+                raise GaussCodeError(f"bad passage {p!r} at position {len(out)}")
+            first = ids.get(cid)
+            if first is None:  # tuple.__new__ skips the Python-level NamedTuple constructor
+                first = ids[cid] = tuple.__new__(Passage, (len(ids) + 1, role, sign))
+                out.append(first)
+            else:
+                paired = paired and first.role != role and first.sign == sign
+                out.append(tuple.__new__(Passage, (first.crossing, role, sign)))
+        # with each later passage of a crossing paired with its first, all distinct means at most two a crossing
+        if not (paired and len(out) == 2 * len(ids) == len(set(out))):
+            _raise_crossing_error(ids, out)
         self.kind = kind
-        self.passages = _relabel(passages)
+        self.passages = tuple(out)
 
     @property
     def crossings(self):
@@ -106,15 +108,8 @@ class Diagram:
     def canonical_key(self):
         if self.kind == LONG:
             return (self.kind, self.passages)
-        if not self.passages:
-            return (self.kind, ())
-        n = len(self.passages)
-        best = None
-        for r in range(n):
-            rot = _relabel(self.passages[r:] + self.passages[:r])
-            if best is None or rot < best:
-                best = rot
-        return (self.kind, best)
+        ps = self.passages
+        return (self.kind, min((Diagram(CLOSED, ps[r:] + ps[:r]).passages for r in range(len(ps))), default=()))
 
     def __eq__(self, other):
         if not isinstance(other, Diagram):
@@ -128,35 +123,55 @@ class Diagram:
         return f"Diagram({self.kind}: {' '.join(map(str, self.passages))})"
 
 
-_TOKEN_RE = re.compile(r"[OU][1-9][0-9]*[+-]$")
+MAX_ID_DIGITS = 4300  # the longest crossing id, in digits
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")  # the line ends of str.splitlines
+_HEADER = re.compile(r"\s*closed(?!\S)")
+_WORD = re.compile(rf"([OU])([1-9][0-9]{{0,{MAX_ID_DIGITS - 1}}})([+-])(?!\S)|\S+")
+_TOKEN = re.compile(r"[OU]([1-9][0-9]*)[+-]")
 
 
 def parse_gauss(text):
-    """Parse Gauss-code text into a Diagram."""
-    kind = LONG
-    passages = []
-    header_done = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        col = 1
-        for raw in line.split():
-            column = line.index(raw, col - 1) + 1
-            col = column + len(raw)
-            if not header_done and raw == "closed" and not passages:
-                kind = CLOSED
-                header_done = True
-                continue
-            header_done = True
-            if not _TOKEN_RE.match(raw):
-                raise GaussCodeError(f"malformed token {raw!r}", lineno, column)
-            role = raw[0]
-            sign = 1 if raw[-1] == "+" else -1
-            try:
-                cid = int(raw[1:-1])
-            except ValueError:  # more digits than int() converts
-                raise GaussCodeError(f"crossing id of {len(raw) - 2} digits", lineno, column) from None
-            passages.append(Passage(cid, role, sign))
-    return Diagram(kind, passages)
+    """Parse Gauss-code text into a Diagram.
+
+    The grammar, with words separated by whitespace (any, CRLF and the
+    other line ends of ``str.splitlines`` included)::
+
+        code  := "closed"? token*
+        token := [OU] [1-9] [0-9]* [+-]
+
+    ``#`` starts a comment that runs to the end of its line.  A token is a
+    passage: role, crossing id and sign; its id has at most
+    ``MAX_ID_DIGITS`` digits.  ``closed``, only as the first word, makes
+    the diagram closed, else it is long.  The first word outside the
+    grammar raises GaussCodeError with its line and column; passages that
+    do not make a diagram raise it without them, as ``Diagram`` does.
+    """
+    if "#" in text:
+        text = _COMMENT.sub(lambda m: " " * len(m[0]), text)  # as long as the comment, so positions stay
+    header = _HEADER.match(text)
+    start = header.end() if header else 0
+    try:
+        triples = [(int(digits), role, 1 if sign == "+" else -1) for role, digits, sign in _WORD.findall(text, start)]
+    except ValueError:  # a bad word, or an id longer than int() converts here
+        triples = list(_checked_triples(text, start))
+    return Diagram(CLOSED if header else LONG, triples)
+
+
+def _checked_triples(text, start):
+    """The passages of the words from ``start`` on, one word at a time, or GaussCodeError at the first bad one."""
+    for match in _WORD.finditer(text, start):
+        word = match[0]
+        token = _TOKEN.fullmatch(word)
+        if token is None or len(token[1]) > MAX_ID_DIGITS:
+            lines = text[:match.start() + 1].splitlines()
+            message = f"malformed token {word!r}" if token is None else f"crossing id of {len(token[1])} digits"
+            raise GaussCodeError(message, len(lines), len(lines[-1]))
+        yield _int(token[1]), word[0], 1 if word[-1] == "+" else -1
+
+
+def _int(digits):
+    """``int(digits)`` under any limit of ``sys.set_int_max_str_digits``, which is 0 or at least 640."""
+    return int(digits) if len(digits) <= 640 else _int(digits[:-640]) * 10 ** 640 + int(digits[-640:])
 
 
 def serialize_gauss(d):
@@ -172,8 +187,7 @@ def concatenate(d1, d2):
     if d1.kind != LONG or d2.kind != LONG:
         raise ValueError("concatenation requires long diagrams")
     offset = d1.crossings
-    shifted = [Passage(p.crossing + offset, p.role, p.sign) for p in d2.passages]
-    return Diagram(LONG, d1.passages + tuple(shifted))
+    return Diagram(LONG, d1.passages + tuple((cid + offset, role, sign) for cid, role, sign in d2.passages))
 
 
 def close(d):
@@ -185,10 +199,7 @@ def close(d):
 
 def switch_all_crossings(d):
     """Reverse every classical crossing: swap over/under and negate signs."""
-    flipped = [
-        Passage(p.crossing, UNDER if p.role == OVER else OVER, -p.sign) for p in d.passages
-    ]
-    return Diagram(d.kind, flipped)
+    return Diagram(d.kind, [(cid, UNDER if role == OVER else OVER, -sign) for cid, role, sign in d.passages])
 
 
 def dn_family(base, n):
@@ -212,13 +223,13 @@ def dn_family(base, n):
     unders = []
     overs = []
     for i in range(1, n + 1):
-        forward.append(Passage(2 * i - 1, OVER, 1))
-        forward.append(Passage(2 * i, UNDER, -1))
-        unders.append(Passage(2 * i - 1, UNDER, 1))
-        overs.append(Passage(2 * i, OVER, -1))
+        forward.append((2 * i - 1, OVER, 1))
+        forward.append((2 * i, UNDER, -1))
+        unders.append((2 * i - 1, UNDER, 1))
+        overs.append((2 * i, OVER, -1))
     unders.reverse()
     overs.reverse()
-    middle = [Passage(p.crossing + offset, p.role, p.sign) for p in base.passages]
+    middle = [(cid + offset, role, sign) for cid, role, sign in base.passages]
     return Diagram(LONG, forward + unders + middle + overs)
 
 

@@ -16,7 +16,9 @@ the over strands (``arc_classes``, the one partition under
 the references for A(u, v), A(t) and the colorings; the library walks
 the under passages), Tietze elimination by the rescanning implementation
 the incremental one replaced, the end-quotient module matrix by the word
-route the merged arc matrix replaced, Smith normal form by a full
+route the merged arc matrix replaced (and A(u, v)'s rows by the word
+route, in ``_word_row``'s key order), Gauss code text by the token loop
+the one-scan ``parse_gauss`` replaced, Smith normal form by a full
 smallest-entry scan at every pivot, and ranks mod p by Gauss-Jordan
 elimination over Z/p (the library counts maps to Z/p from Smith forms).
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
@@ -44,6 +47,7 @@ from vka.alexander import (
     OpLetter,
     OpRelation,
     PresentationMatrix,
+    _crossing_relation,
     _dense,
     _exp_neg,
     _reduce,
@@ -59,7 +63,7 @@ from vka.alexander import (
     word_shift,
 )
 from vka import moves
-from vka.diagram import LONG, OVER, UNDER, Diagram, parse_gauss
+from vka.diagram import CLOSED, LONG, OVER, UNDER, Diagram, GaussCodeError, Passage, is_int, parse_gauss
 from vka.invariants import (
     RING_VARS,
     _end_quotient,
@@ -359,6 +363,70 @@ def random_diagrams(crossings, seeds):
         for seed in seeds
         for closed in (False, True)
     ]
+
+
+# -- reference parser --------------------------------------------------
+# The token loop that the one-scan ``parse_gauss`` replaced: each line cut
+# at its first ``#``, each token found by ``str.index`` for its column,
+# every passage checked, then renumbered, in passes of their own.  The
+# crossing-id bound is ``int()``'s digit limit, 4300 by default.
+
+_TOKEN_RE = re.compile(r"[OU][1-9][0-9]*[+-]$")
+
+
+def _validate(passages):
+    seen = {}
+    for idx, p in enumerate(passages):
+        if not (p.role in (OVER, UNDER) and is_int(p.sign) and p.sign in (1, -1)
+                and is_int(p.crossing) and p.crossing >= 1):
+            raise GaussCodeError(f"bad passage {p!r} at position {idx}")
+        seen.setdefault(p.crossing, []).append(p)
+    for cid, ps in seen.items():
+        if len(ps) != 2:
+            raise GaussCodeError(f"crossing {cid} appears {len(ps)} times, expected 2")
+        a, b = ps
+        if a.role == b.role:
+            raise GaussCodeError(f"crossing {cid} has two {a.role} passages")
+        if a.sign != b.sign:
+            raise GaussCodeError(f"crossing {cid} has mismatched signs")
+
+
+def _relabel(passages):
+    """Renumber crossing ids to 1..c in order of first appearance."""
+    order = {}
+    for p in passages:
+        if p.crossing not in order:
+            order[p.crossing] = len(order) + 1
+    return tuple(Passage(order[p.crossing], p.role, p.sign) for p in passages)
+
+
+def parse_gauss_reference(text):
+    """The (kind, passages) of the Diagram that Gauss-code text gives."""
+    kind = LONG
+    passages = []
+    header_done = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        col = 1
+        for raw in line.split():
+            column = line.index(raw, col - 1) + 1
+            col = column + len(raw)
+            if not header_done and raw == "closed" and not passages:
+                kind = CLOSED
+                header_done = True
+                continue
+            header_done = True
+            if not _TOKEN_RE.match(raw):
+                raise GaussCodeError(f"malformed token {raw!r}", lineno, column)
+            role = raw[0]
+            sign = 1 if raw[-1] == "+" else -1
+            try:
+                cid = int(raw[1:-1])
+            except ValueError:  # more digits than int() converts
+                raise GaussCodeError(f"crossing id of {len(raw) - 2} digits", lineno, column) from None
+            passages.append(Passage(cid, role, sign))
+    _validate(passages)
+    return kind, _relabel(passages)
 
 
 # -- reference Tietze elimination -------------------------------------
@@ -722,6 +790,21 @@ def merged_arc_rows_reference(d):
                 entry[exp] = entry.get(exp, 0) + scale * l.sign
         rows.append({g: {e: c for e, c in entry.items() if c} for g, entry in row.items()})
     return [{g: entry for g, entry in row.items() if entry} for row in rows], cols
+
+
+def merged_arc_rows_by_words(d):
+    """A(u, v) by the word route: ``_word_row(*_crossing_relation(...))`` of each crossing.
+
+    Its arcs are those of ``arc_structure``, each as its ``arc_classes``
+    class and v-exponent, so the rows and their entries come in the key
+    order that ``_word_row`` gives them.
+    """
+    classes, vexp, cols = arc_classes(d)
+    arc = [(cols[k], e) for k, e in zip(classes, vexp)]
+    sign_of = {p.crossing: p.sign for p in d.passages}
+    incidences = arc_structure(d).crossings
+    return [_word_row(*_crossing_relation(sign_of[cid], *(arc[a] for a in incidences[cid])))
+            for cid in range(1, d.crossings + 1)], cols
 
 
 def one_var_matrix_reference(d, t=T_GEN):

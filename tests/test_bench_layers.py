@@ -71,8 +71,9 @@ def _hooks():
 
 def test_fuzz_walks_replay_matches_the_record(bench):
     before = _hooks()
-    gcd_calls, walks, presentations, colorings = bench.replay("fuzz-walks")
+    gcd_calls, walks, presentations, colorings, texts = bench.replay("fuzz-walks")
     assert _hooks() == before
+    _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["fuzz-walks"])
     assert presentations == colorings == []
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
@@ -85,7 +86,8 @@ def test_fuzz_walks_replay_matches_the_record(bench):
 
 
 def test_winding_colorings_replay_matches_the_record(bench):
-    _, _, _, colorings = bench.replay("winding-colorings")
+    _, _, _, colorings, texts = bench.replay("winding-colorings")
+    _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["winding-colorings"])
     assert colorings and all(ps == list(range(2, 30)) for _, ps in colorings)
     section = bench.colorings_section(colorings, repeats=1)
     _matches_record(section, RECORD["colorings"])
@@ -93,7 +95,8 @@ def test_winding_colorings_replay_matches_the_record(bench):
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):
-    _, _, presentations, _ = bench.replay("invariants-ladder")
+    _, _, presentations, _, texts = bench.replay("invariants-ladder")
+    _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["invariants-ladder"])
     workload = bench.presentations_workload(presentations, repeats=1)
     _matches_record(workload, RECORD["presentations"]["workload"])
     assert workload["diagrams"] == 220

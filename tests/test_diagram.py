@@ -1,10 +1,14 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import catalog
-from oracles import arc_structure, random_long_diagram
+from conftest import REPO_ROOT
+from oracles import arc_structure, parse_gauss_reference, random_code, random_long_diagram
 from vka.diagram import (
     CLOSED,
     Diagram,
@@ -42,11 +46,39 @@ def test_parse_rejects_malformed_token():
 
 
 def test_parse_rejects_huge_crossing_id():
-    # more digits than int() converts: a parse error at the token, not a ValueError from int()
+    # more digits than the id bound: a parse error at the token, not a ValueError from int()
     huge = "1" * 5000
     with pytest.raises(GaussCodeError, match="crossing id of 5000 digits") as err:
         parse_gauss(f"closed\nO2+ U2+  O{huge}+ U{huge}+")
     assert (err.value.line, err.value.column) == (2, 10)
+
+
+PARSE_PROBE = """
+from vka.diagram import GaussCodeError, parse_gauss
+ids = ("1" * 640, "1" * 4300, "1" * 4301, "1" * 5000)
+for cid in ids:
+    try:
+        print(parse_gauss(f"closed\\nO2+ U2+  O{cid}+ U{cid}+").crossings)
+    except GaussCodeError as exc:
+        print(exc)
+"""
+
+
+def test_crossing_id_bound_does_not_depend_on_int_max_str_digits():
+    # the parser bounds ids at 4300 digits itself, whatever int() converts
+    outputs = []
+    for limit in (None, "0", "640"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        run = subprocess.run([sys.executable, "-c", PARSE_PROBE], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0].splitlines() == [
+        "2", "2", "crossing id of 4301 digits (line 2, column 10)", "crossing id of 5000 digits (line 2, column 10)",
+    ]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_parse_rejects_wrong_multiplicity():
@@ -68,6 +100,83 @@ def test_diagram_rejects_bad_kinds_ids_and_signs():
     for cid, sign in ((1, True), (1, 1.0), (1.0, 1), (True, -1), ("1", 1)):
         with pytest.raises(GaussCodeError, match="bad passage"):
             Diagram(LONG, [Passage(cid, "O", sign), Passage(cid, "U", sign)])
+
+
+def test_diagram_rejects_bad_roles_and_takes_plain_triples():
+    for role in ("X", "o", None):
+        with pytest.raises(GaussCodeError, match="bad passage"):
+            Diagram(LONG, [(1, "O", 1), (1, role, 1)])
+    d = Diagram(CLOSED, ((7, "U", -1), (3, "O", 1), (7, "O", -1), (3, "U", 1)))
+    assert d.passages == (Passage(1, "U", -1), Passage(2, "O", 1), Passage(1, "O", -1), Passage(2, "U", 1))
+    assert all(type(p) is Passage for p in d.passages)
+
+
+def _parsed(parse, text):
+    """(kind, passages) of the parsed text, or ("error", message, line, column)."""
+    try:
+        d = parse(text)
+    except GaussCodeError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return (d.kind, d.passages) if isinstance(d, Diagram) else d
+
+
+SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n", "\r\n\r\n", " # a comment\n", "\t#\r\n",
+              "\n# a comment line O1+\n", "#closed\r\n", "\r", "\x0c", " # CR\r", "\u2028")
+
+
+def _text(rng, words):
+    """``words`` joined by seeded separators, with a comment or blank line before and after at times."""
+    head = rng.choice(("", "# a code\n", "\n", "\r\n  "))
+    tail = rng.choice(("", "\n", "\r\n", " # end", "\n\n"))
+    return head + "".join(w + rng.choice(SEPARATORS) for w in words[:-1]) + (words[-1] if words else "") + tail
+
+
+def _mutations(rng, words):
+    """Seeded mutations of a code's words: each is a list of words, valid or not."""
+    tokens = [w for w in words if w != "closed"]
+    header = words[:len(words) - len(tokens)]
+    out = []
+    if tokens:
+        i = rng.randrange(len(tokens))
+        t = tokens[i]
+        flipped_role = ("U" if t[0] == "O" else "O") + t[1:]
+        flipped_sign = t[:-1] + ("-" if t[-1] == "+" else "+")
+        for changed in (tokens[:i] + tokens[i + 1:], tokens[:i] + [t] + tokens[i:],
+                        tokens[:i] + [flipped_role] + tokens[i + 1:], tokens[:i] + [flipped_sign] + tokens[i + 1:]):
+            out.append(header + changed)
+        cid = t[1:-1]
+        huge = [w[0] + "9" * 5000 + w[-1] if w[1:-1] == cid else w for w in tokens]
+        out.append(header + huge)
+        out.append(["closed" + tokens[0]] + tokens[1:])  # not the word closed
+    for bad in ("X2-", "O01+", "O1#+", "closed"):
+        j = rng.randrange(len(tokens) + 1)
+        out.append(header + tokens[:j] + [bad] + tokens[j:])
+    out.append(["closed"] + words)
+    return out
+
+
+@pytest.fixture
+def default_int_digits():
+    """int()'s default digit limit, 4300, which bounds the reference parser's ids."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_parse_matches_the_reference_token_loop(default_int_digits):
+    rng = random.Random(26)
+    kinds = set()
+    for crossings in range(13):
+        for closed in (False, True):
+            for _ in range(3):
+                words = random_code(rng, crossings, closed=closed).split()
+                for case in [words] + _mutations(rng, words):
+                    text = _text(rng, case)
+                    expected = _parsed(parse_gauss_reference, text)
+                    assert _parsed(parse_gauss, text) == expected, text
+                    kinds.add(expected[0] if expected[0] != "error" else expected[1].split(" ")[0])
+    assert kinds >= {"long", "closed", "malformed", "crossing"}
 
 
 def test_parse_error_location():
