@@ -14,6 +14,15 @@ merged arc matrix A(u, v) writes its terms from those arcs.
 Setting v = 1 recovers the classical one-variable arc relations, with the
 two halves of each over-arc merged.  Abelianizing yields presentation
 matrices over Z[u^+-1, v^+-1] whose minors drive all downstream invariants.
+
+Inside the module a letter is a plain ``(gen, exp, sign)`` tuple and a
+relation a plain ``(left, right)`` pair: the word helpers (``word_shift``,
+``word_inverse``, ``free_reduce``, ``normalize_relation``) and the Tietze
+elimination take and return them so.  ``OpLetter`` and ``OpRelation``, which
+compare equal to the plain tuples, are built only where a presentation is
+returned (``_presented``: ``extended_presentation``, ``quotient_kill``,
+``tietze_eliminate`` and ``tietze_from_diagram``), one ``OpLetter`` per
+distinct letter of the presentation.
 """
 
 from __future__ import annotations
@@ -62,27 +71,45 @@ def word_shift(word, exp):
     if exp == E0:
         return tuple(word)
     du, dv = exp
-    return tuple(OpLetter(g, (u + du, v + dv), s) for g, (u, v), s in word)
+    return tuple([(g, (u + du, v + dv), s) for g, (u, v), s in word])
 
 
 def word_inverse(word):
-    return tuple(OpLetter(l.gen, l.exp, -l.sign) for l in reversed(word))
+    return tuple([(g, e, -s) for g, e, s in reversed(word)])
 
 
 def free_reduce(word):
     out = []
-    for letter in word:
-        if out and out[-1].gen == letter.gen and out[-1].exp == letter.exp \
-                and out[-1].sign == -letter.sign:
+    for g, e, s in word:
+        if out and out[-1] == (g, e, -s):
             out.pop()
         else:
-            out.append(letter)
+            out.append((g, e, s))
     return tuple(out)
 
 
+def _presented(gens, relations, ends):
+    """A ``GroupPresentationZ2`` of plain relations and end words, in ``OpRelation`` and ``OpLetter``.
+
+    Equal letters share one ``OpLetter``: a long word repeats few letters many times.
+    """
+    ops = {}  # plain letter -> its OpLetter
+
+    def word(w):
+        out = []
+        for letter in w:
+            op = ops.get(letter)
+            if op is None:
+                op = ops[letter] = tuple.__new__(OpLetter, letter)  # skips NamedTuple's Python-level __new__
+            out.append(op)
+        return tuple(out)
+
+    return GroupPresentationZ2(tuple(gens), tuple([OpRelation(word(l), word(r)) for l, r in relations]),
+                               *(None if e is None else word(e) for e in ends))
+
+
 def letter_str(l):
-    body = l.gen
-    j, k = l.exp
+    body, (j, k), sign = l
     if (j, k) != (0, 0):
         factors = []
         if j:
@@ -94,7 +121,7 @@ def letter_str(l):
             body += f"^{mono}"
         else:
             body += f"^{{{mono}}}"
-    return body if l.sign > 0 else "~" + body
+    return body if sign > 0 else "~" + body
 
 
 def word_str(word):
@@ -102,7 +129,8 @@ def word_str(word):
 
 
 def relation_str(rel):
-    return f"{word_str(rel.left)} = {word_str(rel.right)}"
+    left, right = rel
+    return f"{word_str(left)} = {word_str(right)}"
 
 
 def normalize_relation(rel):
@@ -113,7 +141,8 @@ def normalize_relation(rel):
     positive letter (left multiplication).  The abelianized row is
     unchanged; the displayed form matches hand calculation.
     """
-    return _normalized(list(free_reduce(rel.left)), list(free_reduce(rel.right)))
+    left, right = rel
+    return _normalized(list(free_reduce(left)), list(free_reduce(right)))
 
 
 def _normalized(left, right):
@@ -124,26 +153,27 @@ def _normalized(left, right):
     free-reduced without rescanning them.
     """
     while True:
-        if left and left[-1].sign < 0:
+        if left and left[-1][2] < 0:
             moved, side, at = left.pop(), right, -1
-        elif right and right[-1].sign < 0:
+        elif right and right[-1][2] < 0:
             moved, side, at = right.pop(), left, -1
-        elif left and left[0].sign < 0:
+        elif left and left[0][2] < 0:
             moved, side, at = left.pop(0), right, 0
-        elif right and right[0].sign < 0:
+        elif right and right[0][2] < 0:
             moved, side, at = right.pop(0), left, 0
         else:
-            return OpRelation(tuple(left), tuple(right))
+            return tuple(left), tuple(right)
         if side and side[at] == moved:  # the inverse of the letter it becomes
             side.pop(at)
         elif at:
-            side.append(moved._replace(sign=1))
+            side.append((moved[0], moved[1], 1))
         else:
-            side.insert(0, moved._replace(sign=1))
+            side.insert(0, (moved[0], moved[1], 1))
 
 
 def relation_is_trivial(rel):
-    return rel.left == rel.right
+    left, right = rel
+    return left == right
 
 
 class GroupPresentationZ2(NamedTuple):
@@ -168,11 +198,11 @@ class GroupPresentationZ2(NamedTuple):
         """JSON-ready dict mirroring the presentation's fields."""
 
         def word(w):
-            return [[l.gen, list(l.exp), l.sign] for l in w]
+            return [[g, list(e), s] for g, e, s in w]
 
         return {
             "generators": list(self.generators),
-            "relations": [{"left": word(r.left), "right": word(r.right)} for r in self.relations],
+            "relations": [{"left": word(l), "right": word(r)} for l, r in self.relations],
             "end_minus": word(self.end_minus) if self.end_minus is not None else None,
             "end_plus": word(self.end_plus) if self.end_plus is not None else None,
         }
@@ -187,8 +217,7 @@ def _relation_arcs(sign, oi, oo, ui, uo):
 def _crossing_relation(sign, oi, oo, ui, uo):
     """The first-family relation of a crossing, each arc given as (generator, v-exponent)."""
     x, y, z, w = _relation_arcs(sign, oi, oo, ui, uo)
-    return OpRelation((OpLetter(x[0], (0, x[1]), 1), OpLetter(y[0], (1, y[1]), 1)),
-                      (OpLetter(z[0], (0, z[1]), 1), OpLetter(w[0], (1, w[1]), 1)))
+    return ((x[0], (0, x[1]), 1), (y[0], (1, y[1]), 1)), ((z[0], (0, z[1]), 1), (w[0], (1, w[1]), 1))
 
 
 def _crossings(d, names):
@@ -208,57 +237,59 @@ def extended_presentation(d):
     relations = []
     for sign, arcs, (shifted, plain) in _crossings(d, names):
         relations.append(_crossing_relation(sign, *((arc, 0) for arc in arcs)))
-        relations.append(OpRelation((OpLetter(shifted, EV, 1),), (OpLetter(plain, E0, 1),)))
-    if d.kind == LONG:
-        end_minus = (OpLetter(names[0], E0, 1),)
-        end_plus = (OpLetter(names[-1], E0, 1),)
-    else:
-        end_minus = end_plus = None
-    return GroupPresentationZ2(tuple(names), tuple(relations), end_minus, end_plus)
+        relations.append((((shifted, EV, 1),), ((plain, E0, 1),)))
+    ends = [((g, E0, 1),) if d.kind == LONG else None for g in (names[0], names[-1])]
+    return _presented(names, relations, ends)
 
 
 # -- Tietze elimination ------------------------------------------------
 
 
 def _solve(rel, gen):
-    """Express ``gen`` from a relation containing it exactly once."""
-    w = free_reduce(rel.left + word_inverse(rel.right))
-    idx = next(i for i, l in enumerate(w) if l.gen == gen)
-    letter = w[idx]
+    """Express ``gen`` from a normalized relation containing it exactly once."""
+    left, right = rel
+    w = list(left)
+    _join(w, word_inverse(right))
+    idx = next(i for i, (g, _, _) in enumerate(w) if g == gen)
+    _, exp, sign = w[idx]
     p, q = w[:idx], w[idx + 1:]
-    if letter.sign > 0:
-        expr = word_inverse(p) + word_inverse(q)
+    if sign > 0:
+        expr = list(word_inverse(p))
+        _join(expr, word_inverse(q))
     else:
-        expr = q + p
-    return free_reduce(word_shift(expr, _exp_neg(letter.exp)))
+        expr = q
+        _join(expr, p)
+    return word_shift(expr, _exp_neg(exp))
 
 
 def _join(out, word):
     """Append a reduced word to a reduced list, cancelling at the junction."""
     i = 0
-    while i < len(word) and out and out[-1] == (word[i].gen, word[i].exp, -word[i].sign):
+    while i < len(word) and out:
+        g, e, s = word[i]
+        if out[-1] != (g, e, -s):
+            break
         out.pop()
         i += 1
-    out.extend(word[i:])
+    out.extend(word[i:] if i else word)
 
 
-class _Entry(NamedTuple):
-    """A normalized relation with what elimination asks of it, computed once."""
-
-    rel: OpRelation
-    once: dict  # generator -> exponent of its only letter, or None if it occurs more
-    candidate: Optional[tuple]  # pass 1's (generator, expression), if any
-    key: frozenset  # equal for equal relations, either side first
+# An entry is a normalized relation with what elimination asks of it, computed once: the tuple
+# (relation, once, candidate, key), where ``once`` maps each generator to the exponent of its only
+# letter, or None if it occurs more; ``candidate`` is pass 1's (generator, expression) or None;
+# and ``key`` is equal for equal relations, either side first.
 
 
 def _entry(rel):
+    left, right = rel
     once = {}
-    for gen, exp, _ in rel.left + rel.right:
-        once[gen] = None if gen in once else exp
-    return _Entry(rel, once, _shaped_candidate(rel, once), frozenset({rel.left, rel.right}))
+    for side in rel:
+        for gen, exp, _ in side:
+            once[gen] = None if gen in once else exp
+    return rel, once, _shaped_candidate(left, right, once), frozenset(rel)
 
 
-def _shaped_candidate(rel, once):
+def _shaped_candidate(left, right, once):
     """Pass 1's substitution from a relation, or None.
 
     A side that is a single positive letter, whose generator occurs nowhere
@@ -266,15 +297,17 @@ def _shaped_candidate(rel, once):
     bare-exponent letter is preferred, then the left side.
     """
     pick = None
-    for side, other in ((rel.left, rel.right), (rel.right, rel.left)):
-        if len(side) == 1 and side[0].sign > 0 and once[side[0].gen] is not None:
-            if side[0].exp == E0:
-                return side[0].gen, other
-            pick = pick or (side[0], other)
+    for side, other in ((left, right), (right, left)):
+        if len(side) == 1:
+            gen, exp, sign = side[0]
+            if sign > 0 and once[gen] is not None:
+                if exp == E0:
+                    return gen, other
+                pick = pick or (gen, exp, other)
     if pick is None:
         return None
-    letter, other = pick
-    return letter.gen, word_shift(other, _exp_neg(letter.exp))
+    gen, exp, other = pick
+    return gen, word_shift(other, _exp_neg(exp))
 
 
 def _single_occurrence_step(entries, gens, protected):
@@ -284,18 +317,22 @@ def _single_occurrence_step(entries, gens, protected):
     exponent-free single occurrence, solved from the first relation that
     holds it so; failing that, the first with any single occurrence.
     """
-    first_bare, first_any = {}, {}
-    for i, e in enumerate(entries):
-        for g, exp in e.once.items():
-            if exp is not None:
-                first_any.setdefault(g, i)
-                if exp == E0:
-                    first_bare.setdefault(g, i)
-    for first in (first_bare, first_any):
-        for g in gens:
-            if g in first and g not in protected:
-                return g, _solve(entries[first[g]].rel, g), first[g]
-    return None
+    fallback = None  # the first generator with any single occurrence, and its first entry
+    for g in gens:
+        if g in protected:
+            continue
+        for i, (rel, once, _, _) in enumerate(entries):
+            exp = once.get(g)
+            if exp is None:
+                continue
+            if exp == E0:
+                return g, _solve(rel, g), i
+            if fallback is None:
+                fallback = g, i
+    if fallback is None:
+        return None
+    g, i = fallback
+    return g, _solve(entries[i][0], g), i
 
 
 def tietze_eliminate(p):
@@ -318,7 +355,7 @@ def tietze_eliminate(p):
     every presentation built here has them.
     """
     ends = [p.end_minus, p.end_plus]
-    protected = {l.gen for e in ends if e is not None for l in e}
+    protected = {g for e in ends if e is not None for g, _, _ in e}
     return _eliminate(list(p.generators), _entries(map(normalize_relation, p.relations)), ends, protected)
 
 
@@ -347,7 +384,7 @@ def tietze_from_diagram(d):
         members[kept] += members.pop(gone)
     entries = _entries(_crossing_relation(sign, *map(image.get, arcs)) for sign, arcs, _ in crossings)
     long = d.kind == LONG
-    ends = [(OpLetter(image[g][0], (0, image[g][1]), 1),) if long else None for g in (names[0], names[-1])]
+    ends = [((image[g][0], (0, image[g][1]), 1),) if long else None for g in (names[0], names[-1])]
     return _eliminate([g for g in names if g in members], entries, ends, {names[0], names[-1]} if long else set())
 
 
@@ -357,7 +394,7 @@ def _entries(relations):
     for r in relations:
         if not relation_is_trivial(r):
             e = _entry(r)
-            firsts.setdefault(e.key, e)
+            firsts.setdefault(e[3], e)
     return list(firsts.values())
 
 
@@ -377,15 +414,16 @@ def _eliminate(gens, entries, ends, protected):
             """The reduced image of a reduced word, as a list."""
             out = []
             for letter in word:
-                if letter.gen == gen:
+                g, exp, sign = letter
+                if g == gen:
                     image = images.get(letter)
                     if image is None:
-                        image = word_shift(expr, letter.exp)
-                        if letter.sign < 0:
+                        image = word_shift(expr, exp)
+                        if sign < 0:
                             image = word_inverse(image)
                         images[letter] = image
                     _join(out, image)
-                elif out and out[-1] == (letter.gen, letter.exp, -letter.sign):
+                elif out and out[-1] == (g, exp, -sign):
                     out.pop()  # an image ended in the inverse of this letter
                 else:
                     out.append(letter)
@@ -393,29 +431,31 @@ def _eliminate(gens, entries, ends, protected):
 
         firsts.clear()
         for i, e in enumerate(entries):
-            if gen in e.once:
+            rel, once, _, key = e
+            if gen in once:
                 if i == used:
                     continue
-                rel = _normalized(substitute(e.rel.left), substitute(e.rel.right))
+                left, right = rel
+                rel = _normalized(substitute(left), substitute(right))
                 if relation_is_trivial(rel):
                     continue
                 e = _entry(rel)
-            firsts.setdefault(e.key, e)
+                key = e[3]
+            firsts.setdefault(key, e)
         entries[:] = firsts.values()
         for i, e in enumerate(ends):
-            if e is not None and any(l.gen == gen for l in e):
-                ends[i] = tuple(substitute(e))
+            if e is not None and any(g == gen for g, _, _ in e):
+                ends[i] = substitute(e)
 
     while True:
-        step = next(((*e.candidate, i) for i, e in enumerate(entries) if e.candidate), None)
+        step = next(((*cand, i) for i, (_, _, cand, _) in enumerate(entries) if cand), None)
         if step is None:
             step = _single_occurrence_step(entries, gens, protected)
             if step is None:
                 break
         eliminate(*step)
 
-    rels = tuple(e.rel for e in entries)
-    return GroupPresentationZ2(tuple(gens), rels, *(tuple(e) if e is not None else None for e in ends))
+    return _presented(gens, (e[0] for e in entries), ends)
 
 
 def quotient_kill(p, victims):
@@ -431,15 +471,11 @@ def quotient_kill(p, victims):
         raise KeyError(f"unknown generators {sorted(unknown)}")
 
     def erase(word):
-        return tuple(l for l in word if l.gen not in victims)
+        return tuple([letter for letter in word if letter[0] not in victims])
 
-    rels = tuple(
-        normalize_relation(OpRelation(erase(r.left), erase(r.right))) for r in p.relations
-    )
-    gens = tuple(g for g in p.generators if g not in victims)
-    ends = [p.end_minus, p.end_plus]
-    ends = [erase(e) if e is not None else None for e in ends]
-    return GroupPresentationZ2(gens, rels, ends[0], ends[1])
+    rels = [normalize_relation((erase(l), erase(r))) for l, r in p.relations]
+    gens = [g for g in p.generators if g not in victims]
+    return _presented(gens, rels, [erase(e) if e is not None else None for e in (p.end_minus, p.end_plus)])
 
 
 # -- abelianization ----------------------------------------------------

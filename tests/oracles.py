@@ -49,18 +49,12 @@ from vka.alexander import (
     PresentationMatrix,
     _crossing_relation,
     _dense,
-    _exp_neg,
     _reduce,
-    _solve,
     _word_row,
     diagonal_t,
     extended_presentation,
-    free_reduce,
     one_variable,
-    relation_is_trivial,
     tietze_eliminate,
-    word_inverse,
-    word_shift,
 )
 from vka import moves
 from vka.diagram import CLOSED, LONG, OVER, UNDER, Diagram, GaussCodeError, Passage, is_int, parse_gauss
@@ -435,7 +429,44 @@ def parse_gauss_reference(text):
 # relation, and pass 2 counts each generator in each relation afresh.
 # ``normalize_relation_reference`` free-reduces both sides again after
 # every moved letter, where the library's ``normalize_relation`` cancels at
-# the junction only.
+# the junction only.  The reference has its own word helpers on
+# ``OpLetter``s, so it runs none of the library's word code.
+
+
+def word_shift_reference(word, exp):
+    """Apply the Z^2 operator x -> x^exp to every letter."""
+    return tuple(OpLetter(l.gen, (l.exp[0] + exp[0], l.exp[1] + exp[1]), l.sign) for l in word)
+
+
+def word_inverse_reference(word):
+    return tuple(OpLetter(l.gen, l.exp, -l.sign) for l in reversed(word))
+
+
+def free_reduce_reference(word):
+    out = []
+    for letter in word:
+        if out and out[-1].gen == letter.gen and out[-1].exp == letter.exp and out[-1].sign == -letter.sign:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _relation_is_trivial(rel):
+    return rel.left == rel.right
+
+
+def _solve_reference(rel, gen):
+    """Express ``gen`` from a relation containing it exactly once."""
+    w = free_reduce_reference(rel.left + word_inverse_reference(rel.right))
+    idx = next(i for i, l in enumerate(w) if l.gen == gen)
+    letter = w[idx]
+    p, q = w[:idx], w[idx + 1:]
+    if letter.sign > 0:
+        expr = word_inverse_reference(p) + word_inverse_reference(q)
+    else:
+        expr = q + p
+    return free_reduce_reference(word_shift_reference(expr, (-letter.exp[0], -letter.exp[1])))
 
 
 def normalize_relation_reference(rel):
@@ -446,7 +477,7 @@ def normalize_relation_reference(rel):
     positive letter (left multiplication).  The abelianized row is
     unchanged; the displayed form matches hand calculation.
     """
-    left, right = list(free_reduce(rel.left)), list(free_reduce(rel.right))
+    left, right = list(free_reduce_reference(rel.left)), list(free_reduce_reference(rel.right))
     changed = True
     while changed:
         changed = False
@@ -467,7 +498,7 @@ def normalize_relation_reference(rel):
             right.pop(0)
             changed = True
         if changed:
-            left, right = list(free_reduce(left)), list(free_reduce(right))
+            left, right = list(free_reduce_reference(left)), list(free_reduce_reference(right))
     return OpRelation(tuple(left), tuple(right))
 
 
@@ -477,11 +508,11 @@ def _substitute_word(word, gen, replacement):
         if letter.gen != gen:
             out.append(letter)
             continue
-        rep = word_shift(replacement, letter.exp)
+        rep = word_shift_reference(replacement, letter.exp)
         if letter.sign < 0:
-            rep = word_inverse(rep)
+            rep = word_inverse_reference(rep)
         out.extend(rep)
-    return free_reduce(tuple(out))
+    return free_reduce_reference(tuple(out))
 
 
 def _occurrences(gen, rel):
@@ -500,9 +531,9 @@ def _shaped_candidate(rel):
         return None
     for letter, other in options:  # prefer a bare-exponent letter
         if letter.exp == E0:
-            return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
+            return letter.gen, free_reduce_reference(word_shift_reference(other, (-letter.exp[0], -letter.exp[1])))
     letter, other = options[0]
-    return letter.gen, free_reduce(word_shift(other, _exp_neg(letter.exp)))
+    return letter.gen, free_reduce_reference(word_shift_reference(other, (-letter.exp[0], -letter.exp[1])))
 
 
 def dedupe_relations(relations):
@@ -530,7 +561,7 @@ def tietze_eliminate_reference(p):
     """
     gens = list(p.generators)
     rels = [normalize_relation_reference(r) for r in p.relations]
-    rels = dedupe_relations([r for r in rels if not relation_is_trivial(r)])
+    rels = dedupe_relations([r for r in rels if not _relation_is_trivial(r)])
     ends = [p.end_minus, p.end_plus]
     protected = set()
     for e in ends:
@@ -547,7 +578,7 @@ def tietze_eliminate_reference(p):
                 _substitute_word(r.left, gen, expr),
                 _substitute_word(r.right, gen, expr),
             ))
-            if not relation_is_trivial(r2):
+            if not _relation_is_trivial(r2):
                 new.append(r2)
         rels[:] = dedupe_relations(new)
         for i, e in enumerate(ends):
@@ -577,7 +608,7 @@ def tietze_eliminate_reference(p):
                     letter = next(l for l in r.left + r.right if l.gen == g)
                     if want_bare and letter.exp != E0:
                         continue
-                    step = (g, _solve(r, g), r)
+                    step = (g, _solve_reference(r, g), r)
                     break
                 if step:
                     break

@@ -14,6 +14,7 @@ from oracles import (
     l1,
     l2,
     normalize_relation_reference,
+    quotients,
     random_code,
     random_diagrams,
     random_long_diagram,
@@ -31,9 +32,10 @@ from vka.alexander import (
     one_variable,
     quotient_kill,
     tietze_eliminate,
+    tietze_from_diagram,
     word_str,
 )
-from vka.diagram import TRIVIAL_LONG, parse_gauss
+from vka.diagram import LONG, TRIVIAL_LONG, parse_gauss
 from vka.invariants import char_poly, quotient_pipeline
 from vka.laurent import LaurentPoly, UV, parse_poly
 
@@ -450,3 +452,29 @@ def test_product_quotient_modules_golden():
     assert char_poly(m54t, 0) == (tsq * tsq).canonical()
     # cyclic module: the first ideal is everything
     assert char_poly(m54t, 1) == LaurentPoly.const(("t",), 1)
+
+
+# -- returned presentations ---------------------------------------------
+
+
+def _assert_op_words(p):
+    """Every relation of ``p`` is an ``OpRelation`` of ``OpLetter`` words, and every end word an ``OpLetter`` word."""
+    words = [w for r in p.relations for w in r] + [e for e in (p.end_minus, p.end_plus) if e is not None]
+    assert all(type(r) is OpRelation for r in p.relations)
+    assert all(type(w) is tuple and all(type(letter) is OpLetter for letter in w) for w in words)
+
+
+def test_returned_presentations_are_op_letters():
+    diagrams = list(catalog.corpus().values())
+    diagrams += [parse_gauss(random_code(random.Random(seed), c, closed))
+                 for c in range(13) for seed in range(3) for closed in (False, True)]
+    for d in diagrams:
+        p = extended_presentation(d)
+        shown = [p, tietze_eliminate(p), tietze_from_diagram(d)]
+        shown += [quotient_pipeline(d, q) for q in quotients(d)]
+        if d.kind == LONG:
+            for victims in ({p.end_minus[0].gen}, {p.end_minus[0].gen, p.end_plus[0].gen}):
+                killed = quotient_kill(p, victims)
+                shown += [killed, tietze_eliminate(killed)]
+        for q in shown:
+            _assert_op_words(q)
