@@ -545,7 +545,7 @@ def _unit_columns(row, keep):
             if len(entry) == 1 and abs(next(iter(entry.values()))) == 1 and g not in keep]
 
 
-def _reduce(rows, cols, keep=(), sparse=False):
+def _reduce(rows, cols, keep=()):
     """Sparse rows over ``cols``, unit pivots eliminated, as an L2 matrix.
 
     A row maps column -> {exp: coeff}; the rows and their entries are
@@ -555,8 +555,8 @@ def _reduce(rows, cols, keep=(), sparse=False):
     is cleared from the other rows, and its row and column are dropped.
     Each step is an elementary equivalence of presentations, so every
     Fitting ideal, and with it every char poly and hom count, is kept.
-    Zero rows are dropped.  With ``sparse`` the rows left and their
-    columns are returned as they are, for a later ``_reduce``.
+    Zero rows are dropped.  With a nonempty ``keep`` the rows left and
+    their columns are returned as they are, for a later ``_reduce``.
     """
     where = {g: set() for g in cols}  # column -> ids of the rows holding it
     rows = {i: row for i, row in enumerate(rows) if row}  # in input order
@@ -606,7 +606,7 @@ def _reduce(rows, cols, keep=(), sparse=False):
             else:
                 del rows[j], units[j]
     cols = tuple(g for g in cols if g in where)
-    if sparse:
+    if keep:
         return list(rows.values()), cols
     return PresentationMatrix("L2", cols, tuple(_dense(row, cols) for row in rows.values()))
 

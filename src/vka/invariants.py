@@ -420,7 +420,7 @@ def quotient_matrices(d, quotients):
     keep = set.union(*killed.values()) - common
     if common:
         rows = [{g: terms for g, terms in row.items() if g not in common} for row in rows]
-    reduced = _reduce(rows, tuple(g for g in cols if g not in common), keep, sparse=bool(keep))
+    reduced = _reduce(rows, tuple(g for g in cols if g not in common), keep)
     if not keep:  # nothing is protected, so nothing is left to finish
         return dict.fromkeys(killed, reduced)
     (rows, cols), last, matrices = reduced, len(killed) - 1, {}

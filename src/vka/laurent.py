@@ -379,35 +379,28 @@ def _coeffs_in(p, k):
         e = exps[k]
         key = exps[:k] + (0,) + exps[k + 1:]
         out.setdefault(e, {})[key] = c
-    return {e: LaurentPoly(p.vars, t) for e, t in out.items()}
+    return {e: LaurentPoly._raw(p.vars, t) for e, t in out.items()}
 
 
-def _lead_coeff(p, k):
-    d = p.max_degree(k)
-    out = {}
-    for exps, c in p.terms.items():
-        if exps[k] == d:
-            out[exps[:k] + (0,) + exps[k + 1:]] = c
-    return LaurentPoly._raw(p.vars, out)
+def _content(p, k):
+    """gcd of p's coefficients in variable k, a polynomial in vars[0..k-1]."""
+    g = LaurentPoly.zero(p.vars)
+    for c in _coeffs_in(p, k).values():
+        g = _gcd_rec(g, c, k - 1)
+    return g
 
 
 def _prem(f, g, k):
-    """Classical pseudo-remainder in variable k: lc(g)^(df-dg+1) f mod g."""
-    df, dg = f.max_degree(k), g.max_degree(k)
-    if f.is_zero or df < dg:
-        return f
-    lg = _lead_coeff(g, k)
-    r = f
-    n = df - dg + 1
-    while not r.is_zero and r.max_degree(k) >= dg:
+    """Classical pseudo-remainder in variable k: lc(g)^(df-dg+1) f mod g, or f when df < dg."""
+    dg = g.max_degree(k)
+    lg = _coeffs_in(g, k)[dg]
+    r, n = f, f.max_degree(k) - dg + 1
+    while r and r.max_degree(k) >= dg:
         dr = r.max_degree(k)
-        lr = _lead_coeff(r, k)
         shift = tuple((dr - dg) if i == k else 0 for i in range(len(f.vars)))
-        r = r * lg - g * lr.shift(shift)
+        r = r * lg - g * _coeffs_in(r, k)[dr].shift(shift)
         n -= 1
-    if n:
-        r = r * lg ** n
-    return r
+    return r * lg ** n if n > 0 else r
 
 
 def _subresultant_tail(f, g, k):
@@ -419,72 +412,42 @@ def _subresultant_tail(f, g, k):
     """
     n, m = f.max_degree(k), g.max_degree(k)
     d = n - m
-    b = LaurentPoly.const(f.vars, (-1) ** (d + 1))
-    h = _prem(f, g, k) * b
-    lc = _lead_coeff(g, k)
+    h = _prem(f, g, k) * (-1) ** (d + 1)
+    lc = _coeffs_in(g, k)[m]
     c = -(lc ** d)
     while not h.is_zero:
         deg_h = h.max_degree(k)
         f, g, m, d = g, h, deg_h, m - deg_h
         b = -lc * c ** d
-        h = _prem(f, g, k)
-        if not h.is_zero:
-            h = divexact(h, b)
-        lc = _lead_coeff(g, k)
-        if d > 1:
-            c = divexact((-lc) ** d, c ** (d - 1))
-        else:
-            c = -lc
+        h = divexact(_prem(f, g, k), b)
+        lc = _coeffs_in(g, k)[m]
+        c = divexact((-lc) ** d, c ** (d - 1)) if d > 1 else -lc
     return g
 
 
 def _gcd_rec(p, q, k):
-    """gcd of ordinary polynomials (nonnegative exponents) in vars[0..k]."""
+    """gcd, up to sign, of polynomials (nonnegative exponents) in vars[0..k]; integers at k = -1."""
     if p.is_zero:
         return q
     if q.is_zero:
         return p
     if k < 0:
-        raise AssertionError("constant level handled by caller")
-    pc = _coeffs_in(p, k)
-    qc = _coeffs_in(q, k)
-    if len(pc) == 1 and 0 in pc and len(qc) == 1 and 0 in qc:
-        # both constant in variable k: recurse or take integer gcd
-        if k == 0:
-            g = math.gcd(pc[0].content(), qc[0].content())
-            return LaurentPoly.const(p.vars, g)
-        return _gcd_rec(pc[0], qc[0], k - 1)
-
-    def content(coeffs):
-        g = LaurentPoly.zero(p.vars)
-        for c in coeffs.values():
-            if k == 0:
-                g = LaurentPoly.const(p.vars, math.gcd(g.content(), c.content()))
-            else:
-                g = _gcd_rec(g, c, k - 1)
-        return g
-
-    cp, cq = content(pc), content(qc)
+        return LaurentPoly.const(p.vars, math.gcd(p.content(), q.content()))
+    cp, cq = _content(p, k), _content(q, k)
+    cont_gcd = _gcd_rec(cp, cq, k - 1)
     f, g = divexact(p, cp), divexact(q, cq)
-    if k == 0:
-        cont_gcd = LaurentPoly.const(p.vars, math.gcd(cp.content(), cq.content()))
-    else:
-        cont_gcd = _gcd_rec(cp, cq, k - 1)
     if f.max_degree(k) < g.max_degree(k):
         f, g = g, f
+    if not g.max_degree(k):  # g = 1: the primitive parts are coprime in variable k
+        return cont_gcd
     tail = _subresultant_tail(f, g, k)
-    prim = divexact(tail, content(_coeffs_in(tail, k)))
-    return cont_gcd * prim
+    return cont_gcd * divexact(tail, _content(tail, k))
 
 
 def gcd(p, q):
     """Canonical gcd in the Laurent ring, integer content included."""
     if p.vars != q.vars:
         raise ValueError("mixed variable sets")
-    if p.is_zero:
-        return q.canonical()
-    if q.is_zero:
-        return p.canonical()
     if p.is_unit or q.is_unit:
         return LaurentPoly.const(p.vars, 1)
     pp = p.shift(tuple(-e for e in p.min_exps()))

@@ -395,6 +395,46 @@ def test_gcd_many_matches_sympy(vars):
         assert gcd_many(polys, vars=vars) == sympy_gcd(sympy, polys, vars), polys
 
 
+def gcd_pairs(seed):
+    """Seeded pairs f*a*m, f*b*n, m and n integers, in u and v, free of v, free of u and in t.
+
+    f, a and b are nonzero; one pair in ten has its second input replaced by
+    zero, and one in ten by a unit.
+    """
+    rng = random.Random(seed)
+
+    def draw(kind):
+        while True:
+            p = random_poly(rng, UV if kind == "uv" else TVAR, max_terms=3)
+            if kind in ("u", "v"):  # the same polynomial in u alone or in v alone
+                p = LaurentPoly(UV, {(e, 0) if kind == "u" else (0, e): c for (e,), c in p.terms.items()})
+            if p:
+                return p
+
+    for kind in ("uv", "u", "v", "t") * 40:
+        f, a, b = draw(kind), draw(kind), draw(kind)
+        shared = rng.choice((1, 2, 6))
+        p, q = (f * x * shared * rng.choice((1, 2, 3)) for x in (a, b))
+        other = rng.random()
+        yield p, (q if other >= 0.2 else LaurentPoly.zero(p.vars) if other >= 0.1 else random_unit(rng, p.vars))
+
+
+def test_gcd_matches_sympy():
+    """The pairwise subresultant gcd itself, on every input class its recursion meets, against sympy."""
+    sympy = pytest.importorskip("sympy")  # dev-only oracle
+    fixed = [
+        (LaurentPoly.const(UV, 6), LaurentPoly.const(UV, 4)),
+        (LaurentPoly.const(TVAR, -9), 6 * T ** -3),
+        (6 * (U + 1) * V ** -2, 4 * (U + 1)),
+        (6 * (V - 2) * U ** 2, 4 * (V - 2) * (V + U)),
+        (LaurentPoly.zero(UV), 6 * (U - V) * V ** -1),
+        (U ** -1 * V, 4 * (U + 1)),
+    ]
+    for p, q in fixed + list(gcd_pairs(59)):
+        expected = sympy_gcd(sympy, [p, q], p.vars)
+        assert gcd(p, q) == gcd(q, p) == expected, (p, q)
+
+
 # v -> X^D maps both inputs to multiples of X - 1 for every D; in the last
 # list 2^B = 2^18 divides both packed integers, but X does not divide the
 # image of 2^18 + u*v as a polynomial

@@ -27,7 +27,7 @@ from oracles import (
     smith_normal_form_reference,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, _reduce, merged_arc_rows, one_var_matrix
+from vka.alexander import T_GEN, PresentationMatrix, _dense, _reduce, merged_arc_rows, one_var_matrix
 from vka.diagram import LONG, dn_family, parse_gauss
 from vka.invariants import char_poly, invariant_profile, quotient_matrices, quotient_matrix, smith_normal_form
 from vka.laurent import UV, LaurentPoly
@@ -98,10 +98,10 @@ def test_reduce_never_pivots_in_a_kept_column():
     cols = ("a", "b", "c")
     free = _reduce(_sparse(rows), cols)
     assert "a" not in free.cols
-    kept = _reduce(_sparse(rows), cols, keep={"a"})
+    sparse_rows, sparse_cols = _reduce(_sparse(rows), cols, keep={"a"})  # sparse while a column is kept
+    kept = PresentationMatrix("L2", sparse_cols, tuple(_dense(row, sparse_cols) for row in _sparse(sparse_rows)))
     assert kept.cols == ("a", "c") and kept.shape == (2, 2)
     assert kept.rows[0] == (LaurentPoly.const(UV, 1), LaurentPoly.zero(UV))  # row 0 is untouched
-    sparse_rows, sparse_cols = _reduce(_sparse(rows), cols, keep={"a"}, sparse=True)
     assert sparse_cols == kept.cols and sparse_rows[0] == rows[0]
     assert _reduce(sparse_rows, sparse_cols) == free  # finished once a is free, as if it never was kept
     for k in range(3):
