@@ -22,7 +22,8 @@ elimination take and return them so.  ``OpLetter`` and ``OpRelation``, which
 compare equal to the plain tuples, are built only where a presentation is
 returned (``_presented``: ``extended_presentation``, ``quotient_kill``,
 ``tietze_eliminate`` and ``tietze_from_diagram``), one ``OpLetter`` per
-distinct letter of the presentation.
+distinct letter of the presentation.  Both Tietze passes only pick a
+generator and a relation; ``_solve`` writes every substitution.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ def arc_names(count):
 
 
 # -- words ------------------------------------------------------------
-
-
-def _exp_neg(a):
-    return (-a[0], -a[1])
 
 
 def word_shift(word, exp):
@@ -171,11 +168,6 @@ def _normalized(left, right):
             side.insert(0, (moved[0], moved[1], 1))
 
 
-def relation_is_trivial(rel):
-    left, right = rel
-    return left == right
-
-
 class GroupPresentationZ2(NamedTuple):
     """Generators, Z^2-operator relations, and the two distinguished ends.
 
@@ -246,20 +238,18 @@ def extended_presentation(d):
 
 
 def _solve(rel, gen):
-    """Express ``gen`` from a normalized relation containing it exactly once."""
+    """Express ``gen`` from a normalized relation containing it exactly once, for both passes:
+    where the single letter gen^e is a whole side, it is the other side shifted by -e."""
     left, right = rel
     w = list(left)
     _join(w, word_inverse(right))
     idx = next(i for i, (g, _, _) in enumerate(w) if g == gen)
     _, exp, sign = w[idx]
-    p, q = w[:idx], w[idx + 1:]
+    p, expr = w[:idx], w[idx + 1:]
+    _join(expr, p)  # p gen^sign q = 1 makes gen^-sign = q p
     if sign > 0:
-        expr = list(word_inverse(p))
-        _join(expr, word_inverse(q))
-    else:
-        expr = q
-        _join(expr, p)
-    return word_shift(expr, _exp_neg(exp))
+        expr = word_inverse(expr)
+    return word_shift(expr, (-exp[0], -exp[1]))
 
 
 def _join(out, word):
@@ -276,63 +266,56 @@ def _join(out, word):
 
 # An entry is a normalized relation with what elimination asks of it, computed once: the tuple
 # (relation, once, candidate, key), where ``once`` maps each generator to the exponent of its only
-# letter, or None if it occurs more; ``candidate`` is pass 1's (generator, expression) or None;
-# and ``key`` is equal for equal relations, either side first.
+# letter, or None if it occurs more; ``candidate`` is the generator pass 1 would solve it for, or
+# None; and ``key`` is equal for equal relations, either side first.
 
 
 def _entry(rel):
-    left, right = rel
     once = {}
     for side in rel:
         for gen, exp, _ in side:
             once[gen] = None if gen in once else exp
-    return rel, once, _shaped_candidate(left, right, once), frozenset(rel)
+    return rel, once, _shaped_candidate(rel, once), frozenset(rel)
 
 
-def _shaped_candidate(left, right, once):
-    """Pass 1's substitution from a relation, or None.
+def _shaped_candidate(rel, once):
+    """The generator pass 1 solves a relation for, or None.
 
     A side that is a single positive letter, whose generator occurs nowhere
-    else in the relation, expresses that generator by the other side.  A
-    bare-exponent letter is preferred, then the left side.
+    else in the relation, expresses that generator by the other side, as
+    ``_solve`` writes it.  A bare-exponent letter is preferred, then the left side.
     """
     pick = None
-    for side, other in ((left, right), (right, left)):
+    for side in rel:
         if len(side) == 1:
             gen, exp, sign = side[0]
             if sign > 0 and once[gen] is not None:
                 if exp == E0:
-                    return gen, other
-                pick = pick or (gen, exp, other)
-    if pick is None:
-        return None
-    gen, exp, other = pick
-    return gen, word_shift(other, _exp_neg(exp))
+                    return gen
+                pick = pick or gen
+    return pick
 
 
 def _single_occurrence_step(entries, gens, protected):
-    """Pass 2's pick: (generator, expression, entry index) or None.
+    """Pass 2's pick: (generator, entry index) or None.
 
     The first unprotected generator, in ``gens`` order, with an
-    exponent-free single occurrence, solved from the first relation that
-    holds it so; failing that, the first with any single occurrence.
+    exponent-free single occurrence, to be solved from the first relation
+    that holds it so; failing that, the first with any single occurrence.
     """
     fallback = None  # the first generator with any single occurrence, and its first entry
     for g in gens:
         if g in protected:
             continue
-        for i, (rel, once, _, _) in enumerate(entries):
+        for i, (_, once, _, _) in enumerate(entries):
             exp = once.get(g)
             if exp is None:
                 continue
             if exp == E0:
-                return g, _solve(rel, g), i
+                return g, i
             if fallback is None:
                 fallback = g, i
-    if fallback is None:
-        return None
-    g, i = fallback
-    return g, _solve(entries[i][0], g), i
+    return fallback
 
 
 def tietze_eliminate(p):
@@ -392,7 +375,7 @@ def _entries(relations):
     """The entries of the nontrivial normalized ``relations``, less each that repeats an earlier one."""
     firsts = {}  # dedupe key -> the first entry with it
     for r in relations:
-        if not relation_is_trivial(r):
+        if r[0] != r[1]:
             e = _entry(r)
             firsts.setdefault(e[3], e)
     return list(firsts.values())
@@ -406,7 +389,8 @@ def _eliminate(gens, entries, ends, protected):
     """
     firsts = {}
 
-    def eliminate(gen, expr, used):
+    def eliminate(gen, used):
+        expr = _solve(entries[used][0], gen)
         gens.remove(gen)
         images = {}  # letter of gen -> its image
 
@@ -437,7 +421,7 @@ def _eliminate(gens, entries, ends, protected):
                     continue
                 left, right = rel
                 rel = _normalized(substitute(left), substitute(right))
-                if relation_is_trivial(rel):
+                if rel[0] == rel[1]:
                     continue
                 e = _entry(rel)
                 key = e[3]
@@ -447,12 +431,8 @@ def _eliminate(gens, entries, ends, protected):
             if e is not None and any(g == gen for g, _, _ in e):
                 ends[i] = substitute(e)
 
-    while True:
-        step = next(((*cand, i) for i, (_, _, cand, _) in enumerate(entries) if cand), None)
-        if step is None:
-            step = _single_occurrence_step(entries, gens, protected)
-            if step is None:
-                break
+    while step := (next(((cand, i) for i, (_, _, cand, _) in enumerate(entries) if cand), None)
+                   or _single_occurrence_step(entries, gens, protected)):
         eliminate(*step)
 
     return _presented(gens, (e[0] for e in entries), ends)

@@ -37,7 +37,7 @@ def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_gauss(text)
 
@@ -145,6 +145,8 @@ def cmd_construct(args):
         if not args.other:
             raise ConfigError("concat requires two diagrams")
         out = diagram.concatenate(_load(args.input), _load(args.other))
+    elif args.other is not None and args.op != "dn":
+        raise ConfigError(f"{args.op} takes one diagram, not {args.other!r} too")
     elif args.op == "close":
         out = diagram.close(_load(args.input))
     elif args.op == "switch":

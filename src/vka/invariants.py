@@ -158,7 +158,8 @@ def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
 
 
 def smith_normal_form(rows):
-    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix."""
+    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix: the pivot loop only diagonalizes,
+    then each pair (d_i, d_j), i < j, becomes (gcd, lcm), giving the divisor chain, zeros last."""
     A = [list(r) for r in rows]
     m = len(A)
     n = len(A[0]) if m else 0
@@ -195,26 +196,20 @@ def smith_normal_form(rows):
                     r[j] -= q * r[t]
                 if A[t][j]:
                     dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the submatrix for the divisor chain
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            A[t] = [a + b for a, b in zip(A[t], A[offender])]
-            continue
-        t += 1
-    return tuple(abs(A[i][i]) for i in range(limit))
+        if not dirty:
+            t += 1
+    d = [abs(A[i][i]) for i in range(limit)]
+    for i in range(limit):
+        for j in range(i + 1, limit):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return tuple(d)
 
 
 def _solutions_mod(inv, ncols, p):
-    """Solutions of M x = 0 mod p from M's Smith invariants: p^(ncols - rank mod p) for a prime p."""
+    """Solutions of M x = 0 mod p, for any p >= 2, from M's Smith invariants.
+
+    For a prime p this is p^(ncols - rank of M mod p).
+    """
     return p ** (ncols - len(inv)) * math.prod(math.gcd(d, p) for d in inv)
 
 

@@ -888,8 +888,11 @@ def colorings_reference(a, ps):
 def smith_normal_form_reference(rows):
     """Smith invariants with a full scan for the smallest entry at every pivot.
 
-    The version ``smith_normal_form`` replaced, which stops its scan at the
-    first entry of absolute value 1.
+    The pivot must divide the rest of the submatrix, or a row that it does
+    not divide is added to its row and the pivot is sought again.
+    ``smith_normal_form`` stops its scan at the first entry of absolute
+    value 1 and makes the divisor chain after diagonalizing, from gcds and
+    lcms of the diagonal.
     """
     A = [list(r) for r in rows]
     m = len(A)

@@ -398,6 +398,14 @@ def test_construct_switch(capsys, corpus_dir):
     assert out.strip() == "O1+ U2- U1+ O2-"
 
 
+@pytest.mark.parametrize("op, other", [("close", "7"), ("switch", "k5.gauss")])
+def test_construct_close_and_switch_reject_a_second_operand_exit_2(capsys, corpus_dir, op, other):
+    code, out, err = run(capsys, "construct", op, str(corpus_dir / "k4.gauss"), other)
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid configuration: {op} takes one diagram, not {other!r} too\n"
+
+
 def test_construct_dn(capsys, corpus_dir, tmp_path):
     out_path = tmp_path / "d2.gauss"
     code, _, _ = run(
@@ -625,6 +633,15 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "parse", "no-such-file.gauss")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_undecodable_file_exit_2_names_the_path(capsys, tmp_path):
+    bad = tmp_path / "bad.gauss"
+    bad.write_bytes(b"O1+ U1+ \xff\n")
+    code, out, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"invalid configuration: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("target", ["missing/x.gauss", "."])

@@ -369,6 +369,8 @@ def test_smith_golden():
     assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
     assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
     assert smith_normal_form([]) == ()
+    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)  # several gcd/lcm swaps
+    assert smith_normal_form([[0, 0], [0, 2]]) == (2, 0)  # zeros last
 
 
 def test_smith_divisibility_chain_and_minor_gcd_oracle():
