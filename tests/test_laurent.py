@@ -176,12 +176,31 @@ def test_specialize_matches_reference():
     assert specialize_entry(diagonal_t, p) == subs_reference(p, (T, T))
 
 
+def test_subs_mod_matches_integer_evaluation():
+    # x^K p has no negative exponent: evaluate it over Z, then multiply by the K-th powers
+    # of the images' inverses, found by search
+    K = 3
+    rng = random.Random(59)
+    for _ in range(600):
+        vars = rng.choice((UV, TVAR))
+        p = random_poly(rng, vars, max_terms=5, max_exp=K)
+        m = rng.randrange(2, 13)
+        images = [rng.choice([x for x in range(-2 * m, 2 * m) if math.gcd(x, m) == 1]) for _ in vars]
+        value = sum(c * math.prod(im ** (e + K) for im, e in zip(images, exps)) for exps, c in p.terms.items())
+        for im in images:
+            value *= next(x for x in range(m) if im * x % m == 1) ** K
+        assert p.subs_mod(images, m) == value % m, (p, images, m)
+
+
 def test_specialize_rejects_non_units():
     p = U + V
-    with pytest.raises(NonUnitImage):
+    with pytest.raises(ValueError, match="^2 is not a unit of Z$"):
         subs_int(p, (2, 1))
-    with pytest.raises(NonUnitImage):
-        p.subs_mod((3, 1), 6)
+    # u and v occur with positive exponents only, and the image is still checked
+    with pytest.raises(ValueError, match="^3 is not a unit mod 6$"):
+        p.subs_mod((9, 1), 6)
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        p.subs_mod((1, 1), 1)
 
 
 def test_divexact_errors():
