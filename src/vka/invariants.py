@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .alexander import (
@@ -20,7 +20,7 @@ from .alexander import (
     tietze_from_diagram,
 )
 from .diagram import LONG
-from .laurent import UV, TVAR, LaurentPoly, gcd_many, pack, unpack
+from .laurent import UV, TVAR, LaurentPoly, _least, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
 PROFILE_MODULI = (3, 5, 7)  # the coloring counts of ``invariant_profile``
@@ -64,11 +64,6 @@ def det_exact(rows):
     return out if sign > 0 else -out
 
 
-def _least(vectors, nvars):
-    """Componentwise minimum of a collection of exponent vectors (zero when empty)."""
-    return tuple(map(min, zip(*vectors))) if vectors else (0,) * nvars
-
-
 def _kronecker(rows, size, vars):
     """Integer images of a Laurent matrix and the decoder of its minors.
 
@@ -84,7 +79,7 @@ def _kronecker(rows, size, vars):
     digits of the image, exponent (a, b) at digit a + D*b.
     """
     nvars = len(vars)
-    lows = [[_least(p.terms, nvars) if p else None for p in row] for row in rows]
+    lows = [[p.min_exps() if p else None for p in row] for row in rows]
     row_low = [_least([e for e in row if e], nvars) for row in lows]
     col_low = [
         _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]], nvars)
@@ -158,49 +153,39 @@ def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
 
 
 def smith_normal_form(rows):
-    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix: the pivot loop only diagonalizes,
-    then each pair (d_i, d_j), i < j, becomes (gcd, lcm), giving the divisor chain, zeros last."""
+    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix, min(rows, columns) of them.
+
+    The nonzero entry of least absolute value is the pivot, and it reduces
+    the other entries of its row and column to remainders.  Once no
+    remainder is left, its absolute value is a diagonal entry, and its row
+    and column are deleted.  When no nonzero entry is left, the invariants
+    not reached are 0.  Then each pair (d_i, d_j), i < j, becomes
+    (gcd, lcm), giving the divisor chain, zeros last.
+    """
     A = [list(r) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-                    if best == 1:  # no entry is smaller
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        A[t], A[pivot[0]] = A[pivot[0]], A[t]
-        for r in A:
-            r[t], r[pivot[1]] = r[pivot[1]], r[t]
-        dirty = False
-        for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // A[t][t]
-                A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                if A[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // A[t][t]
+    size = min(len(A), len(A[0]) if A else 0)
+    d = []
+    while any(flat := list(chain.from_iterable(A))):
+        i, j = divmod(flat.index(min(filter(None, flat), key=abs)), len(A[0]))
+        pr = A[i]
+        p = pr[j]
+        for n, r in enumerate(A):
+            if r[j] and n != i:
+                q = r[j] // p
+                A[n] = [a - q * b for a, b in zip(r, pr)]
+        for c, x in enumerate(pr):
+            if x and c != j:
+                q = x // p
                 for r in A:
-                    r[j] -= q * r[t]
-                if A[t][j]:
-                    dirty = True
-        if not dirty:
-            t += 1
-    d = [abs(A[i][i]) for i in range(limit)]
-    for i in range(limit):
-        for j in range(i + 1, limit):
+                    r[c] -= q * r[j]
+        if pr.count(0) + 1 == len(pr) and [r[j] for r in A].count(0) + 1 == len(A):  # no remainder left
+            d.append(abs(p))
+            del A[i]
+            for r in A:
+                del r[j]
+    d += [0] * (size - len(d))
+    for i in range(size):
+        for j in range(i + 1, size):
             d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
     return tuple(d)
 

@@ -17,10 +17,6 @@ UV = ("u", "v")
 TVAR = ("t",)
 
 
-class NonUnitImage(ValueError):
-    """Raised when a specialization image is not a unit of the target ring."""
-
-
 class InexactDivision(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
@@ -28,6 +24,11 @@ class InexactDivision(ArithmeticError):
 def _mono_key(exps):
     # graded-lex, first variable strongest
     return (sum(exps), exps)
+
+
+def _least(vectors, nvars):
+    """Componentwise minimum of a collection of exponent vectors (zero when empty)."""
+    return tuple(map(min, zip(*vectors))) if vectors else (0,) * nvars
 
 
 class LaurentPoly:
@@ -98,9 +99,7 @@ class LaurentPoly:
 
     def min_exps(self):
         """Componentwise minimum exponent vector (zero vector if p = 0)."""
-        if not self.terms:
-            return (0,) * len(self.vars)
-        return tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
+        return _least(self.terms, len(self.vars))
 
     def max_degree(self, k):
         if not self.terms:
@@ -230,22 +229,21 @@ class LaurentPoly:
     # -- specializations ---------------------------------------------
 
     def subs_mod(self, images, m):
-        """Evaluate in Z/m; images must be invertible mod m."""
+        """Evaluate in Z/m, each term by ``pow(image, e, m)``, which inverts the image when e < 0.
+
+        Every image must be a unit mod m, whether or not an exponent of p is negative.
+        """
         if m < 2:
             raise ValueError("modulus must be at least 2")
-        invs = []
         for im in images:
-            im = im % m
             if math.gcd(im, m) != 1:
-                raise NonUnitImage(f"{im} is not a unit mod {m}")
-            invs.append((im, pow(im, -1, m)))
+                raise ValueError(f"{im % m} is not a unit mod {m}")
         total = 0
         for exps, coeff in self.terms.items():
-            val = coeff % m
-            for (im, inv), e in zip(invs, exps):
-                val = val * pow(im if e >= 0 else inv, abs(e), m) % m
-            total = (total + val) % m
-        return total
+            for im, e in zip(images, exps):
+                coeff = coeff * pow(im, e, m) % m
+            total += coeff
+        return total % m
 
     # -- rendering / parsing -----------------------------------------
 

@@ -66,7 +66,7 @@ from vka.invariants import (
     hom_count_to_cyclic,
     smith_normal_form,
 )
-from vka.laurent import LaurentPoly, NonUnitImage, TVAR, UV, divexact
+from vka.laurent import LaurentPoly, TVAR, UV, divexact
 from vka.moves import MoveSite
 
 T_ONE = LaurentPoly.const(TVAR, 1)
@@ -1013,7 +1013,7 @@ def subs_int(p, images):
     """Evaluate p over Z; images must be +-1 (the units of Z)."""
     for im in images:
         if im not in (1, -1):
-            raise NonUnitImage(f"{im} is not a unit of Z")
+            raise ValueError(f"{im} is not a unit of Z")
     total = 0
     for exps, coeff in p.terms.items():
         val = coeff

@@ -372,7 +372,7 @@ def test_smith_golden():
     assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)  # several gcd/lcm swaps
     assert smith_normal_form([[0, 0], [0, 2]]) == (2, 0)  # zeros last
     assert smith_normal_form([[], []]) == ()
-    assert smith_normal_form([[0, 0, 0]]) == (0,)  # a zero row is dropped, its invariant stays 0
+    assert smith_normal_form([[0, 0, 0]]) == (0,)  # no pivot: the invariant stays 0
     assert smith_normal_form([[0], [0], [3]]) == (3,)
     assert smith_normal_form([[0, 4], [6, 0]]) == (2, 12)  # two pivots, each row and column deleted
     assert smith_normal_form([[-4]]) == (4,)

@@ -21,7 +21,6 @@ from vka.alexander import diagonal_t, one_variable
 from vka.laurent import (
     InexactDivision,
     LaurentPoly,
-    NonUnitImage,
     TVAR,
     UV,
     divexact,
