@@ -35,7 +35,11 @@ best and median of 15.  One section per layer:
 - ``profile``: ``invariant_profile`` on the start and walked diagram of
   each of the fuzz-walks workload's walks;
 - ``colorings``: ``coloring_count`` on the winding-colorings workload's
-  ``color`` requests (p = 2..29);
+  ``color`` requests (p = 2..29), and a large rung: ``coloring_count(d,
+  [3])`` and the hom count of ``homcount -p 5 -s 3``
+  (``hom_count_to_cyclic`` on ``quotient_rows(d)``), best of three, on
+  ``random_code`` seeds 0-1, long and closed, at c = 200 and 400, and on
+  ``dn(k1, n)`` for n = 250, 500 and 1000;
 - ``import``: ``import vka.cli`` timed in 15 fresh interpreters without
   bytecode (``PYTHONDONTWRITEBYTECODE=1``: ``vka`` is compiled from
   source, as in a fresh checkout) and in 15 with it cached (under a
@@ -46,7 +50,7 @@ best and median of 15.  One section per layer:
 
 The workload sections also record the sha256 of their results.  The
 script exits 1 if ``gcd`` or ``minors`` differs from its reference.  A
-run takes about 20 seconds on a 2-core x86-64 host.
+run takes about 40 seconds on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -75,9 +79,10 @@ import workloads  # noqa: E402
 from oracles import minors_reference, random_code  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
 from vka.alexander import merged_arc_rows  # noqa: E402
-from vka.diagram import parse_gauss, serialize_gauss  # noqa: E402
+from vka.diagram import dn_family, parse_gauss, serialize_gauss  # noqa: E402
 from vka.invariants import (  # noqa: E402
-    char_poly, coloring_count, elementary_minors, invariant_profile, quotient_matrix, quotient_pipeline,
+    char_poly, coloring_count, elementary_minors, hom_count_to_cyclic, invariant_profile, quotient_matrix,
+    quotient_pipeline, quotient_rows,
 )
 
 SEED = 1
@@ -89,6 +94,10 @@ REPEATS = 15
 WALK_WORKLOAD = "fuzz-walks"
 PRESENTATION_WORKLOAD = "invariants-ladder"
 COLORING_WORKLOAD = "winding-colorings"
+RUNG_CROSSINGS = (200, 400)
+RUNG_SEEDS = range(2)
+RUNG_WINDINGS = (250, 500, 1000)  # n of dn(k1, n)
+RUNG_HOM = (5, 3)  # p and s of the rung's hom count
 IMPORT_PROBE = (
     "import sys, time\n"
     "before = set(sys.modules)\n"
@@ -351,8 +360,24 @@ def profile_section(walks, repeats=REPEATS):
     }
 
 
+def rung_cases(repeats=BEST_OF):
+    """The large rung of the ``colorings`` section: the colorings mod 3 and one hom count per diagram."""
+    k1 = parse_gauss((ROOT / "corpus" / "k1.gauss").read_text(encoding="utf-8"))
+    diagrams = [(f"random_code seed {seed}, c = {c}" + (", closed" if closed else ""),
+                 parse_gauss(random_code(random.Random(seed), c, closed=closed)))
+                for c in RUNG_CROSSINGS for seed in RUNG_SEEDS for closed in (False, True)]
+    diagrams += [(f"dn(k1, {n})", dn_family(k1, n)) for n in RUNG_WINDINGS]
+    cases = []
+    for name, d in diagrams:
+        (report,), color_s = timed(lambda: coloring_count(d, [3]), repeats)
+        count, hom_s = timed(lambda: hom_count_to_cyclic(*quotient_rows(d), *RUNG_HOM), repeats)
+        cases.append({"diagram": name, "crossings": d.crossings, "colorings_p3": report.count, "hom_count": count,
+                      "coloring_count_s": round(min(color_s), 6), "hom_count_s": round(min(hom_s), 6)})
+    return cases
+
+
 def colorings_section(calls, repeats=REPEATS):
-    """The ``colorings`` section: the captured ``coloring_count`` calls."""
+    """The ``colorings`` section: the captured ``coloring_count`` calls, and the large rung."""
     reports, timing = best_and_median(lambda: [coloring_count(d, ps) for d, ps in calls], repeats)
     return {
         "layer": "invariants.coloring_count",
@@ -361,6 +386,12 @@ def colorings_section(calls, repeats=REPEATS):
         "moduli": sum(len(ps) for _, ps in calls),
         **timing,
         "reports_sha256": sha256(map(repr, reports)),
+        "rung": {
+            "layer": "invariants.coloring_count and invariants.hom_count_to_cyclic",
+            "workload": (f"coloring_count(d, [3]) and hom_count_to_cyclic(*quotient_rows(d), p = {RUNG_HOM[0]}, "
+                         f"s = {RUNG_HOM[1]}), best of {min(repeats, BEST_OF)}"),
+            "cases": rung_cases(min(repeats, BEST_OF)),
+        },
     }
 
 

@@ -51,13 +51,7 @@ EV = (0, 1)
 
 def arc_names(count):
     """Arc generator names in traversal order: a, b, c, ... then g26, g27, ..."""
-    names = []
-    for i in range(count):
-        if i < 26:
-            names.append(chr(ord("a") + i))
-        else:
-            names.append(f"g{i}")
-    return names
+    return [chr(ord("a") + i) if i < 26 else f"g{i}" for i in range(count)]
 
 
 # -- words ------------------------------------------------------------
@@ -501,6 +495,11 @@ def _dense(terms, cols):
     return tuple(LaurentPoly._raw(UV, terms.get(g) or {}) for g in cols)
 
 
+def sparse_rows(m):
+    """The rows {column: {(a, b): coeff}} of an L2 matrix, as ``merged_arc_rows`` gives them, and its columns."""
+    return [{g: e.terms for g, e in zip(m.cols, row) if e} for row in m.rows], m.cols
+
+
 def abelianize(p):
     """Presentation matrix of the abelianized module over Z[u^+-1, v^+-1]."""
     rows = tuple(_dense(_word_row(rel.left, rel.right), p.generators) for rel in p.relations)
@@ -616,6 +615,22 @@ def diagonal_t(m):
     return _specialized(m, lambda a, b: a + b)
 
 
+def _at(rows, point, p=None):
+    """Sparse rows {column: {(a, b): coeff}} at (u, v) = ``point``, as such rows of constants, zeros left out.
+
+    Over Z (``p`` None) the images must be +-1, so x^e is x^(e mod 2); mod a prime ``p`` a value
+    is the residue of least absolute value, and ``pow(x, e, p)`` inverts x when e < 0.
+    """
+    (x, y), half = point, (p - 1) // 2 if p else 0
+
+    def value(terms):
+        if p is None:
+            return sum(c * x ** (a % 2) * y ** (b % 2) for (a, b), c in terms.items())
+        return (sum(c * pow(x, a, p) * pow(y, b, p) for (a, b), c in terms.items()) + half) % p - half
+
+    return [{g: {E0: v} for g, terms in row.items() if (v := value(terms))} for row in rows]
+
+
 # -- merged arc matrices -----------------------------------------------
 
 
@@ -673,33 +688,24 @@ def merged_arc_rows(d):
 
 
 def one_var_matrix(d, t=T_GEN):
-    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing, t^-1 for t at a negative one.
 
     Its rows are those of A(u, v) (``merged_arc_rows``) at (u, v) = (t, 1),
     each scaled by its unit: -1 at a positive crossing, -t^-1 at a negative
-    one, where the row becomes UO - t^-1*UI - (1-t^-1)*OV.  ``t`` = T_GEN
-    gives the Laurent matrix over Z[t^+-1] (ring "L1"); 1 or -1 gives the
-    integer specialization (ring "Z"), where t^-1 = t; any other ``t``
-    raises ValueError.  The coloring matrix is -A(-1): A(-1, 1) with the
-    rows of the negative crossings negated.
+    one.  ``t`` = T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1");
+    1 or -1 gives the integer specialization (ring "Z", by ``_at``), where
+    t^-1 = t; any other ``t`` raises ValueError.  The coloring matrix -A(-1)
+    is A(-1, 1) with the rows of the negative crossings negated.
     """
+    rows, cols = merged_arc_rows(d)
+    signs = {p.crossing: p.sign for p in d.passages}
     if is_int(t) and t in (1, -1):
-        ring, zero = "Z", 0
+        ring, zero, unit = "Z", 0, {1: -1, -1: -t}
+        images = [{g: unit[signs[cid]] * x[E0] for g, x in row.items()} for cid, row in enumerate(_at(rows, (t, 1)), 1)]
     elif t == T_GEN:
-        ring, zero = "L1", LaurentPoly.zero(TVAR)
+        ring, zero, exps = "L1", LaurentPoly.zero(TVAR), {1: lambda a, b: a, -1: lambda a, b: a - 1}
+        images = [{g: _t_image(entry, exps[signs[cid]], -1) for g, entry in row.items()}
+                  for cid, row in enumerate(rows, 1)]
     else:
         raise ValueError(f"{t!r} is not t, 1 or -1")
-    rows, cols = merged_arc_rows(d)
-    index = {g: j for j, g in enumerate(cols)}
-    sign_of = {p.crossing: p.sign for p in d.passages}
-    # at (u, v) = (t, 1), times -1 at a positive crossing and -t^-1 at a negative one
-    exps = {1: lambda a, b: a, -1: lambda a, b: a - 1}
-    out = []
-    for cid, row in enumerate(rows, 1):
-        dense = [zero] * len(cols)
-        for g, entry in row.items():
-            image = _t_image(entry, exps[sign_of[cid]], -1)
-            # at t = +-1, t^e is t for odd e, else 1
-            dense[index[g]] = image if ring == "L1" else sum(c * t if e % 2 else c for (e,), c in image.terms.items())
-        out.append(tuple(dense))
-    return PresentationMatrix(ring, cols, tuple(out))
+    return PresentationMatrix(ring, cols, tuple(tuple(row.get(g, zero) for g in cols) for row in images))

@@ -126,10 +126,10 @@ def cmd_invariants(args):
             lines.append(str(value))
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
-        # the diagram's, whatever --quotient says: the L2 "none" matrix at (u, v) = (-1, 1), never its --t image
-        if not (args.charpoly and args.quotient == "none"):
-            reduced = invariants.quotient_matrix(d)
-        det, colorings = invariants.coloring_reports(reduced, args.color or ())
+        # the diagram's A(u, v) at (-1, 1), whatever --quotient and --t say: --charpoly's reduced rows if "none"
+        rows, cols = (alexander.sparse_rows(reduced) if args.charpoly and args.quotient == "none"
+                      else alexander.merged_arc_rows(d))
+        det, colorings = invariants.coloring_reports(rows, cols, args.color or ())
         if args.det:
             payload["determinant"] = det
             lines.append(str(det))
@@ -184,13 +184,8 @@ def cmd_color(args):
 def cmd_homcount(args):
     invariants.check_modulus(args.p, args.s)  # before the diagram is read
     d = _load(args.input)
-    mat = getattr(alexander, SPECIALIZATIONS[args.t])(invariants.quotient_matrix(d, args.quotient))
-    count = invariants.hom_count_to_cyclic(mat, args.p, args.s)
-    _emit(
-        args,
-        {"input": args.input, "p": args.p, "s": args.s, "quotient": args.quotient, "count": count},
-        [str(count)],
-    )
+    count = invariants.hom_count_to_cyclic(*invariants.quotient_rows(d, args.quotient), args.p, args.s, args.t)
+    _emit(args, {"input": args.input, "p": args.p, "s": args.s, "quotient": args.quotient, "count": count}, [str(count)])
     return EXIT_OK
 
 

@@ -11,11 +11,14 @@ from itertools import chain, combinations
 from typing import NamedTuple
 
 from .alexander import (
+    E0,
+    _at,
     _reduce,
     extended_presentation,
     merged_arc_rows,
     one_var_matrix,
     quotient_kill,
+    sparse_rows,
     tietze_eliminate,
     tietze_from_diagram,
 )
@@ -190,6 +193,22 @@ def smith_normal_form(rows):
     return tuple(d)
 
 
+def _smith_at(rows, cols, point, p=None):
+    """Smith invariants and columns left of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point`` (``_at``).
+
+    Less the 1s of ``_reduce``'s +-1 pivots and its zero rows' 0s, which ``_solutions_mod`` does not need.  Mod a
+    prime ``p`` nonzero values are units: the rows left are scaled to first values 1 and reduced until none is left.
+    """
+    at = _at(rows, point, p)
+    while True:
+        m = _reduce(at, cols)
+        if p is None or not m.rows:
+            return smith_normal_form([[e.terms.get(E0, 0) for e in row] for row in m.rows]), len(m.cols)
+        at, cols = _at(sparse_rows(m)[0], (1, 1), p), m.cols  # mod p, then each row times its first value's inverse
+        at = _at([{g: {E0: unit * e[E0]} for g, e in row.items()} for row in at if row
+                  for unit in [pow(next(iter(row.values()))[E0], -1, p)]], (1, 1), p)
+
+
 def _solutions_mod(inv, ncols, p):
     """Solutions of M x = 0 mod p, for any p >= 2, from M's Smith invariants.
 
@@ -248,7 +267,7 @@ def determinant_long(d):
     """gcd of the maximal minors of the merged arc matrix A(-1), from ``coloring_reports``."""
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
-    return coloring_reports(quotient_matrix(d), ())[0]
+    return coloring_reports(*merged_arc_rows(d), ())[0]
 
 
 def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
@@ -270,48 +289,38 @@ class ColoringReport(NamedTuple):
     nontrivial: bool
 
 
-def coloring_reports(m, ps):
-    """The gcd of the maximal minors of ``m`` at (u, v) = (-1, 1), and a report per modulus in ``ps``.
+def coloring_reports(rows, cols, ps):
+    """The gcd of the maximal minors of A(u, v) at (u, v) = (-1, 1), and a report per modulus in ``ps``.
 
-    ``m`` is the reduced ``none`` matrix (``quotient_matrix``).  At (-1, 1)
-    A(u, v) is -A(-1) up to row signs and each ``_reduce`` pivot is +-1, so
-    the colorings mod p are the solutions of one small Smith form
-    (``_solutions_mod``).  A long diagram's ``m`` is r x (r+1), as A(1) has
-    unit maximal minors, so the gcd is the determinant (README).
+    ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or the ``sparse_rows`` of its reduced ``none``
+    matrix.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the solutions
+    of one Smith form (``_smith_at``), and for a long diagram the gcd is the determinant.
     """
     for p in ps:
         check_modulus(p)
-    at = [[sum(-c if a % 2 else c for (a, _), c in e.terms.items()) for e in row] for row in m.rows]
-    inv = smith_normal_form(at)
-    reports = []
-    for p in ps:
-        count = _solutions_mod(inv, len(m.cols), p)
-        reports.append(ColoringReport(p=p, count=count, nontrivial=count > p))
-    return math.prod(inv), reports
+    inv, ncols = _smith_at(rows, cols, (-1, 1))
+    counts = [_solutions_mod(inv, ncols, p) for p in ps]
+    return math.prod(inv), [ColoringReport(p, count, count > p) for p, count in zip(ps, counts)]
 
 
 def coloring_count(d, ps):
     """One report per modulus in ``ps`` (input order, duplicates kept).
 
     A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing.  All moduli share one Smith form of the reduced
-    A(u, v) at (-1, 1) (``coloring_reports``).
+    at every crossing.  All moduli share one Smith form (``coloring_reports``).
     """
-    return coloring_reports(quotient_matrix(d), ps)[1] if ps else []
+    return coloring_reports(*merged_arc_rows(d), ps)[1] if ps else []
 
 
-def hom_count_to_cyclic(m, p, s):
+def hom_count_to_cyclic(rows, cols, p, s, t="diag"):
     """Number of module maps to Z/p with t acting as the unit s.
 
-    They are the solutions of M(s) x = 0 mod p, counted from the Smith form
-    of M(s) as the colorings are.  p must be a prime below MR_LIMIT, where
-    ``is_prime`` is exact and the Smith form's integers stay small.
+    ``rows`` over ``cols`` present the module over Z[u^+-1, v^+-1] (``quotient_rows``, or the
+    ``sparse_rows`` of an L2 matrix).  The maps solve the rows at (u, v) = (s, 1) for ``t`` "v1" and
+    (s, s) for "diag", mod p: one Smith form (``_smith_at``).  p is a prime below MR_LIMIT.
     """
-    if m.ring != "L1":
-        raise ValueError("hom counting expects an L1 matrix")
     check_modulus(p, s)
-    inv = smith_normal_form([[e.subs_mod((s,), p) for e in row] for row in m.rows])
-    return _solutions_mod(inv, len(m.cols), p)
+    return _solutions_mod(*_smith_at(rows, cols, {"v1": (s, 1), "diag": (s, s)}[t], p), p)
 
 
 # -- winding-family transfer criterion ----------------------------------
@@ -384,6 +393,14 @@ def quotient_pipeline(d, quotient="none"):
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
+def quotient_rows(d, quotient="none"):
+    """The rows of A(u, v) and their columns, less the end columns that ``quotient`` kills, unreduced."""
+    rows, cols = merged_arc_rows(d)
+    gone = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
+    rows = [{g: terms for g, terms in row.items() if g not in gone} for row in rows]
+    return rows, tuple(g for g in cols if g not in gone)
+
+
 def quotient_matrices(d, quotients):
     """A unit-reduced module matrix per end quotient in ``quotients``, from one reduction of A(u, v).
 
@@ -419,17 +436,16 @@ def quotient_matrix(d, quotient="none"):
 def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
-    One reduction of A(u, v) serves both quotients, and the reduced
-    ``none`` matrix also serves the determinant and every coloring count
-    (``coloring_reports``).
+    One reduction of A(u, v) serves both quotients, and the rows of the
+    reduced ``none`` matrix also serve the determinant and every coloring
+    count (``coloring_reports``).
     """
     profile = {}
     for quotient, mat in quotient_matrices(d, ("none", "end-minus") if d.kind == LONG else ("none",)).items():
         if quotient == "none":
-            det, colorings = coloring_reports(mat, PROFILE_MODULI)
+            det, colorings = coloring_reports(*sparse_rows(mat), PROFILE_MODULI)
         for k in (0, 1):
-            value = char_poly(mat, k, max_minors=max_minors)
-            profile[f"charpoly k={k} quotient={quotient}"] = str(value)
+            profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(mat, k, max_minors=max_minors))
     if d.kind == LONG:
         profile["determinant"] = det
     for rep in colorings:

@@ -226,25 +226,6 @@ class LaurentPoly:
             terms = {e: -c for e, c in terms.items()}
         return LaurentPoly._raw(self.vars, terms)
 
-    # -- specializations ---------------------------------------------
-
-    def subs_mod(self, images, m):
-        """Evaluate in Z/m, each term by ``pow(image, e, m)``, which inverts the image when e < 0.
-
-        Every image must be a unit mod m, whether or not an exponent of p is negative.
-        """
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        for im in images:
-            if math.gcd(im, m) != 1:
-                raise ValueError(f"{im % m} is not a unit mod {m}")
-        total = 0
-        for exps, coeff in self.terms.items():
-            for im, e in zip(images, exps):
-                coeff = coeff * pow(im, e, m) % m
-            total += coeff
-        return total % m
-
     # -- rendering / parsing -----------------------------------------
 
     def __str__(self):

@@ -6,7 +6,10 @@ recursion, minors of Laurent matrices by Bareiss elimination with exact
 Laurent division, specializations by powers of the images,
 abelianization by one monomial per letter, colorings and homomorphism
 counts by exhaustive assignment, colorings and determinants also by the
-Smith form of the full A(-1) that the reduced A(u, v) replaced, move
+Smith form of the full A(-1) that the reduced A(u, v) replaced and by
+the reduced A(u, v) evaluated by parity, hom counts by the specialized
+reduced matrix evaluated mod p (the routes the one evaluation of A(u, v)
+at a point replaced), move
 sites by trying every combination of adjacent pairs through matchers of
 their own (in ``vka`` the partner-index scan is the only definition of a
 legal site), seeded walks by a scan and one draw into the ``legal_sites``
@@ -25,7 +28,7 @@ elimination over Z/p (the library counts maps to Z/p from Smith forms).
 The helpers at the end are test conveniences built on the library:
 polynomial literals, the quotient list, one char-poly and hom-count
 comparison of two module matrices, the specialization of one polynomial,
-evaluation at +-1, end columns, row-space membership of an end
+evaluation at +-1 and mod m, end columns, row-space membership of an end
 difference and relation comparison.
 """
 
@@ -54,6 +57,7 @@ from vka.alexander import (
     diagonal_t,
     extended_presentation,
     one_variable,
+    sparse_rows,
     tietze_eliminate,
 )
 from vka import moves
@@ -885,6 +889,30 @@ def colorings_reference(a, ps):
     return math.prod(inv), [_solutions_mod(inv, len(a.cols), p) for p in ps]
 
 
+def colorings_by_reduction_reference(m, ps):
+    """The gcd and the coloring counts of the reduced ``none`` matrix ``m`` (``quotient_matrix(d)``).
+
+    The route ``coloring_count`` and ``determinant_long`` took before they
+    evaluated A(u, v) first: reduce in two variables, evaluate each entry
+    at (u, v) = (-1, 1) by the parity of its exponents (``subs_int``), and
+    count from one Smith form (``_solutions_mod``).
+    """
+    inv = smith_normal_form([[subs_int(e, (-1, 1)) for e in row] for row in m.rows])
+    return math.prod(inv), [_solutions_mod(inv, len(m.cols), p) for p in ps]
+
+
+def hom_count_by_specialization_reference(m, t, p, s):
+    """Maps to Z/p with t acting as s, from the reduced L2 matrix ``m`` of a quotient.
+
+    The route ``hom_count_to_cyclic`` took before it evaluated A(u, v) at a
+    point: ``m`` goes to Z[t^+-1] by ``one_variable`` (``t`` "v1") or
+    ``diagonal_t`` ("diag"), each entry is evaluated at s mod p
+    (``subs_mod``), and the count is p^(columns - rank mod p).
+    """
+    m = {"v1": one_variable, "diag": diagonal_t}[t](m)
+    return p ** (len(m.cols) - rank_mod([[subs_mod(e, (s,), p) for e in row] for row in m.rows], p))
+
+
 def smith_normal_form_reference(rows):
     """Smith invariants with a full scan for the smallest entry at every pivot.
 
@@ -982,16 +1010,16 @@ def assert_same_module(a, b, ks=(0, 1, 2), context=()):
     """Matrices ``a`` and ``b`` give the same char polys and hom counts.
 
     Char polys for each k in ``ks`` over L2 and after the v1 and diag
-    specializations; hom counts for every ``HOM_CASES`` entry after both.
-    ``context`` heads the message of a failing assertion.
+    specializations; hom counts for every ``HOM_CASES`` entry with t as
+    either.  ``context`` heads the message of a failing assertion.
     """
-    pairs = [(a, b)] + [(f(a), f(b)) for f in (one_variable, diagonal_t)]
-    for x, y in pairs:
+    for x, y in [(a, b)] + [(f(a), f(b)) for f in (one_variable, diagonal_t)]:
         for k in ks:
             assert char_poly(x, k) == char_poly(y, k), (*context, x.ring, k)
-    for x, y in pairs[1:]:
+    for t in ("v1", "diag"):
         for prime, s in HOM_CASES:
-            assert hom_count_to_cyclic(x, prime, s) == hom_count_to_cyclic(y, prime, s), (*context, x.ring, prime, s)
+            counts = [hom_count_to_cyclic(*sparse_rows(m), prime, s, t) for m in (a, b)]
+            assert counts[0] == counts[1], (*context, t, prime, s)
 
 
 def l2(terms):
@@ -1024,6 +1052,26 @@ def subs_int(p, images):
     return total
 
 
+def subs_mod(p, images, m):
+    """Evaluate p in Z/m, each term by ``pow(image, e, m)``, which inverts the image when e < 0.
+
+    Every image must be a unit mod m, whether or not an exponent of p is
+    negative.  The reference for ``alexander._at`` mod p, which returns the
+    residue of least absolute value.
+    """
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+    for im in images:
+        if math.gcd(im, m) != 1:
+            raise ValueError(f"{im % m} is not a unit mod {m}")
+    total = 0
+    for exps, coeff in p.terms.items():
+        for im, e in zip(images, exps):
+            coeff = coeff * pow(im, e, m) % m
+        total += coeff
+    return total % m
+
+
 def end_generator_columns(p, m):
     """Images of the two end elements as column vectors over m's ring."""
     if p.end_minus is None or p.end_plus is None:
@@ -1050,8 +1098,8 @@ def difference_in_rowspan(m, a, b):
     """
     for p in (3, 5, 7):
         for point in product(range(1, p), repeat=len(RING_VARS[m.ring])):
-            rows = [[x.subs_mod(point, p) for x in row] for row in m.rows]
-            diff = [(x - y).subs_mod(point, p) for x, y in zip(a, b)]
+            rows = [[subs_mod(x, point, p) for x in row] for row in m.rows]
+            diff = [subs_mod(x - y, point, p) for x, y in zip(a, b)]
             yield rank_mod(rows + [diff], p) == rank_mod(rows, p)
 
 

@@ -90,8 +90,12 @@ def test_winding_colorings_replay_matches_the_record(bench):
     _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["winding-colorings"])
     assert colorings and all(ps == list(range(2, 30)) for _, ps in colorings)
     section = bench.colorings_section(colorings, repeats=1)
-    _matches_record(section, RECORD["colorings"])
+    recorded = dict(RECORD["colorings"])
+    rung, recorded_rung = section.pop("rung"), recorded.pop("rung")
+    _matches_record(section, recorded)
     assert (section["diagrams"], section["moduli"]) == (54, 1512)
+    assert [_untimed(case) for case in rung["cases"]] == [_untimed(case) for case in recorded_rung["cases"]]
+    assert len(rung["cases"]) == 11
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):

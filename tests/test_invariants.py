@@ -8,13 +8,16 @@ import pytest
 
 import catalog
 from oracles import (
+    HOM_CASES,
     T_ONE,
     arc_classes,
     brute_force_colorings,
     brute_force_hom_count,
+    colorings_by_reduction_reference,
     colorings_reference,
     det_cofactor,
     det_exact_reference,
+    hom_count_by_specialization_reference,
     maximal_minors,
     minors_reference,
     one_var_matrix_reference,
@@ -24,6 +27,7 @@ from oracles import (
     random_long_diagram,
     rank_mod,
     subs_int,
+    subs_mod,
     subs_reference,
     transfer_brute_force,
 )
@@ -35,6 +39,7 @@ from vka.alexander import (
     one_var_matrix,
     one_variable,
     quotient_kill,
+    sparse_rows,
     tietze_eliminate,
 )
 from vka.diagram import LONG, TRIVIAL_LONG, close, concatenate, dn_family, parse_gauss, serialize_gauss
@@ -52,6 +57,7 @@ from vka.invariants import (
     quotient_matrices,
     quotient_matrix,
     quotient_pipeline,
+    quotient_rows,
     smith_normal_form,
     transfer_condition,
     transfer_matrix,
@@ -438,7 +444,8 @@ def test_coloring_reports_follow_the_moduli(monkeypatch):
     d = catalog.trefoil()
     moduli = [9, 3, 2, 3, 15, 4]
     reports = coloring_count(d, moduli)
-    # one Smith form, of the reduced A(u, v) at (-1, 1), for every modulus
+    # one Smith form for every modulus, of the rows that A(u, v) at (-1, 1) keeps after its +-1
+    # pivots: for the trefoil, the reduced A(u, v) at (-1, 1)
     m = quotient_matrix(d)
     assert calls == [[[subs_int(e, (-1, 1)) for e in row] for row in m.rows]]
     assert m.shape == (1, 2)
@@ -520,7 +527,7 @@ def test_long_reduced_matrix_is_r_by_r_plus_one():
 
 
 def _det_and_colorings(d, ps=(3, 5, 7)):
-    det, reports = invariants.coloring_reports(quotient_matrices(d, ("none",))["none"], ps)
+    det, reports = invariants.coloring_reports(*sparse_rows(quotient_matrices(d, ("none",))["none"]), ps)
     return det, [rep.count for rep in reports]
 
 
@@ -571,9 +578,8 @@ def test_coloring_divisibility_criterion():
 
 
 def test_hom_count_free_rank_one():
-    m = PresentationMatrix("L1", ("a",), ())
     for p, s in ((3, 1), (5, 2), (7, 3)):
-        assert hom_count_to_cyclic(m, p, s) == p
+        assert hom_count_to_cyclic([], ("a",), p, s) == p
 
 
 def test_hom_count_products_golden():
@@ -581,14 +587,14 @@ def test_hom_count_products_golden():
     pres45 = extended_presentation(catalog.k4k5())
     q45 = quotient_kill(pres45, {"a"})
     assert brute_force_hom_count(q45, 5, 3) == 25
-    m45 = diagonal_t(abelianize(quotient_pipeline(catalog.k4k5(), "end-minus")))
-    assert hom_count_to_cyclic(m45, 5, 3) == 25
+    m45 = sparse_rows(abelianize(quotient_pipeline(catalog.k4k5(), "end-minus")))
+    assert hom_count_to_cyclic(*m45, 5, 3) == 25
 
     pres54 = extended_presentation(catalog.k5k4())
     q54 = quotient_kill(pres54, {"a"})
     assert brute_force_hom_count(q54, 5, 3) == 5
-    m54 = diagonal_t(abelianize(quotient_pipeline(catalog.k5k4(), "end-minus")))
-    assert hom_count_to_cyclic(m54, 5, 3) == 5
+    m54 = sparse_rows(abelianize(quotient_pipeline(catalog.k5k4(), "end-minus")))
+    assert hom_count_to_cyclic(*m54, 5, 3) == 5
 
 
 def test_hom_count_matches_oracle_random():
@@ -596,9 +602,9 @@ def test_hom_count_matches_oracle_random():
     for _ in range(12):
         d = random_long_diagram(rng, 2)
         pres = extended_presentation(d)
-        m = diagonal_t(abelianize(tietze_eliminate(pres)))
+        m = sparse_rows(abelianize(tietze_eliminate(pres)))
         for p, s in ((3, 2), (5, 3)):
-            assert hom_count_to_cyclic(m, p, s) == brute_force_hom_count(pres, p, s)
+            assert hom_count_to_cyclic(*m, p, s) == brute_force_hom_count(pres, p, s)
 
 
 def test_solutions_mod_counts_from_the_smith_form():
@@ -624,22 +630,47 @@ def test_hom_count_equals_rank_mod_oracle_to_30_crossings():
             d = parse_gauss(random_code(rng, c, closed))
             for quotient in quotients(d):
                 mat = quotient_matrix(d, quotient)
-                for m in (one_variable(mat), diagonal_t(mat)):
+                for t, m in (("v1", one_variable(mat)), ("diag", diagonal_t(mat))):
                     for p in HOM_PRIMES:
                         for s in {1, p - 1, 2 % p, rng.randrange(1, p)} - {0}:
-                            values = [[e.subs_mod((s,), p) for e in row] for row in m.rows]
-                            count = hom_count_to_cyclic(m, p, s)
+                            values = [[subs_mod(e, (s,), p) for e in row] for row in m.rows]
+                            count = hom_count_to_cyclic(*sparse_rows(mat), p, s, t)
                             assert count == p ** (len(m.cols) - rank_mod(values, p)), (c, closed, quotient, p, s)
                             rank_drops += count > p ** max(len(m.cols) - len(m.rows), 0)
     assert rank_drops >= 400
 
 
+def test_counts_equal_the_reduce_first_and_specialize_first_routes():
+    """The counts from A(u, v) at a point equal those of the two routes they replaced.
+
+    Colorings mod 2..29 and the long determinant against reducing in two
+    variables first; hom counts for every ``HOM_CASES`` entry, both ``--t``
+    values and every quotient against specializing the reduced matrix to
+    Z[t^+-1] first.  300 random codes with 0 to 40 crossings, long and
+    closed, and the windings n = 1..6 of the long corpus codes.
+    """
+    rng = random.Random(47)
+    diagrams = [parse_gauss(random_code(rng, rng.randint(0, 40), closed))
+                for closed in (False, True) for _ in range(150)]
+    diagrams += [dn_family(base, n) for base in catalog.corpus().values() if base.kind == LONG for n in range(1, 7)]
+    for d in diagrams:
+        det, counts = colorings_by_reduction_reference(quotient_matrix(d), COLORING_MODULI)
+        assert [rep.count for rep in coloring_count(d, COLORING_MODULI)] == counts, d
+        if d.kind == LONG:
+            assert determinant_long(d) == det, d
+        for quotient in quotients(d):
+            m, rows = quotient_matrix(d, quotient), quotient_rows(d, quotient)
+            for t in ("v1", "diag"):
+                for p, s in HOM_CASES:
+                    expected = hom_count_by_specialization_reference(m, t, p, s)
+                    assert hom_count_to_cyclic(*rows, p, s, t) == expected, (d, quotient, t, p, s)
+
+
 def test_hom_count_validation():
-    m = PresentationMatrix("L1", ("a",), ())
     with pytest.raises(ValueError):
-        hom_count_to_cyclic(m, 5, 5)
+        hom_count_to_cyclic([], ("a",), 5, 5)
     with pytest.raises(ValueError):
-        hom_count_to_cyclic(m, 6, 1)
+        hom_count_to_cyclic([], ("a",), 6, 1)
 
 
 def test_is_prime_matches_trial_division():

@@ -11,7 +11,7 @@ quotient.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,10 +24,13 @@ from oracles import (
     quotient_matrix_reference,
     quotients,
     random_diagrams,
+    random_poly,
     smith_normal_form_reference,
+    subs_int,
+    subs_mod,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, PresentationMatrix, _dense, _reduce, merged_arc_rows, one_var_matrix
+from vka.alexander import T_GEN, PresentationMatrix, _at, _dense, _reduce, merged_arc_rows, one_var_matrix
 from vka.diagram import LONG, dn_family, parse_gauss
 from vka.invariants import char_poly, invariant_profile, quotient_matrices, quotient_matrix, smith_normal_form
 from vka.laurent import UV, LaurentPoly
@@ -130,8 +133,9 @@ def test_profile_reduces_all_of_a_once(monkeypatch):
         reductions.clear()
         invariant_profile(d)
         assert builds == [d.crossings], d
-        # one reduction of all of A(u, v), then one finish per quotient on the rows it left
-        assert reductions[0] == d.crossings and len(reductions) == 3, d
+        # one reduction of all of A(u, v), then one finish per quotient on the rows it left, then the
+        # integer reduction of the none matrix's rows at (-1, 1) for the colorings
+        assert reductions[0] == d.crossings and len(reductions) == 4, d
         assert all(r < d.crossings for r in reductions[1:]), d
 
 
@@ -252,6 +256,23 @@ def test_one_var_matrix_matches_the_per_crossing_builder():
         assert [list(row) for row in rows] == [list(row) for row in reference_rows]
         for t in (T_GEN, 1, -1):
             assert one_var_matrix(d, t) == one_var_matrix_reference(d, t), (d, t)
+
+
+def test_evaluation_at_a_point_matches_the_references():
+    # rows of constants: mod p the residue of least absolute value, over Z at +-1 the parity evaluation; no zeros
+    rng = random.Random(61)
+    primes = (2, 3, 5, 7, 11, 3317044064679887385961813)
+    for _ in range(400):
+        poly = random_poly(rng, UV, max_terms=6)
+        for p in primes:
+            point = (rng.randrange(1, p), rng.randrange(1, p))
+            (row,) = _at([{"x": poly.terms}], point, p)
+            value = row["x"][(0, 0)] if row else 0
+            assert value % p == subs_mod(poly, point, p) and -p < 2 * value <= p and row in ({}, {"x": {(0, 0): value}})
+        for point in product((1, -1), repeat=2):
+            (row,) = _at([{"x": poly.terms}], point)
+            value = row["x"][(0, 0)] if row else 0
+            assert value == subs_int(poly, point) and row in ({}, {"x": {(0, 0): value}})
 
 
 def test_one_var_matrix_rejects_integers_that_are_not_units():

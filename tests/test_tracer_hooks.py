@@ -1,19 +1,25 @@
-"""The functions ``perfbench/run.py --trace 1`` wraps must exist in ``vka``."""
+"""The functions ``perfbench/run.py --trace 1`` wraps must exist in ``vka``, and traced requests must run."""
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 from vka import moves
+from vka.cli import main
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _layers():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+    return tracer
+
+
+def _layers():
+    return _tracer().LAYERS
 
 
 def test_traced_layer_functions_exist():
@@ -26,3 +32,24 @@ def test_traced_layer_functions_exist():
 def test_walk_hooks_exist():
     assert callable(moves.apply_move)
     assert callable(moves.legal_sites)
+
+
+def test_traced_color_and_homcount_requests_record_their_spans(capsys, corpus_dir, monkeypatch):
+    tracer = _tracer()
+    wrapped = {id(getattr(importlib.import_module(f"vka.{module}"), fname))
+               for module, functions in tracer.LAYERS.values() for fname in functions} | {id(moves.apply_move)}
+    for modname, mod in list(sys.modules.items()):  # every binding Tracer.install replaces, restored afterwards
+        if modname == "vka" or modname.startswith("vka."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in wrapped:
+                    monkeypatch.setattr(mod, attr, value)
+    traced = tracer.Tracer()
+    traced.install()
+    k4k5 = str(corpus_dir / "k4k5.gauss")
+    requests = (["color", k4k5, "-p", "3"], ["homcount", k4k5, "-p", "5", "-s", "3", "--quotient", "end-minus"])
+    for rid, argv in enumerate(requests):
+        code, _ = traced.run_request(rid, lambda: main(argv))
+        assert code == 0
+    assert capsys.readouterr().out.split() == ["p=3:", "9", "colorings", "(nontrivial)", "25"]
+    spans = {(s.name, s.request) for s in traced.spans}
+    assert {("invariants.snf", 0), ("invariants.rank_mod", 1)} <= spans
