@@ -490,20 +490,20 @@ def _word_row(word, minus=()):
     return {g: entry for g, entry in terms.items() if entry}
 
 
-def _dense(terms, cols):
-    """One LaurentPoly per column of a sparse row."""
-    return tuple(LaurentPoly._raw(UV, terms.get(g) or {}) for g in cols)
-
-
 def sparse_rows(m):
     """The rows {column: {(a, b): coeff}} of an L2 matrix, as ``merged_arc_rows`` gives them, and its columns."""
     return [{g: e.terms for g, e in zip(m.cols, row) if e} for row in m.rows], m.cols
 
 
+def _matrix(rows, cols):
+    """The L2 matrix of sparse rows {column: {(a, b): coeff}} over ``cols``; its entries wrap the rows' term dicts."""
+    return PresentationMatrix("L2", tuple(cols), tuple(tuple(LaurentPoly._raw(UV, row.get(g) or {}) for g in cols)
+                                                       for row in rows))
+
+
 def abelianize(p):
     """Presentation matrix of the abelianized module over Z[u^+-1, v^+-1]."""
-    rows = tuple(_dense(_word_row(rel.left, rel.right), p.generators) for rel in p.relations)
-    return PresentationMatrix("L2", tuple(p.generators), rows)
+    return _matrix([_word_row(rel.left, rel.right) for rel in p.relations], p.generators)
 
 
 def _sub_product(target, f, g):
@@ -525,7 +525,7 @@ def _unit_columns(row, keep):
 
 
 def _reduce(rows, cols, keep=()):
-    """Sparse rows over ``cols``, unit pivots eliminated, as an L2 matrix.
+    """Sparse rows over ``cols``, unit pivots eliminated: the rows left, in input order, and their columns.
 
     A row maps column -> {exp: coeff}; the rows and their entries are
     changed in place.  While an entry outside the columns ``keep`` is a
@@ -534,8 +534,8 @@ def _reduce(rows, cols, keep=()):
     is cleared from the other rows, and its row and column are dropped.
     Each step is an elementary equivalence of presentations, so every
     Fitting ideal, and with it every char poly and hom count, is kept.
-    Zero rows are dropped.  With a nonempty ``keep`` the rows left and
-    their columns are returned as they are, for a later ``_reduce``.
+    Zero rows are dropped.  The rows left can go to a later ``_reduce``
+    or to ``_matrix``.
     """
     where = {g: set() for g in cols}  # column -> ids of the rows holding it
     rows = {i: row for i, row in enumerate(rows) if row}  # in input order
@@ -584,25 +584,20 @@ def _reduce(rows, cols, keep=()):
                 units[j] = _unit_columns(row, keep)
             else:
                 del rows[j], units[j]
-    cols = tuple(g for g in cols if g in where)
-    if keep:
-        return list(rows.values()), cols
-    return PresentationMatrix("L2", cols, tuple(_dense(row, cols) for row in rows.values()))
+    return list(rows.values()), tuple(g for g in cols if g in where)
 
 
 T_GEN = LaurentPoly.monomial(TVAR, (1,))
 
 
-def _t_image(terms, exp, scale=1):
-    """The sum of scale * c * t^exp(a, b) over the L2 terms {(a, b): c}, in Z[t^+-1]; equal exponents add up."""
-    return LaurentPoly(TVAR, (((exp(a, b),), scale * c) for (a, b), c in terms.items()))
-
-
 def _specialized(m, exp):
-    """The L1 matrix of ``_t_image`` of each entry of the L2 matrix ``m``."""
+    """The L1 matrix of the L2 matrix ``m``, each term c*u^a*v^b sent to c*t^exp(a, b); equal exponents add up."""
     if m.ring != "L2":
         raise ValueError("a specialization expects an L2 matrix")
-    return PresentationMatrix("L1", m.cols, tuple(tuple(_t_image(e.terms, exp) for e in row) for row in m.rows))
+    zero = LaurentPoly.zero(TVAR)
+    return PresentationMatrix("L1", m.cols, tuple(tuple(
+        LaurentPoly(TVAR, (((exp(a, b),), c) for (a, b), c in e.terms.items())) if e else zero for e in row)
+        for row in m.rows))
 
 
 def one_variable(m):
@@ -690,22 +685,19 @@ def merged_arc_rows(d):
 def one_var_matrix(d, t=T_GEN):
     """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing, t^-1 for t at a negative one.
 
-    Its rows are those of A(u, v) (``merged_arc_rows``) at (u, v) = (t, 1),
-    each scaled by its unit: -1 at a positive crossing, -t^-1 at a negative
-    one.  ``t`` = T_GEN gives the Laurent matrix over Z[t^+-1] (ring "L1");
-    1 or -1 gives the integer specialization (ring "Z", by ``_at``), where
-    t^-1 = t; any other ``t`` raises ValueError.  The coloring matrix -A(-1)
-    is A(-1, 1) with the rows of the negative crossings negated.
+    Its rows are those of A(u, v) (``merged_arc_rows``) times their units,
+    -1 at a positive crossing and -u^-1 at a negative one, at (u, v) = (t, 1):
+    ``t`` = T_GEN gives ring "L1" (``one_variable``), 1 or -1 ring "Z"
+    (``_at``, where u^-1 = u), any other ``t`` a ValueError.  The coloring
+    matrix -A(-1) is A(-1, 1) with the rows of the negative crossings negated.
     """
+    if not (t == T_GEN or is_int(t) and t in (1, -1)):
+        raise ValueError(f"{t!r} is not t, 1 or -1")
     rows, cols = merged_arc_rows(d)
     signs = {p.crossing: p.sign for p in d.passages}
-    if is_int(t) and t in (1, -1):
-        ring, zero, unit = "Z", 0, {1: -1, -1: -t}
-        images = [{g: unit[signs[cid]] * x[E0] for g, x in row.items()} for cid, row in enumerate(_at(rows, (t, 1)), 1)]
-    elif t == T_GEN:
-        ring, zero, exps = "L1", LaurentPoly.zero(TVAR), {1: lambda a, b: a, -1: lambda a, b: a - 1}
-        images = [{g: _t_image(entry, exps[signs[cid]], -1) for g, entry in row.items()}
-                  for cid, row in enumerate(rows, 1)]
-    else:
-        raise ValueError(f"{t!r} is not t, 1 or -1")
-    return PresentationMatrix(ring, cols, tuple(tuple(row.get(g, zero) for g in cols) for row in images))
+    rows = [{g: {(a - (signs[cid] < 0), b): -c for (a, b), c in entry.items()} for g, entry in row.items()}
+            for cid, row in enumerate(rows, 1)]
+    if t == T_GEN:
+        return one_variable(_matrix(rows, cols))
+    return PresentationMatrix("Z", cols, tuple(tuple(row[g][E0] if g in row else 0 for g in cols)
+                                               for row in _at(rows, (t, 1))))

@@ -13,6 +13,7 @@ from typing import NamedTuple
 from .alexander import (
     E0,
     _at,
+    _matrix,
     _reduce,
     extended_presentation,
     merged_arc_rows,
@@ -27,6 +28,7 @@ from .laurent import UV, TVAR, LaurentPoly, _least, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
 PROFILE_MODULI = (3, 5, 7)  # the coloring counts of ``invariant_profile``
+MODULUS_LIMIT = 10 ** 1000  # so that a coloring count stays well inside int's 4300-digit limit for text
 
 
 class BudgetExceeded(RuntimeError):
@@ -196,17 +198,21 @@ def smith_normal_form(rows):
 def _smith_at(rows, cols, point, p=None):
     """Smith invariants and columns left of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point`` (``_at``).
 
-    Less the 1s of ``_reduce``'s +-1 pivots and its zero rows' 0s, which ``_solutions_mod`` does not need.  Mod a
-    prime ``p`` nonzero values are units: the rows left are scaled to first values 1 and reduced until none is left.
+    Those of the whole evaluated matrix, the zero rows ``_reduce`` drops included, less the 1s of its +-1 pivots:
+    with no more rows than columns their product is the gcd of the maximal minors.  Mod a prime ``p`` nonzero values
+    are units: one ``_at`` a round scales the rows left to first nonzero values 1 mod p, until no row is left.
     """
+    nrows, ncols = len(rows), len(cols)
     at = _at(rows, point, p)
     while True:
-        m = _reduce(at, cols)
-        if p is None or not m.rows:
-            return smith_normal_form([[e.terms.get(E0, 0) for e in row] for row in m.rows]), len(m.cols)
-        at, cols = _at(sparse_rows(m)[0], (1, 1), p), m.cols  # mod p, then each row times its first value's inverse
-        at = _at([{g: {E0: unit * e[E0]} for g, e in row.items()} for row in at if row
-                  for unit in [pow(next(iter(row.values()))[E0], -1, p)]], (1, 1), p)
+        rows, cols = _reduce(at, cols)
+        if p is None or not rows:
+            break
+        # each row times the inverse of its first value nonzero mod p, and the rows zero mod p left out
+        at = _at([{g: {E0: unit * e[E0]} for g, e in row.items()} for row in rows
+                  if (unit := next((pow(e[E0], -1, p) for e in row.values() if e[E0] % p), 0))], (1, 1), p)
+    inv = smith_normal_form([[row[g][E0] if g in row else 0 for g in cols] for row in rows])
+    return inv + (0,) * (min(nrows - ncols + len(cols), len(cols)) - len(inv)), len(cols)
 
 
 def _solutions_mod(inv, ncols, p):
@@ -249,11 +255,13 @@ def is_prime(p):
 
 
 def check_modulus(p, s=None):
-    """Raise ValueError unless p is a coloring modulus (at least 2) or,
+    """Raise ValueError unless p is a coloring modulus (at least 2, below MODULUS_LIMIT) or,
     given the unit s of a hom count, a prime with s invertible mod p."""
     if s is None:
         if p < 2:
             raise ValueError("modulus must be at least 2")
+        if p >= MODULUS_LIMIT:
+            raise ValueError("modulus must be below 10^1000")
     elif not is_prime(p):
         raise ValueError("p must be prime")
     elif s % p == 0:
@@ -393,12 +401,18 @@ def quotient_pipeline(d, quotient="none"):
     return tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
 
 
+def _drop(rows, cols, gone):
+    """Sparse rows, changed in place, and their columns, less the columns ``gone``."""
+    for row in rows:
+        for g in gone:
+            row.pop(g, None)
+    return rows, tuple(g for g in cols if g not in gone)
+
+
 def quotient_rows(d, quotient="none"):
     """The rows of A(u, v) and their columns, less the end columns that ``quotient`` kills, unreduced."""
     rows, cols = merged_arc_rows(d)
-    gone = {cols[e] for e in _killed_ends(d.kind == LONG, quotient)}
-    rows = [{g: terms for g, terms in row.items() if g not in gone} for row in rows]
-    return rows, tuple(g for g in cols if g not in gone)
+    return _drop(rows, cols, {cols[e] for e in _killed_ends(d.kind == LONG, quotient)})
 
 
 def quotient_matrices(d, quotients):
@@ -406,26 +420,19 @@ def quotient_matrices(d, quotients):
 
     An end quotient drops the columns of the ends it kills from the merged
     arc matrix A(u, v), which has the elementary ideals of the abelianized
-    presentation; no word elimination runs.  One ``_reduce`` takes no pivot
-    in the columns that only some quotients kill.  A row operation acts on
-    each column on its own, so each quotient drops its columns from the
-    rows left and finishes there with the Fitting ideals it would have had.
+    presentation; no word elimination runs.  One shared ``_reduce``, less
+    the columns all kill, takes no pivot in those only some kill.  A row
+    operation acts on each column on its own, so each quotient drops its
+    columns from a copy of the rows left and reduces that, with the Fitting
+    ideals it would have had.
     """
     rows, cols = merged_arc_rows(d)
     killed = {q: {cols[e] for e in _killed_ends(d.kind == LONG, q)} for q in quotients}
     common = set.intersection(*killed.values())
-    keep = set.union(*killed.values()) - common
-    if common:
-        rows = [{g: terms for g, terms in row.items() if g not in common} for row in rows]
-    reduced = _reduce(rows, tuple(g for g in cols if g not in common), keep)
-    if not keep:  # nothing is protected, so nothing is left to finish
-        return dict.fromkeys(killed, reduced)
-    (rows, cols), last, matrices = reduced, len(killed) - 1, {}
-    for n, (q, own) in enumerate(killed.items()):
-        # ``_reduce`` changes its rows' entries in place: the last quotient takes the shared ones
-        rows_q = [{g: dict(t) if n < last else t for g, t in row.items() if g not in own} for row in rows]
-        matrices[q] = _reduce(rows_q, tuple(g for g in cols if g not in own))
-    return matrices
+    rows, cols = _reduce(*_drop(rows, cols, common), set.union(*killed.values()) - common)
+    # ``_reduce`` changes its rows and their entries in place, so each quotient reduces a copy of them
+    return {q: _matrix(*_reduce(*_drop([{g: dict(t) for g, t in row.items()} for row in rows], cols, own)))
+            for q, own in killed.items()}
 
 
 def quotient_matrix(d, quotient="none"):

@@ -51,7 +51,7 @@ from vka.alexander import (
     OpRelation,
     PresentationMatrix,
     _crossing_relation,
-    _dense,
+    _matrix,
     _reduce,
     _word_row,
     diagonal_t,
@@ -792,7 +792,7 @@ def reduced_matrix(p):
     --charpoly`` reduced before every request took its char polys from
     A(u, v).
     """
-    return _reduce([_word_row(rel.left, rel.right) for rel in p.relations], p.generators)
+    return _matrix(*_reduce([_word_row(rel.left, rel.right) for rel in p.relations], p.generators))
 
 
 def quotient_matrix_reference(d, quotient="none"):
@@ -1080,7 +1080,7 @@ def end_generator_columns(p, m):
         raise ValueError("end columns are computed over the L2 matrix")
     if tuple(m.cols) != tuple(p.generators):
         raise ValueError("matrix does not match presentation")
-    return _dense(_word_row(p.end_minus), m.cols), _dense(_word_row(p.end_plus), m.cols)
+    return _matrix([_word_row(p.end_minus), _word_row(p.end_plus)], m.cols).rows
 
 
 def end_arc_columns(m):

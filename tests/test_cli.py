@@ -95,6 +95,7 @@ def test_det_on_closed_fails_before_any_computation(capsys, tmp_path, monkeypatc
     (["--charpoly", "1", "--color", "1"], "modulus must be at least 2"),
     (["--charpoly", "1", "--charpoly", "-1"], "k must be nonnegative"),
     (["--color", "3", "--charpoly", "-2", "--color", "0"], "k must be nonnegative"),
+    (["--det", "--color", str(10 ** 1000)], "modulus must be below 10^1000"),
 ])
 def test_bad_charpoly_or_color_fails_before_any_computation(capsys, corpus_dir, monkeypatch, flags, message):
     # the diagram is not even read: at c = 30 the minors alone took seconds before the check ran
@@ -114,6 +115,7 @@ def test_bad_charpoly_or_color_fails_before_any_computation(capsys, corpus_dir, 
     (["homcount", "-p", "4", "-s", "3"], "p must be prime"),
     (["homcount", "-p", "5", "-s", "10"], "s must be invertible mod p"),
     (["homcount", "-p", "3317044064679887385961981", "-s", "3"], "is not certified"),
+    (["color", "-p", "3", "-p", "9" + "0" * 4299], "modulus must be below 10^1000"),
 ])
 def test_bad_modulus_fails_before_the_diagram_is_read(capsys, tmp_path, monkeypatch, argv, message):
     # a missing input would be "cannot read"; the modulus is checked first
@@ -124,6 +126,15 @@ def test_bad_modulus_fails_before_the_diagram_is_read(capsys, tmp_path, monkeypa
     assert code == 2
     assert err.startswith("invalid configuration: ") and message in err
     assert calls == []
+
+
+def test_largest_coloring_modulus_prints_its_count(capsys, corpus_dir):
+    # 10^1000 is refused before the work; below it a count prints (a 4301-digit one did not)
+    p = 10 ** 1000 - 1  # divisible by 3, so the trefoil has 3p colorings
+    for argv in (["color", "-p", str(p)], ["invariants", "--color", str(p)]):
+        code, out, _ = run(capsys, argv[0], str(corpus_dir / "trefoil.gauss"), *argv[1:])
+        assert code == 0
+        assert out == f"p={p}: {3 * p} colorings (nontrivial)\n"
 
 
 def test_combined_invariants_request_matches_its_parts(capsys, corpus_dir, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import math
@@ -31,11 +32,12 @@ from oracles import (
     subs_reference,
     transfer_brute_force,
 )
-from vka import cli, invariants, laurent
+from vka import alexander, cli, invariants, laurent
 from vka.alexander import (
     abelianize,
     diagonal_t,
     extended_presentation,
+    merged_arc_rows,
     one_var_matrix,
     one_variable,
     quotient_kill,
@@ -507,6 +509,31 @@ def test_colorings_and_determinant_match_the_full_smith_route():
         assert [profile[f"colorings p={p}"] for p in invariants.PROFILE_MODULI] == [
             count[p] for p in invariants.PROFILE_MODULI]
         assert profile.get("determinant") == (det if d.kind == LONG else None)
+
+
+def test_closed_product_is_the_gcd_of_the_maximal_minors():
+    # every row of a closed diagram's A(-1, 1) sums to 0, so for c >= 1 the gcd is 0: the zero rows
+    # that the reduction drops keep their 0s, and the counts do not change
+    for seed in range(300):
+        d = parse_gauss(random_code(random.Random(seed), seed % 21, closed=True))
+        det, reports = invariants.coloring_reports(*merged_arc_rows(d), COLORING_MODULI)
+        assert (det, [rep.count for rep in reports]) == colorings_reference(one_var_matrix(d, -1), COLORING_MODULI), d
+        assert (det == 0) == (d.crossings > 0), d
+
+
+def test_counts_leave_the_matrix_they_read_unchanged():
+    # an L2 matrix's entries wrap the term dicts of its sparse_rows, which an in-place _reduce would change;
+    # the unreduced matrices have unit pivots
+    rng = random.Random(53)
+    for d in [parse_gauss(random_code(rng, rng.randint(1, 12), closed)) for closed in (False, True) for _ in range(10)]:
+        for quotient in quotients(d):
+            for m in (quotient_matrix(d, quotient), alexander._matrix(*quotient_rows(d, quotient))):
+                before = copy.deepcopy(m)
+                invariants.coloring_reports(*sparse_rows(m), COLORING_MODULI)
+                for p, s in HOM_CASES:
+                    for t in ("v1", "diag"):
+                        hom_count_to_cyclic(*sparse_rows(m), p, s, t)
+                assert m == before, (d, quotient)
 
 
 def test_long_reduced_matrix_is_r_by_r_plus_one():

@@ -30,7 +30,7 @@ from oracles import (
     subs_mod,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, PresentationMatrix, _at, _dense, _reduce, merged_arc_rows, one_var_matrix
+from vka.alexander import T_GEN, _at, _matrix, _reduce, merged_arc_rows, one_var_matrix
 from vka.diagram import LONG, dn_family, parse_gauss
 from vka.invariants import char_poly, invariant_profile, quotient_matrices, quotient_matrix, smith_normal_form
 from vka.laurent import UV, LaurentPoly
@@ -99,16 +99,16 @@ def test_reduce_never_pivots_in_a_kept_column():
         {"b": {(0, 0): 3}, "c": {(0, 0): 1, (0, 1): 1}},
     ]
     cols = ("a", "b", "c")
-    free = _reduce(_sparse(rows), cols)
-    assert "a" not in free.cols
-    sparse_rows, sparse_cols = _reduce(_sparse(rows), cols, keep={"a"})  # sparse while a column is kept
-    kept = PresentationMatrix("L2", sparse_cols, tuple(_dense(row, sparse_cols) for row in _sparse(sparse_rows)))
-    assert kept.cols == ("a", "c") and kept.shape == (2, 2)
-    assert kept.rows[0] == (LaurentPoly.const(UV, 1), LaurentPoly.zero(UV))  # row 0 is untouched
-    assert sparse_cols == kept.cols and sparse_rows[0] == rows[0]
-    assert _reduce(sparse_rows, sparse_cols) == free  # finished once a is free, as if it never was kept
+    free_rows, free_cols = free = _reduce(_sparse(rows), cols)  # rows and columns, whatever keep holds
+    assert free_cols == ("c",) and len(free_rows) == 1
+    kept_rows, kept_cols = _reduce(_sparse(rows), cols, keep={"a"})
+    assert kept_cols == ("a", "c") and len(kept_rows) == 2
+    assert kept_rows[0] == rows[0]  # row 0 is untouched
+    kept = _matrix(_sparse(kept_rows), kept_cols)
+    assert kept.rows[0] == (LaurentPoly.const(UV, 1), LaurentPoly.zero(UV))
+    assert _reduce(kept_rows, kept_cols) == free  # finished once a is free, as if it never was kept
     for k in range(3):
-        assert char_poly(kept, k) == char_poly(free, k)
+        assert char_poly(kept, k) == char_poly(_matrix(*free), k)
 
 
 def test_profile_reduces_all_of_a_once(monkeypatch):
