@@ -518,31 +518,27 @@ def _sub_product(target, f, g):
                 del target[e]
 
 
-def _unit_columns(row, keep):
-    """The columns of a sparse row, outside ``keep``, whose entry is a unit +-u^a v^b."""
-    return [g for g, entry in row.items()
-            if len(entry) == 1 and abs(next(iter(entry.values()))) == 1 and g not in keep]
-
-
-def _reduce(rows, cols, keep=()):
+def _pivot_out(rows, cols, units_of, clear):
     """Sparse rows over ``cols``, unit pivots eliminated: the rows left, in input order, and their columns.
 
-    A row maps column -> {exp: coeff}; the rows and their entries are
-    changed in place.  While an entry outside the columns ``keep`` is a
-    unit +-u^a v^b, the one of least Markowitz cost (row entries - 1) *
-    (column entries - 1) is taken, first in row order on ties: its column
-    is cleared from the other rows, and its row and column are dropped.
-    Each step is an elementary equivalence of presentations, so every
-    Fitting ideal, and with it every char poly and hom count, is kept.
-    Zero rows are dropped.  The rows left can go to a later ``_reduce``
-    or to ``_matrix``.
+    The one pivot loop under ``_reduce`` (term-dict entries) and
+    ``invariants._reduce_int`` (int entries), which differ only in entry
+    arithmetic: ``units_of(row)`` lists the columns of a row's unit entries
+    that may be pivots, and ``clear(row, entry, pivot, unit, j, where)``
+    subtracts entry / unit times the ``pivot`` row from row ``j``, whose
+    ``entry`` in the pivot column is already popped, and keeps ``where``
+    (column -> ids of the rows holding it) up to date.  While a row has a
+    unit, the one of least Markowitz cost (row entries - 1) * (column
+    entries - 1) is taken, first in row order on ties: its column is
+    cleared from the other rows, and its row and column are dropped.  Zero
+    rows are dropped.  The rows and their entries are changed in place.
     """
     where = {g: set() for g in cols}  # column -> ids of the rows holding it
     rows = {i: row for i, row in enumerate(rows) if row}  # in input order
     for i, row in rows.items():
         for g in row:
             where[g].add(i)
-    units = {i: _unit_columns(row, keep) for i, row in rows.items()}  # kept until the row changes
+    units = {i: units_of(row) for i, row in rows.items()}  # kept until the row changes
     while True:
         best = None
         for i, row_units in units.items():
@@ -562,29 +558,47 @@ def _reduce(rows, cols, keep=()):
         _, i, g = best
         pivot = rows.pop(i)
         del units[i]
-        (a, b), s = next(iter(pivot.pop(g).items()))
+        unit = pivot.pop(g)
         holders = where.pop(g)
         holders.discard(i)
         for h in pivot:
             where[h].discard(i)
         for j in holders:
-            # row -= (entry / pivot) * pivot row
             row = rows[j]
-            f = {(e0 - a, e1 - b): s * c for (e0, e1), c in row.pop(g).items()}
-            for h, pterms in pivot.items():
-                target = row.get(h)
-                if target is None:
-                    target = row[h] = {}
-                    where[h].add(j)
-                _sub_product(target, f, pterms)
-                if not target:
-                    del row[h]
-                    where[h].discard(j)
+            clear(row, row.pop(g), pivot, unit, j, where)
             if row:
-                units[j] = _unit_columns(row, keep)
+                units[j] = units_of(row)
             else:
                 del rows[j], units[j]
     return list(rows.values()), tuple(g for g in cols if g in where)
+
+
+def _clear_terms(row, entry, pivot, unit, j, where):
+    """``_pivot_out``'s step on term dicts: row -= (entry / unit) * pivot, unit a monomial +-u^a v^b."""
+    (a, b), s = next(iter(unit.items()))
+    f = {(e0 - a, e1 - b): s * c for (e0, e1), c in entry.items()}
+    for h, pterms in pivot.items():
+        target = row.get(h)
+        if target is None:
+            target = row[h] = {}
+            where[h].add(j)
+        _sub_product(target, f, pterms)
+        if not target:
+            del row[h]
+            where[h].discard(j)
+
+
+def _reduce(rows, cols, keep=()):
+    """Sparse rows {column: {(a, b): coeff}} over ``cols``, unit pivots eliminated (``_pivot_out``).
+
+    A pivot is an entry +-u^a v^b outside the columns ``keep``.  Each step
+    is an elementary equivalence of presentations, so every Fitting ideal,
+    and with it every char poly and hom count, is kept.  The rows left can
+    go to a later ``_reduce`` or to ``_matrix``.  Rows evaluated at a point
+    (``_at``) go to ``invariants._reduce_int`` instead.
+    """
+    return _pivot_out(rows, cols, lambda row: [g for g, e in row.items() if len(e) == 1 and g not in keep
+                                               and abs(next(iter(e.values()))) == 1], _clear_terms)
 
 
 T_GEN = LaurentPoly.monomial(TVAR, (1,))
@@ -611,7 +625,7 @@ def diagonal_t(m):
 
 
 def _at(rows, point, p=None):
-    """Sparse rows {column: {(a, b): coeff}} at (u, v) = ``point``, as such rows of constants, zeros left out.
+    """Sparse rows {column: {(a, b): coeff}} at (u, v) = ``point``, as int rows {column: value}, zeros left out.
 
     Over Z (``p`` None) the images must be +-1, so x^e is x^(e mod 2); mod a prime ``p`` a value
     is the residue of least absolute value, and ``pow(x, e, p)`` inverts x when e < 0.
@@ -623,7 +637,7 @@ def _at(rows, point, p=None):
             return sum(c * x ** (a % 2) * y ** (b % 2) for (a, b), c in terms.items())
         return (sum(c * pow(x, a, p) * pow(y, b, p) for (a, b), c in terms.items()) + half) % p - half
 
-    return [{g: {E0: v} for g, terms in row.items() if (v := value(terms))} for row in rows]
+    return [{g: v for g, terms in row.items() if (v := value(terms))} for row in rows]
 
 
 # -- merged arc matrices -----------------------------------------------
@@ -688,16 +702,18 @@ def one_var_matrix(d, t=T_GEN):
     Its rows are those of A(u, v) (``merged_arc_rows``) times their units,
     -1 at a positive crossing and -u^-1 at a negative one, at (u, v) = (t, 1):
     ``t`` = T_GEN gives ring "L1" (``one_variable``), 1 or -1 ring "Z"
-    (``_at``, where u^-1 = u), any other ``t`` a ValueError.  The coloring
-    matrix -A(-1) is A(-1, 1) with the rows of the negative crossings negated.
+    (the int rows of ``_at`` times the units' values -1 and -t), any other
+    ``t`` a ValueError.  The coloring matrix -A(-1) is A(-1, 1) with the rows
+    of the negative crossings negated.
     """
     if not (t == T_GEN or is_int(t) and t in (1, -1)):
         raise ValueError(f"{t!r} is not t, 1 or -1")
     rows, cols = merged_arc_rows(d)
     signs = {p.crossing: p.sign for p in d.passages}
+    if t != T_GEN:
+        units = [-t if signs[cid] < 0 else -1 for cid in range(1, len(rows) + 1)]
+        return PresentationMatrix("Z", cols, tuple(tuple(unit * row.get(g, 0) for g in cols)
+                                                   for unit, row in zip(units, _at(rows, (t, 1)))))
     rows = [{g: {(a - (signs[cid] < 0), b): -c for (a, b), c in entry.items()} for g, entry in row.items()}
             for cid, row in enumerate(rows, 1)]
-    if t == T_GEN:
-        return one_variable(_matrix(rows, cols))
-    return PresentationMatrix("Z", cols, tuple(tuple(row[g][E0] if g in row else 0 for g in cols)
-                                               for row in _at(rows, (t, 1))))
+    return one_variable(_matrix(rows, cols))

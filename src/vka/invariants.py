@@ -11,9 +11,9 @@ from itertools import chain, combinations
 from typing import NamedTuple
 
 from .alexander import (
-    E0,
     _at,
     _matrix,
+    _pivot_out,
     _reduce,
     extended_presentation,
     merged_arc_rows,
@@ -195,23 +195,40 @@ def smith_normal_form(rows):
     return tuple(d)
 
 
-def _smith_at(rows, cols, point, p=None):
-    """Smith invariants and columns left of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point`` (``_at``).
+def _clear_int(row, x, pivot, s, j, where):
+    """``_pivot_out``'s step on int rows: row -= (x / s) * pivot, s = +-1."""
+    f = x * s
+    for h, y in pivot.items():
+        if v := row.get(h, 0) - f * y:
+            row[h] = v
+            where[h].add(j)
+        else:
+            del row[h]
+            where[h].discard(j)
 
-    Those of the whole evaluated matrix, the zero rows ``_reduce`` drops included, less the 1s of its +-1 pivots:
+
+def _reduce_int(rows, cols):
+    """Int rows {column: value} over ``cols``, their +-1 pivots eliminated under ``_reduce``'s pick (``_pivot_out``)."""
+    return _pivot_out(rows, cols, lambda row: [g for g, x in row.items() if x == 1 or x == -1], _clear_int)
+
+
+def _smith_at(rows, cols, point, p=None):
+    """Smith invariants and columns left of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point``.
+
+    Those of the int rows ``_at`` gives, the zero rows ``_reduce_int`` drops included, less the 1s of its +-1 pivots:
     with no more rows than columns their product is the gcd of the maximal minors.  Mod a prime ``p`` nonzero values
-    are units: one ``_at`` a round scales the rows left to first nonzero values 1 mod p, until no row is left.
+    are units: each round scales the rows left to first nonzero values 1 mod p, as residues of least absolute value,
+    leaves out the rows zero mod p and eliminates again, until no row is left.
     """
     nrows, ncols = len(rows), len(cols)
-    at = _at(rows, point, p)
+    at, half = _at(rows, point, p), (p - 1) // 2 if p else 0
     while True:
-        rows, cols = _reduce(at, cols)
+        rows, cols = _reduce_int(at, cols)
         if p is None or not rows:
             break
-        # each row times the inverse of its first value nonzero mod p, and the rows zero mod p left out
-        at = _at([{g: {E0: unit * e[E0]} for g, e in row.items()} for row in rows
-                  if (unit := next((pow(e[E0], -1, p) for e in row.values() if e[E0] % p), 0))], (1, 1), p)
-    inv = smith_normal_form([[row[g][E0] if g in row else 0 for g in cols] for row in rows])
+        at = [{g: v for g, x in row.items() if (v := (unit * x + half) % p - half)} for row in rows
+              if (unit := next((pow(x, -1, p) for x in row.values() if x % p), 0))]
+    inv = smith_normal_form([[row.get(g, 0) for g in cols] for row in rows])
     return inv + (0,) * (min(nrows - ncols + len(cols), len(cols)) - len(inv)), len(cols)
 
 

@@ -553,18 +553,18 @@ def test_presentation_alone_builds_no_arc_matrix(capsys, corpus_dir, arc_builds)
 
 
 def test_count_commands_skip_the_two_variable_reduction(capsys, corpus_dir, monkeypatch):
-    # colorings, determinants and hom counts evaluate A(u, v) at their point first: every entry that
-    # reaches _reduce is a constant (its exponents are taken on entry, as _reduce changes entries in place)
-    exponents = []
-    real = invariants._reduce
-    monkeypatch.setattr(invariants, "_reduce", lambda rows, *a: exponents.extend(
-        set(e) for row in rows for e in row.values()) or real(rows, *a))
+    # colorings, determinants and hom counts evaluate A(u, v) at their point first, and eliminate the
+    # int rows' +-1 pivots in int arithmetic: the Laurent _reduce is never called
+    calls, eliminations = [], []
+    real = invariants._reduce_int
+    monkeypatch.setattr(invariants, "_reduce", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(invariants, "_reduce_int", lambda *a: eliminations.append(a) or real(*a))
     k4k5 = str(corpus_dir / "k4k5.gauss")
     for argv in (["color", k4k5, "-p", "3"],
                  ["homcount", k4k5, "-p", "5", "-s", "3", "--quotient", "end-minus"],
                  ["invariants", k4k5, "--det", "--color", "3"]):
         assert run(capsys, *argv)[0] == 0
-    assert exponents and all(e == {(0, 0)} for e in exponents)
+    assert calls == [] and eliminations
 
 
 def test_homcount_command(capsys, corpus_dir):

@@ -27,6 +27,7 @@ from oracles import (
     random_diagrams,
     random_long_diagram,
     rank_mod,
+    smith_normal_form_reference,
     subs_int,
     subs_mod,
     subs_reference,
@@ -407,6 +408,43 @@ def test_smith_divisibility_chain_and_minor_gcd_oracle():
                 for cs in combinations(range(n), k):
                     g = math.gcd(g, det_cofactor([[rows[i][j] for j in cs] for i in rs]))
             assert prod == g
+
+
+def _random_int_rows(rng):
+    """Sparse int rows {column: value}, values -5..5, and their columns: zero rows, empty columns, either shape."""
+    m, n = rng.randrange(0, 10), rng.randrange(1, 8)
+    empty = set(rng.sample(range(n), rng.randrange(0, n)))
+    density = rng.random()
+    rows = [{g: x for g in range(n) if g not in empty and rng.random() < density and (x := rng.randint(-5, 5))}
+            if rng.random() > 0.15 else {} for _ in range(m)]
+    return rows, tuple(range(n))
+
+
+INT_ELIMINATION_PRIMES = (2, 3, 5, 10 ** 25 + 13)
+
+
+def test_integer_elimination_keeps_smith_invariants_and_ranks_mod_p():
+    # the 1s of the +-1 pivots and the Smith form of the rest, the dropped zero rows included, are the input's
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(600):
+        rows, cols = _random_int_rows(rng)
+        dense = [[row.get(g, 0) for g in cols] for row in rows]
+        left, left_cols = invariants._reduce_int([dict(row) for row in rows], cols)
+        pivots = len(cols) - len(left_cols)
+        zero_rows = len(rows) - pivots - len(left)
+        rest = [[row.get(g, 0) for g in left_cols] for row in left] + [[0] * len(left_cols)] * zero_rows
+        assert (1,) * pivots + smith_normal_form(rest) == smith_normal_form_reference(dense), rows
+        constants = [{g: {(0, 0): x} for g, x in row.items()} for row in rows]  # for _smith_at at (1, 1)
+        for p in INT_ELIMINATION_PRIMES:
+            assert pivots + rank_mod(rest, p) == rank_mod(dense, p), (rows, p)
+            # and _smith_at's rounds mod p, which scale the rows left to pivots 1 mod p
+            inv, ncols = invariants._smith_at(constants, cols, (1, 1), p)
+            assert invariants._solutions_mod(inv, ncols, p) == p ** (len(cols) - rank_mod(dense, p)), (rows, p)
+        seen |= {("taller", len(rows) > len(cols)), ("wider", len(rows) < len(cols)), ("pivots", pivots > 0),
+                 ("zero rows", {} in rows), ("empty columns", any(not any(c) for c in zip(*dense))),
+                 ("rest", any(map(any, rest)))}
+    assert {name for name, hit in seen if hit} == {"taller", "wider", "pivots", "zero rows", "empty columns", "rest"}
 
 
 # -- colorings ---------------------------------------------------------------

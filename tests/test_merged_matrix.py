@@ -30,7 +30,7 @@ from oracles import (
     subs_mod,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, _at, _matrix, _reduce, merged_arc_rows, one_var_matrix
+from vka.alexander import T_GEN, _at, _matrix, _reduce, merged_arc_rows, one_var_matrix, sparse_rows
 from vka.diagram import LONG, dn_family, parse_gauss
 from vka.invariants import char_poly, invariant_profile, quotient_matrices, quotient_matrix, smith_normal_form
 from vka.laurent import UV, LaurentPoly
@@ -112,8 +112,8 @@ def test_reduce_never_pivots_in_a_kept_column():
 
 
 def test_profile_reduces_all_of_a_once(monkeypatch):
-    builds, reductions = [], []
-    real_rows, real_reduce = invariants.merged_arc_rows, invariants._reduce
+    builds, reductions, eliminations = [], [], []
+    real_rows, real_reduce, real_reduce_int = invariants.merged_arc_rows, invariants._reduce, invariants._reduce_int
 
     def build(d):
         rows, cols = real_rows(d)
@@ -124,19 +124,27 @@ def test_profile_reduces_all_of_a_once(monkeypatch):
         reductions.append(len(rows))
         return real_reduce(rows, *args, **kwargs)
 
+    def reduce_int(rows, cols):
+        eliminations.append([dict(row) for row in rows])  # the elimination changes its rows in place
+        return real_reduce_int(rows, cols)
+
     monkeypatch.setattr(invariants, "merged_arc_rows", build)
     monkeypatch.setattr(invariants, "_reduce", reduce)
+    monkeypatch.setattr(invariants, "_reduce_int", reduce_int)
     for d in catalog.corpus().values():
         if d.kind != LONG or not d.crossings:
             continue
         builds.clear()
         reductions.clear()
+        eliminations.clear()
         invariant_profile(d)
         assert builds == [d.crossings], d
-        # one reduction of all of A(u, v), then one finish per quotient on the rows it left, then the
-        # integer reduction of the none matrix's rows at (-1, 1) for the colorings
-        assert reductions[0] == d.crossings and len(reductions) == 4, d
+        # one reduction of all of A(u, v), then one finish per quotient on the rows it left
+        assert reductions[0] == d.crossings and len(reductions) == 3, d
         assert all(r < d.crossings for r in reductions[1:]), d
+        # then one integer elimination, of the none matrix's rows at (-1, 1), for the determinant and colorings
+        none_rows = _at(sparse_rows(quotient_matrices(d, ("none", "end-minus"))["none"])[0], (-1, 1))
+        assert eliminations == [none_rows], d
 
 
 # -- closed diagrams wrap into column 0 ------------------------------------
@@ -267,12 +275,13 @@ def test_evaluation_at_a_point_matches_the_references():
         for p in primes:
             point = (rng.randrange(1, p), rng.randrange(1, p))
             (row,) = _at([{"x": poly.terms}], point, p)
-            value = row["x"][(0, 0)] if row else 0
-            assert value % p == subs_mod(poly, point, p) and -p < 2 * value <= p and row in ({}, {"x": {(0, 0): value}})
+            value = row.get("x", 0)
+            assert value % p == subs_mod(poly, point, p) and -p < 2 * value <= p and row in ({}, {"x": value})
+            assert type(value) is int
         for point in product((1, -1), repeat=2):
             (row,) = _at([{"x": poly.terms}], point)
-            value = row["x"][(0, 0)] if row else 0
-            assert value == subs_int(poly, point) and row in ({}, {"x": {(0, 0): value}})
+            value = row.get("x", 0)
+            assert value == subs_int(poly, point) and row in ({}, {"x": value}) and type(value) is int
 
 
 def test_one_var_matrix_rejects_integers_that_are_not_units():
