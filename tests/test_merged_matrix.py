@@ -10,6 +10,7 @@ for two quotients at once, must agree with a fresh ``quotient_matrix`` per
 quotient.
 """
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -81,6 +82,20 @@ def test_quotient_matrix_matches_word_route(crossings):
         diagrams = random_diagrams(crossings, range(5 if crossings == 30 else 10))
     for d in diagrams:
         _assert_matches_word_route(d)
+
+
+def test_golden_reduced_matrices():
+    # pins every reduced matrix, entry order and shape included, and every profile
+    bases = list(catalog.corpus().values())
+    diagrams = bases + [dn_family(b, n) for b in bases if b.kind == LONG for n in range(1, 7)]
+    for crossings in (0, 4, 8, 12, 20, 30):
+        diagrams += random_diagrams(crossings, range(5))
+    lines = []
+    for d in diagrams:
+        lines += [repr(quotient_matrix(d, quotient)) for quotient in quotients(d)]
+        lines.append(repr(invariant_profile(d)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d7bb07b1ecbdd5837cc36650ea05c4c37a665ac5fcc738a5bb295df5f484255f"
 
 
 # -- one reduction serves every quotient --------------------------------
