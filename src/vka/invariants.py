@@ -432,40 +432,35 @@ def quotient_rows(d, quotient="none"):
     return _drop(rows, cols, {cols[e] for e in _killed_ends(d.kind == LONG, quotient)})
 
 
-def quotient_matrices(d, quotients):
-    """A unit-reduced module matrix per end quotient in ``quotients``, from one reduction of A(u, v).
-
-    An end quotient drops the columns of the ends it kills from the merged
-    arc matrix A(u, v), which has the elementary ideals of the abelianized
-    presentation; no word elimination runs.  One shared ``_reduce``, less
-    the columns all kill, takes no pivot in those only some kill.  A row
-    operation acts on each column on its own, so each quotient drops its
-    columns from a copy of the rows left and reduces that, with the Fitting
-    ideals it would have had.
-    """
-    rows, cols = merged_arc_rows(d)
-    killed = {q: {cols[e] for e in _killed_ends(d.kind == LONG, q)} for q in quotients}
-    common = set.intersection(*killed.values())
-    rows, cols = _reduce(*_drop(rows, cols, common), set.union(*killed.values()) - common)
-    # ``_reduce`` changes its rows and their entries in place, so each quotient reduces a copy of them
-    return {q: _matrix(*_reduce(*_drop([{g: dict(t) for g, t in row.items()} for row in rows], cols, own)))
-            for q, own in killed.items()}
-
-
 def quotient_matrix(d, quotient="none"):
-    """The unit-reduced module matrix of the requested end quotient (``quotient_matrices``)."""
-    return quotient_matrices(d, (quotient,))[quotient]
+    """The unit-reduced module matrix of the requested end quotient: its ``quotient_rows``, reduced once."""
+    return _matrix(*_reduce(*quotient_rows(d, quotient)))
+
+
+def _profile_matrices(d):
+    """The reduced matrices of ``invariant_profile``: ``none`` and, when ``d`` is long, ``end-minus``.
+
+    One ``_reduce`` of A(u, v) with no pivot in column 0, which ``end-minus`` kills, serves both.  A row
+    operation acts on each column on its own, so ``end-minus`` drops column 0 from a copy of the rows left
+    (``_reduce`` changes rows in place) and reduces that, and ``none`` finishes on the rows themselves.
+    """
+    if d.kind != LONG:
+        return {"none": quotient_matrix(d)}
+    rows, cols = merged_arc_rows(d)
+    rows, cols = _reduce(rows, cols, {cols[0]})
+    minus = _matrix(*_reduce(*_drop([{g: dict(t) for g, t in row.items()} for row in rows], cols, {cols[0]})))
+    return {"none": _matrix(*_reduce(rows, cols)), "end-minus": minus}
 
 
 def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
-    One reduction of A(u, v) serves both quotients, and the rows of the
-    reduced ``none`` matrix also serve the determinant and every coloring
-    count (``coloring_reports``).
+    One reduction of A(u, v) serves both quotients (``_profile_matrices``),
+    and the rows of the reduced ``none`` matrix also serve the determinant
+    and every coloring count (``coloring_reports``).
     """
     profile = {}
-    for quotient, mat in quotient_matrices(d, ("none", "end-minus") if d.kind == LONG else ("none",)).items():
+    for quotient, mat in _profile_matrices(d).items():
         if quotient == "none":
             det, colorings = coloring_reports(*sparse_rows(mat), PROFILE_MODULI)
         for k in (0, 1):

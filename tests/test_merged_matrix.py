@@ -1,18 +1,18 @@
 """The merged two-variable arc matrix A(u, v) and the route built on it.
 
-``invariants.quotient_matrices`` reduces A(u, v) once for a set of end
-quotients, then drops each quotient's killed end columns and finishes.
-Every matrix it gives, for every set of quotients, must give every char
-poly and hom count that the word route it replaced gives
+``invariants.quotient_matrix`` drops an end quotient's killed end columns
+from A(u, v) and reduces the rest once.  ``invariant_profile`` shares one
+reduction of A(u, v) between ``none`` and ``end-minus``, then finishes
+each.  Every matrix either gives must give every char poly and hom count
+that the word route it replaced gives
 (``oracles.quotient_matrix_reference``: the raw presentation's end
-quotient, then ``reduced_matrix``), and ``invariant_profile``, which asks
-for two quotients at once, must agree with a fresh ``quotient_matrix`` per
-quotient.
+quotient, then ``reduced_matrix``), and the profile must agree with a
+fresh ``quotient_matrix`` per quotient.
 """
 
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -32,16 +32,10 @@ from oracles import (
 )
 from vka import cli, invariants
 from vka.alexander import T_GEN, _at, _matrix, _reduce, merged_arc_rows, one_var_matrix, sparse_rows
-from vka.diagram import LONG, dn_family, parse_gauss
-from vka.invariants import char_poly, invariant_profile, quotient_matrices, quotient_matrix, smith_normal_form
+from vka.diagram import LONG, close, dn_family, parse_gauss
+from vka.invariants import char_poly, invariant_profile, quotient_matrix, smith_normal_form
 from vka.laurent import UV, LaurentPoly
 from vka.moves import random_walk
-
-
-def _quotient_sets(d):
-    """Every non-empty set of the quotients ``d`` has."""
-    qs = quotients(d)
-    return [subset for n in range(1, len(qs) + 1) for subset in combinations(qs, n)]
 
 
 def _key_order(merged):
@@ -52,22 +46,18 @@ def _key_order(merged):
 
 def _assert_matches_word_route(d, ks=(0, 1, 2)):
     """Char polys over L2, v1 and diag, and hom counts, for every quotient of d,
-    from every set of quotients that ``quotient_matrices`` may be asked for."""
+    from ``quotient_matrix`` and from the matrices ``invariant_profile`` shares one reduction for."""
     rows = merged_arc_rows(d)
     assert rows == merged_arc_rows_reference(d)
     # == ignores dict order, but _reduce breaks Markowitz ties by the order of rows and entries
     assert _key_order(rows) == _key_order(merged_arc_rows_by_words(d))
-    matrices = {}  # quotient -> the distinct matrices the sets holding it give
-    for subset in _quotient_sets(d):
-        given = quotient_matrices(d, subset)
-        assert list(given) == list(subset)
-        for quotient, m in given.items():
-            if m not in matrices.setdefault(quotient, []):
-                matrices[quotient].append(m)
-    assert list(matrices) == list(quotients(d))
-    for quotient, ms in matrices.items():
-        assert ms[0] == quotient_matrix(d, quotient)  # the set of that quotient alone comes first
+    shared = invariants._profile_matrices(d)
+    assert list(shared) == (["none", "end-minus"] if d.kind == LONG else ["none"])
+    for quotient in quotients(d):
         reference = quotient_matrix_reference(d, quotient)
+        ms = [quotient_matrix(d, quotient)]
+        if quotient in shared and shared[quotient] != ms[0]:
+            ms.append(shared[quotient])
         for m in ms:
             assert_same_module(reference, m, ks, (d, quotient))
 
@@ -98,7 +88,7 @@ def test_golden_reduced_matrices():
     assert digest == "d7bb07b1ecbdd5837cc36650ea05c4c37a665ac5fcc738a5bb295df5f484255f"
 
 
-# -- one reduction serves every quotient --------------------------------
+# -- one reduction per quotient, and one shared by the profile's pair -----
 
 
 def _sparse(entries):
@@ -126,39 +116,68 @@ def test_reduce_never_pivots_in_a_kept_column():
         assert char_poly(kept, k) == char_poly(_matrix(*free), k)
 
 
-def test_profile_reduces_all_of_a_once(monkeypatch):
-    builds, reductions, eliminations = [], [], []
-    real_rows, real_reduce, real_reduce_int = invariants.merged_arc_rows, invariants._reduce, invariants._reduce_int
+def _counted(monkeypatch):
+    """Record each ``merged_arc_rows`` call as its row count, and each ``_reduce`` call as (rows, keep)."""
+    builds, reductions = [], []
+    real_rows, real_reduce = invariants.merged_arc_rows, invariants._reduce
 
     def build(d):
         rows, cols = real_rows(d)
         builds.append(len(rows))
         return rows, cols
 
-    def reduce(rows, *args, **kwargs):
-        reductions.append(len(rows))
-        return real_reduce(rows, *args, **kwargs)
+    def reduce(rows, cols, keep=()):
+        reductions.append((len(rows), keep))
+        return real_reduce(rows, cols, keep)
+
+    monkeypatch.setattr(invariants, "merged_arc_rows", build)
+    monkeypatch.setattr(invariants, "_reduce", reduce)
+    return builds, reductions
+
+
+def _contract_diagrams():
+    """The corpus, each corpus code closed, and random codes at c = 8, long and closed."""
+    bases = list(catalog.corpus().values())
+    return bases + [close(d) for d in bases] + random_diagrams(8, range(3))
+
+
+def test_quotient_matrix_builds_and_reduces_once(monkeypatch):
+    builds, reductions = _counted(monkeypatch)
+    for d in _contract_diagrams():
+        for quotient in quotients(d):
+            builds.clear()
+            reductions.clear()
+            quotient_matrix(d, quotient)
+            assert builds == [d.crossings] and reductions == [(d.crossings, ())], (d, quotient)
+
+
+def test_profile_reduces_all_of_a_once(monkeypatch):
+    builds, reductions = _counted(monkeypatch)
+    eliminations = []
+    real_reduce_int = invariants._reduce_int
 
     def reduce_int(rows, cols):
         eliminations.append([dict(row) for row in rows])  # the elimination changes its rows in place
         return real_reduce_int(rows, cols)
 
-    monkeypatch.setattr(invariants, "merged_arc_rows", build)
-    monkeypatch.setattr(invariants, "_reduce", reduce)
     monkeypatch.setattr(invariants, "_reduce_int", reduce_int)
-    for d in catalog.corpus().values():
-        if d.kind != LONG or not d.crossings:
+    for d in _contract_diagrams():
+        if not d.crossings:
             continue
         builds.clear()
         reductions.clear()
         eliminations.clear()
         invariant_profile(d)
         assert builds == [d.crossings], d
-        # one reduction of all of A(u, v), then one finish per quotient on the rows it left
-        assert reductions[0] == d.crossings and len(reductions) == 3, d
-        assert all(r < d.crossings for r in reductions[1:]), d
+        if d.kind == LONG:
+            # one reduction of all of A(u, v), no pivot in the minus end's column, then one finish per quotient
+            # on the rows it left
+            assert len(reductions) == 3 and reductions[0] == (d.crossings, {merged_arc_rows(d)[1][0]}), d
+            assert all(r < d.crossings and not keep for r, keep in reductions[1:]), d
+        else:  # "none" alone: one reduction
+            assert reductions == [(d.crossings, ())], d
         # then one integer elimination, of the none matrix's rows at (-1, 1), for the determinant and colorings
-        none_rows = _at(sparse_rows(quotient_matrices(d, ("none", "end-minus"))["none"])[0], (-1, 1))
+        none_rows = _at(sparse_rows(invariants._profile_matrices(d)["none"])[0], (-1, 1))
         assert eliminations == [none_rows], d
 
 
@@ -225,7 +244,7 @@ def test_trefoil_ends_shape():
     assert char_poly(m, 0) == char_poly(quotient_matrix_reference(catalog.trefoil(), "ends"), 0)
 
 
-# -- invariant_profile reduces two copies of one A(u, v) ------------------
+# -- invariant_profile finishes one shared reduction per quotient ----------
 
 
 def test_profile_matches_a_fresh_quotient_matrix_per_quotient():
