@@ -17,7 +17,10 @@ best and median of 15.  One section per layer:
 - ``front_end``: ``parse_gauss`` on every input text of each workload and
   ``merged_arc_rows`` on the diagrams it gives, with the texts' passage
   count and the sha256 of the parsed codes and of the rows (their
-  ``repr``, which shows the key order of rows and entries);
+  ``repr``, which shows the key order of rows and entries); and the
+  command-line parse, ``cli._args``, on each workload's request list, with
+  the sha256 of the parsed namespaces (their items sorted by name, the
+  command function given by its name);
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
   ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
   with one, and that reach ``laurent.gcd``;
@@ -159,8 +162,10 @@ def replay(workload):
     """The (polys, vars) of every ``gcd_many`` call, the (diagram, seed, steps,
     max_crossings) of every ``random_walk`` call, the (diagram, quotient) of
     every ``quotient_pipeline`` call and the (diagram, moduli) of every
-    ``coloring_count`` call that the workload's requests make, and the text
-    of every Gauss file they read, in file order."""
+    ``coloring_count`` call that the workload's requests make, the text of
+    every Gauss file they read, in file order, and the requests, with their
+    input paths relative to the work directory, so they read the same on
+    every run."""
     gcd_calls, walks, presentations, colorings = [], [], [], []
     real_gcd_many, real_random_walk, real_pipeline = invariants.gcd_many, moves.random_walk, quotient_pipeline
 
@@ -192,11 +197,12 @@ def replay(workload):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 for request in requests:
                     cli.main(request)
+            requests = [[token.removeprefix(f"{work}/") for token in request] for request in requests]
         finally:
             invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count = (
                 real_gcd_many, real_random_walk, real_pipeline, coloring_count)
             os.chdir(cwd)
-    return gcd_calls, walks, presentations, colorings, texts
+    return gcd_calls, walks, presentations, colorings, texts, requests
 
 
 def pairwise(polys, vars):
@@ -243,10 +249,16 @@ def gcd_case(calls):
     }
 
 
-def front_end_case(texts, repeats=REPEATS):
-    """The ``front_end`` section's entry for one workload's input texts."""
+def parsed_args(args):
+    """One parsed namespace as text: its items sorted by name, the command function by its name."""
+    return repr(sorted({**vars(args), "func": args.func.__name__}.items()))
+
+
+def front_end_case(texts, requests, repeats=REPEATS):
+    """The ``front_end`` section's entry for one workload's input texts and request list."""
     diagrams, parse = best_and_median(lambda: [parse_gauss(text) for text in texts], repeats)
     rows, merge = best_and_median(lambda: [merged_arc_rows(d) for d in diagrams], repeats)
+    args, argv = best_and_median(lambda: [cli._args(request) for request in requests], repeats)
     return {
         "texts": len(texts),
         "passages": sum(len(d.passages) for d in diagrams),
@@ -255,8 +267,11 @@ def front_end_case(texts, repeats=REPEATS):
         "parse_median_s": parse["median_s"],
         "rows_best_s": merge["best_s"],
         "rows_median_s": merge["median_s"],
+        "argv_best_s": argv["best_s"],
+        "argv_median_s": argv["median_s"],
         "parsed_sha256": sha256(map(serialize_gauss, diagrams)),
         "rows_sha256": sha256(map(repr, rows)),
+        "args_sha256": sha256(map(parsed_args, args)),
     }
 
 
@@ -437,7 +452,7 @@ def run():
     print(f"gcd: {sum(r['calls'] for r in gcd.values())} calls, {sum(r['unequal'] for r in gcd.values())} unequal",
           file=sys.stderr)
 
-    front_end = {workload: front_end_case(replayed[4]) for workload, replayed in replays.items()}
+    front_end = {workload: front_end_case(*replayed[4:]) for workload, replayed in replays.items()}
     print(f"front_end: {sum(r['texts'] for r in front_end.values())} texts", file=sys.stderr)
     walks = walks_section(replays[WALK_WORKLOAD][1])
     print(f"walks: {walks['walks']} walks, {walks['scans']} scans", file=sys.stderr)
@@ -462,7 +477,7 @@ def run():
         "schema": 2,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "front_end": {
-            "layer": "diagram.parse_gauss and alexander.merged_arc_rows",
+            "layer": "diagram.parse_gauss, alexander.merged_arc_rows and cli._args",
             "workload": f"every input text of each benchmark workload's request list, seed {SEED}",
             "workloads": front_end,
         },

@@ -232,7 +232,9 @@ def build_parser():
     parser.add_argument("--max-coeff-bits", type=_at_least(0), default=None,
                         help="abort (exit 3) when an entry of the --charpoly input matrix (the "
                              "unit-reduced module matrix) has a coefficient longer than this many bits")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # not required: _args parses the options before the command without it, and reports a missing command itself
+    sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # command name -> its parser, for _args
 
     p = sub.add_parser("parse", help="validate and normalize a Gauss code")
     p.add_argument("input")
@@ -288,8 +290,28 @@ def _parser():
     return build_parser()
 
 
+def _args(argv=None):
+    """The namespace of ``argv`` (default ``sys.argv[1:]``), each token parsed once.
+
+    The first token that names a command splits ``argv``: the global options
+    before it take no value or an int, so in any valid invocation that token
+    is the command.  The top-level parser reads what comes before it and the
+    command's own parser what comes after, into the same namespace; an
+    ``argv`` with no command goes through the top-level parser whole.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    k = next((i for i, token in enumerate(argv) if token in parser.commands), None)
+    if k is None:  # help, an invalid choice, or a missing command, as the full parse reports them
+        parser.parse_known_args(argv)
+        parser.error("the following arguments are required: command")
+    args = parser.parse_args(argv[:k])
+    args.command = argv[k]
+    return parser.commands[argv[k]].parse_args(argv[k + 1:], args)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _args(argv)
     try:
         return args.func(args)
     except GaussCodeError as exc:

@@ -64,6 +64,14 @@ def _matches_record(section, recorded):
     assert _untimed(section) == _untimed({**recorded, "repeats": section["repeats"]})
 
 
+def _matches_front_end(bench, workload, texts, requests):
+    """The workload's ``front_end`` entry matches the record, the sha256 of the parsed namespaces too."""
+    recorded = RECORD["front_end"]["workloads"][workload]
+    section = bench.front_end_case(texts, requests, repeats=1)
+    _matches_record(section, recorded)
+    assert section["args_sha256"] == recorded["args_sha256"]
+
+
 def _hooks():
     """What ``replay`` rebinds while it runs, and the working directory."""
     return invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count, os.getcwd()
@@ -71,9 +79,9 @@ def _hooks():
 
 def test_fuzz_walks_replay_matches_the_record(bench):
     before = _hooks()
-    gcd_calls, walks, presentations, colorings, texts = bench.replay("fuzz-walks")
+    gcd_calls, walks, presentations, colorings, texts, requests = bench.replay("fuzz-walks")
     assert _hooks() == before
-    _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["fuzz-walks"])
+    _matches_front_end(bench, "fuzz-walks", texts, requests)
     assert presentations == colorings == []
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
@@ -86,8 +94,8 @@ def test_fuzz_walks_replay_matches_the_record(bench):
 
 
 def test_winding_colorings_replay_matches_the_record(bench):
-    _, _, _, colorings, texts = bench.replay("winding-colorings")
-    _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["winding-colorings"])
+    _, _, _, colorings, texts, requests = bench.replay("winding-colorings")
+    _matches_front_end(bench, "winding-colorings", texts, requests)
     assert colorings and all(ps == list(range(2, 30)) for _, ps in colorings)
     section = bench.colorings_section(colorings, repeats=1)
     recorded = dict(RECORD["colorings"])
@@ -99,8 +107,8 @@ def test_winding_colorings_replay_matches_the_record(bench):
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):
-    _, _, presentations, _, texts = bench.replay("invariants-ladder")
-    _matches_record(bench.front_end_case(texts, repeats=1), RECORD["front_end"]["workloads"]["invariants-ladder"])
+    _, _, presentations, _, texts, requests = bench.replay("invariants-ladder")
+    _matches_front_end(bench, "invariants-ladder", texts, requests)
     workload = bench.presentations_workload(presentations, repeats=1)
     _matches_record(workload, RECORD["presentations"]["workload"])
     assert workload["diagrams"] == 220

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ import time
 import pytest
 
 from oracles import quotients, random_code
+from test_readme import _block
 from conftest import REPO_ROOT
 from vka import alexander, cli, diagram, invariants
 from vka.cli import MAX_WINDINGS, main
@@ -698,6 +701,14 @@ def _reuse_calls(corpus_dir):
         ["parse", k1],
         ["invariants", k1],  # nothing requested, exit 2
         ["--json", "invariants", k1, "--presentation", "--quotient", "end-minus"],
+        [],  # no command, exit 2
+        ["--json"],
+        ["bogus", k1],  # invalid choice, exit 2
+        ["--max-minors", "color", k1],  # --max-minors takes no command name as its value, exit 2
+        ["color", k1, "-p", "3", "--bogus"],  # reported under the command's usage line, exit 2
+        ["color", k1, "--json", "-p", "3"],  # a global option after the command, exit 2
+        ["-h"],
+        ["color", "-h"],
     ]
 
 
@@ -732,3 +743,98 @@ def test_importing_the_cli_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, cwd=REPO_ROOT, timeout=60, check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def _readme_calls():
+    """The argv of each line of the README's command-line block."""
+    return [shlex.split(line, comments=True)[1:] for line in _block("Command line").splitlines() if line.strip()]
+
+
+def _workload_calls(tmp_path):
+    """Every request of the three benchmark workloads at seeds 1 and 2 (run from the checkout root)."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [request for workload in workloads.WORKLOADS for seed in (1, 2)
+            for request in workloads.build(workload, seed, tmp_path / f"{workload}-{seed}")]
+
+
+def _parsed(parse, argv):
+    """vars() of parse(argv), or the exit code when it exits."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_args_match_the_full_parse(capsys, corpus_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    k1 = str(corpus_dir / "k1.gauss")
+    short_forms = [  # abbreviated and "=" forms, and an unknown option before the command (exit 2)
+        ["--js", "color", k1, "-p", "3"],
+        ["--max-minors=5", "invariants", k1, "--charpoly", "1"],
+        ["--max-c=4", "--js", "fuzz", k1, "--max-cr", "9", "--st=3"],
+        ["color", k1, "-p3", "--mat"],
+        ["--json", "--max-m", "2", "homcount", k1, "-p", "5", "-s=3", "--q", "end-plus"],
+        ["--bogus", "parse", k1],
+    ]
+    assert all(isinstance(_parsed(cli._args, argv), dict) for argv in _readme_calls())
+    calls = _workload_calls(tmp_path) + _readme_calls() + _reuse_calls(corpus_dir) + short_forms
+    assert len(calls) > 1300
+    reference = cli.build_parser()
+    for argv in calls:
+        expected = _parsed(reference.parse_args, argv)
+        if isinstance(expected, dict) and expected["command"] is None:
+            expected = 2  # build_parser leaves the command optional; _args requires it
+        assert _parsed(cli._args, argv) == expected, argv
+    capsys.readouterr()
+
+
+def test_each_token_is_parsed_once(capsys, corpus_dir, monkeypatch):
+    # the top-level parser reads the tokens before the command, the command's parser the ones after it
+    k1 = str(corpus_dir / "k1.gauss")
+    parser = cli._parser()
+    seen = []
+    for name, p in [("vka", parser), *parser.commands.items()]:
+        def recording(args=None, namespace=None, name=name, real=p.parse_known_args):
+            seen.append((name, list(args)))
+            return real(args, namespace)
+        monkeypatch.setattr(p, "parse_known_args", recording)
+    for argv in (["parse", k1], ["--json", "parse", k1], ["--max-minors", "5", "--js", "color", k1, "-p", "3"],
+                 ["construct", "dn", k1, "2"], ["homcount", k1, "-p", "5", "-s", "3"]):
+        seen.clear()
+        k = next(i for i, token in enumerate(argv) if token in parser.commands)
+        assert main(argv) == 0
+        assert seen == [("vka", argv[:k]), (argv[k], argv[k + 1:])], argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code, usage, error", [
+    ([], 2, "usage: vka [-h]", "vka: error: the following arguments are required: command"),
+    (["--json"], 2, "usage: vka [-h]", "vka: error: the following arguments are required: command"),
+    (["bogus", "K1"], 2, "usage: vka [-h]", "vka: error: argument command: invalid choice: 'bogus'"),
+    (["--max-minors", "color", "K1"], 2, "usage: vka [-h]", "vka: error: argument --max-minors: expected one argument"),
+    (["color", "K1", "-p", "3", "--bogus"], 2, "usage: vka color [-h]",
+     "vka color: error: unrecognized arguments: --bogus"),
+    (["color", "K1", "--json", "-p", "3"], 2, "usage: vka color [-h]",
+     "vka color: error: unrecognized arguments: --json"),
+    (["-h"], 0, "usage: vka [-h]", None),
+    (["color", "-h"], 0, "usage: vka color [-h]", None),
+])
+def test_usage_errors_and_help(capsys, corpus_dir, argv, code, usage, error):
+    argv = [str(corpus_dir / "k1.gauss") if token == "K1" else token for token in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert (err if error else out).startswith(usage)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    if "invalid choice" in (error or ""):  # the list of commands after it is quoted or not by Python version
+        errors = [line.partition(" (choose from ")[0] for line in errors]
+    assert errors == ([error] if error else [])
+
+
+def test_command_options_are_read_by_the_command_alone(capsys, corpus_dir):
+    # "--max" abbreviates fuzz's --max-crossings and two global options: after the command only fuzz's parser reads it
+    code, out, _ = run(capsys, "fuzz", str(corpus_dir / "k1.gauss"), "--max", "5", "--steps", "0")
+    assert (code, out) == (0, "OK (invariants stable)\n")
