@@ -260,28 +260,46 @@ def test_presentation_follows_quotient(capsys, corpus_dir):
     assert str(invariants.char_poly(alexander.abelianize(shown), 0)) == "u^2*v - u + 1"
 
 
-def test_golden_presentation_digest(capsys, corpus_dir, tmp_path):
-    # pins the eliminated presentations: elimination order, relation
-    # orientation and dedupe survivors, for every valid --quotient
+def _golden_inputs(corpus_dir):
+    """(name, code) of every corpus file and of random long and closed codes at c = 0..12 and 20, seeds 0-3."""
     inputs = [(path.stem, path.read_text()) for path in sorted(corpus_dir.glob("*.gauss"))]
     for crossings in (*range(13), 20):
         for seed in range(4):
             for closed in (False, True):
                 name = f"{'closed' if closed else 'long'}-c{crossings}-s{seed}"
                 inputs.append((name, random_code(random.Random(seed), crossings, closed)))
+    return inputs
+
+
+def _golden_digest(capsys, corpus_dir, tmp_path, flag_sets):
+    """sha256 over the --json reports of `invariants CODE FLAGS --quotient Q`, input path left out,
+    for every golden input, every valid Q and every flag set, in that order."""
     lines = []
-    for name, text in inputs:
+    for name, text in _golden_inputs(corpus_dir):
         path = tmp_path / f"{name}.gauss"
         path.write_text(text + "\n")
         for quotient in quotients(diagram.parse_gauss(text)):
-            code, out, _ = run(capsys, "--json", "invariants", str(path), "--presentation",
-                               "--quotient", quotient)
-            assert code == 0
-            payload = json.loads(out)
-            del payload["input"]
-            lines.append(f"{name} {json.dumps(payload, sort_keys=True)}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for flags in flag_sets:
+                code, out, _ = run(capsys, "--json", "invariants", str(path), *flags, "--quotient", quotient)
+                assert code == 0
+                payload = json.loads(out)
+                del payload["input"]
+                lines.append(f"{name} {json.dumps(payload, sort_keys=True)}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_golden_presentation_digest(capsys, corpus_dir, tmp_path):
+    # pins the eliminated presentations: elimination order, relation
+    # orientation and dedupe survivors, for every valid --quotient
+    digest = _golden_digest(capsys, corpus_dir, tmp_path, [("--presentation",)])
     assert digest == "3adfeb70a39ed15c6a98d9ca9958ee264e01f71cd79c22b6fcb60ec5070a3676"
+
+
+def test_golden_charpoly_digest(capsys, corpus_dir, tmp_path):
+    # pins the char-poly report bytes, ring tag and variable name included, of every --t and every valid --quotient
+    flag_sets = [("--charpoly", "0", "--charpoly", "1", "--t", t) for t in ("uv", "v1", "diag")]
+    digest = _golden_digest(capsys, corpus_dir, tmp_path, flag_sets)
+    assert digest == "c7970c606b64539a3a49b5f97de2c444bd2a90bb4755150f4ac2d8ea744f9c6e"
 
 
 def test_golden_coloring_matrix_bytes(capsys, corpus_dir, monkeypatch):
