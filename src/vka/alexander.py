@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .diagram import LONG, OVER, UNDER, is_int
-from .laurent import UV, LaurentPoly, TVAR
+from .laurent import UV, LaurentPoly
 
 
 class OpLetter(NamedTuple):
@@ -458,8 +458,8 @@ def quotient_kill(p, victims):
 class PresentationMatrix(NamedTuple):
     """Relations-by-generators matrix over a tagged coefficient ring.
 
-    ring is one of "L2" (Z[u,v] Laurent), "L1" (Z[t] Laurent) or "Z";
-    entries are LaurentPoly for the Laurent rings and int over Z.
+    ring is "L2" (Z[u^+-1, v^+-1], entries LaurentPoly) or "Z" (entries
+    int).  The one-variable specializations are L2 matrices in u alone.
     """
 
     ring: str
@@ -601,26 +601,24 @@ def _reduce(rows, cols, keep=()):
                                                and abs(next(iter(e.values()))) == 1], _clear_terms)
 
 
-T_GEN = LaurentPoly.monomial(TVAR, (1,))
-
-
 def _specialized(m, exp):
-    """The L1 matrix of the L2 matrix ``m``, each term c*u^a*v^b sent to c*t^exp(a, b); equal exponents add up."""
+    """The L2 matrix ``m`` with each term c*u^a*v^b sent to c*u^exp(a, b); equal exponents add up.
+
+    The image lies in Z[u^+-1], inside the one Laurent ring: t is read as u.
+    """
     if m.ring != "L2":
         raise ValueError("a specialization expects an L2 matrix")
-    zero = LaurentPoly.zero(TVAR)
-    return PresentationMatrix("L1", m.cols, tuple(tuple(
-        LaurentPoly(TVAR, (((exp(a, b),), c) for (a, b), c in e.terms.items())) if e else zero for e in row)
-        for row in m.rows))
+    return PresentationMatrix("L2", m.cols, tuple(tuple(
+        LaurentPoly(UV, (((exp(a, b), 0), c) for (a, b), c in e.terms.items())) for e in row) for row in m.rows))
 
 
 def one_variable(m):
-    """Set v = 1 and rename u to t (the one-variable specialization): u^a v^b -> t^a."""
+    """Set v = 1 (the one-variable specialization, t read as u): u^a v^b -> u^a."""
     return _specialized(m, lambda a, b: a)
 
 
 def diagonal_t(m):
-    """Set u = v = t: u^a v^b -> t^(a + b)."""
+    """Set u = v = t, t read as u: u^a v^b -> u^(a + b)."""
     return _specialized(m, lambda a, b: a + b)
 
 
@@ -696,24 +694,17 @@ def merged_arc_rows(d):
     return rows, tuple(cols)
 
 
-def one_var_matrix(d, t=T_GEN):
-    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing, t^-1 for t at a negative one.
+def one_var_matrix(d, t):
+    """Merged arc matrix A(t) at t = 1 or -1, ring "Z": rows UO - t*UI - (1-t)*OV per crossing.
 
-    Its rows are those of A(u, v) (``merged_arc_rows``) times their units,
-    -1 at a positive crossing and -u^-1 at a negative one, at (u, v) = (t, 1):
-    ``t`` = T_GEN gives ring "L1" (``one_variable``), 1 or -1 ring "Z"
-    (the int rows of ``_at`` times the units' values -1 and -t), any other
-    ``t`` a ValueError.  The coloring matrix -A(-1) is A(-1, 1) with the rows
-    of the negative crossings negated.
+    Its rows are the int rows of A(u, v) at (u, v) = (t, 1) (``_at``) times their units' values,
+    -1 at a positive crossing and -t at a negative one; any other ``t`` is a ValueError.  The
+    coloring matrix -A(-1) is A(-1, 1) with the rows of the negative crossings negated.
     """
-    if not (t == T_GEN or is_int(t) and t in (1, -1)):
-        raise ValueError(f"{t!r} is not t, 1 or -1")
+    if not (is_int(t) and t in (1, -1)):
+        raise ValueError(f"{t!r} is not 1 or -1")
     rows, cols = merged_arc_rows(d)
     signs = {p.crossing: p.sign for p in d.passages}
-    if t != T_GEN:
-        units = [-t if signs[cid] < 0 else -1 for cid in range(1, len(rows) + 1)]
-        return PresentationMatrix("Z", cols, tuple(tuple(unit * row.get(g, 0) for g in cols)
-                                                   for unit, row in zip(units, _at(rows, (t, 1)))))
-    rows = [{g: {(a - (signs[cid] < 0), b): -c for (a, b), c in entry.items()} for g, entry in row.items()}
-            for cid, row in enumerate(rows, 1)]
-    return one_variable(_matrix(rows, cols))
+    units = [-t if signs[cid] < 0 else -1 for cid in range(1, len(rows) + 1)]
+    return PresentationMatrix("Z", cols, tuple(tuple(unit * row.get(g, 0) for g in cols)
+                                               for unit, row in zip(units, _at(rows, (t, 1)))))

@@ -16,6 +16,7 @@ import sys
 from . import alexander, diagram, invariants, moves
 from .diagram import GaussCodeError, parse_gauss, serialize_gauss
 from .invariants import BudgetExceeded
+from .laurent import TVAR, LaurentPoly
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -116,13 +117,16 @@ def cmd_invariants(args):
     if args.charpoly:
         # reduced on its own, so the budgets read the same with or without --det and --color
         mat = reduced = invariants.quotient_matrix(d, args.quotient)
-        if args.t in SPECIALIZATIONS:
+        specialized = args.t in SPECIALIZATIONS
+        if specialized:
             mat = getattr(alexander, SPECIALIZATIONS[args.t])(mat)
         _check_coeff_budget(mat, args.max_coeff_bits)
         entries = []
         for k in args.charpoly:
             value = invariants.char_poly(mat, k, max_minors=args.max_minors)
-            entries.append({"k": k, "ring": mat.ring, "value": str(value)})
+            if specialized:  # a polynomial in u alone, reported over Z[t^+-1] with u written as t
+                value = LaurentPoly(TVAR, {(a,): c for (a, _), c in value.terms.items()})
+            entries.append({"k": k, "ring": "L1" if specialized else "L2", "value": str(value)})
             lines.append(str(value))
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:

@@ -24,7 +24,7 @@ from .alexander import (
     tietze_from_diagram,
 )
 from .diagram import LONG
-from .laurent import UV, TVAR, LaurentPoly, _least, gcd_many, pack, unpack
+from .laurent import UV, LaurentPoly, _least, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
 PROFILE_MODULI = (3, 5, 7)  # the coloring counts of ``invariant_profile``
@@ -36,9 +36,6 @@ class BudgetExceeded(RuntimeError):
 
 
 # -- exact determinants and minors -------------------------------------
-
-RING_VARS = {"L2": UV, "L1": TVAR}  # the Laurent rings; "Z" has plain ints
-
 
 def det_exact(rows):
     """Fraction-free (Bareiss) determinant of a square integer matrix.
@@ -69,42 +66,38 @@ def det_exact(rows):
     return out if sign > 0 else -out
 
 
-def _kronecker(rows, size, vars):
-    """Integer images of a Laurent matrix and the decoder of its minors.
+def _kronecker(rows, size):
+    """Integer images of an L2 matrix and the decoder of its minors.
 
     Each row, and then each column, is divided by the monomial of its
     least exponents, so that every entry is a polynomial; the minors pick
     the shifts of their rows and columns back up.  The entries are then
-    mapped by ``laurent.pack``: u -> X = 2^B, v -> X^D (t -> X in one
-    variable).  That map is a ring homomorphism, so an integer minor is
-    the image of the polynomial minor.  A minor's coefficients are at
-    most the product of its rows' 1-norms, below 2^(B-1), and its u-degree
-    is at most the sum of its rows' u-degrees, below D, so
-    ``laurent.unpack`` reads its coefficients off the balanced base-X
-    digits of the image, exponent (a, b) at digit a + D*b.
+    mapped by ``laurent.pack``: u -> X = 2^B, v -> X^D.  That map is a
+    ring homomorphism, so an integer minor is the image of the polynomial
+    minor.  A minor's coefficients are at most the product of its rows'
+    1-norms, below 2^(B-1), and its u-degree is at most the sum of its
+    rows' u-degrees, below D, so ``laurent.unpack`` reads its coefficients
+    off the balanced base-X digits of the image, exponent (a, b) at digit
+    a + D*b.
     """
-    nvars = len(vars)
     lows = [[p.min_exps() if p else None for p in row] for row in rows]
-    row_low = [_least([e for e in row if e], nvars) for row in lows]
+    row_low = [_least([e for e in row if e], 2) for row in lows]
     col_low = [
-        _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]], nvars)
+        _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]], 2)
         for j in range(len(rows[0]))
     ]
     offsets = [[tuple(map(operator.add, rlow, clow)) for clow in col_low] for rlow in row_low]
     norms = [sum(abs(c) for p in row for c in p.terms.values()) for row in rows]
     B = math.prod(sorted(norms)[-size:]).bit_length() + 1
-    D = 1
-    if nvars == 2:
-        degrees = [
-            max((max(p.terms)[0] - o[0] for p, o in zip(row, offs) if p), default=0)
-            for row, offs in zip(rows, offsets)
-        ]
-        D = sum(sorted(degrees)[-size:]) + 1
+    degrees = [
+        max((max(p.terms)[0] - o[0] for p, o in zip(row, offs) if p), default=0) for row, offs in zip(rows, offsets)
+    ]
+    D = sum(sorted(degrees)[-size:]) + 1
     packed = [[pack(p, o, B, D) for p, o in zip(row, offs)] for row, offs in zip(rows, offsets)]
 
     def decode(x, rs, cs):
         shift = tuple(map(sum, zip(*[row_low[i] for i in rs], *[col_low[j] for j in cs])))
-        return unpack(x, B, D, vars, shift)
+        return unpack(x, B, D, UV, shift)
 
     return packed, decode
 
@@ -113,15 +106,15 @@ def _minors(m, k, max_minors):
     """Yield the minors of size (columns - k), after the budget check.
 
     Size zero (k >= columns) yields 1; a size exceeding the row count
-    yields nothing (the zero ideal).  A Laurent matrix is packed into
+    yields nothing (the zero ideal).  An L2 matrix is packed into
     integers once, and every minor of size 2 or more is an integer
     Bareiss determinant, decoded.
     """
     nrows, ncols = m.shape
     size = ncols - k
-    vars = RING_VARS.get(m.ring)
+    laurent = m.ring == "L2"
     if size <= 0:
-        yield 1 if vars is None else LaurentPoly.const(vars, 1)
+        yield LaurentPoly.const(UV, 1) if laurent else 1
         return
     if size > nrows:
         return
@@ -129,8 +122,8 @@ def _minors(m, k, max_minors):
     if count > max_minors:
         raise BudgetExceeded(f"{count} minors of size {size} exceed budget {max_minors}")
     rows, decode = m.rows, None
-    if vars is not None and size > 1:  # a 1x1 minor is its entry, over any ring
-        rows, decode = _kronecker(rows, size, vars)
+    if laurent and size > 1:  # a 1x1 minor is its entry, over any ring
+        rows, decode = _kronecker(rows, size)
     for rs in combinations(range(nrows), size):
         picked = [rows[i] for i in rs]
         for cs in combinations(range(ncols), size):
@@ -147,11 +140,9 @@ def elementary_minors(m, k, max_minors=DEFAULT_MINOR_BUDGET):
 
 def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
     """Canonical gcd of the k-th ideal's minors (0 for the empty list)."""
-    if m.ring not in RING_VARS:
+    if m.ring != "L2":
         raise ValueError("char_poly expects a Laurent presentation matrix")
-    vars = RING_VARS[m.ring]
-    minors = elementary_minors(m, k, max_minors=max_minors)
-    return gcd_many(minors, vars=vars)
+    return gcd_many(elementary_minors(m, k, max_minors=max_minors), vars=UV)
 
 
 # -- integer linear algebra --------------------------------------------

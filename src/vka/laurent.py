@@ -1,10 +1,10 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
-Two coefficient rings are used throughout the package: Z[u,v] with both
-variables invertible (two-variable arc-group modules) and Z[t] with t
-invertible (one-variable specializations).  A polynomial is a map from
-integer exponent vectors to nonzero coefficients; all arithmetic is exact,
-with arbitrary-precision integers.
+The package computes in Z[u,v] with both variables invertible; its
+one-variable specializations lie in Z[u].  Polynomials are generic over
+their variable names, and the CLI prints those images in t.  A polynomial
+is a map from integer exponent vectors to nonzero coefficients; all
+arithmetic is exact, with arbitrary-precision integers.
 """
 
 from __future__ import annotations

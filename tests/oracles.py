@@ -44,7 +44,6 @@ from typing import NamedTuple
 
 from vka.alexander import (
     E0,
-    T_GEN,
     arc_names,
     GroupPresentationZ2,
     OpLetter,
@@ -63,7 +62,6 @@ from vka.alexander import (
 from vka import moves
 from vka.diagram import CLOSED, LONG, OVER, UNDER, Diagram, GaussCodeError, Passage, is_int, parse_gauss
 from vka.invariants import (
-    RING_VARS,
     _end_quotient,
     _solutions_mod,
     char_poly,
@@ -73,7 +71,7 @@ from vka.invariants import (
 from vka.laurent import LaurentPoly, TVAR, UV, divexact
 from vka.moves import MoveSite
 
-T_ONE = LaurentPoly.const(TVAR, 1)
+U = LaurentPoly.monomial(UV, (1, 0))  # t read as u: the Laurent A(t) of ``one_var_matrix_reference``
 
 
 def convolve(p, q):
@@ -140,15 +138,14 @@ def det_exact_reference(rows, vars):
 
 
 def minors_reference(m, k):
-    """The minors of size (columns - k) of a Laurent matrix, in
+    """The minors of size (columns - k) of an L2 matrix, in
     ``elementary_minors`` order, each by ``det_exact_reference``."""
-    vars = RING_VARS[m.ring]
     nrows, ncols = m.shape
     size = ncols - k
     if size <= 0:
-        return [LaurentPoly.const(vars, 1)]
+        return [LaurentPoly.const(UV, 1)]
     return [
-        det_exact_reference([[m.rows[i][j] for j in cs] for i in rs], vars)
+        det_exact_reference([[m.rows[i][j] for j in cs] for i in rs], UV)
         for rs in combinations(range(nrows), size)
         for cs in combinations(range(ncols), size)
     ]
@@ -842,14 +839,15 @@ def merged_arc_rows_by_words(d):
             for cid in range(1, d.crossings + 1)], cols
 
 
-def one_var_matrix_reference(d, t=T_GEN):
-    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing.
+def one_var_matrix_reference(d, t=U):
+    """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing, t^-1 for t at a negative one.
 
     The per-crossing builder that ``one_var_matrix`` replaced by units
     times the rows of A(u, v), on the columns of ``arc_classes``.  ``t`` is
-    the image of t.  T_GEN gives the Laurent matrix over Z[t^+-1] (ring
-    "L1"); 1 or -1 gives the integer specialization (ring "Z"), where
-    t^-1 = t.  The coloring matrix is -A(-1).
+    the image of t.  ``U`` gives the Laurent matrix over Z[t^+-1] with t
+    read as u (ring "L2", as ``one_variable`` gives it); 1 or -1 gives the
+    integer specialization (ring "Z"), where t^-1 = t, which is all that
+    ``one_var_matrix`` builds.  The coloring matrix is -A(-1).
     """
     arcs = arc_structure(d)
     classes, _, col_names = arc_classes(d)
@@ -859,7 +857,7 @@ def one_var_matrix_reference(d, t=T_GEN):
             raise ValueError(f"{t} is not a unit of Z")
         ring, zero, one, tinv = "Z", 0, 1, t
     else:
-        ring, zero, one, tinv = "L1", LaurentPoly.zero(TVAR), T_ONE, t.inverse()
+        ring, zero, one, tinv = "L2", LaurentPoly.zero(UV), LaurentPoly.const(UV, 1), t.inverse()
     sign_of = {p.crossing: p.sign for p in d.passages}
     rows = []
     for cid in sorted(arcs.crossings):
@@ -905,12 +903,12 @@ def hom_count_by_specialization_reference(m, t, p, s):
     """Maps to Z/p with t acting as s, from the reduced L2 matrix ``m`` of a quotient.
 
     The route ``hom_count_to_cyclic`` took before it evaluated A(u, v) at a
-    point: ``m`` goes to Z[t^+-1] by ``one_variable`` (``t`` "v1") or
-    ``diagonal_t`` ("diag"), each entry is evaluated at s mod p
+    point: ``m`` goes to Z[u^+-1] by ``one_variable`` (``t`` "v1") or
+    ``diagonal_t`` ("diag"), each entry is evaluated at u = s mod p
     (``subs_mod``), and the count is p^(columns - rank mod p).
     """
     m = {"v1": one_variable, "diag": diagonal_t}[t](m)
-    return p ** (len(m.cols) - rank_mod([[subs_mod(e, (s,), p) for e in row] for row in m.rows], p))
+    return p ** (len(m.cols) - rank_mod([[subs_mod(e, (s, 1), p) for e in row] for row in m.rows], p))
 
 
 def smith_normal_form_reference(rows):
@@ -1084,20 +1082,19 @@ def end_generator_columns(p, m):
 
 
 def end_arc_columns(m):
-    """Unit columns at the first and at the last column of m: the end arcs in a long diagram's A(t)."""
-    vars = RING_VARS[m.ring]
-    units = [LaurentPoly.const(vars, 1)] + [LaurentPoly.zero(vars)] * (len(m.cols) - 1)
+    """Unit columns at the first and at the last column of the L2 matrix m: the end arcs in a long diagram's A(t)."""
+    units = [LaurentPoly.const(UV, 1)] + [LaurentPoly.zero(UV)] * (len(m.cols) - 1)
     return units, units[::-1]
 
 
 def difference_in_rowspan(m, a, b):
-    """Whether a - b lies in the row space of the Laurent matrix m mod p at each unit point.
+    """Whether a - b lies in the row space of the L2 matrix m mod p at each unit point (u, v).
 
-    ``a`` and ``b`` are columns of Laurent polynomials over m's ring.  One
+    ``a`` and ``b`` are columns of two-variable Laurent polynomials.  One
     bool per p = 3, 5, 7 and per point of nonzero residues mod p, in order.
     """
     for p in (3, 5, 7):
-        for point in product(range(1, p), repeat=len(RING_VARS[m.ring])):
+        for point in product(range(1, p), repeat=2):
             rows = [[subs_mod(x, point, p) for x in row] for row in m.rows]
             diff = [subs_mod(x - y, point, p) for x, y in zip(a, b)]
             yield rank_mod(rows + [diff], p) == rank_mod(rows, p)

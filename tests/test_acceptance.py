@@ -26,10 +26,11 @@ from oracles import (
 from vka.alexander import (
     OpLetter,
     OpRelation,
+    _matrix,
     abelianize,
     diagonal_t,
     extended_presentation,
-    one_var_matrix,
+    merged_arc_rows,
     one_variable,
     quotient_kill,
     sparse_rows,
@@ -184,16 +185,16 @@ def test_criterion_7_move_invariance():
 
 def test_criterion_8_classical_sanity():
     d = catalog.trefoil()
-    a = one_var_matrix(d)
+    a = one_variable(_matrix(*merged_arc_rows(d)))  # A(t) up to row units, t read as u
     poly = char_poly(a, 1)
     det = determinant_long(d)
-    ok = str(poly) == "t^2 - t + 1" and det == 3
+    ok = str(poly) == "u^2 - u + 1" and det == 3
     # re-derive both values through cofactor expansion of the maximal minors
     minors = maximal_minors(a.rows, len(a.cols))
     oracle_poly = minors[0]
     for m in minors[1:]:
         oracle_poly = gcd(oracle_poly, m)
-    oracle_det = math.gcd(*(subs_int(m, (-1,)) for m in minors))
+    oracle_det = math.gcd(*(subs_int(m, (-1, 1)) for m in minors))
     ok = ok and oracle_poly.canonical() == poly and abs(oracle_det) == det
     # the end arcs lie in the first and the last column of A(t)
     ok = ok and all(difference_in_rowspan(a, *end_arc_columns(a)))

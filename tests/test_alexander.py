@@ -11,7 +11,6 @@ from oracles import (
     end_arc_columns,
     end_generator_columns,
     is_trivial_presentation,
-    l1,
     l2,
     normalize_relation_reference,
     quotients,
@@ -25,8 +24,10 @@ from vka.alexander import (
     GroupPresentationZ2,
     OpLetter,
     OpRelation,
+    _matrix,
     abelianize,
     extended_presentation,
+    merged_arc_rows,
     normalize_relation,
     one_var_matrix,
     one_variable,
@@ -357,8 +358,8 @@ def test_abelianize_k1_eliminated_golden():
 def test_one_variable_entries():
     m = abelianize(tietze_eliminate(extended_presentation(catalog.k1())))
     t = one_variable(m)
-    assert t.ring == "L1"
-    assert t.rows == ((parse_poly("t^2 - t + 1", ("t",)), parse_poly("-t^2 + t - 1", ("t",))),)
+    assert t.ring == "L2"  # in u alone: t is read as u
+    assert t.rows == ((parse_poly("u^2 - u + 1"), parse_poly("-u^2 + u - 1")),)
 
 
 def test_one_variable_merge_row():
@@ -369,14 +370,15 @@ def test_one_variable_merge_row():
         end_plus=(L("d"),),
     )
     t = one_variable(abelianize(p))
-    assert t.rows == ((l1({0: 1}), l1({0: -1})),)
+    assert t.rows == ((l2({(0, 0): 1}), l2({(0, 0): -1})),)
 
 
 def test_one_var_matrix_shapes():
     rng = random.Random(17)
     for _ in range(40):
         d = random_long_diagram(rng)
-        assert one_var_matrix(d).shape == (d.crossings, d.crossings + 1)
+        for t in (1, -1):
+            assert one_var_matrix(d, t).shape == (d.crossings, d.crossings + 1)
 
 
 # -- end generators ------------------------------------------------------
@@ -432,8 +434,8 @@ def test_k4_ends_are_equal():
 
 
 def test_classical_trefoil_ends_equal_one_variable():
-    # the end arcs lie in the first and the last column of A(t)
-    a = one_var_matrix(catalog.trefoil())
+    # the end arcs lie in the first and the last column of A(t), whose rows are those of A(u, 1) times units
+    a = one_variable(_matrix(*merged_arc_rows(catalog.trefoil())))
     assert all(difference_in_rowspan(a, *end_arc_columns(a)))
 
 
@@ -441,7 +443,7 @@ def test_classical_trefoil_ends_equal_one_variable():
 
 
 def test_product_quotient_modules_golden():
-    tsq = parse_poly("t^2 - t - 1", ("t",))
+    tsq = parse_poly("u^2 - u - 1")  # t read as u
     m45 = abelianize(quotient_pipeline(catalog.k4k5(), "end-minus"))
     from vka.alexander import diagonal_t
 
@@ -451,7 +453,7 @@ def test_product_quotient_modules_golden():
     m54t = diagonal_t(abelianize(quotient_pipeline(catalog.k5k4(), "end-minus")))
     assert char_poly(m54t, 0) == (tsq * tsq).canonical()
     # cyclic module: the first ideal is everything
-    assert char_poly(m54t, 1) == LaurentPoly.const(("t",), 1)
+    assert char_poly(m54t, 1) == LaurentPoly.const(UV, 1)
 
 
 # -- returned presentations ---------------------------------------------

@@ -237,7 +237,8 @@ def test_json_char_polys_read_back(capsys, corpus_dir, t):
         if t in cli.SPECIALIZATIONS:
             mat = getattr(alexander, cli.SPECIALIZATIONS[t])(mat)
         for entry in json.loads(out)["charpoly"]:
-            value = parse_poly(entry["value"], invariants.RING_VARS[entry["ring"]])
+            assert entry["ring"] == ("L2" if t == "uv" else "L1")
+            value = parse_poly(entry["value"].replace("t", "u"))  # "L1" values are in u alone, printed in t
             assert value == invariants.char_poly(mat, entry["k"]), (path.name, entry)
 
 

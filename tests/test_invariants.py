@@ -10,7 +10,6 @@ import pytest
 import catalog
 from oracles import (
     HOM_CASES,
-    T_ONE,
     arc_classes,
     brute_force_colorings,
     brute_force_hom_count,
@@ -28,6 +27,7 @@ from oracles import (
     random_long_diagram,
     rank_mod,
     smith_normal_form_reference,
+    specialize_entry,
     subs_int,
     subs_mod,
     subs_reference,
@@ -65,7 +65,7 @@ from vka.invariants import (
     transfer_matrix,
     unit_minor_check,
 )
-from vka.laurent import LaurentPoly, TVAR, UV, parse_poly
+from vka.laurent import LaurentPoly, TVAR, UV, divides, parse_poly
 from vka.moves import random_walk
 from vka.alexander import PresentationMatrix
 
@@ -154,9 +154,7 @@ def test_packed_minors_match_reference_at_30_crossings():
 def test_packed_minors_adversarial_matrices():
     big = 2**64
     u, v = LaurentPoly.monomial(UV, (1, 0)), LaurentPoly.monomial(UV, (0, 1))
-    t = LaurentPoly.monomial(TVAR, (1,))
-    one, one_t = LaurentPoly.const(UV, 1), LaurentPoly.const(TVAR, 1)
-    zero, zero_t = LaurentPoly.zero(UV), LaurentPoly.zero(TVAR)
+    one, zero = LaurentPoly.const(UV, 1), LaurentPoly.zero(UV)
     # minors whose coefficient is the bound, the product of their rows' 1-norms
     at_bound = _matrix("L2", [[3 * u, zero], [zero, -5 * v]])
     at_big_bound = _matrix("L2", [[-big * u ** -3, zero], [zero, one]])
@@ -165,15 +163,16 @@ def test_packed_minors_adversarial_matrices():
     cases = [
         at_bound,
         at_big_bound,
-        _matrix("L1", [[big * one_t, zero_t], [zero_t, big * t ** -2]]),
+        # in u alone (v-exponent 0), as one_variable and diagonal_t give them
+        _matrix("L2", [[big * one, zero], [zero, big * u ** -2]]),
         # coefficients of 2^64, with carries between the packed digits
         _matrix("L2", [[big * u - 1, 3 * v ** -2], [u - big, big * u ** -1 * v]]),
-        _matrix("L1", [[big * t ** 2 - big * t + big, t ** -4], [-(t ** -9), 7 * t]]),
+        _matrix("L2", [[big * u ** 2 - big * u + big, u ** -4], [-(u ** -9), 7 * u]]),
         # negative exponents only
         _matrix("L2", [[u ** -5 * v ** -7 + u ** -1, -(v ** -3)], [u ** -2 - u ** -9 * v ** -4, (u * v) ** -1]]),
         # negative digits next to positive ones
         _matrix("L2", [[u - 1, zero], [zero, 1 - u]]),
-        _matrix("L1", [[t - 1, t ** -1 + 1], [t ** 3, -t]]),
+        _matrix("L2", [[u - 1, u ** -1 + 1], [u ** 3, -u]]),
         # a zero row, a zero column, the zero matrix
         _matrix("L2", [[u + v, one, u], [zero, zero, zero], [v, u * v - 1, 2 * one]]),
         _matrix("L2", [[u + v, zero, u], [3 * one, zero, -v], [v, zero, 2 * one]]),
@@ -186,10 +185,8 @@ def test_packed_minors_adversarial_matrices():
         for k in range(m.shape[1] + 3):  # up to k beyond the column count
             assert elementary_minors(m, k) == minors_reference(m, k), (m, k)
     # 0x0 and k >= columns: one empty minor, 1
-    for ring, vars in (("L2", UV), ("L1", TVAR)):
-        empty = _matrix(ring, [])
-        for k in (0, 1):
-            assert elementary_minors(empty, k) == [LaurentPoly.const(vars, 1)]
+    for k in (0, 1):
+        assert elementary_minors(_matrix("L2", []), k) == [LaurentPoly.const(UV, 1)]
 
 
 def test_minors_match_sympy_beyond_six_crossings():
@@ -248,7 +245,7 @@ def test_char_poly_invariant_under_matrix_equivalence():
 
 def test_specialization_commutes_with_minors():
     rng = random.Random(7)
-    t = LaurentPoly.monomial(TVAR, (1,))
+    u = LaurentPoly.monomial(UV, (1, 0))  # t read as u
     for _ in range(25):
         rows = tuple(
             tuple(
@@ -259,11 +256,23 @@ def test_specialization_commutes_with_minors():
             for _ in range(2)
         )
         m = PresentationMatrix("L2", ("x", "y", "z"), rows)
-        for f, images in ((one_variable, (t, T_ONE)), (diagonal_t, (t, t))):
+        for f, images in ((one_variable, (u, LaurentPoly.const(UV, 1))), (diagonal_t, (u, u))):
             specialized = f(m)
             for k in (1, 2):
                 direct = [subs_reference(e, images) for e in elementary_minors(m, k)]
                 assert direct == elementary_minors(specialized, k), (f, k)
+
+
+def test_specialized_char_polys_are_divided_by_the_image_of_the_two_variable_one():
+    # the ring map commutes with minors, so the image of Delta_k divides every specialized minor and their gcd
+    for c in (12, 20, 30):
+        for seed in range(5):
+            for closed in (False, True):
+                m = quotient_matrix(parse_gauss(random_code(random.Random(seed), c, closed=closed)))
+                for k in (0, 1):
+                    delta = char_poly(m, k)
+                    for f in (one_variable, diagonal_t):
+                        assert divides(specialize_entry(f, delta), char_poly(f(m), k)), (c, seed, closed, k, f)
 
 
 # -- determinant and unit minors -------------------------------------------
@@ -312,16 +321,16 @@ def test_one_var_matrix_columns_are_union_find_classes():
         for closed in (False, True):
             d = parse_gauss(random_code(rng, c, closed=closed))
             classes, _, names = arc_classes(d)
-            a = one_var_matrix(d)
+            a = one_var_matrix(d, -1)
             assert a.cols == names
             if not closed:
                 assert classes[0] == 0 and classes[-1] == len(names) - 1
-            assert a == one_var_matrix_reference(d)
+            assert a == one_var_matrix_reference(d, -1)
 
 
 def _a_at(d, t0):
-    """A(t0), evaluated entry by entry from the Laurent matrix A(t)."""
-    return [[subs_int(e, (t0,)) for e in row] for row in one_var_matrix(d).rows]
+    """A(t0), evaluated entry by entry from the Laurent matrix A(t) of the per-crossing reference."""
+    return [[subs_int(e, (t0, 1)) for e in row] for row in one_var_matrix_reference(d).rows]
 
 
 def test_integer_specializations_match_laurent_matrix():
@@ -329,7 +338,7 @@ def test_integer_specializations_match_laurent_matrix():
     for _ in range(60):
         d = random_long_diagram(rng)
         for diagram in (d, close(d)):
-            laurent = one_var_matrix(diagram)
+            laurent = one_var_matrix_reference(diagram)
             for t0 in (1, -1):
                 m = one_var_matrix(diagram, t0)
                 assert m.ring == "Z"

@@ -31,7 +31,7 @@ from oracles import (
     subs_mod,
 )
 from vka import cli, invariants
-from vka.alexander import T_GEN, _at, _matrix, _reduce, merged_arc_rows, one_var_matrix, sparse_rows
+from vka.alexander import _at, _matrix, _reduce, merged_arc_rows, one_var_matrix, one_variable, sparse_rows
 from vka.diagram import LONG, close, dn_family, parse_gauss
 from vka.invariants import char_poly, invariant_profile, quotient_matrix, smith_normal_form
 from vka.laurent import UV, LaurentPoly
@@ -296,8 +296,19 @@ def test_one_var_matrix_matches_the_per_crossing_builder():
         assert cols == reference_cols
         # the column order within a row sets the reduction's pivot ties
         assert [list(row) for row in rows] == [list(row) for row in reference_rows]
-        for t in (T_GEN, 1, -1):
+        for t in (1, -1):
             assert one_var_matrix(d, t) == one_var_matrix_reference(d, t), (d, t)
+
+
+def test_laurent_one_var_matrix_has_the_char_polys_of_the_merged_matrix_at_v_1():
+    # A(t), built per crossing with t read as u, against A(u, v) at v = 1: their rows differ by units
+    diagrams = list(catalog.corpus().values())
+    for crossings in range(9):
+        diagrams += random_diagrams(crossings, range(3))
+    for d in diagrams:
+        merged = one_variable(_matrix(*merged_arc_rows(d)))
+        for k in (0, 1):
+            assert char_poly(one_var_matrix_reference(d), k) == char_poly(merged, k), (d, k)
 
 
 def test_evaluation_at_a_point_matches_the_references():
@@ -319,9 +330,12 @@ def test_evaluation_at_a_point_matches_the_references():
 
 
 def test_one_var_matrix_rejects_integers_that_are_not_units():
-    for t in (0, 2, -3, True, 1.0, -1.0, -T_GEN, T_GEN ** 2):
+    u = LaurentPoly.monomial(UV, (1, 0))
+    for t in (0, 2, -3, True, 1.0, -1.0, u, -u, u ** 2):
         with pytest.raises(ValueError):
             one_var_matrix(catalog.k1(), t)
+    with pytest.raises(TypeError):  # A(t) over Z[t^+-1] is built only by the test oracles
+        one_var_matrix(catalog.k1())
 
 
 # -- Smith normal form stops its pivot scan at the first +-1 --------------
