@@ -42,7 +42,9 @@ best and median of 15.  One section per layer:
   [3])`` and the hom count of ``homcount -p 5 -s 3``
   (``hom_count_to_cyclic`` on ``quotient_rows(d)``), best of three, on
   ``random_code`` seeds 0-1, long and closed, at c = 200 and 400, and on
-  ``dn(k1, n)`` for n = 250, 500 and 1000;
+  ``dn(k1, n)`` for n = 250, 500 and 1000, where the ``--t v1`` char
+  poly k = 1 (``char_poly`` of ``quotient_matrix(d, "none", "v1")``) is
+  timed too;
 - ``import``: ``import vka.cli`` timed in 15 fresh interpreters without
   bytecode (``PYTHONDONTWRITEBYTECODE=1``: ``vka`` is compiled from
   source, as in a fresh checkout) and in 15 with it cached (under a
@@ -386,8 +388,12 @@ def rung_cases(repeats=BEST_OF):
     for name, d in diagrams:
         (report,), color_s = timed(lambda: coloring_count(d, [3]), repeats)
         count, hom_s = timed(lambda: hom_count_to_cyclic(*quotient_rows(d), *RUNG_HOM), repeats)
-        cases.append({"diagram": name, "crossings": d.crossings, "colorings_p3": report.count, "hom_count": count,
-                      "coloring_count_s": round(min(color_s), 6), "hom_count_s": round(min(hom_s), 6)})
+        case = {"diagram": name, "crossings": d.crossings, "colorings_p3": report.count, "hom_count": count}
+        seconds = {"coloring_count_s": color_s, "hom_count_s": hom_s}
+        if name.startswith("dn("):  # the winding's one-variable char poly, in u (t read as u)
+            value, seconds["charpoly_v1_k1_s"] = timed(lambda: char_poly(quotient_matrix(d, "none", "v1"), 1), repeats)
+            case["charpoly_v1_k1"] = str(value)
+        cases.append({**case, **{key: round(min(times), 6) for key, times in seconds.items()}})
     return cases
 
 
@@ -402,9 +408,10 @@ def colorings_section(calls, repeats=REPEATS):
         **timing,
         "reports_sha256": sha256(map(repr, reports)),
         "rung": {
-            "layer": "invariants.coloring_count and invariants.hom_count_to_cyclic",
+            "layer": "invariants.coloring_count, invariants.hom_count_to_cyclic and the --t v1 char poly",
             "workload": (f"coloring_count(d, [3]) and hom_count_to_cyclic(*quotient_rows(d), p = {RUNG_HOM[0]}, "
-                         f"s = {RUNG_HOM[1]}), best of {min(repeats, BEST_OF)}"),
+                         f"s = {RUNG_HOM[1]}), and on dn(k1, n) char_poly(quotient_matrix(d, 'none', 'v1'), 1), "
+                         f"best of {min(repeats, BEST_OF)}"),
             "cases": rung_cases(min(repeats, BEST_OF)),
         },
     }

@@ -601,25 +601,32 @@ def _reduce(rows, cols, keep=()):
                                                and abs(next(iter(e.values()))) == 1], _clear_terms)
 
 
-def _specialized(m, exp):
-    """The L2 matrix ``m`` with each term c*u^a*v^b sent to c*u^exp(a, b); equal exponents add up.
-
-    The image lies in Z[u^+-1], inside the one Laurent ring: t is read as u.
-    """
-    if m.ring != "L2":
-        raise ValueError("a specialization expects an L2 matrix")
-    return PresentationMatrix("L2", m.cols, tuple(tuple(
-        LaurentPoly(UV, (((exp(a, b), 0), c) for (a, b), c in e.terms.items())) for e in row) for row in m.rows))
+def _specialized(rows, t):
+    """New sparse rows {column: {(a, b): coeff}}, each term c*u^a*v^b sent to c*u^a (``t`` "v1") or c*u^(a+b)
+    ("diag"), equal exponents added and zero entries left out: rows over Z[u^+-1], t read as u.  A unit goes to
+    a unit, so reducing the image (``_reduce``) or taking the image of the reduced rows keeps one module."""
+    diagonal, out = {"v1": 0, "diag": 1}[t], []
+    for row in rows:
+        image = {}
+        for g, terms in row.items():
+            entry = {}
+            for (a, b), c in terms.items():
+                e = a + diagonal * b, 0
+                entry[e] = entry.get(e, 0) + c
+            if entry := {e: c for e, c in entry.items() if c}:
+                image[g] = entry
+        out.append(image)
+    return out
 
 
 def one_variable(m):
-    """Set v = 1 (the one-variable specialization, t read as u): u^a v^b -> u^a."""
-    return _specialized(m, lambda a, b: a)
+    """Set v = 1 in the L2 matrix ``m`` (the one-variable specialization, t read as u): u^a v^b -> u^a."""
+    return _matrix(_specialized(sparse_rows(m)[0], "v1"), m.cols)
 
 
 def diagonal_t(m):
-    """Set u = v = t, t read as u: u^a v^b -> u^(a + b)."""
-    return _specialized(m, lambda a, b: a + b)
+    """Set u = v = t in the L2 matrix ``m``, t read as u: u^a v^b -> u^(a + b)."""
+    return _matrix(_specialized(sparse_rows(m)[0], "diag"), m.cols)
 
 
 def _at(rows, point, p=None):

@@ -26,8 +26,6 @@ EXIT_UNSTABLE = 4
 
 SCHEMA = 1
 MAX_WINDINGS = 10_000  # dn builds 4n passages
-# --t: the specialization, by name, so a rebound ``alexander`` function (perfbench's tracer) is called
-SPECIALIZATIONS = {"v1": "one_variable", "diag": "diagonal_t"}
 
 
 class ConfigError(ValueError):
@@ -53,13 +51,9 @@ def _emit(args, payload, text_lines):
 
 
 def _check_coeff_budget(matrix, max_bits):
-    if max_bits is None:
-        return
-    for row in matrix.rows:
-        for entry in row:
-            for c in entry.terms.values():
-                if abs(c).bit_length() > max_bits:
-                    raise BudgetExceeded(f"coefficient exceeds {max_bits} bits")
+    if max_bits is not None and any(abs(c).bit_length() > max_bits
+                                    for row in matrix.rows for entry in row for c in entry.terms.values()):
+        raise BudgetExceeded(f"coefficient exceeds {max_bits} bits")
 
 
 def _at_least(low):
@@ -116,22 +110,19 @@ def cmd_invariants(args):
             lines.append(str(pres))
     if args.charpoly:
         # reduced on its own, so the budgets read the same with or without --det and --color
-        mat = reduced = invariants.quotient_matrix(d, args.quotient)
-        specialized = args.t in SPECIALIZATIONS
-        if specialized:
-            mat = getattr(alexander, SPECIALIZATIONS[args.t])(mat)
+        mat = invariants.quotient_matrix(d, args.quotient, args.t)
         _check_coeff_budget(mat, args.max_coeff_bits)
         entries = []
         for k in args.charpoly:
             value = invariants.char_poly(mat, k, max_minors=args.max_minors)
-            if specialized:  # a polynomial in u alone, reported over Z[t^+-1] with u written as t
+            if args.t != "uv":  # a polynomial in u alone, reported over Z[t^+-1] with u written as t
                 value = LaurentPoly(TVAR, {(a,): c for (a, _), c in value.terms.items()})
-            entries.append({"k": k, "ring": "L1" if specialized else "L2", "value": str(value)})
+            entries.append({"k": k, "ring": "L2" if args.t == "uv" else "L1", "value": str(value)})
             lines.append(str(value))
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
-        # the diagram's A(u, v) at (-1, 1), whatever --quotient and --t say: --charpoly's reduced rows if "none"
-        rows, cols = (alexander.sparse_rows(reduced) if args.charpoly and args.quotient == "none"
+        # A(u, v) at (-1, 1) whatever --quotient and --t say: --charpoly's rows if "none" and not "diag" (v = 1 there)
+        rows, cols = (alexander.sparse_rows(mat) if args.charpoly and args.quotient == "none" and args.t != "diag"
                       else alexander.merged_arc_rows(d))
         det, colorings = invariants.coloring_reports(rows, cols, args.color or ())
         if args.det:
@@ -234,8 +225,8 @@ def build_parser():
                              "or in the char polys of fuzz, counted on the unit-reduced module "
                              "matrix; --det uses none")
     parser.add_argument("--max-coeff-bits", type=_at_least(0), default=None,
-                        help="abort (exit 3) when an entry of the --charpoly input matrix (the "
-                             "unit-reduced module matrix) has a coefficient longer than this many bits")
+                        help="abort (exit 3) when an entry of the --charpoly input matrix (reduced after --quotient "
+                             "and --t) has a coefficient longer than this many bits")
     # not required: _args parses the options before the command without it, and reports a missing command itself
     sub = parser.add_subparsers(dest="command")
     parser.commands = sub.choices  # command name -> its parser, for _args
@@ -249,7 +240,7 @@ def build_parser():
     p.add_argument("--charpoly", type=int, action="append", metavar="K",
                    help="characteristic polynomial of the K-th ideal (repeatable)")
     p.add_argument("--quotient", choices=list(invariants._KILLED_ENDS), default="none")
-    p.add_argument("--t", choices=["uv", *SPECIALIZATIONS], default="uv",
+    p.add_argument("--t", choices=["uv", "v1", "diag"], default="uv",
                    help="coefficients: two-variable, v=1, or u=v=t")
     p.add_argument("--det", action="store_true", help="knot determinant")
     p.add_argument("--color", type=int, action="append", metavar="P", help="coloring count mod P")
@@ -274,7 +265,7 @@ def build_parser():
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--quotient", choices=list(invariants._KILLED_ENDS), default="none")
-    p.add_argument("--t", choices=list(SPECIALIZATIONS), default="diag")
+    p.add_argument("--t", choices=["v1", "diag"], default="diag")
     p.set_defaults(func=cmd_homcount)
 
     p = sub.add_parser("fuzz", help="seeded move walks, checking invariant stability")

@@ -15,6 +15,7 @@ from .alexander import (
     _matrix,
     _pivot_out,
     _reduce,
+    _specialized,
     extended_presentation,
     merged_arc_rows,
     one_var_matrix,
@@ -423,9 +424,10 @@ def quotient_rows(d, quotient="none"):
     return _drop(rows, cols, {cols[e] for e in _killed_ends(d.kind == LONG, quotient)})
 
 
-def quotient_matrix(d, quotient="none"):
-    """The unit-reduced module matrix of the requested end quotient: its ``quotient_rows``, reduced once."""
-    return _matrix(*_reduce(*quotient_rows(d, quotient)))
+def quotient_matrix(d, quotient="none", t="uv"):
+    """The unit-reduced module matrix of ``quotient``: its ``quotient_rows``, ``_specialized`` unless ``t`` is "uv"."""
+    rows, cols = quotient_rows(d, quotient)
+    return _matrix(*_reduce(rows if t == "uv" else _specialized(rows, t), cols))
 
 
 def _profile_matrices(d):

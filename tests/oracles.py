@@ -9,7 +9,9 @@ counts by exhaustive assignment, colorings and determinants also by the
 Smith form of the full A(-1) that the reduced A(u, v) replaced and by
 the reduced A(u, v) evaluated by parity, hom counts by the specialized
 reduced matrix evaluated mod p (the routes the one evaluation of A(u, v)
-at a point replaced), move
+at a point replaced), the ``--t v1``/``--t diag`` char-poly matrices by
+reducing in two variables and then specializing (the order that
+specializing the rows first replaced), move
 sites by trying every combination of adjacent pairs through matchers of
 their own (in ``vka`` the partner-index scan is the only definition of a
 legal site), seeded walks by a scan and one draw into the ``legal_sites``
@@ -66,6 +68,7 @@ from vka.invariants import (
     _solutions_mod,
     char_poly,
     hom_count_to_cyclic,
+    quotient_matrix,
     smith_normal_form,
 )
 from vka.laurent import LaurentPoly, TVAR, UV, divexact
@@ -909,6 +912,20 @@ def hom_count_by_specialization_reference(m, t, p, s):
     """
     m = {"v1": one_variable, "diag": diagonal_t}[t](m)
     return p ** (len(m.cols) - rank_mod([[subs_mod(e, (s, 1), p) for e in row] for row in m.rows], p))
+
+
+def specialized_matrix_reference(d, quotient, t):
+    """The module matrix of ``quotient`` under ``--t`` ``t``, reduced in two variables and then specialized.
+
+    The route ``vka invariants --charpoly --t v1|diag`` took before
+    ``quotient_matrix(d, quotient, t)`` specialized the rows first:
+    ``quotient_matrix(d, quotient)`` over Z[u^+-1, v^+-1], then
+    ``one_variable`` ("v1") or ``diagonal_t`` ("diag"); "uv" leaves it as
+    it is.  Both orders give one module over Z[u^+-1], so one char poly
+    for every k, but the shapes can differ.
+    """
+    m = quotient_matrix(d, quotient)
+    return m if t == "uv" else {"v1": one_variable, "diag": diagonal_t}[t](m)
 
 
 def smith_normal_form_reference(rows):

@@ -104,6 +104,12 @@ def test_winding_colorings_replay_matches_the_record(bench):
     assert (section["diagrams"], section["moduli"]) == (54, 1512)
     assert [_untimed(case) for case in rung["cases"]] == [_untimed(case) for case in recorded_rung["cases"]]
     assert len(rung["cases"]) == 11
+    # the windings' --t v1 char poly k = 1 (t read as u), timed beside their counts
+    windings = [case for case in rung["cases"] if "charpoly_v1_k1" in case]
+    assert [case["diagram"] for case in windings] == [f"dn(k1, {n})" for n in (250, 500, 1000)]
+    assert [case["charpoly_v1_k1"] for case in windings] == [
+        f"{n}*u^3 - {2 * n + 1}*u^2 + {2 * n + 1}*u - {n + 1}" for n in (250, 500, 1000)]
+    assert all(case["charpoly_v1_k1_s"] > 0 for case in windings)
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):

@@ -7,10 +7,11 @@ import shlex
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 
-from oracles import quotients, random_code
+from oracles import quotients, random_code, specialized_matrix_reference
 from test_readme import _block
 from conftest import REPO_ROOT
 from vka import alexander, cli, diagram, invariants
@@ -141,14 +142,16 @@ def test_largest_coloring_modulus_prints_its_count(capsys, corpus_dir):
 
 
 def test_combined_invariants_request_matches_its_parts(capsys, corpus_dir, tmp_path):
-    # "end-minus" for --charpoly and "none" for --det and --color, in one request
+    # --quotient and --t for --charpoly, and the diagram's --det and --color, in one request: under "none" they
+    # evaluate --charpoly's reduced rows for uv and v1, and A(u, v)'s for diag
     rng = random.Random(5)
     paths = [p for p in sorted(corpus_dir.glob("*.gauss")) if not p.read_text().startswith("closed")]
     for n in range(12):
         paths.append(tmp_path / f"r{n}.gauss")
         paths[-1].write_text(random_code(rng, rng.randint(0, 14)))
-    for path in paths:
-        charpoly = ["--charpoly", "1", "--quotient", "end-minus"]
+    requests = [("end-minus", "uv"), ("none", "uv"), ("none", "v1"), ("none", "diag")]
+    for path, (quotient, t) in product(paths, requests):
+        charpoly = ["--charpoly", "1", "--quotient", quotient, "--t", t]
         colorings = ["--det", "--color", "3"]
         parts, text = {}, ""
         for argv in (charpoly, colorings):
@@ -158,8 +161,8 @@ def test_combined_invariants_request_matches_its_parts(capsys, corpus_dir, tmp_p
             text += run(capsys, "invariants", str(path), *argv)[1]
         code, out, _ = run(capsys, "--json", "invariants", str(path), *charpoly, *colorings)
         assert code == 0
-        assert json.loads(out) == {**parts, "quotient": "end-minus"}, path.name
-        assert run(capsys, "invariants", str(path), *charpoly, *colorings)[1] == text, path.name
+        assert json.loads(out) == {**parts, "quotient": quotient}, (path.name, quotient, t)
+        assert run(capsys, "invariants", str(path), *charpoly, *colorings)[1] == text, (path.name, quotient, t)
 
 
 def test_budget_exit_3(capsys, corpus_dir):
@@ -233,9 +236,7 @@ def test_json_char_polys_read_back(capsys, corpus_dir, t):
     for path in sorted(corpus_dir.glob("*.gauss")):
         code, out, _ = run(capsys, "--json", "invariants", str(path), "--charpoly", "0", "--charpoly", "1", "--t", t)
         assert code == 0
-        mat = invariants.quotient_matrix(diagram.parse_gauss(path.read_text()))
-        if t in cli.SPECIALIZATIONS:
-            mat = getattr(alexander, cli.SPECIALIZATIONS[t])(mat)
+        mat = specialized_matrix_reference(diagram.parse_gauss(path.read_text()), "none", t)
         for entry in json.loads(out)["charpoly"]:
             assert entry["ring"] == ("L2" if t == "uv" else "L1")
             value = parse_poly(entry["value"].replace("t", "u"))  # "L1" values are in u alone, printed in t
@@ -371,6 +372,27 @@ def test_budgets_do_not_depend_on_det_or_color(capsys, tmp_path, code, budget, q
     argv = [*budget, "invariants", str(path), "--charpoly", "0", "--charpoly", "1", "--quotient", quotient]
     for extra in ([], ["--det"], ["--color", "3"], ["--det", "--color", "3"]):
         assert run(capsys, *argv, *extra)[0] == 0, extra
+
+
+@pytest.mark.parametrize("seed, crossings, quotient, shapes, budget, expected", [
+    # k = 1: specialized first, 6x6 and 36 minors; reduced in two variables, then specialized, 5x5 and 25 minors
+    (5, 30, "end-minus", ((6, 6), (5, 5)), "25", 3),
+    # specialized first, 0x1, whose one minor has size 0 and needs no budget; the other order, 1x2 and 2 minors
+    (1, 8, "none", ((0, 1), (1, 2)), "1", 0),
+], ids=["c30-more-minors", "c8-no-minors"])
+def test_specialized_char_poly_budget_counts_the_specialized_reduction(capsys, tmp_path, seed, crossings, quotient,
+                                                                       shapes, budget, expected):
+    # --max-minors counts on the reduced specialized matrix, whose shape can move either way
+    path = tmp_path / "d.gauss"
+    path.write_text(random_code(random.Random(seed), crossings) + "\n")
+    d = diagram.parse_gauss(path.read_text())
+    assert (invariants.quotient_matrix(d, quotient, "diag").shape,
+            specialized_matrix_reference(d, quotient, "diag").shape) == shapes
+    argv = ["invariants", str(path), "--charpoly", "1", "--quotient", quotient, "--t", "diag"]
+    code, _, err = run(capsys, "--max-minors", budget, *argv)
+    assert code == expected
+    assert ("budget exceeded: 36 minors of size 5 exceed budget 25" in err) == (expected == 3)
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_json_presentation_renders_no_text(capsys, corpus_dir, monkeypatch):
@@ -518,6 +540,7 @@ def test_det_and_colors_share_one_smith_form(capsys, corpus_dir, monkeypatch, ar
     ("--charpoly", "1", "--det", "--color", "3"),
     ("--charpoly", "1", "--det"),
     ("--presentation", "--charpoly", "0", "--charpoly", "1", "--det", "--color", "3", "--color", "5"),
+    ("--charpoly", "1", "--t", "v1", "--det", "--color", "3"),  # A(u, 1) at u = -1 is A(-1, 1)
 ])
 def test_char_polys_det_and_colors_share_one_arc_matrix(capsys, corpus_dir, arc_builds, flags):
     code, out, _ = run(capsys, "--json", "invariants", str(corpus_dir / "k1.gauss"), *flags)
@@ -587,6 +610,22 @@ def test_count_commands_skip_the_two_variable_reduction(capsys, corpus_dir, monk
                  ["invariants", k4k5, "--det", "--color", "3"]):
         assert run(capsys, *argv)[0] == 0
     assert calls == [] and eliminations
+
+
+def test_specialized_char_polys_reduce_one_variable_rows(capsys, corpus_dir, monkeypatch):
+    # --t v1 and diag map A(u, v)'s rows into Z[u^+-1] before the reduction: _reduce sees no v-exponent but 0
+    reduced = []
+    real = invariants._reduce
+    monkeypatch.setattr(invariants, "_reduce", lambda rows, *a: reduced.append([dict(r) for r in rows])
+                        or real(rows, *a))
+    for path in sorted(corpus_dir.glob("*.gauss")):
+        for quotient in quotients(diagram.parse_gauss(path.read_text())):
+            for t in ("v1", "diag"):
+                reduced.clear()
+                flags = ["--charpoly", "0", "--charpoly", "1", "--quotient", quotient, "--t", t]
+                assert run(capsys, "invariants", str(path), *flags)[0] == 0
+                assert len(reduced) == 1, (path.name, quotient, t)
+                assert all(b == 0 for row in reduced[0] for e in row.values() for _, b in e), (path.name, quotient, t)
 
 
 def test_homcount_command(capsys, corpus_dir):

@@ -27,6 +27,7 @@ from oracles import (
     random_diagrams,
     random_poly,
     smith_normal_form_reference,
+    specialized_matrix_reference,
     subs_int,
     subs_mod,
 )
@@ -72,6 +73,22 @@ def test_quotient_matrix_matches_word_route(crossings):
         diagrams = random_diagrams(crossings, range(5 if crossings == 30 else 10))
     for d in diagrams:
         _assert_matches_word_route(d)
+
+
+def test_specialized_rows_reduce_to_the_reduce_then_specialize_module():
+    # --t v1 and diag specialize A(u, v)'s rows, then reduce: a ring map sends unit pivots to unit pivots, so the
+    # module, and with it every char poly, is that of reducing in two variables and then specializing
+    bases = list(catalog.corpus().values())
+    diagrams = bases + [dn_family(b, n) for b in bases if b.kind == LONG for n in range(1, 7)]
+    for crossings in range(31):
+        diagrams += random_diagrams(crossings, range(5))
+    for d in diagrams:
+        for quotient in quotients(d):
+            for t in ("v1", "diag"):
+                m, reference = quotient_matrix(d, quotient, t), specialized_matrix_reference(d, quotient, t)
+                assert all(b == 0 for row in m.rows for e in row for _, b in e.terms), (d, quotient, t)
+                for k in (0, 1, 2):
+                    assert char_poly(m, k) == char_poly(reference, k), (d, quotient, t, k)
 
 
 def test_golden_reduced_matrices():
