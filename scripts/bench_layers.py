@@ -161,7 +161,7 @@ def totals_by_crossings(cases, columns):
 
 
 def replay(workload):
-    """The (polys, vars) of every ``gcd_many`` call, the (diagram, seed, steps,
+    """The polys of every ``gcd_many`` call, the (diagram, seed, steps,
     max_crossings) of every ``random_walk`` call, the (diagram, quotient) of
     every ``quotient_pipeline`` call and the (diagram, moduli) of every
     ``coloring_count`` call that the workload's requests make, the text of
@@ -171,10 +171,10 @@ def replay(workload):
     gcd_calls, walks, presentations, colorings = [], [], [], []
     real_gcd_many, real_random_walk, real_pipeline = invariants.gcd_many, moves.random_walk, quotient_pipeline
 
-    def gcd_many(polys, vars=None):
+    def gcd_many(polys):
         polys = list(polys)
-        gcd_calls.append((polys, vars))
-        return real_gcd_many(polys, vars=vars)
+        gcd_calls.append(polys)
+        return real_gcd_many(polys)
 
     def random_walk(d, seed, steps, max_crossings=None):
         walks.append((d, seed, steps, max_crossings))
@@ -207,10 +207,10 @@ def replay(workload):
     return gcd_calls, walks, presentations, colorings, texts, requests
 
 
-def pairwise(polys, vars):
+def pairwise(polys):
     """The reference: ``laurent.gcd`` folded pair by pair, without shortcuts."""
     if not polys:
-        return laurent.LaurentPoly.zero(vars)
+        return laurent.LaurentPoly()
     return functools.reduce(laurent.gcd, polys).canonical()
 
 
@@ -226,9 +226,9 @@ def fallback_calls(calls):
     laurent.gcd = counting
     try:
         count = 0
-        for polys, vars in calls:
+        for polys in calls:
             before = reached[0]
-            laurent.gcd_many(polys, vars=vars)
+            laurent.gcd_many(polys)
             count += reached[0] > before
     finally:
         laurent.gcd = real
@@ -237,13 +237,13 @@ def fallback_calls(calls):
 
 def gcd_case(calls):
     """The ``gcd`` section's entry for one workload's captured calls."""
-    values, gcd_many_s = timed(lambda: [laurent.gcd_many(polys, vars=vars) for polys, vars in calls])
-    reference, reference_s = timed(lambda: [pairwise(polys, vars) for polys, vars in calls], 1)
+    values, gcd_many_s = timed(lambda: [laurent.gcd_many(polys) for polys in calls])
+    reference, reference_s = timed(lambda: [pairwise(polys) for polys in calls], 1)
     return {
         "calls": len(calls),
-        "inputs": sum(len(polys) for polys, _ in calls),
-        "no_input_calls": sum(not any(polys) for polys, _ in calls),
-        "single_input_calls": sum(sum(1 for p in polys if p) == 1 for polys, _ in calls),
+        "inputs": sum(len(polys) for polys in calls),
+        "no_input_calls": sum(not any(polys) for polys in calls),
+        "single_input_calls": sum(sum(1 for p in polys if p) == 1 for polys in calls),
         "fallback_calls": fallback_calls(calls),
         "gcd_many_s": round(min(gcd_many_s), 6),
         "reference_s": round(min(reference_s), 6),

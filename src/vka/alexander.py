@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .diagram import LONG, OVER, UNDER, is_int
-from .laurent import UV, LaurentPoly
+from .laurent import LaurentPoly
 
 
 class OpLetter(NamedTuple):
@@ -497,7 +497,7 @@ def sparse_rows(m):
 
 def _matrix(rows, cols):
     """The L2 matrix of sparse rows {column: {(a, b): coeff}} over ``cols``; its entries wrap the rows' term dicts."""
-    return PresentationMatrix("L2", tuple(cols), tuple(tuple(LaurentPoly._raw(UV, row.get(g) or {}) for g in cols)
+    return PresentationMatrix("L2", tuple(cols), tuple(tuple(LaurentPoly._raw(row.get(g) or {}) for g in cols)
                                                        for row in rows))
 
 

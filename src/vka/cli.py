@@ -16,7 +16,6 @@ import sys
 from . import alexander, diagram, invariants, moves
 from .diagram import GaussCodeError, parse_gauss, serialize_gauss
 from .invariants import BudgetExceeded
-from .laurent import TVAR, LaurentPoly
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -114,11 +113,11 @@ def cmd_invariants(args):
         _check_coeff_budget(mat, args.max_coeff_bits)
         entries = []
         for k in args.charpoly:
-            value = invariants.char_poly(mat, k, max_minors=args.max_minors)
+            value = str(invariants.char_poly(mat, k, max_minors=args.max_minors))
             if args.t != "uv":  # a polynomial in u alone, reported over Z[t^+-1] with u written as t
-                value = LaurentPoly(TVAR, {(a,): c for (a, _), c in value.terms.items()})
-            entries.append({"k": k, "ring": "L2" if args.t == "uv" else "L1", "value": str(value)})
-            lines.append(str(value))
+                value = value.replace("u", "t")
+            entries.append({"k": k, "ring": "L2" if args.t == "uv" else "L1", "value": value})
+            lines.append(value)
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
         # A(u, v) at (-1, 1) whatever --quotient and --t say: --charpoly's rows if "none" and not "diag" (v = 1 there)

@@ -25,7 +25,7 @@ from .alexander import (
     tietze_from_diagram,
 )
 from .diagram import LONG
-from .laurent import UV, LaurentPoly, _least, gcd_many, pack, unpack
+from .laurent import LaurentPoly, _least, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
 PROFILE_MODULI = (3, 5, 7)  # the coloring counts of ``invariant_profile``
@@ -82,9 +82,9 @@ def _kronecker(rows, size):
     a + D*b.
     """
     lows = [[p.min_exps() if p else None for p in row] for row in rows]
-    row_low = [_least([e for e in row if e], 2) for row in lows]
+    row_low = [_least([e for e in row if e]) for row in lows]
     col_low = [
-        _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]], 2)
+        _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]])
         for j in range(len(rows[0]))
     ]
     offsets = [[tuple(map(operator.add, rlow, clow)) for clow in col_low] for rlow in row_low]
@@ -98,7 +98,7 @@ def _kronecker(rows, size):
 
     def decode(x, rs, cs):
         shift = tuple(map(sum, zip(*[row_low[i] for i in rs], *[col_low[j] for j in cs])))
-        return unpack(x, B, D, UV, shift)
+        return unpack(x, B, D, shift)
 
     return packed, decode
 
@@ -115,7 +115,7 @@ def _minors(m, k, max_minors):
     size = ncols - k
     laurent = m.ring == "L2"
     if size <= 0:
-        yield LaurentPoly.const(UV, 1) if laurent else 1
+        yield LaurentPoly.const(1) if laurent else 1
         return
     if size > nrows:
         return
@@ -143,7 +143,7 @@ def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
     """Canonical gcd of the k-th ideal's minors (0 for the empty list)."""
     if m.ring != "L2":
         raise ValueError("char_poly expects a Laurent presentation matrix")
-    return gcd_many(elementary_minors(m, k, max_minors=max_minors), vars=UV)
+    return gcd_many(elementary_minors(m, k, max_minors=max_minors))
 
 
 # -- integer linear algebra --------------------------------------------

@@ -1,10 +1,10 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
-The package computes in Z[u,v] with both variables invertible; its
-one-variable specializations lie in Z[u].  Polynomials are generic over
-their variable names, and the CLI prints those images in t.  A polynomial
-is a map from integer exponent vectors to nonzero coefficients; all
-arithmetic is exact, with arbitrary-precision integers.
+The package computes in one ring, Z[u,v] with both variables invertible;
+its one-variable specializations lie in Z[u], and the CLI prints those
+images in t.  A polynomial is a map from integer exponent pairs (a, b),
+for u^a v^b, to nonzero coefficients; all arithmetic is exact, with
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import math
 import operator
 import re
 
-UV = ("u", "v")
-TVAR = ("t",)
+UV = ("u", "v")  # the names ``str`` writes and ``parse_poly`` reads
 
 
 class InexactDivision(ArithmeticError):
@@ -26,29 +25,27 @@ def _mono_key(exps):
     return (sum(exps), exps)
 
 
-def _least(vectors, nvars):
-    """Componentwise minimum of a collection of exponent vectors (zero when empty)."""
-    return tuple(map(min, zip(*vectors))) if vectors else (0,) * nvars
+def _least(vectors):
+    """Componentwise minimum of a collection of exponent pairs ((0, 0) when empty)."""
+    return tuple(map(min, zip(*vectors))) if vectors else (0, 0)
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial with integer coefficients.
+    """Immutable Laurent polynomial in u and v with integer coefficients.
 
-    ``vars`` names the variables (``("u", "v")`` or ``("t",)``); ``terms``
-    maps exponent tuples to nonzero coefficients.
+    ``terms`` maps exponent pairs (a, b), for u^a v^b, to nonzero
+    coefficients; ``LaurentPoly()`` is zero.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars, terms=()):
-        self.vars = tuple(vars)
-        n = len(self.vars)
+    def __init__(self, terms=()):
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for exps, coeff in items:
             exps = tuple(map(operator.index, exps))
-            if len(exps) != n:
-                raise ValueError(f"exponent {exps} has wrong arity for vars {self.vars}")
+            if len(exps) != 2:
+                raise ValueError(f"exponent {exps} is not a pair")
             coeff = operator.index(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
@@ -57,35 +54,26 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
-    def _raw(cls, vars, terms):
+    def _raw(cls, terms):
         """Internal constructor: terms must already be clean (no zeros)."""
         self = object.__new__(cls)
-        self.vars = vars
         self.terms = terms
         return self
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, vars):
-        return cls(vars, {})
+    def const(cls, c):
+        return cls({(0, 0): c})
 
     @classmethod
-    def const(cls, vars, c):
-        return cls(vars, {(0,) * len(vars): c})
-
-    @classmethod
-    def monomial(cls, vars, exps, coeff=1):
-        return cls(vars, {tuple(exps): coeff})
+    def monomial(cls, exps, coeff=1):
+        return cls({tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------
 
     def __bool__(self):
         return bool(self.terms)
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     @property
     def is_unit(self):
@@ -94,12 +82,11 @@ class LaurentPoly:
 
     @property
     def is_one(self):
-        zero_exp = (0,) * len(self.vars)
-        return self.terms == {zero_exp: 1}
+        return self.terms == {(0, 0): 1}
 
     def min_exps(self):
-        """Componentwise minimum exponent vector (zero vector if p = 0)."""
-        return _least(self.terms, len(self.vars))
+        """Componentwise minimum exponent pair ((0, 0) if p = 0)."""
+        return _least(self.terms)
 
     def max_degree(self, k):
         if not self.terms:
@@ -117,11 +104,9 @@ class LaurentPoly:
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
-            if other.vars != self.vars:
-                raise ValueError(f"mixed variable sets {self.vars} and {other.vars}")
             return other
         if isinstance(other, int):
-            return LaurentPoly.const(self.vars, other)
+            return LaurentPoly.const(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -135,12 +120,12 @@ class LaurentPoly:
                 terms[e] = v
             else:
                 terms.pop(e, None)
-        return LaurentPoly._raw(self.vars, terms)
+        return LaurentPoly._raw(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -156,26 +141,22 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         terms = {}
-        pair = len(self.vars) == 2
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if pair:
-                    e = (e1[0] + e2[0], e1[1] + e2[1])
-                else:
-                    e = tuple(a + b for a, b in zip(e1, e2))
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                e = (a1 + a2, b1 + b2)
                 v = terms.get(e, 0) + c1 * c2
                 if v:
                     terms[e] = v
                 else:
                     del terms[e]
-        return LaurentPoly._raw(self.vars, terms)
+        return LaurentPoly._raw(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentPoly.const(self.vars, 1)
+        out = LaurentPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -188,25 +169,25 @@ class LaurentPoly:
     def inverse(self):
         if not self.is_unit:
             raise ZeroDivisionError(f"{self} is not a unit")
-        (exps, coeff), = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-e for e in exps): coeff})
+        ((a, b), coeff), = self.terms.items()
+        return LaurentPoly._raw({(-a, -b): coeff})
 
     def shift(self, exps):
-        """Multiply by the monomial x^exps."""
-        return LaurentPoly._raw(self.vars, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()})
+        """Multiply by the monomial u^a v^b, (a, b) = exps."""
+        du, dv = exps
+        return LaurentPoly._raw({(a + du, b + dv): c for (a, b), c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(self.vars, other)
+            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        zero_exp = (0,) * len(self.vars)
-        if all(e == zero_exp for e in self.terms):  # a constant, zero included, equals its int
-            return hash(self.terms.get(zero_exp, 0))
-        return hash((self.vars, frozenset(self.terms.items())))
+        if all(e == (0, 0) for e in self.terms):  # a constant, zero included, equals its int
+            return hash(self.terms.get((0, 0), 0))
+        return hash(frozenset(self.terms.items()))
 
     # -- canonical form ----------------------------------------------
 
@@ -215,16 +196,16 @@ class LaurentPoly:
 
         Exponents are shifted so each variable's minimum exponent is 0,
         and the sign is fixed so the lexicographically greatest monomial
-        (first variable strongest) has a positive coefficient.
+        (u strongest) has a positive coefficient.
         canonical(0) = 0; idempotent.
         """
         if not self.terms:
             return self
-        mins = self.min_exps()
-        terms = {tuple(a - b for a, b in zip(e, mins)): c for e, c in self.terms.items()}
+        mu, mv = self.min_exps()
+        terms = {(a - mu, b - mv): c for (a, b), c in self.terms.items()}
         if terms[max(terms)] < 0:
             terms = {e: -c for e, c in terms.items()}
-        return LaurentPoly._raw(self.vars, terms)
+        return LaurentPoly._raw(terms)
 
     # -- rendering / parsing -----------------------------------------
 
@@ -235,7 +216,7 @@ class LaurentPoly:
         for exps in sorted(self.terms, key=_mono_key, reverse=True):
             coeff = self.terms[exps]
             factors = []
-            for name, e in zip(self.vars, exps):
+            for name, e in zip(UV, exps):
                 if e == 1:
                     factors.append(name)
                 elif e != 0:
@@ -254,14 +235,14 @@ class LaurentPoly:
         return "".join(parts)
 
     def __repr__(self):
-        return f"LaurentPoly({'.'.join(self.vars)}: {self})"
+        return f"LaurentPoly(u.v: {self})"
 
 
 _FACTOR = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]\w*)(?:\s*\^\s*(-?)\s*([0-9]+))?)")
 _JOINER = re.compile(r"\s*([-+*]?)")
 
 
-def parse_poly(text, vars=UV):
+def parse_poly(text):
     """Parse polynomial text, the format ``str()`` writes.
 
     The grammar, with whitespace allowed between any two tokens::
@@ -270,26 +251,25 @@ def parse_poly(text, vars=UV):
         term   := factor ("*" factor)*
         factor := digits | name ("^" "-"? digits)?
 
-    where each name is one of ``vars``.  Examples: ``u^2*v - u + 1``,
-    ``t^-1 + 2``, ``0``.  Any other text, the empty text included, raises
+    where each name is ``u`` or ``v``.  Examples: ``u^2*v - u + 1``,
+    ``u^-1 + 2``, ``0``.  Any other text, the empty text included, raises
     ValueError.
     """
-    vars = tuple(vars)
     terms = []
     lead = _JOINER.match(text)
     # a leading "*" is left for the factor match to reject
     op, pos = ("", 0) if lead.group(1) == "*" else (lead.group(1), lead.end())
     while True:
         if op != "*":  # a term starts
-            coeff, exps = -1 if op == "-" else 1, [0] * len(vars)
+            coeff, exps = -1 if op == "-" else 1, [0, 0]
         factor = _FACTOR.match(text, pos)
         if factor is None:
             raise ValueError(f"bad polynomial syntax at column {pos + 1} of {text!r}")
         digits, name, minus, power = factor.groups()
         if digits:
             coeff *= int(digits)
-        elif name in vars:
-            exps[vars.index(name)] += int(minus + power) if power else 1
+        elif name in UV:
+            exps[UV.index(name)] += int(minus + power) if power else 1
         else:
             raise ValueError(f"unknown variable {name!r}")
         join = _JOINER.match(text, factor.end())
@@ -299,7 +279,7 @@ def parse_poly(text, vars=UV):
         if not op:
             if pos < len(text):
                 raise ValueError(f"bad polynomial syntax at column {pos + 1} of {text!r}")
-            return LaurentPoly(vars, terms)
+            return LaurentPoly(terms)
 
 
 # -- exact division and gcd ------------------------------------------
@@ -309,9 +289,9 @@ def divexact(p, q):
     """Exact quotient p / q in the Laurent ring; raises InexactDivision."""
     if not isinstance(p, LaurentPoly):
         raise TypeError("LaurentPoly expected")
-    if q.is_zero:
+    if not q:
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero:
+    if not p:
         return p
     # Shift both operands into ordinary polynomials; monomials are units.
     pm, qm = p.min_exps(), q.min_exps()
@@ -337,13 +317,13 @@ def divexact(p, q):
                 rem[key] = val
             else:
                 rem.pop(key, None)
-    return LaurentPoly(p.vars, quot).shift(net)
+    return LaurentPoly._raw(quot).shift(net)
 
 
 def divides(q, p):
     """True when q divides p exactly (q | p)."""
-    if q.is_zero:
-        return p.is_zero
+    if not q:
+        return not p
     try:
         divexact(p, q)
         return True
@@ -358,12 +338,12 @@ def _coeffs_in(p, k):
         e = exps[k]
         key = exps[:k] + (0,) + exps[k + 1:]
         out.setdefault(e, {})[key] = c
-    return {e: LaurentPoly._raw(p.vars, t) for e, t in out.items()}
+    return {e: LaurentPoly._raw(t) for e, t in out.items()}
 
 
 def _content(p, k):
-    """gcd of p's coefficients in variable k, a polynomial in vars[0..k-1]."""
-    g = LaurentPoly.zero(p.vars)
+    """gcd of p's coefficients in variable k, a polynomial in the variables before k."""
+    g = LaurentPoly()
     for c in _coeffs_in(p, k).values():
         g = _gcd_rec(g, c, k - 1)
     return g
@@ -376,7 +356,7 @@ def _prem(f, g, k):
     r, n = f, f.max_degree(k) - dg + 1
     while r and r.max_degree(k) >= dg:
         dr = r.max_degree(k)
-        shift = tuple((dr - dg) if i == k else 0 for i in range(len(f.vars)))
+        shift = (dr - dg, 0) if k == 0 else (0, dr - dg)
         r = r * lg - g * _coeffs_in(r, k)[dr].shift(shift)
         n -= 1
     return r * lg ** n if n > 0 else r
@@ -394,7 +374,7 @@ def _subresultant_tail(f, g, k):
     h = _prem(f, g, k) * (-1) ** (d + 1)
     lc = _coeffs_in(g, k)[m]
     c = -(lc ** d)
-    while not h.is_zero:
+    while h:
         deg_h = h.max_degree(k)
         f, g, m, d = g, h, deg_h, m - deg_h
         b = -lc * c ** d
@@ -405,13 +385,13 @@ def _subresultant_tail(f, g, k):
 
 
 def _gcd_rec(p, q, k):
-    """gcd, up to sign, of polynomials (nonnegative exponents) in vars[0..k]; integers at k = -1."""
-    if p.is_zero:
+    """gcd, up to sign, of polynomials (nonnegative exponents) in u (k = 0) or u and v (k = 1); integers at k = -1."""
+    if not p:
         return q
-    if q.is_zero:
+    if not q:
         return p
     if k < 0:
-        return LaurentPoly.const(p.vars, math.gcd(p.content(), q.content()))
+        return LaurentPoly.const(math.gcd(p.content(), q.content()))
     cp, cq = _content(p, k), _content(q, k)
     cont_gcd = _gcd_rec(cp, cq, k - 1)
     f, g = divexact(p, cp), divexact(q, cq)
@@ -425,41 +405,35 @@ def _gcd_rec(p, q, k):
 
 def gcd(p, q):
     """Canonical gcd in the Laurent ring, integer content included."""
-    if p.vars != q.vars:
-        raise ValueError("mixed variable sets")
     if p.is_unit or q.is_unit:
-        return LaurentPoly.const(p.vars, 1)
+        return LaurentPoly.const(1)
     pp = p.shift(tuple(-e for e in p.min_exps()))
     qq = q.shift(tuple(-e for e in q.min_exps()))
-    return _gcd_rec(pp, qq, len(p.vars) - 1).canonical()
+    return _gcd_rec(pp, qq, 1).canonical()
 
 
 # -- Kronecker packing ------------------------------------------------
 
 
 def pack(p, low, B, D):
-    """The integer image of p / x^low under u -> X = 2^B, v -> X^D (t -> X).
+    """The integer image of p / u^lu v^lv, (lu, lv) = low, under u -> X = 2^B, v -> X^D.
 
     ``low`` is at most p's least exponents, so every shifted exponent is
-    nonnegative; D is unused in one variable.  The map is a ring
-    homomorphism on polynomials, and ``unpack`` inverts it while the
-    coefficients of p lie in [-2^(B-1), 2^(B-1)) and p / x^low has u-degree
-    below D.
+    nonnegative.  The map is a ring homomorphism on polynomials, and
+    ``unpack`` inverts it while the coefficients of p lie in
+    [-2^(B-1), 2^(B-1)) and p / u^lu v^lv has u-degree below D.
     """
-    if len(low) == 2:
-        lu, lv = low
-        BD = B * D
-        return sum(c << (a - lu) * B + (b - lv) * BD for (a, b), c in p.terms.items())
-    (lt,) = low
-    return sum(c << (a - lt) * B for (a,), c in p.terms.items())
+    lu, lv = low
+    BD = B * D
+    return sum(c << (a - lu) * B + (b - lv) * BD for (a, b), c in p.terms.items())
 
 
-def unpack(x, B, D, vars, low):
+def unpack(x, B, D, low):
     """The polynomial whose ``pack`` with these arguments is x.
 
     The balanced base-2^B digits of x are the coefficients, each in
-    [-2^(B-1), 2^(B-1)); digit n is the coefficient of u^(n mod D) v^(n // D)
-    (of t^n in one variable), times x^low.
+    [-2^(B-1), 2^(B-1)); digit n is the coefficient of u^(n mod D) v^(n // D),
+    times u^lu v^lv, (lu, lv) = low.
     """
     base, half = 1 << B, 1 << (B - 1)
     mask = base - 1
@@ -478,9 +452,8 @@ def unpack(x, B, D, vars, low):
             x += 1
         digits.append((n, c))
         n += 1
-    if len(low) == 1:
-        return LaurentPoly._raw(vars, {(n + low[0],): c for n, c in digits})
-    return LaurentPoly._raw(vars, {(n % D + low[0], n // D + low[1]): c for n, c in digits})
+    lu, lv = low
+    return LaurentPoly._raw({(n % D + lu, n // D + lv): c for n, c in digits})
 
 
 _HEU_MARGIN = 16  # bits of 2^B beyond the bound of the heuristic gcd
@@ -489,11 +462,11 @@ _HEU_MARGIN = 16  # bits of 2^B beyond the bound of the heuristic gcd
 def _primitive(p):
     """The canonical form of p divided by its content (p != 0)."""
     k = p.content() if p.terms[max(p.terms)] > 0 else -p.content()
-    low = p.min_exps()
-    return LaurentPoly._raw(p.vars, {tuple(map(operator.sub, e, low)): c // k for e, c in p.terms.items()})
+    lu, lv = p.min_exps()
+    return LaurentPoly._raw({(a - lu, b - lv): c // k for (a, b), c in p.terms.items()})
 
 
-def gcd_many(polys, vars=None):
+def gcd_many(polys):
     """Canonical gcd of a collection; the empty collection has gcd 0.
 
     One nonzero input is its own gcd.  Otherwise GCDHEU (Char, Geddes and
@@ -516,25 +489,19 @@ def gcd_many(polys, vars=None):
     G / C, whose terms S keeps apart, is a unit.
     """
     polys = list(polys)
-    if not polys:
-        if vars is None:
-            raise ValueError("vars required for an empty collection")
-        return LaurentPoly.zero(vars)
     nonzero = [p for p in polys if p]
     if len(nonzero) <= 1:
-        return (nonzero or polys)[0].canonical()
-    vars = polys[0].vars
+        return nonzero[0].canonical() if nonzero else LaurentPoly()
     content = math.gcd(*(p.content() for p in nonzero))
     prims = [_primitive(p) for p in nonzero]  # least exponents 0
     B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + _HEU_MARGIN
     span = max(p.max_degree(0) for p in prims) + 1
-    zero = (0,) * len(vars)
-    for D in (span, span + 1) if len(vars) == 2 else (1,):
-        h = math.gcd(*(pack(p, zero, B, D) for p in prims))
-        j = ((h & -h).bit_length() - 1) // B  # 0 in one variable, where every P_i(0) != 0
+    for D in (span, span + 1):
+        h = math.gcd(*(pack(p, (0, 0), B, D) for p in prims))
+        j = ((h & -h).bit_length() - 1) // B
         if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
             continue
-        candidate = _primitive(unpack(h, B, D, vars, zero))
+        candidate = _primitive(unpack(h, B, D, (0, 0)))
         if len(candidate.terms) == 1 or all(p == candidate or divides(candidate, p) for p in prims):
             return candidate * content
     g = polys[0]

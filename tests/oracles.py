@@ -71,10 +71,10 @@ from vka.invariants import (
     quotient_matrix,
     smith_normal_form,
 )
-from vka.laurent import LaurentPoly, TVAR, UV, divexact
+from vka.laurent import LaurentPoly, divexact
 from vka.moves import MoveSite
 
-U = LaurentPoly.monomial(UV, (1, 0))  # t read as u: the Laurent A(t) of ``one_var_matrix_reference``
+U = LaurentPoly.monomial((1, 0))  # t read as u: the Laurent A(t) of ``one_var_matrix_reference``
 
 
 def convolve(p, q):
@@ -84,7 +84,7 @@ def convolve(p, q):
         for e2, c2 in q.terms.items():
             key = tuple(a + b for a, b in zip(e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
-    return LaurentPoly(p.vars, out)
+    return LaurentPoly(out)
 
 
 def det_cofactor(rows):
@@ -111,13 +111,13 @@ def maximal_minors(rows, ncols):
     ]
 
 
-def det_exact_reference(rows, vars):
-    """Laurent-polynomial Bareiss determinant over the ring in ``vars``.
+def det_exact_reference(rows):
+    """Laurent-polynomial Bareiss determinant over Z[u^+-1, v^+-1].
 
     Every step divides exactly in the Laurent ring with ``divexact``.  This
     is the reference for the packed-integer minors of ``elementary_minors``.
     """
-    zero, one = LaurentPoly.zero(vars), LaurentPoly.const(vars, 1)
+    zero, one = LaurentPoly(), LaurentPoly.const(1)
     n = len(rows)
     if n == 0:
         return one
@@ -146,9 +146,9 @@ def minors_reference(m, k):
     nrows, ncols = m.shape
     size = ncols - k
     if size <= 0:
-        return [LaurentPoly.const(UV, 1)]
+        return [LaurentPoly.const(1)]
     return [
-        det_exact_reference([[m.rows[i][j] for j in cs] for i in rs], UV)
+        det_exact_reference([[m.rows[i][j] for j in cs] for i in rs])
         for rs in combinations(range(nrows), size)
         for cs in combinations(range(ncols), size)
     ]
@@ -156,10 +156,9 @@ def minors_reference(m, k):
 
 def subs_reference(p, images):
     """``LaurentPoly.subs`` by powers of the images: sum of coeff * prod im**e."""
-    tvars = images[0].vars
-    out = LaurentPoly.zero(tvars)
+    out = LaurentPoly()
     for exps, coeff in p.terms.items():
-        term = LaurentPoly.const(tvars, coeff)
+        term = LaurentPoly.const(coeff)
         for im, e in zip(images, exps):
             term = term * im ** e
         out = out + term
@@ -169,9 +168,9 @@ def subs_reference(p, images):
 def abelianize_reference(p):
     """``abelianize`` by adding one monomial per letter, left minus right."""
     def row(word):
-        coeffs = {g: LaurentPoly.zero(UV) for g in p.generators}
+        coeffs = {g: LaurentPoly() for g in p.generators}
         for l in word:
-            coeffs[l.gen] = coeffs[l.gen] + LaurentPoly.monomial(UV, l.exp, l.sign)
+            coeffs[l.gen] = coeffs[l.gen] + LaurentPoly.monomial(l.exp, l.sign)
         return [coeffs[g] for g in p.generators]
 
     rows = tuple(
@@ -321,17 +320,22 @@ def brute_force_hom_count(presentation, p, s):
     return count
 
 
-def random_poly(rng, vars, max_terms=4, max_exp=3, max_coeff=5):
+def _random_exps(rng, max_exp, u_only):
+    """(a, b) drawn from [-max_exp, max_exp]; b = 0, and one draw, when ``u_only``."""
+    a = rng.randrange(-max_exp, max_exp + 1)
+    return (a, 0) if u_only else (a, rng.randrange(-max_exp, max_exp + 1))
+
+
+def random_poly(rng, max_terms=4, max_exp=3, max_coeff=5, u_only=False):
+    """A random polynomial; ``u_only`` draws one in u alone, the shape of a one-variable image (t read as u)."""
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
-        exps = tuple(rng.randrange(-max_exp, max_exp + 1) for _ in vars)
-        terms[exps] = rng.randrange(-max_coeff, max_coeff + 1)
-    return LaurentPoly(vars, terms)
+        terms[_random_exps(rng, max_exp, u_only)] = rng.randrange(-max_coeff, max_coeff + 1)
+    return LaurentPoly(terms)
 
 
-def random_unit(rng, vars, max_exp=3):
-    exps = tuple(rng.randrange(-max_exp, max_exp + 1) for _ in vars)
-    return LaurentPoly.monomial(vars, exps, rng.choice((1, -1)))
+def random_unit(rng, max_exp=3, u_only=False):
+    return LaurentPoly.monomial(_random_exps(rng, max_exp, u_only), rng.choice((1, -1)))
 
 
 def random_long_diagram(rng, max_crossings=6):
@@ -860,7 +864,7 @@ def one_var_matrix_reference(d, t=U):
             raise ValueError(f"{t} is not a unit of Z")
         ring, zero, one, tinv = "Z", 0, 1, t
     else:
-        ring, zero, one, tinv = "L2", LaurentPoly.zero(UV), LaurentPoly.const(UV, 1), t.inverse()
+        ring, zero, one, tinv = "L2", LaurentPoly(), LaurentPoly.const(1), t.inverse()
     sign_of = {p.crossing: p.sign for p in d.passages}
     rows = []
     for cid in sorted(arcs.crossings):
@@ -1039,12 +1043,12 @@ def assert_same_module(a, b, ks=(0, 1, 2), context=()):
 
 def l2(terms):
     """Two-variable polynomial from {(u_exp, v_exp): coeff}."""
-    return LaurentPoly(UV, terms)
+    return LaurentPoly(terms)
 
 
 def l1(terms):
-    """One-variable polynomial from {t_exp: coeff}."""
-    return LaurentPoly(TVAR, {(e,): c for e, c in terms.items()})
+    """Polynomial in u alone from {u_exp: coeff}: a one-variable image, t read as u."""
+    return LaurentPoly({(e, 0): c for e, c in terms.items()})
 
 
 def specialize_entry(f, p):
@@ -1100,7 +1104,7 @@ def end_generator_columns(p, m):
 
 def end_arc_columns(m):
     """Unit columns at the first and at the last column of the L2 matrix m: the end arcs in a long diagram's A(t)."""
-    units = [LaurentPoly.const(UV, 1)] + [LaurentPoly.zero(UV)] * (len(m.cols) - 1)
+    units = [LaurentPoly.const(1)] + [LaurentPoly()] * (len(m.cols) - 1)
     return units, units[::-1]
 
 

@@ -38,7 +38,7 @@ from vka.alexander import (
 )
 from vka.diagram import LONG, TRIVIAL_LONG, parse_gauss
 from vka.invariants import char_poly, quotient_pipeline
-from vka.laurent import LaurentPoly, UV, parse_poly
+from vka.laurent import LaurentPoly, parse_poly
 
 
 def L(gen, u=0, v=0, sign=1):
@@ -388,7 +388,7 @@ def test_end_columns_trivial():
     p = extended_presentation(TRIVIAL_LONG)
     m = abelianize(p)
     minus, plus = end_generator_columns(p, m)
-    assert minus == plus == (LaurentPoly.const(UV, 1),)
+    assert minus == plus == (LaurentPoly.const(1),)
 
 
 def test_end_columns_k1():
@@ -408,9 +408,9 @@ def test_end_expression_k3():
     m = abelianize(e)
     gen_index = {g: i for i, g in enumerate(e.generators)}
     expr = (L("b"), L("b", u=1, v=2), L("b", u=1, v=1, sign=-1))
-    expr_cols = [LaurentPoly.zero(UV) for _ in e.generators]
+    expr_cols = [LaurentPoly() for _ in e.generators]
     for letter in expr:
-        expr_cols[gen_index[letter.gen]] += LaurentPoly.monomial(UV, letter.exp, letter.sign)
+        expr_cols[gen_index[letter.gen]] += LaurentPoly.monomial(letter.exp, letter.sign)
     _, plus = end_generator_columns(e, m)
     assert all(difference_in_rowspan(m, plus, expr_cols))
 
@@ -453,7 +453,7 @@ def test_product_quotient_modules_golden():
     m54t = diagonal_t(abelianize(quotient_pipeline(catalog.k5k4(), "end-minus")))
     assert char_poly(m54t, 0) == (tsq * tsq).canonical()
     # cyclic module: the first ideal is everything
-    assert char_poly(m54t, 1) == LaurentPoly.const(UV, 1)
+    assert char_poly(m54t, 1) == LaurentPoly.const(1)
 
 
 # -- returned presentations ---------------------------------------------

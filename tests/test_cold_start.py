@@ -16,7 +16,7 @@ import pytest
 from conftest import REPO_ROOT
 from vka.alexander import GroupPresentationZ2, OpLetter, OpRelation, PresentationMatrix
 from vka.invariants import ColoringReport
-from vka.laurent import LaurentPoly, UV
+from vka.laurent import LaurentPoly
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
@@ -38,7 +38,7 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
 LETTER = OpLetter("a", (0, 1), 1)
 CASES = [
     (
-        PresentationMatrix("L2", ("a",), ((LaurentPoly.const(UV, 1),),)),
+        PresentationMatrix("L2", ("a",), ((LaurentPoly.const(1),),)),
         ("ring", "cols", "rows"),
         {},
         "PresentationMatrix(ring='L2', cols=('a',), rows=((LaurentPoly(u.v: 1),),))",

@@ -65,7 +65,7 @@ from vka.invariants import (
     transfer_matrix,
     unit_minor_check,
 )
-from vka.laurent import LaurentPoly, TVAR, UV, divides, parse_poly
+from vka.laurent import LaurentPoly, divides, parse_poly
 from vka.moves import random_walk
 from vka.alexander import PresentationMatrix
 
@@ -115,10 +115,10 @@ def test_det_exact_matches_cofactor_oracle():
 
 
 def test_det_exact_laurent():
-    t = LaurentPoly.monomial(TVAR, (1,))
-    one = LaurentPoly.const(TVAR, 1)
+    t = LaurentPoly.monomial((1, 0))  # t read as u
+    one = LaurentPoly.const(1)
     rows = [[t, one], [one, t]]
-    assert det_exact_reference(rows, TVAR) == t * t - 1
+    assert det_exact_reference(rows) == t * t - 1
 
 
 # -- packed minors against the Laurent Bareiss reference -------------------
@@ -153,8 +153,8 @@ def test_packed_minors_match_reference_at_30_crossings():
 
 def test_packed_minors_adversarial_matrices():
     big = 2**64
-    u, v = LaurentPoly.monomial(UV, (1, 0)), LaurentPoly.monomial(UV, (0, 1))
-    one, zero = LaurentPoly.const(UV, 1), LaurentPoly.zero(UV)
+    u, v = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((0, 1))
+    one, zero = LaurentPoly.const(1), LaurentPoly()
     # minors whose coefficient is the bound, the product of their rows' 1-norms
     at_bound = _matrix("L2", [[3 * u, zero], [zero, -5 * v]])
     at_big_bound = _matrix("L2", [[-big * u ** -3, zero], [zero, one]])
@@ -186,7 +186,7 @@ def test_packed_minors_adversarial_matrices():
             assert elementary_minors(m, k) == minors_reference(m, k), (m, k)
     # 0x0 and k >= columns: one empty minor, 1
     for k in (0, 1):
-        assert elementary_minors(_matrix("L2", []), k) == [LaurentPoly.const(UV, 1)]
+        assert elementary_minors(_matrix("L2", []), k) == [LaurentPoly.const(1)]
 
 
 def test_minors_match_sympy_beyond_six_crossings():
@@ -235,7 +235,7 @@ def test_char_poly_invariant_under_matrix_equivalence():
                 rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
         perm = list(range(len(base.cols)))
         rng.shuffle(perm)
-        unit = LaurentPoly.monomial(UV, (rng.randrange(-2, 3), rng.randrange(-2, 3)),
+        unit = LaurentPoly.monomial((rng.randrange(-2, 3), rng.randrange(-2, 3)),
                                     rng.choice((1, -1)))
         rows = [[row[p] * unit for p in perm] for row in rows]
         scrambled = PresentationMatrix("L2", base.cols, tuple(tuple(r) for r in rows))
@@ -245,18 +245,18 @@ def test_char_poly_invariant_under_matrix_equivalence():
 
 def test_specialization_commutes_with_minors():
     rng = random.Random(7)
-    u = LaurentPoly.monomial(UV, (1, 0))  # t read as u
+    u = LaurentPoly.monomial((1, 0))  # t read as u
     for _ in range(25):
         rows = tuple(
             tuple(
-                LaurentPoly(UV, {(rng.randrange(-1, 2), rng.randrange(-1, 2)): rng.randrange(-3, 4)
+                LaurentPoly({(rng.randrange(-1, 2), rng.randrange(-1, 2)): rng.randrange(-3, 4)
                                  for _ in range(rng.randrange(3))})
                 for _ in range(3)
             )
             for _ in range(2)
         )
         m = PresentationMatrix("L2", ("x", "y", "z"), rows)
-        for f, images in ((one_variable, (u, LaurentPoly.const(UV, 1))), (diagonal_t, (u, u))):
+        for f, images in ((one_variable, (u, LaurentPoly.const(1))), (diagonal_t, (u, u))):
             specialized = f(m)
             for k in (1, 2):
                 direct = [subs_reference(e, images) for e in elementary_minors(m, k)]

@@ -24,7 +24,7 @@ from vka.alexander import (
 )
 from vka.diagram import UNKNOT, parse_gauss
 from vka.invariants import _end_quotient, char_poly
-from vka.laurent import LaurentPoly, UV
+from vka.laurent import LaurentPoly
 
 
 def _assert_same_module(p, reduced, ks=(0, 1, 2)):
@@ -149,7 +149,7 @@ def test_zero_rows_only():
     p = _presentation([{}, {}], ncols=2)
     reduced = _assert_same_ideals(p)
     assert reduced.shape == (0, 2)
-    assert char_poly(reduced, 0) == LaurentPoly.zero(UV)
+    assert not char_poly(reduced, 0)
     assert char_poly(reduced, 2).is_one
 
 

@@ -1,4 +1,4 @@
-"""Every module-level function and class of ``vka`` has a user.
+"""Every module-level function, class and UPPERCASE constant of ``vka`` has a user.
 
 A definition is used when code in ``src/vka`` refers to it outside its own
 body, when ``vka.__all__`` exports it, or when ``perfbench/`` refers to it
@@ -33,19 +33,31 @@ def _references(tree, strings=False):
             yield node.value, node.lineno
 
 
-def _unused(module, tree, refs, elsewhere):
-    """``module:line name`` of each module-level function and class of ``tree`` with no user.
+def _definitions(tree, constants):
+    """(name, node) of each module-level function and class of tree and, when
+    ``constants``, of each UPPERCASE name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.isupper():
+                        yield name.id, node
+
+
+def _unused(module, tree, refs, elsewhere, constants=False):
+    """``module:line name`` of each definition of ``tree`` (see ``_definitions``) with no user.
 
     ``refs`` maps module names to their references; a definition is used when
     ``elsewhere`` holds its name or some module refers to it outside its own body.
     """
     return [
-        f"{module}:{node.lineno} {node.name}"
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in elsewhere
+        f"{module}:{node.lineno} {defined}"
+        for defined, node in _definitions(tree, constants)
+        if defined not in elsewhere
         and not any(
-            name == node.name and not (other == module and node.lineno <= line <= node.end_lineno)
+            name == defined and not (other == module and node.lineno <= line <= node.end_lineno)
             for other, found in refs.items()
             for name, line in found
         )
@@ -61,7 +73,7 @@ def test_every_library_definition_has_a_user():
         for name, _ in _references(_parse(path), strings=True)
     }
     elsewhere = set(vka.__all__) | bench
-    unused = [line for module, tree in modules.items() for line in _unused(module, tree, refs, elsewhere)]
+    unused = [line for module, tree in modules.items() for line in _unused(module, tree, refs, elsewhere, True)]
     assert not unused, "used only by tests or by nothing: " + ", ".join(unused)
 
 
