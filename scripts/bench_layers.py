@@ -34,7 +34,8 @@ best and median of 15.  One section per layer:
   the ladder;
 - ``walks``: ``random_walk`` on the fuzz-walks workload's walks, with its
   ``_shrinking_sites`` calls, the mean walked crossing count and the
-  sha256 of the walked codes;
+  sha256 of the walked codes, and ``_shrinking_sites`` alone on the
+  states those calls scan (``scan_best_s``, ``scan_median_s``);
 - ``profile``: ``invariant_profile`` on the start and walked diagram of
   each of the fuzz-walks workload's walks;
 - ``colorings``: ``coloring_count`` on the winding-colorings workload's
@@ -330,34 +331,38 @@ def presentations_workload(calls, repeats=REPEATS):
 
 
 def counted_scans(fn):
-    """fn()'s result and the number of ``moves._shrinking_sites`` calls it made."""
-    calls, real = [0], moves._shrinking_sites
+    """fn()'s result and a copy of the passage list of each ``moves._shrinking_sites`` call it made."""
+    states, real = [], moves._shrinking_sites
 
     def counting(passages):
-        calls[0] += 1
+        states.append(list(passages))
         return real(passages)
 
     moves._shrinking_sites = counting
     try:
-        return fn(), calls[0]
+        return fn(), states
     finally:
         moves._shrinking_sites = real
 
 
 def walks_section(walks, repeats=REPEATS):
-    """The ``walks`` section: the captured walks, walked again ``repeats`` times."""
+    """The ``walks`` section: the captured walks, walked again ``repeats`` times, and
+    ``_shrinking_sites`` alone on the states they scan."""
     def walk():
         return [moves.random_walk(d, seed, steps, max_crossings=cap) for d, seed, steps, cap in walks]
 
-    ends, scans = counted_scans(walk)
+    ends, states = counted_scans(walk)
     _, timing = best_and_median(walk, repeats)
+    _, scan = best_and_median(lambda: [moves._shrinking_sites(passages) for passages in states], repeats)
     return {
         "layer": "moves.random_walk",
         "workload": f"the walks of the {WALK_WORKLOAD} request list, seed {SEED}",
         "walks": len(walks),
         "steps": sum(steps for _, _, steps, _ in walks),
-        "scans": scans,
+        "scans": len(states),
         **timing,
+        "scan_best_s": scan["best_s"],
+        "scan_median_s": scan["median_s"],
         "mean_crossings": round(statistics.mean(d.crossings for d in ends), 4),
         "walked_sha256": sha256(map(serialize_gauss, ends)),
     }

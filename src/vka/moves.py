@@ -10,13 +10,13 @@ diagram into an inequivalent one.
 
 Site enumeration builds one index per diagram, the position of each
 passage's partner (the other passage of its crossing).  With it the
-shrinking sites (R1-, R2-, R3) come from one O(n) scan over adjacent
-pairs, which is the only definition of their legality; the growing sites
-(R1+, R2+) are counted in closed form and decoded from their index on
-demand.  A random-walk step draws against the growing count plus a bound
-on the shrinking count, so it scans only when the draw lands past the
-growing sites; it moves on the bare passage list, and the walk builds and
-validates one ``Diagram`` at its end.
+shrinking sites (R1-, R2-, R3) come from one O(n) scan over adjacent pairs,
+which is the only definition of their legality; the growing sites (R1+,
+R2+) are counted in closed form and decoded from their index on demand.  A
+random-walk step draws against the growing count plus a bound on the
+shrinking count, so it scans only when the draw lands past the growing
+sites.  The walk moves on passage triples read by index, and one ``Diagram``
+validates its end; a scan builds sites with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .diagram import Diagram, OVER, Passage, UNDER, is_int
+from .diagram import Diagram, OVER, UNDER, is_int
 
 
 class MoveSite(NamedTuple):
@@ -43,10 +43,8 @@ def _partners(passages):
     partner = [0] * len(passages)
     first = {}
     for k, p in enumerate(passages):
-        j = first.pop(p.crossing, None)
-        if j is None:
-            first[p.crossing] = k
-        else:
+        j = first.setdefault(p[0], k)
+        if j != k:
             partner[j], partner[k] = k, j
     return partner
 
@@ -65,19 +63,21 @@ def _shrinking_sites(passages):
     triangle, so the middle pair holds x's under passage and the bottom
     pair y's (see ``_r3_sites``).
     """
-    n = len(passages)
     partner = _partners(passages)
-    r1 = [MoveSite("r1-", (i,)) for i in range(n - 1) if partner[i] == i + 1]
-    r2, r3 = [], []
-    roles = [p.role for p in passages]
-    for i in [i for i in range(n - 1) if roles[i] == roles[i + 1]]:
-        pa, pb = partner[i], partner[i + 1]
-        j = min(pa, pb)
-        if abs(pa - pb) == 1 and j > i + 1 and passages[i].sign != passages[i + 1].sign:
-            r2.append(MoveSite("r2-", (i, j)))
-        if roles[i] == OVER:
-            r3.extend(_r3_sites(passages, partner, i))
-    r3.sort(key=lambda site: site.data)
+    r1, r2, r3 = [], [], []
+    for i in range(len(passages) - 1):
+        a, b = passages[i], passages[i + 1]
+        pa = partner[i]
+        if pa == i + 1:  # tuple.__new__ skips the Python-level NamedTuple constructor
+            r1.append(tuple.__new__(MoveSite, ("r1-", (i,))))
+        elif a[1] == b[1]:
+            pb = partner[i + 1]
+            if a[2] != b[2] and (pa - pb == 1 or pb - pa == 1) and min(pa, pb) > i + 1:
+                r2.append(tuple.__new__(MoveSite, ("r2-", (i, min(pa, pb)))))
+            if a[1] == OVER:
+                r3 += _r3_sites(passages, partner, i)
+    if len(r3) > 1:
+        r3.sort()  # one kind, so by data
     return r1 + r2 + r3
 
 
@@ -97,10 +97,10 @@ def _r3_sites(passages, partner, it):
     n = len(passages)
     sites = []
     for e_top, xo, yo in ((1, it, it + 1), (-1, it + 1, it)):
-        e_mid = e_top * passages[xo].sign
+        e_mid = e_top * passages[xo][2]
         xu = partner[xo]
         im, zo = (xu, xu + 1) if e_mid == 1 else (xu - 1, xu - 1)
-        if not 0 <= zo < n or zo == xo or passages[zo].role != OVER:
+        if not 0 <= zo < n or zo == xo or passages[zo][1] != OVER:
             continue
         zu, yu = partner[zo], partner[yo]
         if zu == yu + 1:
@@ -109,8 +109,8 @@ def _r3_sites(passages, partner, it):
             ib, e_bot = yu - 1, -1
         else:
             continue
-        if passages[yo].sign == e_top * e_bot and passages[zo].sign == e_mid * e_bot:
-            sites.append(MoveSite("r3", (it, im, ib, e_top, e_bot)))
+        if passages[yo][2] == e_top * e_bot and passages[zo][2] == e_mid * e_bot:
+            sites.append(tuple.__new__(MoveSite, ("r3", (it, im, ib, e_top, e_bot))))
     return sites
 
 
@@ -225,14 +225,14 @@ def _moved(passages, site, fresh):
     """The passage list after the move at a legal ``site``.
 
     New crossings take their ids from the iterator ``fresh``, which must
-    yield ids that ``passages`` does not use.
+    yield ids that ``passages`` does not use; they go in as plain triples.
     """
     kind, data = site
     if kind == "r1+":
         pos, sign, order = data
         cid = next(fresh)
         roles = (OVER, UNDER) if order == "OU" else (UNDER, OVER)
-        kink = [Passage(cid, roles[0], sign), Passage(cid, roles[1], sign)]
+        kink = [(cid, roles[0], sign), (cid, roles[1], sign)]
         return passages[:pos] + kink + passages[pos:]
     if kind == "r1-":
         (i,) = data
@@ -241,11 +241,11 @@ def _moved(passages, site, fresh):
         i, j, sign, first_role, parallel = data
         a, b = next(fresh), next(fresh)
         other = UNDER if first_role == OVER else OVER
-        first = [Passage(a, first_role, sign), Passage(b, first_role, -sign)]
+        first = [(a, first_role, sign), (b, first_role, -sign)]
         if parallel:
-            second = [Passage(a, other, sign), Passage(b, other, -sign)]
+            second = [(a, other, sign), (b, other, -sign)]
         else:
-            second = [Passage(b, other, -sign), Passage(a, other, sign)]
+            second = [(b, other, -sign), (a, other, sign)]
         return passages[:i] + first + passages[i:j] + second + passages[j:]
     if kind == "r2-":
         i, j = data
@@ -269,8 +269,8 @@ def random_walk(d, seed, steps, max_crossings=None):
     on the first draw and the same share, (B - S)/(G + B) * 1/(G + S), on
     the redraw: 1/(G + S) in all, the uniform law over ``legal_sites``.
     The walk moves on the bare passage list, whose sites are legal by
-    construction, so a step costs O(n); one ``Diagram`` at the end
-    validates and relabels the result.
+    construction, so a step costs O(n); ``_moved`` writes plain triples,
+    and one ``Diagram`` at the end validates and relabels the result.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")

@@ -142,10 +142,10 @@ def test_walk_preserves_corpus_profiles_smoke():
             assert invariant_profile(w) == base, name
 
 
-def check_shrinking_sites(d):
-    """The shrinking sites of ``d``, checked against the brute force and applied."""
+def check_shrinking_sites(d, brute_force=None):
+    """The shrinking sites of ``d``, checked against the brute force (computed unless given) and applied."""
     sites = legal_sites(d, max_crossings=d.crossings)
-    assert sites == shrinking_sites_brute_force(d.passages)
+    assert sites == (shrinking_sites_brute_force(d.passages) if brute_force is None else brute_force)
     assert len(sites) <= moves._shrink_bound(len(d.passages))
     for site in sites:
         apply_move(d, site)  # raises IllegalMove on a bad site
@@ -159,27 +159,52 @@ def test_sites_match_brute_force_on_random_diagrams():
         check_shrinking_sites(d)
 
 
-def test_sites_match_brute_force_along_corpus_walks(monkeypatch):
+@pytest.fixture(scope="module")
+def corpus_walk_states():
+    """(passages, diagram, brute-force shrinking sites) of each state that
+    20 reference walks of 50 steps from every corpus code move on.  The
+    passages are as ``_moved`` receives them: the start's ``Passage``s mixed
+    with the plain triples that moves write."""
     captured = []
     real_moved = moves._moved
-    monkeypatch.setattr(
-        moves, "_moved", lambda ps, site, fresh: captured.append(tuple(ps)) or real_moved(ps, site, fresh)
-    )
-    corpus = catalog.corpus()
-    states = []
-    for d in corpus.values():
-        for seed in range(20):
-            captured.clear()
-            # the states this test checked before the walk drew against a
-            # bound: the two walks share one step law (see
-            # test_one_walk_step_is_uniform_over_legal_sites), not one mapping
-            random_walk_reference(d, seed, 50)
-            states.extend(Diagram(d.kind, ps) for ps in captured)
-    monkeypatch.undo()
-    assert len(states) == len(corpus) * 20 * 50
-    r3_counts = [sum(s.kind == "r3" for s in check_shrinking_sites(d)) for d in states]
+    with pytest.MonkeyPatch.context() as patch:
+        for d in catalog.corpus().values():
+            patch.setattr(moves, "_moved", lambda ps, site, fresh, kind=d.kind: (
+                captured.append((kind, list(ps))) or real_moved(ps, site, fresh)))
+            for seed in range(20):
+                # the states the scan was checked on before the walk drew against
+                # a bound: the two walks share one step law (see
+                # test_one_walk_step_is_uniform_over_legal_sites), not one mapping
+                random_walk_reference(d, seed, 50)
+    states = [(ps, Diagram(kind, ps)) for kind, ps in captured]
+    return [(ps, d, shrinking_sites_brute_force(d.passages)) for ps, d in states]
+
+
+def test_sites_match_brute_force_along_corpus_walks(corpus_walk_states):
+    assert len(corpus_walk_states) == len(catalog.corpus()) * 20 * 50
+    r3_counts = [sum(s.kind == "r3" for s in check_shrinking_sites(d, brute)) for _, d, brute in corpus_walk_states]
     # walk states hold R3 sites far more often than random diagrams do
     assert sum(1 for k in r3_counts if k) >= 2000
+
+
+def test_scan_reads_passages_plain_triples_and_mixed_lists(corpus_walk_states):
+    mixed_states = 0
+    for n, (mixed, d, brute) in enumerate(corpus_walk_states):
+        assert all(type(p) is Passage for p in d.passages)
+        mixed_states += {type(p) for p in mixed} == {Passage, tuple}
+        sites = moves._shrinking_sites(d.passages)
+        assert sites == moves._shrinking_sites([tuple(p) for p in d.passages]) == moves._shrinking_sites(mixed)
+        assert sites == brute == legal_sites(d, max_crossings=d.crossings)
+        if n % 25:
+            continue
+        # every 25th state: its growing sites too, and the first site of each kind applied
+        first = {}
+        for site in legal_sites(d, max_crossings=d.crossings + 2):
+            assert type(site) is MoveSite and (site.kind, site.data) == tuple(site)
+            first.setdefault(site.kind, site)
+        for site in first.values():
+            assert all(type(p) is Passage for p in apply_move(d, site).passages), site
+    assert mixed_states >= len(corpus_walk_states) // 2
 
 
 def _oracle_accepts(passages, site):
@@ -253,6 +278,7 @@ def test_random_walk_builds_one_diagram_and_no_apply_move(monkeypatch):
             walked = random_walk(d, 5, steps)
             assert built == [d.kind]
             assert isinstance(walked, real_diagram)
+            assert all(type(p) is Passage for p in walked.passages)
 
 
 def _walks_digest(walk):
