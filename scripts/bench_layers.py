@@ -23,7 +23,8 @@ best and median of 15.  One section per layer:
   command function given by its name);
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
   ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
-  with one, and that reach ``laurent.gcd``;
+  with one, with more that all share one primitive part
+  (``shared_primitive_calls``), and that reach ``laurent.gcd``;
 - ``minors``: ``elementary_minors`` against ``minors_reference`` on the
   ladder's ``quotient_matrix(d)``, at k = 0 and 1;
 - ``modules``: ``quotient_matrix(d, quotient)`` and its char polys at
@@ -236,6 +237,12 @@ def fallback_calls(calls):
     return count
 
 
+def shared_primitive(polys):
+    """True when two or more inputs are nonzero and all have one primitive part."""
+    nonzero = [p for p in polys if p]
+    return len(nonzero) > 1 and len({laurent._primitive(p) for p in nonzero}) == 1
+
+
 def gcd_case(calls):
     """The ``gcd`` section's entry for one workload's captured calls."""
     values, gcd_many_s = timed(lambda: [laurent.gcd_many(polys) for polys in calls])
@@ -245,6 +252,7 @@ def gcd_case(calls):
         "inputs": sum(len(polys) for polys in calls),
         "no_input_calls": sum(not any(polys) for polys in calls),
         "single_input_calls": sum(sum(1 for p in polys if p) == 1 for polys in calls),
+        "shared_primitive_calls": sum(map(shared_primitive, calls)),
         "fallback_calls": fallback_calls(calls),
         "gcd_many_s": round(min(gcd_many_s), 6),
         "reference_s": round(min(reference_s), 6),

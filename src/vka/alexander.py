@@ -533,12 +533,14 @@ def _pivot_out(rows, cols, units_of, clear):
     cleared from the other rows, and its row and column are dropped.  Zero
     rows are dropped.  The rows and their entries are changed in place.
     """
-    where = {g: set() for g in cols}  # column -> ids of the rows holding it
     rows = {i: row for i, row in enumerate(rows) if row}  # in input order
+    units = {i: units_of(row) for i, row in rows.items()}  # kept until the row changes
+    if not any(units.values()):  # no pivot: nothing changes
+        return list(rows.values()), tuple(cols)
+    where = {g: set() for g in cols}  # column -> ids of the rows holding it
     for i, row in rows.items():
         for g in row:
             where[g].add(i)
-    units = {i: units_of(row) for i, row in rows.items()}  # kept until the row changes
     while True:
         best = None
         for i, row_units in units.items():

@@ -9,6 +9,7 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import re
@@ -22,7 +23,7 @@ class InexactDivision(ArithmeticError):
 
 def _mono_key(exps):
     # graded-lex, first variable strongest
-    return (sum(exps), exps)
+    return exps[0] + exps[1], exps
 
 
 def _least(vectors):
@@ -222,12 +223,9 @@ class LaurentPoly:
                 elif e != 0:
                     factors.append(f"{name}^{e}")
             mag = abs(coeff)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            body = "*".join(factors)
             if not parts:
                 parts.append(body if coeff > 0 else "-" + body)
             else:
@@ -299,21 +297,27 @@ def divexact(p, q):
     rem = dict(p.shift(tuple(-e for e in pm)).terms)
     div = q.shift(tuple(-e for e in qm)).terms
     lead_q = max(div, key=_mono_key)
+    # (-a - b, -a, -b, (a, b)) per remainder term (a, b): the least is the leading term
+    heap = [(-a - b, -a, -b, (a, b)) for a, b in rem]
+    heapq.heapify(heap)
     quot = {}
     while rem:
-        lead_r = max(rem, key=_mono_key)
-        e = tuple(a - b for a, b in zip(lead_r, lead_q))
-        if any(x < 0 for x in e):
+        lead_r = heapq.heappop(heap)[3]
+        if lead_r not in rem:  # cancelled since it was pushed
+            continue
+        e = (lead_r[0] - lead_q[0], lead_r[1] - lead_q[1])
+        if e[0] < 0 or e[1] < 0:
             raise InexactDivision(f"{q} does not divide {p}")
-        c, d = rem[lead_r], div[lead_q]
-        if c % d:
+        k, r = divmod(rem[lead_r], div[lead_q])
+        if r:
             raise InexactDivision(f"{q} does not divide {p}")
-        k = c // d
         quot[e] = k
-        for eq, cq in div.items():
-            key = tuple(a + b for a, b in zip(e, eq))
+        for (a, b), cq in div.items():
+            key = (e[0] + a, e[1] + b)
             val = rem.get(key, 0) - k * cq
             if val:
+                if key not in rem:
+                    heapq.heappush(heap, (-key[0] - key[1], -key[0], -key[1], key))
                 rem[key] = val
             else:
                 rem.pop(key, None)
@@ -459,9 +463,10 @@ def unpack(x, B, D, low):
 _HEU_MARGIN = 16  # bits of 2^B beyond the bound of the heuristic gcd
 
 
-def _primitive(p):
-    """The canonical form of p divided by its content (p != 0)."""
-    k = p.content() if p.terms[max(p.terms)] > 0 else -p.content()
+def _primitive(p, k=None):
+    """The canonical form of p divided by its content k (p != 0; k is ``p.content()`` when not given)."""
+    k = p.content() if k is None else k
+    k = k if p.terms[max(p.terms)] > 0 else -k
     lu, lv = p.min_exps()
     return LaurentPoly._raw({(a - lu, b - lv): c // k for (a, b), c in p.terms.items()})
 
@@ -469,15 +474,18 @@ def _primitive(p):
 def gcd_many(polys):
     """Canonical gcd of a collection; the empty collection has gcd 0.
 
-    One nonzero input is its own gcd.  Otherwise GCDHEU (Char, Geddes and
-    Gonnet, JSC 7, 1989) runs on the primitive parts A_i: each is packed
-    with 2^B > 2 min ||A_i||_inf + 1 plus ``_HEU_MARGIN`` bits and
-    D = 1 + the largest u-span, h is the integer gcd of the images, and
-    the candidate C is the primitive part of ``unpack(h)``.  C, times the
-    gcd of the contents, is the gcd when X^j, the power of X = 2^B in h,
-    divides every image as a polynomial and C is a monomial or divides
-    every A_i.  Else D + 1 is tried once, as v -> X^D can give images of
-    coprime inputs a factor such as X - 1; then the subresultant loop runs.
+    One nonzero input is its own gcd.  For more, Gauss's lemma (primitive
+    times primitive is primitive) makes the gcd G = gcd(A_i) times the gcd
+    of the contents, A_i the primitive parts of the nonzero inputs, and
+    G = A when every A_i is one A.  Else GCDHEU (Char, Geddes and Gonnet,
+    JSC 7, 1989) runs on the A_i: each is packed with
+    2^B > 2 min ||A_i||_inf + 1 plus ``_HEU_MARGIN`` bits and D = 1 + the
+    largest u-span, h is the integer gcd of the images, and the candidate
+    C is the primitive part of ``unpack(h)``.  C is G when X^j, the power
+    of X = 2^B in h, divides every image as a polynomial and C is a
+    monomial or divides every A_i.  Else D + 1 is tried once, as v -> X^D
+    can give images of coprime inputs a factor such as X - 1; then the
+    subresultant loop runs.
 
     Exactness: below u-span D, S: u -> X, v -> X^D keeps the terms of an
     A_i and of its divisors apart, so P_i = S(A_i) has the coefficients of
@@ -488,25 +496,29 @@ def gcd_many(polys):
     C divides G = gcd(A_i) and S(G) divides H, so S(G / C) = +-X^r, and
     G / C, whose terms S keeps apart, is a unit.
     """
-    polys = list(polys)
     nonzero = [p for p in polys if p]
     if len(nonzero) <= 1:
         return nonzero[0].canonical() if nonzero else LaurentPoly()
-    content = math.gcd(*(p.content() for p in nonzero))
-    prims = [_primitive(p) for p in nonzero]  # least exponents 0
-    B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + _HEU_MARGIN
-    span = max(p.max_degree(0) for p in prims) + 1
-    for D in (span, span + 1):
-        h = math.gcd(*(pack(p, (0, 0), B, D) for p in prims))
-        j = ((h & -h).bit_length() - 1) // B
-        if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
-            continue
-        candidate = _primitive(unpack(h, B, D, (0, 0)))
-        if len(candidate.terms) == 1 or all(p == candidate or divides(candidate, p) for p in prims):
-            return candidate * content
-    g = polys[0]
-    for p in polys[1:]:
-        g = gcd(g, p)
-        if g.is_one:
-            break
-    return g.canonical()
+    contents = [p.content() for p in nonzero]
+    prims = [_primitive(p, k) for p, k in zip(nonzero, contents)]  # least exponents 0
+    g = prims[0]
+    if any(p.terms != g.terms for p in prims):
+        B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + _HEU_MARGIN
+        span = max(p.max_degree(0) for p in prims) + 1
+        for D in (span, span + 1):
+            h = math.gcd(*(pack(p, (0, 0), B, D) for p in prims))
+            j = ((h & -h).bit_length() - 1) // B
+            if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
+                continue
+            g = _primitive(unpack(h, B, D, (0, 0)))
+            if len(g.terms) == 1 or all(p == g or divides(g, p) for p in prims):
+                break
+        else:
+            g = nonzero[0]
+            for p in nonzero[1:]:
+                g = gcd(g, p)
+                if g.is_one:
+                    break
+            return g.canonical()
+    content = math.gcd(*contents)
+    return g if content == 1 else LaurentPoly._raw({e: c * content for e, c in g.terms.items()})

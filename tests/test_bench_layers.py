@@ -72,6 +72,15 @@ def _matches_front_end(bench, workload, texts, requests):
     assert section["args_sha256"] == recorded["args_sha256"]
 
 
+def _matches_gcd(bench, workload, gcd_calls, shared, multi):
+    """The workload's ``gcd`` entry matches the record: ``shared`` of its ``multi`` calls with two or more
+    nonzero inputs share one primitive part."""
+    section = bench.gcd_case(gcd_calls)
+    assert _untimed(section) == _untimed(RECORD["gcd"]["workloads"][workload])
+    assert section["shared_primitive_calls"] == shared
+    assert section["calls"] - section["no_input_calls"] - section["single_input_calls"] == multi
+
+
 def _hooks():
     """What ``replay`` rebinds while it runs, and the working directory."""
     return invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count, os.getcwd()
@@ -85,7 +94,7 @@ def test_fuzz_walks_replay_matches_the_record(bench):
     assert presentations == colorings == []
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
-    assert _untimed(bench.gcd_case(gcd_calls)) == _untimed(RECORD["gcd"]["workloads"]["fuzz-walks"])
+    _matches_gcd(bench, "fuzz-walks", gcd_calls, shared=117, multi=240)
     walked = bench.walks_section(walks, repeats=1)
     _matches_record(walked, RECORD["walks"])
     assert RECORD["walks"]["scans"] == 1611
@@ -100,8 +109,9 @@ def test_fuzz_walks_replay_matches_the_record(bench):
 
 
 def test_winding_colorings_replay_matches_the_record(bench):
-    _, _, _, colorings, texts, requests = bench.replay("winding-colorings")
+    gcd_calls, _, _, colorings, texts, requests = bench.replay("winding-colorings")
     _matches_front_end(bench, "winding-colorings", texts, requests)
+    _matches_gcd(bench, "winding-colorings", gcd_calls, shared=54, multi=54)
     assert colorings and all(ps == list(range(2, 30)) for _, ps in colorings)
     section = bench.colorings_section(colorings, repeats=1)
     recorded = dict(RECORD["colorings"])
@@ -119,8 +129,9 @@ def test_winding_colorings_replay_matches_the_record(bench):
 
 
 def test_ladder_presentations_replay_matches_the_record(bench):
-    _, _, presentations, _, texts, requests = bench.replay("invariants-ladder")
+    gcd_calls, _, presentations, _, texts, requests = bench.replay("invariants-ladder")
     _matches_front_end(bench, "invariants-ladder", texts, requests)
+    _matches_gcd(bench, "invariants-ladder", gcd_calls, shared=4, multi=160)
     workload = bench.presentations_workload(presentations, repeats=1)
     _matches_record(workload, RECORD["presentations"]["workload"])
     assert workload["diagrams"] == 220

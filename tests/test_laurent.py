@@ -200,6 +200,19 @@ def test_specialize_rejects_non_units():
         subs_mod(p, (1, 1), 1)
 
 
+def test_divexact_inverts_multiplication():
+    """q * f divided by q is f, and q * f + 1 is not a multiple of a q that is not a unit."""
+    rng = random.Random(67)
+    for _ in range(300):
+        f, q = random_poly(rng, max_terms=5), random_poly(rng, max_terms=5)
+        if not q:
+            continue
+        assert divexact(q * f, q) == f
+        if not q.is_unit:
+            with pytest.raises(InexactDivision):
+                divexact(q * f + 1, q)
+
+
 def test_divexact_errors():
     with pytest.raises(InexactDivision):
         divexact(U + 1, U - 1)
@@ -383,6 +396,8 @@ def traced_paths(monkeypatch):
         value = gcd_many(polys)
         if sum(1 for p in polys if p) <= 1:
             return value, "single"
+        if not seen["D"]:
+            return value, "shared"
         if seen["gcd"]:
             return value, "fallback"
         return value, "retry" if len(set(seen["D"])) == 2 else "heuristic"
@@ -393,7 +408,7 @@ def traced_paths(monkeypatch):
 # "t": the one-variable lists, in u alone (t read as u), as the specialized char polys reach gcd_many
 @pytest.mark.parametrize("u_only", [False, True], ids=["uv", "t"])
 def test_gcd_many_matches_pairwise_subresultant_gcd(u_only, traced_paths):
-    paths = {"single": 0, "heuristic": 0, "retry": 0, "fallback": 0}
+    paths = {"single": 0, "shared": 0, "heuristic": 0, "retry": 0, "fallback": 0}
     for seed in (31, 41, 43):
         for polys in planted_lists(seed, u_only):
             value, path = traced_paths(polys)
@@ -401,6 +416,50 @@ def test_gcd_many_matches_pairwise_subresultant_gcd(u_only, traced_paths):
             assert value == pairwise_gcd(polys), polys
     # both the single-input path and the heuristic gcd are exercised
     assert min(paths["single"], paths["heuristic"]) >= 50, paths
+
+
+def associates(rng, p, count):
+    """``count`` random associates of p times integers: monomial shifts, both signs, contents 1-12."""
+    return [p * random_unit(rng) * rng.randint(1, 12) for _ in range(count)]
+
+
+@pytest.mark.parametrize("u_only", [False, True], ids=["uv", "t"])
+def test_gcd_many_of_associates_is_the_shared_primitive_part(u_only, traced_paths):
+    rng = random.Random(47)
+    for _ in range(200):
+        p = random_poly(rng, max_terms=4, u_only=u_only)
+        if not p:
+            continue
+        polys = associates(rng, p, rng.randint(2, 5))
+        value, path = traced_paths(polys)
+        assert path == "shared" and value == pairwise_gcd(polys), polys
+        assert value == laurent._primitive(p) * math.gcd(*(q.content() for q in polys))
+
+
+def test_gcd_many_of_mixed_lists_and_zeros(traced_paths):
+    """Associates of one or two polynomials, other multiples and zeros, in random order."""
+    rng = random.Random(53)
+    paths = set()
+    for _ in range(300):
+        p, q = random_poly(rng, max_terms=3), random_poly(rng, max_terms=3)
+        polys = associates(rng, p, rng.randint(0, 3)) + associates(rng, q, rng.randint(0, 2))
+        polys += [p * random_poly(rng, max_terms=2) for _ in range(rng.randint(0, 2))]
+        polys += [LaurentPoly()] * rng.randint(0, 2)
+        rng.shuffle(polys)
+        value, path = traced_paths(polys)
+        paths.add(path)
+        expected = pairwise_gcd(polys) if polys else LaurentPoly()
+        assert value == expected, polys
+    assert {"single", "shared", "heuristic"} <= paths, paths
+
+
+def test_primitive_with_its_content_given():
+    rng = random.Random(61)
+    for _ in range(300):
+        p = random_poly(rng) * random_unit(rng) * rng.randint(1, 12)
+        if p:
+            assert laurent._primitive(p, p.content()).terms == laurent._primitive(p).terms
+            assert laurent._primitive(p) * p.content() == p.canonical()
 
 
 def sympy_gcd(sympy, polys):
