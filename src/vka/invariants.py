@@ -342,32 +342,24 @@ def hom_count_to_cyclic(rows, cols, p, s, t="diag"):
 
 # -- winding-family transfer criterion ----------------------------------
 
-TRANSFER_S = ((1, 2), (0, -1))
-TRANSFER_T = ((-1, 0), (2, 1))
-TRANSFER_U = ((0, -1), (1, 2))
-
-
-def _mat2_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def transfer_matrix(n):
-    """S (T S)^(n-1) U, the color propagation matrix of the n-th winding."""
-    m = TRANSFER_S
-    ts = _mat2_mul(TRANSFER_T, TRANSFER_S)
-    for _ in range(n - 1):
-        m = _mat2_mul(m, ts)
-    return _mat2_mul(m, TRANSFER_U)
+    """The color propagation matrix S (T S)^(n-1) U of the n-th winding, in closed form.
+
+    With S = ((1, 2), (0, -1)), T = ((-1, 0), (2, 1)) and U = ((0, -1), (1, 2)),
+    T S = I + N for N = ((-2, -2), (2, 2)), and N^2 = 0, so (T S)^(n-1) = I + (n-1) N.
+    S U = ((2, 3), (-1, -2)) and S N U = ((2, 2), (-2, -2)) then give
+    M(n) = S U + (n-1) S N U = ((2n, 2n+1), (1-2n, -2n)).  n is at least 1.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return ((2 * n, 2 * n + 1), (1 - 2 * n, -2 * n))
 
 
 def transfer_condition(n, p):
     """True when distinct colors alpha, beta solve (a, b) M = (d, b) mod p.
 
-    M = transfer_matrix(n); the matrix equation reduces to
-    (2n+1)(alpha - beta) = 0 mod p.
+    The second entry of (alpha, beta) M, M = transfer_matrix(n), is
+    (2n+1) alpha - 2n beta, which is beta exactly when (2n+1)(alpha - beta) = 0 mod p.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

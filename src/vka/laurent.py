@@ -200,13 +200,7 @@ class LaurentPoly:
         (u strongest) has a positive coefficient.
         canonical(0) = 0; idempotent.
         """
-        if not self.terms:
-            return self
-        mu, mv = self.min_exps()
-        terms = {(a - mu, b - mv): c for (a, b), c in self.terms.items()}
-        if terms[max(terms)] < 0:
-            terms = {e: -c for e, c in terms.items()}
-        return LaurentPoly._raw(terms)
+        return _primitive(self, 1) if self.terms else self
 
     # -- rendering / parsing -----------------------------------------
 

@@ -629,8 +629,8 @@ def tietze_eliminate_reference(p):
     return GroupPresentationZ2(tuple(gens), tuple(rels), *(tuple(e) if e is not None else None for e in ends))
 
 
-def transfer_brute_force(n, p):
-    """Solve the two-by-two propagation condition by trying every color pair."""
+def transfer_matrix_reference(n):
+    """S (T S)^(n-1) U by n - 1 products of two-by-two matrices."""
     s = ((1, 2), (0, -1))
     t = ((-1, 0), (2, 1))
     u = ((0, -1), (1, 2))
@@ -643,7 +643,12 @@ def transfer_brute_force(n, p):
     m = s
     for _ in range(n - 1):
         m = mul(m, mul(t, s))
-    m = mul(m, u)
+    return mul(m, u)
+
+
+def transfer_brute_force(n, p):
+    """Solve the two-by-two propagation condition by trying every color pair."""
+    m = transfer_matrix_reference(n)
     for alpha in range(p):
         for beta in range(p):
             if alpha == beta:

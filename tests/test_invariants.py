@@ -32,6 +32,7 @@ from oracles import (
     subs_mod,
     subs_reference,
     transfer_brute_force,
+    transfer_matrix_reference,
 )
 from vka import alexander, cli, invariants, laurent
 from vka.alexander import (
@@ -772,21 +773,20 @@ def test_transfer_rejects_bad_arguments():
     for p in (1, 0, -3):
         with pytest.raises(ValueError):
             transfer_condition(1, p)
-    with pytest.raises(ValueError):
-        transfer_condition(0, 3)
-
-
-def test_transfer_matrices_exact():
-    from vka.invariants import TRANSFER_S, TRANSFER_T, TRANSFER_U
-
-    assert TRANSFER_S == ((1, 2), (0, -1))
-    assert TRANSFER_T == ((-1, 0), (2, 1))
-    assert TRANSFER_U == ((0, -1), (1, 2))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            transfer_condition(n, 3)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            transfer_matrix(n)
 
 
 def test_transfer_matrix_small():
-    assert transfer_matrix(1) == ((2, 3), (-1, -2))
-    assert transfer_matrix(2) == ((4, 5), (-3, -4))
+    # the closed form against n - 1 products of S, T and U
+    for n in range(1, 301):
+        assert transfer_matrix(n) == transfer_matrix_reference(n), n
+    # and at once where a product loop would not return
+    n = 10**100
+    assert transfer_matrix(n) == ((2 * n, 2 * n + 1), (1 - 2 * n, -2 * n))
 
 
 def test_transfer_matches_brute_force_and_colorings():
@@ -814,6 +814,23 @@ def test_dn_closure_is_move_equivalent_to_base_closure():
         for n in (1, 2):
             wound = close(dn_family(base, n))
             assert invariant_profile(wound) == target
+
+
+def test_winding_multiplies_the_determinant_by_2n_plus_1():
+    # past the 6 crossings of random_long_diagram: a winding adds 2n crossings
+    bases = [(base, range(1, 13)) for base in catalog.corpus().values() if base.kind == LONG]
+    bases += [(random_long_diagram(random.Random(seed)), (1, 2, 5, 9)) for seed in range(10)]
+    for base, ns in bases:
+        det = determinant_long(base)
+        for n in ns:
+            assert determinant_long(dn_family(base, n)) == (2 * n + 1) * det, (base, n)
+
+
+def test_winding_v1_char_poly_of_k1():
+    # the --t v1 Delta_1 of dn(k1, n) (t read as u), pinned at n = 250, 500 and 1000 by the layer bench
+    for n in range(1, 21):
+        m = quotient_matrix(dn_family(catalog.k1(), n), "none", "v1")
+        assert char_poly(m, 1) == parse_poly(f"{n}*u^3 - {2 * n + 1}*u^2 + {2 * n + 1}*u - {n + 1}"), n
 
 
 def test_one_arc_structure_per_one_var_matrix(arc_builds):
