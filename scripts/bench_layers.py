@@ -399,9 +399,9 @@ def rung_cases(repeats=BEST_OF):
     diagrams += [(f"dn(k1, {n})", dn_family(k1, n)) for n in RUNG_WINDINGS]
     cases = []
     for name, d in diagrams:
-        (report,), color_s = timed(lambda: coloring_count(d, [3]), repeats)
+        (colorings,), color_s = timed(lambda: coloring_count(d, [3]), repeats)
         count, hom_s = timed(lambda: hom_count_to_cyclic(*quotient_rows(d), *RUNG_HOM), repeats)
-        case = {"diagram": name, "crossings": d.crossings, "colorings_p3": report.count, "hom_count": count}
+        case = {"diagram": name, "crossings": d.crossings, "colorings_p3": colorings, "hom_count": count}
         seconds = {"coloring_count_s": color_s, "hom_count_s": hom_s}
         if name.startswith("dn("):  # the winding's one-variable char poly, in u (t read as u)
             value, seconds["charpoly_v1_k1_s"] = timed(lambda: char_poly(quotient_matrix(d, "none", "v1"), 1), repeats)
@@ -412,14 +412,14 @@ def rung_cases(repeats=BEST_OF):
 
 def colorings_section(calls, repeats=REPEATS):
     """The ``colorings`` section: the captured ``coloring_count`` calls, and the large rung."""
-    reports, timing = best_and_median(lambda: [coloring_count(d, ps) for d, ps in calls], repeats)
+    counts, timing = best_and_median(lambda: [coloring_count(d, ps) for d, ps in calls], repeats)
     return {
         "layer": "invariants.coloring_count",
         "workload": f"the color requests of the {COLORING_WORKLOAD} request list (p = 2..29), seed {SEED}",
         "diagrams": len(calls),
         "moduli": sum(len(ps) for _, ps in calls),
         **timing,
-        "reports_sha256": sha256(map(repr, reports)),
+        "reports_sha256": sha256(map(repr, counts)),
         "rung": {
             "layer": "invariants.coloring_count, invariants.hom_count_to_cyclic and the --t v1 char poly",
             "workload": (f"coloring_count(d, [3]) and hom_count_to_cyclic(*quotient_rows(d), p = {RUNG_HOM[0]}, "

@@ -77,15 +77,15 @@ def cmd_parse(args):
     return EXIT_OK
 
 
-def _colorings(reports, matrix=None):
-    """JSON value and text lines of coloring reports, one per modulus; ``matrix`` goes into each JSON item."""
+def _colorings(ps, counts, matrix=None):
+    """JSON value and text lines of the coloring ``counts`` mod ``ps``; ``matrix`` goes into each JSON item."""
     items, lines = [], []
-    for rep in reports:
-        item = {"p": rep.p, "count": rep.count, "nontrivial": rep.nontrivial}
+    for p, count in zip(ps, counts):
+        item = {"p": p, "count": count, "nontrivial": count > p}
         if matrix is not None:
             item["matrix"] = matrix
         items.append(item)
-        lines.append(f"p={rep.p}: {rep.count} colorings" + (" (nontrivial)" if rep.nontrivial else ""))
+        lines.append(f"p={p}: {count} colorings" + (" (nontrivial)" if count > p else ""))
     return (items[0] if len(items) == 1 else items), lines
 
 
@@ -128,7 +128,7 @@ def cmd_invariants(args):
             payload["determinant"] = det
             lines.append(str(det))
         if colorings:
-            payload["colorings"], color_lines = _colorings(colorings)
+            payload["colorings"], color_lines = _colorings(args.color, colorings)
             lines += color_lines
     _emit(args, payload, lines)
     return EXIT_OK
@@ -170,8 +170,8 @@ def cmd_color(args):
         invariants.check_modulus(p)
     d = _load(args.input)
     matrix = [[-x for x in row] for row in alexander.one_var_matrix(d, -1).rows] if args.matrix else None
-    reports, lines = _colorings(invariants.coloring_count(d, args.p), matrix)
-    _emit(args, {"input": args.input, "colorings": reports}, lines)
+    colorings, lines = _colorings(args.p, invariants.coloring_count(d, args.p), matrix)
+    _emit(args, {"input": args.input, "colorings": colorings}, lines)
     return EXIT_OK
 
 
@@ -314,7 +314,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, ValueError, KeyError) as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain, combinations
-from typing import NamedTuple
 
 from .alexander import (
     _at,
@@ -300,14 +299,8 @@ def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
     return all(x in (1, -1) for x in _minors(one_var_matrix(d, 1), 1, max_minors))
 
 
-class ColoringReport(NamedTuple):
-    p: int
-    count: int
-    nontrivial: bool
-
-
 def coloring_reports(rows, cols, ps):
-    """The gcd of the maximal minors of A(u, v) at (u, v) = (-1, 1), and a report per modulus in ``ps``.
+    """The gcd of the maximal minors of A(u, v) at (u, v) = (-1, 1), and the coloring count mod each p in ``ps``.
 
     ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or the ``sparse_rows`` of its reduced ``none``
     matrix.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the solutions
@@ -316,15 +309,15 @@ def coloring_reports(rows, cols, ps):
     for p in ps:
         check_modulus(p)
     inv, ncols = _smith_at(rows, cols, (-1, 1))
-    counts = [_solutions_mod(inv, ncols, p) for p in ps]
-    return math.prod(inv), [ColoringReport(p, count, count > p) for p, count in zip(ps, counts)]
+    return math.prod(inv), [_solutions_mod(inv, ncols, p) for p in ps]
 
 
 def coloring_count(d, ps):
-    """One report per modulus in ``ps`` (input order, duplicates kept).
+    """The number of colorings mod each p in ``ps`` (input order, duplicates kept).
 
     A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing.  All moduli share one Smith form (``coloring_reports``).
+    at every crossing; the p constant ones are trivial, so a count above p
+    is nontrivial.  All moduli share one Smith form (``coloring_reports``).
     """
     return coloring_reports(*merged_arc_rows(d), ps)[1] if ps else []
 
@@ -452,6 +445,6 @@ def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
             profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(mat, k, max_minors=max_minors))
     if d.kind == LONG:
         profile["determinant"] = det
-    for rep in colorings:
-        profile[f"colorings p={rep.p}"] = rep.count
+    for p, count in zip(PROFILE_MODULI, colorings):
+        profile[f"colorings p={p}"] = count
     return profile

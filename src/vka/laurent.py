@@ -478,8 +478,8 @@ def gcd_many(polys):
     C is the primitive part of ``unpack(h)``.  C is G when X^j, the power
     of X = 2^B in h, divides every image as a polynomial and C is a
     monomial or divides every A_i.  Else D + 1 is tried once, as v -> X^D
-    can give images of coprime inputs a factor such as X - 1; then the
-    subresultant loop runs.
+    can give images of coprime inputs a factor such as X - 1; then ``gcd``
+    folds over the A_i.
 
     Exactness: below u-span D, S: u -> X, v -> X^D keeps the terms of an
     A_i and of its divisors apart, so P_i = S(A_i) has the coefficients of
@@ -508,11 +508,10 @@ def gcd_many(polys):
             if len(g.terms) == 1 or all(p == g or divides(g, p) for p in prims):
                 break
         else:
-            g = nonzero[0]
-            for p in nonzero[1:]:
+            g = prims[0]
+            for p in prims[1:]:
                 g = gcd(g, p)
                 if g.is_one:
                     break
-            return g.canonical()
     content = math.gcd(*contents)
     return g if content == 1 else LaurentPoly._raw({e: c * content for e, c in g.terms.items()})

@@ -1,9 +1,9 @@
 """``import vka.cli`` stays cheap, and the record types are NamedTuples.
 
-``PresentationMatrix``, ``GroupPresentationZ2`` and ``ColoringReport``
-were frozen dataclasses; as ``typing.NamedTuple`` classes they keep their
-fields, defaults, ``repr``, immutability and hashability, and importing the
-CLI no longer loads ``dataclasses`` or ``inspect``.
+``PresentationMatrix`` and ``GroupPresentationZ2`` were frozen dataclasses;
+as ``typing.NamedTuple`` classes they keep their fields, defaults, ``repr``,
+immutability and hashability, and importing the CLI no longer loads
+``dataclasses`` or ``inspect``.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from conftest import REPO_ROOT
 from vka.alexander import GroupPresentationZ2, OpLetter, OpRelation, PresentationMatrix
-from vka.invariants import ColoringReport
 from vka.laurent import LaurentPoly
 
 
@@ -49,12 +48,6 @@ CASES = [
         {"end_minus": None, "end_plus": None},
         "GroupPresentationZ2(generators=('a',), relations=(OpRelation(left=(OpLetter(gen='a', exp=(0, 1), "
         "sign=1),), right=()),), end_minus=None, end_plus=None)",
-    ),
-    (
-        ColoringReport(p=3, count=9, nontrivial=True),
-        ("p", "count", "nontrivial"),
-        {},
-        "ColoringReport(p=3, count=9, nontrivial=True)",
     ),
 ]
 

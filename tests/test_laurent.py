@@ -542,6 +542,19 @@ def test_gcd_many_reaches_retry_and_fallback(name, path, traced_paths):
     assert sympy_gcd(sympy, polys).is_one and sympy_gcd(sympy, shared) == U * V + 3
 
 
+def test_gcd_many_fallback_keeps_the_integer_contents(monkeypatch, traced_paths):
+    """Every GCDHEU candidate rejected: the fold over the primitive parts, times the gcd of the contents."""
+    monkeypatch.setattr(laurent, "divides", lambda q, p: False)
+    rng = random.Random(59)
+    fallbacks = 0
+    for polys in planted_lists(61, False):
+        polys = [p * rng.choice((1, -1)) * rng.randint(1, 12) for p in polys]
+        value, path = traced_paths(polys)
+        fallbacks += path == "fallback"
+        assert value == pairwise_gcd(polys), polys
+    assert fallbacks >= 50, fallbacks
+
+
 # Lists once built against a modular coprimality certificate over GF(l) with
 # l = 2^31 - 1 and the evaluation points 16807, 48271 and 69621; they stay as
 # gcd vectors.
