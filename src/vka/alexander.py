@@ -15,15 +15,13 @@ Setting v = 1 recovers the classical one-variable arc relations, with the
 two halves of each over-arc merged.  Abelianizing yields presentation
 matrices over Z[u^+-1, v^+-1] whose minors drive all downstream invariants.
 
-Inside the module a letter is a plain ``(gen, exp, sign)`` tuple and a
-relation a plain ``(left, right)`` pair: the word helpers (``word_shift``,
-``word_inverse``, ``free_reduce``, ``normalize_relation``) and the Tietze
-elimination take and return them so.  ``OpLetter`` and ``OpRelation``, which
-compare equal to the plain tuples, are built only where a presentation is
+A letter is a plain ``(gen, (u_exp, v_exp), sign)`` tuple, a word a tuple
+of letters and a relation a plain ``(left, right)`` pair of words, inside
+the module and in every presentation it returns.  Where a presentation is
 returned (``_presented``: ``extended_presentation``, ``quotient_kill``,
-``tietze_eliminate`` and ``tietze_from_diagram``), one ``OpLetter`` per
-distinct letter of the presentation.  Both Tietze passes only pick a
-generator and a relation; ``_solve`` writes every substitution.
+``tietze_eliminate`` and ``tietze_from_diagram``), equal letters are made
+one shared tuple.  Both Tietze passes only pick a generator and a
+relation; ``_solve`` writes every substitution.
 """
 
 from __future__ import annotations
@@ -32,17 +30,6 @@ from typing import NamedTuple, Optional
 
 from .diagram import LONG, OVER, UNDER, is_int
 from .laurent import LaurentPoly
-
-
-class OpLetter(NamedTuple):
-    gen: str
-    exp: tuple  # (u_exp, v_exp)
-    sign: int  # +1 or -1
-
-
-class OpRelation(NamedTuple):
-    left: tuple  # word: tuple of OpLetter
-    right: tuple
 
 
 E0 = (0, 0)
@@ -80,22 +67,16 @@ def free_reduce(word):
 
 
 def _presented(gens, relations, ends):
-    """A ``GroupPresentationZ2`` of plain relations and end words, in ``OpRelation`` and ``OpLetter``.
+    """A ``GroupPresentationZ2`` of plain relations and end words, equal letters made one tuple.
 
-    Equal letters share one ``OpLetter``: a long word repeats few letters many times.
+    A long word repeats few letters many times, so each distinct letter is kept once.
     """
-    ops = {}  # plain letter -> its OpLetter
+    shared = {}  # letter -> the one tuple of its value
 
     def word(w):
-        out = []
-        for letter in w:
-            op = ops.get(letter)
-            if op is None:
-                op = ops[letter] = tuple.__new__(OpLetter, letter)  # skips NamedTuple's Python-level __new__
-            out.append(op)
-        return tuple(out)
+        return tuple(map(shared.setdefault, w, w))
 
-    return GroupPresentationZ2(tuple(gens), tuple([OpRelation(word(l), word(r)) for l, r in relations]),
+    return GroupPresentationZ2(tuple(gens), tuple([(word(l), word(r)) for l, r in relations]),
                                *(None if e is None else word(e) for e in ends))
 
 
@@ -171,7 +152,7 @@ class GroupPresentationZ2(NamedTuple):
     """
 
     generators: tuple
-    relations: tuple
+    relations: tuple  # (left, right) pairs of words
     end_minus: Optional[tuple] = None
     end_plus: Optional[tuple] = None
 
@@ -503,7 +484,7 @@ def _matrix(rows, cols):
 
 def abelianize(p):
     """Presentation matrix of the abelianized module over Z[u^+-1, v^+-1]."""
-    return _matrix([_word_row(rel.left, rel.right) for rel in p.relations], p.generators)
+    return _matrix([_word_row(*rel) for rel in p.relations], p.generators)
 
 
 def _sub_product(target, f, g):

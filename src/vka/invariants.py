@@ -380,7 +380,7 @@ def _end_quotient(pres, quotient):
     ends = _killed_ends(pres.end_minus is not None, quotient)
     if not ends:
         return pres
-    return quotient_kill(pres, {(pres.end_minus, pres.end_plus)[e][0].gen for e in ends})
+    return quotient_kill(pres, {(pres.end_minus, pres.end_plus)[e][0][0] for e in ends})
 
 
 def quotient_pipeline(d, quotient="none"):

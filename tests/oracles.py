@@ -48,8 +48,6 @@ from vka.alexander import (
     E0,
     arc_names,
     GroupPresentationZ2,
-    OpLetter,
-    OpRelation,
     PresentationMatrix,
     _crossing_relation,
     _matrix,
@@ -169,12 +167,12 @@ def abelianize_reference(p):
     """``abelianize`` by adding one monomial per letter, left minus right."""
     def row(word):
         coeffs = {g: LaurentPoly() for g in p.generators}
-        for l in word:
-            coeffs[l.gen] = coeffs[l.gen] + LaurentPoly.monomial(l.exp, l.sign)
+        for gen, exp, sign in word:
+            coeffs[gen] = coeffs[gen] + LaurentPoly.monomial(exp, sign)
         return [coeffs[g] for g in p.generators]
 
     rows = tuple(
-        tuple(a - b for a, b in zip(row(rel.left), row(rel.right))) for rel in p.relations
+        tuple(a - b for a, b in zip(row(left), row(right))) for left, right in p.relations
     )
     return PresentationMatrix("L2", tuple(p.generators), rows)
 
@@ -296,10 +294,10 @@ def brute_force_hom_count(presentation, p, s):
     sinv = pow(s, -1, p)
 
     def letter_value(letter, values):
-        j, k = letter.exp
+        gen, (j, k), sign = letter
         e = j + k
         factor = pow(s if e >= 0 else sinv, abs(e), p)
-        return letter.sign * factor * values[letter.gen]
+        return sign * factor * values[gen]
 
     count = 0
     for assignment in range(p ** len(gens)):
@@ -309,9 +307,9 @@ def brute_force_hom_count(presentation, p, s):
             values[g] = rest % p
             rest //= p
         ok = True
-        for rel in presentation.relations:
-            lhs = sum(letter_value(l, values) for l in rel.left) % p
-            rhs = sum(letter_value(l, values) for l in rel.right) % p
+        for left, right in presentation.relations:
+            lhs = sum(letter_value(l, values) for l in left) % p
+            rhs = sum(letter_value(l, values) for l in right) % p
             if lhs != rhs:
                 ok = False
                 break
@@ -438,43 +436,43 @@ def parse_gauss_reference(text):
 # ``normalize_relation_reference`` free-reduces both sides again after
 # every moved letter, where the library's ``normalize_relation`` cancels at
 # the junction only.  The reference has its own word helpers on
-# ``OpLetter``s, so it runs none of the library's word code.
+# ``(gen, exp, sign)`` letters, so it runs none of the library's word code.
 
 
 def word_shift_reference(word, exp):
     """Apply the Z^2 operator x -> x^exp to every letter."""
-    return tuple(OpLetter(l.gen, (l.exp[0] + exp[0], l.exp[1] + exp[1]), l.sign) for l in word)
+    return tuple((g, (e[0] + exp[0], e[1] + exp[1]), s) for g, e, s in word)
 
 
 def word_inverse_reference(word):
-    return tuple(OpLetter(l.gen, l.exp, -l.sign) for l in reversed(word))
+    return tuple((g, e, -s) for g, e, s in reversed(word))
 
 
 def free_reduce_reference(word):
     out = []
-    for letter in word:
-        if out and out[-1].gen == letter.gen and out[-1].exp == letter.exp and out[-1].sign == -letter.sign:
+    for g, e, s in word:
+        if out and out[-1] == (g, e, -s):
             out.pop()
         else:
-            out.append(letter)
+            out.append((g, e, s))
     return tuple(out)
 
 
 def _relation_is_trivial(rel):
-    return rel.left == rel.right
+    return rel[0] == rel[1]
 
 
 def _solve_reference(rel, gen):
     """Express ``gen`` from a relation containing it exactly once."""
-    w = free_reduce_reference(rel.left + word_inverse_reference(rel.right))
-    idx = next(i for i, l in enumerate(w) if l.gen == gen)
-    letter = w[idx]
+    w = free_reduce_reference(rel[0] + word_inverse_reference(rel[1]))
+    idx = next(i for i, l in enumerate(w) if l[0] == gen)
+    _, exp, sign = w[idx]
     p, q = w[:idx], w[idx + 1:]
-    if letter.sign > 0:
+    if sign > 0:
         expr = word_inverse_reference(p) + word_inverse_reference(q)
     else:
         expr = q + p
-    return free_reduce_reference(word_shift_reference(expr, (-letter.exp[0], -letter.exp[1])))
+    return free_reduce_reference(word_shift_reference(expr, (-exp[0], -exp[1])))
 
 
 def normalize_relation_reference(rel):
@@ -485,63 +483,65 @@ def normalize_relation_reference(rel):
     positive letter (left multiplication).  The abelianized row is
     unchanged; the displayed form matches hand calculation.
     """
-    left, right = list(free_reduce_reference(rel.left)), list(free_reduce_reference(rel.right))
+    left, right = list(free_reduce_reference(rel[0])), list(free_reduce_reference(rel[1]))
     changed = True
     while changed:
         changed = False
-        if left and left[-1].sign < 0:
-            right.append(OpLetter(left[-1].gen, left[-1].exp, 1))
-            left.pop()
+        if left and left[-1][2] < 0:
+            g, e, _ = left.pop()
+            right.append((g, e, 1))
             changed = True
-        elif right and right[-1].sign < 0:
-            left.append(OpLetter(right[-1].gen, right[-1].exp, 1))
-            right.pop()
+        elif right and right[-1][2] < 0:
+            g, e, _ = right.pop()
+            left.append((g, e, 1))
             changed = True
-        elif left and left[0].sign < 0:
-            right.insert(0, OpLetter(left[0].gen, left[0].exp, 1))
-            left.pop(0)
+        elif left and left[0][2] < 0:
+            g, e, _ = left.pop(0)
+            right.insert(0, (g, e, 1))
             changed = True
-        elif right and right[0].sign < 0:
-            left.insert(0, OpLetter(right[0].gen, right[0].exp, 1))
-            right.pop(0)
+        elif right and right[0][2] < 0:
+            g, e, _ = right.pop(0)
+            left.insert(0, (g, e, 1))
             changed = True
         if changed:
             left, right = list(free_reduce_reference(left)), list(free_reduce_reference(right))
-    return OpRelation(tuple(left), tuple(right))
+    return tuple(left), tuple(right)
 
 
 def _substitute_word(word, gen, replacement):
     out = []
     for letter in word:
-        if letter.gen != gen:
+        g, exp, sign = letter
+        if g != gen:
             out.append(letter)
             continue
-        rep = word_shift_reference(replacement, letter.exp)
-        if letter.sign < 0:
+        rep = word_shift_reference(replacement, exp)
+        if sign < 0:
             rep = word_inverse_reference(rep)
         out.extend(rep)
     return free_reduce_reference(tuple(out))
 
 
 def _occurrences(gen, rel):
-    return sum(1 for l in rel.left + rel.right if l.gen == gen)
+    return sum(1 for l in rel[0] + rel[1] if l[0] == gen)
 
 
 def _shaped_candidate(rel):
     """Substitution-shaped relation: one side is a single positive letter."""
     options = []
-    for side, other in ((rel.left, rel.right), (rel.right, rel.left)):
-        if len(side) == 1 and side[0].sign > 0:
-            g = side[0].gen
-            if all(l.gen != g for l in other):
+    left, right = rel
+    for side, other in ((left, right), (right, left)):
+        if len(side) == 1 and side[0][2] > 0:
+            g = side[0][0]
+            if all(l[0] != g for l in other):
                 options.append((side[0], other))
     if not options:
         return None
-    for letter, other in options:  # prefer a bare-exponent letter
-        if letter.exp == E0:
-            return letter.gen, free_reduce_reference(word_shift_reference(other, (-letter.exp[0], -letter.exp[1])))
-    letter, other = options[0]
-    return letter.gen, free_reduce_reference(word_shift_reference(other, (-letter.exp[0], -letter.exp[1])))
+    for (g, exp, _), other in options:  # prefer a bare-exponent letter
+        if exp == E0:
+            return g, free_reduce_reference(word_shift_reference(other, (-exp[0], -exp[1])))
+    (g, exp, _), other = options[0]
+    return g, free_reduce_reference(word_shift_reference(other, (-exp[0], -exp[1])))
 
 
 def dedupe_relations(relations):
@@ -549,7 +549,7 @@ def dedupe_relations(relations):
     seen = set()
     out = []
     for rel in relations:
-        key = frozenset({rel.left, rel.right})
+        key = frozenset(rel)
         if key not in seen:
             seen.add(key)
             out.append(rel)
@@ -574,7 +574,7 @@ def tietze_eliminate_reference(p):
     protected = set()
     for e in ends:
         if e is not None:
-            protected.update(l.gen for l in e)
+            protected.update(l[0] for l in e)
 
     def eliminate(gen, expr, used_rel):
         gens.remove(gen)
@@ -582,9 +582,9 @@ def tietze_eliminate_reference(p):
         for r in rels:
             if r is used_rel:
                 continue
-            r2 = normalize_relation_reference(OpRelation(
-                _substitute_word(r.left, gen, expr),
-                _substitute_word(r.right, gen, expr),
+            r2 = normalize_relation_reference((
+                _substitute_word(r[0], gen, expr),
+                _substitute_word(r[1], gen, expr),
             ))
             if not _relation_is_trivial(r2):
                 new.append(r2)
@@ -613,8 +613,8 @@ def tietze_eliminate_reference(p):
                 for r in rels:
                     if _occurrences(g, r) != 1:
                         continue
-                    letter = next(l for l in r.left + r.right if l.gen == g)
-                    if want_bare and letter.exp != E0:
+                    letter = next(l for l in r[0] + r[1] if l[0] == g)
+                    if want_bare and letter[1] != E0:
                         continue
                     step = (g, _solve_reference(r, g), r)
                     break
@@ -801,7 +801,7 @@ def reduced_matrix(p):
     --charpoly`` reduced before every request took its char polys from
     A(u, v).
     """
-    return _matrix(*_reduce([_word_row(rel.left, rel.right) for rel in p.relations], p.generators))
+    return _matrix(*_reduce([_word_row(*rel) for rel in p.relations], p.generators))
 
 
 def quotient_matrix_reference(d, quotient="none"):
@@ -824,14 +824,14 @@ def merged_arc_rows_reference(d):
     classes, vexp, cols = arc_classes(d)
     arc_of = {name: i for i, name in enumerate(arc_names(len(classes)))}
     rows = []
-    for rel in extended_presentation(d).relations[::2]:
+    for left, right in extended_presentation(d).relations[::2]:
         row = {}
-        for word, scale in ((rel.left, 1), (rel.right, -1)):
-            for l in word:
-                arc = arc_of[l.gen]
+        for word, scale in ((left, 1), (right, -1)):
+            for gen, (a, b), sign in word:
+                arc = arc_of[gen]
                 entry = row.setdefault(cols[classes[arc]], {})
-                exp = (l.exp[0], l.exp[1] + vexp[arc])
-                entry[exp] = entry.get(exp, 0) + scale * l.sign
+                exp = (a, b + vexp[arc])
+                entry[exp] = entry.get(exp, 0) + scale * sign
         rows.append({g: {e: c for e, c in entry.items() if c} for g, entry in row.items()})
     return [{g: entry for g, entry in row.items() if entry} for row in rows], cols
 
@@ -1136,4 +1136,4 @@ def is_trivial_presentation(p):
 
 def same_relation(r1, r2):
     """Equality of relations regardless of which side is written first."""
-    return r1 == r2 or (r1.left, r1.right) == (r2.right, r2.left)
+    return r1 in (r2, r2[::-1])

@@ -22,8 +22,6 @@ from oracles import (
 )
 from vka.alexander import (
     GroupPresentationZ2,
-    OpLetter,
-    OpRelation,
     _matrix,
     abelianize,
     extended_presentation,
@@ -42,11 +40,11 @@ from vka.laurent import LaurentPoly, parse_poly
 
 
 def L(gen, u=0, v=0, sign=1):
-    return OpLetter(gen, (u, v), sign)
+    return gen, (u, v), sign
 
 
 def rel(left, right):
-    return OpRelation(tuple(left), tuple(right))
+    return tuple(left), tuple(right)
 
 
 def rel_set_matches(relations, expected):
@@ -177,7 +175,7 @@ def _reference_cases():
                 p = extended_presentation(parse_gauss(random_code(rng, crossings, closed)))
                 yield p
                 if not closed:
-                    lo, hi = p.end_minus[0].gen, p.end_plus[0].gen
+                    lo, hi = p.end_minus[0][0], p.end_plus[0][0]
                     for victims in ({lo}, {hi}, {lo, hi}):
                         yield quotient_kill(p, victims)
                     yield quotient_kill(p, rng.sample(p.generators, rng.randint(1, len(p.generators))))
@@ -281,7 +279,7 @@ def test_kill_product_presentation_golden():
     )
     q = quotient_kill(pres, {"a", "x"})
     assert q.generators == ("d", "z", "s")
-    nontrivial = [r for r in q.relations if r.left != r.right]
+    nontrivial = [r for r in q.relations if r[0] != r[1]]
     expected = [
         rel([L("d", u=1, v=1)], [L("d"), L("d", u=1)]),
         rel([L("z", u=1)], [L("s", v=1)]),
@@ -319,7 +317,7 @@ def test_k5_killed_ends_is_trivial_group_k4_not():
     for name, expect_trivial in (("k4", False), ("k5", True)):
         d = getattr(catalog, name)()
         p = extended_presentation(d)
-        q = quotient_kill(p, {p.end_minus[0].gen, p.end_plus[0].gen})
+        q = quotient_kill(p, {p.end_minus[0][0], p.end_plus[0][0]})
         assert is_trivial_presentation(q) is expect_trivial
 
 
@@ -409,8 +407,8 @@ def test_end_expression_k3():
     gen_index = {g: i for i, g in enumerate(e.generators)}
     expr = (L("b"), L("b", u=1, v=2), L("b", u=1, v=1, sign=-1))
     expr_cols = [LaurentPoly() for _ in e.generators]
-    for letter in expr:
-        expr_cols[gen_index[letter.gen]] += LaurentPoly.monomial(letter.exp, letter.sign)
+    for gen, exp, sign in expr:
+        expr_cols[gen_index[gen]] += LaurentPoly.monomial(exp, sign)
     _, plus = end_generator_columns(e, m)
     assert all(difference_in_rowspan(m, plus, expr_cols))
 
@@ -459,24 +457,28 @@ def test_product_quotient_modules_golden():
 # -- returned presentations ---------------------------------------------
 
 
-def _assert_op_words(p):
-    """Every relation of ``p`` is an ``OpRelation`` of ``OpLetter`` words, and every end word an ``OpLetter`` word."""
+def _assert_shared_plain_words(p):
+    """Every relation of ``p`` is a plain (left, right) pair of plain words, every letter a plain tuple,
+    and equal letters are one object."""
     words = [w for r in p.relations for w in r] + [e for e in (p.end_minus, p.end_plus) if e is not None]
-    assert all(type(r) is OpRelation for r in p.relations)
-    assert all(type(w) is tuple and all(type(letter) is OpLetter for letter in w) for w in words)
+    assert all(type(r) is tuple and len(r) == 2 for r in p.relations)
+    letters = [letter for w in words for letter in w]
+    assert all(type(w) is tuple for w in words)
+    assert all(type(letter) is tuple for letter in letters)
+    assert len({id(letter) for letter in letters}) == len(set(letters))
 
 
-def test_returned_presentations_are_op_letters():
+def test_returned_presentations_share_plain_tuple_letters():
     diagrams = list(catalog.corpus().values())
     diagrams += [parse_gauss(random_code(random.Random(seed), c, closed))
-                 for c in range(13) for seed in range(3) for closed in (False, True)]
+                 for c in (*range(13), 20, 30) for seed in range(3 if c < 13 else 1) for closed in (False, True)]
     for d in diagrams:
         p = extended_presentation(d)
         shown = [p, tietze_eliminate(p), tietze_from_diagram(d)]
         shown += [quotient_pipeline(d, q) for q in quotients(d)]
         if d.kind == LONG:
-            for victims in ({p.end_minus[0].gen}, {p.end_minus[0].gen, p.end_plus[0].gen}):
+            for victims in ({p.end_minus[0][0]}, {p.end_minus[0][0], p.end_plus[0][0]}):
                 killed = quotient_kill(p, victims)
                 shown += [killed, tietze_eliminate(killed)]
         for q in shown:
-            _assert_op_words(q)
+            _assert_shared_plain_words(q)

@@ -254,8 +254,7 @@ def test_presentation_follows_quotient(capsys, corpus_dir):
     pres = payload["presentation"]
     assert pres["end_minus"] == []  # the killed end is gone from the words
     relations = tuple(
-        alexander.OpRelation(*(tuple(alexander.OpLetter(g, tuple(e), s) for g, e, s in side)
-                               for side in (rel["left"], rel["right"])))
+        tuple(tuple((g, tuple(e), s) for g, e, s in rel[side]) for side in ("left", "right"))
         for rel in pres["relations"]
     )
     shown = alexander.GroupPresentationZ2(tuple(pres["generators"]), relations)

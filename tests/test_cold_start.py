@@ -3,7 +3,9 @@
 ``PresentationMatrix`` and ``GroupPresentationZ2`` were frozen dataclasses;
 as ``typing.NamedTuple`` classes they keep their fields, defaults, ``repr``,
 immutability and hashability, and importing the CLI no longer loads
-``dataclasses`` or ``inspect``.
+``dataclasses`` or ``inspect``.  A presentation's relations are plain
+``(left, right)`` pairs of words of plain ``(gen, exp, sign)`` letters, so
+its ``repr`` shows them as tuples.
 """
 
 import json
@@ -14,7 +16,7 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
-from vka.alexander import GroupPresentationZ2, OpLetter, OpRelation, PresentationMatrix
+from vka.alexander import GroupPresentationZ2, PresentationMatrix
 from vka.laurent import LaurentPoly
 
 
@@ -34,7 +36,7 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert "dataclasses" not in added and "inspect" not in added
 
 
-LETTER = OpLetter("a", (0, 1), 1)
+LETTER = ("a", (0, 1), 1)
 CASES = [
     (
         PresentationMatrix("L2", ("a",), ((LaurentPoly.const(1),),)),
@@ -43,11 +45,11 @@ CASES = [
         "PresentationMatrix(ring='L2', cols=('a',), rows=((LaurentPoly(u.v: 1),),))",
     ),
     (
-        GroupPresentationZ2(("a",), (OpRelation((LETTER,), ()),)),
+        GroupPresentationZ2(("a",), (((LETTER,), ()),)),
         ("generators", "relations", "end_minus", "end_plus"),
         {"end_minus": None, "end_plus": None},
-        "GroupPresentationZ2(generators=('a',), relations=(OpRelation(left=(OpLetter(gen='a', exp=(0, 1), "
-        "sign=1),), right=()),), end_minus=None, end_plus=None)",
+        "GroupPresentationZ2(generators=('a',), relations=(((('a', (0, 1), 1),), ()),), end_minus=None, "
+        "end_plus=None)",
     ),
 ]
 

@@ -16,8 +16,6 @@ from oracles import assert_same_module, quotients, random_code, random_diagrams,
 from vka import alexander, cli
 from vka.alexander import (
     GroupPresentationZ2,
-    OpLetter,
-    OpRelation,
     abelianize,
     extended_presentation,
     tietze_eliminate,
@@ -74,12 +72,12 @@ def _presentation(rows, ncols=None):
     relations = []
     for row in rows:
         word = tuple(
-            OpLetter(gens[j], exp, 1 if c > 0 else -1)
+            (gens[j], exp, 1 if c > 0 else -1)
             for j, terms in row.items()
             for exp, c in terms.items()
             for _ in range(abs(c))
         )
-        relations.append(OpRelation(word, ()))
+        relations.append((word, ()))
     return GroupPresentationZ2(gens, tuple(relations))
 
 
