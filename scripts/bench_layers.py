@@ -291,11 +291,11 @@ def minors_cases(crossings, seed, closed, d):
     m = quotient_matrix(d)
     cases = []
     for k in KS:
-        packed, packed_s = timed(lambda: elementary_minors(m, k))
+        packed, packed_s = timed(lambda: elementary_minors(*m, k))
         reference, reference_s = timed(lambda: minors_reference(m, k), 1)
         cases.append({
             "crossings": crossings, "seed": seed, "closed": closed, "k": k,
-            "shape": list(m.shape), "minors": len(packed),
+            "shape": list(map(len, m)), "minors": len(packed),
             "packed_s": round(min(packed_s), 6), "reference_s": round(min(reference_s), 6),
             "equal": packed == reference,
         })
@@ -307,9 +307,9 @@ def modules_cases(crossings, seed, closed, d):
     cases = []
     for quotient in ("none",) if closed else ("none", "end-minus"):
         m, build_s = timed(lambda: quotient_matrix(d, quotient))
-        _, charpoly_s = timed(lambda: [char_poly(m, k) for k in KS])
+        _, charpoly_s = timed(lambda: [char_poly(*m, k) for k in KS])
         cases.append({
-            "crossings": crossings, "seed": seed, "closed": closed, "quotient": quotient, "shape": list(m.shape),
+            "crossings": crossings, "seed": seed, "closed": closed, "quotient": quotient, "shape": list(map(len, m)),
             "build_s": round(min(build_s), 6), "charpoly_s": round(min(charpoly_s), 6),
         })
     return cases
@@ -404,7 +404,7 @@ def rung_cases(repeats=BEST_OF):
         case = {"diagram": name, "crossings": d.crossings, "colorings_p3": colorings, "hom_count": count}
         seconds = {"coloring_count_s": color_s, "hom_count_s": hom_s}
         if name.startswith("dn("):  # the winding's one-variable char poly, in u (t read as u)
-            value, seconds["charpoly_v1_k1_s"] = timed(lambda: char_poly(quotient_matrix(d, "none", "v1"), 1), repeats)
+            value, seconds["charpoly_v1_k1_s"] = timed(lambda: char_poly(*quotient_matrix(d, "none", "v1"), 1), repeats)
             case["charpoly_v1_k1"] = str(value)
         cases.append({**case, **{key: round(min(times), 6) for key, times in seconds.items()}})
     return cases

@@ -14,6 +14,8 @@ merged arc matrix A(u, v) writes its terms from those arcs.
 Setting v = 1 recovers the classical one-variable arc relations, with the
 two halves of each over-arc merged.  Abelianizing yields presentation
 matrices over Z[u^+-1, v^+-1] whose minors drive all downstream invariants.
+A matrix is a pair ``(rows, cols)``: sparse rows {column: {(a, b): coeff}},
+zero entries left out, over a tuple of column names.
 
 A letter is a plain ``(gen, (u_exp, v_exp), sign)`` tuple, a word a tuple
 of letters and a relation a plain ``(left, right)`` pair of words, inside
@@ -29,7 +31,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .diagram import LONG, OVER, UNDER, is_int
-from .laurent import LaurentPoly
 
 
 E0 = (0, 0)
@@ -436,22 +437,6 @@ def quotient_kill(p, victims):
 # -- abelianization ----------------------------------------------------
 
 
-class PresentationMatrix(NamedTuple):
-    """Relations-by-generators matrix over a tagged coefficient ring.
-
-    ring is "L2" (Z[u^+-1, v^+-1], entries LaurentPoly) or "Z" (entries
-    int).  The one-variable specializations are L2 matrices in u alone.
-    """
-
-    ring: str
-    cols: tuple  # generator names
-    rows: tuple  # tuple of tuples of entries
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.cols))
-
-
 def _word_row(word, minus=()):
     """Abelianized ``word`` less abelianized ``minus``: {generator: {exp: coeff}}.
 
@@ -471,20 +456,9 @@ def _word_row(word, minus=()):
     return {g: entry for g, entry in terms.items() if entry}
 
 
-def sparse_rows(m):
-    """The rows {column: {(a, b): coeff}} of an L2 matrix, as ``merged_arc_rows`` gives them, and its columns."""
-    return [{g: e.terms for g, e in zip(m.cols, row) if e} for row in m.rows], m.cols
-
-
-def _matrix(rows, cols):
-    """The L2 matrix of sparse rows {column: {(a, b): coeff}} over ``cols``; its entries wrap the rows' term dicts."""
-    return PresentationMatrix("L2", tuple(cols), tuple(tuple(LaurentPoly._raw(row.get(g) or {}) for g in cols)
-                                                       for row in rows))
-
-
 def abelianize(p):
-    """Presentation matrix of the abelianized module over Z[u^+-1, v^+-1]."""
-    return _matrix([_word_row(*rel) for rel in p.relations], p.generators)
+    """The abelianized module over Z[u^+-1, v^+-1]: one ``_word_row`` per relation, and the generators as columns."""
+    return [_word_row(*rel) for rel in p.relations], tuple(p.generators)
 
 
 def _sub_product(target, f, g):
@@ -577,8 +551,8 @@ def _reduce(rows, cols, keep=()):
     A pivot is an entry +-u^a v^b outside the columns ``keep``.  Each step
     is an elementary equivalence of presentations, so every Fitting ideal,
     and with it every char poly and hom count, is kept.  The rows left can
-    go to a later ``_reduce`` or to ``_matrix``.  Rows evaluated at a point
-    (``_at``) go to ``invariants._reduce_int`` instead.
+    go to a later ``_reduce`` or to the readers in ``invariants``.  Rows
+    evaluated at a point (``_at``) go to ``invariants._reduce_int`` instead.
     """
     return _pivot_out(rows, cols, lambda row: [g for g, e in row.items() if len(e) == 1 and g not in keep
                                                and abs(next(iter(e.values()))) == 1], _clear_terms)
@@ -602,14 +576,14 @@ def _specialized(rows, t):
     return out
 
 
-def one_variable(m):
-    """Set v = 1 in the L2 matrix ``m`` (the one-variable specialization, t read as u): u^a v^b -> u^a."""
-    return _matrix(_specialized(sparse_rows(m)[0], "v1"), m.cols)
+def one_variable(rows, cols):
+    """Set v = 1 in sparse rows over ``cols`` (the one-variable specialization, t read as u): u^a v^b -> u^a."""
+    return _specialized(rows, "v1"), cols
 
 
-def diagonal_t(m):
-    """Set u = v = t in the L2 matrix ``m``, t read as u: u^a v^b -> u^(a + b)."""
-    return _matrix(_specialized(sparse_rows(m)[0], "diag"), m.cols)
+def diagonal_t(rows, cols):
+    """Set u = v = t in sparse rows over ``cols``, t read as u: u^a v^b -> u^(a + b)."""
+    return _specialized(rows, "diag"), cols
 
 
 def _at(rows, point, p=None):
@@ -685,7 +659,7 @@ def merged_arc_rows(d):
 
 
 def one_var_matrix(d, t):
-    """Merged arc matrix A(t) at t = 1 or -1, ring "Z": rows UO - t*UI - (1-t)*OV per crossing.
+    """Merged arc matrix A(t) at t = 1 or -1, int rows {column: value} and columns: UO - t*UI - (1-t)*OV per crossing.
 
     Its rows are the int rows of A(u, v) at (u, v) = (t, 1) (``_at``) times their units' values,
     -1 at a positive crossing and -t at a negative one; any other ``t`` is a ValueError.  The
@@ -696,5 +670,4 @@ def one_var_matrix(d, t):
     rows, cols = merged_arc_rows(d)
     signs = {p.crossing: p.sign for p in d.passages}
     units = [-t if signs[cid] < 0 else -1 for cid in range(1, len(rows) + 1)]
-    return PresentationMatrix("Z", cols, tuple(tuple(unit * row.get(g, 0) for g in cols)
-                                               for unit, row in zip(units, _at(rows, (t, 1)))))
+    return [{g: unit * x for g, x in row.items()} for unit, row in zip(units, _at(rows, (t, 1)))], cols

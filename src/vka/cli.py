@@ -49,9 +49,9 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _check_coeff_budget(matrix, max_bits):
+def _check_coeff_budget(rows, max_bits):
     if max_bits is not None and any(abs(c).bit_length() > max_bits
-                                    for row in matrix.rows for entry in row for c in entry.terms.values()):
+                                    for row in rows for terms in row.values() for c in terms.values()):
         raise BudgetExceeded(f"coefficient exceeds {max_bits} bits")
 
 
@@ -110,10 +110,10 @@ def cmd_invariants(args):
     if args.charpoly:
         # reduced on its own, so the budgets read the same with or without --det and --color
         mat = invariants.quotient_matrix(d, args.quotient, args.t)
-        _check_coeff_budget(mat, args.max_coeff_bits)
+        _check_coeff_budget(mat[0], args.max_coeff_bits)
         entries = []
         for k in args.charpoly:
-            value = str(invariants.char_poly(mat, k, max_minors=args.max_minors))
+            value = str(invariants.char_poly(*mat, k, max_minors=args.max_minors))
             if args.t != "uv":  # a polynomial in u alone, reported over Z[t^+-1] with u written as t
                 value = value.replace("u", "t")
             entries.append({"k": k, "ring": "L2" if args.t == "uv" else "L1", "value": value})
@@ -121,7 +121,7 @@ def cmd_invariants(args):
         payload["charpoly"] = entries[0] if len(entries) == 1 else entries
     if args.det or args.color:
         # A(u, v) at (-1, 1) whatever --quotient and --t say: --charpoly's rows if "none" and not "diag" (v = 1 there)
-        rows, cols = (alexander.sparse_rows(mat) if args.charpoly and args.quotient == "none" and args.t != "diag"
+        rows, cols = (mat if args.charpoly and args.quotient == "none" and args.t != "diag"
                       else alexander.merged_arc_rows(d))
         det, colorings = invariants.coloring_reports(rows, cols, args.color or ())
         if args.det:
@@ -169,7 +169,10 @@ def cmd_color(args):
     for p in args.p:  # before the diagram is read, as in cmd_invariants
         invariants.check_modulus(p)
     d = _load(args.input)
-    matrix = [[-x for x in row] for row in alexander.one_var_matrix(d, -1).rows] if args.matrix else None
+    matrix = None
+    if args.matrix:
+        rows, cols = alexander.one_var_matrix(d, -1)
+        matrix = [[-row.get(g, 0) for g in cols] for row in rows]
     colorings, lines = _colorings(args.p, invariants.coloring_count(d, args.p), matrix)
     _emit(args, {"input": args.input, "colorings": colorings}, lines)
     return EXIT_OK

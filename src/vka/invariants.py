@@ -11,7 +11,6 @@ from itertools import chain, combinations
 
 from .alexander import (
     _at,
-    _matrix,
     _pivot_out,
     _reduce,
     _specialized,
@@ -19,7 +18,6 @@ from .alexander import (
     merged_arc_rows,
     one_var_matrix,
     quotient_kill,
-    sparse_rows,
     tietze_eliminate,
     tietze_from_diagram,
 )
@@ -38,10 +36,7 @@ class BudgetExceeded(RuntimeError):
 # -- exact determinants and minors -------------------------------------
 
 def det_exact(rows):
-    """Fraction-free (Bareiss) determinant of a square integer matrix.
-
-    The entry of a 1x1 matrix is returned as it is, over any ring.
-    """
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
     n = len(rows)
     if n == 0:
         return 1
@@ -66,8 +61,8 @@ def det_exact(rows):
     return out if sign > 0 else -out
 
 
-def _kronecker(rows, size):
-    """Integer images of an L2 matrix and the decoder of its minors.
+def _kronecker(rows, cols, size):
+    """Integer images of sparse rows over ``cols`` and the decoder of their minors.
 
     Each row, and then each column, is divided by the monomial of its
     least exponents, so that every entry is a polynomial; the minors pick
@@ -80,20 +75,18 @@ def _kronecker(rows, size):
     off the balanced base-X digits of the image, exponent (a, b) at digit
     a + D*b.
     """
-    lows = [[p.min_exps() if p else None for p in row] for row in rows]
-    row_low = [_least([e for e in row if e]) for row in lows]
-    col_low = [
-        _least([tuple(map(operator.sub, row[j], rlow)) for row, rlow in zip(lows, row_low) if row[j]])
-        for j in range(len(rows[0]))
-    ]
-    offsets = [[tuple(map(operator.add, rlow, clow)) for clow in col_low] for rlow in row_low]
-    norms = [sum(abs(c) for p in row for c in p.terms.values()) for row in rows]
+    lows = [{g: _least(terms) for g, terms in row.items()} for row in rows]
+    row_low = [_least(list(low.values())) for low in lows]
+    col_low = [_least([tuple(map(operator.sub, low[g], rlow)) for low, rlow in zip(lows, row_low) if g in low])
+               for g in cols]
+    offsets = [{g: tuple(map(operator.add, rlow, clow)) for g, clow in zip(cols, col_low) if g in row}
+               for row, rlow in zip(rows, row_low)]
+    norms = [sum(abs(c) for terms in row.values() for c in terms.values()) for row in rows]
     B = math.prod(sorted(norms)[-size:]).bit_length() + 1
-    degrees = [
-        max((max(p.terms)[0] - o[0] for p, o in zip(row, offs) if p), default=0) for row, offs in zip(rows, offsets)
-    ]
+    degrees = [max((max(terms)[0] - offs[g][0] for g, terms in row.items()), default=0)
+               for row, offs in zip(rows, offsets)]
     D = sum(sorted(degrees)[-size:]) + 1
-    packed = [[pack(p, o, B, D) for p, o in zip(row, offs)] for row, offs in zip(rows, offsets)]
+    packed = [[pack(row[g], offs[g], B, D) if g in row else 0 for g in cols] for row, offs in zip(rows, offsets)]
 
     def decode(x, rs, cs):
         shift = tuple(map(sum, zip(*[row_low[i] for i in rs], *[col_low[j] for j in cs])))
@@ -102,47 +95,44 @@ def _kronecker(rows, size):
     return packed, decode
 
 
-def _minors(m, k, max_minors):
-    """Yield the minors of size (columns - k), after the budget check.
+def _minors(rows, cols, k, max_minors):
+    """Yield the minors of size (columns - k) of sparse rows over ``cols``, after the budget check.
 
     Size zero (k >= columns) yields 1; a size exceeding the row count
-    yields nothing (the zero ideal).  An L2 matrix is packed into
-    integers once, and every minor of size 2 or more is an integer
-    Bareiss determinant, decoded.
+    yields nothing (the zero ideal).  A 1x1 minor is its entry; for a
+    larger size the rows are packed into integers once (``_kronecker``),
+    and every minor is an integer Bareiss determinant, decoded.
     """
-    nrows, ncols = m.shape
+    nrows, ncols = len(rows), len(cols)
     size = ncols - k
-    laurent = m.ring == "L2"
     if size <= 0:
-        yield LaurentPoly.const(1) if laurent else 1
+        yield LaurentPoly.const(1)
         return
     if size > nrows:
         return
     count = math.comb(nrows, size) * math.comb(ncols, size)
     if count > max_minors:
         raise BudgetExceeded(f"{count} minors of size {size} exceed budget {max_minors}")
-    rows, decode = m.rows, None
-    if laurent and size > 1:  # a 1x1 minor is its entry, over any ring
-        rows, decode = _kronecker(rows, size)
+    if size == 1:
+        yield from (LaurentPoly._raw(row.get(g, {})) for row in rows for g in cols)
+        return
+    packed, decode = _kronecker(rows, cols, size)
     for rs in combinations(range(nrows), size):
-        picked = [rows[i] for i in rs]
+        picked = [packed[i] for i in rs]
         for cs in combinations(range(ncols), size):
-            det = det_exact([[row[j] for j in cs] for row in picked])
-            yield det if decode is None else decode(det, rs, cs)
+            yield decode(det_exact([[row[j] for j in cs] for row in picked]), rs, cs)
 
 
-def elementary_minors(m, k, max_minors=DEFAULT_MINOR_BUDGET):
-    """All minors of size (columns - k); the generators of the k-th ideal."""
+def elementary_minors(rows, cols, k, max_minors=DEFAULT_MINOR_BUDGET):
+    """All minors of size (columns - k) of sparse rows over ``cols``; the generators of the k-th ideal."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return list(_minors(m, k, max_minors))
+    return list(_minors(rows, cols, k, max_minors))
 
 
-def char_poly(m, k, max_minors=DEFAULT_MINOR_BUDGET):
-    """Canonical gcd of the k-th ideal's minors (0 for the empty list)."""
-    if m.ring != "L2":
-        raise ValueError("char_poly expects a Laurent presentation matrix")
-    return gcd_many(elementary_minors(m, k, max_minors=max_minors))
+def char_poly(rows, cols, k, max_minors=DEFAULT_MINOR_BUDGET):
+    """Canonical gcd of the k-th ideal's minors (0 for the empty list), of sparse rows over ``cols``."""
+    return gcd_many(elementary_minors(rows, cols, k, max_minors=max_minors))
 
 
 # -- integer linear algebra --------------------------------------------
@@ -296,14 +286,16 @@ def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
     leaves the incidence matrix of a tree less one vertex's column, whose
     determinant is +-1.
     """
-    return all(x in (1, -1) for x in _minors(one_var_matrix(d, 1), 1, max_minors))
+    rows, cols = one_var_matrix(d, 1)
+    constants = [{g: {(0, 0): x} for g, x in row.items()} for row in rows]  # A(1)'s int rows as term dicts
+    return all(x in (1, -1) for x in _minors(constants, cols, 1, max_minors))
 
 
 def coloring_reports(rows, cols, ps):
     """The gcd of the maximal minors of A(u, v) at (u, v) = (-1, 1), and the coloring count mod each p in ``ps``.
 
-    ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or the ``sparse_rows`` of its reduced ``none``
-    matrix.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the solutions
+    ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or its reduced ``none`` matrix (``quotient_matrix``),
+    which are only read.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the solutions
     of one Smith form (``_smith_at``), and for a long diagram the gcd is the determinant.
     """
     for p in ps:
@@ -325,8 +317,8 @@ def coloring_count(d, ps):
 def hom_count_to_cyclic(rows, cols, p, s, t="diag"):
     """Number of module maps to Z/p with t acting as the unit s.
 
-    ``rows`` over ``cols`` present the module over Z[u^+-1, v^+-1] (``quotient_rows``, or the
-    ``sparse_rows`` of an L2 matrix).  The maps solve the rows at (u, v) = (s, 1) for ``t`` "v1" and
+    ``rows`` over ``cols`` present the module over Z[u^+-1, v^+-1] (``quotient_rows``, or a reduced
+    matrix), and are only read.  The maps solve the rows at (u, v) = (s, 1) for ``t`` "v1" and
     (s, s) for "diag", mod p: one Smith form (``_smith_at``).  p is a prime below MR_LIMIT.
     """
     check_modulus(p, s)
@@ -412,7 +404,7 @@ def quotient_rows(d, quotient="none"):
 def quotient_matrix(d, quotient="none", t="uv"):
     """The unit-reduced module matrix of ``quotient``: its ``quotient_rows``, ``_specialized`` unless ``t`` is "uv"."""
     rows, cols = quotient_rows(d, quotient)
-    return _matrix(*_reduce(rows if t == "uv" else _specialized(rows, t), cols))
+    return _reduce(rows if t == "uv" else _specialized(rows, t), cols)
 
 
 def _profile_matrices(d):
@@ -426,23 +418,23 @@ def _profile_matrices(d):
         return {"none": quotient_matrix(d)}
     rows, cols = merged_arc_rows(d)
     rows, cols = _reduce(rows, cols, {cols[0]})
-    minus = _matrix(*_reduce(*_drop([{g: dict(t) for g, t in row.items()} for row in rows], cols, {cols[0]})))
-    return {"none": _matrix(*_reduce(rows, cols)), "end-minus": minus}
+    minus = _reduce(*_drop([{g: dict(t) for g, t in row.items()} for row in rows], cols, {cols[0]}))
+    return {"none": _reduce(rows, cols), "end-minus": minus}
 
 
 def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
     """The invariants expected to survive Reidemeister moves, as one dict.
 
     One reduction of A(u, v) serves both quotients (``_profile_matrices``),
-    and the rows of the reduced ``none`` matrix also serve the determinant
-    and every coloring count (``coloring_reports``).
+    and the reduced ``none`` matrix also serves the determinant and every
+    coloring count (``coloring_reports``).
     """
     profile = {}
     for quotient, mat in _profile_matrices(d).items():
         if quotient == "none":
-            det, colorings = coloring_reports(*sparse_rows(mat), PROFILE_MODULI)
+            det, colorings = coloring_reports(*mat, PROFILE_MODULI)
         for k in (0, 1):
-            profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(mat, k, max_minors=max_minors))
+            profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(*mat, k, max_minors=max_minors))
     if d.kind == LONG:
         profile["determinant"] = det
     for p, count in zip(PROFILE_MODULI, colorings):

@@ -413,17 +413,19 @@ def gcd(p, q):
 # -- Kronecker packing ------------------------------------------------
 
 
-def pack(p, low, B, D):
+def pack(terms, low, B, D):
     """The integer image of p / u^lu v^lv, (lu, lv) = low, under u -> X = 2^B, v -> X^D.
 
-    ``low`` is at most p's least exponents, so every shifted exponent is
-    nonnegative.  The map is a ring homomorphism on polynomials, and
-    ``unpack`` inverts it while the coefficients of p lie in
-    [-2^(B-1), 2^(B-1)) and p / u^lu v^lv has u-degree below D.
+    p is given by its term dict ``terms`` {(a, b): coeff}: a ``LaurentPoly``'s
+    ``terms`` or an entry of a sparse row.  ``low`` is at most p's least
+    exponents, so every shifted exponent is nonnegative.  The map is a ring
+    homomorphism on polynomials, and ``unpack`` inverts it while the
+    coefficients of p lie in [-2^(B-1), 2^(B-1)) and p / u^lu v^lv has
+    u-degree below D.
     """
     lu, lv = low
     BD = B * D
-    return sum(c << (a - lu) * B + (b - lv) * BD for (a, b), c in p.terms.items())
+    return sum(c << (a - lu) * B + (b - lv) * BD for (a, b), c in terms.items())
 
 
 def unpack(x, B, D, low):
@@ -500,7 +502,7 @@ def gcd_many(polys):
         B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + _HEU_MARGIN
         span = max(p.max_degree(0) for p in prims) + 1
         for D in (span, span + 1):
-            h = math.gcd(*(pack(p, (0, 0), B, D) for p in prims))
+            h = math.gcd(*(pack(p.terms, (0, 0), B, D) for p in prims))
             j = ((h & -h).bit_length() - 1) // B
             if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
                 continue

@@ -27,11 +27,12 @@ the one-scan ``parse_gauss`` replaced, Smith normal form by a full
 smallest-entry scan at every pivot, and ranks mod p by Gauss-Jordan
 elimination over Z/p (the library counts maps to Z/p from Smith forms).
 
-The helpers at the end are test conveniences built on the library:
-polynomial literals, the quotient list, one char-poly and hom-count
-comparison of two module matrices, the specialization of one polynomial,
-evaluation at +-1 and mod m, end columns, row-space membership of an end
-difference and relation comparison.
+The helpers at the end are test conveniences built on the library: the
+quotient list, one char-poly and hom-count comparison of two module
+matrices, the dense form of a matrix (``dense``), polynomial literals,
+the specialization of one polynomial, evaluation at +-1 and mod m, end
+columns, row-space membership of an end difference and relation
+comparison.
 """
 
 from __future__ import annotations
@@ -48,15 +49,12 @@ from vka.alexander import (
     E0,
     arc_names,
     GroupPresentationZ2,
-    PresentationMatrix,
     _crossing_relation,
-    _matrix,
     _reduce,
     _word_row,
     diagonal_t,
     extended_presentation,
     one_variable,
-    sparse_rows,
     tietze_eliminate,
 )
 from vka import moves
@@ -139,15 +137,15 @@ def det_exact_reference(rows):
 
 
 def minors_reference(m, k):
-    """The minors of size (columns - k) of an L2 matrix, in
-    ``elementary_minors`` order, each by ``det_exact_reference``."""
-    nrows, ncols = m.shape
+    """The minors of size (columns - k) of a matrix ``m`` = (rows, cols), in
+    ``elementary_minors`` order, each by ``det_exact_reference`` of ``dense(*m)``."""
+    a, ncols = dense(*m), len(m[1])
     size = ncols - k
     if size <= 0:
         return [LaurentPoly.const(1)]
     return [
-        det_exact_reference([[m.rows[i][j] for j in cs] for i in rs])
-        for rs in combinations(range(nrows), size)
+        det_exact_reference([[a[i][j] for j in cs] for i in rs])
+        for rs in combinations(range(len(a)), size)
         for cs in combinations(range(ncols), size)
     ]
 
@@ -164,17 +162,15 @@ def subs_reference(p, images):
 
 
 def abelianize_reference(p):
-    """``abelianize`` by adding one monomial per letter, left minus right."""
-    def row(word):
-        coeffs = {g: LaurentPoly() for g in p.generators}
-        for gen, exp, sign in word:
-            coeffs[gen] = coeffs[gen] + LaurentPoly.monomial(exp, sign)
-        return [coeffs[g] for g in p.generators]
-
-    rows = tuple(
-        tuple(a - b for a, b in zip(row(left), row(right))) for left, right in p.relations
-    )
-    return PresentationMatrix("L2", tuple(p.generators), rows)
+    """``abelianize`` by adding one monomial per letter, left minus right, as (rows, cols)."""
+    rows = []
+    for left, right in p.relations:
+        coeffs = {}
+        for word, scale in ((left, 1), (right, -1)):
+            for gen, exp, sign in word:
+                coeffs[gen] = coeffs.get(gen, LaurentPoly()) + LaurentPoly.monomial(exp, scale * sign)
+        rows.append({g: e.terms for g, e in coeffs.items() if e})
+    return rows, tuple(p.generators)
 
 
 class CrossingArcs(NamedTuple):
@@ -363,6 +359,36 @@ def random_diagrams(crossings, seeds):
         for seed in seeds
         for closed in (False, True)
     ]
+
+
+def braid_closure(strands, word):
+    """The closed Gauss code of the closure of a braid on ``strands`` strands; the closure must be one component.
+
+    ``word`` lists the braid's letters: i for sigma_i and -i for its
+    inverse, 1 <= i < ``strands``.  The strands run down the page, and at
+    sigma_i the strand in position i + 1 crosses over the one in position
+    i, a positive crossing; sigma_i^-1 is its mirror, a negative one.  The
+    code follows strand 0 from the top, and from the bottom of each
+    position goes on with the strand that starts at its top.  Without the
+    ``closed`` line it is the long knot cut at the top of strand 0.  The
+    torus knot T(p, q) is ``braid_closure(p, list(range(1, p)) * q)``.
+    """
+    at = list(range(strands))  # position -> the strand there; strand s starts at position s
+    tokens = [[] for _ in range(strands)]  # strand -> its passages, top to bottom
+    for cid, letter in enumerate(word, 1):
+        i, sign = abs(letter) - 1, "+" if letter > 0 else "-"
+        left, right = at[i], at[i + 1]
+        over, under = (right, left) if letter > 0 else (left, right)
+        tokens[over].append(f"O{cid}{sign}")
+        tokens[under].append(f"U{cid}{sign}")
+        at[i], at[i + 1] = right, left
+    code, strand = [], 0
+    for n in range(strands):
+        if n and not strand:
+            raise ValueError("the closure has more than one component")
+        code += tokens[strand]
+        strand = at.index(strand)
+    return "closed\n" + " ".join(code)
 
 
 # -- reference parser --------------------------------------------------
@@ -801,7 +827,7 @@ def reduced_matrix(p):
     --charpoly`` reduced before every request took its char polys from
     A(u, v).
     """
-    return _matrix(*_reduce([_word_row(*rel) for rel in p.relations], p.generators))
+    return _reduce([_word_row(*rel) for rel in p.relations], p.generators)
 
 
 def quotient_matrix_reference(d, quotient="none"):
@@ -855,33 +881,32 @@ def one_var_matrix_reference(d, t=U):
     """Merged arc matrix A(t): rows UO - t*UI - (1-t)*OV per crossing, t^-1 for t at a negative one.
 
     The per-crossing builder that ``one_var_matrix`` replaced by units
-    times the rows of A(u, v), on the columns of ``arc_classes``.  ``t`` is
-    the image of t.  ``U`` gives the Laurent matrix over Z[t^+-1] with t
-    read as u (ring "L2", as ``one_variable`` gives it); 1 or -1 gives the
-    integer specialization (ring "Z"), where t^-1 = t, which is all that
-    ``one_var_matrix`` builds.  The coloring matrix is -A(-1).
+    times the rows of A(u, v), on the columns of ``arc_classes``, as (rows,
+    cols).  ``t`` is the image of t.  ``U`` gives the rows over Z[t^+-1]
+    with t read as u, entries term dicts (as ``one_variable`` gives them);
+    1 or -1 gives the integer specialization, int entries, where
+    t^-1 = t, which is all that ``one_var_matrix`` builds.  The coloring
+    matrix is -A(-1).
     """
     arcs = arc_structure(d)
     classes, _, col_names = arc_classes(d)
-    count = len(col_names)
     if isinstance(t, int):
         if t not in (1, -1):
             raise ValueError(f"{t} is not a unit of Z")
-        ring, zero, one, tinv = "Z", 0, 1, t
+        zero, one, tinv = 0, 1, t
     else:
-        ring, zero, one, tinv = "L2", LaurentPoly(), LaurentPoly.const(1), t.inverse()
+        zero, one, tinv = LaurentPoly(), LaurentPoly.const(1), t.inverse()
     sign_of = {p.crossing: p.sign for p in d.passages}
     rows = []
     for cid in sorted(arcs.crossings):
         inc = arcs.crossings[cid]
-        row = [zero] * count
+        row = {}
         ov, ui, uo = classes[inc.over_in], classes[inc.under_in], classes[inc.under_out]
         tt = t if sign_of[cid] > 0 else tinv
-        row[uo] = row[uo] + one
-        row[ui] = row[ui] - tt
-        row[ov] = row[ov] - (one - tt)
-        rows.append(tuple(row))
-    return PresentationMatrix(ring, col_names, tuple(rows))
+        for j, x in ((uo, one), (ui, -tt), (ov, -(one - tt))):
+            row[j] = row.get(j, zero) + x
+        rows.append({col_names[j]: x if isinstance(t, int) else x.terms for j, x in row.items() if x})
+    return rows, col_names
 
 
 def colorings_reference(a, ps):
@@ -893,10 +918,10 @@ def colorings_reference(a, ps):
     then the determinant), counted by ``_solutions_mod``.  Its rows are
     those of the coloring matrix -A(-1) up to sign.  Its parts have
     references of their own: ``one_var_matrix_reference`` and
-    ``smith_normal_form_reference``.
+    ``smith_normal_form_reference``.  ``a`` is a pair (int rows, cols).
     """
-    inv = smith_normal_form(a.rows)
-    return math.prod(inv), [_solutions_mod(inv, len(a.cols), p) for p in ps]
+    inv = smith_normal_form(dense(*a, int))
+    return math.prod(inv), [_solutions_mod(inv, len(a[1]), p) for p in ps]
 
 
 def colorings_by_reduction_reference(m, ps):
@@ -907,8 +932,8 @@ def colorings_by_reduction_reference(m, ps):
     at (u, v) = (-1, 1) by the parity of its exponents (``subs_int``), and
     count from one Smith form (``_solutions_mod``).
     """
-    inv = smith_normal_form([[subs_int(e, (-1, 1)) for e in row] for row in m.rows])
-    return math.prod(inv), [_solutions_mod(inv, len(m.cols), p) for p in ps]
+    inv = smith_normal_form([[subs_int(e, (-1, 1)) for e in row] for row in dense(*m)])
+    return math.prod(inv), [_solutions_mod(inv, len(m[1]), p) for p in ps]
 
 
 def hom_count_by_specialization_reference(m, t, p, s):
@@ -919,8 +944,8 @@ def hom_count_by_specialization_reference(m, t, p, s):
     ``diagonal_t`` ("diag"), each entry is evaluated at u = s mod p
     (``subs_mod``), and the count is p^(columns - rank mod p).
     """
-    m = {"v1": one_variable, "diag": diagonal_t}[t](m)
-    return p ** (len(m.cols) - rank_mod([[subs_mod(e, (s, 1), p) for e in row] for row in m.rows], p))
+    m = {"v1": one_variable, "diag": diagonal_t}[t](*m)
+    return p ** (len(m[1]) - rank_mod([[subs_mod(e, (s, 1), p) for e in row] for row in dense(*m)], p))
 
 
 def specialized_matrix_reference(d, quotient, t):
@@ -934,7 +959,7 @@ def specialized_matrix_reference(d, quotient, t):
     for every k, but the shapes can differ.
     """
     m = quotient_matrix(d, quotient)
-    return m if t == "uv" else {"v1": one_variable, "diag": diagonal_t}[t](m)
+    return m if t == "uv" else {"v1": one_variable, "diag": diagonal_t}[t](*m)
 
 
 def smith_normal_form_reference(rows):
@@ -1031,19 +1056,28 @@ def quotients(d):
 
 
 def assert_same_module(a, b, ks=(0, 1, 2), context=()):
-    """Matrices ``a`` and ``b`` give the same char polys and hom counts.
+    """Matrices ``a`` and ``b``, each (rows, cols), give the same char polys and hom counts.
 
     Char polys for each k in ``ks`` over L2 and after the v1 and diag
     specializations; hom counts for every ``HOM_CASES`` entry with t as
     either.  ``context`` heads the message of a failing assertion.
     """
-    for x, y in [(a, b)] + [(f(a), f(b)) for f in (one_variable, diagonal_t)]:
+    for t, x, y in [("uv", a, b)] + [(t, f(*a), f(*b)) for t, f in (("v1", one_variable), ("diag", diagonal_t))]:
         for k in ks:
-            assert char_poly(x, k) == char_poly(y, k), (*context, x.ring, k)
+            assert char_poly(*x, k) == char_poly(*y, k), (*context, t, k)
     for t in ("v1", "diag"):
         for prime, s in HOM_CASES:
-            counts = [hom_count_to_cyclic(*sparse_rows(m), prime, s, t) for m in (a, b)]
+            counts = [hom_count_to_cyclic(*m, prime, s, t) for m in (a, b)]
             assert counts[0] == counts[1], (*context, t, prime, s)
+
+
+def dense(rows, cols, entry=LaurentPoly):
+    """The dense rows of sparse rows over ``cols``: ``entry`` of each row's entry, ``entry()`` where it has none.
+
+    The one converter for references that index a matrix: ``LaurentPoly``
+    wraps term-dict entries, and ``int`` reads int rows {column: value}.
+    """
+    return [[entry(row[g]) if g in row else entry() for g in cols] for row in rows]
 
 
 def l2(terms):
@@ -1057,8 +1091,8 @@ def l1(terms):
 
 
 def specialize_entry(f, p):
-    """``f`` (``one_variable`` or ``diagonal_t``) of ``p``, as the entry of a 1x1 L2 matrix."""
-    return f(PresentationMatrix("L2", ("x",), ((p,),))).rows[0][0]
+    """``f`` (``one_variable`` or ``diagonal_t``) of ``p``, as the entry of a 1x1 matrix."""
+    return dense(*f([{"x": p.terms}], ("x",)))[0][0]
 
 
 def subs_int(p, images):
@@ -1097,31 +1131,30 @@ def subs_mod(p, images, m):
 
 
 def end_generator_columns(p, m):
-    """Images of the two end elements as column vectors over m's ring."""
+    """Images of the two end elements as column vectors over Z[u^+-1, v^+-1], on the columns of m = (rows, cols)."""
     if p.end_minus is None or p.end_plus is None:
         raise ValueError("presentation has no distinguished ends")
-    if m.ring != "L2":
-        raise ValueError("end columns are computed over the L2 matrix")
-    if tuple(m.cols) != tuple(p.generators):
+    if tuple(m[1]) != tuple(p.generators):
         raise ValueError("matrix does not match presentation")
-    return _matrix([_word_row(p.end_minus), _word_row(p.end_plus)], m.cols).rows
+    return dense([_word_row(p.end_minus), _word_row(p.end_plus)], m[1])
 
 
 def end_arc_columns(m):
-    """Unit columns at the first and at the last column of the L2 matrix m: the end arcs in a long diagram's A(t)."""
-    units = [LaurentPoly.const(1)] + [LaurentPoly()] * (len(m.cols) - 1)
+    """Unit columns at the first and at the last column of m = (rows, cols): the end arcs in a long diagram's A(t)."""
+    units = [LaurentPoly.const(1)] + [LaurentPoly()] * (len(m[1]) - 1)
     return units, units[::-1]
 
 
 def difference_in_rowspan(m, a, b):
-    """Whether a - b lies in the row space of the L2 matrix m mod p at each unit point (u, v).
+    """Whether a - b lies in the row space of m = (rows, cols) mod p at each unit point (u, v).
 
     ``a`` and ``b`` are columns of two-variable Laurent polynomials.  One
     bool per p = 3, 5, 7 and per point of nonzero residues mod p, in order.
     """
+    entries = dense(*m)
     for p in (3, 5, 7):
         for point in product(range(1, p), repeat=2):
-            rows = [[subs_mod(x, point, p) for x in row] for row in m.rows]
+            rows = [[subs_mod(x, point, p) for x in row] for row in entries]
             diff = [subs_mod(x - y, point, p) for x, y in zip(a, b)]
             yield rank_mod(rows + [diff], p) == rank_mod(rows, p)
 

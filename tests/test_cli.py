@@ -240,7 +240,7 @@ def test_json_char_polys_read_back(capsys, corpus_dir, t):
         for entry in json.loads(out)["charpoly"]:
             assert entry["ring"] == ("L2" if t == "uv" else "L1")
             value = parse_poly(entry["value"].replace("t", "u"))  # "L1" values are in u alone, printed in t
-            assert value == invariants.char_poly(mat, entry["k"]), (path.name, entry)
+            assert value == invariants.char_poly(*mat, entry["k"]), (path.name, entry)
 
 
 def test_presentation_follows_quotient(capsys, corpus_dir):
@@ -258,7 +258,7 @@ def test_presentation_follows_quotient(capsys, corpus_dir):
         for rel in pres["relations"]
     )
     shown = alexander.GroupPresentationZ2(tuple(pres["generators"]), relations)
-    assert str(invariants.char_poly(alexander.abelianize(shown), 0)) == "u^2*v - u + 1"
+    assert str(invariants.char_poly(*alexander.abelianize(shown), 0)) == "u^2*v - u + 1"
 
 
 def _golden_inputs(corpus_dir):
@@ -385,8 +385,8 @@ def test_specialized_char_poly_budget_counts_the_specialized_reduction(capsys, t
     path = tmp_path / "d.gauss"
     path.write_text(random_code(random.Random(seed), crossings) + "\n")
     d = diagram.parse_gauss(path.read_text())
-    assert (invariants.quotient_matrix(d, quotient, "diag").shape,
-            specialized_matrix_reference(d, quotient, "diag").shape) == shapes
+    assert (tuple(map(len, invariants.quotient_matrix(d, quotient, "diag"))),
+            tuple(map(len, specialized_matrix_reference(d, quotient, "diag")))) == shapes
     argv = ["invariants", str(path), "--charpoly", "1", "--quotient", quotient, "--t", "diag"]
     code, _, err = run(capsys, "--max-minors", budget, *argv)
     assert code == expected

@@ -1,11 +1,11 @@
-"""``import vka.cli`` stays cheap, and the record types are NamedTuples.
+"""``import vka.cli`` stays cheap, and the record type is a NamedTuple.
 
-``PresentationMatrix`` and ``GroupPresentationZ2`` were frozen dataclasses;
-as ``typing.NamedTuple`` classes they keep their fields, defaults, ``repr``,
-immutability and hashability, and importing the CLI no longer loads
-``dataclasses`` or ``inspect``.  A presentation's relations are plain
-``(left, right)`` pairs of words of plain ``(gen, exp, sign)`` letters, so
-its ``repr`` shows them as tuples.
+``GroupPresentationZ2`` was a frozen dataclass; as a ``typing.NamedTuple``
+class it keeps its fields, defaults, ``repr``, immutability and
+hashability, and importing the CLI no longer loads ``dataclasses`` or
+``inspect``.  A presentation's relations are plain ``(left, right)``
+pairs of words of plain ``(gen, exp, sign)`` letters, so its ``repr``
+shows them as tuples.  A matrix is a plain ``(rows, cols)`` pair.
 """
 
 import json
@@ -16,8 +16,7 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
-from vka.alexander import GroupPresentationZ2, PresentationMatrix
-from vka.laurent import LaurentPoly
+from vka.alexander import GroupPresentationZ2
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
@@ -38,12 +37,6 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
 
 LETTER = ("a", (0, 1), 1)
 CASES = [
-    (
-        PresentationMatrix("L2", ("a",), ((LaurentPoly.const(1),),)),
-        ("ring", "cols", "rows"),
-        {},
-        "PresentationMatrix(ring='L2', cols=('a',), rows=((LaurentPoly(u.v: 1),),))",
-    ),
     (
         GroupPresentationZ2(("a",), (((LETTER,), ()),)),
         ("generators", "relations", "end_minus", "end_plus"),

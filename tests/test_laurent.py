@@ -325,7 +325,7 @@ def test_pack_round_trip_two_variables(terms, du, dv, extra_d, extra_b):
     low = (lu - du, lv - dv)  # at most the least exponents
     D = p.max_degree(0) - low[0] + 1 + extra_d  # u-span of p / x^low below D
     B = max((abs(c).bit_length() for c in p.terms.values()), default=0) + 1 + extra_b
-    assert unpack(pack(p, low, B, D), B, D, low) == p
+    assert unpack(pack(p.terms, low, B, D), B, D, low) == p
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,16 +338,16 @@ def test_pack_round_trip_one_variable(terms, du, extra_b, extra_d):
     low = (p.min_exps()[0] - du, 0)
     D = p.max_degree(0) - low[0] + 1 + extra_d
     B = max((abs(c).bit_length() for c in p.terms.values()), default=0) + 1 + extra_b
-    assert pack(p, low, B, D) == pack(p, low, B, 1)  # v^0: the image does not depend on D
-    assert unpack(pack(p, low, B, D), B, D, low) == p
+    assert pack(p.terms, low, B, D) == pack(p.terms, low, B, 1)  # v^0: the image does not depend on D
+    assert unpack(pack(p.terms, low, B, D), B, D, low) == p
 
 
 def test_pack_at_the_digit_bounds():
     # the balanced digits reach -2^(B-1) but not 2^(B-1)
     for c in (-8, 7, -1, 1):
         p = l2({(0, 0): c, (2, 1): c, (1, 3): c, (2, 3): -1})
-        assert unpack(pack(p, (0, 0), 4, 3), 4, 3, (0, 0)) == p
-    assert unpack(pack(l1({0: 8}), (0, 0), 4, 2), 4, 2, (0, 0)) != l1({0: 8})
+        assert unpack(pack(p.terms, (0, 0), 4, 3), 4, 3, (0, 0)) == p
+    assert unpack(pack(l1({0: 8}).terms, (0, 0), 4, 2), 4, 2, (0, 0)) != l1({0: 8})
 
 
 # -- gcd_many: single input, GCDHEU at D and D + 1, subresultant fallback ----
@@ -378,9 +378,9 @@ def traced_paths(monkeypatch):
     """Record the D of every ``pack`` and count the calls of the subresultant ``gcd``."""
     seen = {"D": [], "gcd": 0}
 
-    def counted_pack(p, low, B, D):
+    def counted_pack(terms, low, B, D):
         seen["D"].append(D)
-        return pack(p, low, B, D)
+        return pack(terms, low, B, D)
 
     def counted_gcd(p, q):
         seen["gcd"] += 1

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import catalog
-from oracles import assert_same_module, quotients, random_code, random_diagrams, reduced_matrix
+from oracles import assert_same_module, dense, quotients, random_code, random_diagrams, reduced_matrix
 from vka import alexander, cli
 from vka.alexander import (
     GroupPresentationZ2,
@@ -27,7 +27,7 @@ from vka.laurent import LaurentPoly
 
 def _assert_same_module(p, reduced, ks=(0, 1, 2)):
     """Char polys over L2, v1 and diag, and hom counts, agree with today's route."""
-    assert len(reduced.cols) <= len(abelianize(p).cols)
+    assert len(reduced[1]) <= len(abelianize(p)[1])
     assert_same_module(abelianize(tietze_eliminate(p)), reduced, ks)
 
 
@@ -54,7 +54,7 @@ def test_reduced_matrix_of_an_eliminated_presentation():
         for quotient in quotients(d):
             shown = tietze_eliminate(_end_quotient(extended_presentation(d), quotient))
             reduced = reduced_matrix(shown)
-            assert len(reduced.cols) <= len(shown.generators)
+            assert len(reduced[1]) <= len(shown.generators)
             _assert_same_module(shown, reduced)
 
 
@@ -82,13 +82,13 @@ def _presentation(rows, ncols=None):
 
 
 def _entries(m):
-    return [[dict(e.terms) for e in row] for row in m.rows]
+    return [[e.terms for e in row] for row in dense(*m)]
 
 
 def _assert_same_ideals(p, ks=range(5)):
     full, reduced = abelianize(p), reduced_matrix(p)
-    assert len(reduced.cols) <= len(full.cols)
-    assert not any(e.is_unit for row in reduced.rows for e in row)  # no pivot left
+    assert len(reduced[1]) <= len(full[1])
+    assert not any(e.is_unit for row in dense(*reduced) for e in row)  # no pivot left
     assert_same_module(full, reduced, ks)
     return reduced
 
@@ -110,14 +110,14 @@ def test_negative_and_shifted_monomial_units():
     ])
     reduced = _assert_same_ideals(p)
     # the cheapest pivot, -u^-4 v^2, turns the other two units into non-units
-    assert reduced.shape == (2, 2)
+    assert tuple(map(len, reduced)) == (2, 2)
 
 
 def test_zero_and_duplicate_rows():
     row = {0: {(0, 0): 1, (1, 0): -1}, 1: {(0, 1): 1}}
     p = _presentation([{}, row, row, {}, {0: {(0, 0): 3}, 1: {(1, 0): 2}}])
     reduced = _assert_same_ideals(p)
-    assert all(any(e for e in r) for r in reduced.rows)  # zero rows are dropped
+    assert all(any(e for e in r) for r in dense(*reduced))  # zero rows are dropped
 
 
 def test_a_row_that_is_a_single_unit():
@@ -127,7 +127,7 @@ def test_a_row_that_is_a_single_unit():
         {0: {(1, 0): 1, (0, 0): 1}, 1: {(0, 1): 7}},
     ])
     reduced = _assert_same_ideals(p)
-    assert reduced.cols == ("x0",)
+    assert reduced[1] == ("x0",)
     assert _entries(reduced) == [[{(0, 0): 2}], [{(1, 0): 1, (0, 0): 1}]]
 
 
@@ -138,22 +138,22 @@ def test_every_column_eliminated_gives_one_for_every_k():
         {2: {(0, 2): 1}},
     ])
     reduced = _assert_same_ideals(p)
-    assert reduced.shape == (0, 0)
+    assert tuple(map(len, reduced)) == (0, 0)
     for k in range(4):
-        assert char_poly(reduced, k).is_one
+        assert char_poly(*reduced, k).is_one
 
 
 def test_zero_rows_only():
     p = _presentation([{}, {}], ncols=2)
     reduced = _assert_same_ideals(p)
-    assert reduced.shape == (0, 2)
-    assert not char_poly(reduced, 0)
-    assert char_poly(reduced, 2).is_one
+    assert tuple(map(len, reduced)) == (0, 2)
+    assert not char_poly(*reduced, 0)
+    assert char_poly(*reduced, 2).is_one
 
 
 def test_no_relations():
     reduced = _assert_same_ideals(GroupPresentationZ2(("a", "b"), ()))
-    assert reduced.shape == (0, 2)
+    assert tuple(map(len, reduced)) == (0, 2)
 
 
 @pytest.mark.parametrize("code", ["closed\n", "closed\nO1+ U1+", "closed\nU1- O1-"])
@@ -173,7 +173,7 @@ def test_ties_go_to_the_first_row():
         {0: {(0, 0): 1, (0, 1): 1}, 1: {(0, 0): 1}},
     ])
     reduced = _assert_same_ideals(p)
-    assert reduced.cols == ("x1",)
+    assert reduced[1] == ("x1",)
     assert _entries(reduced) == [[{(1, 0): -1, (0, 1): -1, (1, 1): -1}]]
 
 
