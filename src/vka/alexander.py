@@ -628,10 +628,10 @@ def merged_arc_rows(d):
     cols = [names[0]]
     col = e = tail = 0  # tail: the v-exponent of the arc after a closed diagram's last under passage
     if d.kind != LONG:
-        for p in reversed(d.passages):
-            if p.role == UNDER:
+        for _, role, sign in reversed(d.passages):
+            if role == UNDER:
                 break
-            tail -= p.sign
+            tail -= sign
     overs, unders = [None] * d.crossings, [None] * d.crossings  # each crossing's arcs in and out, as (column, v-exponent)
     for i, (cid, role, sign) in enumerate(d.passages):
         arc_in = cols[col], e
@@ -668,6 +668,6 @@ def one_var_matrix(d, t):
     if not (is_int(t) and t in (1, -1)):
         raise ValueError(f"{t!r} is not 1 or -1")
     rows, cols = merged_arc_rows(d)
-    signs = {p.crossing: p.sign for p in d.passages}
+    signs = {cid: sign for cid, _, sign in d.passages}
     units = [-t if signs[cid] < 0 else -1 for cid in range(1, len(rows) + 1)]
     return [{g: unit * x for g, x in row.items()} for unit, row in zip(units, _at(rows, (t, 1)))], cols

@@ -11,7 +11,6 @@ cyclically.  The text format, one diagram per file, is the grammar that
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 LONG = "long"
 CLOSED = "closed"
@@ -31,14 +30,10 @@ class GaussCodeError(ValueError):
         super().__init__(message)
 
 
-class Passage(NamedTuple):
-    crossing: int
-    role: str  # OVER or UNDER
-    sign: int  # +1 or -1
-
-    def __str__(self):
-        """The Gauss-code token ``[OU]<id>[+-]``."""
-        return f"{self.role}{self.crossing}{'+' if self.sign > 0 else '-'}"
+def _token(passage):
+    """The Gauss-code token ``[OU]<id>[+-]`` of a (crossing id, role, sign) triple."""
+    cid, role, sign = passage
+    return f"{role}{cid}{'+' if sign > 0 else '-'}"
 
 
 def is_int(x):
@@ -55,15 +50,15 @@ def _raise_crossing_error(ids, passages):
     """Raise for the first crossing of ``ids`` (the given ids, in ``passages`` renumbered in order) that is
     not two passages of opposite roles and one sign."""
     found = {}
-    for p in passages:
-        found.setdefault(p.crossing, []).append(p)
+    for crossing, role, sign in passages:
+        found.setdefault(crossing, []).append((role, sign))
     for cid, ps in zip(ids, found.values()):
         if len(ps) != 2:
             raise GaussCodeError(f"crossing {cid} appears {len(ps)} times, expected 2")
-        a, b = ps
-        if a.role == b.role:
-            raise GaussCodeError(f"crossing {cid} has two {a.role} passages")
-        if a.sign != b.sign:
+        (role_a, sign_a), (role_b, sign_b) = ps
+        if role_a == role_b:
+            raise GaussCodeError(f"crossing {cid} has two {role_a} passages")
+        if sign_a != sign_b:
             raise GaussCodeError(f"crossing {cid} has mismatched signs")
 
 
@@ -73,7 +68,7 @@ class Diagram:
     __slots__ = ("kind", "passages")
 
     def __init__(self, kind, passages):
-        """Check (crossing id, role, sign) triples, ``Passage``s or not, and renumber them, in one pass."""
+        """Check (crossing id, role, sign) triples and store them renumbered, as plain tuples, in one pass."""
         if kind not in (LONG, CLOSED):
             raise GaussCodeError(f"unknown diagram kind {kind!r}")
         ids, out, paired = {}, [], True  # ids: crossing id -> its first passage, renumbered
@@ -83,12 +78,12 @@ class Diagram:
             if not (role in (OVER, UNDER) and type(cid) is type(sign) is int and sign in (1, -1) and cid >= 1):
                 raise GaussCodeError(f"bad passage {p!r} at position {len(out)}")
             first = ids.get(cid)
-            if first is None:  # tuple.__new__ skips the Python-level NamedTuple constructor
-                first = ids[cid] = tuple.__new__(Passage, (len(ids) + 1, role, sign))
+            if first is None:
+                first = ids[cid] = (len(ids) + 1, role, sign)
                 out.append(first)
             else:
-                paired = paired and first.role != role and first.sign == sign
-                out.append(tuple.__new__(Passage, (first.crossing, role, sign)))
+                paired = paired and first[1] != role and first[2] == sign
+                out.append((first[0], role, sign))
         # with each later passage of a crossing paired with its first, all distinct means at most two a crossing
         if not (paired and len(out) == 2 * len(ids) == len(set(out))):
             _raise_crossing_error(ids, out)
@@ -120,7 +115,7 @@ class Diagram:
         return hash(self.canonical_key())
 
     def __repr__(self):
-        return f"Diagram({self.kind}: {' '.join(map(str, self.passages))})"
+        return f"Diagram({self.kind}: {' '.join(map(_token, self.passages))})"
 
 
 MAX_ID_DIGITS = 4300  # the longest crossing id, in digits
@@ -176,7 +171,7 @@ def _int(digits):
 
 def serialize_gauss(d):
     """Render a Diagram in the normalized text format; inverse of parse_gauss."""
-    body = " ".join(map(str, d.passages))
+    body = " ".join(map(_token, d.passages))
     if d.kind == CLOSED:
         return "closed\n" + body if body else "closed"
     return body

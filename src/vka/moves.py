@@ -16,7 +16,9 @@ R2+) are counted in closed form and decoded from their index on demand.  A
 random-walk step draws against the growing count plus a bound on the
 shrinking count, so it scans only when the draw lands past the growing
 sites.  The walk moves on passage triples read by index, and one ``Diagram``
-validates its end; a scan builds sites with ``tuple.__new__``.
+validates its end.  A passage is a plain (crossing id, role, sign) triple
+and a site a plain (kind, data) pair: kind is "r1+", "r1-", "r2+", "r2-"
+or "r3", and data the tuple of the move's positions and choices.
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import NamedTuple
 
 from .diagram import Diagram, OVER, UNDER, is_int
-
-
-class MoveSite(NamedTuple):
-    kind: str  # "r1+", "r1-", "r2+", "r2-", "r3"
-    data: tuple
 
 
 class IllegalMove(ValueError):
@@ -68,12 +64,12 @@ def _shrinking_sites(passages):
     for i in range(len(passages) - 1):
         a, b = passages[i], passages[i + 1]
         pa = partner[i]
-        if pa == i + 1:  # tuple.__new__ skips the Python-level NamedTuple constructor
-            r1.append(tuple.__new__(MoveSite, ("r1-", (i,))))
+        if pa == i + 1:
+            r1.append(("r1-", (i,)))
         elif a[1] == b[1]:
             pb = partner[i + 1]
             if a[2] != b[2] and (pa - pb == 1 or pb - pa == 1) and min(pa, pb) > i + 1:
-                r2.append(tuple.__new__(MoveSite, ("r2-", (i, min(pa, pb)))))
+                r2.append(("r2-", (i, min(pa, pb))))
             if a[1] == OVER:
                 r3 += _r3_sites(passages, partner, i)
     if len(r3) > 1:
@@ -110,7 +106,7 @@ def _r3_sites(passages, partner, it):
         else:
             continue
         if passages[yo][2] == e_top * e_bot and passages[zo][2] == e_mid * e_bot:
-            sites.append(tuple.__new__(MoveSite, ("r3", (it, im, ib, e_top, e_bot))))
+            sites.append(("r3", (it, im, ib, e_top, e_bot)))
     return sites
 
 
@@ -142,7 +138,7 @@ def _decode_r1_add(idx):
     pos, rest = divmod(idx, 4)
     sign = 1 if rest // 2 == 0 else -1
     order = "OU" if rest % 2 == 0 else "UO"
-    return MoveSite("r1+", (pos, sign, order))
+    return "r1+", (pos, sign, order)
 
 
 def _r2_add_count(n):
@@ -159,7 +155,7 @@ def _decode_r2_add(n, idx):
     sign = 1 if rest // 4 == 0 else -1
     first_role = OVER if (rest // 2) % 2 == 0 else UNDER
     parallel = rest % 2 == 0
-    return MoveSite("r2+", (i, j, sign, first_role, parallel))
+    return "r2+", (i, j, sign, first_role, parallel)
 
 
 def _growth(n, max_crossings):
@@ -195,15 +191,19 @@ _NO_SITE = {"r1-": "no kink at", "r2-": "no poke pair at", "r3": "no triangle at
 
 
 def apply_move(d, site):
-    """Apply one Reidemeister move; raises IllegalMove on a bad site.
+    """Apply the move at a (kind, data) ``site``; raises IllegalMove on a bad site.
 
-    A shrinking site is legal exactly when ``legal_sites`` lists it.
+    A shrinking site is legal exactly when its data are ints (not bools or
+    floats) and ``legal_sites`` lists it.
     """
-    n = len(d.passages)
-    if not isinstance(site.data, (tuple, list)):
-        raise IllegalMove(f"bad {site.kind} site data {site.data!r}")
-    site = MoveSite(site.kind, tuple(site.data))
+    if not (isinstance(site, (tuple, list)) and len(site) == 2):
+        raise IllegalMove(f"bad site {site!r}")
     kind, data = site
+    if kind not in ("r1+", "r1-", "r2+", "r2-", "r3"):
+        raise IllegalMove(f"unknown move kind {kind!r}")
+    if not isinstance(data, (tuple, list)):
+        raise IllegalMove(f"bad {kind} site data {data!r}")
+    n, data = len(d.passages), tuple(data)
     if kind == "r1+":
         pos, sign, order = data if len(data) == 3 else (None,) * 3
         if not (is_int(pos) and 0 <= pos <= n and is_int(sign) and sign in (1, -1) and order in ("OU", "UO")):
@@ -213,12 +213,9 @@ def apply_move(d, site):
         if not (is_int(i) and is_int(j) and 0 <= i <= j <= n and is_int(sign) and sign in (1, -1)
                 and first_role in (OVER, UNDER) and isinstance(parallel, bool)):
             raise IllegalMove(f"bad r2+ site {data}")
-    elif kind in _NO_SITE:
-        if site not in _shrinking_sites(d.passages):
-            raise IllegalMove(f"{_NO_SITE[kind]} {data}")
-    else:
-        raise IllegalMove(f"unknown move kind {kind!r}")
-    return Diagram(d.kind, _moved(list(d.passages), site, itertools.count(d.crossings + 1)))
+    elif not (all(map(is_int, data)) and (kind, data) in _shrinking_sites(d.passages)):
+        raise IllegalMove(f"{_NO_SITE[kind]} {data}")
+    return Diagram(d.kind, _moved(list(d.passages), (kind, data), itertools.count(d.crossings + 1)))
 
 
 def _moved(passages, site, fresh):

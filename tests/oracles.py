@@ -58,7 +58,7 @@ from vka.alexander import (
     tietze_eliminate,
 )
 from vka import moves
-from vka.diagram import CLOSED, LONG, OVER, UNDER, Diagram, GaussCodeError, Passage, is_int, parse_gauss
+from vka.diagram import CLOSED, LONG, OVER, UNDER, Diagram, GaussCodeError, is_int, parse_gauss
 from vka.invariants import (
     _end_quotient,
     _solutions_mod,
@@ -68,7 +68,6 @@ from vka.invariants import (
     smith_normal_form,
 )
 from vka.laurent import LaurentPoly, divexact
-from vka.moves import MoveSite
 
 U = LaurentPoly.monomial((1, 0))  # t read as u: the Laurent A(t) of ``one_var_matrix_reference``
 
@@ -205,8 +204,8 @@ def arc_structure(d):
         arc_out = [(i + 1) % n for i in range(n)]
         count = n if n else 1
     halves = {}
-    for idx, p in enumerate(d.passages):
-        halves.setdefault(p.crossing, {})[p.role] = (arc_in[idx], arc_out[idx])
+    for idx, (cid, role, _) in enumerate(d.passages):
+        halves.setdefault(cid, {})[role] = (arc_in[idx], arc_out[idx])
     crossings = {}
     for cid, roles in halves.items():
         oi, oo = roles[OVER]
@@ -228,7 +227,7 @@ def arc_classes(d):
     """
     arcs = arc_structure(d)
     n = arcs.arc_count
-    sign_of = {p.crossing: p.sign for p in d.passages}
+    sign_of = {cid: sign for cid, _, sign in d.passages}
     links = {a: [] for a in range(n)}
     for cid, inc in arcs.crossings.items():
         links[inc.over_in].append((inc.over_out, sign_of[cid]))
@@ -402,28 +401,27 @@ _TOKEN_RE = re.compile(r"[OU][1-9][0-9]*[+-]$")
 
 def _validate(passages):
     seen = {}
-    for idx, p in enumerate(passages):
-        if not (p.role in (OVER, UNDER) and is_int(p.sign) and p.sign in (1, -1)
-                and is_int(p.crossing) and p.crossing >= 1):
-            raise GaussCodeError(f"bad passage {p!r} at position {idx}")
-        seen.setdefault(p.crossing, []).append(p)
+    for idx, (cid, role, sign) in enumerate(passages):
+        if not (role in (OVER, UNDER) and is_int(sign) and sign in (1, -1) and is_int(cid) and cid >= 1):
+            raise GaussCodeError(f"bad passage {(cid, role, sign)!r} at position {idx}")
+        seen.setdefault(cid, []).append((role, sign))
     for cid, ps in seen.items():
         if len(ps) != 2:
             raise GaussCodeError(f"crossing {cid} appears {len(ps)} times, expected 2")
-        a, b = ps
-        if a.role == b.role:
-            raise GaussCodeError(f"crossing {cid} has two {a.role} passages")
-        if a.sign != b.sign:
+        (role_a, sign_a), (role_b, sign_b) = ps
+        if role_a == role_b:
+            raise GaussCodeError(f"crossing {cid} has two {role_a} passages")
+        if sign_a != sign_b:
             raise GaussCodeError(f"crossing {cid} has mismatched signs")
 
 
 def _relabel(passages):
     """Renumber crossing ids to 1..c in order of first appearance."""
     order = {}
-    for p in passages:
-        if p.crossing not in order:
-            order[p.crossing] = len(order) + 1
-    return tuple(Passage(order[p.crossing], p.role, p.sign) for p in passages)
+    for cid, _, _ in passages:
+        if cid not in order:
+            order[cid] = len(order) + 1
+    return tuple((order[cid], role, sign) for cid, role, sign in passages)
 
 
 def parse_gauss_reference(text):
@@ -450,7 +448,7 @@ def parse_gauss_reference(text):
                 cid = int(raw[1:-1])
             except ValueError:  # more digits than int() converts
                 raise GaussCodeError(f"crossing id of {len(raw) - 2} digits", lineno, column) from None
-            passages.append(Passage(cid, role, sign))
+            passages.append((cid, role, sign))
     _validate(passages)
     return kind, _relabel(passages)
 
@@ -686,15 +684,15 @@ def transfer_brute_force(n, p):
 
 
 def _r2_pairs_match(passages, i, j):
-    a1, a2 = passages[i], passages[i + 1]
-    b1, b2 = passages[j], passages[j + 1]
-    if a1.crossing == a2.crossing or b1.crossing == b2.crossing:
+    (a1, a1_role, a1_sign), (a2, a2_role, a2_sign) = passages[i], passages[i + 1]
+    (b1, b1_role, _), (b2, b2_role, _) = passages[j], passages[j + 1]
+    if a1 == a2 or b1 == b2:
         return False
-    if {a1.crossing, a2.crossing} != {b1.crossing, b2.crossing}:
+    if {a1, a2} != {b1, b2}:
         return False
-    if a1.role != a2.role or b1.role != b2.role or a1.role == b1.role:
+    if a1_role != a2_role or b1_role != b2_role or a1_role == b1_role:
         return False
-    if a1.sign == a2.sign:
+    if a1_sign == a2_sign:
         return False
     return True
 
@@ -706,27 +704,27 @@ def _r3_match(passages, site, sign_of=None):
         return False
     if max(it, im, ib) + 1 >= len(passages) or min(it, im, ib) < 0:
         return False
-    top = passages[it], passages[it + 1]
-    mid = passages[im], passages[im + 1]
-    bot = passages[ib], passages[ib + 1]
-    if top[0].role != OVER or top[1].role != OVER:
+    (top0, top0_role, _), (top1, top1_role, _) = passages[it], passages[it + 1]
+    (mid0, mid0_role, _), (mid1, mid1_role, _) = passages[im], passages[im + 1]
+    (bot0, bot0_role, _), (bot1, bot1_role, _) = passages[ib], passages[ib + 1]
+    if top0_role != OVER or top1_role != OVER:
         return False
-    if bot[0].role != UNDER or bot[1].role != UNDER:
+    if bot0_role != UNDER or bot1_role != UNDER:
         return False
-    if mid[0].role == UNDER and mid[1].role == OVER:
+    if mid0_role == UNDER and mid1_role == OVER:
         e_mid = 1
-        x2, z2 = mid[0].crossing, mid[1].crossing
-    elif mid[0].role == OVER and mid[1].role == UNDER:
+        x2, z2 = mid0, mid1
+    elif mid0_role == OVER and mid1_role == UNDER:
         e_mid = -1
-        z2, x2 = mid[0].crossing, mid[1].crossing
+        z2, x2 = mid0, mid1
     else:
         return False
-    x, y = (top[0].crossing, top[1].crossing) if e_top > 0 else (top[1].crossing, top[0].crossing)
-    y2, z3 = (bot[0].crossing, bot[1].crossing) if e_bot > 0 else (bot[1].crossing, bot[0].crossing)
+    x, y = (top0, top1) if e_top > 0 else (top1, top0)
+    y2, z3 = (bot0, bot1) if e_bot > 0 else (bot1, bot0)
     if x2 != x or y2 != y or z2 != z3 or len({x, y, z2}) != 3:
         return False
     if sign_of is None:
-        sign_of = {p.crossing: p.sign for p in passages}
+        sign_of = {cid: sign for cid, _, sign in passages}
     if sign_of[x] != e_top * e_mid or sign_of[y] != e_top * e_bot or sign_of[z2] != e_mid * e_bot:
         return False
     return True
@@ -742,23 +740,23 @@ def shrinking_sites_brute_force(passages):
     n = len(passages)
     sites = []
     for i in range(n - 1):
-        if passages[i].crossing == passages[i + 1].crossing:
-            sites.append(MoveSite("r1-", (i,)))
-    adj = [i for i in range(n - 1) if passages[i].crossing != passages[i + 1].crossing]
+        if passages[i][0] == passages[i + 1][0]:
+            sites.append(("r1-", (i,)))
+    adj = [i for i in range(n - 1) if passages[i][0] != passages[i + 1][0]]
     for ai, i in enumerate(adj):
         for j in adj[ai + 1:]:
             if j > i + 1 and _r2_pairs_match(passages, i, j):
-                sites.append(MoveSite("r2-", (i, j)))
+                sites.append(("r2-", (i, j)))
     over_pairs, under_pairs, mixed_pairs = [], [], []
     for i in adj:
-        r1, r2 = passages[i].role, passages[i + 1].role
+        r1, r2 = passages[i][1], passages[i + 1][1]
         if r1 == OVER and r2 == OVER:
             over_pairs.append(i)
         elif r1 == UNDER and r2 == UNDER:
             under_pairs.append(i)
         else:
             mixed_pairs.append(i)
-    sign_of = {p.crossing: p.sign for p in passages}
+    sign_of = {cid: sign for cid, _, sign in passages}
     for it in over_pairs:
         for im in mixed_pairs:
             for ib in under_pairs:
@@ -767,7 +765,7 @@ def shrinking_sites_brute_force(passages):
                     for e_bot in (1, -1):
                         site = (it, im, ib, e_top, e_bot)
                         if _r3_match(passages, site, sign_of):
-                            sites.append(MoveSite("r3", site))
+                            sites.append(("r3", site))
                             matched = True
                             break
                     if matched:
@@ -814,7 +812,7 @@ def decode_r2_add_reference(n, idx):
     sign = 1 if rest // 4 == 0 else -1
     first_role = OVER if (rest // 2) % 2 == 0 else UNDER
     parallel = rest % 2 == 0
-    return MoveSite("r2+", (i, j, sign, first_role, parallel))
+    return "r2+", (i, j, sign, first_role, parallel)
 
 
 # -- references for the module-matrix route ----------------------------
@@ -871,7 +869,7 @@ def merged_arc_rows_by_words(d):
     """
     classes, vexp, cols = arc_classes(d)
     arc = [(cols[k], e) for k, e in zip(classes, vexp)]
-    sign_of = {p.crossing: p.sign for p in d.passages}
+    sign_of = {cid: sign for cid, _, sign in d.passages}
     incidences = arc_structure(d).crossings
     return [_word_row(*_crossing_relation(sign_of[cid], *(arc[a] for a in incidences[cid])))
             for cid in range(1, d.crossings + 1)], cols
@@ -896,7 +894,7 @@ def one_var_matrix_reference(d, t=U):
         zero, one, tinv = 0, 1, t
     else:
         zero, one, tinv = LaurentPoly(), LaurentPoly.const(1), t.inverse()
-    sign_of = {p.crossing: p.sign for p in d.passages}
+    sign_of = {cid: sign for cid, _, sign in d.passages}
     rows = []
     for cid in sorted(arcs.crossings):
         inc = arcs.crossings[cid]

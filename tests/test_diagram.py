@@ -14,7 +14,6 @@ from vka.diagram import (
     Diagram,
     GaussCodeError,
     LONG,
-    Passage,
     TRIVIAL_LONG,
     UNKNOT,
     close,
@@ -99,7 +98,7 @@ def test_diagram_rejects_bad_kinds_ids_and_signs():
     # ids and signs are ints, not bools or floats that equal them
     for cid, sign in ((1, True), (1, 1.0), (1.0, 1), (True, -1), ("1", 1)):
         with pytest.raises(GaussCodeError, match="bad passage"):
-            Diagram(LONG, [Passage(cid, "O", sign), Passage(cid, "U", sign)])
+            Diagram(LONG, [(cid, "O", sign), (cid, "U", sign)])
 
 
 def test_diagram_rejects_bad_roles_and_takes_plain_triples():
@@ -107,8 +106,13 @@ def test_diagram_rejects_bad_roles_and_takes_plain_triples():
         with pytest.raises(GaussCodeError, match="bad passage"):
             Diagram(LONG, [(1, "O", 1), (1, role, 1)])
     d = Diagram(CLOSED, ((7, "U", -1), (3, "O", 1), (7, "O", -1), (3, "U", 1)))
-    assert d.passages == (Passage(1, "U", -1), Passage(2, "O", 1), Passage(1, "O", -1), Passage(2, "U", 1))
-    assert all(type(p) is Passage for p in d.passages)
+    assert d.passages == ((1, "U", -1), (2, "O", 1), (1, "O", -1), (2, "U", 1))
+    assert all(type(p) is tuple for p in d.passages)
+    # any triples go in, lists too; they are stored as plain tuples, written as Gauss-code tokens
+    listed = Diagram(CLOSED, [[7, "U", -1], [3, "O", 1], [7, "O", -1], [3, "U", 1]])
+    assert listed.passages == d.passages and all(type(p) is tuple for p in listed.passages)
+    assert repr(listed) == "Diagram(closed: U1- O2+ O1- U2+)"
+    assert serialize_gauss(listed) == "closed\nU1- O2+ O1- U2+"
 
 
 def _parsed(parse, text):
@@ -278,8 +282,8 @@ def test_dn_family_counts():
 def test_dn_family_signs_alternate():
     d = dn_family(TRIVIAL_LONG, 4)
     signs = {}
-    for p in d.passages:
-        signs[p.crossing] = p.sign
+    for cid, _, sign in d.passages:
+        signs[cid] = sign
     for cid in range(1, 9):
         assert signs[cid] == (1 if cid % 2 else -1)
 

@@ -17,13 +17,13 @@ from oracles import (
     shrinking_sites_brute_force,
 )
 from vka import moves
-from vka.diagram import Diagram, LONG, OVER, TRIVIAL_LONG, UNDER, Passage, close, parse_gauss, serialize_gauss
+from vka.diagram import Diagram, LONG, OVER, TRIVIAL_LONG, UNDER, close, parse_gauss, serialize_gauss
 from vka.invariants import determinant_long, invariant_profile
-from vka.moves import IllegalMove, MoveSite, apply_move, legal_sites, random_walk
+from vka.moves import IllegalMove, apply_move, legal_sites, random_walk
 
 
 def test_r1_add_on_trivial():
-    d = apply_move(TRIVIAL_LONG, MoveSite("r1+", (0, 1, "OU")))
+    d = apply_move(TRIVIAL_LONG, ("r1+", (0, 1, "OU")))
     assert d == parse_gauss("O1+ U1+")
     assert determinant_long(d) == 1
 
@@ -31,8 +31,8 @@ def test_r1_add_on_trivial():
 def test_r1_add_then_remove():
     base = catalog.k1()
     for pos in range(len(base.passages) + 1):
-        grown = apply_move(base, MoveSite("r1+", (pos, -1, "UO")))
-        shrunk = apply_move(grown, MoveSite("r1-", (pos,)))
+        grown = apply_move(base, ("r1+", (pos, -1, "UO")))
+        shrunk = apply_move(grown, ("r1-", (pos,)))
         assert shrunk == base
 
 
@@ -46,9 +46,9 @@ def test_r2_add_then_remove():
         sign = rng.choice((1, -1))
         first_role = rng.choice("OU")
         parallel = rng.choice((True, False))
-        grown = apply_move(base, MoveSite("r2+", (i, j, sign, first_role, parallel)))
+        grown = apply_move(base, ("r2+", (i, j, sign, first_role, parallel)))
         assert grown.crossings == base.crossings + 2
-        shrunk = apply_move(grown, MoveSite("r2-", (i, j + 2)))
+        shrunk = apply_move(grown, ("r2-", (i, j + 2)))
         assert shrunk == base
 
 
@@ -65,42 +65,60 @@ def test_moves_produce_valid_diagrams():
 def test_illegal_sites_rejected():
     d = catalog.k1()
     with pytest.raises(IllegalMove):
-        apply_move(d, MoveSite("r1-", (0,)))  # positions 0,1 are different crossings
+        apply_move(d, ("r1-", (0,)))  # positions 0,1 are different crossings
     with pytest.raises(IllegalMove):
-        apply_move(d, MoveSite("r2-", (0, 2)))
+        apply_move(d, ("r2-", (0, 2)))
     with pytest.raises(IllegalMove):
-        apply_move(d, MoveSite("r3", (0, 1, 2, 1, 1)))
+        apply_move(d, ("r3", (0, 1, 2, 1, 1)))
     # z's over passage must not be x's own: here "z" is x and the
     # six positions overlap, though every partner and sign fits
     with pytest.raises(IllegalMove):
-        apply_move(parse_gauss("U1+ U2+ O2+ O1+"), MoveSite("r3", (2, 1, 0, 1, 1)))
+        apply_move(parse_gauss("U1+ U2+ O2+ O1+"), ("r3", (2, 1, 0, 1, 1)))
     with pytest.raises(IllegalMove):
-        apply_move(d, MoveSite("r1+", (99, 1, "OU")))
+        apply_move(d, ("r1+", (99, 1, "OU")))
     for parallel in ("yes", 1, None):
         with pytest.raises(IllegalMove):
-            apply_move(d, MoveSite("r2+", (0, 0, 1, "O", parallel)))
+            apply_move(d, ("r2+", (0, 0, 1, "O", parallel)))
     # positions and signs are ints, not bools or floats; each site has its length
     for data in ((0, True, "OU"), (0, 1.0, "OU"), (1.0, 1, "OU"), (True, 1, "OU"), (0, 1)):
         with pytest.raises(IllegalMove):
-            apply_move(d, MoveSite("r1+", data))
+            apply_move(d, ("r1+", data))
     for data in ((0, 1, 1.0, "O", True), (0, 1, True, "O", True), (0.0, 1, 1, "O", True), (0, 1, 1, "O")):
         with pytest.raises(IllegalMove):
-            apply_move(d, MoveSite("r2+", data))
+            apply_move(d, ("r2+", data))
     with pytest.raises(IllegalMove):
-        apply_move(d, MoveSite("nope", ()))
+        apply_move(d, ("nope", ()))
     # site data that is not a tuple or a list, for every kind
     for kind in ("r1+", "r1-", "r2+", "r2-", "r3", "nope"):
         for data in (None, 5, 1.5, "OU", {0: 1}):
             for base in (d, TRIVIAL_LONG):
                 with pytest.raises(IllegalMove):
-                    apply_move(base, MoveSite(kind, data))
+                    apply_move(base, (kind, data))
+    # a shrinking site's data are ints, not bools or floats that equal them
+    kink, poke = parse_gauss("O1+ U1+"), parse_gauss("O1+ O2- U1+ U2-")
+    triangle = parse_gauss("O1+ O2+ U1+ O3+ U2+ U3+")
+    (r3,) = [data for kind, data in legal_sites(triangle) if kind == "r3"]
+    assert apply_move(kink, ("r1-", (0,))) == apply_move(kink, ("r1-", [0])) == TRIVIAL_LONG
+    assert apply_move(poke, ("r2-", (0, 2))) == TRIVIAL_LONG
+    cases = [(kink, "r1-", data) for data in ((0.0,), (False,), [False])]
+    cases += [(poke, "r2-", data) for data in ((0, 2.0), (0.0, 2), (False, 2))]
+    cases += [(triangle, "r3", r3[:k] + (float(r3[k]),) + r3[k + 1:]) for k in range(5)]
+    cases += [(triangle, "r3", r3[:3] + (r3[3] == 1,) + r3[4:])]
+    for base, kind, data in cases:
+        with pytest.raises(IllegalMove):
+            apply_move(base, (kind, data))
+    # the kind is one of the five strings, and a site is a (kind, data) pair
+    for site in ((["r1-"], (0,)), (("r1-",), (0,)), (None, (0,)), ("R1-", (0,)), "r1-", ("r1-",),
+                 ("r1-", (0,), None), None, 5, {"r1-": (0,)}):
+        with pytest.raises(IllegalMove):
+            apply_move(kink, site)
 
 
 def test_r3_fires_and_preserves_invariants():
     # braid-like triple: top strand over x then y, middle under x over z,
     # bottom under y then z, all positive
     d = parse_gauss("O1+ O2+ U1+ O3+ U2+ U3+")
-    sites = [s for s in legal_sites(d) if s.kind == "r3"]
+    sites = [s for s in legal_sites(d) if s[0] == "r3"]
     assert sites, "triangle pattern not matched"
     before = invariant_profile(d)
     for site in sites:
@@ -163,8 +181,9 @@ def test_sites_match_brute_force_on_random_diagrams():
 def corpus_walk_states():
     """(passages, diagram, brute-force shrinking sites) of each state that
     20 reference walks of 50 steps from every corpus code move on.  The
-    passages are as ``_moved`` receives them: the start's ``Passage``s mixed
-    with the plain triples that moves write."""
+    passages are as ``_moved`` receives them: the start's triples mixed
+    with those that moves write, whose new crossings keep the ids they were
+    given, not yet renumbered."""
     captured = []
     real_moved = moves._moved
     with pytest.MonkeyPatch.context() as patch:
@@ -182,7 +201,7 @@ def corpus_walk_states():
 
 def test_sites_match_brute_force_along_corpus_walks(corpus_walk_states):
     assert len(corpus_walk_states) == len(catalog.corpus()) * 20 * 50
-    r3_counts = [sum(s.kind == "r3" for s in check_shrinking_sites(d, brute)) for _, d, brute in corpus_walk_states]
+    r3_counts = [sum(s[0] == "r3" for s in check_shrinking_sites(d, brute)) for _, d, brute in corpus_walk_states]
     # walk states hold R3 sites far more often than random diagrams do
     assert sum(1 for k in r3_counts if k) >= 2000
 
@@ -190,33 +209,34 @@ def test_sites_match_brute_force_along_corpus_walks(corpus_walk_states):
 def test_scan_reads_passages_plain_triples_and_mixed_lists(corpus_walk_states):
     mixed_states = 0
     for n, (mixed, d, brute) in enumerate(corpus_walk_states):
-        assert all(type(p) is Passage for p in d.passages)
-        mixed_states += {type(p) for p in mixed} == {Passage, tuple}
+        assert all(type(p) is tuple for p in d.passages) and all(type(p) is tuple for p in mixed)
+        mixed_states += mixed != list(d.passages)  # ids the walk gave that the Diagram renumbers
         sites = moves._shrinking_sites(d.passages)
-        assert sites == moves._shrinking_sites([tuple(p) for p in d.passages]) == moves._shrinking_sites(mixed)
+        assert sites == moves._shrinking_sites(list(d.passages)) == moves._shrinking_sites(mixed)
         assert sites == brute == legal_sites(d, max_crossings=d.crossings)
         if n % 25:
             continue
         # every 25th state: its growing sites too, and the first site of each kind applied
         first = {}
         for site in legal_sites(d, max_crossings=d.crossings + 2):
-            assert type(site) is MoveSite and (site.kind, site.data) == tuple(site)
-            first.setdefault(site.kind, site)
+            assert type(site) is tuple and len(site) == 2 and type(site[1]) is tuple
+            first.setdefault(site[0], site)
         for site in first.values():
-            assert all(type(p) is Passage for p in apply_move(d, site).passages), site
+            assert all(type(p) is tuple for p in apply_move(d, site).passages), site
     assert mixed_states >= len(corpus_walk_states) // 2
 
 
 def _oracle_accepts(passages, site):
     """Whether the brute-force matchers take a shrinking site."""
     n = len(passages)
-    if site.kind == "r1-":
-        (i,) = site.data
-        return 0 <= i < n - 1 and passages[i].crossing == passages[i + 1].crossing
-    if site.kind == "r2-":
-        i, j = site.data
+    kind, data = site
+    if kind == "r1-":
+        (i,) = data
+        return 0 <= i < n - 1 and passages[i][0] == passages[i + 1][0]
+    if kind == "r2-":
+        i, j = data
         return 0 <= i and i + 1 < j and j + 1 < n and _r2_pairs_match(passages, i, j)
-    return _r3_match(passages, site.data)
+    return _r3_match(passages, data)
 
 
 def test_apply_move_accepts_exactly_the_oracle_sites():
@@ -237,10 +257,10 @@ def test_apply_move_accepts_exactly_the_oracle_sites():
     for d in diagrams:
         assert d.crossings <= 8
         positions = range(-1, len(d.passages))
-        candidates = [MoveSite("r1-", (i,)) for i in positions]
-        candidates += [MoveSite("r2-", (i, j)) for i in positions for j in positions]
+        candidates = [("r1-", (i,)) for i in positions]
+        candidates += [("r2-", (i, j)) for i in positions for j in positions]
         candidates += [
-            MoveSite("r3", (it, im, ib, e_top, e_bot))
+            ("r3", (it, im, ib, e_top, e_bot))
             for it in positions
             for im in positions
             for ib in positions
@@ -255,7 +275,7 @@ def test_apply_move_accepts_exactly_the_oracle_sites():
                 assert not expected, (d, site)
             else:
                 assert expected, (d, site)
-                accepted[site.kind] += 1
+                accepted[site[0]] += 1
     assert min(accepted.values()) > 0, accepted
 
 
@@ -278,7 +298,7 @@ def test_random_walk_builds_one_diagram_and_no_apply_move(monkeypatch):
             walked = random_walk(d, 5, steps)
             assert built == [d.kind]
             assert isinstance(walked, real_diagram)
-            assert all(type(p) is Passage for p in walked.passages)
+            assert all(type(p) is tuple for p in walked.passages)
 
 
 def _walks_digest(walk):
@@ -420,7 +440,7 @@ def _all_codes(crossings):
                 for c in seq:
                     role = roles[c - 1] if c not in seen else ({OVER, UNDER} - {roles[c - 1]}).pop()
                     seen.add(c)
-                    passages.append(Passage(c, role, signs[c - 1]))
+                    passages.append((c, role, signs[c - 1]))
                 yield passages
 
 
@@ -431,7 +451,7 @@ def test_shrink_bound_holds_on_every_small_code():
             counted += 1
             sites = moves._shrinking_sites(passages)
             # the lemma behind the bound: no adjacent pair anchors more than two sites
-            anchors = [site.data[0] for site in sites]
+            anchors = [data[0] for _, data in sites]
             assert all(anchors.count(i) <= 2 for i in anchors)
             assert len(sites) <= moves._shrink_bound(len(passages))
     assert counted == 1 + 4 + 48 + 960 + 26880
