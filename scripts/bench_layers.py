@@ -5,9 +5,9 @@
 Run from anywhere; ``vka`` is imported from ``src/``, the oracles from
 ``tests/oracles.py`` and the workloads from ``perfbench/workloads.py``,
 which the script only reads.  Each benchmark workload's seed-1 requests
-run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk``,
-``quotient_pipeline`` and ``coloring_count`` wrapped to capture their
-inputs, and the Gauss files it writes are read back.  The ladder is
+run once through ``vka.cli.main`` with ``gcd_many``, ``random_walk`` and
+``quotient_pipeline`` wrapped to capture their inputs, and the Gauss
+files it writes are read back.  The ladder is
 ``random_code`` seeds 0-4, long and closed, at c = 8, 12, 20 and 30
 crossings.  Every section times the library as it stands; a before and
 after comparison runs the script on both commits.  Ladder cases take the
@@ -39,9 +39,11 @@ best and median of 15.  One section per layer:
   states those calls scan (``scan_best_s``, ``scan_median_s``);
 - ``profile``: ``invariant_profile`` on the start and walked diagram of
   each of the fuzz-walks workload's walks;
-- ``colorings``: ``coloring_count`` on the winding-colorings workload's
-  ``color`` requests (p = 2..29), and a large rung: ``coloring_count(d,
-  [3])`` and the hom count of ``homcount -p 5 -s 3``
+- ``colorings``: ``coloring_count(*merged_arc_rows(d), ps)`` on the
+  (diagram, moduli) of the winding-colorings workload's ``color``
+  requests (p = 2..29), read from its request list, and a large rung:
+  ``coloring_count(*merged_arc_rows(d), [3])[1]`` and the hom count of
+  ``homcount -p 5 -s 3``
   (``hom_count_to_cyclic`` on ``quotient_rows(d)``), best of three, on
   ``random_code`` seeds 0-1, long and closed, at c = 200 and 400, and on
   ``dn(k1, n)`` for n = 250, 500 and 1000, where the ``--t v1`` char
@@ -164,12 +166,12 @@ def totals_by_crossings(cases, columns):
 
 def replay(workload):
     """The polys of every ``gcd_many`` call, the (diagram, seed, steps,
-    max_crossings) of every ``random_walk`` call, the (diagram, quotient) of
-    every ``quotient_pipeline`` call and the (diagram, moduli) of every
-    ``coloring_count`` call that the workload's requests make, the text of
-    every Gauss file they read, in file order, and the requests, with their
-    input paths relative to the work directory, so they read the same on
-    every run."""
+    max_crossings) of every ``random_walk`` call and the (diagram, quotient)
+    of every ``quotient_pipeline`` call that the workload's requests make,
+    the (diagram, moduli) of every ``color`` request, the text of every
+    Gauss file they read, in file order, and the requests, with their input
+    paths relative to the work directory, so they read the same on every
+    run."""
     gcd_calls, walks, presentations, colorings = [], [], [], []
     real_gcd_many, real_random_walk, real_pipeline = invariants.gcd_many, moves.random_walk, quotient_pipeline
 
@@ -186,25 +188,23 @@ def replay(workload):
         presentations.append((d, quotient))
         return real_pipeline(d, quotient)
 
-    def colors(d, ps):
-        colorings.append((d, list(ps)))
-        return coloring_count(d, ps)
-
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as work:
         os.chdir(ROOT)  # the workloads read corpus/ from the checkout root
-        invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count = (
-            gcd_many, random_walk, pipeline, colors)
+        invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline = gcd_many, random_walk, pipeline
         try:
             requests = workloads.build(workload, SEED, pathlib.Path(work))
             texts = [path.read_text(encoding="utf-8") for path in sorted(pathlib.Path(work, "in").glob("*.gauss"))]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 for request in requests:
                     cli.main(request)
+            for args in map(cli._args, requests):
+                if args.command == "color":
+                    colorings.append((parse_gauss(pathlib.Path(args.input).read_text(encoding="utf-8")), args.p))
             requests = [[token.removeprefix(f"{work}/") for token in request] for request in requests]
         finally:
-            invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count = (
-                real_gcd_many, real_random_walk, real_pipeline, coloring_count)
+            invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline = (
+                real_gcd_many, real_random_walk, real_pipeline)
             os.chdir(cwd)
     return gcd_calls, walks, presentations, colorings, texts, requests
 
@@ -399,7 +399,7 @@ def rung_cases(repeats=BEST_OF):
     diagrams += [(f"dn(k1, {n})", dn_family(k1, n)) for n in RUNG_WINDINGS]
     cases = []
     for name, d in diagrams:
-        (colorings,), color_s = timed(lambda: coloring_count(d, [3]), repeats)
+        (colorings,), color_s = timed(lambda: coloring_count(*merged_arc_rows(d), [3])[1], repeats)
         count, hom_s = timed(lambda: hom_count_to_cyclic(*quotient_rows(d), *RUNG_HOM), repeats)
         case = {"diagram": name, "crossings": d.crossings, "colorings_p3": colorings, "hom_count": count}
         seconds = {"coloring_count_s": color_s, "hom_count_s": hom_s}
@@ -411,8 +411,8 @@ def rung_cases(repeats=BEST_OF):
 
 
 def colorings_section(calls, repeats=REPEATS):
-    """The ``colorings`` section: the captured ``coloring_count`` calls, and the large rung."""
-    counts, timing = best_and_median(lambda: [coloring_count(d, ps) for d, ps in calls], repeats)
+    """The ``colorings`` section: the coloring counts of the (diagram, moduli) ``calls``, and the large rung."""
+    counts, timing = best_and_median(lambda: [coloring_count(*merged_arc_rows(d), ps)[1] for d, ps in calls], repeats)
     return {
         "layer": "invariants.coloring_count",
         "workload": f"the color requests of the {COLORING_WORKLOAD} request list (p = 2..29), seed {SEED}",
@@ -422,8 +422,9 @@ def colorings_section(calls, repeats=REPEATS):
         "reports_sha256": sha256(map(repr, counts)),
         "rung": {
             "layer": "invariants.coloring_count, invariants.hom_count_to_cyclic and the --t v1 char poly",
-            "workload": (f"coloring_count(d, [3]) and hom_count_to_cyclic(*quotient_rows(d), p = {RUNG_HOM[0]}, "
-                         f"s = {RUNG_HOM[1]}), and on dn(k1, n) char_poly(quotient_matrix(d, 'none', 'v1'), 1), "
+            "workload": (f"coloring_count(*merged_arc_rows(d), [3])[1] and hom_count_to_cyclic(*quotient_rows(d), "
+                         f"p = {RUNG_HOM[0]}, s = {RUNG_HOM[1]}), and on dn(k1, n) char_poly(quotient_matrix(d, 'none', "
+                         f"'v1'), 1), "
                          f"best of {min(repeats, BEST_OF)}"),
             "cases": rung_cases(min(repeats, BEST_OF)),
         },

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .diagram import LONG, OVER, UNDER, is_int
+from .diagram import LONG, OVER, UNDER
 
 
 E0 = (0, 0)
@@ -658,16 +658,11 @@ def merged_arc_rows(d):
     return rows, tuple(cols)
 
 
-def one_var_matrix(d, t):
-    """Merged arc matrix A(t) at t = 1 or -1, int rows {column: value} and columns: UO - t*UI - (1-t)*OV per crossing.
+def one_var_matrix(d):
+    """The coloring matrix -A(-1), int rows {column: value} and columns: 2*OV - UI - UO per crossing.
 
-    Its rows are the int rows of A(u, v) at (u, v) = (t, 1) (``_at``) times their units' values,
-    -1 at a positive crossing and -t at a negative one; any other ``t`` is a ValueError.  The
-    coloring matrix -A(-1) is A(-1, 1) with the rows of the negative crossings negated.
+    Its rows are the int rows of A(u, v) at (u, v) = (-1, 1) (``_at``), those of the negative crossings negated.
     """
-    if not (is_int(t) and t in (1, -1)):
-        raise ValueError(f"{t!r} is not 1 or -1")
     rows, cols = merged_arc_rows(d)
     signs = {cid: sign for cid, _, sign in d.passages}
-    units = [-t if signs[cid] < 0 else -1 for cid in range(1, len(rows) + 1)]
-    return [{g: unit * x for g, x in row.items()} for unit, row in zip(units, _at(rows, (t, 1)))], cols
+    return [{g: signs[cid] * x for g, x in row.items()} for cid, row in enumerate(_at(rows, (-1, 1)), 1)], cols

@@ -123,7 +123,7 @@ def cmd_invariants(args):
         # A(u, v) at (-1, 1) whatever --quotient and --t say: --charpoly's rows if "none" and not "diag" (v = 1 there)
         rows, cols = (mat if args.charpoly and args.quotient == "none" and args.t != "diag"
                       else alexander.merged_arc_rows(d))
-        det, colorings = invariants.coloring_reports(rows, cols, args.color or ())
+        det, colorings = invariants.coloring_count(rows, cols, args.color or ())
         if args.det:
             payload["determinant"] = det
             lines.append(str(det))
@@ -171,9 +171,9 @@ def cmd_color(args):
     d = _load(args.input)
     matrix = None
     if args.matrix:
-        rows, cols = alexander.one_var_matrix(d, -1)
-        matrix = [[-row.get(g, 0) for g in cols] for row in rows]
-    colorings, lines = _colorings(args.p, invariants.coloring_count(d, args.p), matrix)
+        rows, cols = alexander.one_var_matrix(d)
+        matrix = [[row.get(g, 0) for g in cols] for row in rows]
+    colorings, lines = _colorings(args.p, invariants.coloring_count(*alexander.merged_arc_rows(d), args.p)[1], matrix)
     _emit(args, {"input": args.input, "colorings": colorings}, lines)
     return EXIT_OK
 

@@ -73,7 +73,10 @@ class Diagram:
             raise GaussCodeError(f"unknown diagram kind {kind!r}")
         ids, out, paired = {}, [], True  # ids: crossing id -> its first passage, renumbered
         for p in passages:
-            cid, role, sign = p
+            try:
+                cid, role, sign = p
+            except (TypeError, ValueError):  # not a triple: fails the check below
+                cid = role = sign = None
             # is_int(cid) and is_int(sign), inlined: exact ints, not bools or floats
             if not (role in (OVER, UNDER) and type(cid) is type(sign) is int and sign in (1, -1) and cid >= 1):
                 raise GaussCodeError(f"bad passage {p!r} at position {len(out)}")
@@ -211,8 +214,8 @@ def dn_family(base, n):
     """
     if base.kind != LONG:
         raise ValueError("dn_family requires a long base diagram")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"n must be at least 1 and an int, not {n!r}")
     offset = 2 * n
     forward = []
     unders = []

@@ -13,15 +13,15 @@ from .alexander import (
     _at,
     _pivot_out,
     _reduce,
-    _specialized,
+    diagonal_t,
     extended_presentation,
     merged_arc_rows,
-    one_var_matrix,
+    one_variable,
     quotient_kill,
     tietze_eliminate,
     tietze_from_diagram,
 )
-from .diagram import LONG
+from .diagram import LONG, is_int
 from .laurent import LaurentPoly, _least, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
@@ -114,7 +114,7 @@ def _minors(rows, cols, k, max_minors):
     if count > max_minors:
         raise BudgetExceeded(f"{count} minors of size {size} exceed budget {max_minors}")
     if size == 1:
-        yield from (LaurentPoly._raw(row.get(g, {})) for row in rows for g in cols)
+        yield from (LaurentPoly._raw(dict(row.get(g, ()))) for row in rows for g in cols)  # copies: rows stay the caller's
         return
     packed, decode = _kronecker(rows, cols, size)
     for rs in combinations(range(nrows), size):
@@ -253,13 +253,17 @@ def is_prime(p):
 
 
 def check_modulus(p, s=None):
-    """Raise ValueError unless p is a coloring modulus (at least 2, below MODULUS_LIMIT) or,
-    given the unit s of a hom count, a prime with s invertible mod p."""
+    """Raise ValueError unless p is a coloring modulus (an int at least 2, below MODULUS_LIMIT) or,
+    given the unit s of a hom count, a prime with s an int invertible mod p."""
+    if not is_int(p):
+        raise ValueError(f"p must be an int, not {p!r}")
     if s is None:
         if p < 2:
             raise ValueError("modulus must be at least 2")
         if p >= MODULUS_LIMIT:
             raise ValueError("modulus must be below 10^1000")
+    elif not is_int(s):
+        raise ValueError(f"s must be an int, not {s!r}")
     elif not is_prime(p):
         raise ValueError("p must be prime")
     elif s % p == 0:
@@ -270,14 +274,14 @@ def check_modulus(p, s=None):
 
 
 def determinant_long(d):
-    """gcd of the maximal minors of the merged arc matrix A(-1), from ``coloring_reports``."""
+    """gcd of the maximal minors of the merged arc matrix A(-1), from ``coloring_count``."""
     if d.kind != LONG:
         raise ValueError("determinant is defined for long diagrams")
-    return coloring_reports(*merged_arc_rows(d), ())[0]
+    return coloring_count(*merged_arc_rows(d), ())[0]
 
 
 def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
-    """True when every maximal minor of the merged matrix A(1) is +-1.
+    """True when every maximal minor of A(u, v) at (1, 1), the merged matrix A(1) up to row signs, is +-1.
 
     This holds for every diagram.  At t = 1 a crossing's row is UO - UI,
     and the under passage it records joins two consecutive columns, so A(1)
@@ -286,32 +290,23 @@ def unit_minor_check(d, max_minors=DEFAULT_MINOR_BUDGET):
     leaves the incidence matrix of a tree less one vertex's column, whose
     determinant is +-1.
     """
-    rows, cols = one_var_matrix(d, 1)
-    constants = [{g: {(0, 0): x} for g, x in row.items()} for row in rows]  # A(1)'s int rows as term dicts
+    rows, cols = merged_arc_rows(d)
+    constants = [{g: {(0, 0): x} for g, x in row.items()} for row in _at(rows, (1, 1))]  # as term dicts
     return all(x in (1, -1) for x in _minors(constants, cols, 1, max_minors))
 
 
-def coloring_reports(rows, cols, ps):
-    """The gcd of the maximal minors of A(u, v) at (u, v) = (-1, 1), and the coloring count mod each p in ``ps``.
+def coloring_count(rows, cols, ps):
+    """The gcd of the maximal minors of A(u, v) at (u, v) = (-1, 1), and the coloring counts mod ``ps``, in order.
 
-    ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or its reduced ``none`` matrix (``quotient_matrix``),
-    which are only read.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the solutions
-    of one Smith form (``_smith_at``), and for a long diagram the gcd is the determinant.
+    ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or its reduced ``none`` matrix (``quotient_matrix``), and are
+    only read.  A coloring mod p labels the arcs over Z/p with 2*over = under + under at every crossing; the p
+    constant ones are trivial.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the
+    solutions of one Smith form (``_smith_at``), and for a long diagram the gcd is the determinant.
     """
     for p in ps:
         check_modulus(p)
     inv, ncols = _smith_at(rows, cols, (-1, 1))
     return math.prod(inv), [_solutions_mod(inv, ncols, p) for p in ps]
-
-
-def coloring_count(d, ps):
-    """The number of colorings mod each p in ``ps`` (input order, duplicates kept).
-
-    A coloring mod p labels the arcs over Z/p with 2*over = under + under
-    at every crossing; the p constant ones are trivial, so a count above p
-    is nontrivial.  All moduli share one Smith form (``coloring_reports``).
-    """
-    return coloring_reports(*merged_arc_rows(d), ps)[1] if ps else []
 
 
 def hom_count_to_cyclic(rows, cols, p, s, t="diag"):
@@ -333,10 +328,10 @@ def transfer_matrix(n):
     With S = ((1, 2), (0, -1)), T = ((-1, 0), (2, 1)) and U = ((0, -1), (1, 2)),
     T S = I + N for N = ((-2, -2), (2, 2)), and N^2 = 0, so (T S)^(n-1) = I + (n-1) N.
     S U = ((2, 3), (-1, -2)) and S N U = ((2, 2), (-2, -2)) then give
-    M(n) = S U + (n-1) S N U = ((2n, 2n+1), (1-2n, -2n)).  n is at least 1.
+    M(n) = S U + (n-1) S N U = ((2n, 2n+1), (1-2n, -2n)).  n is an int at least 1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"n must be at least 1 and an int, not {n!r}")
     return ((2 * n, 2 * n + 1), (1 - 2 * n, -2 * n))
 
 
@@ -346,8 +341,7 @@ def transfer_condition(n, p):
     The second entry of (alpha, beta) M, M = transfer_matrix(n), is
     (2n+1) alpha - 2n beta, which is beta exactly when (2n+1)(alpha - beta) = 0 mod p.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    transfer_matrix(n)  # checks n
     check_modulus(p)
     return math.gcd(2 * n + 1, p) > 1
 
@@ -402,9 +396,12 @@ def quotient_rows(d, quotient="none"):
 
 
 def quotient_matrix(d, quotient="none", t="uv"):
-    """The unit-reduced module matrix of ``quotient``: its ``quotient_rows``, ``_specialized`` unless ``t`` is "uv"."""
-    rows, cols = quotient_rows(d, quotient)
-    return _reduce(rows if t == "uv" else _specialized(rows, t), cols)
+    """The unit-reduced module matrix of ``quotient``: its ``quotient_rows``, first sent to Z[u^+-1] by
+    ``one_variable`` (``t`` "v1") or ``diagonal_t`` ("diag") unless ``t`` is "uv"; any other ``t`` is a KeyError."""
+    m = quotient_rows(d, quotient)
+    if t != "uv":
+        m = {"v1": one_variable, "diag": diagonal_t}[t](*m)  # looked up per call, so a rebinding of either is seen
+    return _reduce(*m)
 
 
 def _profile_matrices(d):
@@ -427,12 +424,12 @@ def invariant_profile(d, max_minors=DEFAULT_MINOR_BUDGET):
 
     One reduction of A(u, v) serves both quotients (``_profile_matrices``),
     and the reduced ``none`` matrix also serves the determinant and every
-    coloring count (``coloring_reports``).
+    coloring count (``coloring_count``).
     """
     profile = {}
     for quotient, mat in _profile_matrices(d).items():
         if quotient == "none":
-            det, colorings = coloring_reports(*mat, PROFILE_MODULI)
+            det, colorings = coloring_count(*mat, PROFILE_MODULI)
         for k in (0, 1):
             profile[f"charpoly k={k} quotient={quotient}"] = str(char_poly(*mat, k, max_minors=max_minors))
     if d.kind == LONG:

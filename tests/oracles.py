@@ -390,6 +390,42 @@ def braid_closure(strands, word):
     return "closed\n" + " ".join(code)
 
 
+def plat_closure(word):
+    """The closed Gauss code of the plat closure of a 4-braid; the closure must be one component.
+
+    ``word`` lists the crossings from the bottom up, each a pair (i, e):
+    the strands in positions i and i + 1 cross, 0 <= i <= 2, and the over
+    strand runs from bottom position i to top position i + 1 when e = +1,
+    from bottom position i + 1 to top position i when e = -1.  Caps join
+    positions (0, 1) and (2, 3) at the top and at the bottom.  The code
+    walks the one strand from the bottom of position 0, up and down by
+    turns, taking a cap at each end.  A crossing's sign is e times the
+    directions of its two strands there (up +1, down -1).  Without the
+    ``closed`` line it is the long knot cut at the bottom of position 0.
+    The twist knot K_n is ``plat_closure([(1, 1)] * n + [(0, -1), (1, 1)])``.
+    """
+    passages, directions = [], [[] for _ in word]  # (crossing, role) in walk order; each crossing's strands
+    pos, level, up, caps = 0, 0, True, 0  # level: the crossings below the walk's place
+    while True:
+        if up and level == len(word) or not up and level == 0:  # a cap: the partner position, the way back
+            pos, up, caps = pos ^ 1, not up, caps + 1
+            if up and pos == 0:
+                break
+            continue
+        cid = level if up else level - 1
+        i, e = word[cid]
+        if pos in (i, i + 1):
+            bottom = pos if up else 2 * i + 1 - pos  # the strand's position below the crossing
+            passages.append((cid, "O" if bottom == (i if e > 0 else i + 1) else "U"))
+            directions[cid].append(1 if up else -1)
+            pos = 2 * i + 1 - pos
+        level += 1 if up else -1
+    if caps < 4:  # every strand ends at two caps, so one component takes all four
+        raise ValueError("the closure has more than one component")
+    signs = ["+" if e * a * b > 0 else "-" for (_, e), (a, b) in zip(word, directions)]
+    return "closed\n" + " ".join(f"{role}{cid + 1}{signs[cid]}" for cid, role in passages)
+
+
 # -- reference parser --------------------------------------------------
 # The token loop that the one-scan ``parse_gauss`` replaced: each line cut
 # at its first ``#``, each token found by ``str.index`` for its column,
@@ -883,8 +919,8 @@ def one_var_matrix_reference(d, t=U):
     cols).  ``t`` is the image of t.  ``U`` gives the rows over Z[t^+-1]
     with t read as u, entries term dicts (as ``one_variable`` gives them);
     1 or -1 gives the integer specialization, int entries, where
-    t^-1 = t, which is all that ``one_var_matrix`` builds.  The coloring
-    matrix is -A(-1).
+    t^-1 = t.  ``one_var_matrix`` builds only the coloring matrix -A(-1),
+    and A(u, v) at (1, 1) is -A(1).
     """
     arcs = arc_structure(d)
     classes, _, col_names = arc_classes(d)
@@ -908,15 +944,15 @@ def one_var_matrix_reference(d, t=U):
 
 
 def colorings_reference(a, ps):
-    """The gcd of the maximal minors of A(-1) = ``a`` and the coloring count mod each p in ``ps``.
+    """The gcd of the maximal minors of -A(-1) = ``a`` and the coloring count mod each p in ``ps``.
 
     The route ``coloring_count`` and ``determinant_long`` took before they
-    reduced A(u, v) first: one Smith form of the full integer matrix A(-1)
-    (``one_var_matrix(d, -1)``, c x (c+1) for a long diagram, whose gcd is
-    then the determinant), counted by ``_solutions_mod``.  Its rows are
-    those of the coloring matrix -A(-1) up to sign.  Its parts have
-    references of their own: ``one_var_matrix_reference`` and
-    ``smith_normal_form_reference``.  ``a`` is a pair (int rows, cols).
+    reduced A(u, v) first: one Smith form of the full integer matrix
+    -A(-1) (``one_var_matrix(d)``, c x (c+1) for a long diagram, whose gcd
+    is then the determinant), counted by ``_solutions_mod``.  A(-1) has the
+    same Smith invariants.  Its parts have references of their own:
+    ``one_var_matrix_reference`` and ``smith_normal_form_reference``.
+    ``a`` is a pair (int rows, cols).
     """
     inv = smith_normal_form(dense(*a, int))
     return math.prod(inv), [_solutions_mod(inv, len(a[1]), p) for p in ps]

@@ -142,7 +142,7 @@ def test_criterion_5_determinant_properties():
         if det % 2 == 0 or not unit_minor_check(d):
             violations += 1
             continue
-        for p, count in zip((3, 5, 7, 11, 13), coloring_count(d, (3, 5, 7, 11, 13))):
+        for p, count in zip((3, 5, 7, 11, 13), coloring_count(*merged_arc_rows(d), (3, 5, 7, 11, 13))[1]):
             if (count > p) != (det % p == 0):
                 violations += 1
     ok = violations == 0
@@ -154,7 +154,7 @@ def test_criterion_6_winding_family():
     ok = True
     for n in range(1, 11):
         d = dn_family(TRIVIAL_LONG, n)
-        for p, count in zip(range(2, 30), coloring_count(d, range(2, 30))):
+        for p, count in zip(range(2, 30), coloring_count(*merged_arc_rows(d), range(2, 30))[1]):
             cond = transfer_condition(n, p)  # closed form; the brute force solves the matrix equation
             expected = math.gcd(2 * n + 1, p) > 1
             solver = count > p

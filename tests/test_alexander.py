@@ -23,6 +23,7 @@ from oracles import (
 )
 from vka.alexander import (
     GroupPresentationZ2,
+    _at,
     abelianize,
     extended_presentation,
     merged_arc_rows,
@@ -375,9 +376,9 @@ def test_one_var_matrix_shapes():
     rng = random.Random(17)
     for _ in range(40):
         d = random_long_diagram(rng)
-        for t in (1, -1):
-            rows, cols = one_var_matrix(d, t)
-            assert (len(rows), len(cols)) == (d.crossings, d.crossings + 1)
+        rows, cols = merged_arc_rows(d)
+        for a in (one_var_matrix(d), (_at(rows, (1, 1)), cols)):  # -A(-1), and -A(1) as unit_minor_check reads it
+            assert tuple(map(len, a)) == (d.crossings, d.crossings + 1)
 
 
 # -- end generators ------------------------------------------------------

@@ -83,7 +83,7 @@ def _matches_gcd(bench, workload, gcd_calls, shared, multi):
 
 def _hooks():
     """What ``replay`` rebinds while it runs, and the working directory."""
-    return invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, invariants.coloring_count, os.getcwd()
+    return invariants.gcd_many, moves.random_walk, invariants.quotient_pipeline, os.getcwd()
 
 
 def test_fuzz_walks_replay_matches_the_record(bench):

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -99,6 +100,10 @@ def test_diagram_rejects_bad_kinds_ids_and_signs():
     for cid, sign in ((1, True), (1, 1.0), (1.0, 1), (True, -1), ("1", 1)):
         with pytest.raises(GaussCodeError, match="bad passage"):
             Diagram(LONG, [(cid, "O", sign), (cid, "U", sign)])
+    # a passage that is not a triple: too short, too long, or no sequence at all
+    for p in ((1, "O"), (1, "O", 1, 1), 5, None):
+        with pytest.raises(GaussCodeError, match=f"^bad passage {re.escape(repr(p))} at position 1$"):
+            Diagram(LONG, [(2, "U", 1), p])
 
 
 def test_diagram_rejects_bad_roles_and_takes_plain_triples():
@@ -315,6 +320,9 @@ def test_dn_family_extends_by_one_crossing_each_side():
 def test_dn_rejects_bad_input():
     with pytest.raises(ValueError):
         dn_family(TRIVIAL_LONG, 0)
+    for n in (True, 1.0):  # a winding count is an int, not a bool or a float that equals one
+        with pytest.raises(ValueError, match="n must be at least 1 and an int"):
+            dn_family(TRIVIAL_LONG, n)
     with pytest.raises(ValueError):
         dn_family(close(catalog.k1()), 1)
 

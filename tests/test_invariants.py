@@ -37,6 +37,7 @@ from oracles import (
 )
 from vka import cli, invariants, laurent
 from vka.alexander import (
+    _at,
     abelianize,
     diagonal_t,
     extended_presentation,
@@ -93,6 +94,19 @@ def test_minors_empty_convention():
 def test_minors_size_one_enumeration():
     m = _pair([[5, 0], [0, 5]])
     assert elementary_minors(*m, 1) == [5, 0, 0, 5]
+
+
+def test_one_by_one_minors_do_not_share_the_entries_they_copy():
+    # a 1x1 minor is its entry, copied: a later change to the matrix changes no minor
+    rows, cols = quotient_matrix(catalog.k1())
+    assert (len(rows), len(cols)) == (1, 2)
+    minors = elementary_minors(rows, cols, 1)
+    before = [(str(m), hash(m)) for m in minors]
+    assert [text for text, _ in before] == ["u*v - v + u^-1", "-u*v + 1 - u^-1"]
+    for row in rows:
+        for terms in row.values():
+            terms[5, 5] = 7
+    assert [(str(m), hash(m)) for m in minors] == before
 
 
 def test_minors_exceeding_dimensions():
@@ -322,11 +336,12 @@ def test_one_var_matrix_columns_are_union_find_classes():
         for closed in (False, True):
             d = parse_gauss(random_code(rng, c, closed=closed))
             classes, _, names = arc_classes(d)
-            a = one_var_matrix(d, -1)
+            a = one_var_matrix(d)  # -A(-1)
             assert a[1] == names
             if not closed:
                 assert classes[0] == 0 and classes[-1] == len(names) - 1
-            assert a == one_var_matrix_reference(d, -1)
+            rows, cols = one_var_matrix_reference(d, -1)
+            assert a == ([{g: -x for g, x in row.items()} for row in rows], cols)
 
 
 def _a_at(d, t0):
@@ -335,16 +350,17 @@ def _a_at(d, t0):
 
 
 def test_integer_specializations_match_laurent_matrix():
+    # -A(t0): the coloring matrix at t0 = -1, and at t0 = 1 A(u, v) at (1, 1), whose minors unit_minor_check takes
     rng = random.Random(41)
     for _ in range(60):
         d = random_long_diagram(rng)
         for diagram in (d, close(d)):
             laurent = one_var_matrix_reference(diagram)
-            for t0 in (1, -1):
-                m = one_var_matrix(diagram, t0)
+            rows, cols = merged_arc_rows(diagram)
+            for t0, m in ((1, (_at(rows, (1, 1)), cols)), (-1, one_var_matrix(diagram))):
                 assert all(type(x) is int for row in m[0] for x in row.values())
                 assert m[1] == laurent[1]
-                assert dense(*m, int) == _a_at(diagram, t0)
+                assert dense(*m, int) == [[-x for x in row] for row in _a_at(diagram, t0)]
 
 
 def test_determinant_is_gcd_of_maximal_minors():
@@ -476,23 +492,32 @@ COLORING_MODULI = range(2, 30)
 
 
 def test_coloring_trivial_long():
-    (count,) = coloring_count(TRIVIAL_LONG, [5])
+    (count,) = coloring_count(*merged_arc_rows(TRIVIAL_LONG), [5])[1]
     assert count == 5
     assert not count > 5
 
 
 def test_coloring_rejects_small_modulus():
     with pytest.raises(ValueError):
-        coloring_count(TRIVIAL_LONG, [5, 1])
+        coloring_count(*merged_arc_rows(TRIVIAL_LONG), [5, 1])
+    # moduli and units are ints, not floats or bools that equal them
+    for p in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="p must be an int"):
+            coloring_count(*merged_arc_rows(TRIVIAL_LONG), [p])
+        with pytest.raises(ValueError, match="p must be an int"):
+            invariants.check_modulus(p)
+    for p, s, bad in ((5.0, 3, "p"), (5, 3.0, "s"), (5, True, "s")):
+        with pytest.raises(ValueError, match=f"{bad} must be an int"):
+            hom_count_to_cyclic([], ("a",), p, s)
 
 
-def test_coloring_reports_follow_the_moduli(monkeypatch):
+def test_coloring_counts_follow_the_moduli(monkeypatch):
     calls = []
     real = invariants.smith_normal_form
     monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: calls.append(rows) or real(rows))
     d = catalog.trefoil()
     moduli = [9, 3, 2, 3, 15, 4]
-    counts = coloring_count(d, moduli)
+    counts = coloring_count(*merged_arc_rows(d), moduli)[1]
     # one Smith form for every modulus, of the rows that A(u, v) at (-1, 1) keeps after its +-1
     # pivots: for the trefoil, the reduced A(u, v) at (-1, 1)
     m = quotient_matrix(d)
@@ -500,12 +525,12 @@ def test_coloring_reports_follow_the_moduli(monkeypatch):
     assert tuple(map(len, m)) == (1, 2)
     assert all(type(count) is int for count in counts)
     assert counts == [brute_force_colorings(d, p) for p in moduli]
-    assert coloring_count(d, []) == []
+    assert coloring_count(*merged_arc_rows(d), [])[1] == []
 
 
 def test_coloring_closed_trefoil():
     d = close(catalog.trefoil())
-    (count,) = coloring_count(d, [3])
+    (count,) = coloring_count(*merged_arc_rows(d), [3])[1]
     assert count == 9
     assert count > 3
     assert brute_force_colorings(d, 3) == 9
@@ -517,7 +542,7 @@ def test_coloring_matches_brute_force():
     checked = 0
     for d in [random_long_diagram(rng, 3) for _ in range(40)] + _coloring_diagrams():
         classes = len(arc_classes(d)[2])
-        for p, count in zip(COLORING_MODULI, coloring_count(d, COLORING_MODULI)):
+        for p, count in zip(COLORING_MODULI, coloring_count(*merged_arc_rows(d), COLORING_MODULI)[1]):
             if p ** classes <= 3000:
                 assert count == brute_force_colorings(d, p), (d, p)
                 checked += 1
@@ -528,7 +553,7 @@ def test_coloring_count_is_power_of_p_for_primes():
     rng = random.Random(29)
     for _ in range(60):
         d = random_long_diagram(rng)
-        for p, count in zip((2, 3, 5), coloring_count(d, (2, 3, 5))):
+        for p, count in zip((2, 3, 5), coloring_count(*merged_arc_rows(d), (2, 3, 5))[1]):
             while count % p == 0:
                 count //= p
             assert count == 1
@@ -538,16 +563,16 @@ def test_coloring_smith_route_equals_elimination_route():
     rng = random.Random(31)
     for _ in range(60):
         d = random_long_diagram(rng)
-        (count,) = coloring_count(d, [5])
-        a = one_var_matrix(d, -1)
+        (count,) = coloring_count(*merged_arc_rows(d), [5])[1]
+        a = one_var_matrix(d)
         nullity = len(a[1]) - rank_mod(dense(*a, int), 5)
         assert count == 5 ** nullity
 
 
 def test_colorings_and_determinant_match_the_full_smith_route():
     for d in _coloring_diagrams():
-        det, counts = colorings_reference(one_var_matrix(d, -1), COLORING_MODULI)
-        assert coloring_count(d, COLORING_MODULI) == counts, d
+        det, counts = colorings_reference(one_var_matrix(d), COLORING_MODULI)
+        assert coloring_count(*merged_arc_rows(d), COLORING_MODULI)[1] == counts, d
         if d.kind == LONG:
             assert determinant_long(d) == det, d
         count = dict(zip(COLORING_MODULI, counts))
@@ -562,13 +587,13 @@ def test_closed_product_is_the_gcd_of_the_maximal_minors():
     # that the reduction drops keep their 0s, and the counts do not change
     for seed in range(300):
         d = parse_gauss(random_code(random.Random(seed), seed % 21, closed=True))
-        det, counts = invariants.coloring_reports(*merged_arc_rows(d), COLORING_MODULI)
-        assert (det, counts) == colorings_reference(one_var_matrix(d, -1), COLORING_MODULI), d
+        det, counts = coloring_count(*merged_arc_rows(d), COLORING_MODULI)
+        assert (det, counts) == colorings_reference(one_var_matrix(d), COLORING_MODULI), d
         assert (det == 0) == (d.crossings > 0), d
 
 
 def test_counts_leave_the_matrix_they_read_unchanged():
-    # every reader only reads its rows: cmd_invariants hands the rows it took char polys of to coloring_reports,
+    # every reader only reads its rows: cmd_invariants hands the rows it took char polys of to coloring_count,
     # and an in-place _reduce would change them; the unreduced rows have unit pivots
     rng = random.Random(53)
     for d in [parse_gauss(random_code(rng, rng.randint(1, 12), closed)) for closed in (False, True) for _ in range(10)]:
@@ -580,7 +605,7 @@ def test_counts_leave_the_matrix_they_read_unchanged():
                     char_poly(*m, k)
                 one_variable(*m)
                 diagonal_t(*m)
-                invariants.coloring_reports(*m, COLORING_MODULI)
+                coloring_count(*m, COLORING_MODULI)
                 for p, s in HOM_CASES:
                     for t in ("v1", "diag"):
                         hom_count_to_cyclic(*m, p, s, t)
@@ -601,7 +626,7 @@ def test_long_reduced_matrix_is_r_by_r_plus_one():
 
 
 def _det_and_colorings(d, ps=(3, 5, 7)):
-    return invariants.coloring_reports(*quotient_matrix(d), ps)
+    return coloring_count(*quotient_matrix(d), ps)
 
 
 def test_determinant_and_colorings_multiply_under_concatenation():
@@ -643,7 +668,7 @@ def test_coloring_divisibility_criterion():
     for _ in range(60):
         d = random_long_diagram(rng)
         det = determinant_long(d)
-        for p, count in zip((3, 5, 7, 11, 13), coloring_count(d, (3, 5, 7, 11, 13))):
+        for p, count in zip((3, 5, 7, 11, 13), coloring_count(*merged_arc_rows(d), (3, 5, 7, 11, 13))[1]):
             assert (count > p) == (det % p == 0)
 
 
@@ -729,7 +754,7 @@ def test_counts_equal_the_reduce_first_and_specialize_first_routes():
     diagrams += [dn_family(base, n) for base in catalog.corpus().values() if base.kind == LONG for n in range(1, 7)]
     for d in diagrams:
         det, counts = colorings_by_reduction_reference(quotient_matrix(d), COLORING_MODULI)
-        assert coloring_count(d, COLORING_MODULI) == counts, d
+        assert coloring_count(*merged_arc_rows(d), COLORING_MODULI)[1] == counts, d
         if d.kind == LONG:
             assert determinant_long(d) == det, d
         for quotient in quotients(d):
@@ -782,6 +807,14 @@ def test_transfer_rejects_bad_arguments():
             transfer_condition(n, 3)
         with pytest.raises(ValueError, match="n must be at least 1"):
             transfer_matrix(n)
+    # n and p are ints, not floats or bools that equal them
+    for n in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="n must be at least 1 and an int"):
+            transfer_condition(n, 3)
+        with pytest.raises(ValueError, match="n must be at least 1 and an int"):
+            transfer_matrix(n)
+    with pytest.raises(ValueError, match="p must be an int"):
+        transfer_condition(1, 3.0)
 
 
 def test_transfer_matrix_small():
@@ -796,7 +829,7 @@ def test_transfer_matrix_small():
 def test_transfer_matches_brute_force_and_colorings():
     for n in range(1, 11):
         d = dn_family(TRIVIAL_LONG, n)
-        for p, count in zip(range(2, 30), coloring_count(d, range(2, 30))):
+        for p, count in zip(range(2, 30), coloring_count(*merged_arc_rows(d), range(2, 30))[1]):
             cond = transfer_condition(n, p)
             assert cond == transfer_brute_force(n, p)
             assert cond == (math.gcd(2 * n + 1, p) > 1)
@@ -806,7 +839,7 @@ def test_transfer_matches_brute_force_and_colorings():
 def test_dn_admits_2n_plus_1_coloring():
     for n in (1, 2, 3):
         d = dn_family(TRIVIAL_LONG, n)
-        assert coloring_count(d, [2 * n + 1])[0] > 2 * n + 1
+        assert coloring_count(*merged_arc_rows(d), [2 * n + 1])[1][0] > 2 * n + 1
 
 
 def test_dn_closure_is_move_equivalent_to_base_closure():
@@ -847,7 +880,7 @@ def test_winding_end_minus_diag_char_poly_of_k1():
 
 
 def test_one_arc_structure_per_one_var_matrix(arc_builds):
-    one_var_matrix(catalog.k1(), -1)
+    one_var_matrix(catalog.k1())
     assert len(arc_builds) == 1
     arc_builds.clear()
     # one A(u, v) for both quotients (none, end-minus) and for the A(-1)

@@ -90,6 +90,9 @@ def test_specialized_rows_reduce_to_the_reduce_then_specialize_module():
                 assert all(b == 0 for row in m[0] for e in row.values() for _, b in e), (d, quotient, t)
                 for k in (0, 1, 2):
                     assert char_poly(*m, k) == char_poly(*reference, k), (d, quotient, t, k)
+    for t in ("t", "V1", None):  # the specializations are "v1" and "diag", besides "uv" for none
+        with pytest.raises(KeyError):
+            quotient_matrix(catalog.k1(), "none", t)
 
 
 def _matrix_repr(m):
@@ -320,8 +323,10 @@ def test_one_var_matrix_matches_the_per_crossing_builder():
         assert cols == reference_cols
         # the column order within a row sets the reduction's pivot ties
         assert [list(row) for row in rows] == [list(row) for row in reference_rows]
-        for t in (1, -1):
-            assert one_var_matrix(d, t) == one_var_matrix_reference(d, t), (d, t)
+        # the coloring matrix is -A(-1), and A(u, v) at (1, 1), whose minors unit_minor_check takes, is -A(1)
+        for t, m in ((-1, one_var_matrix(d)), (1, (_at(rows, (1, 1)), cols))):
+            a_rows, a_cols = one_var_matrix_reference(d, t)
+            assert m == ([{g: -x for g, x in row.items()} for row in a_rows], a_cols), (d, t)
 
 
 def test_laurent_one_var_matrix_has_the_char_polys_of_the_merged_matrix_at_v_1():
@@ -353,25 +358,25 @@ def test_evaluation_at_a_point_matches_the_references():
             assert value == subs_int(poly, point) and row in ({}, {"x": value}) and type(value) is int
 
 
-def test_one_var_matrix_rejects_integers_that_are_not_units():
+def test_one_var_matrix_is_the_coloring_matrix_and_takes_no_t():
+    # one_var_matrix builds -A(-1) alone; A(t) over Z[t^+-1], and A(t) at any t, are built only by the test oracles
     u = LaurentPoly.monomial((1, 0))
-    for t in (0, 2, -3, True, 1.0, -1.0, u, -u, u ** 2):
-        with pytest.raises(ValueError):
+    for t in (1, -1, 0, 2, -3, True, 1.0, -1.0, u, -u, u ** 2):
+        with pytest.raises(TypeError):
             one_var_matrix(catalog.k1(), t)
-    with pytest.raises(TypeError):  # A(t) over Z[t^+-1] is built only by the test oracles
-        one_var_matrix(catalog.k1())
+    assert one_var_matrix(catalog.k1()) == ([{"a": 2, "c": -1, "d": -1}, {"d": 2, "a": -1, "c": -1}], ("a", "c", "d"))
 
 
 # -- Smith normal form stops its pivot scan at the first +-1 --------------
 
 
 def _a_minus_one_matrices():
-    """A(-1) of the benchmark's shapes: corpus, windings of corpus bases, random codes."""
+    """-A(-1) of the benchmark's shapes: corpus, windings of corpus bases, random codes."""
     bases = list(catalog.corpus().values())
     diagrams = bases + [dn_family(b, n) for b in bases[:4] for n in range(1, 7)]
     for crossings in (8, 12, 20, 30):
         diagrams += random_diagrams(crossings, range(3))
-    return [dense(*one_var_matrix(d, -1), int) for d in diagrams]
+    return [dense(*one_var_matrix(d), int) for d in diagrams]
 
 
 def test_smith_matches_full_scan_on_arc_matrices():

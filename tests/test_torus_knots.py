@@ -1,4 +1,5 @@
-"""Classical knots as oracles at 84 to 301 crossings: torus knots from braid closures, and their connected sums.
+"""Classical knots as oracles at 84 to 301 crossings: torus knots from braid closures, twist knots from plat
+closures, and connected sums.
 
 At v = 1 a crossing's row of A(u, v) is (1 - t) OI + t UI - UO, the
 Fox-calculus row of the Wirtinger presentation, so the ``--t v1`` char
@@ -9,17 +10,33 @@ knot T(p, q), p and q coprime, is the closure of (sigma_1 ... sigma_(p-1))^q
     Delta(t) = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
 
 its determinant is |Delta(-1)|, and T(2, n) has m gcd(n, m) colorings mod m.
-The connected sum of two long knots is their concatenation, and both Delta
-and the determinant are multiplicative under it.
+The twist knot K_n, n + 2 crossings, is the plat closure of the 4-braid
+sigma_2^n sigma_1^-1 sigma_2 (``oracles.plat_closure``), with
+
+    Delta(t) = ((n+1)/2) t^2 - n t + (n+1)/2     (n odd),
+    Delta(t) = (n/2) t^2 - (n+1) t + n/2         (n even),
+
+and determinant 2n + 1.  The connected sum of two long knots is their
+concatenation, and both Delta and the determinant are multiplicative
+under it.
+
+Twist and torus knots have a cyclic Alexander module, Z[t^+-1]/(Delta),
+so its maps to Z/p with t acting as s number p^(1 + [Delta(s) = 0 mod p])
+(``hom_count_to_cyclic`` with ``--t v1``); on a closed connected sum the
+module is the sum of its summands' modules less one copy of Z, and the
+exponent is 1 + [Delta_1(s) = 0] + [Delta_2(s) = 0].
 """
 
 import math
 
 import pytest
 
-from oracles import braid_closure, subs_int
-from vka.diagram import concatenate, parse_gauss, switch_all_crossings
-from vka.invariants import char_poly, coloring_count, determinant_long, quotient_matrix
+from oracles import braid_closure, brute_force_hom_count, plat_closure, subs_int
+from vka.alexander import merged_arc_rows
+from vka.diagram import close, concatenate, parse_gauss, switch_all_crossings
+from vka.invariants import (
+    char_poly, coloring_count, determinant_long, hom_count_to_cyclic, quotient_matrix, quotient_pipeline, quotient_rows,
+)
 from vka.laurent import LaurentPoly, divexact
 
 TORUS = ((2, 101), (2, 301), (3, 50), (3, 100), (4, 33), (5, 21))
@@ -41,7 +58,7 @@ def test_torus_knot_invariants_match_their_closed_forms(p, q):
     assert determinant_long(parse_gauss(code.removeprefix("closed\n"))) == abs(subs_int(delta, (-1, 1)))
     if p == 2:
         ms = (3, 5, 7, 101)
-        assert coloring_count(d, ms) == [m * math.gcd(q, m) for m in ms]
+        assert coloring_count(*merged_arc_rows(d), ms)[1] == [m * math.gcd(q, m) for m in ms]
 
 
 def test_braid_closure_of_several_components_is_rejected():
@@ -93,3 +110,119 @@ def test_observed_two_variable_char_polys_of_small_classical_knots(name):
     m = quotient_matrix(parse_gauss(braid_closure(strands, word)), "none")
     assert char_poly(*m, 0) == LaurentPoly()
     assert char_poly(*m, 1) == LaurentPoly({(e, e): c for (e, _), c in delta.terms.items()})
+
+
+def twist_word(n):
+    """The 4-braid word whose plat closure is the twist knot K_n."""
+    return [(1, 1)] * n + [(0, -1), (1, 1)]
+
+
+def twist_alexander(n):
+    """Delta of K_n by its closed form, t read as u."""
+    a, b = ((n + 1) // 2, n) if n % 2 else (n // 2, n + 1)
+    return a * T * T - b * T + a * ONE
+
+
+TWISTS = (1, 2, 3, 4, 98, 99, 150, 200)
+
+
+def test_twist_alexander_of_the_first_twist_knots():
+    # K_1 is the trefoil, K_2 the figure-eight, K_3 the knot 5_2 and K_4 the knot 6_1
+    assert [str(twist_alexander(n)) for n in (1, 2, 3, 4)] == [
+        "u^2 - u + 1", "u^2 - 3*u + 1", "2*u^2 - 3*u + 2", "2*u^2 - 5*u + 2"]
+
+
+@pytest.mark.parametrize("n", TWISTS, ids=[f"K_{n}" for n in TWISTS])
+def test_twist_knot_invariants_match_their_closed_forms(n):
+    code = plat_closure(twist_word(n))
+    d = parse_gauss(code)
+    assert d.crossings == n + 2
+    assert char_poly(*quotient_matrix(d, "none", "v1"), 1) == twist_alexander(n)
+    assert determinant_long(parse_gauss(code.removeprefix("closed\n"))) == 2 * n + 1
+
+
+def test_plat_closure_of_several_components_is_rejected():
+    # the caps of positions 2 and 3 close a circle of their own unless a crossing joins it to positions 0 and 1
+    for word in ([], [(0, 1)], [(1, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="more than one component"):
+            plat_closure(word)
+    # sigma_2 alone: an unknot with one crossing, passed under and then over, both strands running down
+    assert plat_closure([(1, 1)]) == "closed\nU1+ O1+"
+
+
+def delta_mod(delta, s, p):
+    """Delta(s) mod p, t read as u."""
+    return sum(c * pow(s, a, p) for (a, _), c in delta.terms.items()) % p
+
+
+def exponent(deltas, s, p):
+    """1 + the number of ``deltas`` that vanish at s mod p: the power of p in the hom count of their sum."""
+    return 1 + sum(delta_mod(delta, s, p) == 0 for delta in deltas)
+
+
+def at_v_1(presentation):
+    """``presentation`` with every letter's v-exponent zeroed, so ``brute_force_hom_count`` reads u^j v^k as s^j."""
+    def side(word):
+        return tuple((g, (j, 0), sign) for g, (j, _), sign in word)
+
+    return presentation._replace(relations=tuple((side(l), side(r)) for l, r in presentation.relations))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_hom_counts_of_small_twist_knots_match_delta_and_the_brute_force(n):
+    d = parse_gauss(plat_closure(twist_word(n)))
+    rows, shown, delta = quotient_rows(d), at_v_1(quotient_pipeline(d)), twist_alexander(n)
+    for p in (3, 5, 7):
+        for s in range(1, p):
+            expected = p ** exponent([delta], s, p)
+            assert hom_count_to_cyclic(*rows, p, s, "v1") == expected == brute_force_hom_count(shown, p, s), (p, s)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_observed_diagonal_hom_counts_of_small_twist_knots(n):
+    """An observation on three knots, not a theorem: with u = v = t acting as s (``--t diag``), the count is
+    p^(1 + [Delta(s^2) = 0 mod p]) for every s mod 3, 5 and 7, as the brute force on the relations says too.
+
+    It follows from the observed Delta_1(u, v) = Delta_K(uv) (see
+    ``test_observed_two_variable_char_polys_of_small_classical_knots``).
+    """
+    d = parse_gauss(plat_closure(twist_word(n)))
+    rows, shown, delta = quotient_rows(d), quotient_pipeline(d), twist_alexander(n)
+    for p in (3, 5, 7):
+        for s in range(1, p):
+            expected = p ** exponent([delta], s * s % p, p)
+            assert hom_count_to_cyclic(*rows, p, s, "diag") == expected == brute_force_hom_count(shown, p, s), (p, s)
+
+
+LARGE = {  # name: (closed code, Delta, the (p, s) checked beside p = 3, 5, 7 and every s)
+    # s = -1 and a prime p dividing the determinant |Delta(-1)|: 2n + 1 for K_n, 301 = 7 * 43 for K_150
+    **{f"K_{n}": (plat_closure(twist_word(n)), twist_alexander(n), [(p, -1)])
+       for n, p in ((98, 197), (99, 199), (150, 43), (200, 401))},
+    "T(2,101)": (braid_closure(2, [1] * 101), torus_alexander(2, 101), [(101, -1)]),
+    # Delta(T(3, 50)) holds the cyclotomic factors of the orders 6, 15 and 30, all of which occur mod 31
+    "T(3,50)": (braid_closure(3, [1, 2] * 50), torus_alexander(3, 50), [(31, s) for s in range(1, 31)]),
+}
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_hom_counts_of_large_cyclic_knots_match_delta(name):
+    code, delta, extra = LARGE[name]
+    rows = quotient_rows(parse_gauss(code))
+    cases = [(p, s) for p in (3, 5, 7) for s in range(1, p)] + extra
+    for p, s in cases:
+        assert hom_count_to_cyclic(*rows, p, s, "v1") == p ** exponent([delta], s, p), (p, s)
+    assert any(exponent([delta], s, p) == 2 for p, s in cases)
+
+
+CLOSED_SUMS = [("T(2,101)", "T(2,101)"), ("T(2,101)", "T(3,50)")]
+
+
+@pytest.mark.parametrize("first, second", CLOSED_SUMS, ids=[f"{a}#{b}" for a, b in CLOSED_SUMS])
+def test_hom_counts_of_closed_connected_sums_add_their_summands_exponents(first, second):
+    (a, delta_a), (b, delta_b) = long_knot(first), long_knot(second)
+    rows = quotient_rows(close(concatenate(a, b)))
+    cases = [(p, s) for p in (3, 5, 7, 31) for s in range(1, p)] + [(101, s) for s in (1, 2, 100)]
+    for p, s in cases:
+        assert hom_count_to_cyclic(*rows, p, s, "v1") == p ** exponent([delta_a, delta_b], s, p), (p, s)
+    # each summand's Delta vanishes in some case, T(2, 101)'s at (101, -1), T(3, 50)'s at (7, 3)
+    assert all(any(delta_mod(delta, s, p) == 0 for p, s in cases) for delta in (delta_a, delta_b))

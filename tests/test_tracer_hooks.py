@@ -46,10 +46,15 @@ def test_traced_color_and_homcount_requests_record_their_spans(capsys, corpus_di
     traced = tracer.Tracer()
     traced.install()
     k4k5 = str(corpus_dir / "k4k5.gauss")
-    requests = (["color", k4k5, "-p", "3"], ["homcount", k4k5, "-p", "5", "-s", "3", "--quotient", "end-minus"])
+    requests = (["color", k4k5, "-p", "3"], ["homcount", k4k5, "-p", "5", "-s", "3", "--quotient", "end-minus"],
+                ["invariants", k4k5, "--det", "--charpoly", "1", "--t", "v1"], ["fuzz", k4k5, "--steps", "2"])
     for rid, argv in enumerate(requests):
         code, _ = traced.run_request(rid, lambda: main(argv))
         assert code == 0
-    assert capsys.readouterr().out.split() == ["p=3:", "9", "colorings", "(nontrivial)", "25"]
+    assert capsys.readouterr().out.splitlines() == [
+        "p=3: 9 colorings (nontrivial)", "25", "t - 2", "3", "OK (invariants stable)"]
     spans = {(s.name, s.request) for s in traced.spans}
-    assert {("invariants.snf", 0), ("invariants.rank_mod", 1)} <= spans
+    # every count, the --det of `invariants` and the profiles of `fuzz` too, runs the traced coloring_count, and
+    # `--t v1` the traced one_variable
+    assert {("invariants.snf", 0), ("invariants.rank_mod", 1), ("invariants.snf", 2), ("alexander.abelianize", 2),
+            ("invariants.snf", 3)} <= spans
