@@ -589,8 +589,8 @@ def diagonal_t(rows, cols):
 def _at(rows, point, p=None):
     """Sparse rows {column: {(a, b): coeff}} at (u, v) = ``point``, as int rows {column: value}, zeros left out.
 
-    Over Z (``p`` None) the images must be +-1, so x^e is x^(e mod 2); mod a prime ``p`` a value
-    is the residue of least absolute value, and ``pow(x, e, p)`` inverts x when e < 0.
+    Over Z (``p`` None) the images must be +-1, so x^e is x^(e mod 2); mod any ``p`` a value is the
+    residue of least absolute value, and ``pow(x, e, p)`` inverts x when e < 0, so x and y are units mod p.
     """
     (x, y), half = point, (p - 1) // 2 if p else 0
 

@@ -264,7 +264,7 @@ def build_parser():
 
     p = sub.add_parser("homcount", help="count module maps to Z/p with t acting as s")
     p.add_argument("input")
-    p.add_argument("-p", type=int, required=True)
+    p.add_argument("-p", type=int, required=True, help="modulus, at least 2")
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--quotient", choices=list(invariants._KILLED_ENDS), default="none")
     p.add_argument("--t", choices=["v1", "diag"], default="diag")

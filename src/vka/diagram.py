@@ -62,6 +62,12 @@ def _raise_crossing_error(ids, passages):
             raise GaussCodeError(f"crossing {cid} has mismatched signs")
 
 
+def _renumbered(passages):
+    """Valid ``passages`` with their ids renumbered to first-appearance order, as ``Diagram`` stores them."""
+    ids = {}
+    return tuple((ids.setdefault(cid, len(ids) + 1), role, sign) for cid, role, sign in passages)
+
+
 class Diagram:
     """A validated Gauss code, ids normalized to first-appearance order."""
 
@@ -107,7 +113,7 @@ class Diagram:
         if self.kind == LONG:
             return (self.kind, self.passages)
         ps = self.passages
-        return (self.kind, min((Diagram(CLOSED, ps[r:] + ps[:r]).passages for r in range(len(ps))), default=()))
+        return (self.kind, min((_renumbered(ps[r:] + ps[:r]) for r in range(len(ps))), default=()))
 
     def __eq__(self, other):
         if not isinstance(other, Diagram):

@@ -26,7 +26,7 @@ from .laurent import LaurentPoly, _least, gcd_many, pack, unpack
 
 DEFAULT_MINOR_BUDGET = 200000
 PROFILE_MODULI = (3, 5, 7)  # the coloring counts of ``invariant_profile``
-MODULUS_LIMIT = 10 ** 1000  # so that a coloring count stays well inside int's 4300-digit limit for text
+MODULUS_LIMIT = 10 ** 1000  # p prints within int's 4300-digit limit for text; a count p^k, k >= 5, may not
 
 
 class BudgetExceeded(RuntimeError):
@@ -197,18 +197,23 @@ def _smith_at(rows, cols, point, p=None):
     """Smith invariants and columns left of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point``.
 
     Those of the int rows ``_at`` gives, the zero rows ``_reduce_int`` drops included, less the 1s of its +-1 pivots:
-    with no more rows than columns their product is the gcd of the maximal minors.  Mod a prime ``p`` nonzero values
-    are units: each round scales the rows left to first nonzero values 1 mod p, as residues of least absolute value,
-    leaves out the rows zero mod p and eliminates again, until no row is left.
+    with no more rows than columns their product is the gcd of the maximal minors.  Mod ``p`` each round scales
+    every row left by the inverse of its first unit value mod p, to residues of least absolute value, leaves out
+    the rows zero mod p and eliminates again, until a round leaves no value 1; the rows left, with no unit, give the
+    invariants.  Scaling by a unit and reducing mod p keep the solutions mod p; for a prime p the rounds end only
+    when no row is left.
     """
     nrows, ncols = len(rows), len(cols)
     at, half = _at(rows, point, p), (p - 1) // 2 if p else 0
     while True:
         rows, cols = _reduce_int(at, cols)
-        if p is None or not rows:
+        if p is None:
             break
         at = [{g: v for g, x in row.items() if (v := (unit * x + half) % p - half)} for row in rows
-              if (unit := next((pow(x, -1, p) for x in row.values() if x % p), 0))]
+              for unit in (next((pow(x, -1, p) for x in row.values() if math.gcd(x, p) == 1), 1),)]
+        if not any(1 in row.values() for row in at):
+            rows = [row for row in at if row]
+            break
     inv = smith_normal_form([[row.get(g, 0) for g in cols] for row in rows])
     return inv + (0,) * (min(nrows - ncols + len(cols), len(cols)) - len(inv)), len(cols)
 
@@ -221,52 +226,18 @@ def _solutions_mod(inv, ncols, p):
     return p ** (ncols - len(inv)) * math.prod(math.gcd(d, p) for d in inv)
 
 
-# Miller-Rabin bases: the first 13 primes.  The smallest strong pseudoprime
-# to all of them is MR_LIMIT (Sorenson and Webster, 2015).
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_LIMIT = 3317044064679887385961981
-
-
-def is_prime(p):
-    """Deterministic Miller-Rabin primality test, exact for p < MR_LIMIT."""
-    if p >= MR_LIMIT:
-        raise ValueError(f"primality of p >= {MR_LIMIT} is not certified")
-    if p < 2:
-        return False
-    for q in MR_BASES:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def check_modulus(p, s=None):
-    """Raise ValueError unless p is a coloring modulus (an int at least 2, below MODULUS_LIMIT) or,
-    given the unit s of a hom count, a prime with s an int invertible mod p."""
+    """Raise ValueError unless p is a modulus of a count, an int at least 2 and below MODULUS_LIMIT, and, given
+    the unit s of a hom count, s is an int invertible mod p."""
     if not is_int(p):
         raise ValueError(f"p must be an int, not {p!r}")
-    if s is None:
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
-        if p >= MODULUS_LIMIT:
-            raise ValueError("modulus must be below 10^1000")
-    elif not is_int(s):
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    if p >= MODULUS_LIMIT:
+        raise ValueError("modulus must be below 10^1000")
+    if s is not None and not is_int(s):
         raise ValueError(f"s must be an int, not {s!r}")
-    elif not is_prime(p):
-        raise ValueError("p must be prime")
-    elif s % p == 0:
+    if s is not None and math.gcd(s, p) != 1:
         raise ValueError("s must be invertible mod p")
 
 
@@ -314,7 +285,8 @@ def hom_count_to_cyclic(rows, cols, p, s, t="diag"):
 
     ``rows`` over ``cols`` present the module over Z[u^+-1, v^+-1] (``quotient_rows``, or a reduced
     matrix), and are only read.  The maps solve the rows at (u, v) = (s, 1) for ``t`` "v1" and
-    (s, s) for "diag", mod p: one Smith form (``_smith_at``).  p is a prime below MR_LIMIT.
+    (s, s) for "diag", mod p: one Smith form (``_smith_at``).  p is any int from 2 to below MODULUS_LIMIT and s
+    an int invertible mod p.
     """
     check_modulus(p, s)
     return _solutions_mod(*_smith_at(rows, cols, {"v1": (s, 1), "diag": (s, s)}[t], p), p)

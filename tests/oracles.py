@@ -279,18 +279,20 @@ def brute_force_colorings(d, p):
     return count
 
 
-def brute_force_hom_count(presentation, p, s):
-    """Count maps to Z/p with t acting as s, straight from the relations.
+def brute_force_hom_count(presentation, p, s, t="diag"):
+    """Count maps to Z/p with t acting as s, straight from the relations, for any p >= 2 and s a unit mod p.
 
-    A letter g^(u^j v^k) evaluates to s^(j+k) * value(g); a relation holds
+    A letter g^(u^j v^k) evaluates to s^(j+k) * value(g) under ``t`` "diag"
+    (u = v = t) and to s^j * value(g) under "v1" (v = 1); a relation holds
     when both sides sum to the same residue.
     """
     gens = presentation.generators
     sinv = pow(s, -1, p)
+    v = {"diag": 1, "v1": 0}[t]  # the weight of a v-exponent
 
     def letter_value(letter, values):
         gen, (j, k), sign = letter
-        e = j + k
+        e = j + v * k
         factor = pow(s if e >= 0 else sinv, abs(e), p)
         return sign * factor * values[gen]
 

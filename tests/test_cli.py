@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from oracles import quotients, random_code, specialized_matrix_reference
+from oracles import brute_force_hom_count, quotients, random_code, specialized_matrix_reference
 from test_readme import _block
 from conftest import REPO_ROOT
 from vka import alexander, cli, diagram, invariants
@@ -115,10 +116,10 @@ def test_bad_charpoly_or_color_fails_before_any_computation(capsys, corpus_dir, 
 
 @pytest.mark.parametrize("argv, message", [
     (["color", "-p", "3", "-p", "1"], "modulus must be at least 2"),
-    (["homcount", "-p", "1", "-s", "3"], "p must be prime"),
-    (["homcount", "-p", "4", "-s", "3"], "p must be prime"),
+    (["homcount", "-p", "1", "-s", "3"], "modulus must be at least 2"),
+    (["homcount", "-p", "6", "-s", "4"], "s must be invertible mod p"),
     (["homcount", "-p", "5", "-s", "10"], "s must be invertible mod p"),
-    (["homcount", "-p", "3317044064679887385961981", "-s", "3"], "is not certified"),
+    (["homcount", "-p", "1" + "0" * 1000, "-s", "3"], "modulus must be below 10^1000"),
     (["color", "-p", "3", "-p", "9" + "0" * 4299], "modulus must be below 10^1000"),
 ])
 def test_bad_modulus_fails_before_the_diagram_is_read(capsys, tmp_path, monkeypatch, argv, message):
@@ -207,14 +208,52 @@ def test_homcount_large_prime_is_fast(capsys, corpus_dir):
     assert out.strip() == "1000000000000000003"
 
 
-@pytest.mark.parametrize("p, message", [
-    ("318665857834031151167461", "must be prime"),  # composite, below the bound
-    ("3317044064679887385961981", "not certified"),  # the bound itself
-])
-def test_homcount_rejects_uncertified_moduli_exit_2(capsys, corpus_dir, p, message):
-    code, _, err = run(capsys, "homcount", "-p", p, "-s", "3", str(corpus_dir / "k1.gauss"))
-    assert code == 2
-    assert message in err
+def homcount(capsys, path, p, s, t):
+    code, out, err = run(capsys, "homcount", str(path), "-p", str(p), "-s", str(s), "--t", t)
+    assert (code, err) == (0, ""), (p, s, t)
+    return int(out)
+
+
+def test_homcount_counts_mod_composites(capsys, corpus_dir):
+    k1 = corpus_dir / "k1.gauss"
+    shown = invariants.quotient_pipeline(diagram.parse_gauss(k1.read_text()))
+    for t in ("v1", "diag"):
+        for s in (3, -1):
+            assert homcount(capsys, k1, 4, s, t) == brute_force_hom_count(shown, 4, s % 4, t), (s, t)
+
+
+# two products of two primes: a strong pseudoprime to the first 12 prime bases, and the least one to the first 13
+@pytest.mark.parametrize("a, b", [(399165290221, 798330580441), (1287836182261, 2575672364521)],
+                         ids=["318665857834031151167461", "3317044064679887385961981"])
+def test_homcount_counts_mod_products_of_two_primes(capsys, corpus_dir, a, b):
+    k1 = corpus_dir / "k1.gauss"
+    # the maps mod a product of coprime moduli are the pairs of maps mod each
+    for t, s in product(("v1", "diag"), (2, 3, -1)):
+        count = homcount(capsys, k1, a * b, s, t)
+        assert count == homcount(capsys, k1, a, s, t) * homcount(capsys, k1, b, s, t), (s, t)
+    # k1's --t v1 Delta_1 is t^2 - t + 1; each prime a is 1 mod 6, and a primitive sixth root s of 1 mod a is a
+    # root of Delta_1 mod a, not mod b, so the count is a^2 mod a and b mod b
+    s = next(r for r in (pow(x, (a - 1) // 6, a) for x in range(2, 100)) if (r * r - r + 1) % a == 0)
+    count = homcount(capsys, k1, a * b, s, "v1")
+    assert count == homcount(capsys, k1, a, s, "v1") * homcount(capsys, k1, b, s, "v1") == a * a * b
+
+
+def test_a_count_too_long_to_print_exits_2(capsys, tmp_path):
+    # p < 10^1000 prints, but a count p^k, k >= 5, can pass int's limit on the digits of its text
+    trefoil = diagram.parse_gauss("O1+ U2+ O3+ U1+ O2+ U3+")
+    path = tmp_path / "five.gauss"
+    path.write_text(diagram.serialize_gauss(functools.reduce(diagram.concatenate, [trefoil] * 5)))
+    s = 3 * 10 ** 499
+    p = s * s - s + 1  # Delta(s) = p for each trefoil, so the count is p^6, of about 6000 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, *json_flag, "homcount", str(path), "-p", str(p), "-s", str(s), "--t", "v1")
+            assert (code, out) == (2, "")
+            assert err.startswith("invalid configuration: Exceeds the limit (4300 digits)")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_deterministic(capsys, corpus_dir):

@@ -9,7 +9,7 @@ import pytest
 
 import catalog
 from conftest import REPO_ROOT
-from oracles import arc_structure, parse_gauss_reference, random_code, random_long_diagram
+from oracles import arc_structure, braid_closure, parse_gauss_reference, random_code, random_long_diagram
 from vka.diagram import (
     CLOSED,
     Diagram,
@@ -361,6 +361,13 @@ def test_closed_equality_up_to_rotation():
     # the cut point is immaterial; the signs are not
     c = parse_gauss("closed\nO1- O2- U1- U2-")
     assert a != c
+    # every rotation of closed T(2, 101) is one diagram, whose key is its least rotation as Diagram renumbers it
+    d = parse_gauss(braid_closure(2, [1] * 101))
+    rotations = [Diagram(CLOSED, d.passages[r:] + d.passages[:r]) for r in range(len(d.passages))]
+    key = d.canonical_key()
+    assert key == (CLOSED, min(r.passages for r in rotations))
+    assert all(r.canonical_key() == key for r in rotations)
+    assert rotations[101] == d and hash(rotations[101]) == hash(d)
 
 
 def test_long_equality_is_not_rotational():

@@ -55,10 +55,8 @@ from vka.invariants import (
     det_exact,
     determinant_long,
     elementary_minors,
-    MR_LIMIT,
     hom_count_to_cyclic,
     invariant_profile,
-    is_prime,
     quotient_matrix,
     quotient_pipeline,
     quotient_rows,
@@ -695,14 +693,38 @@ def test_hom_count_products_golden():
     assert hom_count_to_cyclic(*m54, 5, 3) == 5
 
 
+HOM_COMPOSITES = (4, 6, 8, 9, 10, 12, 15)
+
+
 def test_hom_count_matches_oracle_random():
+    """Hom counts equal the brute force on the relations, under both ``--t`` readings.
+
+    The primes 3 and 5 on random long codes of at most 2 crossings: the
+    brute force on the unreduced relations against the count of the
+    eliminated presentation.  Every modulus of ``HOM_COMPOSITES`` with every
+    unit s on every quotient of random long and closed codes of at most 4
+    crossings: the brute force on the eliminated relations against the count
+    of the rows of A(u, v).
+    """
     rng = random.Random(41)
+    cases = []  # (module matrix, relations, (p, s) pairs)
     for _ in range(12):
-        d = random_long_diagram(rng, 2)
-        pres = extended_presentation(d)
-        m = abelianize(tietze_eliminate(pres))
-        for p, s in ((3, 2), (5, 3)):
-            assert hom_count_to_cyclic(*m, p, s) == brute_force_hom_count(pres, p, s)
+        pres = extended_presentation(random_long_diagram(rng, 2))
+        cases.append((abelianize(tietze_eliminate(pres)), pres, [(3, 2), (5, 3)]))
+    composite = [(n, s) for n in HOM_COMPOSITES for s in range(1, n) if math.gcd(s, n) == 1]
+    for c, closed, _ in product(range(5), (False, True), range(2)):
+        d = parse_gauss(random_code(rng, c, closed))
+        cases += [(quotient_rows(d, q), quotient_pipeline(d, q), composite) for q in quotients(d)]
+    partial = 0  # composite counts with a factor gcd(d_i, n) strictly between 1 and n
+    for m, pres, moduli in cases:
+        for t in ("v1", "diag"):
+            for p, s in moduli:
+                count = hom_count_to_cyclic(*m, p, s, t)
+                assert count == brute_force_hom_count(pres, p, s, t), (pres, t, p, s)
+                while count % p == 0:
+                    count //= p
+                partial += count > 1
+    assert partial > 0
 
 
 def test_solutions_mod_counts_from_the_smith_form():
@@ -717,7 +739,7 @@ def test_solutions_mod_counts_from_the_smith_form():
             assert invariants._solutions_mod(smith, ncols, p) == count == p ** (ncols - rank_mod(rows, p))
 
 
-HOM_PRIMES = (2, 3, 5, 7, 3317044064679887385961813)  # the last is the largest prime below MR_LIMIT
+HOM_PRIMES = (2, 3, 5, 7, 3317044064679887385961813)  # the last, a 25-digit prime, makes the residues long ints
 
 
 def test_hom_count_equals_rank_mod_oracle_to_30_crossings():
@@ -766,27 +788,12 @@ def test_counts_equal_the_reduce_first_and_specialize_first_routes():
 
 
 def test_hom_count_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="s must be invertible mod p"):
         hom_count_to_cyclic([], ("a",), 5, 5)
-    with pytest.raises(ValueError):
-        hom_count_to_cyclic([], ("a",), 6, 1)
-
-
-def test_is_prime_matches_trial_division():
-    for n in range(-2, 3000):
-        expected = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-        assert is_prime(n) == expected
-
-
-def test_is_prime_near_the_certified_bound():
-    assert is_prime(10**18 + 3)
-    assert is_prime(3317044064679887385961813)  # the largest prime below MR_LIMIT
-    # a strong pseudoprime to the first 12 prime bases: only base 41 exposes it
-    psi12 = 318665857834031151167461
-    assert psi12 == 399165290221 * 798330580441
-    assert not is_prime(psi12)
-    with pytest.raises(ValueError):
-        is_prime(MR_LIMIT)
+    with pytest.raises(ValueError, match="s must be invertible mod p"):
+        hom_count_to_cyclic([], ("a",), 6, 4)
+    # a composite modulus is a modulus like any other
+    assert hom_count_to_cyclic([], ("a",), 6, 1) == 6
 
 
 # -- transfer criterion ----------------------------------------------------------

@@ -20,11 +20,12 @@ and determinant 2n + 1.  The connected sum of two long knots is their
 concatenation, and both Delta and the determinant are multiplicative
 under it.
 
-Twist and torus knots have a cyclic Alexander module, Z[t^+-1]/(Delta),
-so its maps to Z/p with t acting as s number p^(1 + [Delta(s) = 0 mod p])
-(``hom_count_to_cyclic`` with ``--t v1``); on a closed connected sum the
-module is the sum of its summands' modules less one copy of Z, and the
-exponent is 1 + [Delta_1(s) = 0] + [Delta_2(s) = 0].
+The rows of a twist or torus knot present a free module of rank one plus
+the cyclic module Z[t^+-1]/(Delta), so its maps to Z/n with t acting as a
+unit s number n gcd(Delta(s), n) (``hom_count_to_cyclic`` with ``--t v1``):
+p^(1 + [Delta(s) = 0 mod p]) for a prime p.  On a closed connected sum the
+module is one free part plus both cyclic parts, and the count is
+n gcd(Delta_1(s), n) gcd(Delta_2(s), n).
 """
 
 import math
@@ -150,54 +151,58 @@ def test_plat_closure_of_several_components_is_rejected():
     assert plat_closure([(1, 1)]) == "closed\nU1+ O1+"
 
 
-def delta_mod(delta, s, p):
-    """Delta(s) mod p, t read as u."""
-    return sum(c * pow(s, a, p) for (a, _), c in delta.terms.items()) % p
+def delta_mod(delta, s, n):
+    """Delta(s) mod n, t read as u, for s a unit mod n."""
+    return sum(c * pow(s, a, n) for (a, _), c in delta.terms.items()) % n
 
 
-def exponent(deltas, s, p):
-    """1 + the number of ``deltas`` that vanish at s mod p: the power of p in the hom count of their sum."""
-    return 1 + sum(delta_mod(delta, s, p) == 0 for delta in deltas)
+def cyclic_count(deltas, s, n):
+    """n times gcd(Delta(s), n) for each of ``deltas``: the hom count to Z/n of a free part plus their
+    cyclic modules.
+
+    For a prime n it is n^(1 + the number of ``deltas`` that vanish at s mod n).
+    """
+    return n * math.prod(math.gcd(delta_mod(delta, s, n), n) for delta in deltas)
 
 
-def at_v_1(presentation):
-    """``presentation`` with every letter's v-exponent zeroed, so ``brute_force_hom_count`` reads u^j v^k as s^j."""
-    def side(word):
-        return tuple((g, (j, 0), sign) for g, (j, _), sign in word)
+MODULI = (3, 5, 7, 4, 6, 8, 9, 12, 15, 25, 27)  # primes, then composites: each is checked with every unit s
 
-    return presentation._replace(relations=tuple((side(l), side(r)) for l, r in presentation.relations))
+
+def units(n):
+    """The units of Z/n, as 1..n-1."""
+    return [s for s in range(1, n) if math.gcd(s, n) == 1]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_hom_counts_of_small_twist_knots_match_delta_and_the_brute_force(n):
     d = parse_gauss(plat_closure(twist_word(n)))
-    rows, shown, delta = quotient_rows(d), at_v_1(quotient_pipeline(d)), twist_alexander(n)
-    for p in (3, 5, 7):
-        for s in range(1, p):
-            expected = p ** exponent([delta], s, p)
-            assert hom_count_to_cyclic(*rows, p, s, "v1") == expected == brute_force_hom_count(shown, p, s), (p, s)
+    rows, shown, delta = quotient_rows(d), quotient_pipeline(d), twist_alexander(n)
+    for m in MODULI:
+        for s in units(m):
+            count = hom_count_to_cyclic(*rows, m, s, "v1")
+            assert count == cyclic_count([delta], s, m) == brute_force_hom_count(shown, m, s, "v1"), (m, s)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_observed_diagonal_hom_counts_of_small_twist_knots(n):
     """An observation on three knots, not a theorem: with u = v = t acting as s (``--t diag``), the count is
-    p^(1 + [Delta(s^2) = 0 mod p]) for every s mod 3, 5 and 7, as the brute force on the relations says too.
+    n gcd(Delta(s^2), n) for every n of ``MODULI`` and every unit s, as the brute force on the relations says too.
 
     It follows from the observed Delta_1(u, v) = Delta_K(uv) (see
     ``test_observed_two_variable_char_polys_of_small_classical_knots``).
     """
     d = parse_gauss(plat_closure(twist_word(n)))
     rows, shown, delta = quotient_rows(d), quotient_pipeline(d), twist_alexander(n)
-    for p in (3, 5, 7):
-        for s in range(1, p):
-            expected = p ** exponent([delta], s * s % p, p)
-            assert hom_count_to_cyclic(*rows, p, s, "diag") == expected == brute_force_hom_count(shown, p, s), (p, s)
+    for m in MODULI:
+        for s in units(m):
+            expected = cyclic_count([delta], s * s % m, m)
+            assert hom_count_to_cyclic(*rows, m, s, "diag") == expected == brute_force_hom_count(shown, m, s), (m, s)
 
 
-LARGE = {  # name: (closed code, Delta, the (p, s) checked beside p = 3, 5, 7 and every s)
-    # s = -1 and a prime p dividing the determinant |Delta(-1)|: 2n + 1 for K_n, 301 = 7 * 43 for K_150
-    **{f"K_{n}": (plat_closure(twist_word(n)), twist_alexander(n), [(p, -1)])
-       for n, p in ((98, 197), (99, 199), (150, 43), (200, 401))},
+LARGE = {  # name: (closed code, Delta, the (n, s) checked beside every n of MODULI and every unit s)
+    # s = -1 and a divisor n of the determinant |Delta(-1)|: 2k + 1 for K_k, 301 = 7 * 43 for K_150
+    **{f"K_{k}": (plat_closure(twist_word(k)), twist_alexander(k), [(n, -1) for n in ns])
+       for k, ns in ((98, [197]), (99, [199]), (150, [43, 301]), (200, [401]))},
     "T(2,101)": (braid_closure(2, [1] * 101), torus_alexander(2, 101), [(101, -1)]),
     # Delta(T(3, 50)) holds the cyclotomic factors of the orders 6, 15 and 30, all of which occur mod 31
     "T(3,50)": (braid_closure(3, [1, 2] * 50), torus_alexander(3, 50), [(31, s) for s in range(1, 31)]),
@@ -208,10 +213,10 @@ LARGE = {  # name: (closed code, Delta, the (p, s) checked beside p = 3, 5, 7 an
 def test_hom_counts_of_large_cyclic_knots_match_delta(name):
     code, delta, extra = LARGE[name]
     rows = quotient_rows(parse_gauss(code))
-    cases = [(p, s) for p in (3, 5, 7) for s in range(1, p)] + extra
-    for p, s in cases:
-        assert hom_count_to_cyclic(*rows, p, s, "v1") == p ** exponent([delta], s, p), (p, s)
-    assert any(exponent([delta], s, p) == 2 for p, s in cases)
+    cases = [(n, s) for n in MODULI for s in units(n)] + extra
+    for n, s in cases:
+        assert hom_count_to_cyclic(*rows, n, s, "v1") == cyclic_count([delta], s, n), (n, s)
+    assert any(cyclic_count([delta], s, n) > n for n, s in cases)
 
 
 CLOSED_SUMS = [("T(2,101)", "T(2,101)"), ("T(2,101)", "T(3,50)")]
@@ -221,8 +226,8 @@ CLOSED_SUMS = [("T(2,101)", "T(2,101)"), ("T(2,101)", "T(3,50)")]
 def test_hom_counts_of_closed_connected_sums_add_their_summands_exponents(first, second):
     (a, delta_a), (b, delta_b) = long_knot(first), long_knot(second)
     rows = quotient_rows(close(concatenate(a, b)))
-    cases = [(p, s) for p in (3, 5, 7, 31) for s in range(1, p)] + [(101, s) for s in (1, 2, 100)]
-    for p, s in cases:
-        assert hom_count_to_cyclic(*rows, p, s, "v1") == p ** exponent([delta_a, delta_b], s, p), (p, s)
+    cases = [(n, s) for n in MODULI + (31,) for s in units(n)] + [(101, s) for s in (1, 2, 100)]
+    for n, s in cases:
+        assert hom_count_to_cyclic(*rows, n, s, "v1") == cyclic_count([delta_a, delta_b], s, n), (n, s)
     # each summand's Delta vanishes in some case, T(2, 101)'s at (101, -1), T(3, 50)'s at (7, 3)
     assert all(any(delta_mod(delta, s, p) == 0 for p, s in cases) for delta in (delta_a, delta_b))
