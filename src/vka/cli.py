@@ -27,16 +27,12 @@ SCHEMA = 1
 MAX_WINDINGS = 10_000  # dn builds 4n passages
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_gauss(text)
 
 
@@ -77,14 +73,11 @@ def cmd_parse(args):
     return EXIT_OK
 
 
-def _colorings(ps, counts, matrix=None):
-    """JSON value and text lines of the coloring ``counts`` mod ``ps``; ``matrix`` goes into each JSON item."""
+def _colorings(ps, counts):
+    """JSON value and text lines of the coloring ``counts`` mod ``ps``."""
     items, lines = [], []
     for p, count in zip(ps, counts):
-        item = {"p": p, "count": count, "nontrivial": count > p}
-        if matrix is not None:
-            item["matrix"] = matrix
-        items.append(item)
+        items.append({"p": p, "count": count, "nontrivial": count > p})
         lines.append(f"p={p}: {count} colorings" + (" (nontrivial)" if count > p else ""))
     return (items[0] if len(items) == 1 else items), lines
 
@@ -92,14 +85,14 @@ def _colorings(ps, counts, matrix=None):
 def cmd_invariants(args):
     # checked before the diagram is read, so a bad request costs no elimination or minors
     if any(k < 0 for k in args.charpoly or ()):
-        raise ConfigError("k must be nonnegative")
+        raise ValueError("k must be nonnegative")
     for p in args.color or ():
         invariants.check_modulus(p)
-    d = _load(args.input)
     if not (args.presentation or args.charpoly or args.det or args.color):
-        raise ConfigError("nothing requested: use --charpoly/--det/--color/--presentation")
+        raise ValueError("nothing requested: use --charpoly/--det/--color/--presentation")
+    d = _load(args.input)
     if args.det and d.kind != diagram.LONG:
-        raise ConfigError("--det requires a long diagram")
+        raise ValueError("--det requires a long diagram")
     payload = {"input": args.input, "quotient": args.quotient}
     lines = []
     if args.presentation:
@@ -137,10 +130,10 @@ def cmd_invariants(args):
 def cmd_construct(args):
     if args.op == "concat":
         if not args.other:
-            raise ConfigError("concat requires two diagrams")
+            raise ValueError("concat requires two diagrams")
         out = diagram.concatenate(_load(args.input), _load(args.other))
     elif args.other is not None and args.op != "dn":
-        raise ConfigError(f"{args.op} takes one diagram, not {args.other!r} too")
+        raise ValueError(f"{args.op} takes one diagram, not {args.other!r} too")
     elif args.op == "close":
         out = diagram.close(_load(args.input))
     elif args.op == "switch":
@@ -149,9 +142,9 @@ def cmd_construct(args):
         try:
             n = int(args.other)
         except (TypeError, ValueError):
-            raise ConfigError("dn requires a winding count") from None
+            raise ValueError("dn requires a winding count") from None
         if not 1 <= n <= MAX_WINDINGS:
-            raise ConfigError(f"dn requires a winding count from 1 to {MAX_WINDINGS}")
+            raise ValueError(f"dn requires a winding count from 1 to {MAX_WINDINGS}")
         out = diagram.dn_family(_load(args.input), n)
     text = serialize_gauss(out)
     if args.output:
@@ -159,7 +152,7 @@ def cmd_construct(args):
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n" if text else text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
+            raise ValueError(f"cannot write {args.output}: {exc}") from exc
     else:
         _emit(args, {"code": text, "crossings": out.crossings}, [text])
     return EXIT_OK
@@ -169,12 +162,12 @@ def cmd_color(args):
     for p in args.p:  # before the diagram is read, as in cmd_invariants
         invariants.check_modulus(p)
     d = _load(args.input)
-    matrix = None
+    payload = {"input": args.input}
+    payload["colorings"], lines = _colorings(args.p, invariants.coloring_count(*alexander.merged_arc_rows(d), args.p)[1])
     if args.matrix:
         rows, cols = alexander.one_var_matrix(d)
-        matrix = [[row.get(g, 0) for g in cols] for row in rows]
-    colorings, lines = _colorings(args.p, invariants.coloring_count(*alexander.merged_arc_rows(d), args.p)[1], matrix)
-    _emit(args, {"input": args.input, "colorings": colorings}, lines)
+        payload["matrix"] = {"columns": list(cols), "rows": rows}
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -259,7 +252,7 @@ def build_parser():
     p = sub.add_parser("color", help="coloring report for one or more moduli")
     p.add_argument("input")
     p.add_argument("-p", type=int, action="append", required=True, help="modulus (repeatable)")
-    p.add_argument("--matrix", action="store_true", help="include the coloring matrix (JSON)")
+    p.add_argument("--matrix", action="store_true", help="include the coloring matrix -A(-1) as sparse rows (JSON)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("homcount", help="count module maps to Z/p with t acting as s")
@@ -317,7 +310,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:  # ConfigError among them
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -101,6 +101,7 @@ def test_det_on_closed_fails_before_any_computation(capsys, tmp_path, monkeypatc
     (["--charpoly", "1", "--charpoly", "-1"], "k must be nonnegative"),
     (["--color", "3", "--charpoly", "-2", "--color", "0"], "k must be nonnegative"),
     (["--det", "--color", str(10 ** 1000)], "modulus must be below 10^1000"),
+    ([], "nothing requested: use --charpoly/--det/--color/--presentation"),
 ])
 def test_bad_charpoly_or_color_fails_before_any_computation(capsys, corpus_dir, monkeypatch, flags, message):
     # the diagram is not even read: at c = 30 the minors alone took seconds before the check ran
@@ -343,17 +344,37 @@ def test_golden_charpoly_digest(capsys, corpus_dir, tmp_path):
 
 
 def test_golden_coloring_matrix_bytes(capsys, corpus_dir, monkeypatch):
-    # pins -A(-1) as `color --matrix` prints it, for every corpus file
+    # pins -A(-1) as `color --matrix` prints it, sparse rows and columns once per report, for every corpus file
     monkeypatch.chdir(corpus_dir)
     outputs = []
     for path in sorted(corpus_dir.glob("*.gauss")):
         code, out, _ = run(capsys, "--json", "color", path.name, "-p", "3", "--matrix")
         assert code == 0
         outputs.append(out)
-    assert outputs[5] == ('{"colorings": {"count": 3, "matrix": [[-1, -1, 2], [0, -1, 1]], "nontrivial": false, '
-                          '"p": 3}, "input": "k2.gauss", "schema": 1}\n')
+    assert outputs[5] == ('{"colorings": {"count": 3, "nontrivial": false, "p": 3}, "input": "k2.gauss", '
+                          '"matrix": {"columns": ["a", "b", "c"], "rows": [{"a": -1, "b": -1, "c": 2}, '
+                          '{"b": -1, "c": 1}]}, "schema": 1}\n')
     digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
-    assert digest == "7313dbad907877f5971b1a814e32598a6734c57828a53f34ea775823c26f0b25"
+    assert digest == "6c78a3e0de4618a01ccd2f2b4d5bfa8b253ab84d80e98082ceb06493f587fdb2"
+
+
+def test_color_matrix_is_written_once_and_grows_with_the_crossings(capsys, corpus_dir, tmp_path):
+    # a dense copy of -A(-1) in each of 28 items took 13.7 MB of JSON on dn(k1, 200)
+    d = diagram.dn_family(diagram.parse_gauss((corpus_dir / "k1.gauss").read_text()), 200)
+    path = tmp_path / "dn.gauss"
+    path.write_text(diagram.serialize_gauss(d) + "\n")
+    moduli = [arg for p in range(2, 30) for arg in ("-p", str(p))]
+    code, out, _ = run(capsys, "--json", "color", str(path), *moduli, "--matrix")
+    assert code == 0
+    assert out.count('"matrix"') == 1
+    payload = json.loads(out)
+    rows, cols = alexander.one_var_matrix(d)
+    assert payload["matrix"] == {"columns": list(cols), "rows": rows}
+    assert (len(rows), len(cols)) == (402, 403)
+    assert max(map(len, rows)) <= 3
+    assert [item["p"] for item in payload["colorings"]] == list(range(2, 30))
+    assert not any("matrix" in item for item in payload["colorings"])
+    assert len(out) <= 100 * d.crossings
 
 
 def test_presentation_adds_nothing_to_the_char_polys(capsys, corpus_dir, tmp_path):

@@ -378,8 +378,8 @@ def test_coloring_matrix_is_minus_a_at_minus_one(capsys, tmp_path):
         for diagram in (d, close(d)):
             path.write_text(serialize_gauss(diagram) + "\n")
             assert cli.main(["--json", "color", str(path), "-p", "3", "--matrix"]) == 0
-            shown = json.loads(capsys.readouterr().out)["colorings"]["matrix"]
-            assert shown == [[-x for x in row] for row in _a_at(diagram, -1)]
+            shown = json.loads(capsys.readouterr().out)["matrix"]
+            assert dense(shown["rows"], shown["columns"], int) == [[-x for x in row] for row in _a_at(diagram, -1)]
 
 
 # -- Smith normal form ------------------------------------------------------
