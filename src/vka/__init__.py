@@ -31,7 +31,6 @@ from .invariants import (
     determinant_long,
     elementary_minors,
     hom_count_to_cyclic,
-    smith_normal_form,
     transfer_condition,
     transfer_matrix,
     unit_minor_check,
@@ -71,7 +70,6 @@ __all__ = [
     "quotient_kill",
     "random_walk",
     "serialize_gauss",
-    "smith_normal_form",
     "switch_all_crossings",
     "tietze_eliminate",
     "transfer_condition",

@@ -164,7 +164,7 @@ def cmd_color(args):
     d = _load(args.input)
     payload = {"input": args.input}
     payload["colorings"], lines = _colorings(args.p, invariants.coloring_count(*alexander.merged_arc_rows(d), args.p)[1])
-    if args.matrix:
+    if args.matrix and args.json:
         rows, cols = alexander.one_var_matrix(d)
         payload["matrix"] = {"columns": list(cols), "rows": rows}
     _emit(args, payload, lines)

@@ -1,6 +1,6 @@
 """Module invariants: minors, characteristic polynomials, determinants,
-Smith normal form, colorings, homomorphism counts and the winding-family
-transfer criterion.
+colorings and homomorphism counts from one diagonal form, and the
+winding-family transfer criterion.
 """
 
 from __future__ import annotations
@@ -138,44 +138,6 @@ def char_poly(rows, cols, k, max_minors=DEFAULT_MINOR_BUDGET):
 # -- integer linear algebra --------------------------------------------
 
 
-def smith_normal_form(rows):
-    """Smith invariants d1 | d2 | ... >= 0 of an integer matrix, min(rows, columns) of them.
-
-    The nonzero entry of least absolute value is the pivot, and it reduces
-    the other entries of its row and column to remainders.  Once no
-    remainder is left, its absolute value is a diagonal entry, and its row
-    and column are deleted.  When no nonzero entry is left, the invariants
-    not reached are 0.  Then each pair (d_i, d_j), i < j, becomes
-    (gcd, lcm), giving the divisor chain, zeros last.
-    """
-    A = [list(r) for r in rows]
-    size = min(len(A), len(A[0]) if A else 0)
-    d = []
-    while any(flat := list(chain.from_iterable(A))):
-        i, j = divmod(flat.index(min(filter(None, flat), key=abs)), len(A[0]))
-        pr = A[i]
-        p = pr[j]
-        for n, r in enumerate(A):
-            if r[j] and n != i:
-                q = r[j] // p
-                A[n] = [a - q * b for a, b in zip(r, pr)]
-        for c, x in enumerate(pr):
-            if x and c != j:
-                q = x // p
-                for r in A:
-                    r[c] -= q * r[j]
-        if pr.count(0) + 1 == len(pr) and [r[j] for r in A].count(0) + 1 == len(A):  # no remainder left
-            d.append(abs(p))
-            del A[i]
-            for r in A:
-                del r[j]
-    d += [0] * (size - len(d))
-    for i in range(size):
-        for j in range(i + 1, size):
-            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
-    return tuple(d)
-
-
 def _clear_int(row, x, pivot, s, j, where):
     """``_pivot_out``'s step on int rows: row -= (x / s) * pivot, s = +-1."""
     f = x * s
@@ -194,14 +156,19 @@ def _reduce_int(rows, cols):
 
 
 def _smith_at(rows, cols, point, p=None):
-    """Smith invariants and columns left of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point``.
+    """A diagonal d of sparse rows {column: {(a, b): coeff}} over ``cols`` at ``point``, and the columns left.
 
-    Those of the int rows ``_at`` gives, the zero rows ``_reduce_int`` drops included, less the 1s of its +-1 pivots:
-    with no more rows than columns their product is the gcd of the maximal minors.  Mod ``p`` each round scales
-    every row left by the inverse of its first unit value mod p, to residues of least absolute value, leaves out
-    the rows zero mod p and eliminates again, until a round leaves no value 1; the rows left, with no unit, give the
-    invariants.  Scaling by a unit and reducing mod p keep the solutions mod p; for a prime p the rounds end only
-    when no row is left.
+    ``_at`` gives int rows, and ``_reduce_int`` eliminates their +-1 pivots.  Mod ``p`` each round scales every
+    row left by the inverse of its first unit value mod p, to residues of least absolute value, leaves out the
+    rows zero mod p and eliminates again, until a round leaves no value 1; for a prime p the rounds end only when
+    no row is left.  In the rows left the nonzero entry of least absolute value is the pivot, and it reduces its
+    row and column to remainders; once none is left, its absolute value joins d and its row and column go.  d is
+    padded with zeros to min(rows, columns) of the rows left, the zero rows ``_reduce_int`` drops included.
+    Exact: over Z every step is a unimodular row or column operation, and scaling by a unit mod p and reducing
+    keep the solutions mod p, so the matrix at ``point`` is equivalent to diag(1, ..., 1, d) (over Z/p, given p).
+    With no more rows than columns the product of d is the gcd of the maximal minors, and as Hom(-, Z/m) is
+    additive over the sum of the Z/d_i, m^(columns left - len d) * prod gcd(d_i, m) counts the solutions mod any
+    m (mod p alone, given p; ``_solutions_mod``), whether or not d_i divides d_(i+1).
     """
     nrows, ncols = len(rows), len(cols)
     at, half = _at(rows, point, p), (p - 1) // 2 if p else 0
@@ -214,12 +181,30 @@ def _smith_at(rows, cols, point, p=None):
         if not any(1 in row.values() for row in at):
             rows = [row for row in at if row]
             break
-    inv = smith_normal_form([[row.get(g, 0) for g in cols] for row in rows])
-    return inv + (0,) * (min(nrows - ncols + len(cols), len(cols)) - len(inv)), len(cols)
+    A, d = [[row.get(g, 0) for g in cols] for row in rows], []
+    while any(flat := list(chain.from_iterable(A))):
+        i, j = divmod(flat.index(min(filter(None, flat), key=abs)), len(A[0]))
+        pr = A[i]
+        e = pr[j]
+        for n, r in enumerate(A):
+            if r[j] and n != i:
+                q = r[j] // e
+                A[n] = [a - q * b for a, b in zip(r, pr)]
+        for c, x in enumerate(pr):
+            if x and c != j:
+                q = x // e
+                for r in A:
+                    r[c] -= q * r[j]
+        if pr.count(0) + 1 == len(pr) and [r[j] for r in A].count(0) + 1 == len(A):  # no remainder left
+            d.append(abs(e))
+            del A[i]
+            for r in A:
+                del r[j]
+    return tuple(d) + (0,) * (min(nrows - ncols + len(cols), len(cols)) - len(d)), len(cols)
 
 
 def _solutions_mod(inv, ncols, p):
-    """Solutions of M x = 0 mod p, for any p >= 2, from M's Smith invariants.
+    """Solutions of M x = 0 mod p, for any p >= 2, from a diagonal form ``inv`` of M (``_smith_at``).
 
     For a prime p this is p^(ncols - rank of M mod p).
     """
@@ -272,7 +257,7 @@ def coloring_count(rows, cols, ps):
     ``rows`` over ``cols`` are ``merged_arc_rows(d)`` or its reduced ``none`` matrix (``quotient_matrix``), and are
     only read.  A coloring mod p labels the arcs over Z/p with 2*over = under + under at every crossing; the p
     constant ones are trivial.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the
-    solutions of one Smith form (``_smith_at``), and for a long diagram the gcd is the determinant.
+    solutions of one diagonal form (``_smith_at``), and for a long diagram the gcd is the determinant.
     """
     for p in ps:
         check_modulus(p)
@@ -285,7 +270,7 @@ def hom_count_to_cyclic(rows, cols, p, s, t="diag"):
 
     ``rows`` over ``cols`` present the module over Z[u^+-1, v^+-1] (``quotient_rows``, or a reduced
     matrix), and are only read.  The maps solve the rows at (u, v) = (s, 1) for ``t`` "v1" and
-    (s, s) for "diag", mod p: one Smith form (``_smith_at``).  p is any int from 2 to below MODULUS_LIMIT and s
+    (s, s) for "diag", mod p: one diagonal form (``_smith_at``).  p is any int from 2 to below MODULUS_LIMIT and s
     an int invertible mod p.
     """
     check_modulus(p, s)

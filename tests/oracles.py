@@ -65,7 +65,6 @@ from vka.invariants import (
     char_poly,
     hom_count_to_cyclic,
     quotient_matrix,
-    smith_normal_form,
 )
 from vka.laurent import LaurentPoly, divexact
 
@@ -351,6 +350,14 @@ def random_code(rng, crossings, closed=False):
         tokens[j] = f"{second}{cid}{sign}"
     body = " ".join(tokens)
     return f"closed\n{body}" if closed else body
+
+
+def reverse_code(d):
+    """The diagram whose passages are ``d``'s in reverse order: the strand read from its other end.
+
+    Its module is ``d``'s with u and v inverted, and the minus and plus ends swap.
+    """
+    return Diagram(d.kind, d.passages[::-1])
 
 
 def random_diagrams(crossings, seeds):
@@ -951,12 +958,12 @@ def colorings_reference(a, ps):
     The route ``coloring_count`` and ``determinant_long`` took before they
     reduced A(u, v) first: one Smith form of the full integer matrix
     -A(-1) (``one_var_matrix(d)``, c x (c+1) for a long diagram, whose gcd
-    is then the determinant), counted by ``_solutions_mod``.  A(-1) has the
-    same Smith invariants.  Its parts have references of their own:
-    ``one_var_matrix_reference`` and ``smith_normal_form_reference``.
-    ``a`` is a pair (int rows, cols).
+    is then the determinant), here ``smith_normal_form_reference``'s,
+    counted by ``_solutions_mod``.  A(-1) has the same Smith invariants.
+    ``one_var_matrix_reference`` is the reference of ``a``, a pair
+    (int rows, cols).
     """
-    inv = smith_normal_form(dense(*a, int))
+    inv = smith_normal_form_reference(dense(*a, int))
     return math.prod(inv), [_solutions_mod(inv, len(a[1]), p) for p in ps]
 
 
@@ -966,9 +973,9 @@ def colorings_by_reduction_reference(m, ps):
     The route ``coloring_count`` and ``determinant_long`` took before they
     evaluated A(u, v) first: reduce in two variables, evaluate each entry
     at (u, v) = (-1, 1) by the parity of its exponents (``subs_int``), and
-    count from one Smith form (``_solutions_mod``).
+    count from its ``smith_normal_form_reference`` (``_solutions_mod``).
     """
-    inv = smith_normal_form([[subs_int(e, (-1, 1)) for e in row] for row in dense(*m)])
+    inv = smith_normal_form_reference([[subs_int(e, (-1, 1)) for e in row] for row in dense(*m)])
     return math.prod(inv), [_solutions_mod(inv, len(m[1]), p) for p in ps]
 
 
@@ -1002,10 +1009,9 @@ def smith_normal_form_reference(rows):
     """Smith invariants with a full scan for the smallest entry at every pivot.
 
     The pivot must divide the rest of the submatrix, or a row that it does
-    not divide is added to its row and the pivot is sought again.
-    ``smith_normal_form`` stops its scan at the first entry of absolute
-    value 1 and makes the divisor chain after diagonalizing, from gcds and
-    lcms of the diagonal.
+    not divide is added to its row and the pivot is sought again, so the
+    invariants form the divisor chain d1 | d2 | ..., zeros last.
+    ``invariants._smith_at`` stops at a diagonal that need not be a chain.
     """
     A = [list(r) for r in rows]
     m = len(A)

@@ -570,8 +570,8 @@ def test_color_command(capsys, corpus_dir):
 
 def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch, arc_builds):
     smith = []
-    real_smith = invariants.smith_normal_form
-    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: smith.append(rows) or real_smith(rows))
+    real_smith = invariants._smith_at
+    monkeypatch.setattr(invariants, "_smith_at", lambda *a: smith.append(a) or real_smith(*a))
     moduli = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     argv = ["color", str(corpus_dir / "trefoil.gauss")]
     for p in moduli:
@@ -584,8 +584,8 @@ def test_color_builds_one_smith_form_per_request(capsys, corpus_dir, monkeypatch
 
 def test_det_and_colors_share_one_smith_form(capsys, corpus_dir, monkeypatch, arc_builds):
     smith = []
-    real_smith = invariants.smith_normal_form
-    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: smith.append(rows) or real_smith(rows))
+    real_smith = invariants._smith_at
+    monkeypatch.setattr(invariants, "_smith_at", lambda *a: smith.append(a) or real_smith(*a))
     code, out, _ = run(capsys, "--json", "invariants", str(corpus_dir / "k1.gauss"),
                        "--det", "--color", "3", "--color", "5")
     assert code == 0
@@ -642,6 +642,7 @@ def test_only_color_matrix_builds_a_minus_one(capsys, corpus_dir, monkeypatch):
     monkeypatch.setattr(alexander, "one_var_matrix", lambda *a: built.append(a) or real(*a))  # cli reads it from alexander
     k1 = str(corpus_dir / "k1.gauss")
     for argv in (["color", k1, "-p", "3", "-p", "5"],
+                 ["color", k1, "-p", "3", "--matrix"],  # the text report has no matrix
                  ["invariants", k1, "--color", "3", "--det"],
                  ["invariants", k1, "--charpoly", "1", "--quotient", "end-minus", "--t", "diag", "--color", "3"]):
         assert run(capsys, *argv)[0] == 0

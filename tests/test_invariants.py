@@ -27,6 +27,7 @@ from oracles import (
     random_diagrams,
     random_long_diagram,
     rank_mod,
+    reverse_code,
     smith_normal_form_reference,
     specialize_entry,
     subs_int,
@@ -60,7 +61,6 @@ from vka.invariants import (
     quotient_matrix,
     quotient_pipeline,
     quotient_rows,
-    smith_normal_form,
     transfer_condition,
     transfer_matrix,
     unit_minor_check,
@@ -385,6 +385,18 @@ def test_coloring_matrix_is_minus_a_at_minus_one(capsys, tmp_path):
 # -- Smith normal form ------------------------------------------------------
 
 
+def smith_via_smith_at(rows, ncols=None):
+    """``smith_normal_form_reference`` of diag(1 per +-1 pivot, d), for ``_smith_at``'s diagonal d of dense int rows.
+
+    The rows, over ``ncols`` columns (the length of the first row, if any, by default), go to ``_smith_at`` as
+    constant term dicts at (1, 1).
+    """
+    cols = tuple(range(ncols if ncols is not None else len(rows[0]) if rows else 0))
+    d, left = invariants._smith_at(_pair(rows, cols)[0], cols, (1, 1))
+    diag = (1,) * (len(cols) - left) + d
+    return smith_normal_form_reference([[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)])
+
+
 def test_smith_product_is_gcd_of_maximal_minors():
     # the identity determinant_long relies on, rank-deficient matrices included
     rng = random.Random(53)
@@ -394,20 +406,26 @@ def test_smith_product_is_gcd_of_maximal_minors():
         if c > 1 and rng.random() < 0.3:
             rows[-1] = [2 * x for x in rows[0]]
         minors = maximal_minors(rows, c + 1)
-        assert math.prod(smith_normal_form(rows)) == math.gcd(*minors)
+        cols = tuple(range(c + 1))
+        assert math.prod(invariants._smith_at(_pair(rows, cols)[0], cols, (1, 1))[0]) == math.gcd(*minors)
+        assert smith_via_smith_at(rows, c + 1) == smith_normal_form_reference(rows)
 
 
 def test_smith_golden():
-    assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
-    assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
-    assert smith_normal_form([]) == ()
-    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)  # several gcd/lcm swaps
-    assert smith_normal_form([[0, 0], [0, 2]]) == (2, 0)  # zeros last
-    assert smith_normal_form([[], []]) == ()
-    assert smith_normal_form([[0, 0, 0]]) == (0,)  # no pivot: the invariant stays 0
-    assert smith_normal_form([[0], [0], [3]]) == (3,)
-    assert smith_normal_form([[0, 4], [6, 0]]) == (2, 12)  # two pivots, each row and column deleted
-    assert smith_normal_form([[-4]]) == (4,)
+    cases = [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[0, 0], [0, 0]], (0, 0)),
+        ([], ()),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),  # a diagonal that is no divisor chain
+        ([[0, 0], [0, 2]], (2, 0)),  # zeros last
+        ([[], []], ()),
+        ([[0, 0, 0]], (0,)),  # no pivot: the invariant stays 0
+        ([[0], [0], [3]], (3,)),
+        ([[0, 4], [6, 0]], (2, 12)),  # two pivots, each row and column deleted
+        ([[-4]], (4,)),
+    ]
+    for rows, smith in cases:
+        assert smith_via_smith_at(rows) == smith_normal_form_reference(rows) == smith
 
 
 def test_smith_divisibility_chain_and_minor_gcd_oracle():
@@ -415,7 +433,8 @@ def test_smith_divisibility_chain_and_minor_gcd_oracle():
     for _ in range(60):
         m, n = rng.randrange(1, 6), rng.randrange(1, 8)
         rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
-        inv = smith_normal_form(rows)
+        inv = smith_via_smith_at(rows)
+        assert inv == smith_normal_form_reference(rows)
         assert len(inv) == min(m, n)
         for a, b in zip(inv, inv[1:]):
             if a == 0:
@@ -457,7 +476,8 @@ def test_integer_elimination_keeps_smith_invariants_and_ranks_mod_p():
         pivots = len(cols) - len(left_cols)
         zero_rows = len(rows) - pivots - len(left)
         rest = [[row.get(g, 0) for g in left_cols] for row in left] + [[0] * len(left_cols)] * zero_rows
-        assert (1,) * pivots + smith_normal_form(rest) == smith_normal_form_reference(dense), rows
+        assert (1,) * pivots + smith_normal_form_reference(rest) == smith_normal_form_reference(dense), rows
+        assert smith_via_smith_at(dense, len(cols)) == smith_normal_form_reference(dense), rows
         constants = [{g: {(0, 0): x} for g, x in row.items()} for row in rows]  # for _smith_at at (1, 1)
         for p in INT_ELIMINATION_PRIMES:
             assert pivots + rank_mod(rest, p) == rank_mod(dense, p), (rows, p)
@@ -511,16 +531,15 @@ def test_coloring_rejects_small_modulus():
 
 def test_coloring_counts_follow_the_moduli(monkeypatch):
     calls = []
-    real = invariants.smith_normal_form
-    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: calls.append(rows) or real(rows))
+    real = invariants._smith_at
+    monkeypatch.setattr(invariants, "_smith_at", lambda *a: calls.append(real(*a)) or calls[-1])
     d = catalog.trefoil()
     moduli = [9, 3, 2, 3, 15, 4]
     counts = coloring_count(*merged_arc_rows(d), moduli)[1]
-    # one Smith form for every modulus, of the rows that A(u, v) at (-1, 1) keeps after its +-1
-    # pivots: for the trefoil, the reduced A(u, v) at (-1, 1)
-    m = quotient_matrix(d)
-    assert calls == [[[subs_int(e, (-1, 1)) for e in row] for row in dense(*m)]]
-    assert tuple(map(len, m)) == (1, 2)
+    # one diagonal form for every modulus: for the trefoil, the reduced A(u, v) at (-1, 1), one row over
+    # two columns, diagonalizes to the determinant 3
+    assert calls == [((3,), 2)]
+    assert tuple(map(len, quotient_matrix(d))) == (1, 2)
     assert all(type(count) is int for count in counts)
     assert counts == [brute_force_colorings(d, p) for p in moduli]
     assert coloring_count(*merged_arc_rows(d), [])[1] == []
@@ -734,9 +753,12 @@ def test_solutions_mod_counts_from_the_smith_form():
         ([[3, 6], [6, 12]], 2, (3, 0), {2: 2, 3: 9, 5: 5}),  # singular: rank 1, and 0 mod 3
     ]
     for rows, ncols, smith, counts in cases:
-        assert smith_normal_form(rows) == smith
+        assert smith_via_smith_at(rows, ncols) == smith_normal_form_reference(rows) == smith
+        cols = tuple(range(ncols))
+        diagonal = invariants._smith_at(_pair(rows, cols)[0], cols, (1, 1))
         for p, count in counts.items():
             assert invariants._solutions_mod(smith, ncols, p) == count == p ** (ncols - rank_mod(rows, p))
+            assert invariants._solutions_mod(*diagonal, p) == count
 
 
 HOM_PRIMES = (2, 3, 5, 7, 3317044064679887385961813)  # the last, a 25-digit prime, makes the residues long ints
@@ -886,6 +908,45 @@ def test_winding_end_minus_diag_char_poly_of_k1():
         assert char_poly(*m, 0) == expected.canonical(), n
 
 
+END_SWAP = {"none": "none", "ends": "ends", "end-minus": "end-plus", "end-plus": "end-minus"}
+
+
+def test_reversal_inverts_u_and_v_and_swaps_the_ends():
+    # a metamorphic law, not a reference: it reaches sizes where no reference finishes
+    def inverted(p):
+        return LaurentPoly({(-a, -b): c for (a, b), c in p.terms.items()}).canonical()
+
+    cases = [(c, seed) for c in range(13) for seed in range(10)] + [(c, seed) for c in (20, 30) for seed in range(5)]
+    for c, seed in cases:
+        for d in random_diagrams(c, [seed]):
+            r = reverse_code(d)
+            for q in quotients(d):
+                for k in (0, 1):
+                    expected = inverted(char_poly(*quotient_matrix(d, q), k))
+                    assert char_poly(*quotient_matrix(r, END_SWAP[q]), k) == expected, (d, q, k)
+                for t, (p, s) in product(("v1", "diag"), ((5, 2), (7, 3), (9, 2), (11, 4))):
+                    expected = hom_count_to_cyclic(*quotient_rows(d, q), p, pow(s, -1, p), t)
+                    assert hom_count_to_cyclic(*quotient_rows(r, END_SWAP[q]), p, s, t) == expected, (d, q, t, p, s)
+            moduli = (2, 3, 4, 5, 7, 9)
+            assert coloring_count(*merged_arc_rows(r), moduli) == coloring_count(*merged_arc_rows(d), moduli), d
+
+
+def test_closed_winding_keeps_the_closed_base_invariants():
+    # close(dn(K, n)) is move-equivalent to close(K), as dn_family's docstring says: its char polys and
+    # colorings are close(K)'s (the gcd of the maximal minors of a closed diagram is 0 once it has crossings)
+    moduli = (3, 5, 7, 9)
+    for base in catalog.corpus().values():
+        target = close(base)
+        polys = {(k, t): char_poly(*quotient_matrix(target, "none", t), k)
+                 for k in (0, 1, 2) for t in ("uv", "v1", "diag")}
+        colorings = coloring_count(*merged_arc_rows(target), moduli)[1]
+        for n in (1, 2, 3, 4, 5, 50):
+            wound = close(dn_family(base, n))
+            for (k, t), poly in polys.items():
+                assert char_poly(*quotient_matrix(wound, "none", t), k) == poly, (base, n, k, t)
+            assert coloring_count(*merged_arc_rows(wound), moduli)[1] == colorings, (base, n)
+
+
 def test_one_arc_structure_per_one_var_matrix(arc_builds):
     one_var_matrix(catalog.k1())
     assert len(arc_builds) == 1
@@ -898,8 +959,8 @@ def test_one_arc_structure_per_one_var_matrix(arc_builds):
 
 def test_profile_builds_one_smith_form(monkeypatch):
     calls = []
-    real = invariants.smith_normal_form
-    monkeypatch.setattr(invariants, "smith_normal_form", lambda rows: calls.append(rows) or real(rows))
+    real = invariants._smith_at
+    monkeypatch.setattr(invariants, "_smith_at", lambda *a: calls.append(a) or real(*a))
     for d in (catalog.k1(), catalog.trefoil(), close(catalog.k1())):
         calls.clear()
         profile = invariant_profile(d)

@@ -32,10 +32,11 @@ from oracles import (
     subs_int,
     subs_mod,
 )
+from test_invariants import smith_via_smith_at
 from vka import cli, invariants
 from vka.alexander import _at, _reduce, merged_arc_rows, one_var_matrix, one_variable
 from vka.diagram import LONG, close, dn_family, parse_gauss
-from vka.invariants import char_poly, invariant_profile, quotient_matrix, smith_normal_form
+from vka.invariants import char_poly, invariant_profile, quotient_matrix
 from vka.laurent import LaurentPoly
 from vka.moves import random_walk
 
@@ -367,7 +368,7 @@ def test_one_var_matrix_is_the_coloring_matrix_and_takes_no_t():
     assert one_var_matrix(catalog.k1()) == ([{"a": 2, "c": -1, "d": -1}, {"d": 2, "a": -1, "c": -1}], ("a", "c", "d"))
 
 
-# -- Smith normal form stops its pivot scan at the first +-1 --------------
+# -- the diagonal of _smith_at against the full-scan Smith form ----------
 
 
 def _a_minus_one_matrices():
@@ -381,7 +382,7 @@ def _a_minus_one_matrices():
 
 def test_smith_matches_full_scan_on_arc_matrices():
     for rows in _a_minus_one_matrices():
-        assert smith_normal_form(rows) == smith_normal_form_reference(rows)
+        assert smith_via_smith_at(rows) == smith_normal_form_reference(rows)
 
 
 def test_smith_matches_full_scan_on_dense_and_divisor_chain_matrices():
@@ -392,8 +393,8 @@ def test_smith_matches_full_scan_on_dense_and_divisor_chain_matrices():
         cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
     for _ in range(100):
         # diagonal, no entry +-1: the smallest entry seldom divides the others,
-        # so the divisor-chain fix-up runs with no elimination before it
+        # so the diagonal is seldom a divisor chain
         n = rng.randint(2, 5)
         cases.append([[rng.choice((2, 3, 4, 5, 6, 9, 10, 15)) if i == j else 0 for j in range(n)] for i in range(n)])
     for rows in cases:
-        assert smith_normal_form(rows) == smith_normal_form_reference(rows), rows
+        assert smith_via_smith_at(rows) == smith_normal_form_reference(rows), rows
