@@ -22,9 +22,10 @@ best and median of 15.  One section per layer:
   the sha256 of the parsed namespaces (their items sorted by name, the
   command function given by its name);
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
-  ``laurent.gcd`` folded pair by pair; the calls with no nonzero input,
-  with one, with more that all share one primitive part
-  (``shared_primitive_calls``), and that reach ``laurent.gcd``;
+  ``oracles.gcd_reference`` folded pair by pair; the calls with no nonzero
+  input, with one, with more that all share one primitive part
+  (``shared_primitive_calls``), and that reach a retry on shifted inputs
+  (``fallback_calls``, counted by calls of ``laurent._shifted``);
 - ``minors``: ``elementary_minors`` against ``minors_reference`` on the
   ladder's ``quotient_matrix(d)``, at k = 0 and 1;
 - ``modules``: ``quotient_matrix(d, quotient)`` and its char polys at
@@ -85,7 +86,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from oracles import minors_reference, random_code  # noqa: E402
+from oracles import gcd_reference, minors_reference, random_code  # noqa: E402
 from vka import cli, invariants, laurent, moves  # noqa: E402
 from vka.alexander import merged_arc_rows  # noqa: E402
 from vka.diagram import dn_family, parse_gauss, serialize_gauss  # noqa: E402
@@ -210,22 +211,22 @@ def replay(workload):
 
 
 def pairwise(polys):
-    """The reference: ``laurent.gcd`` folded pair by pair, without shortcuts."""
+    """The reference: ``oracles.gcd_reference`` folded pair by pair, without shortcuts."""
     if not polys:
         return laurent.LaurentPoly()
-    return functools.reduce(laurent.gcd, polys).canonical()
+    return functools.reduce(gcd_reference, polys).canonical()
 
 
 def fallback_calls(calls):
-    """How many ``gcd_many`` calls reach ``laurent.gcd``."""
+    """How many ``gcd_many`` calls reach a retry on shifted inputs (``laurent._shifted``)."""
     reached = [0]
-    real = laurent.gcd
+    real = laurent._shifted
 
-    def counting(p, q):
+    def counting(prims, D, c):
         reached[0] += 1
-        return real(p, q)
+        return real(prims, D, c)
 
-    laurent.gcd = counting
+    laurent._shifted = counting
     try:
         count = 0
         for polys in calls:
@@ -233,7 +234,7 @@ def fallback_calls(calls):
             laurent.gcd_many(polys)
             count += reached[0] > before
     finally:
-        laurent.gcd = real
+        laurent._shifted = real
     return count
 
 

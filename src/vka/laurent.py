@@ -274,7 +274,7 @@ def parse_poly(text):
             return LaurentPoly(terms)
 
 
-# -- exact division and gcd ------------------------------------------
+# -- exact division ------------------------------------------------
 
 
 def divexact(p, q):
@@ -327,87 +327,6 @@ def divides(q, p):
         return True
     except InexactDivision:
         return False
-
-
-def _coeffs_in(p, k):
-    """Split p by the exponent of variable k: {e: coefficient poly}."""
-    out = {}
-    for exps, c in p.terms.items():
-        e = exps[k]
-        key = exps[:k] + (0,) + exps[k + 1:]
-        out.setdefault(e, {})[key] = c
-    return {e: LaurentPoly._raw(t) for e, t in out.items()}
-
-
-def _content(p, k):
-    """gcd of p's coefficients in variable k, a polynomial in the variables before k."""
-    g = LaurentPoly()
-    for c in _coeffs_in(p, k).values():
-        g = _gcd_rec(g, c, k - 1)
-    return g
-
-
-def _prem(f, g, k):
-    """Classical pseudo-remainder in variable k: lc(g)^(df-dg+1) f mod g, or f when df < dg."""
-    dg = g.max_degree(k)
-    lg = _coeffs_in(g, k)[dg]
-    r, n = f, f.max_degree(k) - dg + 1
-    while r and r.max_degree(k) >= dg:
-        dr = r.max_degree(k)
-        shift = (dr - dg, 0) if k == 0 else (0, dr - dg)
-        r = r * lg - g * _coeffs_in(r, k)[dr].shift(shift)
-        n -= 1
-    return r * lg ** n if n > 0 else r
-
-
-def _subresultant_tail(f, g, k):
-    """Last nonzero element of the subresultant remainder sequence in var k.
-
-    Requires deg_k(f) >= deg_k(g) > ... ; coefficient growth stays
-    polynomial because every pseudo-remainder is divided by the predicted
-    subresultant factor.
-    """
-    n, m = f.max_degree(k), g.max_degree(k)
-    d = n - m
-    h = _prem(f, g, k) * (-1) ** (d + 1)
-    lc = _coeffs_in(g, k)[m]
-    c = -(lc ** d)
-    while h:
-        deg_h = h.max_degree(k)
-        f, g, m, d = g, h, deg_h, m - deg_h
-        b = -lc * c ** d
-        h = divexact(_prem(f, g, k), b)
-        lc = _coeffs_in(g, k)[m]
-        c = divexact((-lc) ** d, c ** (d - 1)) if d > 1 else -lc
-    return g
-
-
-def _gcd_rec(p, q, k):
-    """gcd, up to sign, of polynomials (nonnegative exponents) in u (k = 0) or u and v (k = 1); integers at k = -1."""
-    if not p:
-        return q
-    if not q:
-        return p
-    if k < 0:
-        return LaurentPoly.const(math.gcd(p.content(), q.content()))
-    cp, cq = _content(p, k), _content(q, k)
-    cont_gcd = _gcd_rec(cp, cq, k - 1)
-    f, g = divexact(p, cp), divexact(q, cq)
-    if f.max_degree(k) < g.max_degree(k):
-        f, g = g, f
-    if not g.max_degree(k):  # g = 1: the primitive parts are coprime in variable k
-        return cont_gcd
-    tail = _subresultant_tail(f, g, k)
-    return cont_gcd * divexact(tail, _content(tail, k))
-
-
-def gcd(p, q):
-    """Canonical gcd in the Laurent ring, integer content included."""
-    if p.is_unit or q.is_unit:
-        return LaurentPoly.const(1)
-    pp = p.shift(tuple(-e for e in p.min_exps()))
-    qq = q.shift(tuple(-e for e in q.min_exps()))
-    return _gcd_rec(pp, qq, 1).canonical()
 
 
 # -- Kronecker packing ------------------------------------------------
@@ -467,6 +386,34 @@ def _primitive(p, k=None):
     return LaurentPoly._raw({(a - lu, b - lv): c // k for (a, b), c in p.terms.items()})
 
 
+def _heuristic(prims, D, c=0):
+    """GCDHEU's certified gcd of ``prims`` (primitive, least exponents 0) at u-span bound D, or None.
+
+    2^B exceeds 2 min ||A_i||_inf + 1 by (1 + c) ``_HEU_MARGIN`` bits.
+    """
+    B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + (1 + c) * _HEU_MARGIN
+    h = math.gcd(*(pack(p.terms, (0, 0), B, D) for p in prims))
+    j = ((h & -h).bit_length() - 1) // B
+    if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
+        return None
+    g = _primitive(unpack(h, B, D, (0, 0)))
+    return g if len(g.terms) == 1 or all(p == g or divides(g, p) for p in prims) else None
+
+
+def _shift_v(p, c):
+    """p(u, v + c), for p with nonnegative exponents."""
+    return LaurentPoly([((a, k), x * math.comb(b, k) * c ** (b - k)) for (a, b), x in p.terms.items()
+                        for k in range(b + 1)])
+
+
+def _shifted(prims, D, c):
+    """gcd(A_i) from ``_heuristic`` on the A_i = ``prims`` shifted by v -> v + c, or None."""
+    images = [_shift_v(p, c) for p in prims]
+    low = min(p.min_exps()[1] for p in images)  # v^low divides every image
+    g = _heuristic([_primitive(p) for p in images], D, c)
+    return g and _shift_v(g.shift((0, low)), -c).canonical()
+
+
 def gcd_many(polys):
     """Canonical gcd of a collection; the empty collection has gcd 0.
 
@@ -474,23 +421,39 @@ def gcd_many(polys):
     times primitive is primitive) makes the gcd G = gcd(A_i) times the gcd
     of the contents, A_i the primitive parts of the nonzero inputs, and
     G = A when every A_i is one A.  Else GCDHEU (Char, Geddes and Gonnet,
-    JSC 7, 1989) runs on the A_i: each is packed with
+    JSC 7, 1989) runs on the A_i (``_heuristic``): each is packed with
     2^B > 2 min ||A_i||_inf + 1 plus ``_HEU_MARGIN`` bits and D = 1 + the
     largest u-span, h is the integer gcd of the images, and the candidate
     C is the primitive part of ``unpack(h)``.  C is G when X^j, the power
     of X = 2^B in h, divides every image as a polynomial and C is a
     monomial or divides every A_i.  Else D + 1 is tried once, as v -> X^D
-    can give images of coprime inputs a factor such as X - 1; then ``gcd``
-    folds over the A_i.
+    can give images of coprime inputs a factor such as X - 1.  Else, for
+    c = 1, 2, ..., it runs at D with 2^B widened by c ``_HEU_MARGIN`` bits
+    on the A_i shifted by v -> v + c, until a candidate is certified
+    (``_shifted``), and shifts that gcd back by v -> v - c.
 
     Exactness: below u-span D, S: u -> X, v -> X^D keeps the terms of an
     A_i and of its divisors apart, so P_i = S(A_i) has the coefficients of
     A_i, and h = k S(C)(2^B) with |k| <= 2^(B-1).  S(C) divides every P_i
-    in Z[X], so their gcd H is S(C) c, and c(2^B) divides k.  A
-    nonconstant c divides the P_i of least norm, whose roots lie below
-    1 + ||P_i||_inf <= 2^(B-1) (Cauchy), so |c(2^B)| > 2^(B-1): c = +-1.
+    in Z[X], so their gcd H is S(C) e, and e(2^B) divides k.  A
+    nonconstant e divides the P_i of least norm, whose roots lie below
+    1 + ||P_i||_inf <= 2^(B-1) (Cauchy), so |e(2^B)| > 2^(B-1): e = +-1.
     C divides G = gcd(A_i) and S(G) divides H, so S(G / C) = +-X^r, and
-    G / C, whose terms S keeps apart, is a unit.
+    G / C, whose terms S keeps apart, is a unit.  A retry is exact too:
+    v -> v + c is a ring automorphism that keeps u-exponents, so the
+    A_i(u, v + c) = v^l_i Q_i, v not dividing Q_i, are primitive with
+    u-spans below D and gcd G(u, v + c) = v^low gcd(Q_i), low the least
+    l_i, and the same argument certifies gcd(Q_i).
+
+    Termination: the cofactors A_i / G have gcd 1, so their common complex
+    zeros are finitely many.  A zero (x0, y0) gives the images of the
+    shifted cofactors a common root only where x0^D = y0 - c, for at most
+    one c, so all but finitely many c give coprime cofactor images.  Then
+    the integer gcd k of their values at 2^B divides a fixed nonzero
+    integer of their ideal in Z[X] (Bezout).  That integer and
+    ||G(u, v + c)||_inf grow like O(log c) bits, while B grows by
+    c ``_HEU_MARGIN``, so some retry has |k| ||G(u, v + c)||_inf < 2^(B-1),
+    where ``unpack(h)`` is k gcd(Q_i) and its primitive part is certified.
     """
     nonzero = [p for p in polys if p]
     if len(nonzero) <= 1:
@@ -499,21 +462,11 @@ def gcd_many(polys):
     prims = [_primitive(p, k) for p, k in zip(nonzero, contents)]  # least exponents 0
     g = prims[0]
     if any(p.terms != g.terms for p in prims):
-        B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + _HEU_MARGIN
         span = max(p.max_degree(0) for p in prims) + 1
-        for D in (span, span + 1):
-            h = math.gcd(*(pack(p.terms, (0, 0), B, D) for p in prims))
-            j = ((h & -h).bit_length() - 1) // B
-            if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
-                continue
-            g = _primitive(unpack(h, B, D, (0, 0)))
-            if len(g.terms) == 1 or all(p == g or divides(g, p) for p in prims):
-                break
-        else:
-            g = prims[0]
-            for p in prims[1:]:
-                g = gcd(g, p)
-                if g.is_one:
-                    break
+        g = _heuristic(prims, span) or _heuristic(prims, span + 1)
+        shift = 0
+        while g is None:
+            shift += 1
+            g = _shifted(prims, span, shift)
     content = math.gcd(*contents)
     return g if content == 1 else LaurentPoly._raw({e: c * content for e, c in g.terms.items()})

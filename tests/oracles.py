@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own computation paths:
 polynomial products by direct convolution, determinants by cofactor
 recursion, minors of Laurent matrices by Bareiss elimination with exact
-Laurent division, specializations by powers of the images,
-abelianization by one monomial per letter, colorings and homomorphism
+Laurent division, gcds by the subresultant remainder sequence (the
+library runs a heuristic gcd only), specializations by powers of the
+images, abelianization by one monomial per letter, colorings and homomorphism
 counts by exhaustive assignment, colorings and determinants also by the
 Smith form of the full A(-1) that the reduced A(u, v) replaced and by
 the reduced A(u, v) evaluated by parity, hom counts by the specialized
@@ -132,6 +133,86 @@ def det_exact_reference(rows):
         prev = M[k][k]
     out = M[n - 1][n - 1]
     return out if sign > 0 else -out
+
+
+def _coeffs_in(p, k):
+    """Split p by the exponent of variable k: {e: coefficient poly}."""
+    out = {}
+    for exps, c in p.terms.items():
+        out.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1:]] = c
+    return {e: LaurentPoly._raw(t) for e, t in out.items()}
+
+
+def _content(p, k):
+    """gcd of p's coefficients in variable k, a polynomial in the variables before k."""
+    g = LaurentPoly()
+    for c in _coeffs_in(p, k).values():
+        g = _gcd_rec(g, c, k - 1)
+    return g
+
+
+def _prem(f, g, k):
+    """Classical pseudo-remainder in variable k: lc(g)^(df-dg+1) f mod g, or f when df < dg."""
+    dg = g.max_degree(k)
+    lg = _coeffs_in(g, k)[dg]
+    r, n = f, f.max_degree(k) - dg + 1
+    while r and r.max_degree(k) >= dg:
+        dr = r.max_degree(k)
+        shift = (dr - dg, 0) if k == 0 else (0, dr - dg)
+        r = r * lg - g * _coeffs_in(r, k)[dr].shift(shift)
+        n -= 1
+    return r * lg ** n if n > 0 else r
+
+
+def _subresultant_tail(f, g, k):
+    """Last nonzero element of the subresultant remainder sequence in var k.
+
+    Requires deg_k(f) >= deg_k(g) > ... ; coefficient growth stays
+    polynomial because every pseudo-remainder is divided by the predicted
+    subresultant factor.
+    """
+    n, m = f.max_degree(k), g.max_degree(k)
+    d = n - m
+    h = _prem(f, g, k) * (-1) ** (d + 1)
+    lc = _coeffs_in(g, k)[m]
+    c = -(lc ** d)
+    while h:
+        deg_h = h.max_degree(k)
+        f, g, m, d = g, h, deg_h, m - deg_h
+        b = -lc * c ** d
+        h = divexact(_prem(f, g, k), b)
+        lc = _coeffs_in(g, k)[m]
+        c = divexact((-lc) ** d, c ** (d - 1)) if d > 1 else -lc
+    return g
+
+
+def _gcd_rec(p, q, k):
+    """gcd, up to sign, of polynomials (nonnegative exponents) in u (k = 0) or u and v (k = 1); integers at k = -1."""
+    if not p:
+        return q
+    if not q:
+        return p
+    if k < 0:
+        return LaurentPoly.const(math.gcd(p.content(), q.content()))
+    cp, cq = _content(p, k), _content(q, k)
+    cont_gcd = _gcd_rec(cp, cq, k - 1)
+    f, g = divexact(p, cp), divexact(q, cq)
+    if f.max_degree(k) < g.max_degree(k):
+        f, g = g, f
+    if not g.max_degree(k):  # g = 1: the primitive parts are coprime in variable k
+        return cont_gcd
+    tail = _subresultant_tail(f, g, k)
+    return cont_gcd * divexact(tail, _content(tail, k))
+
+
+def gcd_reference(p, q):
+    """Canonical gcd of two polynomials in the Laurent ring, integer content included, by the
+    pairwise subresultant recursion (the library's ``gcd_many`` runs GCDHEU only)."""
+    if p.is_unit or q.is_unit:
+        return LaurentPoly.const(1)
+    pp = p.shift(tuple(-e for e in p.min_exps()))
+    qq = q.shift(tuple(-e for e in q.min_exps()))
+    return _gcd_rec(pp, qq, 1).canonical()
 
 
 def minors_reference(m, k):

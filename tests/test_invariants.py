@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -976,10 +977,31 @@ def test_profile_builds_one_smith_form(monkeypatch):
 def test_c30_k1_char_poly_needs_no_subresultant_gcd(monkeypatch):
     # a 30-crossing long diagram: 5 minors of up to 140 terms, whose
     # pairwise subresultant gcd took seconds; the certificate answers 1
+    # with no retry on shifted inputs
     d = parse_gauss(random_code(random.Random(1), 30))
     mat = abelianize(quotient_pipeline(d, "none"))
     calls = []
-    real = laurent._subresultant_tail
-    monkeypatch.setattr(laurent, "_subresultant_tail", lambda *a: calls.append(a) or real(*a))
+    real = laurent._shifted
+    monkeypatch.setattr(laurent, "_shifted", lambda *a: calls.append(a) or real(*a))
     assert char_poly(*mat, 1).is_one
     assert calls == []
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["long", "closed"])
+def test_c30_k1_minors_past_the_unshifted_heuristic_end_within_a_second(closed, monkeypatch):
+    # the k = 1 minors of random_code(Random(0), 30) (5 long, 16 closed): with the unshifted GCDHEU
+    # candidates rejected, the pairwise subresultant gcd that once took over ran 14 s and 5 s; the
+    # retries on shifted inputs answer 1 at the first shift
+    minors = elementary_minors(*quotient_matrix(parse_gauss(random_code(random.Random(0), 30, closed=closed))), 1)
+    assert len(minors) == (16 if closed else 5)
+    real, shifts = laurent._heuristic, []
+
+    def shifted_only(prims, D, c=0):
+        shifts.append(c)
+        return real(prims, D, c) if c else None
+
+    monkeypatch.setattr(laurent, "_heuristic", shifted_only)
+    start = time.perf_counter()
+    assert laurent.gcd_many(minors).is_one
+    assert time.perf_counter() - start < 1.0
+    assert shifts == [0, 0, 1]  # D and D + 1 unshifted, then c = 1

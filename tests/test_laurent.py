@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     convolve,
+    gcd_reference,
     l1,
     l2,
     random_poly,
@@ -23,7 +24,6 @@ from vka.laurent import (
     LaurentPoly,
     divexact,
     divides,
-    gcd,
     gcd_many,
     pack,
     parse_poly,
@@ -89,9 +89,9 @@ def test_canonical_idempotent_and_associate_invariant():
 
 
 def test_gcd_golden():
-    assert gcd(U * U - 1, U - 1) == U - 1
-    assert gcd(LaurentPoly.const(6), LaurentPoly.const(4)) == LaurentPoly.const(2)
-    g = gcd((U - V) * (U + 1), (U - V) * (V + 1))
+    assert gcd_many([U * U - 1, U - 1]) == U - 1
+    assert gcd_many([LaurentPoly.const(6), LaurentPoly.const(4)]) == LaurentPoly.const(2)
+    g = gcd_many([(U - V) * (U + 1), (U - V) * (V + 1)])
     assert g == (U - V).canonical()
 
 
@@ -104,7 +104,7 @@ def test_gcd_construct_by_factors():
         b = random_poly(rng, max_terms=2, max_exp=2)
         if not (f and a and b):
             continue
-        g = gcd(f * a, f * b)
+        g = gcd_many([f * a, f * b])
         assert divides(g, f * a) and divides(g, f * b)
         assert divides(f.canonical(), g) or divides(f, g)
         checked += 1
@@ -114,29 +114,29 @@ def test_gcd_divides_randomized():
     rng = random.Random(19)
     for _ in range(1000):
         p, q = random_poly(rng, max_terms=3, max_exp=2), random_poly(rng, max_terms=3, max_exp=2)
-        g = gcd(p, q)
+        g = gcd_many([p, q])
         if not g:
             assert not p and not q
             continue
         for x in (p, q):
             cofactor = divexact(x, g)
             assert cofactor * g == x
-        assert gcd(q, p) == g
+        assert gcd_many([q, p]) == g
 
 
 def test_gcd_with_zero_and_units():
     p = U * V - 1
     zero = LaurentPoly()
-    assert gcd(p, zero) == p.canonical()
-    assert gcd(zero, zero) == zero
-    assert gcd(p, LaurentPoly.monomial((2, -1), -1)) == LaurentPoly.const(1)
+    assert gcd_many([p, zero]) == p.canonical()
+    assert gcd_many([zero, zero]) == zero
+    assert gcd_many([p, LaurentPoly.monomial((2, -1), -1)]) == LaurentPoly.const(1)
     assert gcd_many([]) == zero
 
 
 def test_univariate_gcd():
     p = (U - 1) * (U * U + 1)
     q = (U - 1) * (U + 2)
-    assert gcd(p, q) == (U - 1).canonical()
+    assert gcd_many([p, q]) == (U - 1).canonical()
 
 
 def test_specialize_golden():
@@ -305,7 +305,7 @@ def test_unit_times_inverse_is_one(i, j, c):
 )
 def test_gcd_divides_both_hypothesis(da, db):
     p, q = l2(da), l2(db)
-    g = gcd(p, q)
+    g = gcd_many([p, q])
     if g:
         assert divides(g, p)
         assert divides(g, q)
@@ -350,14 +350,14 @@ def test_pack_at_the_digit_bounds():
     assert unpack(pack(l1({0: 8}).terms, (0, 0), 4, 2), 4, 2, (0, 0)) != l1({0: 8})
 
 
-# -- gcd_many: single input, GCDHEU at D and D + 1, subresultant fallback ----
+# -- gcd_many: single input, GCDHEU at D and D + 1, then on shifted inputs ----
 
 
 def pairwise_gcd(polys):
-    """The subresultant path alone: gcd folded pair by pair."""
+    """The subresultant reference alone: ``gcd_reference`` folded pair by pair."""
     g = polys[0]
     for p in polys[1:]:
-        g = gcd(g, p)
+        g = gcd_reference(g, p)
     return g.canonical()
 
 
@@ -375,40 +375,50 @@ def planted_lists(seed, u_only):
 
 @pytest.fixture
 def traced_paths(monkeypatch):
-    """Record the D of every ``pack`` and count the calls of the subresultant ``gcd``."""
-    seen = {"D": [], "gcd": 0}
+    """Record the D of every ``pack`` and the shift c of every retry on shifted inputs."""
+    seen = {"D": [], "shifts": []}
+    real_shifted = laurent._shifted
 
     def counted_pack(terms, low, B, D):
         seen["D"].append(D)
         return pack(terms, low, B, D)
 
-    def counted_gcd(p, q):
-        seen["gcd"] += 1
-        return gcd(p, q)
+    def counted_shifted(prims, D, c):
+        seen["shifts"].append(c)
+        return real_shifted(prims, D, c)
 
     monkeypatch.setattr(laurent, "pack", counted_pack)
-    monkeypatch.setattr(laurent, "gcd", counted_gcd)
+    monkeypatch.setattr(laurent, "_shifted", counted_shifted)
 
     def path(polys):
-        """gcd_many(polys) and the path it took."""
+        """gcd_many(polys) and the path it took; ``path.shifts`` holds the shifts of the last call."""
         seen["D"].clear()
-        seen["gcd"] = 0
+        seen["shifts"].clear()
         value = gcd_many(polys)
         if sum(1 for p in polys if p) <= 1:
             return value, "single"
         if not seen["D"]:
             return value, "shared"
-        if seen["gcd"]:
-            return value, "fallback"
+        if seen["shifts"]:
+            return value, "shifted"
         return value, "retry" if len(set(seen["D"])) == 2 else "heuristic"
 
+    path.shifts = seen["shifts"]
     return path
+
+
+@pytest.fixture
+def unshifted_rejected(monkeypatch):
+    """Make ``gcd_many`` reject every candidate of its unshifted attempts, so each list with two
+    distinct primitive parts reaches the retries on shifted inputs."""
+    real = laurent._heuristic
+    monkeypatch.setattr(laurent, "_heuristic", lambda prims, D, c=0: real(prims, D, c) if c else None)
 
 
 # "t": the one-variable lists, in u alone (t read as u), as the specialized char polys reach gcd_many
 @pytest.mark.parametrize("u_only", [False, True], ids=["uv", "t"])
 def test_gcd_many_matches_pairwise_subresultant_gcd(u_only, traced_paths):
-    paths = {"single": 0, "shared": 0, "heuristic": 0, "retry": 0, "fallback": 0}
+    paths = {"single": 0, "shared": 0, "heuristic": 0, "retry": 0, "shifted": 0}
     for seed in (31, 41, 43):
         for polys in planted_lists(seed, u_only):
             value, path = traced_paths(polys)
@@ -503,7 +513,7 @@ def gcd_pairs(seed):
 
 
 def test_gcd_matches_sympy():
-    """The pairwise subresultant gcd itself, on every input class its recursion meets, against sympy."""
+    """The pairwise subresultant reference itself, on every input class its recursion meets, against sympy."""
     sympy = pytest.importorskip("sympy")  # dev-only oracle
     fixed = [
         (LaurentPoly.const(6), LaurentPoly.const(4)),
@@ -515,12 +525,13 @@ def test_gcd_matches_sympy():
     ]
     for p, q in fixed + list(gcd_pairs(59)):
         expected = sympy_gcd(sympy, [p, q])
-        assert gcd(p, q) == gcd(q, p) == expected, (p, q)
+        assert gcd_reference(p, q) == gcd_reference(q, p) == expected, (p, q)
 
 
-# v -> X^D maps both inputs to multiples of X - 1 for every D; in the last
-# list 2^B = 2^18 divides both packed integers, but X does not divide the
-# image of 2^18 + u*v as a polynomial
+# Lists that GCDHEU declines at D and D + 1 (the "fallback" lists): v -> X^D
+# maps both inputs to multiples of X - 1 for every D; in the last list
+# 2^B = 2^18 divides both packed integers, but X does not divide the image of
+# 2^18 + u*v as a polynomial.  They reach the retries on shifted inputs.
 FALLBACK = {
     "u-1, v-1": [U - 1, V - 1],
     "v^2-1, u^2-1": [V ** 2 - 1, U ** 2 - 1],
@@ -530,11 +541,11 @@ FALLBACK = {
 RETRY = {"u(1-v), v(u^2+u+1)": [-U * V + U, U ** 2 * V + U * V + V]}
 
 
-@pytest.mark.parametrize("name, path", [(n, "fallback") for n in FALLBACK] + [(n, "retry") for n in RETRY])
-def test_gcd_many_reaches_retry_and_fallback(name, path, traced_paths):
+@pytest.mark.parametrize("name, lists", [(n, "fallback") for n in FALLBACK] + [(n, "retry") for n in RETRY])
+def test_gcd_many_reaches_retry_and_fallback(name, lists, traced_paths):
     polys = {**FALLBACK, **RETRY}[name]
     value, taken = traced_paths(polys)
-    assert taken == path
+    assert taken == {"fallback": "shifted", "retry": "retry"}[lists]
     assert value.is_one and value == pairwise_gcd(polys)
     shared = [(U * V + 3) * p for p in polys]
     assert gcd_many(shared) == pairwise_gcd(shared) == U * V + 3
@@ -542,17 +553,36 @@ def test_gcd_many_reaches_retry_and_fallback(name, path, traced_paths):
     assert sympy_gcd(sympy, polys).is_one and sympy_gcd(sympy, shared) == U * V + 3
 
 
-def test_gcd_many_fallback_keeps_the_integer_contents(monkeypatch, traced_paths):
-    """Every GCDHEU candidate rejected: the fold over the primitive parts, times the gcd of the contents."""
-    monkeypatch.setattr(laurent, "divides", lambda q, p: False)
+def test_gcd_many_fallback_keeps_the_integer_contents(unshifted_rejected, traced_paths):
+    """Every unshifted GCDHEU candidate rejected: the retries on shifted primitive parts, times the gcd
+    of the contents.  (Rejecting every candidate, the shifted ones too, would retry forever.)"""
     rng = random.Random(59)
     fallbacks = 0
     for polys in planted_lists(61, False):
         polys = [p * rng.choice((1, -1)) * rng.randint(1, 12) for p in polys]
         value, path = traced_paths(polys)
-        fallbacks += path == "fallback"
+        fallbacks += path == "shifted"
         assert value == pairwise_gcd(polys), polys
     assert fallbacks >= 50, fallbacks
+
+
+def test_shift_that_makes_a_factor_a_monomial(traced_paths):
+    """v -> v + 1 turns the shared factor v - 1 into v, which the primitive parts drop: it is put back."""
+    polys = [(U - 1) * (V - 1), (V - 1) ** 2]  # v - 1 and u - 1 share X - 1 at D and D + 1
+    value, path = traced_paths(polys)
+    assert (value, path, traced_paths.shifts) == (V - 1, "shifted", [1])
+    assert gcd_many([(V - 1) * p for p in polys]) == (V - 1) ** 2
+
+
+@pytest.mark.parametrize("u_only", [False, True], ids=["uv", "t"])
+def test_shifted_retries_match_sympy(u_only, unshifted_rejected, traced_paths):
+    sympy = pytest.importorskip("sympy")  # dev-only oracle
+    shifted = 0
+    for polys in planted_lists(37, u_only):
+        value, path = traced_paths(polys)
+        shifted += path == "shifted"
+        assert value == sympy_gcd(sympy, polys), polys
+    assert shifted >= 50, shifted
 
 
 # Lists once built against a modular coprimality certificate over GF(l) with
