@@ -24,8 +24,9 @@ best and median of 15.  One section per layer:
 - ``gcd``: ``laurent.gcd_many`` on each workload's captured calls against
   ``oracles.gcd_reference`` folded pair by pair; the calls with no nonzero
   input, with one, with more that all share one primitive part
-  (``shared_primitive_calls``), and that reach a retry on shifted inputs
-  (``fallback_calls``, counted by calls of ``laurent._shifted``);
+  (``shared_primitive_calls``), and that reach a GCDHEU attempt on inputs
+  shifted by v -> v + c, c >= 1 (``fallback_calls``, counted by wrapping
+  ``laurent._heuristic``);
 - ``minors``: ``elementary_minors`` against ``minors_reference`` on the
   ladder's ``quotient_matrix(d)``, at k = 0 and 1;
 - ``modules``: ``quotient_matrix(d, quotient)`` and its char polys at
@@ -218,15 +219,15 @@ def pairwise(polys):
 
 
 def fallback_calls(calls):
-    """How many ``gcd_many`` calls reach a retry on shifted inputs (``laurent._shifted``)."""
+    """How many ``gcd_many`` calls reach a ``laurent._heuristic`` attempt with c >= 1."""
     reached = [0]
-    real = laurent._shifted
+    real = laurent._heuristic
 
     def counting(prims, D, c):
-        reached[0] += 1
+        reached[0] += c >= 1
         return real(prims, D, c)
 
-    laurent._shifted = counting
+    laurent._heuristic = counting
     try:
         count = 0
         for polys in calls:
@@ -234,7 +235,7 @@ def fallback_calls(calls):
             laurent.gcd_many(polys)
             count += reached[0] > before
     finally:
-        laurent._shifted = real
+        laurent._heuristic = real
     return count
 
 

@@ -386,32 +386,30 @@ def _primitive(p, k=None):
     return LaurentPoly._raw({(a - lu, b - lv): c // k for (a, b), c in p.terms.items()})
 
 
-def _heuristic(prims, D, c=0):
-    """GCDHEU's certified gcd of ``prims`` (primitive, least exponents 0) at u-span bound D, or None.
-
-    2^B exceeds 2 min ||A_i||_inf + 1 by (1 + c) ``_HEU_MARGIN`` bits.
-    """
-    B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + (1 + c) * _HEU_MARGIN
-    h = math.gcd(*(pack(p.terms, (0, 0), B, D) for p in prims))
-    j = ((h & -h).bit_length() - 1) // B
-    if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
-        return None
-    g = _primitive(unpack(h, B, D, (0, 0)))
-    return g if len(g.terms) == 1 or all(p == g or divides(g, p) for p in prims) else None
-
-
 def _shift_v(p, c):
     """p(u, v + c), for p with nonnegative exponents."""
     return LaurentPoly([((a, k), x * math.comb(b, k) * c ** (b - k)) for (a, b), x in p.terms.items()
                         for k in range(b + 1)])
 
 
-def _shifted(prims, D, c):
-    """gcd(A_i) from ``_heuristic`` on the A_i = ``prims`` shifted by v -> v + c, or None."""
-    images = [_shift_v(p, c) for p in prims]
-    low = min(p.min_exps()[1] for p in images)  # v^low divides every image
-    g = _heuristic([_primitive(p) for p in images], D, c)
-    return g and _shift_v(g.shift((0, low)), -c).canonical()
+def _heuristic(prims, D, c):
+    """GCDHEU's attempt c on ``prims`` (primitive, least exponents 0) at u-span bound D: their gcd, or None.
+
+    It runs on the A_i(u, v + c) less v^low, as ``gcd_many`` states; c = 0 copies nothing.
+    """
+    if c:
+        images = [_shift_v(p, c) for p in prims]
+        low = min(p.min_exps()[1] for p in images)  # v^low divides every image
+        prims = [_primitive(p) for p in images]
+    B = (2 * min(max(map(abs, p.terms.values())) for p in prims) + 1).bit_length() + (1 + c) * _HEU_MARGIN
+    h = math.gcd(*(pack(p.terms, (0, 0), B, D) for p in prims))
+    j = ((h & -h).bit_length() - 1) // B
+    if j and any(min(a + D * b for a, b in p.terms) < j for p in prims):
+        return None
+    g = _primitive(unpack(h, B, D, (0, 0)))
+    if len(g.terms) > 1 and not all(p == g or divides(g, p) for p in prims):
+        return None
+    return _shift_v(g.shift((0, low)), -c).canonical() if c else g
 
 
 def gcd_many(polys):
@@ -421,29 +419,28 @@ def gcd_many(polys):
     times primitive is primitive) makes the gcd G = gcd(A_i) times the gcd
     of the contents, A_i the primitive parts of the nonzero inputs, and
     G = A when every A_i is one A.  Else GCDHEU (Char, Geddes and Gonnet,
-    JSC 7, 1989) runs on the A_i (``_heuristic``): each is packed with
-    2^B > 2 min ||A_i||_inf + 1 plus ``_HEU_MARGIN`` bits and D = 1 + the
-    largest u-span, h is the integer gcd of the images, and the candidate
-    C is the primitive part of ``unpack(h)``.  C is G when X^j, the power
-    of X = 2^B in h, divides every image as a polynomial and C is a
-    monomial or divides every A_i.  Else D + 1 is tried once, as v -> X^D
-    can give images of coprime inputs a factor such as X - 1.  Else, for
-    c = 1, 2, ..., it runs at D with 2^B widened by c ``_HEU_MARGIN`` bits
-    on the A_i shifted by v -> v + c, until a candidate is certified
-    (``_shifted``), and shifts that gcd back by v -> v - c.
+    JSC 7, 1989) runs for c = 0, 1, 2, ... until an attempt is certified
+    (``_heuristic``), at one D = 1 + the largest u-span.  Attempt c shifts
+    the A_i by v -> v + c (c = 0 is the identity) and sets aside v^low, the
+    highest power of v dividing all of them, leaving primitive Q_i.  Each
+    Q_i is packed with 2^B > 2 min ||Q_i||_inf + 1 plus (1 + c)
+    ``_HEU_MARGIN`` bits, h is the integer gcd of the images, and the
+    candidate C is the primitive part of ``unpack(h)``.  C is gcd(Q_i) when
+    X^j, the power of X = 2^B in h, divides every image as a polynomial
+    and C is a monomial or divides every Q_i; then v^low C, shifted back
+    by v -> v - c, is G.
 
-    Exactness: below u-span D, S: u -> X, v -> X^D keeps the terms of an
-    A_i and of its divisors apart, so P_i = S(A_i) has the coefficients of
-    A_i, and h = k S(C)(2^B) with |k| <= 2^(B-1).  S(C) divides every P_i
-    in Z[X], so their gcd H is S(C) e, and e(2^B) divides k.  A
-    nonconstant e divides the P_i of least norm, whose roots lie below
+    Exactness: v -> v + c is a ring automorphism that keeps u-exponents,
+    so the A_i(u, v + c) = v^l_i Q_i are primitive with u-spans below D,
+    and their gcd G(u, v + c) is v^low gcd(Q_i), low the least l_i.  Below
+    u-span D, S: u -> X, v -> X^D keeps the terms of a Q_i and of its
+    divisors apart, so P_i = S(Q_i) has the coefficients of Q_i, and
+    h = k S(C)(2^B) with |k| <= 2^(B-1).  S(C) divides every P_i in Z[X],
+    so their gcd H is S(C) e, and e(2^B) divides k.  A nonconstant e
+    divides the P_i of least norm, whose roots lie below
     1 + ||P_i||_inf <= 2^(B-1) (Cauchy), so |e(2^B)| > 2^(B-1): e = +-1.
-    C divides G = gcd(A_i) and S(G) divides H, so S(G / C) = +-X^r, and
-    G / C, whose terms S keeps apart, is a unit.  A retry is exact too:
-    v -> v + c is a ring automorphism that keeps u-exponents, so the
-    A_i(u, v + c) = v^l_i Q_i, v not dividing Q_i, are primitive with
-    u-spans below D and gcd G(u, v + c) = v^low gcd(Q_i), low the least
-    l_i, and the same argument certifies gcd(Q_i).
+    C divides gcd(Q_i), whose image S divides H, so S(gcd(Q_i) / C) is
+    +-X^r, and gcd(Q_i) / C, whose terms S keeps apart, is a unit.
 
     Termination: the cofactors A_i / G have gcd 1, so their common complex
     zeros are finitely many.  A zero (x0, y0) gives the images of the
@@ -452,7 +449,7 @@ def gcd_many(polys):
     the integer gcd k of their values at 2^B divides a fixed nonzero
     integer of their ideal in Z[X] (Bezout).  That integer and
     ||G(u, v + c)||_inf grow like O(log c) bits, while B grows by
-    c ``_HEU_MARGIN``, so some retry has |k| ||G(u, v + c)||_inf < 2^(B-1),
+    c ``_HEU_MARGIN``, so some attempt has |k| ||G(u, v + c)||_inf < 2^(B-1),
     where ``unpack(h)`` is k gcd(Q_i) and its primitive part is certified.
     """
     nonzero = [p for p in polys if p]
@@ -463,10 +460,8 @@ def gcd_many(polys):
     g = prims[0]
     if any(p.terms != g.terms for p in prims):
         span = max(p.max_degree(0) for p in prims) + 1
-        g = _heuristic(prims, span) or _heuristic(prims, span + 1)
         shift = 0
-        while g is None:
+        while (g := _heuristic(prims, span, shift)) is None:
             shift += 1
-            g = _shifted(prims, span, shift)
     content = math.gcd(*contents)
     return g if content == 1 else LaurentPoly._raw({e: c * content for e, c in g.terms.items()})

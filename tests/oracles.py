@@ -453,23 +453,30 @@ def random_diagrams(crossings, seeds):
 def braid_closure(strands, word):
     """The closed Gauss code of the closure of a braid on ``strands`` strands; the closure must be one component.
 
-    ``word`` lists the braid's letters: i for sigma_i and -i for its
-    inverse, 1 <= i < ``strands``.  The strands run down the page, and at
-    sigma_i the strand in position i + 1 crosses over the one in position
-    i, a positive crossing; sigma_i^-1 is its mirror, a negative one.  The
-    code follows strand 0 from the top, and from the bottom of each
-    position goes on with the strand that starts at its top.  Without the
-    ``closed`` line it is the long knot cut at the top of strand 0.  The
-    torus knot T(p, q) is ``braid_closure(p, list(range(1, p)) * q)``.
+    ``word`` lists the braid's letters: i for sigma_i, -i for its inverse
+    and ("v", i) for the virtual tau_i, 1 <= i < ``strands``.  The strands
+    run down the page, and at sigma_i the strand in position i + 1 crosses
+    over the one in position i, a positive crossing; sigma_i^-1 is its
+    mirror, a negative one.  tau_i swaps positions i and i + 1 with no
+    passage, as virtual crossings are not written in a Gauss code; the
+    classical letters are numbered 1, 2, ... in order.  The code follows
+    strand 0 from the top, and from the bottom of each position goes on
+    with the strand that starts at its top.  Without the ``closed`` line
+    it is the long knot cut at the top of strand 0.  The torus knot
+    T(p, q) is ``braid_closure(p, list(range(1, p)) * q)``.
     """
     at = list(range(strands))  # position -> the strand there; strand s starts at position s
     tokens = [[] for _ in range(strands)]  # strand -> its passages, top to bottom
-    for cid, letter in enumerate(word, 1):
-        i, sign = abs(letter) - 1, "+" if letter > 0 else "-"
+    cid = 0
+    for letter in word:
+        i = (letter[1] if isinstance(letter, tuple) else abs(letter)) - 1
         left, right = at[i], at[i + 1]
-        over, under = (right, left) if letter > 0 else (left, right)
-        tokens[over].append(f"O{cid}{sign}")
-        tokens[under].append(f"U{cid}{sign}")
+        if not isinstance(letter, tuple):
+            cid += 1
+            sign = "+" if letter > 0 else "-"
+            over, under = (right, left) if letter > 0 else (left, right)
+            tokens[over].append(f"O{cid}{sign}")
+            tokens[under].append(f"U{cid}{sign}")
         at[i], at[i + 1] = right, left
     code, strand = [], 0
     for n in range(strands):
@@ -478,6 +485,61 @@ def braid_closure(strands, word):
         code += tokens[strand]
         strand = at.index(strand)
     return "closed\n" + " ".join(code)
+
+
+def random_virtual_braid(rng, strands, crossings):
+    """A word of ``crossings`` classical letters on ``strands`` strands, about a third of its letters
+    virtual, whose closure is one component."""
+    while True:
+        word = []
+        while len(word) - sum(isinstance(x, tuple) for x in word) < crossings:
+            i = rng.randint(1, strands - 1)
+            word.append(("v", i) if rng.random() < 1 / 3 else rng.choice((i, -i)))
+        try:
+            braid_closure(strands, word)
+        except ValueError:
+            continue
+        return word
+
+
+def braid_matrix_reference(strands, word, kind=CLOSED, quotient="none"):
+    """The module matrix of ``braid_closure(strands, word)`` from a Burau-type representation, as (rows, cols).
+
+    From the top arcs x to the bottom arcs y of positions (i, i + 1), read
+    off the crossing relation OI UI^u = UO OO^u (UI OI^u = OO UO^u when
+    negative) with OI^v = OO:
+
+        rho(sigma_i) = ((0, v), (u, 1 - uv)),
+        rho(sigma_i^-1) = ((1 - u^-1 v^-1, u^-1), (v^-1, 0)),
+        rho(tau_i) = ((0, 1), (1, 0)),
+
+    and rho(b_1 ... b_m) = rho(b_m) ... rho(b_1), a Burau-type
+    representation of the virtual braid group (Kauffman's virtual braids;
+    cf. Vershinin, J. Knot Theory Ramif. 10, 2001).  The closed closure
+    (``kind`` CLOSED) is presented by rho - I over the columns x_0, x_1,
+    ...  The long one (LONG), cut at the top of strand 0, has a column
+    y_0 for the bottom of position 0, and its row 0 is rho_0 x - y_0; the
+    end quotients drop x_0 (``end-minus``), y_0 (``end-plus``) or both.
+    """
+    u, v, one, zero = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((0, 1)), LaurentPoly.const(1), LaurentPoly()
+    sigma, tau = ((zero, v), (u, one - u * v)), ((zero, one), (one, zero))
+    sigma_inverse = ((one - (u * v).inverse(), u.inverse()), (v.inverse(), zero))
+    rho = [[one if i == j else zero for j in range(strands)] for i in range(strands)]
+    for letter in word:
+        virtual = isinstance(letter, tuple)
+        i = (letter[1] if virtual else abs(letter)) - 1
+        (a, b), (c, d) = tau if virtual else sigma if letter > 0 else sigma_inverse
+        rho[i], rho[i + 1] = ([a * x + b * y for x, y in zip(rho[i], rho[i + 1])],
+                              [c * x + d * y for x, y in zip(rho[i], rho[i + 1])])
+    cols = [f"x{j}" for j in range(strands)]
+    rows = [{cols[j]: (x - one if i == j else x).terms for j, x in enumerate(row)} for i, row in enumerate(rho)]
+    if kind == LONG:
+        rows[0]["x0"] = rho[0][0].terms
+        rows[0]["y0"] = (-one).terms
+        cols.append("y0")
+    gone = {"none": (), "end-minus": ("x0",), "end-plus": ("y0",), "ends": ("x0", "y0")}[quotient]
+    cols = tuple(g for g in cols if g not in gone)
+    return [{g: x for g, x in row.items() if x and g in cols} for row in rows], cols
 
 
 def plat_closure(word):

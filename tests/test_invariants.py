@@ -977,26 +977,26 @@ def test_profile_builds_one_smith_form(monkeypatch):
 def test_c30_k1_char_poly_needs_no_subresultant_gcd(monkeypatch):
     # a 30-crossing long diagram: 5 minors of up to 140 terms, whose
     # pairwise subresultant gcd took seconds; the certificate answers 1
-    # with no retry on shifted inputs
+    # with no attempt on shifted inputs
     d = parse_gauss(random_code(random.Random(1), 30))
     mat = abelianize(quotient_pipeline(d, "none"))
-    calls = []
-    real = laurent._shifted
-    monkeypatch.setattr(laurent, "_shifted", lambda *a: calls.append(a) or real(*a))
+    shifts = []
+    real = laurent._heuristic
+    monkeypatch.setattr(laurent, "_heuristic", lambda prims, D, c: shifts.append(c) or real(prims, D, c))
     assert char_poly(*mat, 1).is_one
-    assert calls == []
+    assert sum(c >= 1 for c in shifts) == 0
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["long", "closed"])
 def test_c30_k1_minors_past_the_unshifted_heuristic_end_within_a_second(closed, monkeypatch):
     # the k = 1 minors of random_code(Random(0), 30) (5 long, 16 closed): with the unshifted GCDHEU
-    # candidates rejected, the pairwise subresultant gcd that once took over ran 14 s and 5 s; the
-    # retries on shifted inputs answer 1 at the first shift
+    # candidate rejected, the pairwise subresultant gcd that once took over ran 14 s and 5 s; the
+    # attempts on shifted inputs answer 1 at the first shift
     minors = elementary_minors(*quotient_matrix(parse_gauss(random_code(random.Random(0), 30, closed=closed))), 1)
     assert len(minors) == (16 if closed else 5)
     real, shifts = laurent._heuristic, []
 
-    def shifted_only(prims, D, c=0):
+    def shifted_only(prims, D, c):
         shifts.append(c)
         return real(prims, D, c) if c else None
 
@@ -1004,4 +1004,4 @@ def test_c30_k1_minors_past_the_unshifted_heuristic_end_within_a_second(closed, 
     start = time.perf_counter()
     assert laurent.gcd_many(minors).is_one
     assert time.perf_counter() - start < 1.0
-    assert shifts == [0, 0, 1]  # D and D + 1 unshifted, then c = 1
+    assert shifts == [0, 1]  # c = 0, then c = 1

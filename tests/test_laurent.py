@@ -350,7 +350,7 @@ def test_pack_at_the_digit_bounds():
     assert unpack(pack(l1({0: 8}).terms, (0, 0), 4, 2), 4, 2, (0, 0)) != l1({0: 8})
 
 
-# -- gcd_many: single input, GCDHEU at D and D + 1, then on shifted inputs ----
+# -- gcd_many: single input, shared primitive part, GCDHEU on v -> v + c ----
 
 
 def pairwise_gcd(polys):
@@ -375,50 +375,50 @@ def planted_lists(seed, u_only):
 
 @pytest.fixture
 def traced_paths(monkeypatch):
-    """Record the D of every ``pack`` and the shift c of every retry on shifted inputs."""
-    seen = {"D": [], "shifts": []}
-    real_shifted = laurent._shifted
+    """Record the D of every ``pack`` and the shift c of every GCDHEU attempt."""
+    seen = {"D": [], "c": []}
+    real_heuristic = laurent._heuristic
 
     def counted_pack(terms, low, B, D):
         seen["D"].append(D)
         return pack(terms, low, B, D)
 
-    def counted_shifted(prims, D, c):
-        seen["shifts"].append(c)
-        return real_shifted(prims, D, c)
+    def counted_heuristic(prims, D, c):
+        seen["c"].append(c)
+        return real_heuristic(prims, D, c)
 
     monkeypatch.setattr(laurent, "pack", counted_pack)
-    monkeypatch.setattr(laurent, "_shifted", counted_shifted)
+    monkeypatch.setattr(laurent, "_heuristic", counted_heuristic)
 
     def path(polys):
-        """gcd_many(polys) and the path it took; ``path.shifts`` holds the shifts of the last call."""
+        """gcd_many(polys) and the path it took; ``path.shifts`` holds the shifts c >= 1 of the last call
+        and ``path.D`` the D of each of its packs."""
         seen["D"].clear()
-        seen["shifts"].clear()
+        seen["c"].clear()
         value = gcd_many(polys)
+        path.shifts = [c for c in seen["c"] if c]
         if sum(1 for p in polys if p) <= 1:
             return value, "single"
-        if not seen["D"]:
+        if not seen["c"]:
             return value, "shared"
-        if seen["shifts"]:
-            return value, "shifted"
-        return value, "retry" if len(set(seen["D"])) == 2 else "heuristic"
+        return value, "shifted" if path.shifts else "heuristic"
 
-    path.shifts = seen["shifts"]
+    path.D = seen["D"]
     return path
 
 
 @pytest.fixture
 def unshifted_rejected(monkeypatch):
-    """Make ``gcd_many`` reject every candidate of its unshifted attempts, so each list with two
-    distinct primitive parts reaches the retries on shifted inputs."""
+    """Make ``gcd_many`` reject every candidate of its c = 0 attempt, so each list with two
+    distinct primitive parts reaches the attempts on shifted inputs."""
     real = laurent._heuristic
-    monkeypatch.setattr(laurent, "_heuristic", lambda prims, D, c=0: real(prims, D, c) if c else None)
+    monkeypatch.setattr(laurent, "_heuristic", lambda prims, D, c: real(prims, D, c) if c else None)
 
 
 # "t": the one-variable lists, in u alone (t read as u), as the specialized char polys reach gcd_many
 @pytest.mark.parametrize("u_only", [False, True], ids=["uv", "t"])
 def test_gcd_many_matches_pairwise_subresultant_gcd(u_only, traced_paths):
-    paths = {"single": 0, "shared": 0, "heuristic": 0, "retry": 0, "shifted": 0}
+    paths = {"single": 0, "shared": 0, "heuristic": 0, "shifted": 0}
     for seed in (31, 41, 43):
         for polys in planted_lists(seed, u_only):
             value, path = traced_paths(polys)
@@ -528,16 +528,16 @@ def test_gcd_matches_sympy():
         assert gcd_reference(p, q) == gcd_reference(q, p) == expected, (p, q)
 
 
-# Lists that GCDHEU declines at D and D + 1 (the "fallback" lists): v -> X^D
-# maps both inputs to multiples of X - 1 for every D; in the last list
+# Lists whose c = 0 GCDHEU attempt is declined (the "fallback" lists):
+# v -> X^D maps both inputs to multiples of X - 1 for every D; in the last list
 # 2^B = 2^18 divides both packed integers, but X does not divide the image of
-# 2^18 + u*v as a polynomial.  They reach the retries on shifted inputs.
+# 2^18 + u*v as a polynomial.  They reach the attempts on shifted inputs.
 FALLBACK = {
     "u-1, v-1": [U - 1, V - 1],
     "v^2-1, u^2-1": [V ** 2 - 1, U ** 2 - 1],
     "u+v, 2^18+u*v": [U + V, 2**18 + U * V],
 }
-# u(1 - v) and v(u^2 + u + 1): at D = 3 both images hold X^2 + X + 1
+# u(1 - v) and v(u^2 + u + 1): at D = 3 both images hold X^2 + X + 1, and v -> v + 1 parts them
 RETRY = {"u(1-v), v(u^2+u+1)": [-U * V + U, U ** 2 * V + U * V + V]}
 
 
@@ -545,7 +545,9 @@ RETRY = {"u(1-v), v(u^2+u+1)": [-U * V + U, U ** 2 * V + U * V + V]}
 def test_gcd_many_reaches_retry_and_fallback(name, lists, traced_paths):
     polys = {**FALLBACK, **RETRY}[name]
     value, taken = traced_paths(polys)
-    assert taken == {"fallback": "shifted", "retry": "retry"}[lists]
+    assert taken == "shifted" and len(set(traced_paths.D)) == 1  # one D in every pack
+    if lists == "retry":
+        assert traced_paths.shifts == [1]
     assert value.is_one and value == pairwise_gcd(polys)
     shared = [(U * V + 3) * p for p in polys]
     assert gcd_many(shared) == pairwise_gcd(shared) == U * V + 3
@@ -572,6 +574,21 @@ def test_shift_that_makes_a_factor_a_monomial(traced_paths):
     value, path = traced_paths(polys)
     assert (value, path, traced_paths.shifts) == (V - 1, "shifted", [1])
     assert gcd_many([(V - 1) * p for p in polys]) == (V - 1) ** 2
+
+
+def test_second_attempt_packs_other_integers(monkeypatch):
+    """A rejected first candidate: the next attempt packs new integers, not the ones the first packed."""
+    packed, candidates = [], [U + 12345]  # the first candidate divides neither input
+
+    def counted_pack(terms, low, B, D):
+        packed.append(pack(terms, low, B, D))
+        return packed[-1]
+
+    monkeypatch.setattr(laurent, "pack", counted_pack)
+    monkeypatch.setattr(laurent, "unpack", lambda *a: candidates.pop() if candidates else unpack(*a))
+    assert gcd_many([(U + 1) * (U - 2), (U + 1) * (U + 3)]) == U + 1
+    assert packed[:2] == [274877382654, 274880004099]
+    assert len(packed) == 4 and not set(packed[2:]) & set(packed[:2]), packed
 
 
 @pytest.mark.parametrize("u_only", [False, True], ids=["uv", "t"])
