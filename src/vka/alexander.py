@@ -479,11 +479,11 @@ def _pivot_out(rows, cols, units_of, clear):
     The one pivot loop under ``_reduce`` (term-dict entries) and
     ``invariants._reduce_int`` (int entries), which differ only in entry
     arithmetic: ``units_of(row)`` lists the columns of a row's unit entries
-    that may be pivots, and ``clear(row, entry, pivot, unit, j, where)``
-    subtracts entry / unit times the ``pivot`` row from row ``j``, whose
-    ``entry`` in the pivot column is already popped, and keeps ``where``
-    (column -> ids of the rows holding it) up to date.  While a row has a
-    unit, the one of least Markowitz cost (row entries - 1) * (column
+    that may be pivots, and ``clear(row, entry, pivot, unit)`` subtracts
+    entry / unit times the ``pivot`` row from ``row``, whose ``entry`` in
+    the pivot column is already popped, leaving out zero entries.  Only
+    this loop keeps its index of the rows holding each column.  While a row
+    has a unit, the one of least Markowitz cost (row entries - 1) * (column
     entries - 1) is taken, first in row order on ties: its column is
     cleared from the other rows, and its row and column are dropped.  Zero
     rows are dropped.  The rows and their entries are changed in place.
@@ -522,7 +522,9 @@ def _pivot_out(rows, cols, units_of, clear):
             where[h].discard(i)
         for j in holders:
             row = rows[j]
-            clear(row, row.pop(g), pivot, unit, j, where)
+            clear(row, row.pop(g), pivot, unit)
+            for h in pivot:  # the row's index entries, as the clear left them
+                (where[h].add if h in row else where[h].discard)(j)
             if row:
                 units[j] = units_of(row)
             else:
@@ -530,19 +532,15 @@ def _pivot_out(rows, cols, units_of, clear):
     return list(rows.values()), tuple(g for g in cols if g in where)
 
 
-def _clear_terms(row, entry, pivot, unit, j, where):
+def _clear_terms(row, entry, pivot, unit):
     """``_pivot_out``'s step on term dicts: row -= (entry / unit) * pivot, unit a monomial +-u^a v^b."""
     (a, b), s = next(iter(unit.items()))
     f = {(e0 - a, e1 - b): s * c for (e0, e1), c in entry.items()}
     for h, pterms in pivot.items():
-        target = row.get(h)
-        if target is None:
-            target = row[h] = {}
-            where[h].add(j)
+        target = row.setdefault(h, {})
         _sub_product(target, f, pterms)
         if not target:
             del row[h]
-            where[h].discard(j)
 
 
 def _reduce(rows, cols, keep=()):

@@ -138,16 +138,14 @@ def char_poly(rows, cols, k, max_minors=DEFAULT_MINOR_BUDGET):
 # -- integer linear algebra --------------------------------------------
 
 
-def _clear_int(row, x, pivot, s, j, where):
+def _clear_int(row, x, pivot, s):
     """``_pivot_out``'s step on int rows: row -= (x / s) * pivot, s = +-1."""
     f = x * s
     for h, y in pivot.items():
         if v := row.get(h, 0) - f * y:
             row[h] = v
-            where[h].add(j)
         else:
             del row[h]
-            where[h].discard(j)
 
 
 def _reduce_int(rows, cols):
@@ -259,6 +257,7 @@ def coloring_count(rows, cols, ps):
     constant ones are trivial.  At (-1, 1) A(u, v) is -A(-1) up to row signs, so the colorings mod p are the
     solutions of one diagonal form (``_smith_at``), and for a long diagram the gcd is the determinant.
     """
+    ps = list(ps)  # read once: ``ps`` may be an iterator
     for p in ps:
         check_modulus(p)
     inv, ncols = _smith_at(rows, cols, (-1, 1))

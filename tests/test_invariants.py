@@ -544,6 +544,8 @@ def test_coloring_counts_follow_the_moduli(monkeypatch):
     assert all(type(count) is int for count in counts)
     assert counts == [brute_force_colorings(d, p) for p in moduli]
     assert coloring_count(*merged_arc_rows(d), [])[1] == []
+    # the moduli are read once, so any iterable will do
+    assert coloring_count(*merged_arc_rows(d), iter(moduli)) == (3, counts)
 
 
 def test_coloring_closed_trefoil():
@@ -808,6 +810,29 @@ def test_counts_equal_the_reduce_first_and_specialize_first_routes():
                 for p, s in HOM_CASES:
                     expected = hom_count_by_specialization_reference(m, t, p, s)
                     assert hom_count_to_cyclic(*rows, p, s, t) == expected, (d, quotient, t, p, s)
+
+
+def test_v1_hom_count_at_minus_one_is_the_coloring_count():
+    """Both count the solutions of A(-1, 1) x = 0 mod m: the hom count through the mod-m rounds and the
+    diagonal loop over residues, the colorings through the integer diagonal.  A law, so no reference is needed.
+
+    The corpus and its closures, the windings n = 1..6 of the long corpus codes, and random codes with 0 to 30
+    crossings, long and closed; the moduli 2..40 reach nontrivial counts at composite m, where the rounds stop
+    on no value 1 rather than on no row left.
+    """
+    corpus = list(catalog.corpus().values())
+    diagrams = corpus + [close(d) for d in corpus if d.kind == LONG]
+    diagrams += [dn_family(d, n) for d in corpus if d.kind == LONG for n in range(1, 7)]
+    for seed in range(4):
+        rng = random.Random(seed)
+        diagrams += [parse_gauss(random_code(rng, c, closed)) for c in range(0, 31, 3) for closed in (False, True)]
+    moduli = range(2, 41)
+    composite = set()
+    for d in diagrams:
+        counts = coloring_count(*merged_arc_rows(d), moduli)[1]
+        assert [hom_count_to_cyclic(*quotient_rows(d), m, -1, "v1") for m in moduli] == counts, d
+        composite |= {m for m, count in zip(moduli, counts) if count > m and any(m % q == 0 for q in range(2, m))}
+    assert len(composite) >= 10
 
 
 def test_hom_count_validation():

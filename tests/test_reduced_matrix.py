@@ -12,7 +12,7 @@ import time
 import pytest
 
 import catalog
-from oracles import assert_same_module, dense, quotients, random_code, random_diagrams, reduced_matrix
+from oracles import assert_same_module, dense, quotients, random_code, random_diagrams, rank_mod, reduced_matrix
 from vka import alexander, cli
 from vka.alexander import (
     GroupPresentationZ2,
@@ -175,6 +175,32 @@ def test_ties_go_to_the_first_row():
     reduced = _assert_same_ideals(p)
     assert reduced[1] == ("x1",)
     assert _entries(reduced) == [[{(1, 0): -1, (0, 1): -1, (1, 1): -1}]]
+
+
+def test_pivot_out_keeps_its_own_index():
+    """``_pivot_out`` takes any four-argument clear and keeps its row index itself.
+
+    The clear written here works mod 7, where every nonzero entry is a unit,
+    and touches no index: every matrix must lose all its rows, in as many
+    pivots as its rank mod 7.
+    """
+    def clear(row, x, pivot, unit):
+        f = x * pow(unit, -1, 7)
+        for h, y in pivot.items():
+            if v := (row.get(h, 0) - f * y) % 7:
+                row[h] = v
+            else:
+                del row[h]
+
+    rng = random.Random(7)
+    for _ in range(500):
+        ncols = rng.randint(1, 7)
+        entries = [[rng.randrange(7) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                   for _ in range(rng.randint(0, 7))]
+        rows = [{g: x for g, x in enumerate(row) if x} for row in entries]
+        left, cols = alexander._pivot_out(rows, range(ncols), list, clear)
+        assert left == [], entries
+        assert ncols - len(cols) == rank_mod(entries, 7), entries
 
 
 # -- the CLI builds word presentations only for --presentation ----------
