@@ -163,16 +163,12 @@ class GroupPresentationZ2(NamedTuple):
         return f"<{gens} | {rels}>"
 
     def to_json(self):
-        """JSON-ready dict mirroring the presentation's fields."""
-
-        def word(w):
-            return [[g, list(e), s] for g, e, s in w]
-
+        """JSON-ready dict of the presentation's fields: its stored words, which ``json`` writes as arrays."""
         return {
-            "generators": list(self.generators),
-            "relations": [{"left": word(l), "right": word(r)} for l, r in self.relations],
-            "end_minus": word(self.end_minus) if self.end_minus is not None else None,
-            "end_plus": word(self.end_plus) if self.end_plus is not None else None,
+            "generators": self.generators,
+            "relations": [{"left": l, "right": r} for l, r in self.relations],
+            "end_minus": self.end_minus,
+            "end_plus": self.end_plus,
         }
 
 

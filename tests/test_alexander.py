@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -484,3 +485,28 @@ def test_returned_presentations_share_plain_tuple_letters():
                 shown += [killed, tietze_eliminate(killed)]
         for q in shown:
             _assert_shared_plain_words(q)
+
+
+def test_to_json_hands_out_the_stored_words():
+    """``to_json`` returns the presentation's own word tuples, and ``json`` writes them as it writes
+    per-letter lists ``[gen, [u_exp, v_exp], sign]``."""
+
+    def letters(w):
+        return [[g, list(e), s] for g, e, s in w]
+
+    diagrams = list(catalog.corpus().values()) + [d for c in range(17) for d in random_diagrams(c, range(10))]
+    for d in diagrams:
+        for q in quotients(d):
+            p = quotient_pipeline(d, q)
+            shown = p.to_json()
+            assert shown["generators"] is p.generators
+            assert len(shown["relations"]) == len(p.relations)
+            assert all(s["left"] is l and s["right"] is r for s, (l, r) in zip(shown["relations"], p.relations))
+            assert shown["end_minus"] is p.end_minus and shown["end_plus"] is p.end_plus
+            copied = {
+                "generators": list(p.generators),
+                "relations": [{"left": letters(l), "right": letters(r)} for l, r in p.relations],
+                "end_minus": None if p.end_minus is None else letters(p.end_minus),
+                "end_plus": None if p.end_plus is None else letters(p.end_plus),
+            }
+            assert json.dumps(shown, sort_keys=True) == json.dumps(copied, sort_keys=True)

@@ -20,6 +20,7 @@ from vka import invariants, moves
 from vka.diagram import parse_gauss
 
 RECORD = json.loads((REPO_ROOT / "BENCH_layers.json").read_text(encoding="utf-8"))
+WALK_PASSES = 7  # fresh walks-section passes; their best times are compared
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +96,18 @@ def test_fuzz_walks_replay_matches_the_record(bench):
     assert len(walks) == 165
     assert sum(steps for _, _, steps, _ in walks) == 3300
     _matches_gcd(bench, "fuzz-walks", gcd_calls, shared=117, multi=240)
-    walked = bench.walks_section(walks, repeats=1)
-    _matches_record(walked, RECORD["walks"])
-    assert RECORD["walks"]["scans"] == 1611
-    assert RECORD["walks"]["walked_sha256"].startswith("6038ced7")
-    # the scans alone, on the states the walks scan, are a part of the walks' time
-    for section in (walked, RECORD["walks"]):
-        assert 0 < section["scan_best_s"] <= section["scan_median_s"]
-        assert section["scan_best_s"] < section["best_s"]
+    # each pass times the walks, then the scans: interleaved, so a slow spell slows both
+    recorded = RECORD["walks"]
+    passes = [bench.walks_section(walks, repeats=1) for _ in range(WALK_PASSES)]
+    for walked in passes:
+        _matches_record(walked, recorded)
+    assert recorded["scans"] == 1611
+    assert recorded["walked_sha256"].startswith("6038ced7")
+    # the scans alone, on the states the walks scan, are a part of the walks' time: in the record (best of
+    # 15), and in the best of the fresh passes
+    assert 0 < recorded["scan_best_s"] <= recorded["scan_median_s"]
+    assert recorded["scan_best_s"] < recorded["best_s"]
+    assert 0 < min(s["scan_best_s"] for s in passes) < min(s["best_s"] for s in passes)
     profile = bench.profile_section(walks, repeats=1)
     _matches_record(profile, RECORD["profile"])
     assert profile["diagrams"] == 330
